@@ -105,16 +105,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DenyProb:      *deny,
 		Resubmit:      *resubmit,
 		MaxResubmits:  *maxResubmits,
-		Shards:        *shards,
 		Pipeline:      *pipeline,
 		FuturesSplit:  *futuresSplit,
 		DemandShock:   *demandShock,
 		SupplyShock:   *supplyShock,
 	}
-	if *exact {
-		cfg.Auction = auction.DefaultConfig()
-		cfg.Auction.ExactScheduling = true
-	}
+	cfg.Auction.ExactScheduling = *exact
+	cfg.Auction.Shards = *shards
 	cfg.Auction.Incremental = *incremental
 	if *reserveHorizon > 0 {
 		cfg.Auction.Futures = auction.FuturesConfig{

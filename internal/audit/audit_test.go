@@ -36,7 +36,7 @@ func TestAuditCatchesDoubleMatch(t *testing.T) {
 	reqs, offs := market(1, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches to duplicate")
+		t.Fatal("no matches to duplicate")
 	}
 	out.Matches = append(out.Matches, out.Matches[0])
 	if !has(Outcome(reqs, offs, out), "const5") {
@@ -48,7 +48,7 @@ func TestAuditCatchesInflatedPayment(t *testing.T) {
 	reqs, offs := market(2, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	out.Matches[0].Payment = out.Matches[0].Request.Bid * 10
 	vs := Outcome(reqs, offs, out)
@@ -64,7 +64,7 @@ func TestAuditCatchesGhostOrders(t *testing.T) {
 	reqs, offs := market(3, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	ghost := *out.Matches[0].Request
 	ghost.ID = "ghost"
@@ -78,7 +78,7 @@ func TestAuditCatchesMutatedBid(t *testing.T) {
 	reqs, offs := market(4, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	mutated := *out.Matches[0].Request
 	mutated.Bid *= 2
@@ -92,7 +92,7 @@ func TestAuditCatchesOverGrant(t *testing.T) {
 	reqs, offs := market(5, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	m := &out.Matches[0]
 	m.Granted = m.Granted.Clone()
@@ -107,7 +107,7 @@ func TestAuditCatchesTimeViolation(t *testing.T) {
 	reqs, offs := market(6, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	forged := *out.Matches[0].Offer
 	forged.End = forged.Start + 1 // window no longer covers the request
@@ -128,7 +128,7 @@ func TestAuditCatchesGhostOffer(t *testing.T) {
 	reqs, offs := market(7, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	ghost := *out.Matches[0].Offer
 	ghost.ID = "ghost-offer"
@@ -142,7 +142,7 @@ func TestAuditCatchesMutatedOffer(t *testing.T) {
 	reqs, offs := market(8, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	mutated := *out.Matches[0].Offer
 	mutated.Bid /= 2
@@ -153,7 +153,9 @@ func TestAuditCatchesMutatedOffer(t *testing.T) {
 }
 
 func TestAuditCatchesLocalityViolation(t *testing.T) {
-	reqs, offs := market(9, 60)
+	// Only a geo-scattered market has matches at a positive distance.
+	m := workload.Generate(workload.Config{Seed: 9, Requests: 60, GeoRadius: 0.6})
+	reqs, offs := m.Requests, m.Offers
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	// Find a match with a strictly positive client↔provider distance and
 	// shrink the request's radius under it. MaxDistance is not part of the
@@ -169,14 +171,14 @@ func TestAuditCatchesLocalityViolation(t *testing.T) {
 			return
 		}
 	}
-	t.Skip("no match with positive distance")
+	t.Fatal("no match with positive distance")
 }
 
 func TestAuditSkipsZeroNeedKinds(t *testing.T) {
 	reqs, offs := market(10, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	// A zero-valued resource entry demands nothing, so the flexibility
 	// floor must not apply to it.
@@ -190,7 +192,7 @@ func TestAuditCatchesFlexFloorViolation(t *testing.T) {
 	reqs, offs := market(11, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	m := &out.Matches[0]
 	m.Granted = m.Granted.Clone()
@@ -209,7 +211,7 @@ func TestAuditCatchesPhiOutOfRange(t *testing.T) {
 	reqs, offs := market(12, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	m := &out.Matches[0]
 	// φ = duration/window · mean(granted/cap), so granting twice the
@@ -227,7 +229,7 @@ func TestAuditCatchesNegativePayment(t *testing.T) {
 	reqs, offs := market(13, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Matches) == 0 {
-		t.Skip("no matches")
+		t.Fatal("no matches")
 	}
 	out.Matches[0].Payment = -1
 	vs := Outcome(reqs, offs, out)
@@ -240,7 +242,7 @@ func TestAuditCatchesTamperedBooks(t *testing.T) {
 	reqs, offs := market(14, 30)
 	out := auction.Run(reqs, offs, auction.DefaultConfig())
 	if len(out.Payments) == 0 || len(out.Revenues) == 0 {
-		t.Skip("no payments")
+		t.Fatal("no payments")
 	}
 	for id := range out.Payments {
 		out.Payments[id] += 5

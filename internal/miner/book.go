@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 
-	"decloud/internal/auction"
-	"decloud/internal/audit"
 	"decloud/internal/book"
 	"decloud/internal/ledger"
-	"decloud/internal/sealed"
 )
 
 // This file wires the continuous order book (internal/book) into the
@@ -27,27 +24,10 @@ import (
 // chain mutex is not reentrant) — callers sync BEFORE appending and,
 // on a verify-driven rejection, resync and retry.
 
-// computeBodyIncremental is ComputeBody's book path: the block's
-// decrypted orders are previewed against the live book — carried
-// orders compete with the new arrivals — and the speculative outcome
-// becomes the body. The book itself is not advanced; that happens when
-// the appended block is synced (SyncBook), which reuses the preview's
-// memoized outcome when nothing changed in between.
-func (m *Miner) computeBodyIncremental(b *ledger.Block, reveals []*sealed.KeyReveal) (*auction.Outcome, error) {
-	res := DecryptOrders(b.Bids, reveals)
-	out, _, _ := m.Book.Preview(res.Requests, res.Offers, b.Evidence())
-	alloc, err := ledger.EncodeAllocation(out)
-	if err != nil {
-		return nil, err
-	}
-	b.Body = ledger.NewBody(reveals, alloc)
-	return out, nil
-}
-
 // SyncBook replays every chain block the miner's book has not yet
-// absorbed, in height order. Each block's orders are decrypted with the
-// body's reveals and applied as one mutation batch under the block's
-// evidence; the resulting outcome must re-encode to the committed
+// absorbed, in height order. Each block is executed with the body's
+// reveals and committed to the book as one mutation batch under the
+// block's evidence; the resulting outcome must re-encode to the committed
 // allocation bytes, otherwise the local book has diverged from
 // consensus and the error says at which height.
 func (m *Miner) SyncBook(chain *ledger.Chain) error {
@@ -61,13 +41,11 @@ func (m *Miner) SyncBook(chain *ledger.Chain) error {
 		if blk == nil || blk.Body == nil {
 			return fmt.Errorf("miner %s: sync book: no body at height %d", m.Name, h)
 		}
-		res := DecryptOrders(blk.Bids, blk.Body.Reveals)
-		out := m.Book.Apply(res.Requests, res.Offers, blk.Evidence())
-		alloc, err := ledger.EncodeAllocation(out)
+		ex, err := m.execute(blk, blk.Body.Reveals, true)
 		if err != nil {
 			return fmt.Errorf("miner %s: sync book at height %d: %w", m.Name, h, err)
 		}
-		if !bytes.Equal(alloc, blk.Body.Allocation) {
+		if !bytes.Equal(ex.alloc, blk.Body.Allocation) {
 			return fmt.Errorf("miner %s: book diverged from chain at height %d: %w", m.Name, h, ErrAllocationMismatch)
 		}
 		// Advance the market clock: orders whose windows ended before
@@ -77,34 +55,9 @@ func (m *Miner) SyncBook(chain *ledger.Chain) error {
 		// block's bid time fields, so every replica expires the same
 		// set at the same height — expiry runs AFTER the apply, never
 		// between a preview and its apply.
-		if now, ok := book.ArrivalWatermark(res.Requests, res.Offers); ok {
+		if now, ok := book.ArrivalWatermark(ex.dec.Requests, ex.dec.Offers); ok {
 			m.Book.ExpireBefore(now)
 		}
-	}
-	return nil
-}
-
-// verifyBlockIncremental re-executes a block against the verifier's own
-// book replica: preview the block's orders over the live set, compare
-// allocations byte for byte, and audit the recomputed outcome against
-// the market model over the UNION of carried and newly revealed orders
-// (a carried match references an order that is not among this block's
-// bids — the union is the market the clear actually ran over).
-func (m *Miner) verifyBlockIncremental(b *ledger.Block) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	res := DecryptOrders(b.Bids, b.Body.Reveals)
-	out, unionReqs, unionOffs := m.Book.Preview(res.Requests, res.Offers, b.Evidence())
-	alloc, err := ledger.EncodeAllocation(out)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(alloc, b.Body.Allocation) {
-		return fmt.Errorf("%w (miner %s, incremental)", ErrAllocationMismatch, m.Name)
-	}
-	if violations := audit.Outcome(unionReqs, unionOffs, out); len(violations) > 0 {
-		return fmt.Errorf("miner %s: allocation violates the market model: %v", m.Name, violations[0])
 	}
 	return nil
 }

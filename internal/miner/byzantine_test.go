@@ -26,8 +26,8 @@ func crashAll(t *testing.T, names []string) *chaos.Plan {
 }
 
 // TestByzantineProducerMatrix exercises graceful degradation against a
-// Byzantine block producer across every Consensus × VerifyPolicy
-// combination and two attack bodies:
+// Byzantine block producer across every Consensus × VerifyPolicy ×
+// {from-scratch, order-book} combination and two attack bodies:
 //
 //   - corrupt-body: the allocation bytes are mutated without re-hashing,
 //     so Block.Validate fails structurally under any policy;
@@ -78,60 +78,70 @@ func TestByzantineProducerMatrix(t *testing.T) {
 		{"sampled", VerifySampled, 1},
 	}
 
+	markets := []struct {
+		name string
+		cfg  auction.Config
+	}{
+		{"scratch", auction.DefaultConfig()},
+		{"incremental", incrementalConfig()},
+	}
+
 	for _, cons := range consensuses {
 		for _, pol := range policies {
 			for _, atk := range attacks {
-				t.Run(cons.name+"/"+pol.name+"/"+atk.name, func(t *testing.T) {
-					net := NewNetwork(3, testDifficulty, auction.DefaultConfig())
-					net.Consensus = cons.c
-					net.Policy = pol.p
-					net.SampleProb = pol.prob
-					reg := obs.NewRegistry()
-					net.Obs = obs.NewMinerMetrics(reg)
-					// The first producer to win the round turns Byzantine;
-					// re-elected producers stay honest.
-					var offender string
-					net.TamperBody = func(producer string, b *ledger.Body) {
-						if offender == "" {
-							offender = producer
+				for _, mkt := range markets {
+					t.Run(cons.name+"/"+pol.name+"/"+atk.name+"/"+mkt.name, func(t *testing.T) {
+						net := NewNetwork(3, testDifficulty, mkt.cfg)
+						net.Consensus = cons.c
+						net.Policy = pol.p
+						net.SampleProb = pol.prob
+						reg := obs.NewRegistry()
+						net.Obs = obs.NewMinerMetrics(reg)
+						// The first producer to win the round turns Byzantine;
+						// re-elected producers stay honest.
+						var offender string
+						net.TamperBody = func(producer string, b *ledger.Body) {
+							if offender == "" {
+								offender = producer
+							}
+							if producer == offender {
+								atk.mutate(t, b)
+							}
 						}
-						if producer == offender {
-							atk.mutate(t, b)
+						parts := marketRound(t, net)
+						res, err := net.RunRound(context.Background(), parts)
+						if err != nil {
+							t.Fatalf("round did not converge past the Byzantine producer: %v", err)
 						}
-					}
-					parts := marketRound(t, net)
-					res, err := net.RunRound(context.Background(), parts)
-					if err != nil {
-						t.Fatalf("round did not converge past the Byzantine producer: %v", err)
-					}
-					if res.Winner == offender {
-						t.Fatalf("Byzantine producer %s won the round", offender)
-					}
-					if len(res.Offenders) != 1 || res.Offenders[0] != offender {
-						t.Fatalf("Offenders = %v, want [%s]", res.Offenders, offender)
-					}
-					if got := net.Slashed[offender]; got != 1 {
-						t.Fatalf("offender slashed %d times, want exactly 1", got)
-					}
-					if got := reg.CounterValue("decloud_miner_slashes_total"); got != 1 {
-						t.Fatalf("slashes_total metric = %d, want exactly 1", got)
-					}
-					if got := reg.CounterValue("decloud_miner_rejected_bids_total"); got != 0 {
-						t.Fatalf("rejected_bids_total = %d on an honest re-election, want 0", got)
-					}
-					if got := net.Balances[offender]; got != 0 {
-						t.Fatalf("offender earned %v despite rejection", got)
-					}
-					if net.Chain().Len() != 1 {
-						t.Fatalf("chain length %d, want 1", net.Chain().Len())
-					}
-					if len(res.Outcome.Matches) == 0 {
-						t.Fatal("converged round produced no trades")
-					}
-					if pol.p == VerifySampled && atk.name == "forged-allocation" && len(net.Challenges) == 0 {
-						t.Fatal("sampled verifiers raised no challenge against a forged allocation")
-					}
-				})
+						if res.Winner == offender {
+							t.Fatalf("Byzantine producer %s won the round", offender)
+						}
+						if len(res.Offenders) != 1 || res.Offenders[0] != offender {
+							t.Fatalf("Offenders = %v, want [%s]", res.Offenders, offender)
+						}
+						if got := net.Slashed[offender]; got != 1 {
+							t.Fatalf("offender slashed %d times, want exactly 1", got)
+						}
+						if got := reg.CounterValue("decloud_miner_slashes_total"); got != 1 {
+							t.Fatalf("slashes_total metric = %d, want exactly 1", got)
+						}
+						if got := reg.CounterValue("decloud_miner_rejected_bids_total"); got != 0 {
+							t.Fatalf("rejected_bids_total = %d on an honest re-election, want 0", got)
+						}
+						if got := net.Balances[offender]; got != 0 {
+							t.Fatalf("offender earned %v despite rejection", got)
+						}
+						if net.Chain().Len() != 1 {
+							t.Fatalf("chain length %d, want 1", net.Chain().Len())
+						}
+						if len(res.Outcome.Matches) == 0 {
+							t.Fatal("converged round produced no trades")
+						}
+						if pol.p == VerifySampled && atk.name == "forged-allocation" && len(net.Challenges) == 0 {
+							t.Fatal("sampled verifiers raised no challenge against a forged allocation")
+						}
+					})
+				}
 			}
 		}
 	}

@@ -248,10 +248,7 @@ func TestChaosSoakProofOfWorkConverges(t *testing.T) {
 				t.Fatalf("excluded set depends on the PoW race: %x vs %x",
 					resA.ExcludedDigests, resB.ExcludedDigests)
 			}
-			cfg := auction.DefaultConfig()
-			cfg.Reputation = netA.Contracts().Reputation()
-			outsider := &Miner{Name: "outsider", Difficulty: testDifficulty, AuctionCfg: cfg}
-			if err := outsider.VerifyBlock(netA.Chain().Head()); err != nil {
+			if err := outsiderVerifyHead(t, netA, auction.DefaultConfig()); err != nil {
 				t.Fatalf("outsider rejects the converged block: %v", err)
 			}
 		})

@@ -46,22 +46,12 @@ type Miner struct {
 	bookMu sync.Mutex
 }
 
-// AssembleBlock fixes the sealed-bid order (sorted by digest — a
+// AssembleBlockAt fixes the sealed-bid order (sorted by digest — a
 // canonical order no miner can game) and builds the unmined preamble
-// referencing the current chain head.
-func (m *Miner) AssembleBlock(chain *ledger.Chain, bids []*sealed.Bid, timestamp int64) *ledger.Block {
-	var height int64
-	if head := chain.Head(); head != nil {
-		height = head.Preamble.Height + 1
-	}
-	return m.AssembleBlockAt(chain.HeadHash(), height, bids, timestamp)
-}
-
-// AssembleBlockAt builds the unmined preamble against an explicit parent
-// instead of the chain head. The epoch pipeline uses this to assemble
-// block n+1 against block n's preamble hash while n's body is still
-// being verified — the parent hash depends only on the preamble, so it
-// is known as soon as production finishes.
+// against an explicit parent. The parent hash depends only on the
+// parent's preamble, so the epoch pipeline can assemble block n+1
+// against block n as soon as n's production finishes, while n's body is
+// still being verified.
 func (m *Miner) AssembleBlockAt(prevHash [32]byte, height int64, bids []*sealed.Bid, timestamp int64) *ledger.Block {
 	ordered := append([]*sealed.Bid(nil), bids...)
 	sort.Slice(ordered, func(i, j int) bool {
@@ -159,51 +149,80 @@ func DecryptOrders(bids []*sealed.Bid, reveals []*sealed.KeyReveal) DecryptResul
 	return res
 }
 
-// ComputeBody decrypts the block's bids, runs the allocation mechanism
-// seeded with the block's PoW evidence, and attaches the resulting body.
-// It returns the outcome so the caller can propose agreements.
-func (m *Miner) ComputeBody(b *ledger.Block, reveals []*sealed.KeyReveal) (*auction.Outcome, error) {
-	if m.Book != nil {
-		return m.computeBodyIncremental(b, reveals)
+// execution is one deterministic run of a block: what its bids decrypted
+// to, the market the clear ran over, the outcome, and the outcome's
+// canonical allocation bytes.
+type execution struct {
+	dec     DecryptResult
+	outcome *auction.Outcome
+	// reqs/offs are the market the clear ran over: the block's own
+	// orders from scratch, the union of carried and newly revealed
+	// orders over a book preview (a carried match references an order
+	// that is not among this block's bids). Unset when commit is true.
+	reqs  []*bidding.Request
+	offs  []*bidding.Offer
+	alloc []byte
+}
+
+// execute is the one block executor — the function the producer computes
+// and every verifier re-executes (Section III-B): decrypt the block's
+// bids with the reveals, clear them under the block's PoW evidence, and
+// encode the allocation. From scratch the clear is auction.Run over the
+// block's orders alone. With a book it is a speculative Book.Preview
+// over carried + new orders, which leaves the book where it was — or,
+// when commit is set, the Book.Apply that advances it (reusing the
+// preview's memoized outcome when nothing changed in between).
+func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal, commit bool) (execution, error) {
+	ex := execution{dec: DecryptOrders(b.Bids, reveals)}
+	switch {
+	case m.Book == nil:
+		cfg := m.AuctionCfg
+		cfg.Evidence = b.Evidence()
+		ex.reqs, ex.offs = ex.dec.Requests, ex.dec.Offers
+		ex.outcome = auction.Run(ex.reqs, ex.offs, cfg)
+	case commit:
+		ex.outcome = m.Book.Apply(ex.dec.Requests, ex.dec.Offers, b.Evidence())
+	default:
+		ex.outcome, ex.reqs, ex.offs = m.Book.Preview(ex.dec.Requests, ex.dec.Offers, b.Evidence())
 	}
-	res := DecryptOrders(b.Bids, reveals)
-	cfg := m.AuctionCfg
-	cfg.Evidence = b.Evidence()
-	out := auction.Run(res.Requests, res.Offers, cfg)
-	alloc, err := ledger.EncodeAllocation(out)
+	var err error
+	ex.alloc, err = ledger.EncodeAllocation(ex.outcome)
+	return ex, err
+}
+
+// ComputeBody executes the block and attaches the resulting body. It
+// returns the outcome so the caller can propose agreements. In
+// incremental mode the book itself is not advanced; that happens when
+// the appended block is synced (SyncBook).
+func (m *Miner) ComputeBody(b *ledger.Block, reveals []*sealed.KeyReveal) (*auction.Outcome, error) {
+	ex, err := m.execute(b, reveals, false)
 	if err != nil {
 		return nil, err
 	}
-	b.Body = ledger.NewBody(reveals, alloc)
-	return out, nil
+	b.Body = ledger.NewBody(reveals, ex.alloc)
+	return ex.outcome, nil
 }
 
 // VerifyBlock is the independent re-execution every other miner performs
-// before accepting a block (Section III-B): decrypt the same bids with
-// the body's reveals, re-run the deterministic allocation with the same
-// evidence, and compare allocations byte for byte. It also re-checks the
-// block's structural validity and audits the recomputed outcome against
-// the market-model constraints (defense in depth: a bug that corrupted
-// every replica identically would still be caught here).
+// before accepting a block (Section III-B): execute the same bids with
+// the body's reveals — against the verifier's own book replica in
+// incremental mode — and compare allocations byte for byte. It also
+// re-checks the block's structural validity and audits the recomputed
+// outcome against the market-model constraints over the market the
+// clear ran over (defense in depth: a bug that corrupted every replica
+// identically would still be caught here).
 func (m *Miner) VerifyBlock(b *ledger.Block) error {
-	if m.Book != nil {
-		return m.verifyBlockIncremental(b)
-	}
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	res := DecryptOrders(b.Bids, b.Body.Reveals)
-	cfg := m.AuctionCfg
-	cfg.Evidence = b.Evidence()
-	out := auction.Run(res.Requests, res.Offers, cfg)
-	alloc, err := ledger.EncodeAllocation(out)
+	ex, err := m.execute(b, b.Body.Reveals, false)
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(alloc, b.Body.Allocation) {
+	if !bytes.Equal(ex.alloc, b.Body.Allocation) {
 		return fmt.Errorf("%w (miner %s)", ErrAllocationMismatch, m.Name)
 	}
-	if violations := audit.Outcome(res.Requests, res.Offers, out); len(violations) > 0 {
+	if violations := audit.Outcome(ex.reqs, ex.offs, ex.outcome); len(violations) > 0 {
 		return fmt.Errorf("miner %s: allocation violates the market model: %v", m.Name, violations[0])
 	}
 	return nil

@@ -281,181 +281,34 @@ type RoundResult struct {
 //     and barred, and the round re-elects among the remaining miners
 //     until an honest block converges (graceful Byzantine degradation).
 //
-// The participants argument lists the endpoints to ask for key reveals —
-// in a real deployment this is a broadcast, here it is a direct call.
+// It is the epoch pipeline at depth 1 (pipeline.go): steps 1–2 are
+// produceStage against the chain head, steps 3–4 are commitStage, with
+// nothing overlapped. The participants argument lists the endpoints to
+// ask for key reveals — in a real deployment this is a broadcast, here
+// it is a direct call.
 func (n *Network) RunRound(ctx context.Context, participants []*Participant) (*RoundResult, error) {
 	if len(n.miners) == 0 {
 		return nil, ErrNoMiners
 	}
-	n.mu.Lock()
-	bids := n.mempool
-	n.mempool = nil
-	n.clock++
-	timestamp := n.clock
-	n.mu.Unlock()
-	if len(bids) == 0 {
-		return nil, ErrEmptyMempool
+	st, err := n.beginRound(0, participants)
+	if err != nil {
+		return nil, err
 	}
-	// Incremental mode: every replica's book must reflect the current
-	// chain before producers preview against it and verifiers re-execute.
-	if err := n.syncBooks(); err != nil {
-		return nil, fmt.Errorf("miner: pre-round book sync: %w", err)
+	defer st.tr.End()
+	prevHash, height := n.nextParent()
+	if err := n.produceStage(ctx, st, prevHash, height, nil); err != nil {
+		return nil, err
 	}
+	return n.commitStage(ctx, st)
+}
 
-	tr := n.Tracer.StartRound(timestamp)
-	defer tr.End()
-	roundStart := obsNow(n.Obs)
-	if n.Obs != nil {
-		n.Obs.Rounds.Inc()
+// nextParent returns what the next block links to: the chain head's
+// preamble hash and the height after it.
+func (n *Network) nextParent() (prevHash [32]byte, height int64) {
+	if head := n.chain.Head(); head != nil {
+		height = head.Preamble.Height + 1
 	}
-
-	// crashed miners sit the whole round out; miners slashed during this
-	// round's re-elections are barred from producing but keep verifying —
-	// a Byzantine producer must not escape scrutiny just because its
-	// accusers were themselves rejected earlier.
-	crashed := make(map[int]bool)
-	for i, m := range n.miners {
-		if n.Faults.Crashed(timestamp, m.Name) {
-			crashed[i] = true
-		}
-	}
-	barred := make(map[int]bool)
-
-	var offenders []string
-	var lastErr error
-	for {
-		var eligible, verifiers []int
-		for i := range n.miners {
-			if crashed[i] {
-				continue
-			}
-			verifiers = append(verifiers, i)
-			if !barred[i] {
-				eligible = append(eligible, i)
-			}
-		}
-		if len(eligible) == 0 {
-			if lastErr != nil {
-				return nil, fmt.Errorf("miner: no producer converged after %d rejection(s): %w", len(offenders), lastErr)
-			}
-			return nil, ErrAllCrashed
-		}
-
-		// Phase 1: block production among the eligible miners. Under
-		// proof-of-work every one assembles the same canonical block and
-		// searches a disjoint nonce region; first valid PoW wins and
-		// cancels the rest. Under proof-of-stake the stake-weighted
-		// leader for this height produces the block directly.
-		var winnerIdx int
-		var block *ledger.Block
-		var err error
-		switch n.Consensus {
-		case ProofOfStake:
-			winnerIdx, block = n.electLeader(eligible, bids, timestamp)
-		default:
-			winnerIdx, block, err = n.race(ctx, eligible, bids, timestamp)
-			if err != nil {
-				return nil, err
-			}
-		}
-		winner := n.miners[winnerIdx]
-		tr.Event("preamble_sealed", map[string]any{
-			"producer": winner.Name, "height": block.Preamble.Height, "bids": len(block.Bids),
-		})
-		tr.Event("consensus_decided", map[string]any{
-			"consensus": n.Consensus.String(), "producer": winner.Name,
-		})
-
-		// Phase 1→2 boundary: participants validate the preamble and
-		// reveal keys for their committed bids; lost reveals are retried,
-		// then excluded.
-		revealStart := obsNow(n.Obs)
-		reveals, excluded, attempts := n.collectReveals(block, participants, timestamp, winner.Name)
-		if n.Obs != nil {
-			n.Obs.RevealSeconds.Observe(time.Since(revealStart).Seconds())
-			n.Obs.RevealAttempts.Add(int64(attempts))
-			n.Obs.RevealRetries.Add(int64(attempts - 1))
-			n.Obs.ExcludedBids.Add(int64(len(excluded)))
-		}
-		tr.Event("reveals_collected", map[string]any{
-			"attempts": attempts, "retries": attempts - 1,
-			"revealed": len(reveals), "excluded": len(excluded),
-		})
-
-		// Phase 2: the winner decrypts and computes the allocation.
-		computeStart := obsNow(n.Obs)
-		outcome, err := winner.ComputeBody(block, reveals)
-		if err != nil {
-			return nil, fmt.Errorf("miner: compute body: %w", err)
-		}
-		dec := DecryptOrders(block.Bids, reveals)
-		if n.Obs != nil {
-			n.Obs.ComputeSeconds.Observe(time.Since(computeStart).Seconds())
-			n.Obs.UnrevealedBids.Add(int64(dec.Unrevealed))
-			n.Obs.RejectedBids.Add(int64(dec.Rejected))
-		}
-		tr.Event("allocation_computed", map[string]any{
-			"matches": len(outcome.Matches), "unrevealed": dec.Unrevealed, "rejected": dec.Rejected,
-		})
-
-		if n.TamperBody != nil {
-			n.TamperBody(winner.Name, block.Body)
-		}
-
-		// Phase 2: the other live miners verify the block before
-		// acceptance. Under VerifyAll everyone re-executes; under
-		// VerifySampled each miner checks with probability SampleProb and
-		// any detected mismatch becomes a challenge that triggers full
-		// verification (TrueBit's escape from the verifier's dilemma).
-		verifyStart := obsNow(n.Obs)
-		err = n.chain.Append(block, func(b *ledger.Block) error {
-			return n.verifyByPolicy(b, winnerIdx, verifiers)
-		})
-		if n.Obs != nil {
-			n.Obs.VerifySeconds.Observe(time.Since(verifyStart).Seconds())
-		}
-		if err != nil {
-			// The verifiers rejected the producer's block: slash it, bar
-			// it, and re-elect among the remaining miners. The bids are
-			// untouched — the next producer re-runs the same round.
-			n.Slashed[winner.Name]++
-			offenders = append(offenders, winner.Name)
-			barred[winnerIdx] = true
-			lastErr = err
-			if n.Obs != nil {
-				n.Obs.Slashes.Inc()
-			}
-			tr.Event("denied", map[string]any{"producer": winner.Name, "error": err.Error()})
-			tr.Event("slashed", map[string]any{"producer": winner.Name})
-			continue
-		}
-		tr.Event("verified", map[string]any{"producer": winner.Name, "verifiers": len(verifiers) - 1})
-
-		// The block is canonical: advance every book replica so callers
-		// observing the network between rounds see the post-block market.
-		if err := n.syncBooks(); err != nil {
-			return nil, fmt.Errorf("miner: post-append book sync: %w", err)
-		}
-
-		n.Balances[winner.Name] += n.BlockReward
-		if n.Obs != nil {
-			n.Obs.BlocksAccepted.Inc()
-			n.Obs.RoundSeconds.Observe(time.Since(roundStart).Seconds())
-		}
-
-		ids := n.registry.ProposeFromBlock(block.Preamble.Height, mustDecode(block.Body.Allocation))
-		return &RoundResult{
-			Block:           block,
-			Outcome:         outcome,
-			Winner:          winner.Name,
-			Agreements:      ids,
-			Unrevealed:      dec.Unrevealed,
-			RejectedBids:    dec.Rejected,
-			ExcludedDigests: excluded,
-			RevealAttempts:  attempts,
-			Offenders:       offenders,
-		}, nil
-	}
+	return n.chain.HeadHash(), height
 }
 
 // collectReveals runs the reveal phase with a retry budget: participants
@@ -551,20 +404,11 @@ func mustDecode(alloc []byte) []ledger.AllocationRecord {
 	return records
 }
 
-// electLeader produces a block under proof-of-stake: the stake-weighted
+// electLeaderAt produces a block under proof-of-stake: the stake-weighted
 // leader among the eligible miners assembles it with difficulty 0 (no
-// puzzle to solve).
-func (n *Network) electLeader(eligible []int, bids []*sealed.Bid, timestamp int64) (int, *ledger.Block) {
-	var height int64
-	if head := n.chain.Head(); head != nil {
-		height = head.Preamble.Height + 1
-	}
-	return n.electLeaderAt(n.chain.HeadHash(), height, eligible, bids, timestamp)
-}
-
-// electLeaderAt elects and assembles against an explicit parent, so the
-// epoch pipeline can elect round n+1's leader from block n's preamble
-// hash before n's body has committed.
+// puzzle to solve). The parent is explicit, so the epoch pipeline can
+// elect round n+1's leader from block n's preamble hash before n's body
+// has committed.
 func (n *Network) electLeaderAt(prevHash [32]byte, height int64, eligible []int, bids []*sealed.Bid, timestamp int64) (int, *ledger.Block) {
 	names := make([]string, len(eligible))
 	for i, idx := range eligible {
@@ -582,16 +426,11 @@ func (n *Network) electLeaderAt(prevHash [32]byte, height int64, eligible []int,
 // rejection is the caller's job, so a rejected block costs its producer
 // exactly one slash under any policy.
 func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []int) error {
-	producer := n.miners[producerIdx].Name
-	switch n.Policy {
-	case VerifySampled:
+	if n.Policy == VerifySampled {
 		challenged := false
 		for _, i := range verifiers {
-			if i == producerIdx {
-				continue
-			}
 			m := n.miners[i]
-			if !shouldSample(b.Evidence(), m.Name, n.SampleProb) {
+			if i == producerIdx || !shouldSample(b.Evidence(), m.Name, n.SampleProb) {
 				continue
 			}
 			if err := m.VerifyBlock(b); err != nil {
@@ -607,41 +446,22 @@ func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []i
 			// producer goes unchecked.
 			return nil
 		}
-		// A challenge escalates to full verification.
-		for _, i := range verifiers {
-			if i == producerIdx {
-				continue
-			}
-			if err := n.miners[i].VerifyBlock(b); err != nil {
-				return fmt.Errorf("%w (producer %s): %v", ErrNoQuorum, producer, err)
-			}
-		}
-		return nil
-	default: // VerifyAll
-		for _, i := range verifiers {
-			if i == producerIdx {
-				continue
-			}
-			if err := n.miners[i].VerifyBlock(b); err != nil {
-				return fmt.Errorf("%w (producer %s): %v", ErrNoQuorum, producer, err)
-			}
-		}
-		return nil
 	}
+	// VerifyAll, or a challenge escalating to it: everyone re-executes.
+	for _, i := range verifiers {
+		if i == producerIdx {
+			continue
+		}
+		if err := n.miners[i].VerifyBlock(b); err != nil {
+			return fmt.Errorf("%w (producer %s): %v", ErrNoQuorum, n.miners[producerIdx].Name, err)
+		}
+	}
+	return nil
 }
 
-// race runs the PoW competition among the eligible miners and returns the
-// winning miner's index and its mined block.
-func (n *Network) race(ctx context.Context, eligible []int, bids []*sealed.Bid, timestamp int64) (int, *ledger.Block, error) {
-	var height int64
-	if head := n.chain.Head(); head != nil {
-		height = head.Preamble.Height + 1
-	}
-	return n.raceAt(ctx, n.chain.HeadHash(), height, eligible, bids, timestamp)
-}
-
-// raceAt runs the PoW competition against an explicit parent — the
-// pipelined counterpart of race, mining on a speculated head.
+// raceAt runs the PoW competition among the eligible miners against an
+// explicit parent (the pipeline mines on a speculated head) and returns
+// the winning miner's index and its mined block.
 func (n *Network) raceAt(ctx context.Context, prevHash [32]byte, height int64, eligible []int, bids []*sealed.Bid, timestamp int64) (int, *ledger.Block, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

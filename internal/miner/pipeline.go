@@ -2,6 +2,7 @@ package miner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -35,7 +36,9 @@ type PipelinedRound struct {
 	Err    error
 }
 
-// pipelineStage carries one round's state across the two stages.
+// pipelineStage carries one round's state across the two stages —
+// RunRound's as much as RunPipelined's: a sequential round is the
+// pipeline at depth 1.
 type pipelineStage struct {
 	round        int
 	bids         []*sealed.Bid
@@ -84,50 +87,25 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 
 	// The speculated parent: the preamble hash and next height of the
 	// newest *produced* block, whether or not it has committed yet.
-	specPrev := n.chain.HeadHash()
-	var specHeight int64
-	if head := n.chain.Head(); head != nil {
-		specHeight = head.Preamble.Height + 1
-	}
+	specPrev, specHeight := n.nextParent()
 
 	for r := 0; r < rounds; r++ {
 		var participants []*Participant
 		if feed != nil {
 			participants = feed(r)
 		}
-		n.mu.Lock()
-		bids := n.mempool
-		n.mempool = nil
-		n.clock++
-		timestamp := n.clock
-		n.mu.Unlock()
-		if len(bids) == 0 {
+		st, err := n.beginRound(r, participants)
+		if err != nil {
 			join()
-			results = append(results, &PipelinedRound{Round: r, Err: ErrEmptyMempool})
+			results = append(results, &PipelinedRound{Round: r, Err: err})
 			continue
 		}
-
-		tr := n.Tracer.StartRound(timestamp)
-		roundStart := obsNow(n.Obs)
-		if n.Obs != nil {
-			n.Obs.Rounds.Inc()
-		}
-		crashed := make(map[int]bool)
-		for i, m := range n.miners {
-			if n.Faults.Crashed(timestamp, m.Name) {
-				crashed[i] = true
-			}
-		}
-		st := &pipelineStage{
-			round: r, bids: bids, timestamp: timestamp,
-			participants: participants, crashed: crashed,
-			tr: tr, roundStart: roundStart,
-		}
+		tr := st.tr
 
 		// Stage 1 against the speculated parent, overlapping the
 		// previous round's in-flight commit.
 		produceStart := obsNow(n.Obs)
-		err := n.produceStage(ctx, st, specPrev, specHeight, nil)
+		err = n.produceStage(ctx, st, specPrev, specHeight, nil)
 		if n.Obs != nil {
 			n.Obs.ProduceSeconds.Observe(time.Since(produceStart).Seconds())
 		}
@@ -138,22 +116,15 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 		if err != nil {
 			tr.End()
 			results = append(results, &PipelinedRound{Round: r, Err: err})
-			specPrev = n.chain.HeadHash()
-			if head := n.chain.Head(); head != nil {
-				specHeight = head.Preamble.Height + 1
-			}
+			specPrev, specHeight = n.nextParent()
 			continue
 		}
-		if realPrev := n.chain.HeadHash(); st.block.Preamble.PrevHash != realPrev {
+		if realPrev, realHeight := n.nextParent(); st.block.Preamble.PrevHash != realPrev {
 			// The chain diverged from the speculation — a Byzantine
 			// rejection re-mined the parent, or the parent round failed.
 			// Flush the in-flight production and redo it on the real head.
 			if n.Obs != nil {
 				n.Obs.PipelineFlushes.Inc()
-			}
-			var realHeight int64
-			if head := n.chain.Head(); head != nil {
-				realHeight = head.Preamble.Height + 1
 			}
 			tr.Event("pipeline_flushed", map[string]any{
 				"speculated_height": st.block.Preamble.Height, "height": realHeight,
@@ -192,9 +163,44 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 	return results, nil
 }
 
+// beginRound opens one round: it drains the mempool into the round's bid
+// set, ticks the logical clock, starts the round's trace, and fixes
+// which miners the fault plan keeps crashed. Crashed miners sit the
+// whole round out, production and verification alike.
+func (n *Network) beginRound(round int, participants []*Participant) (*pipelineStage, error) {
+	n.mu.Lock()
+	bids := n.mempool
+	n.mempool = nil
+	n.clock++
+	timestamp := n.clock
+	n.mu.Unlock()
+	if len(bids) == 0 {
+		return nil, ErrEmptyMempool
+	}
+	st := &pipelineStage{
+		round: round, bids: bids, timestamp: timestamp,
+		participants: participants, crashed: make(map[int]bool),
+		tr: n.Tracer.StartRound(timestamp), roundStart: obsNow(n.Obs),
+	}
+	if n.Obs != nil {
+		n.Obs.Rounds.Inc()
+	}
+	for i, m := range n.miners {
+		if n.Faults.Crashed(timestamp, m.Name) {
+			st.crashed[i] = true
+		}
+	}
+	return st, nil
+}
+
 // produceStage runs one round's bidding phase against an explicit
-// parent: elect or race among the non-crashed, non-barred miners, then
-// collect key reveals for the produced block.
+// parent. Phase 1: block production among the non-crashed, non-barred
+// miners — under proof-of-work every one assembles the same canonical
+// block and searches a disjoint nonce region, first valid PoW wins and
+// cancels the rest; under proof-of-stake the stake-weighted leader for
+// this height produces the block directly. Phase 1→2 boundary:
+// participants validate the preamble and reveal keys for their
+// committed bids; lost reveals are retried, then excluded.
 func (n *Network) produceStage(ctx context.Context, st *pipelineStage, prevHash [32]byte, height int64, barred map[int]bool) error {
 	var eligible []int
 	for i := range n.miners {
@@ -222,66 +228,72 @@ func (n *Network) produceStage(ctx context.Context, st *pipelineStage, prevHash 
 	st.tr.Event("consensus_decided", map[string]any{
 		"consensus": n.Consensus.String(), "producer": winner.Name,
 	})
-	st.reveals, st.excluded, st.attempts = n.revealStage(st.block, st.participants, st.timestamp, winner.Name, st.tr)
+
+	revealStart := obsNow(n.Obs)
+	st.reveals, st.excluded, st.attempts = n.collectReveals(st.block, st.participants, st.timestamp, winner.Name)
+	if n.Obs != nil {
+		n.Obs.RevealSeconds.Observe(time.Since(revealStart).Seconds())
+		n.Obs.RevealAttempts.Add(int64(st.attempts))
+		n.Obs.RevealRetries.Add(int64(st.attempts - 1))
+		n.Obs.ExcludedBids.Add(int64(len(st.excluded)))
+	}
+	st.tr.Event("reveals_collected", map[string]any{
+		"attempts": st.attempts, "retries": st.attempts - 1,
+		"revealed": len(st.reveals), "excluded": len(st.excluded),
+	})
 	return nil
 }
 
-// revealStage wraps collectReveals with the same observability RunRound
-// records, so pipelined and sequential rounds emit identical metrics.
-func (n *Network) revealStage(block *ledger.Block, participants []*Participant, round int64, producer string, tr *obs.RoundTrace) ([]*sealed.KeyReveal, [][32]byte, int) {
-	revealStart := obsNow(n.Obs)
-	reveals, excluded, attempts := n.collectReveals(block, participants, round, producer)
-	if n.Obs != nil {
-		n.Obs.RevealSeconds.Observe(time.Since(revealStart).Seconds())
-		n.Obs.RevealAttempts.Add(int64(attempts))
-		n.Obs.RevealRetries.Add(int64(attempts - 1))
-		n.Obs.ExcludedBids.Add(int64(len(excluded)))
-	}
-	tr.Event("reveals_collected", map[string]any{
-		"attempts": attempts, "retries": attempts - 1,
-		"revealed": len(reveals), "excluded": len(excluded),
-	})
-	return reveals, excluded, attempts
-}
-
-// commitStage runs one round's execution phase: compute the body,
-// verify by policy, append, and on rejection slash, bar, and re-elect —
-// the same Byzantine-degradation loop as RunRound, now against the
-// round's fixed parent (the previous round has fully committed before a
-// commit starts, so re-elections here never chase a moving head).
+// commitStage runs one round's execution phase. The winner executes the
+// block and attaches the body; the other live miners — including ones
+// barred from producing: a Byzantine producer must not escape scrutiny
+// just because its accusers were themselves rejected earlier — verify
+// it before the append. Under VerifyAll everyone re-executes; under
+// VerifySampled each miner checks with probability SampleProb and any
+// detected mismatch becomes a challenge that triggers full verification
+// (TrueBit's escape from the verifier's dilemma). A rejected producer is
+// slashed and barred, and production re-runs among the remaining miners
+// against the round's fixed parent — the previous round has fully
+// committed before a commit starts, so re-elections never chase a
+// moving head, and the bids are untouched: the next producer re-runs
+// the same round.
+//
+// Book replicas (incremental mode) are synced here, not in
+// produceStage: production only elects and collects reveals, while the
+// producer and the verifiers preview the block against their live sets.
+// They must mirror the chain before that preview and absorb the block
+// once it lands, so callers observing the network between rounds see
+// the post-block market. Commits run strictly one at a time (the
+// pipeline joins the previous commit before launching the next), so the
+// books advance in block order even though production overlaps.
 func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundResult, error) {
-	// Commits run strictly one at a time (the pipeline joins the previous
-	// commit before launching the next), so the books advance in block
-	// order even though production overlaps.
 	if err := n.syncBooks(); err != nil {
 		return nil, fmt.Errorf("miner: pre-commit book sync: %w", err)
 	}
-	var offenders []string
-	var lastErr error
-	barred := make(map[int]bool)
-	winnerIdx, block := st.winnerIdx, st.block
-	reveals, excluded, attempts := st.reveals, st.excluded, st.attempts
 	var verifiers []int
 	for i := range n.miners {
 		if !st.crashed[i] {
 			verifiers = append(verifiers, i)
 		}
 	}
+	barred := make(map[int]bool)
+	var offenders []string
 	for {
+		winnerIdx, block := st.winnerIdx, st.block
 		winner := n.miners[winnerIdx]
 		computeStart := obsNow(n.Obs)
-		outcome, err := winner.ComputeBody(block, reveals)
+		ex, err := winner.execute(block, st.reveals, false)
 		if err != nil {
 			return nil, fmt.Errorf("miner: compute body: %w", err)
 		}
-		dec := DecryptOrders(block.Bids, reveals)
+		block.Body = ledger.NewBody(st.reveals, ex.alloc)
 		if n.Obs != nil {
 			n.Obs.ComputeSeconds.Observe(time.Since(computeStart).Seconds())
-			n.Obs.UnrevealedBids.Add(int64(dec.Unrevealed))
-			n.Obs.RejectedBids.Add(int64(dec.Rejected))
+			n.Obs.UnrevealedBids.Add(int64(ex.dec.Unrevealed))
+			n.Obs.RejectedBids.Add(int64(ex.dec.Rejected))
 		}
 		st.tr.Event("allocation_computed", map[string]any{
-			"matches": len(outcome.Matches), "unrevealed": dec.Unrevealed, "rejected": dec.Rejected,
+			"matches": len(ex.outcome.Matches), "unrevealed": ex.dec.Unrevealed, "rejected": ex.dec.Rejected,
 		})
 
 		if n.TamperBody != nil {
@@ -299,33 +311,19 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 			n.Slashed[winner.Name]++
 			offenders = append(offenders, winner.Name)
 			barred[winnerIdx] = true
-			lastErr = err
 			if n.Obs != nil {
 				n.Obs.Slashes.Inc()
 			}
 			st.tr.Event("denied", map[string]any{"producer": winner.Name, "error": err.Error()})
 			st.tr.Event("slashed", map[string]any{"producer": winner.Name})
 
-			var eligible []int
-			for _, i := range verifiers {
-				if !barred[i] {
-					eligible = append(eligible, i)
-				}
+			perr := n.produceStage(ctx, st, block.Preamble.PrevHash, block.Preamble.Height, barred)
+			if errors.Is(perr, ErrAllCrashed) {
+				return nil, fmt.Errorf("miner: no producer converged after %d rejection(s): %w", len(offenders), err)
 			}
-			if len(eligible) == 0 {
-				return nil, fmt.Errorf("miner: no producer converged after %d rejection(s): %w", len(offenders), lastErr)
+			if perr != nil {
+				return nil, perr
 			}
-			prev, height := block.Preamble.PrevHash, block.Preamble.Height
-			switch n.Consensus {
-			case ProofOfStake:
-				winnerIdx, block = n.electLeaderAt(prev, height, eligible, st.bids, st.timestamp)
-			default:
-				winnerIdx, block, err = n.raceAt(ctx, prev, height, eligible, st.bids, st.timestamp)
-				if err != nil {
-					return nil, err
-				}
-			}
-			reveals, excluded, attempts = n.revealStage(block, st.participants, st.timestamp, n.miners[winnerIdx].Name, st.tr)
 			continue
 		}
 		st.tr.Event("verified", map[string]any{"producer": winner.Name, "verifiers": len(verifiers) - 1})
@@ -343,13 +341,13 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 		ids := n.registry.ProposeFromBlock(block.Preamble.Height, mustDecode(block.Body.Allocation))
 		return &RoundResult{
 			Block:           block,
-			Outcome:         outcome,
+			Outcome:         ex.outcome,
 			Winner:          winner.Name,
 			Agreements:      ids,
-			Unrevealed:      dec.Unrevealed,
-			RejectedBids:    dec.Rejected,
-			ExcludedDigests: excluded,
-			RevealAttempts:  attempts,
+			Unrevealed:      ex.dec.Unrevealed,
+			RejectedBids:    ex.dec.Rejected,
+			ExcludedDigests: st.excluded,
+			RevealAttempts:  st.attempts,
 			Offenders:       offenders,
 		}, nil
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"decloud/internal/auction"
+	"decloud/internal/book"
 	"decloud/internal/chaos"
 	"decloud/internal/ledger"
 	"decloud/internal/obs"
@@ -77,9 +78,9 @@ func tamperOnce(flag *bool) func(string, *ledger.Body) {
 
 // newPipelineTestNet builds one PoS soak network; when tamper is set,
 // every body produced by miner-00 is corrupted, forcing the Byzantine
-// re-election loop inside the pipeline's commit stage.
-func newPipelineTestNet(seed int64, tamper bool) *Network {
-	net := NewNetwork(3, testDifficulty, auction.DefaultConfig())
+// re-election loop inside the commit stage.
+func newPipelineTestNet(seed int64, tamper bool, cfg auction.Config) *Network {
+	net := NewNetwork(3, testDifficulty, cfg)
 	net.Consensus = ProofOfStake
 	net.Faults = chaos.SoakPlan(seed, soakMinerNames)
 	if tamper {
@@ -93,16 +94,21 @@ func newPipelineTestNet(seed int64, tamper bool) *Network {
 // two-stage epoch pipeline — and asserts the chains are byte-identical
 // block for block and every round reports the same (winner, error,
 // excluded set, attempts). Pipelining may only change wall clock, never
-// bytes: this is the pipeline's acceptance property.
+// bytes: this is the pipeline's acceptance property. Every schedule
+// runs from scratch and over the order book, so the block executor's
+// preview branch meets chaos, tampering and re-election too.
 func TestPipelinedEquivalenceSoak(t *testing.T) {
 	schedules := soakSchedules(t, 14, 5)
 	before := runtime.NumGoroutine()
-	for seed := int64(0); seed < int64(schedules); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%02d", seed), func(t *testing.T) {
+	for i := 0; i < 2*schedules; i++ {
+		seed, cfg, mode := int64(i/2), auction.DefaultConfig(), "scratch"
+		if i%2 == 1 {
+			cfg, mode = incrementalConfig(), "incremental"
+		}
+		t.Run(fmt.Sprintf("seed-%02d/%s", seed, mode), func(t *testing.T) {
 			tamper := seed%3 == 0
 
-			seqNet := newPipelineTestNet(seed, tamper)
+			seqNet := newPipelineTestNet(seed, tamper, cfg)
 			var seq []seqRound
 			for r := 0; r < pipelineRounds; r++ {
 				parts := soakMarket(t, seqNet, seed*100+int64(r))
@@ -110,7 +116,7 @@ func TestPipelinedEquivalenceSoak(t *testing.T) {
 				seq = append(seq, roundSnapshot(res, err))
 			}
 
-			pipNet := newPipelineTestNet(seed, tamper)
+			pipNet := newPipelineTestNet(seed, tamper, cfg)
 			rounds, err := pipNet.RunPipelined(context.Background(), pipelineRounds, func(r int) []*Participant {
 				return soakMarket(t, pipNet, seed*100+int64(r))
 			})
@@ -148,17 +154,38 @@ func TestPipelinedEquivalenceSoak(t *testing.T) {
 			}
 			// Cross-verification: an outsider accepts the pipelined head by
 			// independent re-execution.
-			if head := pipNet.Chain().Head(); head != nil {
-				cfg := auction.DefaultConfig()
-				cfg.Reputation = seqNet.Contracts().Reputation()
-				outsider := &Miner{Name: "outsider", Difficulty: testDifficulty, AuctionCfg: cfg}
-				if err := outsider.VerifyBlock(head); err != nil {
+			if pipNet.Chain().Head() != nil {
+				if err := outsiderVerifyHead(t, pipNet, cfg); err != nil {
 					t.Fatalf("outsider rejects the pipelined head: %v", err)
 				}
 			}
 		})
 	}
 	checkGoroutineLeaks(t, before)
+}
+
+// outsiderVerifyHead re-executes the chain head on a miner that took no
+// part in producing it. An incremental outsider first replays the chain
+// below the head into a book of its own — the state every verifier
+// holds when the head arrives.
+func outsiderVerifyHead(t *testing.T, net *Network, cfg auction.Config) error {
+	t.Helper()
+	cfg.Reputation = net.Contracts().Reputation()
+	outsider := &Miner{Name: "outsider", Difficulty: testDifficulty, AuctionCfg: cfg}
+	chain := net.Chain()
+	if cfg.Incremental {
+		outsider.Book = book.New(cfg)
+		below := ledger.NewChain()
+		for h := 0; h < chain.Len()-1; h++ {
+			if err := below.Append(chain.BlockAt(h), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := outsider.SyncBook(below); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return outsider.VerifyBlock(chain.Head())
 }
 
 // TestPipelinedFlushOnReElection forces a mid-pipeline re-election under

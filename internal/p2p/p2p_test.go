@@ -265,7 +265,7 @@ func TestNetworkedTamperedBlockVotedDown(t *testing.T) {
 	cheater.mempool = nil
 	cheater.havePool = map[[32]byte]bool{}
 	cheater.mu.Unlock()
-	block := cheater.miner.AssembleBlock(cheater.chain, bids, time.Now().Unix())
+	block := cheater.miner.AssembleBlockAt(cheater.chain.HeadHash(), int64(cheater.chain.Len()), bids, time.Now().Unix())
 	if err := cheater.miner.Mine(ctx, block, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -1,66 +1,13 @@
 package sim
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
-
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
 	"decloud/internal/contract"
 	"decloud/internal/futures"
 	"decloud/internal/ledger"
-	"decloud/internal/miner"
-	"decloud/internal/obs"
 	"decloud/internal/workload"
 )
-
-// twoStageSource is marketSource's futures counterpart: each round's
-// drain arrives pre-split into forward and spot stages with the
-// divergence verdicts attached. Stream mode uses the stream's own
-// tagging (the sim knobs fill in unset stream knobs); Generate mode
-// namespaces IDs per round — the exchange holds orders across rounds,
-// so the generator's reused IDs would collide — and then splits with
-// the same (seed, order ID) derivation the stream uses.
-func twoStageSource(cfg Config) func(round int) *workload.TwoStageMarket {
-	if cfg.Stream != nil {
-		scfg := *cfg.Stream
-		if scfg.FuturesFraction == 0 {
-			scfg.FuturesFraction = cfg.FuturesSplit
-		}
-		if scfg.DemandShock == 0 {
-			scfg.DemandShock = cfg.DemandShock
-		}
-		if scfg.SupplyShock == 0 {
-			scfg.SupplyShock = cfg.SupplyShock
-		}
-		s := workload.NewStream(scfg)
-		n := cfg.StreamOrders
-		if n <= 0 {
-			n = 256
-		}
-		return func(int) *workload.TwoStageMarket { return workload.CollectTwoStage(s, n) }
-	}
-	return func(round int) *workload.TwoStageMarket {
-		wcfg := cfg.Workload
-		wcfg.Seed = cfg.Workload.Seed + int64(round)*1009
-		market := workload.Generate(wcfg)
-		for i, r := range market.Requests {
-			fresh := *r
-			fresh.Resources = r.Resources.Clone()
-			fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", r.ID, round))
-			market.Requests[i] = &fresh
-		}
-		for i, o := range market.Offers {
-			fresh := *o
-			fresh.Resources = o.Resources.Clone()
-			fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", o.ID, round))
-			market.Offers[i] = &fresh
-		}
-		return workload.SplitTwoStage(market, cfg.Workload.Seed,
-			cfg.FuturesSplit, cfg.DemandShock, cfg.SupplyShock)
-	}
-}
 
 // controlMarket merges a stage-split round back into one spot market for
 // the control arm: surviving forward orders submit spot, failing ones
@@ -100,143 +47,50 @@ func spotUtilization(out *auction.Outcome, offs []*bidding.Offer) float64 {
 	return used / capacity
 }
 
-// futuresMetrics folds one two-stage round into the sim's metrics row.
-// The greedy benchmark runs over the round's FULL submission set (both
-// stages, failures included) — what an omniscient spot matcher with no
-// divergence would have cleared — so the welfare ratio prices both the
-// truthful design and the divergence risk.
-func futuresMetrics(ex *futures.Exchange, fm *obs.FuturesMetrics, res *futures.RoundResult, tm *workload.TwoStageMarket, cfg Config) RoundMetrics {
-	allR := append(append([]*bidding.Request{}, tm.Fwd.Requests...), tm.Spot.Requests...)
-	allO := append(append([]*bidding.Offer{}, tm.Fwd.Offers...), tm.Spot.Offers...)
-	bench := auction.RunGreedy(allR, allO, cfg.Auction)
-	m := metricsFrom(res.Spot, bench, len(allR))
-	m.Reserved = len(res.Reserved)
-	if d := res.Delivery; d != nil {
-		m.DeliveredFut = len(d.Delivered)
-		m.FutNoShows = len(d.NoShows)
-		m.SellerDefaults = len(d.Defaults)
-		m.Bumped = len(d.Bumped)
-		m.SpotRetries = len(d.RetryRequests)
-		m.Matches += m.DeliveredFut
-		m.Welfare += d.DeliveredWelfare()
-		m.Payments += d.DeliveredPayments()
-	}
-	m.Utilization = res.Utilization
-	m.PenaltyFlow = res.PenaltyCollected
-	if m.BenchWelfare > 0 {
-		m.WelfareRatio = m.Welfare / m.BenchWelfare
-	}
-	if len(allR) > 0 {
-		m.Satisfaction = float64(m.Matches) / float64(len(allR))
-	}
-	st := ex.Stats()
-	liveR, _ := ex.Live()
-	fm.ObserveFuturesRound(m.Reserved, m.DeliveredFut, m.FutNoShows, m.SellerDefaults,
-		m.Bumped, m.SpotRetries, res.Utilization, st.PenaltiesCollected, st.PenaltiesCredited, liveR)
-	return m
-}
-
-// fastFuturesRound runs one in-process two-stage round on the
-// persistent exchange.
-func fastFuturesRound(ex *futures.Exchange, fm *obs.FuturesMetrics, tm *workload.TwoStageMarket, cfg Config, round int) RoundMetrics {
-	res := ex.Run(futures.RoundInput{
-		FwdRequests:  tm.Fwd.Requests,
-		FwdOffers:    tm.Fwd.Offers,
-		SpotRequests: tm.Spot.Requests,
-		SpotOffers:   tm.Spot.Offers,
-		NoShows:      tm.NoShows,
-		Defaults:     tm.Defaults,
-		Evidence:     []byte(fmt.Sprintf("sim-fast-%d-%d", cfg.Workload.Seed, round)),
-	})
-	return futuresMetrics(ex, fm, res, tm, cfg)
-}
-
-// fastControlRound is the spot-only control arm: the merged surviving
-// market clears through plain auction.Run.
-func fastControlRound(tm *workload.TwoStageMarket, cfg Config, round int) RoundMetrics {
-	market := controlMarket(tm)
-	acfg := cfg.Auction
-	acfg.Evidence = []byte(fmt.Sprintf("sim-fast-%d-%d", cfg.Workload.Seed, round))
-	out := auction.Run(market.Requests, market.Offers, acfg)
-	bench := auction.RunGreedy(market.Requests, market.Offers, cfg.Auction)
-	m := metricsFrom(out, bench, len(market.Requests))
-	m.Utilization = spotUtilization(out, market.Offers)
-	return m
-}
-
-// ledgerFuturesRound routes the two-stage round's SPOT stage through the
-// full two-phase protocol: the reservation stage clears off-chain (but
-// hash-chained) before the round, its delivery fallout joins the sealed
-// spot submissions, and the committed block's outcome is what the
-// exchange records. Every futures settlement then flows through the
-// contract registry — delivered contracts are accepted, no-shows denied
-// by the client, seller defaults and bumps denied by the provider — so
-// reputation prices forward reliability exactly as it prices spot
-// denials. Futures agreements are namespaced under synthetic negative
-// block heights (-(round+1)): they settle against reservation state, not
-// a chain block.
-func ledgerFuturesRound(ex *futures.Exchange, fm *obs.FuturesMetrics, net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant, tm *workload.TwoStageMarket, cfg Config, round int) (RoundMetrics, error) {
-	rres := &futures.RoundResult{Round: ex.Round()}
-	rres.Reserved = ex.Reserve(futures.RoundInput{
-		FwdRequests: tm.Fwd.Requests,
-		FwdOffers:   tm.Fwd.Offers,
-		NoShows:     tm.NoShows,
-		Defaults:    tm.Defaults,
-	})
-	rres.Delivery = ex.Deliver()
-	reqs, offs := ex.SpotMarket(rres.Delivery, tm.Spot.Requests, tm.Spot.Offers)
-	market := &workload.Market{Requests: reqs, Offers: offs}
-	participants, err := SubmitMarket(net, roster, market)
-	if err != nil {
-		return RoundMetrics{}, err
-	}
-	res, err := net.RunRound(context.Background(), participants)
-	if err != nil {
-		return RoundMetrics{}, err
-	}
-	restoreGroundTruth(res.Outcome, market)
-	ex.RecordSpot(rres, res.Outcome, reqs, offs)
-
-	metrics := futuresMetrics(ex, fm, rres, tm, cfg)
-	metrics.BlockHeight = res.Block.Preamble.Height
-	metrics.Winner = res.Winner
-
-	// Spot agreements: the usual client accept/deny dynamics.
-	rnd := rand.New(rand.NewSource(cfg.Workload.Seed + int64(round)))
-	reg := net.Contracts()
-	for _, id := range res.Agreements {
-		a, err := reg.Get(id)
+// futuresClearer layers the reservation stage over an unchanged spot
+// clearer: forward orders reserve, due reservations deliver, the
+// delivery fallout joins the native spot orders, spot clears them — in
+// process, or as a committed block in ledger mode, where the
+// reservation stage runs off-chain (but hash-chained) — and the
+// exchange records the spot outcome. market is the round's full
+// submission set.
+func futuresClearer(ex *futures.Exchange, spot clearer) clearer {
+	return func(round int, market *workload.Market, tm *workload.TwoStageMarket) (*clearing, error) {
+		rres := &futures.RoundResult{Round: ex.Round()}
+		rres.Reserved = ex.Reserve(futures.RoundInput{
+			FwdRequests: tm.Fwd.Requests,
+			FwdOffers:   tm.Fwd.Offers,
+			NoShows:     tm.NoShows,
+			Defaults:    tm.Defaults,
+		})
+		rres.Delivery = ex.Deliver()
+		reqs, offs := ex.SpotMarket(rres.Delivery, tm.Spot.Requests, tm.Spot.Offers)
+		c, err := spot(round, &workload.Market{Requests: reqs, Offers: offs}, tm)
 		if err != nil {
-			return metrics, err
+			return nil, err
 		}
-		if rnd.Float64() < cfg.DenyProb {
-			if _, err := reg.Deny(id, a.Client()); err != nil {
-				return metrics, err
-			}
-			metrics.Denied++
-		} else {
-			if err := reg.Accept(id, a.Client()); err != nil {
-				return metrics, err
-			}
-			metrics.Agreed++
-		}
+		ex.RecordSpot(rres, c.outcomes[0], reqs, offs)
+		c.fut = rres
+		c.utilization = rres.Utilization
+		// The greedy benchmark runs over the round's FULL submission set
+		// (both stages, failures included) — what an omniscient spot
+		// matcher with no divergence would have cleared — so the welfare
+		// ratio prices both the truthful design and the divergence risk.
+		c.reqs, c.offs = market.Requests, market.Offers
+		return c, nil
 	}
-	agreed, denied, err := settleFuturesContracts(reg, rres.Delivery, round)
-	if err != nil {
-		return metrics, err
-	}
-	metrics.Agreed += agreed
-	metrics.Denied += denied
-	return metrics, nil
 }
 
 // settleFuturesContracts pushes one delivery's settlements through the
-// contract registry under a synthetic negative block height. Delivered →
-// client Accept (+reputation); NoShow → client Deny (deny penalty on the
-// buyer); Defaulted/Bumped → provider-side Deny (penalty on the seller).
-func settleFuturesContracts(reg *contract.Registry, d *futures.Delivery, round int) (agreed, denied int, err error) {
+// contract registry, so reputation prices forward reliability exactly as
+// it prices spot denials: Delivered → client Accept (+reputation);
+// NoShow → client Deny (deny penalty on the buyer); Defaulted/Bumped →
+// provider-side Deny (penalty on the seller). Futures agreements are
+// namespaced under synthetic negative block heights (-(round+1)): they
+// settle against reservation state, not a chain block.
+func settleFuturesContracts(reg *contract.Registry, d *futures.Delivery, round int, m *RoundMetrics) error {
 	if d == nil {
-		return 0, 0, nil
+		return nil
 	}
 	var list []*futures.Reservation
 	list = append(list, d.Delivered...)
@@ -244,7 +98,7 @@ func settleFuturesContracts(reg *contract.Registry, d *futures.Delivery, round i
 	list = append(list, d.Defaults...)
 	list = append(list, d.Bumped...)
 	if len(list) == 0 {
-		return 0, 0, nil
+		return nil
 	}
 	recs := make([]ledger.AllocationRecord, 0, len(list))
 	for _, r := range list {
@@ -268,25 +122,20 @@ func settleFuturesContracts(reg *contract.Registry, d *futures.Delivery, round i
 		switch r.Status {
 		case futures.Delivered:
 			if err := reg.Accept(id, r.Request.Client); err != nil {
-				return agreed, denied, err
+				return err
 			}
-			agreed++
+			m.Agreed++
 		case futures.NoShow:
 			if _, err := reg.Deny(id, r.Request.Client); err != nil {
-				return agreed, denied, err
+				return err
 			}
-			denied++
+			m.Denied++
 		default: // Defaulted, Bumped: the seller broke the contract.
 			if _, err := reg.DenyByProvider(id, r.Offer.Provider); err != nil {
-				return agreed, denied, err
+				return err
 			}
-			denied++
+			m.Denied++
 		}
 	}
-	return agreed, denied, nil
-}
-
-// ledgerControlRound is the spot-only control arm on the full protocol.
-func ledgerControlRound(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant, tm *workload.TwoStageMarket, cfg Config, round int) (RoundMetrics, error) {
-	return ledgerRound(net, roster, controlMarket(tm), cfg, round)
+	return nil
 }

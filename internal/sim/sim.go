@@ -13,6 +13,7 @@ import (
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
 	"decloud/internal/book"
+	"decloud/internal/contract"
 	"decloud/internal/futures"
 	"decloud/internal/metro"
 	"decloud/internal/miner"
@@ -61,12 +62,9 @@ type Config struct {
 	// request is dropped after MaxResubmits unsuccessful rounds.
 	Resubmit     bool
 	MaxResubmits int
-	// Auction tunes the mechanism (zero value → auction.DefaultConfig()).
+	// Auction tunes the mechanism. A zero Match and a zero Workers are
+	// filled from auction.DefaultConfig(); every other field is kept.
 	Auction auction.Config
-	// Shards, when ≥ 1, routes mini-auction execution through the
-	// deterministic shard partitioner (auction.Config.Shards). Applied
-	// after the auction defaults, so it composes with a zero Auction.
-	Shards int
 	// Metros, when ≥ 2, federates the market across that many metro
 	// exchanges (internal/metro): every order homes to the exchange owning
 	// its location's grid cell, each exchange clears its own book, and
@@ -122,20 +120,60 @@ func (c Config) withDefaults() Config {
 	if c.Difficulty == 0 {
 		c.Difficulty = 8
 	}
+	def := auction.DefaultConfig()
 	if c.Auction.Match.QualityBand == 0 {
-		incremental := c.Auction.Incremental
-		fut := c.Auction.Futures
-		c.Auction = auction.DefaultConfig()
-		c.Auction.Incremental = incremental
-		c.Auction.Futures = fut
+		c.Auction.Match = def.Match
 	}
-	if c.Shards > 0 {
-		c.Auction.Shards = c.Shards
+	if c.Auction.Workers == 0 {
+		c.Auction.Workers = def.Workers
 	}
 	if c.Metros > 1 {
 		c.Auction.Metros = c.Metros
 	}
 	return c
+}
+
+// twoStage reports whether rounds arrive split into a forward and a spot
+// stage: the futures treatment arm (Auction.Futures enabled) or its
+// spot-only control (FuturesSplit alone).
+func (c Config) twoStage() bool {
+	return c.FuturesSplit > 0 || c.Auction.Futures.Enabled()
+}
+
+// validate rejects the market-shape combinations that were never
+// composed (DESIGN.md §2 tabulates them). The book, the federation, the
+// futures exchange and Resubmit each carry unmatched orders their own
+// way, and a pipelined feed must not depend on the previous round's
+// committed outcome; running two at once would double-carry or break an
+// accounting identity, so the pairs are refused rather than silently
+// picking one.
+func (c Config) validate() error {
+	switch {
+	case c.Mode != Fast && c.Mode != Ledger:
+		return fmt.Errorf("sim: unknown mode %d", c.Mode)
+	case c.Metros > 1 && c.Pipeline:
+		return fmt.Errorf("sim: pipeline is incompatible with metro federation")
+	case c.Metros > 1 && c.Resubmit:
+		return fmt.Errorf("sim: Resubmit is redundant under metro federation — the exchange books carry unmatched orders")
+	case c.twoStage() && c.Metros > 1:
+		return fmt.Errorf("sim: futures market is incompatible with metro federation")
+	case c.twoStage() && c.Pipeline:
+		return fmt.Errorf("sim: futures market is incompatible with the pipelined ledger")
+	case c.twoStage() && c.Resubmit:
+		return fmt.Errorf("sim: Resubmit is redundant under the futures market — broken reservations retry through the exchange")
+	case c.twoStage() && c.Auction.Incremental:
+		return fmt.Errorf("sim: futures market requires from-scratch spot rounds (Auction.Incremental off)")
+	case c.Auction.Incremental && c.Resubmit:
+		// The order book subsumes the simulator's resubmission loop:
+		// carry is protocol state now, and running both would double-carry
+		// every unmatched request.
+		return fmt.Errorf("sim: Resubmit is redundant in incremental mode — the order book carries unmatched orders")
+	case c.Pipeline && c.Mode != Ledger:
+		return fmt.Errorf("sim: pipeline requires ledger mode")
+	case c.Pipeline && (c.Resubmit || c.DenyProb > 0):
+		return fmt.Errorf("sim: pipeline is incompatible with resubmission and denial dynamics")
+	}
+	return nil
 }
 
 // RoundMetrics captures one round's market performance.
@@ -165,7 +203,8 @@ type RoundMetrics struct {
 	// Two-stage futures extras (FuturesSplit > 0 only). Utilization is
 	// realized utilization — matched resource·time over the capacity that
 	// actually materialized this round — and is filled in BOTH arms, so
-	// the control arm is comparable point for point.
+	// the control arm is comparable point for point (and on every
+	// single-chain ledger round).
 	Reserved       int
 	DeliveredFut   int
 	FutNoShows     int
@@ -214,238 +253,117 @@ func (r *Result) MeanWelfareRatio() float64 {
 	return sum / float64(n)
 }
 
-// Run executes the simulation.
+// Run executes the simulation: one loop — source → (resubmit inject) →
+// clear → fold metrics → (settle) → (resubmit collect) → obs — over the
+// clearer of the configured market shape.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	res := &Result{}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	// Observability wiring: the mechanism bundle rides inside the auction
 	// config (so both fast rounds and every ledger miner publish to it),
 	// the sim bundle tracks market-level totals.
 	sm := obs.NewSimMetrics(cfg.Obs)
 	cfg.Auction.Obs = obs.NewMechanismMetrics(cfg.Obs)
 	cfg.Auction.ShardObs = obs.NewShardMetrics(cfg.Obs)
-	// Ledger mode keeps ONE network and participant set across rounds:
-	// the chain grows block by block and reputation persists, as it would
-	// in a deployment.
+
+	// The market shape is chosen once. Ledger mode keeps ONE network (one
+	// per metro under federation) and participant set across rounds: the
+	// chain grows block by block and reputation persists, as it would in
+	// a deployment. Fast mode keeps one persistent book, or one
+	// federation of M exchange books, mirroring what the miners do per
+	// block.
+	next := marketSource(cfg)
+	var clr clearer
 	var net *miner.Network
 	var fednet *miner.FederatedNetwork
-	var roster map[bidding.ParticipantID]*miner.Participant
-	if cfg.Metros > 1 {
-		if cfg.Pipeline {
-			return nil, fmt.Errorf("sim: pipeline is incompatible with metro federation")
+	roster := make(map[bidding.ParticipantID]*miner.Participant)
+	var err error
+	switch {
+	case cfg.Mode == Ledger && cfg.Metros > 1:
+		if fednet, err = NewLedgerFederation(cfg); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
-		if cfg.Resubmit {
-			return nil, fmt.Errorf("sim: Resubmit is redundant under metro federation — the exchange books carry unmatched orders")
+		mm := obs.NewMinerMetrics(cfg.Obs)
+		for m := 0; m < fednet.Metros(); m++ {
+			fednet.Net(m).Obs = mm
 		}
-	}
-	if cfg.Mode == Ledger {
-		if cfg.Metros > 1 {
-			var err error
-			fednet, err = NewLedgerFederation(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-			mm := obs.NewMinerMetrics(cfg.Obs)
-			for m := 0; m < fednet.Metros(); m++ {
-				fednet.Net(m).Obs = mm
-			}
-			fednet.Net(0).Tracer = cfg.Tracer
-		} else {
-			net = NewLedgerNetwork(cfg)
-			net.Obs = obs.NewMinerMetrics(cfg.Obs)
-			net.Tracer = cfg.Tracer
+		fednet.Net(0).Tracer = cfg.Tracer
+		clr = federatedClearer(fednet, roster)
+	case cfg.Mode == Ledger:
+		net = NewLedgerNetwork(cfg)
+		net.Obs = obs.NewMinerMetrics(cfg.Obs)
+		net.Tracer = cfg.Tracer
+		if !cfg.Pipeline {
+			clr = ledgerClearer(net, roster)
+		} else if next, clr, err = pipelinedRounds(cfg, net, roster, next); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
-		roster = make(map[bidding.ParticipantID]*miner.Participant)
+	case cfg.Metros > 1:
+		if clr, err = metroClearer(cfg); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	case cfg.Auction.Incremental:
+		clr = bookClearer(cfg)
+	default:
+		clr = scratchClearer(cfg)
 	}
 	var futex *futures.Exchange
 	var fm *obs.FuturesMetrics
-	var nextTwoStage func(round int) *workload.TwoStageMarket
-	if cfg.FuturesSplit > 0 || cfg.Auction.Futures.Enabled() {
-		switch {
-		case cfg.Metros > 1:
-			return nil, fmt.Errorf("sim: futures market is incompatible with metro federation")
-		case cfg.Pipeline:
-			return nil, fmt.Errorf("sim: futures market is incompatible with the pipelined ledger")
-		case cfg.Resubmit:
-			return nil, fmt.Errorf("sim: Resubmit is redundant under the futures market — broken reservations retry through the exchange")
-		case cfg.Auction.Incremental:
-			return nil, fmt.Errorf("sim: futures market requires from-scratch spot rounds (Auction.Incremental off)")
+	if cfg.Auction.Futures.Enabled() {
+		futex = futures.New(cfg.Auction)
+		fm = obs.NewFuturesMetrics(cfg.Obs)
+		clr = futuresClearer(futex, clr)
+	}
+	var resub *resubmitter
+	if cfg.Resubmit {
+		resub = &resubmitter{max: cfg.MaxResubmits}
+		if resub.max <= 0 {
+			resub.max = 3
 		}
-		if cfg.Auction.Futures.Enabled() {
-			futex = futures.New(cfg.Auction)
-			fm = obs.NewFuturesMetrics(cfg.Obs)
-		}
-		nextTwoStage = twoStageSource(cfg)
 	}
-	if cfg.Auction.Incremental && cfg.Resubmit {
-		// The order book subsumes the simulator's resubmission loop:
-		// carry is protocol state now, and running both would double-carry
-		// every unmatched request.
-		return nil, fmt.Errorf("sim: Resubmit is redundant in incremental mode — the order book carries unmatched orders")
-	}
-	if cfg.Pipeline {
-		if cfg.Mode != Ledger {
-			return nil, fmt.Errorf("sim: pipeline requires ledger mode")
-		}
-		if cfg.Resubmit || cfg.DenyProb > 0 {
-			return nil, fmt.Errorf("sim: pipeline is incompatible with resubmission and denial dynamics")
-		}
-		return runPipelinedLedger(cfg, net, roster, sm, res)
-	}
-	// Fast mode with an incremental config keeps ONE persistent book
-	// across rounds, mirroring what the ledger-mode miners do per block.
-	// Under federation the book is replaced by one persistent federation
-	// of M exchange books.
-	var bk *book.Book
-	var fed *metro.Federation
-	if cfg.Mode == Fast && cfg.Metros > 1 {
-		var err error
-		fed, err = metro.New(metro.Config{
-			Metros:        cfg.Metros,
-			Latency:       cfg.LatencyMatrix,
-			MaxHops:       cfg.MaxHops,
-			DistancePerMS: cfg.DistancePerMS,
-			Auction:       cfg.Auction,
-			Obs:           obs.NewMetroMetrics(cfg.Obs, cfg.Metros),
-			// The greedy benchmark needs the exact per-metro union markets.
-			CaptureUnions: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	} else if cfg.Mode == Fast && cfg.Auction.Incremental {
-		bk = book.New(cfg.Auction)
-	}
-	// carried holds unmatched requests awaiting resubmission, with their
-	// remaining attempt budget.
-	type carriedReq struct {
-		r    *bidding.Request
-		left int
-	}
-	var carried []carriedReq
-	maxResubmits := cfg.MaxResubmits
-	if maxResubmits <= 0 {
-		maxResubmits = 3
-	}
-	nextMarket := marketSource(cfg)
+
+	res := &Result{}
 	for round := 0; round < cfg.Rounds; round++ {
-		var market *workload.Market
-		var tm *workload.TwoStageMarket
-		if nextTwoStage != nil {
-			tm = nextTwoStage(round)
-			// market carries the round's full submission set for the
-			// shared metrics columns; the dispatch below reads tm.
-			market = &workload.Market{
-				Requests: append(append([]*bidding.Request{}, tm.Fwd.Requests...), tm.Spot.Requests...),
-				Offers:   append(append([]*bidding.Offer{}, tm.Fwd.Offers...), tm.Spot.Offers...),
-			}
-		} else {
-			market = nextMarket(round)
+		// market is the round's full submission set — the Requests and
+		// Offers columns; spot is what the clearer is handed.
+		market, tm := next(round)
+		resub.inject(market, round)
+		spot := market
+		if tm != nil && futex == nil {
+			spot = controlMarket(tm)
 		}
+		var m RoundMetrics
+		c, err := clr(round, spot, tm)
+		if err == nil {
+			m = fold(c, cfg)
+			err = settle(cfg, round, c, &m)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sim: round %d: %w", round, err)
+		}
+		m.Round = round
+		m.Requests = len(market.Requests)
+		m.Offers = len(market.Offers)
+		resub.collect(market, &m)
 
-		carriedIn := 0
-		if cfg.Resubmit && round > 0 {
-			for _, c := range carried {
-				// Shift the carried request's window into this round's
-				// horizon: a resubmitted bid asks for the same service
-				// later. The resubmission is a NEW bid, so it gets a new
-				// order ID — the generator reuses IDs across rounds, and in
-				// ledger mode two live orders with one ID would trip the
-				// verifiers' mutation check.
-				fresh := *c.r
-				fresh.Resources = c.r.Resources.Clone()
-				span := fresh.End - fresh.Start
-				fresh.Start = 0
-				fresh.End = span
-				fresh.ID = bidding.OrderID(fmt.Sprintf("%s~%d", c.r.ID, round))
-				market.Requests = append(market.Requests, &fresh)
-				carriedIn++
-			}
-		}
-
-		var metrics RoundMetrics
-		var err error
-		switch cfg.Mode {
-		case Fast:
-			switch {
-			case futex != nil:
-				metrics = fastFuturesRound(futex, fm, tm, cfg, round)
-			case tm != nil:
-				metrics = fastControlRound(tm, cfg, round)
-			case fed != nil:
-				metrics, err = fastMetroRound(fed, market, cfg, round)
-				if err != nil {
-					return nil, fmt.Errorf("sim: round %d: %w", round, err)
-				}
-			case bk != nil:
-				metrics = fastBookRound(bk, market, cfg, round)
-			default:
-				metrics = fastRound(market, cfg)
-			}
-		case Ledger:
-			switch {
-			case futex != nil:
-				metrics, err = ledgerFuturesRound(futex, fm, net, roster, tm, cfg, round)
-			case tm != nil:
-				metrics, err = ledgerControlRound(net, roster, tm, cfg, round)
-			case fednet != nil:
-				metrics, err = ledgerFederatedRound(fednet, roster, market, cfg, round)
-			default:
-				metrics, err = ledgerRound(net, roster, market, cfg, round)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: round %d: %w", round, err)
-			}
-		default:
-			return nil, fmt.Errorf("sim: unknown mode %d", cfg.Mode)
-		}
-		metrics.Round = round
-		metrics.Requests = len(market.Requests)
-		metrics.Offers = len(market.Offers)
-		metrics.CarriedIn = carriedIn
-
-		if cfg.Resubmit {
-			matched := make(map[bidding.OrderID]bool, metrics.Matches)
-			// fastRound/ledgerRound don't return the outcome; re-derive
-			// the matched set from the payments the round recorded. To
-			// keep this simple and mode-agnostic we rerun matching state
-			// via the metrics-free path: requests without a carried
-			// marker are regenerated next round anyway, so only track
-			// carried/unmatched of THIS round's market.
-			for _, id := range metrics.matchedIDs {
-				matched[id] = true
-			}
-			budget := make(map[bidding.OrderID]int, len(carried))
-			for _, c := range carried {
-				budget[c.r.ID] = c.left
-			}
-			carried = carried[:0]
-			for _, r := range market.Requests {
-				if matched[r.ID] {
-					continue
-				}
-				left, wasCarried := budget[r.ID]
-				if !wasCarried {
-					left = maxResubmits
-				}
-				if left <= 0 {
-					metrics.Expired++
-					continue
-				}
-				carried = append(carried, carriedReq{r: r, left: left - 1})
-			}
-			metrics.CarriedOut = len(carried)
-		}
 		if sm != nil {
 			sm.Rounds.Inc()
-			sm.Requests.Add(int64(metrics.Requests))
-			sm.Offers.Add(int64(metrics.Offers))
-			sm.Matches.Add(int64(metrics.Matches))
-			sm.Agreed.Add(int64(metrics.Agreed))
-			sm.Denied.Add(int64(metrics.Denied))
-			sm.Carried.Add(int64(metrics.CarriedOut))
-			sm.Expired.Add(int64(metrics.Expired))
-			sm.WelfareSum.Add(metrics.Welfare)
+			sm.Requests.Add(int64(m.Requests))
+			sm.Offers.Add(int64(m.Offers))
+			sm.Matches.Add(int64(m.Matches))
+			sm.Agreed.Add(int64(m.Agreed))
+			sm.Denied.Add(int64(m.Denied))
+			sm.Carried.Add(int64(m.CarriedOut))
+			sm.Expired.Add(int64(m.Expired))
+			sm.WelfareSum.Add(m.Welfare)
+		}
+		if futex != nil {
+			st := futex.Stats()
+			liveR, _ := futex.Live()
+			fm.ObserveFuturesRound(m.Reserved, m.DeliveredFut, m.FutNoShows, m.SellerDefaults,
+				m.Bumped, m.SpotRetries, m.Utilization, st.PenaltiesCollected, st.PenaltiesCredited, liveR)
 		}
 		if cfg.Mode == Fast && cfg.Tracer != nil {
 			// Fast mode has no protocol phases; emit a one-event timeline
@@ -453,12 +371,13 @@ func Run(cfg Config) (*Result, error) {
 			// rounds trace inside miner.Network.RunRound.)
 			tr := cfg.Tracer.StartRound(int64(round))
 			tr.Event("allocation_computed", map[string]any{
-				"matches": metrics.Matches, "requests": metrics.Requests, "offers": metrics.Offers,
+				"matches": m.Matches, "requests": m.Requests, "offers": m.Offers,
 			})
 			tr.End()
 		}
-		res.Rounds = append(res.Rounds, metrics)
+		res.Rounds = append(res.Rounds, m)
 	}
+
 	if futex != nil {
 		// The exchange's conservation identity must hold at every exit:
 		// an order that fell through the two-stage lifecycle is a bug,
@@ -481,377 +400,502 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func fastRound(market *workload.Market, cfg Config) RoundMetrics {
-	acfg := cfg.Auction
-	acfg.Evidence = []byte(fmt.Sprintf("sim-fast-%d", cfg.Workload.Seed))
-	out := auction.Run(market.Requests, market.Offers, acfg)
-	bench := auction.RunGreedy(market.Requests, market.Offers, cfg.Auction)
-	return metricsFrom(out, bench, len(market.Requests))
+// clearing is what one round's clear hands to the shared fold.
+type clearing struct {
+	// outcomes holds one outcome per exchange that cleared, with the
+	// generator's private valuations on its matched orders.
+	outcomes []*auction.Outcome
+	// reqs/offs are the market the clear ran over: the greedy
+	// benchmark's input, and reqs is the satisfaction denominator.
+	reqs []*bidding.Request
+	offs []*bidding.Offer
+	// utilization is realized utilization, where the shape reports it.
+	utilization float64
+	// blocks are the committed blocks whose agreements await settlement
+	// (ledger mode).
+	blocks []committed
+	// fut is the two-stage round the spot clear was part of (futures
+	// treatment arm).
+	fut *futures.RoundResult
 }
 
-// fastBookRound clears one round of the persistent order book: the
-// round's market joins the carried live set and the book re-scores only
-// what the arrivals dirtied. The generator reuses order IDs across
-// rounds (same reason the resubmission loop renames them), so arrivals
-// are namespaced per round before insertion. The greedy benchmark runs
-// over the same union market the book cleared, keeping the welfare
-// ratio comparable to from-scratch rounds.
-func fastBookRound(bk *book.Book, market *workload.Market, cfg Config, round int) RoundMetrics {
-	reqs := make([]*bidding.Request, len(market.Requests))
-	for i, r := range market.Requests {
-		fresh := *r
-		fresh.Resources = r.Resources.Clone()
-		fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", r.ID, round))
-		reqs[i] = &fresh
-	}
-	offs := make([]*bidding.Offer, len(market.Offers))
-	for i, o := range market.Offers {
-		fresh := *o
-		fresh.Resources = o.Resources.Clone()
-		fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", o.ID, round))
-		offs[i] = &fresh
-	}
-	unionR := append(bk.LiveRequests(), reqs...)
-	unionO := append(bk.LiveOffers(), offs...)
-	out := bk.Apply(reqs, offs, []byte(fmt.Sprintf("sim-fast-%d-%d", cfg.Workload.Seed, round)))
-	// Advance the market clock from the round's own bid time fields:
-	// survivors whose windows closed before this round's earliest
-	// arrival can never match again (Const. 10–11) — drop them now
-	// instead of carrying them to budget exhaustion. Mirrors
-	// miner.SyncBook's post-apply expiry in ledger mode.
-	if now, ok := book.ArrivalWatermark(reqs, offs); ok {
-		bk.ExpireBefore(now)
-	}
-	bench := auction.RunGreedy(unionR, unionO, cfg.Auction)
-	return metricsFrom(out, bench, len(unionR))
+// committed is one ledger block with the registry its agreements live
+// in and the way a client refuses one of them.
+type committed struct {
+	res  *miner.RoundResult
+	reg  *contract.Registry
+	deny func(contract.AgreementID, bidding.ParticipantID) (bidding.ParticipantID, error)
 }
 
-// fastMetroRound drives one cross-settlement round of the persistent
-// metro federation. Order IDs are namespaced per round for the same
-// reason fastBookRound namespaces them (the generator reuses IDs). The
-// greedy benchmark runs over the union of every exchange's cleared
-// market — a single global (un-federated) market — so the welfare ratio
-// measures what federation costs against an omniscient central matcher.
-func fastMetroRound(fed *metro.Federation, market *workload.Market, cfg Config, round int) (RoundMetrics, error) {
-	reqs := make([]*bidding.Request, len(market.Requests))
-	for i, r := range market.Requests {
-		fresh := *r
-		fresh.Resources = r.Resources.Clone()
-		fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", r.ID, round))
-		reqs[i] = &fresh
+// source yields one round's submissions: market is everything submitted
+// in the round; tm is its split into forward and spot stages in a
+// two-stage simulation (nil otherwise).
+type source func(round int) (market *workload.Market, tm *workload.TwoStageMarket)
+
+// clearer is one market shape: it clears a round's market and reports
+// what cleared. tm is the round's stage split when the simulation is
+// two-stage (nil otherwise); only the shapes that care read it.
+type clearer func(round int, market *workload.Market, tm *workload.TwoStageMarket) (*clearing, error)
+
+// roundEvidence is the stand-in for a block's PoW evidence in fast mode.
+func roundEvidence(cfg Config, round int) []byte {
+	return []byte(fmt.Sprintf("sim-fast-%d-%d", cfg.Workload.Seed, round))
+}
+
+// scratchClearer clears each round from scratch with auction.Run. Plain
+// rounds share one round-less evidence string (the fast golden pins
+// it); the control arm of the overbooking study mirrors its treatment
+// arm instead — per-round evidence, realized utilization reported.
+func scratchClearer(cfg Config) clearer {
+	return func(round int, market *workload.Market, tm *workload.TwoStageMarket) (*clearing, error) {
+		acfg := cfg.Auction
+		acfg.Evidence = []byte(fmt.Sprintf("sim-fast-%d", cfg.Workload.Seed))
+		if tm != nil {
+			acfg.Evidence = roundEvidence(cfg, round)
+		}
+		out := auction.Run(market.Requests, market.Offers, acfg)
+		c := &clearing{outcomes: []*auction.Outcome{out}, reqs: market.Requests, offs: market.Offers}
+		if tm != nil {
+			c.utilization = spotUtilization(out, market.Offers)
+		}
+		return c, nil
 	}
-	offs := make([]*bidding.Offer, len(market.Offers))
-	for i, o := range market.Offers {
-		fresh := *o
-		fresh.Resources = o.Resources.Clone()
-		fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", o.ID, round))
-		offs[i] = &fresh
+}
+
+// bookClearer clears over one persistent order book: the round's market
+// joins the carried live set and the book re-scores only what the
+// arrivals dirtied. The greedy benchmark runs over the same union
+// market the book cleared, keeping the welfare ratio comparable to
+// from-scratch rounds.
+func bookClearer(cfg Config) clearer {
+	bk := book.New(cfg.Auction)
+	return func(round int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+		c := &clearing{
+			reqs: append(bk.LiveRequests(), market.Requests...),
+			offs: append(bk.LiveOffers(), market.Offers...),
+		}
+		c.outcomes = []*auction.Outcome{bk.Apply(market.Requests, market.Offers, roundEvidence(cfg, round))}
+		// Advance the market clock from the round's own bid time fields:
+		// survivors whose windows closed before this round's earliest
+		// arrival can never match again (Const. 10–11) — drop them now
+		// instead of carrying them to budget exhaustion. Mirrors
+		// miner.SyncBook's post-apply expiry in ledger mode.
+		if now, ok := book.ArrivalWatermark(market.Requests, market.Offers); ok {
+			bk.ExpireBefore(now)
+		}
+		return c, nil
 	}
-	res, err := fed.Round(reqs, offs, []byte(fmt.Sprintf("sim-fast-%d-%d", cfg.Workload.Seed, round)))
+}
+
+// metroClearer drives one cross-settlement round of a persistent metro
+// federation. The greedy benchmark runs over the union of every
+// exchange's cleared market — a single global (un-federated) market —
+// so the welfare ratio measures what federation costs against an
+// omniscient central matcher.
+func metroClearer(cfg Config) (clearer, error) {
+	fed, err := metro.New(metro.Config{
+		Metros:        cfg.Metros,
+		Latency:       cfg.LatencyMatrix,
+		MaxHops:       cfg.MaxHops,
+		DistancePerMS: cfg.DistancePerMS,
+		Auction:       cfg.Auction,
+		Obs:           obs.NewMetroMetrics(cfg.Obs, cfg.Metros),
+		// The greedy benchmark needs the exact per-metro union markets.
+		CaptureUnions: true,
+	})
 	if err != nil {
-		return RoundMetrics{}, err
+		return nil, err
 	}
-	var m RoundMetrics
-	var unionR []*bidding.Request
-	var unionO []*bidding.Offer
-	for i, out := range res.Outcomes {
-		if out == nil {
+	return func(round int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+		res, err := fed.Round(market.Requests, market.Offers, roundEvidence(cfg, round))
+		if err != nil {
+			return nil, err
+		}
+		c := &clearing{}
+		for i, out := range res.Outcomes {
+			if out == nil {
+				continue
+			}
+			c.outcomes = append(c.outcomes, out)
+			c.reqs = append(c.reqs, res.UnionRequests[i]...)
+			c.offs = append(c.offs, res.UnionOffers[i]...)
+		}
+		return c, nil
+	}, nil
+}
+
+// ledgerClearer pushes every order through the two-phase protocol on the
+// simulation's persistent network.
+func ledgerClearer(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant) clearer {
+	return func(_ int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+		participants, err := SubmitMarket(net, roster, market)
+		if err != nil {
+			return nil, err
+		}
+		res, err := net.RunRound(context.Background(), participants)
+		if err != nil {
+			return nil, err
+		}
+		return ledgerClearing(net, res, market), nil
+	}
+}
+
+// ledgerClearing wraps one committed block of the single-chain ledger.
+// Private valuations and costs never travel on the wire, so the
+// decrypted orders inside the outcome carry zero TrueValue/TrueCost;
+// they are re-joined from the generator's ground truth so welfare
+// metrics mean the same thing in both modes.
+func ledgerClearing(net *miner.Network, res *miner.RoundResult, market *workload.Market) *clearing {
+	restoreGroundTruth(res.Outcome, market)
+	return &clearing{
+		outcomes:    []*auction.Outcome{res.Outcome},
+		reqs:        market.Requests,
+		offs:        market.Offers,
+		utilization: spotUtilization(res.Outcome, market.Offers),
+		blocks:      []committed{{res: res, reg: net.Contracts(), deny: net.Contracts().Deny}},
+	}
+}
+
+// federatedClearer splits the round's market across the metro networks
+// by order location, seals and submits each slice through the
+// persistent roster, and runs one federated protocol round over every
+// metro that has bids. The greedy benchmark stays global, as in
+// metroClearer.
+func federatedClearer(fednet *miner.FederatedNetwork, roster map[bidding.ParticipantID]*miner.Participant) clearer {
+	return func(_ int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+		subs := make([]workload.Market, fednet.Metros())
+		for _, r := range market.Requests {
+			m := fednet.Home(r.Location)
+			subs[m].Requests = append(subs[m].Requests, r)
+		}
+		for _, o := range market.Offers {
+			m := fednet.Home(o.Location)
+			subs[m].Offers = append(subs[m].Offers, o)
+		}
+		participants := make([][]*miner.Participant, len(subs))
+		for m := range subs {
+			parts, err := SubmitMarket(fednet.Net(m), roster, &subs[m])
+			if err != nil {
+				return nil, err
+			}
+			participants[m] = parts
+		}
+		results, err := fednet.RunFederatedRound(context.Background(), participants)
+		if err != nil {
+			return nil, err
+		}
+		c := &clearing{reqs: market.Requests, offs: market.Offers}
+		for m, res := range results {
+			if res == nil {
+				continue
+			}
+			restoreGroundTruth(res.Outcome, market)
+			c.outcomes = append(c.outcomes, res.Outcome)
+			c.blocks = append(c.blocks, committed{
+				res: res, reg: fednet.Net(m).Contracts(),
+				// Federation-aware deny: a spilled match settles here but
+				// its reputational penalty routes to the origin metro.
+				deny: func(id contract.AgreementID, client bidding.ParticipantID) (bidding.ParticipantID, error) {
+					return fednet.Deny(m, id, client)
+				},
+			})
+		}
+		return c, nil
+	}
+}
+
+// resubmitter is the simulator's own carry loop (Config.Resubmit):
+// requests a round left unmatched rejoin the next round's market until
+// their attempt budget runs out. nil when resubmission is off.
+type resubmitter struct {
+	max     int
+	carried []carriedReq
+}
+
+// carriedReq is an unmatched request awaiting resubmission, with its
+// remaining attempt budget.
+type carriedReq struct {
+	r    *bidding.Request
+	left int
+}
+
+// inject appends the carried requests to the round's market.
+func (rs *resubmitter) inject(market *workload.Market, round int) {
+	if rs == nil {
+		return
+	}
+	for _, c := range rs.carried {
+		// Shift the carried request's window into this round's
+		// horizon: a resubmitted bid asks for the same service
+		// later. The resubmission is a NEW bid, so it gets a new
+		// order ID — the generator reuses IDs across rounds, and in
+		// ledger mode two live orders with one ID would trip the
+		// verifiers' mutation check.
+		fresh := *c.r
+		fresh.Resources = c.r.Resources.Clone()
+		span := fresh.End - fresh.Start
+		fresh.Start = 0
+		fresh.End = span
+		fresh.ID = bidding.OrderID(fmt.Sprintf("%s~%d", c.r.ID, round))
+		market.Requests = append(market.Requests, &fresh)
+	}
+}
+
+// collect replaces the carried set with the requests this round left
+// unmatched and fills the round's resubmission columns. The injected
+// requests are the market's tail, so CarriedIn is the old set's size.
+func (rs *resubmitter) collect(market *workload.Market, m *RoundMetrics) {
+	if rs == nil {
+		return
+	}
+	m.CarriedIn = len(rs.carried)
+	matched := make(map[bidding.OrderID]bool, len(m.matchedIDs))
+	for _, id := range m.matchedIDs {
+		matched[id] = true
+	}
+	budget := make(map[bidding.OrderID]int, len(rs.carried))
+	for _, c := range rs.carried {
+		budget[c.r.ID] = c.left
+	}
+	rs.carried = rs.carried[:0]
+	for _, r := range market.Requests {
+		if matched[r.ID] {
 			continue
 		}
+		left, wasCarried := budget[r.ID]
+		if !wasCarried {
+			left = rs.max
+		}
+		if left <= 0 {
+			m.Expired++
+			continue
+		}
+		rs.carried = append(rs.carried, carriedReq{r: r, left: left - 1})
+	}
+	m.CarriedOut = len(rs.carried)
+}
+
+// pipelinedRounds drives every round through the miner network's
+// two-stage epoch pipeline up front — round n+1's market is generated,
+// submitted, and its reveals collected while round n's block is still
+// being computed and verified — and returns the source and clearer that
+// replay the batch through the round loop. The feed only generates
+// workloads (seeded per round, never reading prior outcomes), so the
+// pipelined simulation is outcome-equivalent to the sequential ledger
+// loop. Agreement settlement (all accepts — denial dynamics are
+// rejected by validate) thus happens after the batch, off the critical
+// path.
+func pipelinedRounds(cfg Config, net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant, next source) (source, clearer, error) {
+	markets := make([]*workload.Market, cfg.Rounds)
+	var feedErr error
+	rounds, err := net.RunPipelined(context.Background(), cfg.Rounds, func(round int) []*miner.Participant {
+		markets[round], _ = next(round)
+		parts, err := SubmitMarket(net, roster, markets[round])
+		if err != nil {
+			feedErr = err
+		}
+		return parts
+	})
+	net.Close()
+	if err == nil {
+		err = feedErr
+	}
+	replay := func(round int) (*workload.Market, *workload.TwoStageMarket) { return markets[round], nil }
+	return replay, func(round int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+		if err := rounds[round].Err; err != nil {
+			return nil, err
+		}
+		return ledgerClearing(net, rounds[round].Result, market), nil
+	}, err
+}
+
+// fold turns one round's clearing into its metrics row: the outcomes'
+// totals, the non-truthful greedy benchmark over the market the clear
+// ran over, and — in the two-stage treatment arm — the forward
+// contracts delivered this round on top of the spot trades.
+func fold(c *clearing, cfg Config) RoundMetrics {
+	m := RoundMetrics{Utilization: c.utilization}
+	for _, out := range c.outcomes {
 		m.Matches += len(out.Matches)
 		m.Welfare += out.Welfare()
 		m.Payments += out.TotalPayments()
 		for _, match := range out.Matches {
 			m.matchedIDs = append(m.matchedIDs, match.Request.ID)
 		}
-		unionR = append(unionR, res.UnionRequests[i]...)
-		unionO = append(unionO, res.UnionOffers[i]...)
 	}
-	bench := auction.RunGreedy(unionR, unionO, cfg.Auction)
+	bench := auction.RunGreedy(c.reqs, c.offs, cfg.Auction)
 	m.BenchWelfare = bench.Welfare()
-	if m.BenchWelfare > 0 {
-		m.WelfareRatio = m.Welfare / m.BenchWelfare
-	}
+	// Trade reduction is the mechanism's cost: forward deliveries are
+	// not cleared by it and stay out of the rate.
 	if nb := len(bench.Matches); nb > m.Matches {
 		m.ReducedRate = float64(nb-m.Matches) / float64(nb)
 	}
-	if len(unionR) > 0 {
-		m.Satisfaction = float64(m.Matches) / float64(len(unionR))
-	}
-	return m, nil
-}
-
-func metricsFrom(out, bench *auction.Outcome, totalRequests int) RoundMetrics {
-	m := RoundMetrics{
-		Matches:      len(out.Matches),
-		Welfare:      out.Welfare(),
-		BenchWelfare: bench.Welfare(),
-		Satisfaction: out.Satisfaction(totalRequests),
-		Payments:     out.TotalPayments(),
+	if c.fut != nil {
+		m.Reserved = len(c.fut.Reserved)
+		if d := c.fut.Delivery; d != nil {
+			m.DeliveredFut = len(d.Delivered)
+			m.FutNoShows = len(d.NoShows)
+			m.SellerDefaults = len(d.Defaults)
+			m.Bumped = len(d.Bumped)
+			m.SpotRetries = len(d.RetryRequests)
+			m.Matches += m.DeliveredFut
+			m.Welfare += d.DeliveredWelfare()
+			m.Payments += d.DeliveredPayments()
+		}
+		m.PenaltyFlow = c.fut.PenaltyCollected
 	}
 	if m.BenchWelfare > 0 {
 		m.WelfareRatio = m.Welfare / m.BenchWelfare
 	}
-	if nb := len(bench.Matches); nb > len(out.Matches) {
-		m.ReducedRate = float64(nb-len(out.Matches)) / float64(nb)
+	if len(c.reqs) > 0 {
+		m.Satisfaction = float64(m.Matches) / float64(len(c.reqs))
 	}
-	for _, match := range out.Matches {
-		m.matchedIDs = append(m.matchedIDs, match.Request.ID)
+	for _, b := range c.blocks {
+		if h := b.res.Block.Preamble.Height; h > m.BlockHeight {
+			m.BlockHeight = h
+		}
+		if m.Winner == "" {
+			m.Winner = b.res.Winner
+		}
 	}
 	return m
 }
 
-// ledgerRound pushes every order through the two-phase protocol on the
-// simulation's persistent network.
-func ledgerRound(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant, market *workload.Market, cfg Config, round int) (RoundMetrics, error) {
-	participants, err := SubmitMarket(net, roster, market)
-	if err != nil {
-		return RoundMetrics{}, err
+// settle lets the clients decide on the round's agreements: each is
+// denied with probability DenyProb, accepted otherwise. A denied
+// allocation never executes, so its request rejoins the unmatched pool:
+// with Resubmit on it is carried into the next round (and the denying
+// client keeps paying for the churn through its reputation). The
+// treatment arm's forward contracts settle through the same registry.
+func settle(cfg Config, round int, c *clearing, m *RoundMetrics) error {
+	if len(c.blocks) == 0 {
+		return nil // fast mode: nothing was committed, nothing to settle
 	}
-	res, err := net.RunRound(context.Background(), participants)
-	if err != nil {
-		return RoundMetrics{}, err
-	}
-	// Private valuations and costs never travel on the wire, so the
-	// decrypted orders inside the outcome carry zero TrueValue/TrueCost.
-	// Re-join them from the generator's ground truth so welfare metrics
-	// mean the same thing in both modes.
-	restoreGroundTruth(res.Outcome, market)
-	bench := auction.RunGreedy(market.Requests, market.Offers, cfg.Auction)
-	metrics := metricsFrom(res.Outcome, bench, len(market.Requests))
-	metrics.Utilization = spotUtilization(res.Outcome, market.Offers)
-	metrics.BlockHeight = res.Block.Preamble.Height
-	metrics.Winner = res.Winner
-
-	// Clients decide on their agreements. A denied allocation never
-	// executes, so its request rejoins the unmatched pool: with Resubmit
-	// on it is carried into the next round (and the denying client keeps
-	// paying for the churn through its reputation).
 	rnd := rand.New(rand.NewSource(cfg.Workload.Seed + int64(round)))
-	reg := net.Contracts()
 	denied := make(map[bidding.OrderID]bool)
-	for _, id := range res.Agreements {
-		a, err := reg.Get(id)
-		if err != nil {
-			return metrics, err
+	for _, b := range c.blocks {
+		for _, id := range b.res.Agreements {
+			a, err := b.reg.Get(id)
+			if err != nil {
+				return err
+			}
+			if rnd.Float64() < cfg.DenyProb {
+				if _, err := b.deny(id, a.Client()); err != nil {
+					return err
+				}
+				denied[bidding.OrderID(a.Record.RequestID)] = true
+				m.Denied++
+			} else {
+				if err := b.reg.Accept(id, a.Client()); err != nil {
+					return err
+				}
+				m.Agreed++
+			}
 		}
-		if rnd.Float64() < cfg.DenyProb {
-			if _, err := reg.Deny(id, a.Client()); err != nil {
-				return metrics, err
-			}
-			denied[bidding.OrderID(a.Record.RequestID)] = true
-			metrics.Denied++
-		} else {
-			if err := reg.Accept(id, a.Client()); err != nil {
-				return metrics, err
-			}
-			metrics.Agreed++
+	}
+	if c.fut != nil {
+		// The futures stage never runs over a federation: one registry.
+		if err := settleFuturesContracts(c.blocks[0].reg, c.fut.Delivery, round, m); err != nil {
+			return err
 		}
 	}
 	if len(denied) > 0 {
-		kept := metrics.matchedIDs[:0]
-		for _, rid := range metrics.matchedIDs {
+		kept := m.matchedIDs[:0]
+		for _, rid := range m.matchedIDs {
 			if !denied[rid] {
 				kept = append(kept, rid)
 			}
 		}
-		metrics.matchedIDs = kept
+		m.matchedIDs = kept
 	}
-	return metrics, nil
-}
-
-// ledgerFederatedRound splits the round's market across the metro
-// networks by order location, seals and submits each slice through the
-// persistent roster, and runs one federated protocol round. Metrics
-// aggregate over every metro that produced a block; the greedy
-// benchmark stays global, as in fastMetroRound.
-func ledgerFederatedRound(fednet *miner.FederatedNetwork, roster map[bidding.ParticipantID]*miner.Participant, market *workload.Market, cfg Config, round int) (RoundMetrics, error) {
-	// The generator reuses order IDs across rounds; the federation's
-	// cross-chain audit (and the incremental books that carry orders
-	// between rounds) need globally unique IDs, so arrivals are
-	// namespaced per round exactly as in fastBookRound.
-	renamed := &workload.Market{
-		Requests: make([]*bidding.Request, len(market.Requests)),
-		Offers:   make([]*bidding.Offer, len(market.Offers)),
-	}
-	for i, r := range market.Requests {
-		fresh := *r
-		fresh.Resources = r.Resources.Clone()
-		fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", r.ID, round))
-		renamed.Requests[i] = &fresh
-	}
-	for i, o := range market.Offers {
-		fresh := *o
-		fresh.Resources = o.Resources.Clone()
-		fresh.ID = bidding.OrderID(fmt.Sprintf("%s@r%d", o.ID, round))
-		renamed.Offers[i] = &fresh
-	}
-	market = renamed
-
-	M := fednet.Metros()
-	subs := make([]*workload.Market, M)
-	for m := range subs {
-		subs[m] = &workload.Market{}
-	}
-	for _, r := range market.Requests {
-		m := fednet.Home(r.Location)
-		subs[m].Requests = append(subs[m].Requests, r)
-	}
-	for _, o := range market.Offers {
-		m := fednet.Home(o.Location)
-		subs[m].Offers = append(subs[m].Offers, o)
-	}
-	participants := make([][]*miner.Participant, M)
-	for m := 0; m < M; m++ {
-		parts, err := SubmitMarket(fednet.Net(m), roster, subs[m])
-		if err != nil {
-			return RoundMetrics{}, err
-		}
-		participants[m] = parts
-	}
-	results, err := fednet.RunFederatedRound(context.Background(), participants)
-	if err != nil {
-		return RoundMetrics{}, err
-	}
-
-	var metrics RoundMetrics
-	rnd := rand.New(rand.NewSource(cfg.Workload.Seed + int64(round)))
-	for m, res := range results {
-		if res == nil {
-			continue
-		}
-		restoreGroundTruth(res.Outcome, market)
-		metrics.Matches += len(res.Outcome.Matches)
-		metrics.Welfare += res.Outcome.Welfare()
-		metrics.Payments += res.Outcome.TotalPayments()
-		for _, match := range res.Outcome.Matches {
-			metrics.matchedIDs = append(metrics.matchedIDs, match.Request.ID)
-		}
-		if h := res.Block.Preamble.Height; h > metrics.BlockHeight {
-			metrics.BlockHeight = h
-		}
-		if metrics.Winner == "" {
-			metrics.Winner = res.Winner
-		}
-		reg := fednet.Net(m).Contracts()
-		for _, id := range res.Agreements {
-			a, err := reg.Get(id)
-			if err != nil {
-				return metrics, err
-			}
-			if rnd.Float64() < cfg.DenyProb {
-				// Federation-aware deny: a spilled match settles here but
-				// its reputational penalty routes to the origin metro.
-				if _, err := fednet.Deny(m, id, a.Client()); err != nil {
-					return metrics, err
-				}
-				metrics.Denied++
-			} else {
-				if err := reg.Accept(id, a.Client()); err != nil {
-					return metrics, err
-				}
-				metrics.Agreed++
-			}
-		}
-	}
-	bench := auction.RunGreedy(market.Requests, market.Offers, cfg.Auction)
-	metrics.BenchWelfare = bench.Welfare()
-	if metrics.BenchWelfare > 0 {
-		metrics.WelfareRatio = metrics.Welfare / metrics.BenchWelfare
-	}
-	if nb := len(bench.Matches); nb > metrics.Matches {
-		metrics.ReducedRate = float64(nb-metrics.Matches) / float64(nb)
-	}
-	if len(market.Requests) > 0 {
-		metrics.Satisfaction = float64(metrics.Matches) / float64(len(market.Requests))
-	}
-	return metrics, nil
-}
-
-// runPipelinedLedger drives all rounds through the miner network's
-// two-stage epoch pipeline: round n+1's market is generated, submitted,
-// and its reveals collected while round n's block is still being
-// computed and verified. The feed only generates workloads (seeded per
-// round, never reading prior outcomes), so the pipelined simulation is
-// outcome-equivalent to the sequential ledger loop. Agreement settlement
-// (all accepts — denial dynamics are rejected upstream) happens after
-// the batch, off the critical path.
-func runPipelinedLedger(cfg Config, net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant, sm *obs.SimMetrics, res *Result) (*Result, error) {
-	markets := make([]*workload.Market, cfg.Rounds)
-	nextMarket := marketSource(cfg)
-	var feedErr error
-	rounds, err := net.RunPipelined(context.Background(), cfg.Rounds, func(round int) []*miner.Participant {
-		markets[round] = nextMarket(round)
-		parts, err := SubmitMarket(net, roster, markets[round])
-		if err != nil {
-			feedErr = err
-			return nil
-		}
-		return parts
-	})
-	net.Close()
-	if feedErr != nil {
-		return nil, fmt.Errorf("sim: %w", feedErr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	reg := net.Contracts()
-	for round, pr := range rounds {
-		if pr.Err != nil {
-			return nil, fmt.Errorf("sim: round %d: %w", round, pr.Err)
-		}
-		market := markets[round]
-		restoreGroundTruth(pr.Result.Outcome, market)
-		bench := auction.RunGreedy(market.Requests, market.Offers, cfg.Auction)
-		metrics := metricsFrom(pr.Result.Outcome, bench, len(market.Requests))
-		metrics.Round = round
-		metrics.Requests = len(market.Requests)
-		metrics.Offers = len(market.Offers)
-		metrics.BlockHeight = pr.Result.Block.Preamble.Height
-		metrics.Winner = pr.Result.Winner
-		for _, id := range pr.Result.Agreements {
-			a, err := reg.Get(id)
-			if err != nil {
-				return nil, fmt.Errorf("sim: round %d: %w", round, err)
-			}
-			if err := reg.Accept(id, a.Client()); err != nil {
-				return nil, fmt.Errorf("sim: round %d: %w", round, err)
-			}
-			metrics.Agreed++
-		}
-		if sm != nil {
-			sm.Rounds.Inc()
-			sm.Requests.Add(int64(metrics.Requests))
-			sm.Offers.Add(int64(metrics.Offers))
-			sm.Matches.Add(int64(metrics.Matches))
-			sm.Agreed.Add(int64(metrics.Agreed))
-			sm.WelfareSum.Add(metrics.Welfare)
-		}
-		res.Rounds = append(res.Rounds, metrics)
-	}
-	res.Reputation = reg.Reputation().Snapshot()
-	return res, nil
+	return nil
 }
 
 // marketSource returns the per-round market generator: a stateful drain
 // of one continuous stream when Config.Stream is set (rounds are fed in
 // order in both the sequential loop and the pipelined feed, so the drain
 // order is well-defined), otherwise the classic per-round seeded
-// Generate.
-func marketSource(cfg Config) func(round int) *workload.Market {
+// Generate. A two-stage round arrives split with the divergence verdicts
+// attached: stream mode uses the stream's own tagging (the sim knobs
+// filling in unset stream knobs), Generate mode splits with the same
+// (seed, order ID) derivation the stream uses.
+//
+// The generator reuses order IDs across rounds, so wherever orders
+// outlive their round — a fast-mode book, a federation's books and its
+// cross-chain audit, the futures exchange — arrivals are namespaced per
+// round. Stream IDs are globally unique already; the two-stage stream
+// keeps them.
+func marketSource(cfg Config) source {
+	carries := cfg.Metros > 1 || (cfg.Mode == Fast && cfg.Auction.Incremental)
 	if cfg.Stream != nil {
-		s := workload.NewStream(*cfg.Stream)
+		scfg := *cfg.Stream
+		if cfg.twoStage() {
+			if scfg.FuturesFraction == 0 {
+				scfg.FuturesFraction = cfg.FuturesSplit
+			}
+			if scfg.DemandShock == 0 {
+				scfg.DemandShock = cfg.DemandShock
+			}
+			if scfg.SupplyShock == 0 {
+				scfg.SupplyShock = cfg.SupplyShock
+			}
+		}
+		s := workload.NewStream(scfg)
 		n := cfg.StreamOrders
 		if n <= 0 {
 			n = 256
 		}
-		return func(int) *workload.Market { return workload.CollectMarket(s, n) }
+		return func(round int) (*workload.Market, *workload.TwoStageMarket) {
+			if cfg.twoStage() {
+				return submitted(workload.CollectTwoStage(s, n))
+			}
+			market := workload.CollectMarket(s, n)
+			if carries {
+				namespaceIDs(market, round)
+			}
+			return market, nil
+		}
 	}
-	return func(round int) *workload.Market {
+	return func(round int) (*workload.Market, *workload.TwoStageMarket) {
 		wcfg := cfg.Workload
 		wcfg.Seed = cfg.Workload.Seed + int64(round)*1009
-		return workload.Generate(wcfg)
+		market := workload.Generate(wcfg)
+		if carries || cfg.twoStage() {
+			namespaceIDs(market, round)
+		}
+		if cfg.twoStage() {
+			return submitted(workload.SplitTwoStage(market, cfg.Workload.Seed,
+				cfg.FuturesSplit, cfg.DemandShock, cfg.SupplyShock))
+		}
+		return market, nil
+	}
+}
+
+// submitted rejoins a stage-split round into its full submission set.
+func submitted(tm *workload.TwoStageMarket) (*workload.Market, *workload.TwoStageMarket) {
+	return &workload.Market{
+		Requests: append(append([]*bidding.Request{}, tm.Fwd.Requests...), tm.Spot.Requests...),
+		Offers:   append(append([]*bidding.Offer{}, tm.Fwd.Offers...), tm.Spot.Offers...),
+	}, tm
+}
+
+// namespaceIDs replaces the market's orders with copies whose IDs carry
+// the round.
+func namespaceIDs(market *workload.Market, round int) {
+	tag := func(id bidding.OrderID) bidding.OrderID {
+		return bidding.OrderID(fmt.Sprintf("%s@r%d", id, round))
+	}
+	for i, r := range market.Requests {
+		fresh := *r
+		fresh.Resources = r.Resources.Clone()
+		fresh.ID = tag(r.ID)
+		market.Requests[i] = &fresh
+	}
+	for i, o := range market.Offers {
+		fresh := *o
+		fresh.Resources = o.Resources.Clone()
+		fresh.ID = tag(o.ID)
+		market.Offers[i] = &fresh
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"decloud/internal/auction"
 	"decloud/internal/workload"
 )
 
@@ -302,6 +303,37 @@ func TestFastModeHasNoReputationSnapshot(t *testing.T) {
 	}
 }
 
+// TestZeroMatchConfigKeepsMechanismFields: defaulting fills a zero
+// Auction.Match (and Workers) and nothing else — a mechanism switch set
+// on an otherwise zero Auction must reach the mechanism.
+func TestZeroMatchConfigKeepsMechanismFields(t *testing.T) {
+	base := Config{Mode: Fast, Rounds: 1, Workload: workload.Config{Seed: 4, Requests: 60}}
+	loose, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := base
+	full.Auction = auction.DefaultConfig()
+	full.Auction.StrictReduction = true
+	want, err := Run(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Rounds[0].Matches >= loose.Rounds[0].Matches {
+		t.Fatalf("seed no longer separates strict (%d matches) from default reduction (%d)", want.Rounds[0].Matches, loose.Rounds[0].Matches)
+	}
+	zero := base
+	zero.Auction = auction.Config{StrictReduction: true}
+	got, err := Run(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rounds[0].Matches != want.Rounds[0].Matches || got.Rounds[0].Welfare != want.Rounds[0].Welfare {
+		t.Fatalf("zero-Match config dropped StrictReduction: %d matches / welfare %v, want the strict outcome %d / %v",
+			got.Rounds[0].Matches, got.Rounds[0].Welfare, want.Rounds[0].Matches, want.Rounds[0].Welfare)
+	}
+}
+
 func TestShardedSimulationMatchesMonolithic(t *testing.T) {
 	// -shards must never change what the market decides: the sharded
 	// partitioner is byte-identical to monolithic execution, so every
@@ -313,7 +345,7 @@ func TestShardedSimulationMatchesMonolithic(t *testing.T) {
 	}
 	for _, k := range []int{1, 4} {
 		cfg := base
-		cfg.Shards = k
+		cfg.Auction.Shards = k
 		sharded, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -375,6 +407,10 @@ func TestPipelinedLedgerMatchesSequential(t *testing.T) {
 		}
 		if p.Agreed != p.Matches {
 			t.Fatalf("round %d: agreed %d != matches %d (no denials configured)", i, p.Agreed, p.Matches)
+		}
+		// Both paths fold their blocks through the same per-round tail.
+		if s.Utilization <= 0 || p.Utilization <= 0 {
+			t.Fatalf("round %d: utilization not filled on both sides: sequential %v, pipelined %v", i, s.Utilization, p.Utilization)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	decloud-bench [-fig 5a|5b|5c|5d|5e|5f|all] [-out DIR] [-quick]
-//	              [-reps N] [-seed N] [-workers N] [-shards K]
+//	              [-reps N] [-seed N] [-workers N]
 //	              [-cpuprofile FILE] [-memprofile FILE]
 //
 // -cpuprofile and -memprofile write pprof profiles of the sweeps (view
@@ -40,7 +40,6 @@ func main() {
 	dynamics := flag.Bool("dynamics", false, "also run the multi-round elastic-supply trajectory")
 	overbooking := flag.Bool("overbooking", false, "also run the futures/spot overbooking study")
 	workers := flag.Int("workers", 0, "auction worker-pool size (0 = all cores); results are identical at any value")
-	shards := flag.Int("shards", 0, "deterministic auction shards (0 = monolithic); results are identical at any value")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU pprof profile of the sweeps to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation pprof profile (after the sweeps) to this file")
 	flag.Parse()
@@ -81,9 +80,6 @@ func main() {
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
-	// Like -workers, -shards never changes results — sharded execution is
-	// byte-identical to monolithic — it only repartitions the work.
-	experiments.SetShards(*shards)
 
 	want := map[string]bool{}
 	if *fig == "all" {

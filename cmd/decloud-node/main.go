@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quorum := fs.Int("quorum", 0, "OK votes required per produced block")
 	revealWindow := fs.Duration("reveal-window", 3*time.Second, "how long to wait for key reveals")
 	revealRetries := fs.Int("reveal-retries", 2, "preamble re-broadcasts when reveals are missing at the deadline")
-	shards := fs.Int("shards", 0, "deterministic auction shards (0 = monolithic execution)")
 	incremental := fs.Bool("incremental", false, "clear over a persistent order book, carrying unmatched orders across blocks")
 	pipeline := fs.Bool("pipeline", false, "pipeline production: overlap the next round's reveals with the current round's votes")
 	pipelineRounds := fs.Int("pipeline-rounds", 3, "rounds per pipelined batch (with -pipeline)")
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	acfg := auction.DefaultConfig()
-	acfg.Shards = *shards
 	acfg.Incremental = *incremental
 	node, err := p2p.NewMarketNode(*name, *listen, *difficulty, acfg)
 	if err != nil {

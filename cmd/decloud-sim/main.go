@@ -6,7 +6,7 @@
 //
 //	decloud-sim [-mode fast|ledger] [-rounds N] [-requests N]
 //	            [-providers N] [-miners N] [-difficulty BITS]
-//	            [-deny P] [-flex F] [-seed N] [-shards K] [-pipeline]
+//	            [-deny P] [-flex F] [-seed N] [-pipeline]
 //	            [-metros M] [-latency-matrix FILE] [-geo R]
 //	            [-futures-split F] [-overbook R] [-penalty-rate P]
 //	            [-reserve-horizon H] [-demand-shock P] [-supply-shock P]
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	deny := fs.Float64("deny", 0, "per-agreement client denial probability (ledger mode)")
 	flex := fs.Float64("flex", 0, "request flexibility in (0,1]; 0 = inflexible")
 	seed := fs.Int64("seed", 1, "random seed")
-	shards := fs.Int("shards", 0, "deterministic auction shards (0 = monolithic execution)")
 	pipeline := fs.Bool("pipeline", false, "overlap reveal collection with verification across rounds (ledger mode)")
 	resubmit := fs.Bool("resubmit", false, "carry unmatched requests into later rounds")
 	incremental := fs.Bool("incremental", false, "clear over a persistent order book that carries unmatched orders itself")
@@ -111,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SupplyShock:   *supplyShock,
 	}
 	cfg.Auction.ExactScheduling = *exact
-	cfg.Auction.Shards = *shards
 	cfg.Auction.Incremental = *incremental
 	if *reserveHorizon > 0 {
 		cfg.Auction.Futures = auction.FuturesConfig{

@@ -73,17 +73,28 @@ func TestRunWithObsAndTrace(t *testing.T) {
 	}
 }
 
+// TestRunShardedPipelinedLedger: the pipelined ledger runs end to end,
+// and the removed -shards flag is an unknown-flag usage error.
 func TestRunShardedPipelinedLedger(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
+	args := []string{
 		"-mode", "ledger", "-rounds", "2", "-requests", "10",
-		"-difficulty", "6", "-shards", "4", "-pipeline", "-seed", "3",
-	}, &stdout, &stderr)
-	if code != 0 {
+		"-difficulty", "6", "-pipeline", "-seed", "3",
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "total welfare") {
 		t.Fatalf("stdout lacks the summary line: %q", stdout.String())
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(append(args, "-shards", "4"), &stdout, &stderr); code != 2 {
+		t.Fatalf("-shards 4: exit code = %d, want 2; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -shards") {
+		t.Fatalf("stderr lacks the unknown-flag error: %q", stderr.String())
 	}
 }
 

@@ -12,9 +12,9 @@
 // sub-slice returned by Make is zeroed before it is returned, so a
 // computation over arena memory is bit-identical to the same computation
 // over fresh make() memory — reuse cannot leak state across epochs.
-// Slabs are NOT safe for concurrent use; concurrent shards must each own
-// their own Arena (per-shard arenas, reset at round boundaries), exactly
-// as each owns its own blockState.
+// Slabs are NOT safe for concurrent use: goroutines clearing
+// concurrently (the per-metro books of a federation) must each own
+// their own Arena, reset at round boundaries.
 package arena
 
 // chunkSize is the element count of newly grown chunks. Requests larger

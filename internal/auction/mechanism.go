@@ -66,22 +66,6 @@ type Config struct {
 	// arbitrary core counts, so this invariant is load-bearing and is
 	// enforced by the internal/auction/paralleltest harness.
 	Workers int
-	// Shards, when ≥ 1, routes mini-auction execution through the
-	// deterministic order-book partitioner (internal/shard): each
-	// order-disjoint component of mini-auctions is hashed — locality
-	// cell, time bucket, block digest — to one of Shards shards,
-	// components straddling shards spill into a residual clearing
-	// round, and shards fan out across the worker pool (sharded.go).
-	// Like Workers, the value never changes the Outcome: byte-equality
-	// at every K, including against the unsharded path, is enforced by
-	// paralleltest.CheckShardedVsMonolithic. 0 (the default) keeps the
-	// unsharded execution.
-	Shards int
-	// ShardObs, when set alongside Shards, records per-shard
-	// observability: orders and welfare per shard, spillover, and
-	// partition/clear/residual stage latencies. Purely observational,
-	// like Obs.
-	ShardObs *obs.ShardMetrics
 	// Incremental routes block execution through the long-lived order
 	// book (internal/book) instead of rebuilding the match index and
 	// clusters from scratch every round: unmatched orders carry across
@@ -281,7 +265,7 @@ func Run(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outc
 	pt.lapIndex()
 	clusters := cluster.BuildIndex(ix, cfg.Match, workers)
 	pt.lapCluster()
-	runClustered(out, reqs, offs, ix, clusters, cfg, &pt, nil)
+	runClustered(out, ix, clusters, cfg, &pt, nil)
 	return out
 }
 

@@ -47,12 +47,6 @@ type Outcome struct {
 	// Clusters and MiniAuctions count the structures the mechanism built.
 	Clusters     int
 	MiniAuctions int
-	// ShardStats describes how the block's clearing distributed across
-	// shards when Config.Shards routed execution through the
-	// partitioner; nil on the unsharded paths. Excluded from the
-	// canonical marshaling (and hence from verification byte
-	// comparison) because it depends on K while the outcome must not.
-	ShardStats *ShardStats `json:"-"`
 }
 
 // Welfare returns the realized social welfare Σ (v_r − φ_{(r,o)} c_o)

@@ -118,89 +118,6 @@ func CheckIndexedVsNaive(requests []*bidding.Request, offers []*bidding.Offer, c
 	return nil
 }
 
-// ShardCounts returns the canonical shard sweep {1, 2, 4, 8}: K=1 runs
-// the sharded machinery with a single shard (everything homed, empty
-// residual), the rest genuinely partition.
-func ShardCounts() []int { return []int{1, 2, 4, 8} }
-
-// CheckShardedVsMonolithic proves the sharded executor innocuous: the
-// block is executed once through the pre-shard monolithic path
-// (Shards = 0, sequential) and then with every (shards, workers)
-// combination of the given sweeps. The partitioner moves whole
-// order-disjoint components between shards and the residual round, so
-// any divergence — an auction executed against the wrong state, a
-// merge order drift, a lottery label depending on shard placement —
-// shows up as a byte difference in the marshaled Outcome. Nil sweeps
-// mean ShardCounts() and {1, 4}.
-func CheckShardedVsMonolithic(requests []*bidding.Request, offers []*bidding.Offer, cfg auction.Config, shards, workers []int) error {
-	if shards == nil {
-		shards = ShardCounts()
-	}
-	if workers == nil {
-		workers = []int{1, 4}
-	}
-	mono := cfg
-	mono.Shards = 0
-	mono.Workers = 0
-	want, err := MarshalOutcome(auction.Run(requests, offers, mono))
-	if err != nil {
-		return fmt.Errorf("paralleltest: marshal monolithic outcome: %w", err)
-	}
-	for _, k := range shards {
-		for _, w := range workers {
-			cur := cfg
-			cur.Shards = k
-			cur.Workers = w
-			out := auction.Run(requests, offers, cur)
-			got, err := MarshalOutcome(out)
-			if err != nil {
-				return fmt.Errorf("paralleltest: marshal shards=%d workers=%d outcome: %w", k, w, err)
-			}
-			if !bytes.Equal(want, got) {
-				return fmt.Errorf("paralleltest: shards=%d workers=%d diverges from monolithic: %s", k, w, diffSummary(want, got))
-			}
-			if err := checkShardAccounting(out, k); err != nil {
-				return fmt.Errorf("paralleltest: shards=%d workers=%d: %w", k, w, err)
-			}
-		}
-	}
-	return nil
-}
-
-// checkShardAccounting cross-checks the plan statistics the sharded run
-// attached to its outcome: per-site order counts must add up to the
-// block total (conservation at the aggregate level — the per-order
-// invariant lives in the shard package's own tests).
-func checkShardAccounting(out *auction.Outcome, k int) error {
-	st := out.ShardStats
-	if st == nil {
-		return fmt.Errorf("sharded run attached no ShardStats")
-	}
-	if st.Shards != k {
-		return fmt.Errorf("ShardStats.Shards = %d, want %d", st.Shards, k)
-	}
-	if len(st.Orders) != k {
-		return fmt.Errorf("ShardStats.Orders has %d entries, want %d", len(st.Orders), k)
-	}
-	sum := st.ResidualOrders + st.UnclusteredOrders
-	for _, n := range st.Orders {
-		sum += n
-	}
-	if sum != st.TotalOrders {
-		return fmt.Errorf("order accounting leak: shards+residual+unclustered = %d, total %d", sum, st.TotalOrders)
-	}
-	return nil
-}
-
-// AssertShardedVsMonolithic is CheckShardedVsMonolithic wired to a
-// testing.TB.
-func AssertShardedVsMonolithic(t testing.TB, requests []*bidding.Request, offers []*bidding.Offer, cfg auction.Config, shards, workers []int) {
-	t.Helper()
-	if err := CheckShardedVsMonolithic(requests, offers, cfg, shards, workers); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // AssertIndexedVsNaive is CheckIndexedVsNaive wired to a testing.TB.
 func AssertIndexedVsNaive(t testing.TB, requests []*bidding.Request, offers []*bidding.Offer, cfg auction.Config, workers []int) {
 	t.Helper()

@@ -71,85 +71,6 @@ func TestEquivalenceRandomizedMarkets(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalenceRandomizedMarkets is the acceptance property of
-// the sharded executor: across ≥ 50 randomized markets — the same
-// size/flexibility/geography/config axes as the worker sweep, on
-// disjoint seeds — clearing at K ∈ {1, 2, 4, 8} shards × workers
-// {1, 4} is byte-identical to the pre-shard monolithic path, and the
-// attached shard statistics conserve every order. Run under -race the
-// shard fan-out also exercises the memory model.
-func TestShardedEquivalenceRandomizedMarkets(t *testing.T) {
-	trials := 56
-	if testing.Short() {
-		trials = 12
-	}
-	for seed := 0; seed < trials; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			wcfg := workload.Config{
-				Seed:     int64(9000 + seed),
-				Requests: 24 + (seed%5)*18,
-			}
-			if seed%3 == 1 {
-				wcfg.Flexibility = 0.8
-			}
-			if seed%5 == 2 {
-				wcfg.GeoRadius = 0.4
-			}
-			if seed%7 == 3 {
-				wcfg.RequestsPerClient = 3
-			}
-			m := workload.Generate(wcfg)
-
-			cfg := auction.DefaultConfig()
-			cfg.Evidence = []byte(fmt.Sprintf("shard-evidence-%d", seed))
-			switch seed % 4 {
-			case 1:
-				cfg.ExactScheduling = true
-			case 2:
-				cfg.StrictReduction = true
-			case 3:
-				rep := reputation.NewStore()
-				for i, o := range m.Offers {
-					if i%3 == 0 {
-						o.MinReputation = 0.85
-					}
-				}
-				for i, r := range m.Requests {
-					if i%4 == 0 {
-						rep.RecordDeny(r.Client)
-					}
-				}
-				cfg.Reputation = rep
-			}
-			AssertShardedVsMonolithic(t, m.Requests, m.Offers, cfg, nil, nil)
-		})
-	}
-}
-
-// TestShardedEquivalenceDegenerate points the sharded-vs-monolithic
-// oracle at the blocks most likely to trip the partitioner: empty and
-// one-sided blocks (no clusters, so everything is unclustered), and a
-// block with invalid orders rejected before partitioning.
-func TestShardedEquivalenceDegenerate(t *testing.T) {
-	m := workload.Generate(workload.Config{Seed: 7, Requests: 20})
-	cfg := auction.DefaultConfig()
-	cfg.Evidence = []byte("shard-degenerate")
-
-	AssertShardedVsMonolithic(t, nil, nil, cfg, nil, nil)
-	AssertShardedVsMonolithic(t, m.Requests, nil, cfg, nil, nil)
-	AssertShardedVsMonolithic(t, nil, m.Offers, cfg, nil, nil)
-
-	reqs := append([]*bidding.Request(nil), m.Requests...)
-	for i := 0; i < len(reqs); i += 5 {
-		bad := *reqs[i]
-		bad.Resources = nil
-		reqs[i] = &bad
-	}
-	AssertShardedVsMonolithic(t, reqs, m.Offers, cfg, nil, nil)
-}
-
 // TestEquivalenceIndexedVsNaive is the acceptance property of the
 // indexed matching engine: across the same ≥ 50 randomized markets as
 // the worker sweep, the production pipeline (kind bitmasks, time-bucket

@@ -72,11 +72,13 @@ func prepassSignature(cl *cluster.Cluster) string {
 // Outcome is byte-identical to the from-scratch path (the booktest
 // differential harness enforces this).
 //
-// reqs and offs must be the exact order sets the index was built from,
-// already validated: RunPrepared performs no screening, so the outcome
-// carries empty rejection lists unless the caller records rejects
-// itself. cache may be nil (no caching).
-func RunPrepared(reqs []*bidding.Request, offs []*bidding.Offer, ix *match.Index, clusters []*cluster.Cluster, cfg Config, cache *PrepassCache) *Outcome {
+// The index must have been built from already validated orders:
+// RunPrepared performs no screening, so the outcome carries empty
+// rejection lists unless the caller records rejects itself. The two
+// leading order-set parameters are not read (ix carries the orders);
+// they stay because benchmark/ calls this signature. cache may be nil
+// (no caching).
+func RunPrepared(_ []*bidding.Request, _ []*bidding.Offer, ix *match.Index, clusters []*cluster.Cluster, cfg Config, cache *PrepassCache) *Outcome {
 	pt := startPhases(cfg.Obs)
 	out := &Outcome{
 		Payments: make(map[bidding.OrderID]float64),
@@ -84,14 +86,14 @@ func RunPrepared(reqs []*bidding.Request, offs []*bidding.Offer, ix *match.Index
 	}
 	pt.lapIndex()
 	pt.lapCluster()
-	runClustered(out, reqs, offs, ix, clusters, cfg, &pt, cache)
+	runClustered(out, ix, clusters, cfg, &pt, cache)
 	return out
 }
 
 // runClustered is the tail of the mechanism shared by Run and
 // RunPrepared: everything downstream of cluster formation. It mutates
 // out and drives the phase timer through the prepass and auction laps.
-func runClustered(out *Outcome, reqs []*bidding.Request, offs []*bidding.Offer, ix *match.Index, clusters []*cluster.Cluster, cfg Config, pt *phaseTimer, cache *PrepassCache) {
+func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cfg Config, pt *phaseTimer, cache *PrepassCache) {
 	workers := effectiveWorkers(cfg)
 	out.Clusters = len(clusters)
 
@@ -147,25 +149,17 @@ func runClustered(out *Outcome, reqs []*bidding.Request, offs []*bidding.Offer, 
 		evidence = []byte("decloud/no-evidence")
 	}
 
-	if cfg.Shards > 0 {
-		runAuctionsSharded(out, reqs, offs, clusters, auctions, all, cfg, pairOK, evidence, workers)
-		pt.lapAuctions()
-		pt.finish(out, ix)
-		return
-	}
 	if workers > 1 {
 		runAuctionsParallel(out, auctions, all, cfg, pairOK, evidence, workers)
-		pt.lapAuctions()
-		pt.finish(out, ix)
-		return
-	}
-	st := newBlockState(cfg)
-	for ai := range auctions {
-		for _, tr := range runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, st) {
-			recordMatch(out, tr.ec, tr.a, tr.price)
+	} else {
+		st := newBlockState(cfg)
+		for ai := range auctions {
+			for _, tr := range runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, st) {
+				recordMatch(out, tr.ec, tr.a, tr.price)
+			}
 		}
+		finalize(out, st.taken, st.reducedReq, st.reducedOff, st.lottery)
 	}
-	finalize(out, st.taken, st.reducedReq, st.reducedOff, st.lottery)
 	pt.lapAuctions()
 	pt.finish(out, ix)
 }

@@ -11,6 +11,7 @@ import (
 	"decloud/internal/match"
 	"decloud/internal/miniauction"
 	"decloud/internal/resource"
+	"decloud/internal/workload"
 )
 
 // clientUtility computes u_r = v_r − p_r for client-owned requests
@@ -455,6 +456,75 @@ func TestInvariantsParallelRandomMarkets(t *testing.T) {
 			t.Fatalf("trial %d: block budget imbalance in parallel mode", trial)
 		}
 		assertFeasible(t, out, offs)
+	}
+}
+
+// TestOutcomeConservation is the outcome-level conservation invariant,
+// on both executors: matched + excluded + carried == submitted, with the
+// three sets pairwise disjoint — however mini-auctions are scheduled,
+// no order is traded twice, dropped silently, or both matched and
+// excluded.
+func TestOutcomeConservation(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		m := workload.Generate(workload.Config{Seed: 300 + seed, Requests: 40 + int(seed)*7})
+		for _, workers := range []int{1, 4} {
+			cfg := DefaultConfig()
+			cfg.Evidence = []byte{byte(seed), byte(workers)}
+			cfg.Workers = workers
+			out := Run(m.Requests, m.Offers, cfg)
+
+			submitted := make(map[bidding.OrderID]bool)
+			for _, r := range m.Requests {
+				submitted[r.ID] = true
+			}
+			for _, o := range m.Offers {
+				submitted[o.ID] = true
+			}
+
+			matched := make(map[bidding.OrderID]bool)
+			for _, mt := range out.Matches {
+				if matched[mt.Request.ID] {
+					t.Fatalf("seed %d workers=%d: request %s matched twice", seed, workers, mt.Request.ID)
+				}
+				matched[mt.Request.ID] = true
+				matched[mt.Offer.ID] = true // offers may host several requests
+			}
+			excluded := make(map[bidding.OrderID]bool)
+			for _, set := range [][]bidding.OrderID{
+				out.ReducedRequests, out.ReducedOffers, out.LotteryDropped,
+				out.RejectedRequests, out.RejectedOffers,
+			} {
+				for _, id := range set {
+					if matched[id] {
+						t.Fatalf("seed %d workers=%d: order %s both matched and excluded", seed, workers, id)
+					}
+					if excluded[id] {
+						t.Fatalf("seed %d workers=%d: order %s excluded twice", seed, workers, id)
+					}
+					excluded[id] = true
+				}
+			}
+			carried := 0
+			for id := range submitted {
+				if !matched[id] && !excluded[id] {
+					carried++ // unmatched: a resubmitting client would carry it forward
+				}
+			}
+			for id := range matched {
+				if !submitted[id] {
+					t.Fatalf("seed %d workers=%d: matched order %s was never submitted", seed, workers, id)
+				}
+			}
+			for id := range excluded {
+				if !submitted[id] {
+					t.Fatalf("seed %d workers=%d: excluded order %s was never submitted", seed, workers, id)
+				}
+			}
+			if got := len(matched) + len(excluded) + carried; got != len(submitted) {
+				t.Fatalf("seed %d workers=%d: matched(%d) + excluded(%d) + carried(%d) = %d != submitted %d",
+					seed, workers, len(matched), len(excluded), carried, got, len(submitted))
+			}
+		}
 	}
 }
 

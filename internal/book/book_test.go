@@ -17,8 +17,8 @@ import (
 
 // TestBookDifferentialTraces is the tentpole proof: ≥50 randomized
 // multi-epoch mutation traces, each replayed incrementally against the
-// rebuild-from-scratch oracle across shards K ∈ {1,4} × workers {1,4},
-// byte-identical outcomes at every clearing round. Run under -race by
+// rebuild-from-scratch oracle at workers {1,4}, byte-identical outcomes
+// at every clearing round. Run under -race by
 // scripts/ci.sh.
 func TestBookDifferentialTraces(t *testing.T) {
 	traces := 52
@@ -32,19 +32,11 @@ func TestBookDifferentialTraces(t *testing.T) {
 		rng.Read(raw)
 		ops := booktest.Decode(raw)
 		maxCarry := 1 + rng.Intn(3)
-		for _, shards := range []int{1, 4} {
-			for _, workers := range []int{1, 4} {
-				cfg := auction.DefaultConfig()
-				cfg.Workers = workers
-				cfg.Shards = shards
-				// Shards=1 still routes through the partitioner; also
-				// exercise the fully unsharded path on a subset.
-				if shards == 1 && i%2 == 0 {
-					cfg.Shards = 0
-				}
-				if err := booktest.Replay(pool, ops, cfg, maxCarry); err != nil {
-					t.Fatalf("trace %d (K=%d workers=%d carry=%d): %v", i, shards, workers, maxCarry, err)
-				}
+		for _, workers := range []int{1, 4} {
+			cfg := auction.DefaultConfig()
+			cfg.Workers = workers
+			if err := booktest.Replay(pool, ops, cfg, maxCarry); err != nil {
+				t.Fatalf("trace %d (workers=%d carry=%d): %v", i, workers, maxCarry, err)
 			}
 		}
 	}
@@ -492,40 +484,37 @@ func TestArrivalWatermark(t *testing.T) {
 // IndexScratch and cluster.Builder slabs are reused across epochs
 // (arena ON) must produce outcomes byte-identical to auction.Run over
 // the same union live set (arena OFF — a fresh index and builder with
-// plain heap allocation every round), across workers {1,4} × shards
-// {0,4}. Any stale bit leaking through a slab reset, any aliasing
-// between epochs, and the bytes diverge.
+// plain heap allocation every round), at workers {1,4}. Any stale bit
+// leaking through a slab reset, any aliasing between epochs, and the
+// bytes diverge.
 func TestArenaReuseVsFreshByteIdentical(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		for _, workers := range []int{1, 4} {
-			cfg := auction.DefaultConfig()
-			cfg.Workers = workers
-			cfg.Shards = shards
-			bk := book.New(cfg)
-			bk.MaxCarry = 2
-			for epoch := 0; epoch < 4; epoch++ {
-				m := workload.Generate(workload.Config{Seed: int64(100 + epoch), Requests: 40})
-				ev := []byte(fmt.Sprintf("arena-guard-%d", epoch))
+	for _, workers := range []int{1, 4} {
+		cfg := auction.DefaultConfig()
+		cfg.Workers = workers
+		bk := book.New(cfg)
+		bk.MaxCarry = 2
+		for epoch := 0; epoch < 4; epoch++ {
+			m := workload.Generate(workload.Config{Seed: int64(100 + epoch), Requests: 40})
+			ev := []byte(fmt.Sprintf("arena-guard-%d", epoch))
 
-				prev, unionR, unionO := bk.Preview(m.Requests, m.Offers, ev)
-				got := bk.Apply(m.Requests, m.Offers, ev)
+			prev, unionR, unionO := bk.Preview(m.Requests, m.Offers, ev)
+			got := bk.Apply(m.Requests, m.Offers, ev)
 
-				oracleCfg := cfg
-				oracleCfg.Evidence = ev
-				want := auction.Run(unionR, unionO, oracleCfg)
+			oracleCfg := cfg
+			oracleCfg.Evidence = ev
+			want := auction.Run(unionR, unionO, oracleCfg)
 
-				pj, _ := paralleltest.MarshalOutcome(prev)
-				gj, _ := paralleltest.MarshalOutcome(got)
-				wj, _ := paralleltest.MarshalOutcome(want)
-				if !bytes.Equal(pj, gj) {
-					t.Fatalf("K=%d W=%d epoch %d: Preview and Apply disagree", shards, workers, epoch)
-				}
-				if !bytes.Equal(gj, wj) {
-					t.Fatalf("K=%d W=%d epoch %d: arena-backed clear diverges from fresh auction.Run", shards, workers, epoch)
-				}
-				if len(got.Matches) == 0 {
-					t.Fatalf("K=%d W=%d epoch %d: degenerate epoch, nothing matched", shards, workers, epoch)
-				}
+			pj, _ := paralleltest.MarshalOutcome(prev)
+			gj, _ := paralleltest.MarshalOutcome(got)
+			wj, _ := paralleltest.MarshalOutcome(want)
+			if !bytes.Equal(pj, gj) {
+				t.Fatalf("W=%d epoch %d: Preview and Apply disagree", workers, epoch)
+			}
+			if !bytes.Equal(gj, wj) {
+				t.Fatalf("W=%d epoch %d: arena-backed clear diverges from fresh auction.Run", workers, epoch)
+			}
+			if len(got.Matches) == 0 {
+				t.Fatalf("W=%d epoch %d: degenerate epoch, nothing matched", workers, epoch)
 			}
 		}
 	}

@@ -25,18 +25,12 @@ func FuzzBookMutations(f *testing.F) {
 			data = data[:400] // bound per-exec cost
 		}
 		ops := booktest.Decode(data)
-		// Derive shard/worker shape from the trace so the fuzzer also
+		// Derive the worker count from the trace so the fuzzer also
 		// mutates the execution configuration.
 		cfg := auction.DefaultConfig()
 		cfg.Workers = 1
-		cfg.Shards = 0
-		if len(data) > 0 {
-			switch data[0] % 3 {
-			case 1:
-				cfg.Shards = 4
-			case 2:
-				cfg.Workers = 4
-			}
+		if len(data) > 0 && data[0]%2 == 1 {
+			cfg.Workers = 4
 		}
 		maxCarry := 2
 		if err := booktest.Replay(pool, ops, cfg, maxCarry); err != nil {

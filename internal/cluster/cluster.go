@@ -178,7 +178,7 @@ func maskSubset(a, b []uint64) bool {
 // at each round boundary — and optionally Reserve with the round's order
 // counts — and the maps, scratch slices, and the mask slab are reused
 // instead of reallocated. Builders are not safe for concurrent use;
-// per-shard loops own per-shard builders.
+// each concurrent clearing loop owns its own.
 type Builder struct {
 	clusters map[string]*Cluster // keyed by trimmed mask bytes
 	order    []string            // insertion order of mask keys, for determinism

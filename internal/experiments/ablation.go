@@ -38,11 +38,11 @@ func RunReductionAblation(sizes []int, reps int, seed int64) []AblationPoint {
 			var counted int
 			for rep := 0; rep < reps; rep++ {
 				market := workload.Generate(workload.Config{Seed: seed + int64(n)*131 + int64(rep)*7919, Requests: n})
-				acfg := baseConfig()
+				acfg := auction.DefaultConfig()
 				acfg.Evidence = []byte(fmt.Sprintf("ablation-%s-%d-%d", variant, n, rep))
 				acfg.StrictReduction = variant == "strict"
 				out := auction.Run(market.Requests, market.Offers, acfg)
-				bench := auction.RunGreedy(market.Requests, market.Offers, baseConfig())
+				bench := auction.RunGreedy(market.Requests, market.Offers, auction.DefaultConfig())
 				if bench.Welfare() <= 0 || len(bench.Matches) == 0 {
 					continue
 				}
@@ -83,7 +83,7 @@ func RunBandAblation(bands []float64, requests, providers, reps int, seed int64)
 				},
 				Skew: 0.7,
 			})
-			acfg := baseConfig()
+			acfg := auction.DefaultConfig()
 			acfg.Match.QualityBand = band
 			acfg.Evidence = []byte(fmt.Sprintf("band-%v-%d", band, rep))
 			out := auction.Run(market.Requests, market.Offers, acfg)

@@ -45,8 +45,8 @@ func RunMechanismComparison(requests, providers, reps int, seed int64) []Compari
 			continue
 		}
 		vcg := baseline.RunVCG(market.Requests, market.Offers)
-		bench := auction.RunGreedy(market.Requests, market.Offers, baseConfig())
-		acfg := baseConfig()
+		bench := auction.RunGreedy(market.Requests, market.Offers, auction.DefaultConfig())
+		acfg := auction.DefaultConfig()
 		acfg.Evidence = []byte(fmt.Sprintf("cmp-%d", rep))
 		mech := auction.Run(market.Requests, market.Offers, acfg)
 

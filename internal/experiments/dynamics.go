@@ -83,7 +83,7 @@ func RunMarketDynamics(cfg DynamicsConfig) []DynamicsPoint {
 			Seed: cfg.Seed + int64(round+1)*7919, Requests: cfg.Requests, Providers: 2,
 		}).Requests
 
-		acfg := baseConfig()
+		acfg := auction.DefaultConfig()
 		acfg.Evidence = []byte(fmt.Sprintf("dynamics-%d", round))
 		out := auction.Run(demand, active, acfg)
 

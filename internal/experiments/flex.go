@@ -75,7 +75,7 @@ func RunFlexSweep(cfg FlexConfig) []FlexPoint {
 					},
 					Skew: skew,
 				})
-				acfg := baseConfig()
+				acfg := auction.DefaultConfig()
 				acfg.Evidence = []byte(fmt.Sprintf("flex-%v-%v-%d", flex, skew, rep))
 				acfg.StrictReduction = true
 				out := auction.Run(market.Requests, market.Offers, acfg)

@@ -194,7 +194,7 @@ func runSpotOnly(cfg OverbookingConfig, rounds []obRound, level int) Overbooking
 	for r, rd := range rounds {
 		reqs := append(append([]*bidding.Request{}, rd.fwdReqs...), rd.spotReqs...)
 		offs := append(append([]*bidding.Offer{}, rd.fwdOffs...), rd.spotOffs...)
-		acfg := baseConfig()
+		acfg := auction.DefaultConfig()
 		acfg.Evidence = []byte(fmt.Sprintf("overbook-%d-spot-%d", level, r))
 		out := auction.Run(reqs, offs, acfg)
 		for _, m := range out.Matches {
@@ -215,7 +215,7 @@ func runSpotOnly(cfg OverbookingConfig, rounds []obRound, level int) Overbooking
 // one overbooking ratio, then drains the reservation horizon so every
 // contract settles.
 func runTwoStage(cfg OverbookingConfig, rounds []obRound, level int, ratio float64) OverbookingPoint {
-	fcfg := baseConfig()
+	fcfg := auction.DefaultConfig()
 	fcfg.Futures = auction.FuturesConfig{
 		OverbookRatio:  ratio,
 		PenaltyRate:    cfg.PenaltyRate,

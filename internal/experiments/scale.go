@@ -59,7 +59,7 @@ func RunScaleSweep(cfg ScaleConfig) []ScalePoint {
 		for rep := 0; rep < cfg.Reps; rep++ {
 			seed := cfg.Seed + int64(n)*131 + int64(rep)*7919
 			market := workload.Generate(workload.Config{Seed: seed, Requests: n})
-			acfg := baseConfig()
+			acfg := auction.DefaultConfig()
 			acfg.Evidence = []byte(fmt.Sprintf("scale-%d-%d", n, rep))
 			// Per-cluster trade reduction is the conservative reading of
 			// the paper's Algorithm 4 and reproduces its Figure 5c curve
@@ -67,7 +67,7 @@ func RunScaleSweep(cfg ScaleConfig) []ScalePoint {
 			// bench for the pooled alternative.
 			acfg.StrictReduction = true
 			out := auction.Run(market.Requests, market.Offers, acfg)
-			bench := auction.RunGreedy(market.Requests, market.Offers, baseConfig())
+			bench := auction.RunGreedy(market.Requests, market.Offers, auction.DefaultConfig())
 
 			p := ScalePoint{
 				Requests:     n,

@@ -10,9 +10,9 @@
 //     (ReserveHorizon = 0, OverbookRatio = 1.0) and every order routed
 //     spot, each round's Spot outcome must be byte-identical to plain
 //     auction.Run over the same orders, config, and evidence.
-//  2. Worker/shard independence — the spot stage's parallel fan-out
-//     must not change a single outcome byte, a chain head, or a
-//     conservation counter at any worker or shard count.
+//  2. Worker independence — the spot stage's parallel fan-out must
+//     not change a single outcome byte, a chain head, or a
+//     conservation counter at any worker count.
 //  3. Conservation — after every round: submitted == rejected +
 //     delivered + spot-matched + defaulted + expired + live on the
 //     request side, the offer-side analogue, and penalty budget
@@ -94,8 +94,8 @@ func NewTrace(seed int64, n, rounds int) *Trace {
 // every round's spot outcome (trace rounds plus the drain rounds that
 // settle trailing reservations), the final chain head, the final
 // conservation counters, and the final live counts. Two replays of the
-// same trace under configs that must not change behavior (worker or
-// shard count) must produce equal Results.
+// same trace under configs that must not change behavior (worker count)
+// must produce equal Results.
 type Result struct {
 	OutcomeJSON              [][]byte
 	Head                     [32]byte

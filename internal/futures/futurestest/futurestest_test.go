@@ -12,10 +12,9 @@ import (
 
 // enabledConfig is the harness's standard treatment config: overbooked
 // reservation stage, two-round horizon.
-func enabledConfig(workers, shards int) auction.Config {
+func enabledConfig(workers int) auction.Config {
 	cfg := auction.DefaultConfig()
 	cfg.Workers = workers
-	cfg.Shards = shards
 	cfg.Futures = auction.FuturesConfig{
 		OverbookRatio:  1.5,
 		PenaltyRate:    0.2,
@@ -41,25 +40,23 @@ func TestDisabledIdentityAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestReplayDeterminism: worker and shard counts of the spot stage must
-// not move a single byte of the exchange's observable behavior —
+// TestReplayDeterminism: the worker count of the spot stage must not
+// move a single byte of the exchange's observable behavior —
 // outcomes, chain head, conservation counters, or live sets.
 func TestReplayDeterminism(t *testing.T) {
 	for _, seed := range []int64{3, 11, 27} {
 		tr := NewTrace(seed, 48, 4)
-		base, err := Replay(enabledConfig(1, 0), tr, nil)
+		base, err := Replay(enabledConfig(1), tr, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, workers := range []int{1, 4} {
-			for _, shards := range []int{0, 4} {
-				got, err := Replay(enabledConfig(workers, shards), tr, nil)
-				if err != nil {
-					t.Fatalf("seed %d workers %d shards %d: %v", seed, workers, shards, err)
-				}
-				if err := base.Equal(got); err != nil {
-					t.Fatalf("seed %d workers %d shards %d: %v", seed, workers, shards, err)
-				}
+			got, err := Replay(enabledConfig(workers), tr, nil)
+			if err != nil {
+				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			}
+			if err := base.Equal(got); err != nil {
+				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
 		}
 	}
@@ -73,7 +70,7 @@ func TestReplayConservesAndSettles(t *testing.T) {
 	var agg futures.Stats
 	for seed := int64(0); seed < 12; seed++ {
 		tr := NewTrace(seed, 48, 4)
-		res, err := Replay(enabledConfig(1, 0), tr, nil)
+		res, err := Replay(enabledConfig(1), tr, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -181,7 +178,7 @@ func TestBuyerReservationTruthfulness(t *testing.T) {
 func TestIndividualRationality(t *testing.T) {
 	for _, seed := range []int64{1, 5, 9, 13} {
 		tr := NewTrace(seed, 48, 4)
-		cfg := enabledConfig(1, 0)
+		cfg := enabledConfig(1)
 		ex := futures.New(cfg)
 		breakers := make(map[bidding.ParticipantID]bool)
 		for i, in := range tr.Rounds {
@@ -255,7 +252,7 @@ func TestIndividualRationality(t *testing.T) {
 // closes (Replay checks it per round).
 func TestCancelFlowsThroughReplay(t *testing.T) {
 	tr := NewTrace(7, 48, 3)
-	cfg := enabledConfig(1, 0)
+	cfg := enabledConfig(1)
 	ex := futures.New(cfg)
 	cancelled := 0
 	for _, in := range tr.Rounds {

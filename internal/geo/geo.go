@@ -18,10 +18,9 @@ import (
 	"decloud/internal/bidding"
 )
 
-// DefaultCellSize matches internal/shard's locality cell: a 0.25-wide
-// grid over the unit square the workload generators scatter
-// participants across, giving 16 cells — enough granularity to spread
-// any small metro count.
+// DefaultCellSize is the locality cell: a 0.25-wide grid over the unit
+// square the workload generators scatter participants across, giving 16
+// cells — enough granularity to spread any small metro count.
 const DefaultCellSize = 0.25
 
 // homeDomain separates the homing hash from every other SHA-256 use.

@@ -13,9 +13,8 @@ import (
 // on a live TCP market node and commits them in one full auction round
 // (seal → submit → pool → preamble PoW → reveal → allocate → block).
 // minPool == N gates production, so every point measures exactly
-// "N open orders per round". The custom units (orders/round, rounds/sec,
-// p50_s/p95_s/p99_s) land in benchparse's Metrics map, versioning the
-// frontier in BENCH_PR6.json next to ns/op.
+// "N open orders per round" and reports it in custom units
+// (orders/round, rounds/sec, p50_s/p95_s/p99_s) next to ns/op.
 //
 // The 100000-order point is the acceptance floor for this harness: a
 // sustained round of ≥1e5 open orders over a real socket.

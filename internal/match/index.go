@@ -102,8 +102,8 @@ type Index struct {
 //
 // The Index returned by NewIndexWith aliases the scratch's memory: it is
 // valid until the next Reset, and must not be used after. A scratch must
-// never be shared by concurrent builders (per-shard loops own per-shard
-// scratches).
+// never be shared by concurrent builders (each concurrent clearing loop
+// owns its own).
 type IndexScratch struct {
 	a     arena.Arena
 	reqs  arena.Slab[*bidding.Request]

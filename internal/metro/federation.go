@@ -53,8 +53,8 @@ type Config struct {
 	// MaxCarry overrides the books' carry budget when > 0.
 	MaxCarry int
 
-	// Auction configures each exchange's book. Metros/Shards overrides
-	// inside it are ignored; the federation is the partitioner.
+	// Auction configures each exchange's book. A Metros override inside
+	// it is ignored; the federation is the partitioner.
 	Auction auction.Config
 
 	// Workers bounds the parallelism of the per-metro clearing fan-out;
@@ -201,10 +201,9 @@ func New(cfg Config) (*Federation, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	// Each exchange owns its whole metro: no nested sharding, and the
+	// Each exchange owns its whole metro: no nested federation, and the
 	// book drives incremental clearing itself.
 	bcfg := cfg.Auction
-	bcfg.Shards = 0
 	bcfg.Incremental = false
 	bcfg.Metros = 0
 

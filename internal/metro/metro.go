@@ -1,11 +1,9 @@
 // Package metro is the geography-aware federation layer: the market is
 // split into metro exchanges, one per metro cell, each owning its own
 // streaming order book (internal/book) and a lightweight outcome chain.
-// Where internal/shard homes union-find components by SHA-256(evidence)
-// mod K — a load-balancing partition with no physical meaning — metro
-// homing derives from the bid location fields: the unit square is cut
-// into CellSize×CellSize grid cells and every cell maps to exactly one
-// metro, so all orders of one neighborhood clear on the same exchange
+// Metro homing derives from the bid location fields: the unit square is
+// cut into CellSize×CellSize grid cells and every cell maps to exactly
+// one metro, so all orders of one neighborhood clear on the same exchange
 // (the hub-and-spoke shape of the DoubleZero DZX RFC: one exchange per
 // metro instead of a full mesh of peers).
 //
@@ -37,9 +35,9 @@ import (
 const DefaultCellSize = geo.DefaultCellSize
 
 // evidenceDomain separates per-metro evidence derivation from every
-// other use of the block evidence (the shard partitioner uses
-// "decloud/shard/v1"). geo.Home hashes under the "/home" suffix of the
-// same domain — the two packages share one consensus namespace.
+// other use of the block evidence. geo.Home hashes under the "/home"
+// suffix of the same domain — the two packages share one consensus
+// namespace.
 const evidenceDomain = "decloud/metro/v1"
 
 // Cell quantizes a location to its integer grid cell; see geo.Cell for

@@ -107,42 +107,6 @@ func NewMinerMetrics(r *Registry) *MinerMetrics {
 	}
 }
 
-// ShardMetrics instruments the sharded order-book execution
-// (internal/shard + internal/auction's sharded path): how each block's
-// clearing distributed across shards, the spillover carried into the
-// residual round, and the per-stage latencies of the sharded pipeline.
-type ShardMetrics struct {
-	Blocks            *Counter   // decloud_shard_blocks_total
-	ShardCount        *Gauge     // configured K of the latest block
-	ShardOrders       *Histogram // orders homed per shard, one sample per shard per block
-	ShardWelfare      *Histogram // bid welfare cleared per shard
-	SpilloverOrders   *Counter   // boundary orders carried into residual rounds
-	ResidualAuctions  *Counter   // mini-auctions cleared in residual rounds
-	LastSpilloverRate *Gauge     // residual orders / clusterable orders, latest block
-	PartitionSeconds  *Histogram // shard.Partition wall time
-	ClearSeconds      *Histogram // shard fan-out clearing wall time
-	ResidualSeconds   *Histogram // residual round wall time
-}
-
-// NewShardMetrics resolves the shard bundle (nil registry → nil).
-func NewShardMetrics(r *Registry) *ShardMetrics {
-	if r == nil {
-		return nil
-	}
-	return &ShardMetrics{
-		Blocks:            r.Counter("decloud_shard_blocks_total", "blocks cleared through the sharded path"),
-		ShardCount:        r.Gauge("decloud_shard_count", "configured shard count of the latest block"),
-		ShardOrders:       r.Histogram("decloud_shard_orders", "orders homed per shard", nil),
-		ShardWelfare:      r.Histogram("decloud_shard_welfare", "bid welfare cleared per shard", nil),
-		SpilloverOrders:   r.Counter("decloud_shard_spillover_orders_total", "boundary orders carried into residual rounds"),
-		ResidualAuctions:  r.Counter("decloud_shard_residual_auctions_total", "mini-auctions cleared in residual rounds"),
-		LastSpilloverRate: r.Gauge("decloud_shard_spillover_rate_last", "spillover rate of the latest block"),
-		PartitionSeconds:  r.Histogram("decloud_shard_partition_seconds", "order-book partition wall time", nil),
-		ClearSeconds:      r.Histogram("decloud_shard_clear_seconds", "shard fan-out clearing wall time", nil),
-		ResidualSeconds:   r.Histogram("decloud_shard_residual_seconds", "residual round wall time", nil),
-	}
-}
-
 // NetMetrics instruments the TCP gossip transport (internal/p2p.Node):
 // connection churn, bytes on the wire, and fault-plan verdicts.
 type NetMetrics struct {

@@ -266,7 +266,6 @@ func Run(cfg Config) (*Result, error) {
 	// the sim bundle tracks market-level totals.
 	sm := obs.NewSimMetrics(cfg.Obs)
 	cfg.Auction.Obs = obs.NewMechanismMetrics(cfg.Obs)
-	cfg.Auction.ShardObs = obs.NewShardMetrics(cfg.Obs)
 
 	// The market shape is chosen once. Ledger mode keeps ONE network (one
 	// per metro under federation) and participant set across rounds: the

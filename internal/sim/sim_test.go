@@ -334,31 +334,6 @@ func TestZeroMatchConfigKeepsMechanismFields(t *testing.T) {
 	}
 }
 
-func TestShardedSimulationMatchesMonolithic(t *testing.T) {
-	// -shards must never change what the market decides: the sharded
-	// partitioner is byte-identical to monolithic execution, so every
-	// per-round metric matches exactly.
-	base := Config{Mode: Fast, Rounds: 3, Workload: workload.Config{Seed: 31, Requests: 50}}
-	mono, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 4} {
-		cfg := base
-		cfg.Auction.Shards = k
-		sharded, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range mono.Rounds {
-			m, s := mono.Rounds[i], sharded.Rounds[i]
-			if m.Welfare != s.Welfare || m.Matches != s.Matches || m.Payments != s.Payments {
-				t.Fatalf("K=%d round %d diverges from monolithic: %+v vs %+v", k, i, s, m)
-			}
-		}
-	}
-}
-
 func TestPipelinedLedgerMatchesSequential(t *testing.T) {
 	// The epoch pipeline only overlaps wall-clock phases. The in-process
 	// PoW race is scheduling-dependent (a different miner may win the

@@ -1,79 +1,17 @@
 #!/usr/bin/env bash
-# Benchmark runner + JSON emitter: runs the mechanism and figure
-# benchmarks plus the load frontier, converts the output to a versioned
-# JSON document via cmd/benchjson, and — when a baseline document
-# exists — prints a benchstat-style before/after table.
+# The repo's benchmark is `go run ./benchmark` (BENCHMARK.json,
+# benchmark/README.md). This wrapper runs its agreement check — two full
+# sets of runs compared with the benchmark's own bounds — and then
+# prints plain `go test -bench` text for the two market shapes no
+# workload covers yet: the 4-metro federated round and the two-stage
+# futures round.
 #
-# Usage:
-#   scripts/bench.sh                    # run, compare against BENCH_PR10.json if present, overwrite it
-#   BENCH_OUT=out.json scripts/bench.sh # write elsewhere
-#   BENCH_BASELINE=old.json scripts/bench.sh
-#   BENCH_PATTERN='BenchmarkMechanism1000$' BENCH_TIME=5x scripts/bench.sh
-#   BENCH_FRONTIER_TIME=0 scripts/bench.sh   # skip the slow load frontier
-#
-# ns/op depends on the host; the JSON is a trajectory record. scripts/
-# ci.sh hard-gates the fast mechanism subset of it via benchjson (allocs
-# ±5%, ns ±30%, book/mechanism same-run ratio ≤0.5).
+# Usage: scripts/bench.sh [seed] [runs-per-workload]   (see benchmark/run.sh)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkMechanism(100|400|1000)\$|BenchmarkBookIncremental1000\$|BenchmarkMechanismSharded1000K1\$|BenchmarkBestOffers|BenchmarkFig5a\$|BenchmarkFig5d\$}"
-# Time-based sampling: each sample spans many scheduler/steal periods,
-# which a bare 3-iteration run does not. Each benchmark then runs COUNT
-# times and benchjson records the fastest — the same min-of-N discipline
-# the ci.sh gate compares with, so baseline and gate measure the
-# same statistic.
-TIME="${BENCH_TIME:-1s}"
-COUNT="${BENCH_COUNT:-3}"
-# The load frontier commits full 1e4–1e5-order rounds over real TCP; one
-# iteration per point is minutes of wall time, so it runs at 1x and can
-# be skipped entirely with BENCH_FRONTIER_TIME=0.
-FRONTIER_TIME="${BENCH_FRONTIER_TIME:-1x}"
-OUT="${BENCH_OUT:-BENCH_PR10.json}"
-BASELINE="${BENCH_BASELINE:-}"
-RAW="$(mktemp)"
-trap 'rm -f "${RAW}"' EXIT
+benchmark/run.sh "$@"
 
-# Default baseline: the previous version of the output document, so
-# repeated runs show drift against the last recorded state.
-if [ -z "${BASELINE}" ] && [ -f "${OUT}" ]; then
-  BASELINE="${OUT}.baseline.$$"
-  cp "${OUT}" "${BASELINE}"
-  trap 'rm -f "${RAW}" "${BASELINE}"' EXIT
-fi
-
-echo "==> go test -bench '${PATTERN}' -benchtime ${TIME} -count=${COUNT} (top-level + match microbenchmarks)" >&2
-go test -run '^$' -bench "${PATTERN}" -benchtime "${TIME}" -count="${COUNT}" -benchmem . ./internal/match | tee "${RAW}" >&2
-
-# The sharded K4 point runs under -cpu 4 so the shard fan-out actually
-# gets parallel hardware — at the default single-proc bench setting it
-# would only measure the sharding overhead, never the win. Kept out of
-# the main pattern so the two runs cannot collapse into one min-of-N
-# entry (benchjson strips the -P suffix when aligning names).
-echo "==> go test -bench BenchmarkMechanismSharded1000K4 -cpu 4 (multi-core sharded clearing)" >&2
-go test -run '^$' -bench 'BenchmarkMechanismSharded1000K4$' -cpu 4 -benchtime "${TIME}" -count="${COUNT}" -benchmem . | tee -a "${RAW}" >&2
-
-# The federated metro round: 1000 geo orders over 4 exchanges with
-# spill routing. Recorded as a trajectory point only — warn-only, never
-# in the ci.sh hard gate (the books it fans out over are already gated).
-echo "==> go test -bench BenchmarkMetroFederated1000M4 (4-metro federated clearing)" >&2
-go test -run '^$' -bench 'BenchmarkMetroFederated1000M4$' -benchtime "${TIME}" -count="${COUNT}" -benchmem ./internal/metro | tee -a "${RAW}" >&2
-
-# The two-stage futures round: 1000 orders at a 50% forward split,
-# reservation stage plus delta-settlement spot. Trajectory point only —
-# warn-only, never hard-gated (the spot mechanism under it is gated).
-echo "==> go test -bench BenchmarkTwoStage1000 (futures reservation + spot round)" >&2
-go test -run '^$' -bench 'BenchmarkTwoStage1000$' -benchtime "${TIME}" -count="${COUNT}" -benchmem ./internal/futures | tee -a "${RAW}" >&2
-
-if [ "${FRONTIER_TIME}" != "0" ]; then
-  echo "==> go test -bench BenchmarkLoadRound -benchtime ${FRONTIER_TIME} (load frontier: orders/round × rounds/sec × latency percentiles)" >&2
-  go test -run '^$' -bench 'BenchmarkLoadRound' -benchtime "${FRONTIER_TIME}" \
-    ./internal/loadgen | tee -a "${RAW}" >&2
-fi
-
-if [ -n "${BASELINE}" ]; then
-  go run ./cmd/benchjson -out "${OUT}" -baseline "${BASELINE}" < "${RAW}"
-else
-  go run ./cmd/benchjson -out "${OUT}" < "${RAW}"
-fi
-echo "wrote ${OUT}" >&2
+echo "==> shapes outside the benchmark (text only, nothing recorded)"
+go test -run '^$' -bench 'BenchmarkMetroFederated1000M4$|BenchmarkTwoStage1000$' \
+  -benchtime 1s -count=3 -benchmem ./internal/metro ./internal/futures

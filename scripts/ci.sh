@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: vet, build, race-enabled tests, and a fuzz smoke pass.
+# CI gate: vet, build, race-enabled tests, chaos and devnet smokes,
+# coverage floors, the repo's benchmark (every workload's correctness
+# checks and its starved-runner guard), and a fuzz smoke pass.
 #
 # The race-enabled test run doubles as the determinism-equivalence gate:
 # internal/auction/paralleltest replays randomized blocks sequentially
 # and at workers ∈ {2, 4, GOMAXPROCS} and fails on any byte divergence,
-# so a scheduling leak into the allocation cannot land green.
+# so a scheduling leak into the allocation cannot land green. A test
+# that skips itself as "runner too slow" fails the gate: a soak that did
+# not run proved nothing.
 #
 # Usage: scripts/ci.sh [fuzztime]   (default fuzz smoke: 10s per target)
 set -euo pipefail
@@ -18,8 +22,19 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
-echo "==> go test -race"
-go test -race ./...
+RACE_LOG=/tmp/race_ci.log
+echo "==> go test -race (verbose log: ${RACE_LOG})"
+if ! go test -race -v ./... >"${RACE_LOG}" 2>&1; then
+  grep -vE '^(=== |PASS$| *--- PASS)' "${RACE_LOG}" >&2
+  exit 1
+fi
+grep -E '^(ok|\?) ' "${RACE_LOG}"
+# The soaks (TestSoak3x8, TestFederatedSoak), the loadgen drain test and
+# the reveal-batch tests skip themselves when the runner starves them.
+if grep -n 'runner too slow' "${RACE_LOG}" >&2; then
+  echo "race gate FAILED: a test skipped itself instead of running (see above)" >&2
+  exit 1
+fi
 
 echo "==> chaos smoke (-race, fresh run, small schedule sweep)"
 DECLOUD_CHAOS_SCHEDULES=8 go test -race -count=1 \
@@ -42,7 +57,7 @@ check_cov() { # pkg floor
   echo "    ${pkg}: ${pct}% (gate ${floor}%)"
 }
 for pkg in internal/miner internal/p2p; do check_cov "${pkg}" 75.0; done
-for pkg in internal/stats internal/audit internal/obs internal/shard \
+for pkg in internal/stats internal/audit internal/obs \
            internal/devnet internal/loadgen internal/book; do check_cov "${pkg}" 80.0; done
 # A package whose differential harness lives in a subpackage (metrotest,
 # futurestest) is really covered by the UNION of both test binaries —
@@ -76,44 +91,31 @@ count_lines() { # dir...
 echo "    total outside benchmark/:   $(count_lines .)"
 echo "    sim + miner + p2p + devnet: $(count_lines internal/sim internal/miner internal/p2p internal/devnet)"
 
-echo "==> bench gate (hard: allocs ±5%, ns ±30%, book/mechanism ratio ≤0.5)"
-# The mechanism microbenchmarks are compared against the committed
-# BENCH_PR10.json baseline and FAIL the build on regression. Even with
-# time-based sampling (-benchtime 1s, so every sample spans many
-# scheduler/steal periods) and min-of-N (-count=4; benchjson keeps the
-# fastest run per name), min-of-N ns/op on this class of shared runner
-# drifts 10–20% ACROSS invocations — co-tenant load shifts between the
-# baseline recording and the CI run. So the gate splits by statistic:
-#   - allocs/op ±5% (the tight gate): allocations are a property of the
-#     code alone — bit-identical across runs here — and every real
-#     regression this repo has caught (map churn, prepass rebuilds,
-#     accidental full re-clears) showed up in allocs first.
-#   - ns/op ±30% (the backstop): catches order-of-magnitude blowups
-#     that somehow keep the allocation profile flat (e.g. quadratic
-#     scans over preallocated state).
-#   - -require-ratio BookIncremental1000/Mechanism1000 <= 0.5: the
-#     continuous-market acceptance (incremental clear ≥2× faster than
-#     the from-scratch oracle; measures ~3.5×) compared WITHIN one run,
-#     which cancels machine drift entirely and is therefore hard-gated
-#     at full strength.
-# Gated set: Mechanism400/1000, BookIncremental1000, Sharded1000
-# K∈{1,4} (K4 under -cpu 4, matching how scripts/bench.sh records it),
-# and the indexed order-book scan. Noisier micro points (Mechanism100,
-# BestOffersNaive/Indexed) are recorded in BENCH_PR10.json by
-# scripts/bench.sh but not gated; ditto the slow load-frontier points,
-# absent from this run. Refresh the baseline with scripts/bench.sh
-# after intentional changes.
-if [ -f BENCH_PR10.json ]; then
-  { go test -run '^$' -bench 'BenchmarkMechanism400$|BenchmarkMechanism1000$|BenchmarkBookIncremental1000$|BenchmarkMechanismSharded1000K1$|BenchmarkBestOffersIndexedScan$' \
-      -benchtime 1s -count=4 -benchmem . ./internal/match 2>/dev/null; \
-    go test -run '^$' -bench 'BenchmarkMechanismSharded1000K4$' -cpu 4 \
-      -benchtime 1s -count=4 -benchmem . 2>/dev/null; } \
-    | go run ./cmd/benchjson -baseline BENCH_PR10.json -gate 30 -gate-allocs 5 \
-        -require-ratio 'BenchmarkBookIncremental1000/BenchmarkMechanism1000<=0.5' \
-        -out /tmp/bench_ci.json
-else
-  echo "    no BENCH_PR10.json baseline; skipping"
-fi
+echo "==> benchmark (all workloads, 3 s each: checks + starved-runner guard gate; timings printed only)"
+# The repo's one benchmark. It exits non-zero when any workload fails a
+# correctness check, loses an order, or judges the runner too starved to
+# measure on — those are the gate. Its timings are for the log: a timing
+# claim is made with `go run ./benchmark -compare` over paired runs
+# (benchmark/README.md), not against a number recorded on another day.
+go run ./benchmark -workload all -seconds 3
+
+echo "==> incremental/from-scratch clear ratio (same run, <= 0.5)"
+# The continuous-market acceptance: pricing a 50-order block into a warm
+# 1000-order book must take at most half of clearing that market from
+# scratch (0.38–0.47 on the 2-core runner, where the from-scratch side
+# runs two workers). Both sides come from ONE go test invocation,
+# fastest of three samples each, so machine drift cancels. Allocation
+# drift is gated in tier-1 by TestClearAllocCeiling.
+BENCH_TXT=$(go test -run '^$' -bench 'BenchmarkMechanism1000$|BenchmarkBookIncremental1000$' -benchtime 1s -count=3 .)
+echo "${BENCH_TXT}" | grep '^Benchmark'
+echo "${BENCH_TXT}" | awk '
+  $1 ~ /^BenchmarkMechanism1000(-|$)/       && (!m || $3 < m) { m = $3 }
+  $1 ~ /^BenchmarkBookIncremental1000(-|$)/ && (!b || $3 < b) { b = $3 }
+  END {
+    if (!m || !b) { print "ratio gate FAILED: a benchmark is missing from the output"; exit 1 }
+    printf "    BookIncremental1000 / Mechanism1000 = %.2f (gate 0.50)\n", b / m
+    if (b / m > 0.5) { print "ratio gate FAILED"; exit 1 }
+  }'
 
 echo "==> devnet smoke (multi-process, time-boxed)"
 # A small real-process devnet — 2 miner + 4 participant OS processes with
@@ -160,8 +162,6 @@ rm -f "${OBS_LOG}"
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz=FuzzDecodeBid -fuzztime="${FUZZTIME}" ./internal/bidding
 go test -run='^$' -fuzz=FuzzSealedRoundTrip -fuzztime="${FUZZTIME}" ./internal/sealed
-# Anchored: the shard package has two Fuzz targets sharing this prefix.
-go test -run='^$' -fuzz='^FuzzShardPartition$' -fuzztime="${FUZZTIME}" ./internal/shard
 # Anchored: the book's mutation-trace fuzzer replays every input against
 # the rebuild-from-scratch oracle and fails on any byte divergence.
 go test -run='^$' -fuzz='^FuzzBookMutations$' -fuzztime="${FUZZTIME}" ./internal/book

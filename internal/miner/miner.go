@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"decloud/internal/auction"
@@ -13,6 +12,8 @@ import (
 	"decloud/internal/bidding"
 	"decloud/internal/book"
 	"decloud/internal/ledger"
+	"decloud/internal/obs"
+	"decloud/internal/par"
 	"decloud/internal/sealed"
 )
 
@@ -39,6 +40,13 @@ type Miner struct {
 	// book's incremental clear rather than a from-scratch run over the
 	// block's bids alone. Keep it synced with SyncBook.
 	Book *book.Book
+	// Admitted, when non-nil, is the owning node's set of bids whose
+	// signature it checked at its own door: executing a block skips the
+	// check for exactly those and checks every bid first met inside the
+	// block. A bare Miner has no set and checks everything. Metrics, when
+	// non-nil, returns where both are counted (observational only).
+	Admitted *sealed.Verified
+	Metrics  func() *obs.MinerMetrics
 
 	// bookMu serializes SyncBook's multi-block catch-up loop. It is
 	// never taken inside a chain.Append verify callback — see book.go
@@ -53,11 +61,7 @@ type Miner struct {
 // against block n as soon as n's production finishes, while n's body is
 // still being verified.
 func (m *Miner) AssembleBlockAt(prevHash [32]byte, height int64, bids []*sealed.Bid, timestamp int64) *ledger.Block {
-	ordered := append([]*sealed.Bid(nil), bids...)
-	sort.Slice(ordered, func(i, j int) bool {
-		di, dj := ordered[i].Digest(), ordered[j].Digest()
-		return bytes.Compare(di[:], dj[:]) < 0
-	})
+	ordered := sealed.SortedByDigest(bids)
 	return &ledger.Block{
 		Preamble: ledger.Preamble{
 			Height:     height,
@@ -92,61 +96,92 @@ type DecryptResult struct {
 	// signatures, undecryptable envelopes, malformed orders, or orders
 	// whose owner does not match the signing key.
 	Rejected int
+	// SigSkipped counts bids whose signature was not re-checked because
+	// the executing node had checked it at its own door (Miner.Admitted);
+	// the other len(bids) − SigSkipped were checked here.
+	SigSkipped int
 }
 
 // DecryptOrders opens the block's bids using the key reveals. Every rule
 // the paper's verification step implies is enforced here:
 //
+//   - the bid must be signed by its sender over the envelope;
 //   - the reveal must be signed by the bid's sender over (digest ‖ key);
 //   - the envelope must authenticate under the revealed key;
 //   - the decoded order's owner must equal the sender's fingerprint, so
 //     nobody can submit orders on someone else's behalf.
 func DecryptOrders(bids []*sealed.Bid, reveals []*sealed.KeyReveal) DecryptResult {
+	return decryptOrders(bids, reveals, nil, par.Default())
+}
+
+// opened is what one bid decrypted to. Neither an order nor unrevealed
+// means rejected.
+type opened struct {
+	req        *bidding.Request
+	off        *bidding.Offer
+	unrevealed bool
+	sigSkipped bool
+}
+
+// decryptOrders is DecryptOrders over a worker pool, skipping the
+// signature check of exactly the bids in admitted (nil: none). Each bid
+// fills only its own slot and the slots are merged in input order, so
+// the result does not depend on workers.
+func decryptOrders(bids []*sealed.Bid, reveals []*sealed.KeyReveal, admitted *sealed.Verified, workers int) DecryptResult {
 	byDigest := make(map[[32]byte]*sealed.KeyReveal, len(reveals))
 	for _, kr := range reveals {
 		byDigest[kr.BidDigest] = kr
 	}
+	slots := make([]opened, len(bids))
+	par.ForEach(workers, len(bids), func(i int) {
+		slots[i] = openBid(bids[i], byDigest, admitted)
+	})
 	var res DecryptResult
-	for _, b := range bids {
-		if !b.VerifySignature() {
-			res.Rejected++
-			continue
-		}
-		kr, ok := byDigest[b.Digest()]
-		if !ok {
-			res.Unrevealed++
-			continue
-		}
-		if err := kr.Verify(b); err != nil {
-			res.Rejected++
-			continue
-		}
-		plain, err := b.Envelope.Open(kr.Key)
-		if err != nil {
-			res.Rejected++
-			continue
-		}
-		req, off, err := bidding.DecodeOrder(plain)
-		if err != nil {
-			res.Rejected++
-			continue
+	for _, o := range slots {
+		if o.sigSkipped {
+			res.SigSkipped++
 		}
 		switch {
-		case req != nil:
-			if req.Client != b.SenderID() {
-				res.Rejected++
-				continue
-			}
-			res.Requests = append(res.Requests, req)
-		case off != nil:
-			if off.Provider != b.SenderID() {
-				res.Rejected++
-				continue
-			}
-			res.Offers = append(res.Offers, off)
+		case o.req != nil:
+			res.Requests = append(res.Requests, o.req)
+		case o.off != nil:
+			res.Offers = append(res.Offers, o.off)
+		case o.unrevealed:
+			res.Unrevealed++
+		default:
+			res.Rejected++
 		}
 	}
 	return res
+}
+
+func openBid(b *sealed.Bid, byDigest map[[32]byte]*sealed.KeyReveal, admitted *sealed.Verified) (o opened) {
+	if o.sigSkipped = admitted.Has(b); !o.sigSkipped && !b.VerifySignature() {
+		return o
+	}
+	kr, ok := byDigest[b.Digest()]
+	if !ok {
+		o.unrevealed = true
+		return o
+	}
+	if kr.Verify(b) != nil {
+		return o
+	}
+	plain, err := b.Envelope.Open(kr.Key)
+	if err != nil {
+		return o
+	}
+	req, off, err := bidding.DecodeOrder(plain)
+	if err != nil {
+		return o
+	}
+	switch {
+	case req != nil && req.Client == b.SenderID():
+		o.req = req
+	case off != nil && off.Provider == b.SenderID():
+		o.off = off
+	}
+	return o
 }
 
 // execution is one deterministic run of a block: what its bids decrypted
@@ -173,7 +208,13 @@ type execution struct {
 // when commit is set, the Book.Apply that advances it (reusing the
 // preview's memoized outcome when nothing changed in between).
 func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal, commit bool) (execution, error) {
-	ex := execution{dec: DecryptOrders(b.Bids, reveals)}
+	ex := execution{dec: decryptOrders(b.Bids, reveals, m.Admitted, m.AuctionCfg.Workers)}
+	if m.Metrics != nil {
+		if mm := m.Metrics(); mm != nil {
+			mm.BidSigSkipped.Add(int64(ex.dec.SigSkipped))
+			mm.BidSigChecked.Add(int64(len(b.Bids) - ex.dec.SigSkipped))
+		}
+	}
 	switch {
 	case m.Book == nil:
 		cfg := m.AuctionCfg

@@ -13,6 +13,7 @@ import (
 	"decloud/internal/contract"
 	"decloud/internal/ledger"
 	"decloud/internal/obs"
+	"decloud/internal/par"
 	"decloud/internal/sealed"
 )
 
@@ -41,6 +42,10 @@ type Network struct {
 	mu      sync.Mutex
 	mempool []*sealed.Bid
 	closed  bool
+	// admitted holds the bids SubmitBid checked, until their round ends
+	// (endRound): never more than mempool + in-flight rounds. One process,
+	// one door: the miners share the mempool and therefore this set.
+	admitted sealed.Verified
 
 	// stop is closed by Close; in-flight backoff waits and pipelined
 	// commits select on it so shutdown never blocks on a sleeping timer.
@@ -129,6 +134,8 @@ func NewNetwork(n int, difficulty int, cfg auction.Config) *Network {
 			Name:       fmt.Sprintf("miner-%02d", i),
 			Difficulty: difficulty,
 			AuctionCfg: cfg,
+			Admitted:   &net.admitted,
+			Metrics:    func() *obs.MinerMetrics { return net.Obs },
 		}
 		if cfg.Incremental {
 			// Each miner keeps its own book replica — replicas are
@@ -226,12 +233,16 @@ func (n *Network) sleepBackoff(d time.Duration) bool {
 // SubmitBid gossips a sealed bid into the mempool. Bids with invalid
 // signatures are rejected at the door, as any real node would.
 func (n *Network) SubmitBid(b *sealed.Bid) error {
+	if n.Obs != nil {
+		n.Obs.BidSigChecked.Inc()
+	}
 	if !b.VerifySignature() {
 		return ErrBadBid
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.mempool = append(n.mempool, b)
+	n.admitted.Add(b)
 	return nil
 }
 
@@ -294,7 +305,7 @@ func (n *Network) RunRound(ctx context.Context, participants []*Participant) (*R
 	if err != nil {
 		return nil, err
 	}
-	defer st.tr.End()
+	defer n.endRound(st)
 	prevHash, height := n.nextParent()
 	if err := n.produceStage(ctx, st, prevHash, height, nil); err != nil {
 		return nil, err
@@ -324,11 +335,12 @@ func (n *Network) collectReveals(block *ledger.Block, participants []*Participan
 	if !block.Preamble.ValidPoW() {
 		return nil, nil, 0
 	}
-	produced := make(map[[32]byte]*sealed.KeyReveal)
-	for _, p := range participants {
-		for _, kr := range p.RevealsFor(block.Bids) {
-			produced[kr.BidDigest] = kr
-		}
+	// The preamble is digested once: for every participant, every retry
+	// attempt and the final pass.
+	ix := sealed.NewIndex(block.Bids)
+	produced := make(map[[32]byte]*sealed.KeyReveal, len(block.Bids))
+	for _, kr := range RevealAll(participants, ix) {
+		produced[kr.BidDigest] = kr
 	}
 
 	retries := n.RevealRetries
@@ -343,8 +355,8 @@ func (n *Network) collectReveals(block *ledger.Block, participants []*Participan
 	for attempt := 0; attempt <= retries; attempt++ {
 		attempts++
 		missing := false
-		for _, b := range block.Bids {
-			d := b.Digest()
+		for i, b := range block.Bids {
+			d := ix.Digests[i]
 			if delivered[d] {
 				continue
 			}
@@ -374,8 +386,7 @@ func (n *Network) collectReveals(block *ledger.Block, participants []*Participan
 
 	var reveals []*sealed.KeyReveal
 	var excluded [][32]byte
-	for _, b := range block.Bids { // block bids are digest-sorted: canonical order
-		d := b.Digest()
+	for _, d := range ix.Digests { // block bids are digest-sorted: canonical order
 		if delivered[d] {
 			reveals = append(reveals, produced[d])
 		} else {
@@ -447,12 +458,17 @@ func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []i
 			return nil
 		}
 	}
-	// VerifyAll, or a challenge escalating to it: everyone re-executes.
-	for _, i := range verifiers {
-		if i == producerIdx {
-			continue
+	// VerifyAll, or a challenge escalating to it: everyone re-executes, on
+	// its own book replica and so concurrently; the verdict is the first
+	// objection in verifier order.
+	errs := make([]error, len(verifiers))
+	par.ForEach(par.Default(), len(verifiers), func(k int) {
+		if i := verifiers[k]; i != producerIdx {
+			errs[k] = n.miners[i].VerifyBlock(b)
 		}
-		if err := n.miners[i].VerifyBlock(b); err != nil {
+	})
+	for _, err := range errs {
+		if err != nil {
 			return fmt.Errorf("%w (producer %s): %v", ErrNoQuorum, n.miners[producerIdx].Name, err)
 		}
 	}

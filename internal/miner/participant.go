@@ -9,9 +9,11 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
 	"decloud/internal/bidding"
+	"decloud/internal/par"
 	"decloud/internal/sealed"
 )
 
@@ -106,17 +108,53 @@ func (p *Participant) seal(orderBytes []byte) (*sealed.Bid, error) {
 // participants answering again. Keys therefore stay retained until the
 // caller Forgets them, typically once the block is final on-chain.
 func (p *Participant) RevealsFor(committed []*sealed.Bid) []*sealed.KeyReveal {
+	return p.RevealsIn(sealed.NewIndex(committed))
+}
+
+// RevealsIn is RevealsFor over a preamble's digest index, which a caller
+// asking many participants about one preamble builds once. It walks the
+// smaller of {own retained bids, committed bids}; reveals come back in
+// preamble order either way.
+func (p *Participant) RevealsIn(ix *sealed.Index) []*sealed.KeyReveal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var reveals []*sealed.KeyReveal
-	for _, b := range committed {
-		if pb, ok := p.pending[b.Digest()]; ok {
-			reveals = append(reveals, sealed.NewKeyReveal(p.identity, pb.bid, pb.key))
-			pb.revealed = true
-			p.pending[b.Digest()] = pb
+	var at []int // committed positions of this participant's bids
+	if len(p.pending) < len(ix.Digests) {
+		for d := range p.pending {
+			at = ix.Positions(at, d)
+		}
+		sort.Ints(at)
+	} else {
+		for i, d := range ix.Digests {
+			if _, ok := p.pending[d]; ok {
+				at = append(at, i)
+			}
 		}
 	}
+	var reveals []*sealed.KeyReveal
+	for _, i := range at {
+		d := ix.Digests[i]
+		pb := p.pending[d]
+		reveals = append(reveals, sealed.NewKeyReveal(p.identity, pb.bid, pb.key))
+		pb.revealed = true
+		p.pending[d] = pb
+	}
 	return reveals
+}
+
+// RevealAll asks every participant for its reveals to one preamble: the
+// preamble was digested once for all of them, they sign concurrently,
+// and the reveals come back concatenated in participant order.
+func RevealAll(parts []*Participant, ix *sealed.Index) []*sealed.KeyReveal {
+	signed := make([][]*sealed.KeyReveal, len(parts))
+	par.ForEach(par.Default(), len(parts), func(i int) {
+		signed[i] = parts[i].RevealsIn(ix)
+	})
+	var all []*sealed.KeyReveal
+	for _, krs := range signed {
+		all = append(all, krs...)
+	}
+	return all
 }
 
 // Forget drops the retained keys for the given bid digests — called once

@@ -114,7 +114,7 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 		// speculation held.
 		join()
 		if err != nil {
-			tr.End()
+			n.endRound(st)
 			results = append(results, &PipelinedRound{Round: r, Err: err})
 			specPrev, specHeight = n.nextParent()
 			continue
@@ -130,7 +130,7 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 				"speculated_height": st.block.Preamble.Height, "height": realHeight,
 			})
 			if err := n.produceStage(ctx, st, realPrev, realHeight, nil); err != nil {
-				tr.End()
+				n.endRound(st)
 				results = append(results, &PipelinedRound{Round: r, Err: err})
 				specPrev, specHeight = realPrev, realHeight
 				continue
@@ -147,7 +147,7 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 			if n.Obs != nil {
 				n.Obs.CommitSeconds.Observe(time.Since(commitStart).Seconds())
 			}
-			st.tr.End()
+			n.endRound(st)
 			ch <- commitOut{round: st.round, res: res, err: err}
 		}
 		if n.track() {
@@ -191,6 +191,13 @@ func (n *Network) beginRound(round int, participants []*Participant) (*pipelineS
 		}
 	}
 	return st, nil
+}
+
+// endRound closes a round however it went — committed, rejected or
+// failed: its trace ends and its drained bids leave the admitted set.
+func (n *Network) endRound(st *pipelineStage) {
+	st.tr.End()
+	n.admitted.Forget(st.bids...)
 }
 
 // produceStage runs one round's bidding phase against an explicit

@@ -68,6 +68,8 @@ type MinerMetrics struct {
 	UnrevealedBids *Counter   // bids opened as unrevealed at decryption
 	RejectedBids   *Counter   // bids dropped for integrity at decryption
 	Slashes        *Counter   // producers slashed for rejected blocks
+	BidSigChecked  *Counter   // bid signatures checked, at the door or inside a block
+	BidSigSkipped  *Counter   // in-block checks skipped: the node had checked the bid at its door
 	RoundSeconds   *Histogram // full-round wall time
 	RevealSeconds  *Histogram // reveal-collection wall time
 	ComputeSeconds *Histogram // decrypt + allocate wall time
@@ -96,6 +98,8 @@ func NewMinerMetrics(r *Registry) *MinerMetrics {
 		UnrevealedBids: r.Counter("decloud_miner_unrevealed_bids_total", "bids unrevealed at decryption"),
 		RejectedBids:   r.Counter("decloud_miner_rejected_bids_total", "bids rejected for integrity at decryption"),
 		Slashes:        r.Counter("decloud_miner_slashes_total", "producers slashed for rejected blocks"),
+		BidSigChecked:  r.Counter("decloud_miner_bid_sig_checked_total", "bid signatures checked, at the node's door or inside a block"),
+		BidSigSkipped:  r.Counter("decloud_miner_bid_sig_skipped_total", "in-block bid signature checks skipped because the node checked the bid at its door"),
 		RoundSeconds:   r.Histogram("decloud_miner_round_seconds", "full protocol round wall time", nil),
 		RevealSeconds:  r.Histogram("decloud_miner_reveal_seconds", "reveal collection wall time", nil),
 		ComputeSeconds: r.Histogram("decloud_miner_compute_seconds", "decrypt and allocation wall time", nil),

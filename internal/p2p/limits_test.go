@@ -182,4 +182,9 @@ func TestMempoolLimit(t *testing.T) {
 	if got := m.PoolDropped.Value(); got != 1 {
 		t.Fatalf("PoolDropped = %d, want 1", got)
 	}
+	// A refused bid passed the signature check but is not admitted: the
+	// set holds what the pool holds.
+	if got := mn.admitted.Len(); got != 2 {
+		t.Fatalf("%d bids admitted, want the 2 pooled", got)
+	}
 }

@@ -251,11 +251,7 @@ func (lc *LoadClient) onPreamble(msg Message) {
 	// Batch all identities' reveals into a single frame per preamble —
 	// at load-test order rates the per-order reveal frames were the
 	// dominant transport cost of a round.
-	var krs []*sealed.KeyReveal
-	for _, part := range lc.parts {
-		krs = append(krs, part.RevealsFor(block.Bids)...)
-	}
-	if len(krs) > 0 {
+	if krs := miner.RevealAll(lc.parts, sealed.NewIndex(block.Bids)); len(krs) > 0 {
 		_ = lc.nets[0].Broadcast(msgReveals, krs)
 	}
 }
@@ -281,10 +277,7 @@ func (lc *LoadClient) onBlock(msg Message) {
 	}
 	lc.blocks[ph] = true
 	lc.mu.Unlock()
-	digests := make([][32]byte, len(block.Bids))
-	for i, b := range block.Bids {
-		digests[i] = b.Digest()
-	}
+	digests := sealed.Digests(block.Bids)
 	lc.mu.Lock()
 	var newlyCommitted int64
 	for _, d := range digests {

@@ -58,7 +58,8 @@ type chainTransfer struct {
 // Concurrency: network handlers (onBid/onReveal/onBlock/onVote) run on
 // the gossip reader goroutines while ProduceBlock runs on the caller's.
 // The discipline is:
-//   - mu guards mempool and havePool — the only state both sides write.
+//   - mu guards mempool and havePool — the only state both sides write —
+//     and admitted wherever it must change together with them.
 //   - miner is written once in NewMarketNode and only read afterwards;
 //     its methods copy AuctionCfg by value per block, so concurrent
 //     VerifyBlock (verifier path) and ComputeBody (producer path) are
@@ -82,6 +83,11 @@ type MarketNode struct {
 	havePool  map[[32]byte]bool
 	committed map[[32]byte]bool // bid digests already on this replica's chain
 	poolLimit int               // max pending bids; 0 = unlimited
+	// admitted holds the signature verdicts of the pooled bids: a bid
+	// enters when addToPool pools it and leaves when its block commits or
+	// its drained round is discarded — never more than pool + in-flight
+	// block. Executing a block, the miner skips re-checking exactly these.
+	admitted sealed.Verified
 
 	// metrics/tracer are read on both the producer and the gossip reader
 	// goroutines; atomic pointers let SetObs/SetTracer install them after
@@ -118,6 +124,8 @@ func NewMarketNode(name, addr string, difficulty int, cfg auction.Config) (*Mark
 		revealSig: make(chan struct{}, 1),
 		voteCh:    make(chan vote, 1024),
 	}
+	mn.miner.Admitted = &mn.admitted
+	mn.miner.Metrics = mn.metrics.Load
 	if cfg.Incremental {
 		// Incremental mode: this node clears a continuous order book kept
 		// in lockstep with its chain replica (synced before every verify
@@ -187,7 +195,7 @@ func (mn *MarketNode) Close() error { return mn.net.Close() }
 
 // SubmitBid accepts a sealed bid locally and gossips it.
 func (mn *MarketNode) SubmitBid(b *sealed.Bid) error {
-	if !b.VerifySignature() {
+	if !mn.checkSignature(b) {
 		return miner.ErrBadBid
 	}
 	if !mn.addToPool(b) {
@@ -204,13 +212,15 @@ var ErrPoolFull = errors.New("p2p: mempool full")
 // append — producer self-append, verifier accept, and sync catch-up — it
 // keeps an already-committed bid from ever (re-)entering a later round,
 // e.g. when the transport redelivers a duplicate bid message after the
-// pool was drained.
-func (mn *MarketNode) markCommitted(b *ledger.Block) {
+// pool was drained. digests are the block's bid digests; a producer
+// derived them once, with the preamble.
+func (mn *MarketNode) markCommitted(b *ledger.Block, digests [][32]byte) {
 	mn.mu.Lock()
 	defer mn.mu.Unlock()
-	for _, bid := range b.Bids {
-		mn.committed[bid.Digest()] = true
+	for _, d := range digests {
+		mn.committed[d] = true
 	}
+	mn.admitted.Forget(b.Bids...)
 	if len(mn.mempool) == 0 {
 		return
 	}
@@ -219,6 +229,7 @@ func (mn *MarketNode) markCommitted(b *ledger.Block) {
 		d := bid.Digest()
 		if mn.committed[d] {
 			delete(mn.havePool, d)
+			mn.admitted.Forget(bid)
 			continue
 		}
 		kept = append(kept, bid)
@@ -226,27 +237,50 @@ func (mn *MarketNode) markCommitted(b *ledger.Block) {
 	mn.mempool = kept
 }
 
-// addToPool admits a bid, reporting false when the pool is at its limit.
-// Duplicates and already-committed bids are absorbed silently and report
-// true.
+// addToPool admits a bid whose signature the caller has just checked,
+// reporting false when the pool is at its limit. Duplicates and
+// already-committed bids are absorbed silently and report true.
 func (mn *MarketNode) addToPool(b *sealed.Bid) bool {
 	mn.mu.Lock()
-	d := b.Digest()
-	if mn.havePool[d] || mn.committed[d] {
-		mn.mu.Unlock()
-		return true
+	pooled, full := mn.poolLocked(b)
+	if pooled {
+		mn.admitted.Add(b)
 	}
-	if mn.poolLimit > 0 && len(mn.mempool) >= mn.poolLimit {
-		mn.mu.Unlock()
+	mn.mu.Unlock()
+	if full {
 		if m := mn.net.metrics.Load(); m != nil {
 			m.PoolDropped.Inc()
 		}
-		return false
+	}
+	return !full
+}
+
+// poolLocked appends b to the mempool unless it is already pooled or
+// committed (absorbed) or the pool is at its limit (full). mn.mu held.
+func (mn *MarketNode) poolLocked(b *sealed.Bid) (pooled, full bool) {
+	d := b.Digest()
+	if mn.havePool[d] || mn.committed[d] {
+		return false, false
+	}
+	if mn.poolLimit > 0 && len(mn.mempool) >= mn.poolLimit {
+		return false, true
 	}
 	mn.havePool[d] = true
 	mn.mempool = append(mn.mempool, b)
-	mn.mu.Unlock()
-	return true
+	return true, false
+}
+
+// repool puts the drained bids of a round that never committed back into
+// the pool, still admitted — best effort: the pool may have refilled
+// meanwhile — and forgets each bid that does not go back.
+func (mn *MarketNode) repool(bids []*sealed.Bid) {
+	mn.mu.Lock()
+	defer mn.mu.Unlock()
+	for _, b := range bids {
+		if pooled, _ := mn.poolLocked(b); !pooled {
+			mn.admitted.Forget(b)
+		}
+	}
 }
 
 // MempoolSize reports the number of pending sealed bids.
@@ -258,10 +292,19 @@ func (mn *MarketNode) MempoolSize() int {
 
 func (mn *MarketNode) onBid(msg Message) {
 	var b sealed.Bid
-	if err := json.Unmarshal(msg.Payload, &b); err != nil || !b.VerifySignature() {
+	if err := json.Unmarshal(msg.Payload, &b); err != nil || !mn.checkSignature(&b) {
 		return
 	}
 	mn.addToPool(&b)
+}
+
+// checkSignature is the node's door: every bid entering the pool has its
+// signature checked here, once.
+func (mn *MarketNode) checkSignature(b *sealed.Bid) bool {
+	if m := mn.metrics.Load(); m != nil {
+		m.BidSigChecked.Inc()
+	}
+	return b.VerifySignature()
 }
 
 // PoolLimit returns the configured mempool cap (0 = unlimited).
@@ -367,7 +410,7 @@ func (mn *MarketNode) onBlock(msg Message) {
 	v := vote{Voter: mn.Name(), Height: b.Preamble.Height, OK: true}
 	err := mn.appendVerified(&b)
 	if err == nil {
-		mn.markCommitted(&b)
+		mn.markCommitted(&b, sealed.Digests(b.Bids))
 	} else {
 		v.OK = false
 		v.Err = err.Error()
@@ -414,7 +457,7 @@ func (mn *MarketNode) onChain(msg Message) {
 		if err := mn.appendVerified(b); err != nil {
 			continue // already have it, or it does not verify
 		}
-		mn.markCommitted(b)
+		mn.markCommitted(b, sealed.Digests(b.Bids))
 		_ = mn.net.Broadcast(msgVote, vote{Voter: mn.Name(), Height: b.Preamble.Height, OK: true})
 	}
 }
@@ -523,12 +566,11 @@ func (mn *MarketNode) ProduceBlockOpts(ctx context.Context, cfg RoundConfig) (*R
 		// The round died before anything was appended or broadcast (timed
 		// out mid-reveal, node closing, mining aborted). The drained bids
 		// were never committed anywhere — put them back so the next round
-		// retries them instead of silently losing them. Best effort: the
-		// pool may have refilled to its limit in the meantime.
-		if !errors.Is(err, ErrClosed) {
-			for _, b := range bids {
-				mn.addToPool(b)
-			}
+		// retries them instead of silently losing them.
+		if errors.Is(err, ErrClosed) {
+			mn.admitted.Forget(bids...)
+		} else {
+			mn.repool(bids)
 		}
 		return nil, err
 	}
@@ -550,6 +592,7 @@ func (mn *MarketNode) drainPool() []*sealed.Bid {
 // commit stage needs to finish the round.
 type producedRound struct {
 	block      *ledger.Block
+	digests    [][32]byte // of block.Bids, derived once per preamble
 	reveals    []*sealed.KeyReveal
 	bids       []*sealed.Bid
 	unrevealed int
@@ -582,9 +625,10 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 
 	// Collect reveals for the committed bids, re-broadcasting the preamble
 	// with a growing window while any are missing and retries remain.
-	want := make(map[[32]byte]bool, len(block.Bids))
-	for _, b := range block.Bids {
-		want[b.Digest()] = true
+	digests := sealed.Digests(block.Bids)
+	want := make(map[[32]byte]bool, len(digests))
+	for _, d := range digests {
+		want[d] = true
 	}
 	reveals := make([]*sealed.KeyReveal, 0, len(want))
 	backoff := cfg.Backoff
@@ -640,7 +684,7 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 		"revealed": len(reveals), "unrevealed": len(want),
 	})
 	return &producedRound{
-		block: block, reveals: reveals, bids: bids,
+		block: block, digests: digests, reveals: reveals, bids: bids,
 		unrevealed: len(want), attempts: attempts,
 	}, nil
 }
@@ -651,6 +695,12 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *producedRound, tr *obs.RoundTrace) (*RoundSummary, error) {
 	m := mn.metrics.Load()
 	block := pr.block
+	appended := false // until then the round can die, its drained bids with it
+	defer func() {
+		if !appended {
+			mn.admitted.Forget(pr.bids...)
+		}
+	}()
 	computeStart := obsNow(m)
 	// Incremental mode: the producer previews the block against its book,
 	// so the book must be current first.
@@ -668,7 +718,8 @@ func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *prod
 	if err := mn.chain.Append(block, nil); err != nil {
 		return nil, fmt.Errorf("p2p: self-append: %w", err)
 	}
-	mn.markCommitted(block)
+	mn.markCommitted(block, pr.digests)
+	appended = true
 	if err := mn.miner.SyncBook(mn.chain); err != nil {
 		return nil, fmt.Errorf("p2p: post-append book sync: %w", err)
 	}
@@ -782,6 +833,7 @@ func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConf
 		pr, err := mn.produceStage(ctx, cfg, specPrev, specHeight, bids, tr)
 		join()
 		if err != nil {
+			mn.admitted.Forget(bids...)
 			tr.End()
 			results = append(results, &PipelinedSummary{Round: r, Err: err})
 			specPrev = mn.chain.HeadHash()
@@ -800,6 +852,7 @@ func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConf
 			})
 			pr, err = mn.produceStage(ctx, cfg, realPrev, realHeight, bids, tr)
 			if err != nil {
+				mn.admitted.Forget(bids...)
 				tr.End()
 				results = append(results, &PipelinedSummary{Round: r, Err: err})
 				specPrev, specHeight = realPrev, realHeight

@@ -92,6 +92,8 @@ func TestPipelinedRoundsOverTCP(t *testing.T) {
 		if mn.Chain().Head().Preamble.Hash() != head {
 			t.Fatalf("replica %s diverged", mn.Name())
 		}
+		// A replica marks a block's bids committed just after appending it.
+		waitFor(t, "admitted set drained at "+mn.Name(), func() bool { return mn.admitted.Len() == 0 })
 	}
 	for i := 1; i < rounds; i++ {
 		prev := miners[0].Chain().BlockAt(i - 1).Preamble.Hash()
@@ -130,6 +132,9 @@ func TestCloseAbortsRevealWindow(t *testing.T) {
 		}
 		if waited := time.Since(start); waited > 2*time.Second {
 			t.Fatalf("producer took %v to notice Close", waited)
+		}
+		if got := miners[0].admitted.Len(); got != 0 {
+			t.Fatalf("%d bids still admitted after the closing node discarded its round", got)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("producer still blocked in the reveal window 5s after Close")

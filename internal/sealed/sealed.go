@@ -7,6 +7,7 @@
 package sealed
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ed25519"
@@ -16,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
+	"sync"
 
 	"decloud/internal/bidding"
 )
@@ -172,6 +175,175 @@ func (b *Bid) SenderID() bidding.ParticipantID {
 // Digest identifies the bid (hash of the envelope); participants use it
 // to find their bids in a preamble and to address key reveals.
 func (b *Bid) Digest() [32]byte { return sha256.Sum256(b.Envelope) }
+
+// Digests returns every bid's digest, in order.
+func Digests(bids []*Bid) [][32]byte {
+	ds := make([][32]byte, len(bids))
+	for i, b := range bids {
+		ds[i] = b.Digest()
+	}
+	return ds
+}
+
+// SortedByDigest returns the bids in a preamble's canonical order —
+// ascending digest, an order no miner can game — digesting each bid once
+// rather than twice per comparison. The input is left untouched.
+func SortedByDigest(bids []*Bid) []*Bid {
+	type keyed struct {
+		digest [32]byte
+		bid    *Bid
+	}
+	keys := make([]keyed, len(bids))
+	for i, b := range bids {
+		keys[i] = keyed{b.Digest(), b}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return bytes.Compare(keys[i].digest[:], keys[j].digest[:]) < 0
+	})
+	ordered := make([]*Bid, len(keys))
+	for i, k := range keys {
+		ordered[i] = k.bid
+	}
+	return ordered
+}
+
+// Index is the committed-digest index of one preamble, derived once and
+// shared by everyone who has to find bids in it: the digest at every
+// position, and the positions of every digest.
+type Index struct {
+	// Digests[i] is the digest of the preamble's i-th bid.
+	Digests [][32]byte
+	first   map[[32]byte]int
+	// next[i] is the next position committing the same digest as
+	// position i (0: none). Nil unless some digest is committed twice.
+	next []int
+}
+
+// NewIndex digests each of a preamble's bids once.
+func NewIndex(bids []*Bid) *Index {
+	ix := &Index{Digests: Digests(bids), first: make(map[[32]byte]int, len(bids))}
+	for i := len(bids) - 1; i >= 0; i-- {
+		d := ix.Digests[i]
+		if j, dup := ix.first[d]; dup {
+			if ix.next == nil {
+				ix.next = make([]int, len(bids))
+			}
+			ix.next[i] = j
+		}
+		ix.first[d] = i
+	}
+	return ix
+}
+
+// Positions appends to dst, in ascending order, every position at which
+// the preamble commits digest d.
+func (ix *Index) Positions(dst []int, d [32]byte) []int {
+	i, ok := ix.first[d]
+	for ok {
+		dst = append(dst, i)
+		if ix.next == nil {
+			break
+		}
+		i = ix.next[i]
+		ok = i != 0
+	}
+	return dst
+}
+
+// BidKey identifies a bid by everything a preamble commits to about it
+// (ledger.HashBids): envelope, sender and signature. Two bids with equal
+// keys pass or fail VerifySignature together, which Digest alone — the
+// envelope's hash — does not promise: anyone can re-sign a seen envelope
+// under another key, or attach a forged signature to it.
+type BidKey struct {
+	Digest    [32]byte
+	Sender    [ed25519.PublicKeySize]byte
+	Signature [ed25519.SignatureSize]byte
+}
+
+// Key returns the bid's key. ok is false when the sender or signature
+// does not have ed25519's size; such a bid has no key and never verifies.
+func (b *Bid) Key() (k BidKey, ok bool) {
+	if len(b.Sender) != len(k.Sender) || len(b.Signature) != len(k.Signature) {
+		return k, false
+	}
+	k.Digest = b.Digest()
+	copy(k.Sender[:], b.Sender)
+	copy(k.Signature[:], b.Signature)
+	return k, true
+}
+
+// Verified is one node's set of bids whose signature it has checked
+// itself. Membership is by value (BidKey), never by pointer: a bid
+// mutated after it was added has a different key and is simply not in
+// the set. Forgetting is by the pointer that was added, so a holder can
+// always take back exactly what it put in, mutated since or not; a bid
+// the set never saw as a pointer — the same bid decoded from a block —
+// is forgotten by value. The zero value is an empty set; a nil *Verified
+// holds nothing. Safe for concurrent use.
+type Verified struct {
+	mu   sync.Mutex
+	set  map[BidKey]struct{}
+	keys map[*Bid]BidKey // the key each added bid was added under
+}
+
+// Add records a bid whose signature the caller has just verified.
+func (v *Verified) Add(b *Bid) {
+	k, ok := b.Key()
+	if !ok {
+		return
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.set == nil {
+		v.set = make(map[BidKey]struct{})
+		v.keys = make(map[*Bid]BidKey)
+	}
+	if old, again := v.keys[b]; again && old != k {
+		delete(v.set, old)
+	}
+	v.set[k] = struct{}{}
+	v.keys[b] = k
+}
+
+// Has reports whether a bid with exactly this envelope, sender and
+// signature was added and not forgotten since.
+func (v *Verified) Has(b *Bid) bool {
+	if v == nil {
+		return false
+	}
+	k, ok := b.Key()
+	if !ok {
+		return false
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	_, ok = v.set[k]
+	return ok
+}
+
+// Forget drops bids from the set (absent ones are ignored).
+func (v *Verified) Forget(bids ...*Bid) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, b := range bids {
+		k, ok := v.keys[b]
+		if ok {
+			delete(v.keys, b)
+		} else if k, ok = b.Key(); !ok {
+			continue
+		}
+		delete(v.set, k)
+	}
+}
+
+// Len reports how many added bids have not been forgotten — never fewer
+// than the keys the set holds, since every key was added with a bid.
+func (v *Verified) Len() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.keys)
+}
 
 // KeyReveal is a participant's broadcast of its temporary key after the
 // preamble is public, signed so only the bid's owner can reveal it.

@@ -36,6 +36,16 @@ if grep -n 'runner too slow' "${RACE_LOG}" >&2; then
   exit 1
 fi
 
+echo "==> verify-once boundary + parallel-decrypt determinism (-race, -cpu 1,2,4)"
+# The admitted set is written by door goroutines and read by the block
+# executor's workers, and decrypt / reveal signing / verification fan out
+# over GOMAXPROCS-sized pools: run their tests at three core counts, so
+# both the sequential and the concurrent branch of every pool meet the
+# race detector.
+go test -race -count=1 -cpu 1,2,4 \
+  -run 'VerifyOnce|Admitted|VerifiedSet|BidKey|IndexPositions|ParallelDecrypt|RevealsForEquivalence|ConcurrentVerifiers|MutatedAfterAdmission|ChecksEachBid|VerifierChecksWhat' \
+  ./internal/sealed ./internal/miner ./internal/p2p
+
 echo "==> chaos smoke (-race, fresh run, small schedule sweep)"
 DECLOUD_CHAOS_SCHEDULES=8 go test -race -count=1 \
   -run 'Chaos|CloseUnderLoad|Byzantine|CrashRestart|RevealRetry' \

@@ -30,8 +30,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	miners := fs.Int("miners", 3, "miner processes (first one produces; per-metro count with -metros)")
 	parts := fs.Int("participants", 8, "participant processes (round-robin over metros with -metros)")
-	metros := fs.Int("metros", 0, "federate over this many metro exchanges (needs -incremental)")
-	maxHops := fs.Int("max-hops", 0, "spill hop budget per request beyond its home metro (default 2)")
+	metros := fs.Int("metros", 0, "federate over this many metro exchanges (implies -incremental)")
+	maxHops := fs.Int("max-hops", 0, "spill hop budget per request beyond its home metro (0 = the federation default)")
 	dir := fs.String("dir", "", "artifact directory (default: a temp dir)")
 	seed := fs.Int64("seed", 1, "fault-plan and workload seed")
 	rate := fs.Float64("rate", 10, "orders/second per participant")

@@ -76,21 +76,11 @@ type Config struct {
 	// (Run/RunPrepared) ignores the flag; it is read by the round loops
 	// in miner, p2p, sim, and devnet.
 	Incremental bool
-	// Metros, when ≥ 2, federates the market geographically: orders are
-	// homed to one of Metros metro exchanges by their Location cell
-	// (internal/metro), each exchange clears its own order book, and
-	// unfillable requests spill to latency-nearest neighbor metros.
-	// Like Incremental, the flag is consensus-critical and is ignored
-	// by Run/RunPrepared itself — the federation round loops in metro,
-	// miner, sim, and devnet read it. 0 or 1 keeps the monolithic
-	// market (a single-metro federation is byte-identical to it; see
-	// metro/metrotest).
-	Metros int
 	// Futures configures the two-stage futures/spot market
 	// (internal/futures): a reservation stage sells forward contracts up
 	// to OverbookRatio × declared supply ahead of each epoch and the
 	// spot auction settles only the unreserved remainder plus defaults.
-	// Like Incremental and Metros, the knob is consensus-critical and is
+	// Like Incremental, the knob is consensus-critical and is
 	// ignored by Run/RunPrepared itself — the futures exchange and the
 	// round loops in sim and loadgen read it. The zero value disables
 	// the reservation stage entirely (futures/futurestest proves the

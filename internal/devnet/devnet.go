@@ -37,11 +37,12 @@ type Topology struct {
 	Miners       int
 	Participants int
 	// Metros federates the devnet over this many independent exchanges
-	// (0/1 = the classic single market). Requires Incremental — spill
+	// (0/1 = the classic single market). Implies Incremental — spill
 	// detection reads book carry-outs.
 	Metros int
 	// MaxHops bounds a spilled request's exchange visits beyond its home
-	// (default 2). Hop k of request "r" travels as "r~x<k>".
+	// (default metro.DefaultMaxHops). Hop k of request "r" travels as
+	// "r~x<k>".
 	MaxHops int
 	// Dir receives configs, logs, ready files, chain replicas, and
 	// participant reports.
@@ -88,14 +89,12 @@ func (t Topology) withDefaults() (Topology, error) {
 		return t, fmt.Errorf("devnet: need at least 1 miner and 1 participant")
 	}
 	if t.Metros > 1 {
-		if !t.Incremental {
-			return t, fmt.Errorf("devnet: federation (Metros=%d) requires Incremental — spill reads book carry-outs", t.Metros)
-		}
+		t.Incremental = true // an exchange that cannot carry cannot spill
 		if t.Participants < t.Metros {
 			return t, fmt.Errorf("devnet: need at least one participant per metro (%d < %d)", t.Participants, t.Metros)
 		}
 		if t.MaxHops <= 0 {
-			t.MaxHops = 2
+			t.MaxHops = metro.DefaultMaxHops
 		}
 	}
 	if t.Dir == "" {

@@ -17,6 +17,7 @@ import (
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
 	"decloud/internal/chaos"
+	"decloud/internal/metro"
 	"decloud/internal/p2p"
 	"decloud/internal/sealed"
 	"decloud/internal/workload"
@@ -109,7 +110,8 @@ type MinerConfig struct {
 	// logged to SpillReport (crash-safe, BEFORE the broadcast — the
 	// target chain's committed ⊆ submitted audit includes this file), and
 	// published to one neighbor producer. Hop k of a request renames its
-	// ID root~x<k>; forwarding stops at MaxHops (default 2).
+	// ID root~x<k>; forwarding stops at MaxHops (default
+	// metro.DefaultMaxHops).
 	Metro          int      `json:"metro,omitempty"`
 	SpillPeerReady []string `json:"spill_peer_ready,omitempty"`
 	SpillReport    string   `json:"spill_report,omitempty"`
@@ -259,7 +261,7 @@ func (f *spillForwarder) relay(k int) *p2p.LoadClient {
 func (f *spillForwarder) Forward(carried []*bidding.Request) {
 	maxHops := f.cfg.MaxHops
 	if maxHops <= 0 {
-		maxHops = 2
+		maxHops = metro.DefaultMaxHops
 	}
 	for _, r := range carried {
 		hops := spillHops(string(r.ID))

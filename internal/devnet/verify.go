@@ -269,32 +269,18 @@ type FederatedSettlementResult struct {
 // chain; this check catches the cross-chain double-settle a buggy
 // forwarder (or a partition replaying a spill) would cause.
 func CheckFederatedSettlement(metroChainFiles []string) (*FederatedSettlementResult, error) {
-	res := &FederatedSettlementResult{Metros: len(metroChainFiles)}
-	settledAt := make(map[string]int) // request root → metro that settled it
+	chains := make([]*ledger.Chain, len(metroChainFiles))
 	for m, path := range metroChainFiles {
 		chain, err := ledger.LoadFile(path, nil)
 		if err != nil {
 			return nil, fmt.Errorf("devnet: metro %d chain %s: %w", m, path, err)
 		}
-		for i := 0; i < chain.Len(); i++ {
-			records, err := ledger.DecodeAllocation(chain.BlockAt(i).Body.Allocation)
-			if err != nil {
-				return nil, fmt.Errorf("devnet: metro %d block %d: %w", m, i, err)
-			}
-			for _, rec := range records {
-				root := SpillRoot(rec.RequestID)
-				if prev, dup := settledAt[root]; dup {
-					return nil, fmt.Errorf("devnet: request root %q settled in metro %d AND metro %d", root, prev, m)
-				}
-				settledAt[root] = m
-				res.SettledRoots++
-				if root != rec.RequestID {
-					res.SpillSettled++
-				}
-			}
-		}
+		chains[m] = chain
 	}
-	return res, nil
+	res := &FederatedSettlementResult{Metros: len(chains)}
+	var err error
+	res.SettledRoots, res.SpillSettled, err = ledger.CheckNoDoubleSettle(SpillRoot, chains...)
+	return res, err
 }
 
 func jsonMarshalIndent(v any) ([]byte, error) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"decloud/internal/chaos"
+	"decloud/internal/metro"
 )
 
 func writeFileT(t *testing.T, path, content string) {
@@ -142,6 +143,20 @@ func TestTopologyDefaults(t *testing.T) {
 	}
 	if top.Bin == "" || top.Rate <= 0 || top.Quorum != 1 || top.TickMS <= 0 {
 		t.Fatalf("defaults not applied: %+v", top)
+	}
+	if top.Incremental || top.MaxHops != 0 {
+		t.Fatalf("a single market must not pick up federation defaults: %+v", top)
+	}
+	// Federation implies a carrying market and the shared hop budget.
+	fed, err := (Topology{Miners: 1, Participants: 2, Metros: 2, Dir: t.TempDir()}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fed.Incremental || fed.MaxHops != metro.DefaultMaxHops {
+		t.Fatalf("federation defaults not derived: %+v", fed)
+	}
+	if _, err := (Topology{Miners: 1, Participants: 1, Metros: 2, Dir: t.TempDir()}).withDefaults(); err == nil {
+		t.Fatal("fewer participants than metros must be rejected")
 	}
 }
 

@@ -287,3 +287,36 @@ func (c *Chain) Append(b *Block, verify func(*Block) error) error {
 	c.blocks = append(c.blocks, b)
 	return nil
 }
+
+// CheckNoDoubleSettle audits the uniqueness invariant of a federation's
+// chains (one per metro exchange, in metro order): a request settles on
+// at most one chain, at most once. root maps a request ID to the identity
+// that must be unique: nil for the ID itself (an in-process spill keeps
+// it), or the function undoing the per-hop rename of a forwarder that
+// re-IDs what it relays (devnet.SpillRoot). It returns how many requests
+// settled and how many of them under a renamed ID.
+func CheckNoDoubleSettle(root func(string) string, chains ...*Chain) (settled, renamed int, err error) {
+	at := make(map[string]int) // request root → chain that settled it
+	for m, chain := range chains {
+		for h := 0; h < chain.Len(); h++ {
+			records, err := DecodeAllocation(chain.BlockAt(h).Body.Allocation)
+			if err != nil {
+				return 0, 0, fmt.Errorf("ledger: chain %d height %d: %w", m, h, err)
+			}
+			for _, rec := range records {
+				id := rec.RequestID
+				if root != nil {
+					id = root(id)
+				}
+				if prev, dup := at[id]; dup {
+					return 0, 0, fmt.Errorf("ledger: request %q settled on chain %d and again on chain %d", id, prev, m)
+				}
+				at[id] = m
+				if id != rec.RequestID {
+					renamed++
+				}
+			}
+		}
+	}
+	return len(at), renamed, nil
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,5 +256,45 @@ func TestAllocationEncodeDecode(t *testing.T) {
 	}
 	if _, err := DecodeAllocation([]byte("not json")); err == nil {
 		t.Fatal("garbage decoded")
+	}
+}
+
+// TestCheckNoDoubleSettle: a request may settle on one chain of a
+// federation, once; a forwarder's per-hop renames share one root.
+func TestCheckNoDoubleSettle(t *testing.T) {
+	chainOf := func(seed string, allocs ...string) *Chain {
+		c := NewChain()
+		bid, id, key := testBid(t, seed)
+		for h, alloc := range allocs {
+			body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id, bid, key)}, []byte(alloc))
+			if err := c.Append(minedBlock(t, c.HeadHash(), int64(h), []*sealed.Bid{bid}, body), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	root := func(id string) string { return strings.TrimSuffix(id, "~x1") }
+
+	a := chainOf("a", `[{"request_id":"r1"}]`, `[{"request_id":"r2"},{"request_id":"r3~x1"}]`)
+	b := chainOf("b", `[]`, `[{"request_id":"r4"}]`)
+	if settled, renamed, err := CheckNoDoubleSettle(root, a, b); err != nil || settled != 4 || renamed != 1 {
+		t.Fatalf("clean chains: settled %d renamed %d err %v", settled, renamed, err)
+	}
+	if _, _, err := CheckNoDoubleSettle(nil, a, chainOf("c", `[{"request_id":"r2"}]`)); err == nil {
+		t.Fatal("a request settled on two chains must fail the audit")
+	}
+	if _, _, err := CheckNoDoubleSettle(nil, chainOf("d", `[{"request_id":"r1"}]`, `[{"request_id":"r1"}]`)); err == nil {
+		t.Fatal("a request settled twice on one chain must fail the audit")
+	}
+	// Two hops of one request are distinct IDs, one root.
+	alias := chainOf("e", `[{"request_id":"r3"}]`)
+	if _, _, err := CheckNoDoubleSettle(nil, a, alias); err != nil {
+		t.Fatalf("without a root function the IDs differ: %v", err)
+	}
+	if _, _, err := CheckNoDoubleSettle(root, a, alias); err == nil {
+		t.Fatal("two hops of one request settled: the audit must see one root")
+	}
+	if _, _, err := CheckNoDoubleSettle(nil, chainOf("f", `not json`)); err == nil {
+		t.Fatal("an undecodable allocation must fail the audit")
 	}
 }

@@ -22,9 +22,6 @@ type Config struct {
 	// set of a spilled order is a 64-bit mask).
 	Metros int
 
-	// CellSize is the homing grid granularity; 0 means DefaultCellSize.
-	CellSize float64
-
 	// Latency is the inter-metro latency model. nil means
 	// DefaultMatrix(Metros). Its dimension must equal Metros.
 	Latency *LatencyMatrix
@@ -45,17 +42,11 @@ type Config struct {
 	// survives federation. 0 disables the coupling.
 	DistancePerMS float64
 
-	// SettleEvery is the cross-settlement period in rounds: spill
-	// inboxes flush into their target books every SettleEvery-th round.
-	// 0 means 1 (every round).
-	SettleEvery int
-
-	// MaxCarry overrides the books' carry budget when > 0.
+	// MaxCarry overrides the books' carry budget when > 0, and Auction
+	// configures each exchange's book — where New builds the books;
+	// exchanges handed to New bring their own.
 	MaxCarry int
-
-	// Auction configures each exchange's book. A Metros override inside
-	// it is ignored; the federation is the partitioner.
-	Auction auction.Config
+	Auction  auction.Config
 
 	// Workers bounds the parallelism of the per-metro clearing fan-out;
 	// 0 means 1. Outcomes are byte-identical at any worker count.
@@ -101,30 +92,60 @@ const (
 type spilled struct {
 	r      *bidding.Request
 	from   int
-	latMS  float64 // latency of this hop
 	pathMS float64 // cumulative path latency including this hop
 }
 
-// Exchange is one metro's market: a streaming order book plus the head
-// hash of its outcome chain.
-type Exchange struct {
-	Metro int
-	Book  *book.Book
-
-	head  [32]byte
-	inbox []spilled // requests spilled here, pending the next flush
+// Exchange is the one thing the federation needs from a metro's market,
+// whatever runs it: an order book in process (what New builds by
+// default), a miner network with its own chain (internal/sim), a script
+// in a routing test. The federation homes, routes and audits; the
+// exchange carries and clears.
+type Exchange interface {
+	// Clear admits the round's batch — the arrivals homed here, then the
+	// requests spilled in from sibling metros, in that order — into the
+	// carried market, clears it under the evidence and commits. It
+	// returns what cleared and what left the market involuntarily since
+	// the last call. A nil outcome means there was nothing to clear and
+	// no block was cut: the round leaves the exchange as it was. An
+	// order of the batch the exchange could not admit must be listed in
+	// the outcome's Rejected IDs — whatever is neither rejected, matched,
+	// removed nor live afterwards is a lost order, which
+	// CheckConservation reports. The slices are only valid for the call.
+	Clear(reqs []*bidding.Request, offs []*bidding.Offer, spilledIn []*bidding.Request, evidence []byte) (*auction.Outcome, book.Removals, error)
+	// LiveRequests and LiveOffers are the carried market, in the
+	// exchange's own deterministic order.
+	LiveRequests() []*bidding.Request
+	LiveOffers() []*bidding.Offer
 }
 
-// Head returns the exchange's current chain head hash.
-func (e *Exchange) Head() [32]byte { return e.head }
+// bookExchange is an Exchange over one streaming order book.
+type bookExchange struct{ *book.Book }
+
+func (x bookExchange) Clear(reqs []*bidding.Request, offs []*bidding.Offer, spilledIn []*bidding.Request, evidence []byte) (*auction.Outcome, book.Removals, error) {
+	reqs = append(reqs, spilledIn...)
+	out := x.Apply(reqs, offs, evidence)
+	if now, ok := book.ArrivalWatermark(reqs, offs); ok {
+		x.ExpireBefore(now)
+	}
+	return out, x.TakeRemovals(), nil
+}
+
+// metroState is one metro inside the federation: its exchange, the head
+// hash of its outcome chain, and the requests spilled to it.
+type metroState struct {
+	ex      Exchange
+	head    [32]byte
+	inbox   []spilled          // pending the next round's flush
+	spillIn []*bidding.Request // the flushed inbox, reused across rounds
+}
 
 // Federation runs M metro exchanges through deterministic
 // cross-settlement rounds. Not safe for concurrent use; one Round at a
 // time (the round itself parallelizes internally).
 type Federation struct {
-	cfg       Config
-	exchanges []*Exchange
-	round     int
+	cfg    Config
+	metros []*metroState
+	round  int
 
 	reqState map[bidding.OrderID]*orderState
 	offState map[bidding.OrderID]*orderState
@@ -171,9 +192,12 @@ type RoundResult struct {
 	UnionOffers   [][]*bidding.Offer
 }
 
-// New builds a federation. The config is validated: M ∈ [1, 64] and the
-// latency matrix (when given) must be M×M.
-func New(cfg Config) (*Federation, error) {
+// New builds a federation over the given exchanges, one per metro in
+// metro order; with none it builds an order book per metro from
+// cfg.Auction and cfg.MaxCarry. The config is validated: M ∈ [1, 64],
+// the latency matrix (when given) must be M×M, and the exchanges (when
+// given) must number M.
+func New(cfg Config, exchanges ...Exchange) (*Federation, error) {
 	if cfg.Metros < 1 {
 		cfg.Metros = 1
 	}
@@ -189,23 +213,15 @@ func New(cfg Config) (*Federation, error) {
 	if got := cfg.Latency.Metros(); got != cfg.Metros {
 		return nil, fmt.Errorf("metro: latency matrix is %d×%d, want %d×%d", got, got, cfg.Metros, cfg.Metros)
 	}
-	if !(cfg.CellSize > 0) {
-		cfg.CellSize = DefaultCellSize
+	if len(exchanges) != 0 && len(exchanges) != cfg.Metros {
+		return nil, fmt.Errorf("metro: %d exchanges for %d metros", len(exchanges), cfg.Metros)
 	}
 	if cfg.MaxHops <= 0 {
 		cfg.MaxHops = DefaultMaxHops
 	}
-	if cfg.SettleEvery <= 0 {
-		cfg.SettleEvery = 1
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	// Each exchange owns its whole metro: no nested federation, and the
-	// book drives incremental clearing itself.
-	bcfg := cfg.Auction
-	bcfg.Incremental = false
-	bcfg.Metros = 0
 
 	f := &Federation{
 		cfg:      cfg,
@@ -214,12 +230,17 @@ func New(cfg Config) (*Federation, error) {
 	}
 	fp := cfg.Latency.Fingerprint()
 	for m := 0; m < cfg.Metros; m++ {
-		b := book.New(bcfg)
-		if cfg.MaxCarry > 0 {
-			b.MaxCarry = cfg.MaxCarry
+		ms := &metroState{}
+		if len(exchanges) != 0 {
+			ms.ex = exchanges[m]
+		} else {
+			b := book.New(cfg.Auction)
+			if cfg.MaxCarry > 0 {
+				b.MaxCarry = cfg.MaxCarry
+			}
+			b.SetTrackRemovals(true)
+			ms.ex = bookExchange{b}
 		}
-		b.SetTrackRemovals(true)
-		ex := &Exchange{Metro: m, Book: b}
 		// Seed each chain head with the federation shape and the
 		// latency matrix so two exchanges disagreeing on either can
 		// never converge to the same chain.
@@ -230,30 +251,30 @@ func New(cfg Config) (*Federation, error) {
 		binary.BigEndian.PutUint64(buf[0:8], uint64(m))
 		binary.BigEndian.PutUint64(buf[8:16], uint64(cfg.Metros))
 		h.Write(buf[:])
-		copy(ex.head[:], h.Sum(nil))
-		f.exchanges = append(f.exchanges, ex)
+		copy(ms.head[:], h.Sum(nil))
+		f.metros = append(f.metros, ms)
 	}
 	return f, nil
 }
 
 // Metros returns the exchange count.
-func (f *Federation) Metros() int { return len(f.exchanges) }
+func (f *Federation) Metros() int { return len(f.metros) }
 
 // Exchange returns metro m's exchange.
-func (f *Federation) Exchange(m int) *Exchange { return f.exchanges[m] }
+func (f *Federation) Exchange(m int) Exchange { return f.metros[m].ex }
 
 // Heads returns every exchange's chain head hash, indexed by metro.
 func (f *Federation) Heads() [][32]byte {
-	out := make([][32]byte, len(f.exchanges))
-	for i, ex := range f.exchanges {
-		out[i] = ex.head
+	out := make([][32]byte, len(f.metros))
+	for i, ms := range f.metros {
+		out[i] = ms.head
 	}
 	return out
 }
 
-// Home maps a location to its metro under this federation's config.
+// Home maps a location to its metro.
 func (f *Federation) Home(loc bidding.Location) int {
-	return Home(loc, f.cfg.CellSize, len(f.exchanges))
+	return Home(loc, DefaultCellSize, len(f.metros))
 }
 
 // SettledIn reports where a request ended up: the metro it matched in
@@ -265,13 +286,23 @@ func (f *Federation) SettledIn(id bidding.OrderID) (int, bool) {
 	return -1, false
 }
 
+// Origin reports the metro a request was homed to at submission — where
+// its client's future requests will be scored, so where a deny on a
+// spilled match must be remembered. False for an ID never submitted.
+func (f *Federation) Origin(id bidding.OrderID) (int, bool) {
+	if st := f.reqState[id]; st != nil {
+		return st.origin, true
+	}
+	return -1, false
+}
+
 // Round executes one deterministic cross-settlement round: home the
-// arrivals, flush due spill inboxes, clear every metro's book in
+// arrivals, flush the spill inboxes, clear every metro's exchange in
 // parallel, then harvest fates and route carried-out requests to their
 // next metro. Outcomes are byte-identical for a fixed (arrivals,
 // evidence) sequence at any worker count.
 func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evidence []byte) (*RoundResult, error) {
-	M := len(f.exchanges)
+	M := len(f.metros)
 	f.round++
 	f.stats.Rounds++
 
@@ -303,34 +334,33 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 		f.stats.SubmittedOffers++
 	}
 
-	// 2. Flush due spill inboxes into their target batches, in a
-	// canonical order so the target book's insertion order — which the
-	// mechanism's tie-breaks see — is independent of harvest order.
-	if f.round%f.cfg.SettleEvery == 0 {
-		for m, ex := range f.exchanges {
-			if len(ex.inbox) == 0 {
-				continue
-			}
-			sort.Slice(ex.inbox, func(a, b int) bool {
-				sa, sb := ex.inbox[a], ex.inbox[b]
-				if sa.from != sb.from {
-					return sa.from < sb.from
-				}
-				return sa.r.ID < sb.r.ID
-			})
-			for _, sp := range ex.inbox {
-				reqBatch[m] = append(reqBatch[m], sp.r)
-				st := f.reqState[sp.r.ID]
-				st.metro = m
-				st.visited |= 1 << uint(m)
-				st.pathMS = sp.pathMS
-			}
-			ex.inbox = ex.inbox[:0]
+	// 2. Flush the spill inboxes, each in a canonical order so the
+	// target market's insertion order — which the mechanism's tie-breaks
+	// see — is independent of harvest order.
+	for m, ms := range f.metros {
+		ms.spillIn = ms.spillIn[:0]
+		if len(ms.inbox) == 0 {
+			continue
 		}
+		sort.Slice(ms.inbox, func(a, b int) bool {
+			sa, sb := ms.inbox[a], ms.inbox[b]
+			if sa.from != sb.from {
+				return sa.from < sb.from
+			}
+			return sa.r.ID < sb.r.ID
+		})
+		for _, sp := range ms.inbox {
+			ms.spillIn = append(ms.spillIn, sp.r)
+			st := f.reqState[sp.r.ID]
+			st.metro = m
+			st.visited |= 1 << uint(m)
+			st.pathMS = sp.pathMS
+		}
+		ms.inbox = ms.inbox[:0]
 	}
 
 	// 3. Clear every metro in parallel. Each exchange's work is
-	// self-contained (own book, own evidence stream), so the fan-out
+	// self-contained (own market, own evidence stream), so the fan-out
 	// cannot affect outcome bytes.
 	res := &RoundResult{Round: f.round, Outcomes: make([]*auction.Outcome, M)}
 	matchedLocal0, matchedSpill0 := f.stats.MatchedLocal, f.stats.MatchedSpill
@@ -338,32 +368,34 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 		res.UnionRequests = make([][]*bidding.Request, M)
 		res.UnionOffers = make([][]*bidding.Offer, M)
 	}
-	removals := make([]book.Removals, M)
+	cleared := make([]struct {
+		rem book.Removals
+		err error
+	}, M)
 	par.ForEachWorker(f.cfg.Workers, M, func(_, m int) {
-		ex := f.exchanges[m]
-		ev := MetroEvidence(evidence, m, M)
+		ms := f.metros[m]
 		if f.cfg.CaptureUnions {
-			// Union = carried live set ∪ this batch, in book order:
+			// Union = carried live set ∪ this batch, in market order:
 			// lives first (insertion order), then the batch.
-			res.UnionRequests[m] = append(ex.Book.LiveRequests(), reqBatch[m]...)
-			res.UnionOffers[m] = append(ex.Book.LiveOffers(), offBatch[m]...)
+			res.UnionRequests[m] = append(append(ms.ex.LiveRequests(), reqBatch[m]...), ms.spillIn...)
+			res.UnionOffers[m] = append(ms.ex.LiveOffers(), offBatch[m]...)
 		}
-		out := ex.Book.Apply(reqBatch[m], offBatch[m], ev)
-		if now, ok := book.ArrivalWatermark(reqBatch[m], offBatch[m]); ok {
-			ex.Book.ExpireBefore(now)
-		}
-		removals[m] = ex.Book.TakeRemovals()
-		res.Outcomes[m] = out
+		res.Outcomes[m], cleared[m].rem, cleared[m].err = ms.ex.Clear(reqBatch[m], offBatch[m], ms.spillIn, MetroEvidence(evidence, m, M))
 	})
 
 	// 4. Harvest serially in metro order: record fates, advance heads,
 	// and route carried-out requests. Serial so spill routing — which
 	// appends to sibling inboxes — is deterministic.
-	for m, ex := range f.exchanges {
+	for m, ms := range f.metros {
+		if err := cleared[m].err; err != nil {
+			return nil, fmt.Errorf("metro %d: %w", m, err)
+		}
 		out := res.Outcomes[m]
+		if out == nil {
+			// Nothing to clear, no block: the exchange is where it was.
+			continue
+		}
 		for _, id := range out.RejectedRequests {
-			// A rejection can only hit a fresh arrival (spilled orders
-			// were already validated at first admission).
 			if st := f.reqState[id]; st != nil && st.fate == fateLive {
 				st.fate = fateRejected
 				f.stats.RejectedRequests++
@@ -393,7 +425,7 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 			}
 		}
 
-		rem := removals[m]
+		rem := cleared[m].rem
 		for _, id := range rem.ExpiredRequests {
 			if st := f.reqState[id]; st != nil && st.fate == fateLive {
 				st.fate = fateExpired
@@ -432,14 +464,13 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 			return nil, fmt.Errorf("metro %d: encode outcome: %w", m, err)
 		}
 		h := sha256.New()
-		h.Write(ex.head[:])
+		h.Write(ms.head[:])
 		h.Write(enc)
-		copy(ex.head[:], h.Sum(nil))
+		copy(ms.head[:], h.Sum(nil))
 
 		if mm := f.cfg.Obs; mm != nil {
 			mm.Welfare[m].Set(out.BidWelfare())
-			st := ex.Book.Stats()
-			mm.LiveOrders[m].Set(float64(st.LiveRequests + st.LiveOffers))
+			mm.LiveOrders[m].Set(float64(len(ms.ex.LiveRequests()) + len(ms.ex.LiveOffers())))
 		}
 	}
 
@@ -476,8 +507,7 @@ func (f *Federation) spillOrExpire(r *bidding.Request, st *orderState, from int,
 		if st.visited&(1<<uint(to)) != 0 {
 			continue
 		}
-		lat := f.cfg.Latency.Latency(from, to)
-		pathMS := st.pathMS + lat
+		pathMS := st.pathMS + f.cfg.Latency.Latency(from, to)
 		if f.cfg.MaxSpillLatencyMS > 0 && pathMS > f.cfg.MaxSpillLatencyMS {
 			break // monotone: every later candidate is farther
 		}
@@ -494,9 +524,7 @@ func (f *Federation) spillOrExpire(r *bidding.Request, st *orderState, from int,
 		}
 		st.hops++
 		st.pathMS = pathMS
-		f.exchanges[to].inbox = append(f.exchanges[to].inbox, spilled{
-			r: &rr, from: from, latMS: lat, pathMS: pathMS,
-		})
+		f.metros[to].inbox = append(f.metros[to].inbox, spilled{r: &rr, from: from, pathMS: pathMS})
 		res.Spilled++
 		if mm := f.cfg.Obs; mm != nil {
 			mm.SpillMS[from].Set(pathMS)
@@ -506,22 +534,17 @@ func (f *Federation) spillOrExpire(r *bidding.Request, st *orderState, from int,
 	expire()
 }
 
-// Stats returns the federation's conservation counters with Live
-// recomputed from the actual books and inboxes (ground truth, not the
-// state machine).
-func (f *Federation) Stats() Stats {
-	s := f.stats
-	return s
-}
+// Stats returns the federation's conservation counters. They carry no
+// live count: CheckConservation takes that from the exchanges and the
+// inboxes themselves.
+func (f *Federation) Stats() Stats { return f.stats }
 
-// LiveRequests / LiveOffers count orders currently held by a book or a
-// spill inbox.
+// liveCounts counts the orders currently held by an exchange or a spill
+// inbox.
 func (f *Federation) liveCounts() (liveR, liveO int) {
-	for _, ex := range f.exchanges {
-		st := ex.Book.Stats()
-		liveR += st.LiveRequests
-		liveO += st.LiveOffers
-		liveR += len(ex.inbox)
+	for _, ms := range f.metros {
+		liveR += len(ms.ex.LiveRequests()) + len(ms.inbox)
+		liveO += len(ms.ex.LiveOffers())
 	}
 	return liveR, liveO
 }
@@ -531,7 +554,7 @@ func (f *Federation) liveCounts() (liveR, liveO int) {
 //
 //	Submitted == Rejected + Matched(local+spill) + Expired + Live
 //
-// with Live counted from the actual books and inboxes, and
+// with Live counted from the actual exchanges and inboxes, and
 // cross-checks it against the per-order state machine (each tracked
 // order has exactly one terminal fate; no order is live in two books).
 func (f *Federation) CheckConservation() error {
@@ -577,8 +600,8 @@ func (f *Federation) CheckConservation() error {
 	// No order may be live in two books: every live ID resolves to
 	// exactly one exchange, and its tracked metro agrees.
 	seen := make(map[bidding.OrderID]int)
-	for m, ex := range f.exchanges {
-		for _, r := range ex.Book.LiveRequests() {
+	for m, ms := range f.metros {
+		for _, r := range ms.ex.LiveRequests() {
 			if prev, dup := seen[r.ID]; dup {
 				return fmt.Errorf("metro: request %s live in metros %d and %d", r.ID, prev, m)
 			}
@@ -587,7 +610,7 @@ func (f *Federation) CheckConservation() error {
 				return fmt.Errorf("metro: request %s live in metro %d but tracked fate is not live", r.ID, m)
 			}
 		}
-		for _, sp := range ex.inbox {
+		for _, sp := range ms.inbox {
 			if prev, dup := seen[sp.r.ID]; dup {
 				return fmt.Errorf("metro: request %s in metro %d inbox but also live in metro %d", sp.r.ID, m, prev)
 			}
@@ -595,26 +618,4 @@ func (f *Federation) CheckConservation() error {
 		}
 	}
 	return nil
-}
-
-// TotalWelfare sums realized welfare over a round's outcomes.
-func (r *RoundResult) TotalWelfare() float64 {
-	var w float64
-	for _, out := range r.Outcomes {
-		if out != nil {
-			w += out.Welfare()
-		}
-	}
-	return w
-}
-
-// Matched counts trades across a round's outcomes.
-func (r *RoundResult) Matched() int {
-	n := 0
-	for _, out := range r.Outcomes {
-		if out != nil {
-			n += len(out.Matches)
-		}
-	}
-	return n
 }

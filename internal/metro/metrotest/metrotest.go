@@ -251,7 +251,7 @@ func CheckSingleMetroIdentity(cfg metro.Config, tr *Trace) error {
 	}
 
 	// Final live sets must agree element-wise.
-	fedR := f.Exchange(0).Book.LiveRequests()
+	fedR := f.Exchange(0).LiveRequests()
 	oraR := oracle.LiveRequests()
 	if len(fedR) != len(oraR) {
 		return fmt.Errorf("final live requests: federation %d, oracle %d", len(fedR), len(oraR))
@@ -261,7 +261,7 @@ func CheckSingleMetroIdentity(cfg metro.Config, tr *Trace) error {
 			return fmt.Errorf("final live request %d: federation %s, oracle %s", i, fedR[i].ID, oraR[i].ID)
 		}
 	}
-	fedO := f.Exchange(0).Book.LiveOffers()
+	fedO := f.Exchange(0).LiveOffers()
 	oraO := oracle.LiveOffers()
 	if len(fedO) != len(oraO) {
 		return fmt.Errorf("final live offers: federation %d, oracle %d", len(fedO), len(oraO))

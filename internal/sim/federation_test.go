@@ -67,8 +67,9 @@ func TestFastFederatedCustomLatency(t *testing.T) {
 }
 
 // TestFederationRejectsIncompatibleConfigs: pipeline and resubmission
-// cannot compose with federation, and federated ledger mode needs the
-// incremental book.
+// cannot compose with federation. A carrying market is not something the
+// caller has to ask for: federated ledger mode clears over order books
+// whether or not Auction.Incremental is set.
 func TestFederationRejectsIncompatibleConfigs(t *testing.T) {
 	base := Config{Rounds: 1, Metros: 2, Workload: workload.Config{Seed: 3, Requests: 10}}
 
@@ -89,15 +90,25 @@ func TestFederationRejectsIncompatibleConfigs(t *testing.T) {
 	cfg = base
 	cfg.Mode = Ledger
 	cfg.Miners = 1
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("want error for federated ledger without incremental books")
+	cfg.Rounds = 2
+	cfg.Workload = workload.Config{Seed: 13, Requests: 25, GeoRadius: 0.6}
+	res, err := Run(cfg) // ends with the conservation and no-double-settle audits
+	if err != nil {
+		t.Fatalf("federated ledger without Auction.Incremental: %v", err)
+	}
+	matches := 0
+	for _, m := range res.Rounds {
+		matches += m.Matches
+	}
+	if matches == 0 {
+		t.Fatal("federated ledger without Auction.Incremental produced no trades")
 	}
 }
 
 // TestLedgerFederatedSimulation pushes a small geo market through two
 // full miner networks joined by spill: blocks must be produced, trades
-// agreed, and the cross-chain no-double-settle audit (run by Run itself
-// at teardown) must hold.
+// agreed, and the conservation and cross-chain no-double-settle audits
+// (run by Run itself at teardown) must hold.
 func TestLedgerFederatedSimulation(t *testing.T) {
 	acfg := auction.DefaultConfig()
 	acfg.Incremental = true

@@ -15,10 +15,12 @@ import (
 	"decloud/internal/book"
 	"decloud/internal/contract"
 	"decloud/internal/futures"
+	"decloud/internal/ledger"
 	"decloud/internal/metro"
 	"decloud/internal/miner"
 	"decloud/internal/obs"
 	"decloud/internal/reputation"
+	"decloud/internal/sealed"
 	"decloud/internal/workload"
 )
 
@@ -69,9 +71,9 @@ type Config struct {
 	// exchanges (internal/metro): every order homes to the exchange owning
 	// its location's grid cell, each exchange clears its own book, and
 	// requests that exhaust their carry budget spill to the
-	// lowest-latency unvisited neighbor. Fast mode runs the deterministic
-	// metro.Federation; ledger mode runs one miner network per metro
-	// (miner.FederatedNetwork — requires Auction.Incremental).
+	// lowest-latency unvisited neighbor. Both modes run metro.Federation:
+	// over order books in fast mode, over one miner network per metro —
+	// always clearing incrementally — in ledger mode.
 	Metros int
 	// LatencyMatrix is the inter-metro latency model (nil →
 	// metro.DefaultMatrix(Metros)). Only read when Metros ≥ 2.
@@ -126,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Auction.Workers == 0 {
 		c.Auction.Workers = def.Workers
-	}
-	if c.Metros > 1 {
-		c.Auction.Metros = c.Metros
 	}
 	return c
 }
@@ -276,31 +275,23 @@ func Run(cfg Config) (*Result, error) {
 	next := marketSource(cfg)
 	var clr clearer
 	var net *miner.Network
-	var fednet *miner.FederatedNetwork
+	var fed *metro.Federation
+	var fednets []*ledgerExchange
 	roster := make(map[bidding.ParticipantID]*miner.Participant)
 	var err error
 	switch {
-	case cfg.Mode == Ledger && cfg.Metros > 1:
-		if fednet, err = NewLedgerFederation(cfg); err != nil {
+	case cfg.Metros > 1:
+		if fed, fednets, err = newFederation(cfg, roster); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		mm := obs.NewMinerMetrics(cfg.Obs)
-		for m := 0; m < fednet.Metros(); m++ {
-			fednet.Net(m).Obs = mm
-		}
-		fednet.Net(0).Tracer = cfg.Tracer
-		clr = federatedClearer(fednet, roster)
+		clr = federationClearer(cfg, fed, fednets)
 	case cfg.Mode == Ledger:
-		net = NewLedgerNetwork(cfg)
+		net = miner.NewNetwork(cfg.Miners, cfg.Difficulty, cfg.Auction)
 		net.Obs = obs.NewMinerMetrics(cfg.Obs)
 		net.Tracer = cfg.Tracer
 		if !cfg.Pipeline {
 			clr = ledgerClearer(net, roster)
 		} else if next, clr, err = pipelinedRounds(cfg, net, roster, next); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	case cfg.Metros > 1:
-		if clr, err = metroClearer(cfg); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	case cfg.Auction.Incremental:
@@ -377,22 +368,29 @@ func Run(cfg Config) (*Result, error) {
 		res.Rounds = append(res.Rounds, m)
 	}
 
+	if net != nil {
+		res.Reputation = net.Contracts().Reputation().Snapshot()
+	}
+	// The conservation identities must hold at every exit: an order that
+	// fell through the two-stage lifecycle, or between two metros, is a
+	// bug, not a metric.
 	if futex != nil {
-		// The exchange's conservation identity must hold at every exit:
-		// an order that fell through the two-stage lifecycle is a bug,
-		// not a metric.
 		if err := futex.CheckConservation(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
-	if net != nil {
-		res.Reputation = net.Contracts().Reputation().Snapshot()
-	}
-	if fednet != nil {
-		for m := 0; m < fednet.Metros(); m++ {
-			res.Reputation = append(res.Reputation, fednet.Net(m).Contracts().Reputation().Snapshot()...)
+	if fed != nil {
+		// Ledger mode: one chain per metro, and no request on two of them.
+		chains := make([]*ledger.Chain, len(fednets))
+		for m, x := range fednets {
+			res.Reputation = append(res.Reputation, x.net.Contracts().Reputation().Snapshot()...)
+			chains[m] = x.net.Chain()
 		}
-		if err := fednet.CheckNoDoubleSettle(); err != nil {
+		err := fed.CheckConservation()
+		if err == nil {
+			_, _, err = ledger.CheckNoDoubleSettle(nil, chains...)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
@@ -486,48 +484,11 @@ func bookClearer(cfg Config) clearer {
 	}
 }
 
-// metroClearer drives one cross-settlement round of a persistent metro
-// federation. The greedy benchmark runs over the union of every
-// exchange's cleared market — a single global (un-federated) market —
-// so the welfare ratio measures what federation costs against an
-// omniscient central matcher.
-func metroClearer(cfg Config) (clearer, error) {
-	fed, err := metro.New(metro.Config{
-		Metros:        cfg.Metros,
-		Latency:       cfg.LatencyMatrix,
-		MaxHops:       cfg.MaxHops,
-		DistancePerMS: cfg.DistancePerMS,
-		Auction:       cfg.Auction,
-		Obs:           obs.NewMetroMetrics(cfg.Obs, cfg.Metros),
-		// The greedy benchmark needs the exact per-metro union markets.
-		CaptureUnions: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return func(round int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
-		res, err := fed.Round(market.Requests, market.Offers, roundEvidence(cfg, round))
-		if err != nil {
-			return nil, err
-		}
-		c := &clearing{}
-		for i, out := range res.Outcomes {
-			if out == nil {
-				continue
-			}
-			c.outcomes = append(c.outcomes, out)
-			c.reqs = append(c.reqs, res.UnionRequests[i]...)
-			c.offs = append(c.offs, res.UnionOffers[i]...)
-		}
-		return c, nil
-	}, nil
-}
-
 // ledgerClearer pushes every order through the two-phase protocol on the
 // simulation's persistent network.
 func ledgerClearer(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant) clearer {
 	return func(_ int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
-		participants, err := SubmitMarket(net, roster, market)
+		participants, err := submitMarket(net, roster, market.Requests, market.Offers)
 		if err != nil {
 			return nil, err
 		}
@@ -552,54 +513,6 @@ func ledgerClearing(net *miner.Network, res *miner.RoundResult, market *workload
 		offs:        market.Offers,
 		utilization: spotUtilization(res.Outcome, market.Offers),
 		blocks:      []committed{{res: res, reg: net.Contracts(), deny: net.Contracts().Deny}},
-	}
-}
-
-// federatedClearer splits the round's market across the metro networks
-// by order location, seals and submits each slice through the
-// persistent roster, and runs one federated protocol round over every
-// metro that has bids. The greedy benchmark stays global, as in
-// metroClearer.
-func federatedClearer(fednet *miner.FederatedNetwork, roster map[bidding.ParticipantID]*miner.Participant) clearer {
-	return func(_ int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
-		subs := make([]workload.Market, fednet.Metros())
-		for _, r := range market.Requests {
-			m := fednet.Home(r.Location)
-			subs[m].Requests = append(subs[m].Requests, r)
-		}
-		for _, o := range market.Offers {
-			m := fednet.Home(o.Location)
-			subs[m].Offers = append(subs[m].Offers, o)
-		}
-		participants := make([][]*miner.Participant, len(subs))
-		for m := range subs {
-			parts, err := SubmitMarket(fednet.Net(m), roster, &subs[m])
-			if err != nil {
-				return nil, err
-			}
-			participants[m] = parts
-		}
-		results, err := fednet.RunFederatedRound(context.Background(), participants)
-		if err != nil {
-			return nil, err
-		}
-		c := &clearing{reqs: market.Requests, offs: market.Offers}
-		for m, res := range results {
-			if res == nil {
-				continue
-			}
-			restoreGroundTruth(res.Outcome, market)
-			c.outcomes = append(c.outcomes, res.Outcome)
-			c.blocks = append(c.blocks, committed{
-				res: res, reg: fednet.Net(m).Contracts(),
-				// Federation-aware deny: a spilled match settles here but
-				// its reputational penalty routes to the origin metro.
-				deny: func(id contract.AgreementID, client bidding.ParticipantID) (bidding.ParticipantID, error) {
-					return fednet.Deny(m, id, client)
-				},
-			})
-		}
-		return c, nil
 	}
 }
 
@@ -689,7 +602,7 @@ func pipelinedRounds(cfg Config, net *miner.Network, roster map[bidding.Particip
 	var feedErr error
 	rounds, err := net.RunPipelined(context.Background(), cfg.Rounds, func(round int) []*miner.Participant {
 		markets[round], _ = next(round)
-		parts, err := SubmitMarket(net, roster, markets[round])
+		parts, err := submitMarket(net, roster, markets[round].Requests, markets[round].Offers)
 		if err != nil {
 			feedErr = err
 		}
@@ -918,78 +831,41 @@ func restoreGroundTruth(out *auction.Outcome, market *workload.Market) {
 	}
 }
 
-// NewLedgerNetwork builds the miner network for ledger-mode rounds.
-func NewLedgerNetwork(cfg Config) *miner.Network {
-	cfg = cfg.withDefaults()
-	return miner.NewNetwork(cfg.Miners, cfg.Difficulty, cfg.Auction)
-}
-
-// NewLedgerFederation builds the per-metro miner networks for federated
-// ledger-mode rounds.
-func NewLedgerFederation(cfg Config) (*miner.FederatedNetwork, error) {
-	cfg = cfg.withDefaults()
-	fed, err := miner.NewFederatedNetwork(cfg.Metros, cfg.Miners, cfg.Difficulty, cfg.Auction, cfg.LatencyMatrix)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxHops > 0 {
-		fed.SetMaxHops(cfg.MaxHops)
-	}
-	fed.SetDistancePerMS(cfg.DistancePerMS)
-	return fed, nil
-}
-
-// SubmitMarket seals every order through the roster's participants
-// (creating identities on first sight of a logical actor — the roster
+// submitMarket seals every order through the roster's participants
+// (creating an identity on first sight of a logical actor — the roster
 // persists across rounds so reputations attach to stable identities) and
 // submits the sealed bids to the network. The orders' owner fields are
-// rewritten to the participants' key fingerprints.
-func SubmitMarket(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant, market *workload.Market) ([]*miner.Participant, error) {
-	if roster == nil {
-		roster = make(map[bidding.ParticipantID]*miner.Participant)
-	}
+// rewritten to the participants' key fingerprints. It returns the
+// participants that bid, in order of first appearance.
+func submitMarket(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant, reqs []*bidding.Request, offs []*bidding.Offer) ([]*miner.Participant, error) {
 	var order []*miner.Participant
-	seen := make(map[bidding.ParticipantID]bool)
-	get := func(logical bidding.ParticipantID) (*miner.Participant, error) {
-		if p, ok := roster[logical]; ok {
-			if !seen[logical] {
-				seen[logical] = true
-				order = append(order, p)
+	seen := make(map[*miner.Participant]bool)
+	submit := func(logical bidding.ParticipantID, seal func(*miner.Participant) (*sealed.Bid, error)) error {
+		p := roster[logical]
+		if p == nil {
+			var err error
+			if p, err = miner.NewParticipant(nil); err != nil {
+				return err
 			}
-			return p, nil
+			roster[logical] = p
 		}
-		p, err := miner.NewParticipant(nil)
+		if !seen[p] {
+			seen[p] = true
+			order = append(order, p)
+		}
+		bid, err := seal(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		roster[logical] = p
-		seen[logical] = true
-		order = append(order, p)
-		return p, nil
+		return net.SubmitBid(bid)
 	}
-	for _, r := range market.Requests {
-		p, err := get(r.Client)
-		if err != nil {
-			return nil, err
-		}
-		bid, err := p.SubmitRequest(r)
-		if err != nil {
-			return nil, err
-		}
-		if err := net.SubmitBid(bid); err != nil {
+	for _, r := range reqs {
+		if err := submit(r.Client, func(p *miner.Participant) (*sealed.Bid, error) { return p.SubmitRequest(r) }); err != nil {
 			return nil, err
 		}
 	}
-	for _, o := range market.Offers {
-		p, err := get(o.Provider)
-		if err != nil {
-			return nil, err
-		}
-		bid, err := p.SubmitOffer(o)
-		if err != nil {
-			return nil, err
-		}
-		if err := net.SubmitBid(bid); err != nil {
+	for _, o := range offs {
+		if err := submit(o.Provider, func(p *miner.Participant) (*sealed.Bid, error) { return p.SubmitOffer(o) }); err != nil {
 			return nil, err
 		}
 	}

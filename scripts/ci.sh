@@ -47,9 +47,12 @@ go test -race -count=1 -cpu 1,2,4 \
   ./internal/sealed ./internal/miner ./internal/p2p
 
 echo "==> chaos smoke (-race, fresh run, small schedule sweep)"
+# LedgerFederation: the federation over one miner network per metro
+# (internal/sim) — spill onto a neighbour's chain, the hop budget, deny
+# routing, and conservation when the chain excludes a bid.
 DECLOUD_CHAOS_SCHEDULES=8 go test -race -count=1 \
-  -run 'Chaos|CloseUnderLoad|Byzantine|CrashRestart|RevealRetry' \
-  ./internal/miner ./internal/p2p
+  -run 'Chaos|CloseUnderLoad|Byzantine|CrashRestart|RevealRetry|LedgerFederation' \
+  ./internal/miner ./internal/p2p ./internal/sim
 
 echo "==> coverage gate (protocol + toolkit packages)"
 # Protocol-critical packages must not regress below 75% (both sit near

@@ -8,9 +8,10 @@
 //	decloud-node -name m1 -listen 127.0.0.1:9001 -peers 127.0.0.1:9000 &
 //	decloud-node -name m2 -listen 127.0.0.1:9002 -peers 127.0.0.1:9000 &
 //
-// m0 generates a demo workload (20 requests per round via in-process
-// participant clients), mines blocks every 5 s, and m1/m2 verify them.
-// -chain FILE persists the replica across restarts.
+// m0 generates a demo workload (20 requests per round, sealed by one
+// in-process participant endpoint), mines blocks every 5 s, and m1/m2
+// verify them. -pipeline-rounds N produces N rounds per interval as a
+// pipeline. -chain FILE persists the replica across restarts.
 //
 // With -obs-addr the node serves live metrics (Prometheus text at
 // /metrics, JSON at /vars, pprof under /debug/pprof/); -trace-out
@@ -19,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,30 +31,34 @@ import (
 	"time"
 
 	"decloud/internal/auction"
+	"decloud/internal/miner"
 	"decloud/internal/obs"
 	"decloud/internal/p2p"
 	"decloud/internal/workload"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run is the node until ctx ends (main: SIGINT/SIGTERM).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("decloud-node", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	name := fs.String("name", "node", "node name")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address")
 	peers := fs.String("peers", "", "comma-separated peer addresses to join")
 	difficulty := fs.Int("difficulty", 12, "PoW difficulty in leading zero bits")
-	produce := fs.Duration("produce", 0, "produce a block every interval (0 = verify only)")
+	produce := fs.Duration("produce", 0, "produce blocks every interval (0 = verify only)")
 	quorum := fs.Int("quorum", 0, "OK votes required per produced block")
 	revealWindow := fs.Duration("reveal-window", 3*time.Second, "how long to wait for key reveals")
 	revealRetries := fs.Int("reveal-retries", 2, "preamble re-broadcasts when reveals are missing at the deadline")
 	incremental := fs.Bool("incremental", false, "clear over a persistent order book, carrying unmatched orders across blocks")
-	pipeline := fs.Bool("pipeline", false, "pipeline production: overlap the next round's reveals with the current round's votes")
-	pipelineRounds := fs.Int("pipeline-rounds", 3, "rounds per pipelined batch (with -pipeline)")
-	demo := fs.Int("demo", 0, "submit a demo workload of N requests before each production")
+	pipelineRounds := fs.Int("pipeline-rounds", 1, "rounds produced per interval; past the first, each round's reveals overlap the previous round's votes")
+	demoRequests := fs.Int("demo", 0, "submit a demo workload of N requests before each round")
 	chainFile := fs.String("chain", "", "persist the chain to this file after each block")
 	obsAddr := fs.String("obs-addr", "", "serve metrics/pprof on this address (empty = off)")
 	traceOut := fs.String("trace-out", "", "append per-round JSONL traces to this file")
@@ -60,6 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxFrameMB := fs.Int("max-frame-mb", 0, "cap on a single wire message in MiB (0 = default 256)")
 	mempoolLimit := fs.Int("mempool-limit", 0, "cap on pending sealed bids (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *pipelineRounds < 1 {
+		fmt.Fprintln(stderr, "decloud-node: -pipeline-rounds must be at least 1")
 		return 2
 	}
 
@@ -111,21 +121,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "connected to %s\n", peer)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if *produce <= 0 {
 		fmt.Fprintln(stdout, "verify-only mode; ctrl-c to exit")
 		<-ctx.Done()
 		return 0
 	}
 
-	var demoClients []*p2p.ParticipantClient
-	defer func() {
-		for _, c := range demoClients {
-			c.Close()
-		}
-	}()
+	demo := &demoClient{nodeAddr: node.Addr(), requests: *demoRequests}
+	defer demo.close()
 
 	ticker := time.NewTicker(*produce)
 	defer ticker.Stop()
@@ -145,113 +148,84 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		case <-ticker.C:
 		}
-		if *pipeline {
-			// One tick produces a whole batch: round r+1's reveal window
-			// overlaps round r's vote collection.
-			batchCtx, cancel := context.WithTimeout(ctx,
-				time.Duration(*pipelineRounds)*(*produce+10*time.Second))
-			sums, err := node.RunPipeline(batchCtx, *pipelineRounds, rcfg, func(r int) error {
-				if *demo <= 0 {
-					return nil
-				}
-				clients, err := submitDemoWorkload(node.Addr(), *demo, int64(round+r))
-				if err != nil {
-					return err
-				}
-				demoClients = append(demoClients, clients...)
-				// Give the gossip a moment to spread the bids.
-				time.Sleep(200 * time.Millisecond)
-				return nil
-			})
-			cancel()
-			if err != nil {
-				fmt.Fprintf(stderr, "pipelined batch: %v\n", err)
-				continue
-			}
-			for _, s := range sums {
-				if s.Err != nil {
-					fmt.Fprintf(stderr, "round failed: %v\n", s.Err)
-					continue
-				}
+		// One tick produces -pipeline-rounds rounds through the one
+		// production path; at depth 1 that is a plain sequential round.
+		batchCtx, cancel := context.WithTimeout(ctx,
+			time.Duration(*pipelineRounds)*(*produce+10*time.Second))
+		sums, err := node.RunPipeline(batchCtx, *pipelineRounds, rcfg, func(r int) error {
+			return demo.submit(int64(round + r))
+		})
+		cancel()
+		if err != nil {
+			fmt.Fprintf(stderr, "demo workload: %v\n", err)
+		}
+		committed := false
+		for _, s := range sums {
+			switch {
+			case errors.Is(s.Err, miner.ErrEmptyMempool):
+				fmt.Fprintln(stdout, "mempool empty; skipping round")
+			case s.Err != nil:
+				fmt.Fprintf(stderr, "round failed: %v\n", s.Err)
+			default:
+				committed = true
 				fmt.Fprintf(stdout, "block %d: %d trades, %d ok votes, %d bad, %d unrevealed\n",
 					s.Summary.Block.Preamble.Height, len(s.Summary.Outcome.Matches),
 					s.Summary.OKVotes, s.Summary.BadVotes, s.Summary.Unrevealed)
 			}
-			if *chainFile != "" {
-				if err := node.Chain().SaveFile(*chainFile); err != nil {
-					fmt.Fprintf(stderr, "persist chain: %v\n", err)
-				}
-			}
-			round += *pipelineRounds
-			continue
 		}
-		if *demo > 0 {
-			clients, err := submitDemoWorkload(node.Addr(), *demo, int64(round))
-			if err != nil {
-				fmt.Fprintf(stderr, "demo workload: %v\n", err)
-				continue
-			}
-			demoClients = append(demoClients, clients...)
-			// Give the gossip a moment to spread the bids.
-			time.Sleep(200 * time.Millisecond)
-		}
-		if node.MempoolSize() == 0 {
-			fmt.Fprintln(stdout, "mempool empty; skipping round")
-			continue
-		}
-		roundCtx, cancel := context.WithTimeout(ctx, *produce+10*time.Second)
-		summary, err := node.ProduceBlockOpts(roundCtx, rcfg)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(stderr, "round failed: %v\n", err)
-			continue
-		}
-		fmt.Fprintf(stdout, "block %d: %d trades, %d ok votes, %d bad, %d unrevealed\n",
-			summary.Block.Preamble.Height, len(summary.Outcome.Matches),
-			summary.OKVotes, summary.BadVotes, summary.Unrevealed)
-		if *chainFile != "" {
+		if committed && *chainFile != "" {
 			if err := node.Chain().SaveFile(*chainFile); err != nil {
 				fmt.Fprintf(stderr, "persist chain: %v\n", err)
 			}
 		}
-		round++
+		round += *pipelineRounds
 	}
 }
 
-// submitDemoWorkload creates ephemeral participant clients that seal and
-// broadcast a generated market through the given node.
-func submitDemoWorkload(nodeAddr string, requests int, seed int64) ([]*p2p.ParticipantClient, error) {
-	market := workload.Generate(workload.Config{Seed: seed + 1, Requests: requests})
-	var clients []*p2p.ParticipantClient
-	newClient := func(tag string) (*p2p.ParticipantClient, error) {
-		pc, err := p2p.NewParticipantClient(tag, "127.0.0.1:0", nil)
+// demoClient submits the -demo workload through the node: one participant
+// endpoint for the process, one identity per order of a round, both
+// reused every round (the endpoint releases a bid's key once its block
+// lands).
+type demoClient struct {
+	nodeAddr string
+	requests int
+	lc       *p2p.LoadClient // dialed by the first submit
+}
+
+// submit seals and broadcasts one generated market (none without -demo).
+func (d *demoClient) submit(seed int64) error {
+	if d.requests <= 0 {
+		return nil
+	}
+	market := workload.Generate(workload.Config{Seed: seed + 1, Requests: d.requests})
+	if d.lc == nil {
+		ids := make([]io.Reader, len(market.Requests)+len(market.Offers))
+		lc, err := p2p.NewLoadClient("demo", "127.0.0.1:0", ids, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := pc.Connect(nodeAddr); err != nil {
-			pc.Close()
-			return nil, err
+		if err := lc.Connect(d.nodeAddr); err != nil {
+			lc.Close()
+			return err
 		}
-		clients = append(clients, pc)
-		return pc, nil
+		d.lc = lc
 	}
 	for i, r := range market.Requests {
-		pc, err := newClient(fmt.Sprintf("demo-c%d", i))
-		if err != nil {
-			return clients, err
-		}
-		if err := pc.SubmitRequest(r); err != nil {
-			return clients, err
+		if _, err := d.lc.SubmitRequest(i, r); err != nil {
+			return err
 		}
 	}
 	for j, o := range market.Offers {
-		pc, err := newClient(fmt.Sprintf("demo-p%d", j))
-		if err != nil {
-			return clients, err
-		}
-		if err := pc.SubmitOffer(o); err != nil {
-			return clients, err
+		if _, err := d.lc.SubmitOffer(len(market.Requests)+j, o); err != nil {
+			return err
 		}
 	}
-	return clients, nil
+	time.Sleep(200 * time.Millisecond) // give the gossip a moment to spread the bids
+	return nil
+}
+
+func (d *demoClient) close() {
+	if d.lc != nil {
+		d.lc.Close()
+	}
 }

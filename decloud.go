@@ -185,8 +185,10 @@ const (
 type (
 	// MarketNode is a miner on the TCP gossip network.
 	MarketNode = p2p.MarketNode
-	// ParticipantClient seals and reveals bids over the network.
-	ParticipantClient = p2p.ParticipantClient
+	// LoadClient is the participant endpoint: it seals bids under any
+	// number of identities, publishes them, and reveals their keys when a
+	// preamble commits them.
+	LoadClient = p2p.LoadClient
 )
 
 // NewMarketNode starts a networked miner node listening on addr.
@@ -194,9 +196,10 @@ func NewMarketNode(name, addr string, difficulty int, cfg AuctionConfig) (*Marke
 	return p2p.NewMarketNode(name, addr, difficulty, cfg)
 }
 
-// NewParticipantClient starts a networked participant endpoint.
-func NewParticipantClient(name, addr string, entropy io.Reader) (*ParticipantClient, error) {
-	return p2p.NewParticipantClient(name, addr, entropy)
+// NewLoadClient starts a networked participant endpoint carrying one
+// identity per entropy reader (a nil entry draws from crypto/rand).
+func NewLoadClient(name, addr string, entropy []io.Reader) (*LoadClient, error) {
+	return p2p.NewLoadClient(name, addr, entropy, nil)
 }
 
 // LoadChain reads a persisted chain, re-validating every block.

@@ -143,13 +143,11 @@ func effectiveWorkers(cfg Config) int {
 	return cfg.Workers
 }
 
-// econFor picks the per-cluster economics pass for a run: the indexed
-// one, except under cfg.Match.Reference, where the map-walking reference
-// runs so the equivalence harness exercises a fully index-free pipeline.
-func econFor(cfg Config, ix *match.Index) func(*cluster.Cluster) *EconCluster {
-	if cfg.Match.Reference {
-		return func(cl *cluster.Cluster) *EconCluster { return ComputeEconomics(cl, cfg.Critical) }
-	}
+// econPass is the per-cluster economics pass of a run.
+type econPass func(*cluster.Cluster) *EconCluster
+
+// indexedEcon is the production pass, over the block index's dense rows.
+func indexedEcon(cfg Config, ix *match.Index) econPass {
 	return func(cl *cluster.Cluster) *EconCluster { return ComputeEconomicsIndexed(cl, cfg.Critical, ix) }
 }
 
@@ -230,6 +228,13 @@ func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, fresh fu
 	return st
 }
 
+func newOutcome() *Outcome {
+	return &Outcome{
+		Payments: make(map[bidding.OrderID]float64),
+		Revenues: make(map[bidding.OrderID]float64),
+	}
+}
+
 // Run executes DeCloud's DSIC double auction over one block of orders.
 // Invalid orders are rejected (listed in the outcome), never fatal: a
 // miner must process whatever the block contains.
@@ -241,10 +246,7 @@ func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, fresh fu
 // sequential execution (see parallel.go for the argument).
 func Run(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outcome {
 	pt := startPhases(cfg.Obs)
-	out := &Outcome{
-		Payments: make(map[bidding.OrderID]float64),
-		Revenues: make(map[bidding.OrderID]float64),
-	}
+	out := newOutcome()
 	reqs, offs := screen(requests, offers, out)
 	workers := effectiveWorkers(cfg)
 
@@ -255,7 +257,29 @@ func Run(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outc
 	pt.lapIndex()
 	clusters := cluster.BuildIndex(ix, cfg.Match, workers)
 	pt.lapCluster()
-	runClustered(out, ix, clusters, cfg, &pt, nil)
+	runClustered(out, ix, clusters, cfg, &pt, nil, indexedEcon(cfg, ix))
+	return out
+}
+
+// RunReference is Run through the reference implementations: the
+// brute-force scan-and-sort matcher (match.BestOffers) and the
+// map-walking ComputeEconomics, so that neither a best-offer set nor a
+// cluster's economics is read off the block index — the index only
+// fixes the canonical request order. It is the oracle the indexed
+// engine is compared against (paralleltest.CheckIndexedVsNaive);
+// nothing outside tests calls it.
+func RunReference(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outcome {
+	out := newOutcome()
+	reqs, offs := screen(requests, offers, out)
+	ix := match.NewIndex(reqs, offs, match.BlockScale(reqs, offs))
+	b := cluster.NewBuilder()
+	for _, r := range ix.Requests() {
+		b.Update(r, match.BestOffers(r, ix.Offers(), ix.Scale(), cfg.Match))
+	}
+	pt := startPhases(cfg.Obs)
+	runClustered(out, ix, b.Clusters(), cfg, &pt, nil, func(cl *cluster.Cluster) *EconCluster {
+		return ComputeEconomics(cl, cfg.Critical)
+	})
 	return out
 }
 
@@ -555,10 +579,7 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 // possible welfare under greedy allocation" (Section V). Payments are not
 // meaningful for the benchmark (it is not strategyproof) and are left 0.
 func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outcome {
-	out := &Outcome{
-		Payments: make(map[bidding.OrderID]float64),
-		Revenues: make(map[bidding.OrderID]float64),
-	}
+	out := newOutcome()
 	reqs, offs := screen(requests, offers, out)
 	workers := effectiveWorkers(cfg)
 
@@ -571,7 +592,7 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 		welfare float64
 		active  bool
 	}
-	econ := econFor(cfg, ix)
+	econ := indexedEcon(cfg, ix)
 	pairOK := pairGate(cfg)
 	prePassed := make([]ranked, len(clusters))
 	par.ForEach(workers, len(clusters), func(i int) {

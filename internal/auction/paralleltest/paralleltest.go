@@ -85,7 +85,7 @@ func Assert(t testing.TB, requests []*bidding.Request, offers []*bidding.Offer, 
 
 // CheckIndexedVsNaive proves the indexed matching engine innocuous: the
 // block is executed once through the brute-force reference pipeline
-// (Config.Match.Reference — per-pair Feasible/Quality scans, map-walking
+// (auction.RunReference — per-pair Feasible/Quality scans, map-walking
 // economics, no index) and then through the production indexed engine,
 // sequentially and at every given worker count. Any divergence — a
 // pruned pair the reference accepts, a float that drifted through dense
@@ -97,15 +97,13 @@ func CheckIndexedVsNaive(requests []*bidding.Request, offers []*bidding.Offer, c
 		workers = WorkerCounts()
 	}
 	ref := cfg
-	ref.Match.Reference = true
 	ref.Workers = 0
-	want, err := MarshalOutcome(auction.Run(requests, offers, ref))
+	want, err := MarshalOutcome(auction.RunReference(requests, offers, ref))
 	if err != nil {
 		return fmt.Errorf("paralleltest: marshal reference outcome: %w", err)
 	}
 	for _, w := range append([]int{0}, workers...) {
 		cur := cfg
-		cur.Match.Reference = false
 		cur.Workers = w
 		got, err := MarshalOutcome(auction.Run(requests, offers, cur))
 		if err != nil {

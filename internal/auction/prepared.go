@@ -38,10 +38,9 @@ func (pc *PrepassCache) Flush() {
 }
 
 // cacheable reports whether the pre-pass may be cached under cfg: the
-// reputation gate reads ledger state that changes between blocks, and
-// the reference matcher exists to exercise the index-free pipeline.
+// reputation gate reads ledger state that changes between blocks.
 func (pc *PrepassCache) cacheable(cfg Config) bool {
-	return pc != nil && cfg.Reputation == nil && !cfg.Match.Reference
+	return pc != nil && cfg.Reputation == nil
 }
 
 // prepassSignature is the cache key of a cluster: offer-set identity
@@ -80,20 +79,17 @@ func prepassSignature(cl *cluster.Cluster) string {
 // (no caching).
 func RunPrepared(_ []*bidding.Request, _ []*bidding.Offer, ix *match.Index, clusters []*cluster.Cluster, cfg Config, cache *PrepassCache) *Outcome {
 	pt := startPhases(cfg.Obs)
-	out := &Outcome{
-		Payments: make(map[bidding.OrderID]float64),
-		Revenues: make(map[bidding.OrderID]float64),
-	}
+	out := newOutcome()
 	pt.lapIndex()
 	pt.lapCluster()
-	runClustered(out, ix, clusters, cfg, &pt, cache)
+	runClustered(out, ix, clusters, cfg, &pt, cache, indexedEcon(cfg, ix))
 	return out
 }
 
 // runClustered is the tail of the mechanism shared by Run and
 // RunPrepared: everything downstream of cluster formation. It mutates
 // out and drives the phase timer through the prepass and auction laps.
-func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cfg Config, pt *phaseTimer, cache *PrepassCache) {
+func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cfg Config, pt *phaseTimer, cache *PrepassCache, econ econPass) {
 	workers := effectiveWorkers(cfg)
 	out.Clusters = len(clusters)
 
@@ -104,7 +100,6 @@ func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cf
 	// cache, unchanged clusters reuse last round's stats: the cache map
 	// is read-only during the fan-out and replaced wholesale afterwards,
 	// so vanished clusters are pruned for free.
-	econ := econFor(cfg, ix)
 	pairOK := pairGate(cfg)
 	all := make([]clusterStats, len(clusters))
 	useCache := cache.cacheable(cfg)

@@ -236,11 +236,8 @@ type previewMemo struct {
 	out *auction.Outcome
 }
 
-// New creates an empty book executing cfg at every clear. The
-// reference matcher is unsupported (it exists to bypass exactly the
-// index this book is built on); cfg.Match.Reference is ignored.
+// New creates an empty book executing cfg at every clear.
 func New(cfg auction.Config) *Book {
-	cfg.Match.Reference = false
 	return &Book{
 		cfg:      cfg,
 		MaxCarry: DefaultMaxCarry,

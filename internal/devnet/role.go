@@ -280,14 +280,7 @@ func (f *spillForwarder) Forward(carried []*bidding.Request) {
 			fmt.Fprintf(os.Stderr, "devnet miner %s: seal spill %s: %v\n", f.cfg.Name, rr.ID, err)
 			continue
 		}
-		digest := bid.Digest()
-		line, _ := json.Marshal(ReportLine{
-			Order:  string(rr.ID),
-			Digest: hex.EncodeToString(digest[:]),
-			Kind:   "request",
-		})
-		line = append(line, '\n')
-		if _, err := f.report.Write(line); err != nil {
+		if err := reportBid(f.report, string(rr.ID), "request", bid); err != nil {
 			fmt.Fprintf(os.Stderr, "devnet miner %s: spill report: %v\n", f.cfg.Name, err)
 			continue
 		}
@@ -295,6 +288,18 @@ func (f *spillForwarder) Forward(carried []*bidding.Request) {
 			fmt.Fprintf(os.Stderr, "devnet miner %s: publish spill %s: %v\n", f.cfg.Name, rr.ID, err)
 		}
 	}
+}
+
+// reportBid appends a sealed bid's report line — a bare write syscall on
+// an O_APPEND fd, which survives SIGKILL. Every sender does it between
+// sealing and broadcasting, so a bid can never be committed on-chain
+// without its digest already in a report: the auditor's committed ⊆
+// submitted invariant holds through any kill the orchestrator injects.
+func reportBid(report *os.File, order, kind string, bid *sealed.Bid) error {
+	digest := bid.Digest()
+	line, _ := json.Marshal(ReportLine{Order: order, Digest: hex.EncodeToString(digest[:]), Kind: kind})
+	_, err := report.Write(append(line, '\n'))
+	return err
 }
 
 func readConfig(path string, into any) error {
@@ -561,11 +566,7 @@ emit:
 		case <-tick.C:
 		}
 		so := stream.Next()
-		// Seal first, append the report line (bare write syscall on an
-		// O_APPEND fd — survives SIGKILL), and only then broadcast: a
-		// bid can never be committed on-chain without its digest
-		// already in the report, so the auditor's committed ⊆ submitted
-		// invariant holds through any kill the orchestrator injects.
+		// Seal first, report, and only then broadcast (reportBid).
 		var bid *sealed.Bid
 		var serr error
 		kind := "offer"
@@ -579,14 +580,7 @@ emit:
 			fmt.Fprintf(os.Stderr, "devnet participant %s: seal: %v\n", cfg.Name, serr)
 			continue
 		}
-		digest := bid.Digest()
-		line, _ := json.Marshal(ReportLine{
-			Order:  string(so.ID()),
-			Digest: hex.EncodeToString(digest[:]),
-			Kind:   kind,
-		})
-		line = append(line, '\n')
-		if _, err := report.Write(line); err != nil {
+		if err := reportBid(report, string(so.ID()), kind, bid); err != nil {
 			return fmt.Errorf("devnet participant %s: report: %w", cfg.Name, err)
 		}
 		if err := lc.Publish(string(so.ID()), bid); err != nil && ctx.Err() == nil {

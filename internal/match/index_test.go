@@ -292,9 +292,10 @@ func TestBestOffersAllReferenceAgreesWithIndexed(t *testing.T) {
 	reqs, offs := randomBlock(7, 60, 80)
 	ix := NewIndex(reqs, offs, BlockScale(reqs, offs))
 	cfg := DefaultConfig()
-	refCfg := cfg
-	refCfg.Reference = true
-	want := BestOffersAll(ix, refCfg, 1)
+	want := make([][]*bidding.Offer, len(ix.Requests()))
+	for i, r := range ix.Requests() {
+		want[i] = BestOffers(r, ix.Offers(), ix.Scale(), cfg)
+	}
 	for _, workers := range []int{1, 2, 4} {
 		got := BestOffersAll(ix, cfg, workers)
 		for i := range want {

@@ -22,13 +22,6 @@ type Config struct {
 	// MaxBestOffers caps the size of the best-offer set so that cluster
 	// offer-sets stay small and comparable.
 	MaxBestOffers int
-
-	// Reference forces the brute-force scan-and-sort matcher instead of
-	// the indexed engine (index.go). Outcomes are identical by
-	// construction — the paralleltest harness proves it on every CI run
-	// — so this exists only as the test oracle for that proof and for
-	// debugging suspected index bugs. Never set it in production paths.
-	Reference bool
 }
 
 // DefaultConfig returns the tuning used throughout the evaluation. The

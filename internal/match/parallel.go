@@ -11,21 +11,11 @@ import (
 // cfg — no shared mutable state beyond per-worker scratch buffers, and
 // every goroutine writes only its own result slot — so the output is
 // exactly what a sequential loop over Index.BestOffers would produce,
-// at any worker count.
-//
-// With cfg.Reference set, the brute-force scan-sort matcher runs
-// instead; the indexed and reference paths return identical sets (the
-// paralleltest harness proves byte-equality of whole-block outcomes).
+// at any worker count — and what the brute-force scan-and-sort matcher
+// (BestOffers, the reference) returns for each request.
 func BestOffersAll(ix *Index, cfg Config, workers int) [][]*bidding.Offer {
 	reqs := ix.Requests()
 	out := make([][]*bidding.Offer, len(reqs))
-	if cfg.Reference {
-		offers, scale := ix.Offers(), ix.Scale()
-		par.ForEach(workers, len(reqs), func(i int) {
-			out[i] = BestOffers(reqs[i], offers, scale, cfg)
-		})
-		return out
-	}
 	if workers < 1 {
 		workers = 1
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"decloud/internal/auction"
@@ -66,10 +67,13 @@ func offer(id string, cpu, cost float64) *bidding.Offer {
 // clients (one will be the price setter), one provider.
 func marketRound(t *testing.T, net *Network) []*Participant {
 	t.Helper()
-	alice := testParticipant(t, "alice")
-	bob := testParticipant(t, "bob")
-	zed := testParticipant(t, "zed")
-	prov := testParticipant(t, "prov")
+	// Deterministic entropy seals byte-identical bids, and the network
+	// absorbs a replay of a committed bid: salt the seeds per block.
+	salt := fmt.Sprintf("@%d", net.Chain().Len())
+	alice := testParticipant(t, "alice"+salt)
+	bob := testParticipant(t, "bob"+salt)
+	zed := testParticipant(t, "zed"+salt)
+	prov := testParticipant(t, "prov"+salt)
 
 	submissions := []struct {
 		p   *Participant

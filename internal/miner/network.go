@@ -22,6 +22,7 @@ var (
 	ErrNoMiners     = errors.New("miner: network has no miners")
 	ErrEmptyMempool = errors.New("miner: no sealed bids to include")
 	ErrBadBid       = errors.New("miner: sealed bid failed signature verification")
+	ErrPoolFull     = errors.New("miner: mempool full")
 	ErrNoQuorum     = errors.New("miner: verifier quorum rejected the block")
 	ErrAllCrashed   = errors.New("miner: every miner is crashed this round")
 )
@@ -38,14 +39,12 @@ type Network struct {
 	miners   []*Miner
 	chain    *ledger.Chain
 	registry *contract.Registry
+	// pool is the one door of the process: the miners share the mempool
+	// and therefore its trust set. A round that fails discards its bids.
+	pool *Pool
 
-	mu      sync.Mutex
-	mempool []*sealed.Bid
-	closed  bool
-	// admitted holds the bids SubmitBid checked, until their round ends
-	// (endRound): never more than mempool + in-flight rounds. One process,
-	// one door: the miners share the mempool and therefore this set.
-	admitted sealed.Verified
+	mu     sync.Mutex
+	closed bool
 
 	// stop is closed by Close; in-flight backoff waits and pipelined
 	// commits select on it so shutdown never blocks on a sleeping timer.
@@ -128,14 +127,16 @@ func NewNetwork(n int, difficulty int, cfg auction.Config) *Network {
 		BlockReward: DefaultBlockReward,
 		Balances:    make(map[string]float64),
 	}
+	metrics := func() *obs.MinerMetrics { return net.Obs }
+	net.pool = NewPool(metrics)
 	cfg.Reputation = net.registry.Reputation()
 	for i := 0; i < n; i++ {
 		m := &Miner{
 			Name:       fmt.Sprintf("miner-%02d", i),
 			Difficulty: difficulty,
 			AuctionCfg: cfg,
-			Admitted:   &net.admitted,
-			Metrics:    func() *obs.MinerMetrics { return net.Obs },
+			Admitted:   net.pool.Verified(),
+			Metrics:    metrics,
 		}
 		if cfg.Incremental {
 			// Each miner keeps its own book replica — replicas are
@@ -231,27 +232,12 @@ func (n *Network) sleepBackoff(d time.Duration) bool {
 }
 
 // SubmitBid gossips a sealed bid into the mempool. Bids with invalid
-// signatures are rejected at the door, as any real node would.
-func (n *Network) SubmitBid(b *sealed.Bid) error {
-	if n.Obs != nil {
-		n.Obs.BidSigChecked.Inc()
-	}
-	if !b.VerifySignature() {
-		return ErrBadBid
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.mempool = append(n.mempool, b)
-	n.admitted.Add(b)
-	return nil
-}
+// signatures are rejected at the door, as any real node would; a bid
+// already pending or committed is absorbed.
+func (n *Network) SubmitBid(b *sealed.Bid) error { return n.pool.Admit(b) }
 
 // MempoolSize reports the number of pending sealed bids.
-func (n *Network) MempoolSize() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.mempool)
-}
+func (n *Network) MempoolSize() int { return n.pool.Len() }
 
 // RoundResult summarizes one completed protocol round.
 type RoundResult struct {

@@ -99,22 +99,17 @@ func (p *Participant) seal(orderBytes []byte) (*sealed.Bid, error) {
 	return bid, nil
 }
 
-// RevealsFor inspects a preamble's committed bids and returns signed key
-// reveals for every retained bid of this participant found there. The
-// call is idempotent: re-asking for the same committed bid yields a fresh
-// (byte-identical, ed25519 signing is deterministic) reveal rather than
-// nothing, because reveal messages can be lost in transit and the retry
-// path — re-broadcast preambles, re-requested reveals — depends on
-// participants answering again. Keys therefore stay retained until the
-// caller Forgets them, typically once the block is final on-chain.
-func (p *Participant) RevealsFor(committed []*sealed.Bid) []*sealed.KeyReveal {
-	return p.RevealsIn(sealed.NewIndex(committed))
-}
-
-// RevealsIn is RevealsFor over a preamble's digest index, which a caller
-// asking many participants about one preamble builds once. It walks the
-// smaller of {own retained bids, committed bids}; reveals come back in
-// preamble order either way.
+// RevealsIn inspects a preamble — by its digest index, which a caller
+// asking many participants about one preamble builds once — and returns
+// signed key reveals for every retained bid of this participant
+// committed there. The call is idempotent: re-asking for the same
+// committed bid yields a fresh (byte-identical, ed25519 signing is
+// deterministic) reveal rather than nothing, because reveal messages can
+// be lost in transit and the retry path — re-broadcast preambles,
+// re-requested reveals — depends on participants answering again. Keys
+// therefore stay retained until the caller Forgets them, typically once
+// the block is final on-chain. It walks the smaller of {own retained
+// bids, committed bids}; reveals come back in preamble order either way.
 func (p *Participant) RevealsIn(ix *sealed.Index) []*sealed.KeyReveal {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -54,6 +54,7 @@ type pipelineStage struct {
 	reveals   []*sealed.KeyReveal
 	excluded  [][32]byte
 	attempts  int
+	committed bool // by commitStage: the bids are on the chain
 }
 
 // RunPipelined executes rounds protocol rounds as a bounded two-stage
@@ -69,20 +70,12 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 		return nil, ErrNoMiners
 	}
 	results := make([]*PipelinedRound, 0, rounds)
-
-	type commitOut struct {
-		round int
-		res   *RoundResult
-		err   error
-	}
-	var pending chan commitOut
+	var pending chan *PipelinedRound // the commit in flight, if any
 	join := func() {
-		if pending == nil {
-			return
+		if pending != nil {
+			results = append(results, <-pending)
+			pending = nil
 		}
-		out := <-pending
-		pending = nil
-		results = append(results, &PipelinedRound{Round: out.round, Result: out.res, Err: out.err})
 	}
 
 	// The speculated parent: the preamble hash and next height of the
@@ -113,13 +106,8 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 		// Join the previous commit; its final head decides whether the
 		// speculation held.
 		join()
-		if err != nil {
-			n.endRound(st)
-			results = append(results, &PipelinedRound{Round: r, Err: err})
-			specPrev, specHeight = n.nextParent()
-			continue
-		}
-		if realPrev, realHeight := n.nextParent(); st.block.Preamble.PrevHash != realPrev {
+		realPrev, realHeight := n.nextParent()
+		if err == nil && st.block.Preamble.PrevHash != realPrev {
 			// The chain diverged from the speculation — a Byzantine
 			// rejection re-mined the parent, or the parent round failed.
 			// Flush the in-flight production and redo it on the real head.
@@ -129,17 +117,18 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 			tr.Event("pipeline_flushed", map[string]any{
 				"speculated_height": st.block.Preamble.Height, "height": realHeight,
 			})
-			if err := n.produceStage(ctx, st, realPrev, realHeight, nil); err != nil {
-				n.endRound(st)
-				results = append(results, &PipelinedRound{Round: r, Err: err})
-				specPrev, specHeight = realPrev, realHeight
-				continue
-			}
+			err = n.produceStage(ctx, st, realPrev, realHeight, nil)
+		}
+		if err != nil {
+			n.endRound(st)
+			results = append(results, &PipelinedRound{Round: r, Err: err})
+			specPrev, specHeight = realPrev, realHeight
+			continue
 		}
 		specPrev = st.block.Preamble.Hash()
 		specHeight = st.block.Preamble.Height + 1
 
-		ch := make(chan commitOut, 1)
+		ch := make(chan *PipelinedRound, 1)
 		pending = ch
 		commit := func(st *pipelineStage) {
 			commitStart := obsNow(n.Obs)
@@ -148,7 +137,7 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 				n.Obs.CommitSeconds.Observe(time.Since(commitStart).Seconds())
 			}
 			n.endRound(st)
-			ch <- commitOut{round: st.round, res: res, err: err}
+			ch <- &PipelinedRound{Round: st.round, Result: res, Err: err}
 		}
 		if n.track() {
 			go func(st *pipelineStage) {
@@ -169,11 +158,10 @@ func (n *Network) RunPipelined(ctx context.Context, rounds int, feed func(round 
 // whole round out, production and verification alike.
 func (n *Network) beginRound(round int, participants []*Participant) (*pipelineStage, error) {
 	n.mu.Lock()
-	bids := n.mempool
-	n.mempool = nil
 	n.clock++
 	timestamp := n.clock
 	n.mu.Unlock()
+	bids := n.pool.Drain()
 	if len(bids) == 0 {
 		return nil, ErrEmptyMempool
 	}
@@ -193,11 +181,14 @@ func (n *Network) beginRound(round int, participants []*Participant) (*pipelineS
 	return st, nil
 }
 
-// endRound closes a round however it went — committed, rejected or
-// failed: its trace ends and its drained bids leave the admitted set.
+// endRound closes a round however it went: its trace ends, and unless
+// commitStage committed them its drained bids are discarded — the
+// in-process network retries nothing.
 func (n *Network) endRound(st *pipelineStage) {
 	st.tr.End()
-	n.admitted.Forget(st.bids...)
+	if !st.committed {
+		n.pool.Discard(st.bids)
+	}
 }
 
 // produceStage runs one round's bidding phase against an explicit
@@ -334,6 +325,8 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 			continue
 		}
 		st.tr.Event("verified", map[string]any{"producer": winner.Name, "verifiers": len(verifiers) - 1})
+		n.pool.Committed(block.Bids, nil)
+		st.committed = true
 
 		if err := n.syncBooks(); err != nil {
 			return nil, fmt.Errorf("miner: post-append book sync: %w", err)

@@ -247,9 +247,9 @@ func TestCloseAbortsRevealBackoff(t *testing.T) {
 	net.RevealBackoff = 30 * time.Second
 
 	parts := soakMarket(t, net, 4242)
-	net.mu.Lock()
-	blockedDigest := net.mempool[0].Digest()
-	net.mu.Unlock()
+	net.pool.mu.Lock()
+	blockedDigest := net.pool.pending[0].Digest()
+	net.pool.mu.Unlock()
 	net.Faults = &chaos.Plan{BlockedReveals: map[[32]byte]bool{blockedDigest: true}}
 
 	done := make(chan struct{})
@@ -290,9 +290,9 @@ func TestRevealBackoffWaitsWhenOpen(t *testing.T) {
 	net.RevealRetries = 2
 
 	parts := soakMarket(t, net, 4243)
-	net.mu.Lock()
-	blockedDigest := net.mempool[0].Digest()
-	net.mu.Unlock()
+	net.pool.mu.Lock()
+	blockedDigest := net.pool.pending[0].Digest()
+	net.pool.mu.Unlock()
 	net.Faults = &chaos.Plan{BlockedReveals: map[[32]byte]bool{blockedDigest: true}}
 
 	start := time.Now()

@@ -1,0 +1,323 @@
+package miner
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+
+	"decloud/internal/auction"
+	"decloud/internal/obs"
+	"decloud/internal/sealed"
+)
+
+const sigChecked = "decloud_miner_bid_sig_checked_total"
+
+// poolBids seals n requests, one identity each.
+func poolBids(t *testing.T, seed string, n int) []*sealed.Bid {
+	t.Helper()
+	bids := make([]*sealed.Bid, n)
+	for i := range bids {
+		p := testParticipant(t, fmt.Sprintf("%s-%d", seed, i))
+		bid, err := p.SubmitRequest(request(fmt.Sprintf("r-%s-%d", seed, i), 2, float64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bids[i] = bid
+	}
+	return bids
+}
+
+func observedPool() (*Pool, *obs.Registry) {
+	reg := obs.NewRegistry()
+	m := obs.NewMinerMetrics(reg)
+	return NewPool(func() *obs.MinerMetrics { return m }), reg
+}
+
+// TestPoolLifecycle walks one pool through everything its API can do.
+// After every step the trust set holds exactly pending + in-flight bids,
+// and the step cost exactly the signature checks it says.
+func TestPoolLifecycle(t *testing.T) {
+	p, reg := observedPool()
+	b := poolBids(t, "pool", 8)
+	forged, forgedDup := cloneBid(b[2]), cloneBid(b[1])
+	forged.Signature[5] ^= 1
+	forgedDup.Signature[5] ^= 1
+	var drained []*sealed.Bid
+	inFlight := 0
+
+	admit := func(bid *sealed.Bid, want error) func() {
+		return func() {
+			t.Helper()
+			if err := p.Admit(bid); !errors.Is(err, want) {
+				t.Fatalf("Admit = %v, want %v", err, want)
+			}
+		}
+	}
+	drain := func(want ...*sealed.Bid) func() {
+		return func() {
+			t.Helper()
+			drained = p.Drain()
+			inFlight = len(drained)
+			if len(drained) != len(want) {
+				t.Fatalf("drained %d bids, want %d", len(drained), len(want))
+			}
+			for i := range want {
+				if drained[i] != want[i] {
+					t.Fatalf("drained[%d] is not the bid admitted %d-th", i, i)
+				}
+			}
+		}
+	}
+	end := func(how func([]*sealed.Bid)) func() {
+		return func() { how(drained); inFlight = 0 }
+	}
+	committed := func(bids []*sealed.Bid) { p.Committed(bids, nil) }
+
+	for _, step := range []struct {
+		name      string
+		do        func()
+		pending   int
+		sigChecks int64
+	}{
+		{"admit", admit(b[0], nil), 1, 1},
+		{"admit another", admit(b[1], nil), 2, 1},
+		{"duplicate of a pending bid is absorbed unchecked", admit(cloneBid(b[1]), nil), 2, 0},
+		{"forged copy of a pending bid is absorbed unchecked, and not trusted", admit(forgedDup, nil), 2, 0},
+		{"bad signature", admit(forged, ErrBadBid), 2, 1},
+		{"limit reached", func() { p.SetLimit(2) }, 2, 0},
+		{"full pool refuses before it checks", admit(b[2], ErrPoolFull), 2, 0},
+		{"full pool refuses a bad signature as full", admit(forged, ErrPoolFull), 2, 0},
+		{"duplicate into a full pool is still absorbed", admit(cloneBid(b[0]), nil), 2, 0},
+		{"drain", drain(b[0], b[1]), 0, 0},
+		{"admit while a round is in flight", admit(b[2], nil), 1, 1},
+		{"return into a refilled pool: one fits, one is forgotten", end(p.Return), 2, 0},
+		{"limit shrinks", func() { p.SetLimit(1) }, 2, 0},
+		{"drain again", drain(b[2], b[0]), 0, 0},
+		{"return into a shrunken pool", end(p.Return), 1, 0},
+		{"limit lifted", func() { p.SetLimit(0) }, 1, 0},
+		{"drain once more", drain(b[2]), 0, 0},
+		{"discard", end(p.Discard), 0, 0},
+		{"a discarded bid may come back, checked again", admit(b[2], nil), 1, 1},
+		{"admit two more", func() { admit(b[3], nil)(); admit(b[4], nil)() }, 3, 2},
+		{"drain for a block", drain(b[2], b[3], b[4]), 0, 0},
+		{"a redelivered in-flight bid is pooled again", admit(cloneBid(b[3]), nil), 1, 1},
+		{"admit beside it", admit(b[5], nil), 2, 1},
+		{"committed prunes the pending copy", end(committed), 1, 0},
+		{"committed bid never re-enters", admit(cloneBid(b[4]), nil), 1, 0},
+		{"admit for someone else's block", admit(b[6], nil), 2, 1},
+		{"a block decoded from the wire commits by value", func() { p.Committed([]*sealed.Bid{cloneBid(b[6]), cloneBid(b[7])}, nil) }, 1, 0},
+		{"a bid first met inside a block is committed too", admit(b[7], nil), 1, 0},
+	} {
+		before := reg.CounterValue(sigChecked)
+		step.do()
+		if got := p.Len(); got != step.pending {
+			t.Fatalf("%s: %d pending, want %d", step.name, got, step.pending)
+		}
+		if got := p.Verified().Len(); got != step.pending+inFlight {
+			t.Fatalf("%s: trust set holds %d, want %d pending + %d in flight", step.name, got, step.pending, inFlight)
+		}
+		if got := reg.CounterValue(sigChecked) - before; got != step.sigChecks {
+			t.Fatalf("%s: %d signature checks, want %d", step.name, got, step.sigChecks)
+		}
+	}
+	if p.Verified().Has(forgedDup) || !p.Verified().Has(b[5]) {
+		t.Fatal("the trust set vouches for a forged copy, or lost the pending bid")
+	}
+	if got := p.Limit(); got != 0 {
+		t.Fatalf("Limit() = %d", got)
+	}
+}
+
+// TestPoolConcurrentAdmitters: admitters on several goroutines offer the
+// same bids — honest copies and forged ones — while a producer drains
+// and ends rounds every way it can. Each digest is pending at most once,
+// never pending and committed, and the trust set is the pool once no
+// round is in flight. Run under -race -cpu 1,2,4 (scripts/ci.sh).
+func TestPoolConcurrentAdmitters(t *testing.T) {
+	p, _ := observedPool()
+	p.SetLimit(24)
+	bids := poolBids(t, "conc", 32)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range bids {
+				c := cloneBid(bids[(i*7+g*5)%len(bids)])
+				if (i+g)%5 == 0 {
+					c.Signature[0] ^= 1
+				}
+				switch err := p.Admit(c); {
+				case err == nil, errors.Is(err, ErrPoolFull), errors.Is(err, ErrBadBid):
+				default:
+					t.Errorf("Admit: %v", err)
+				}
+			}
+		}(g)
+	}
+	onChain := make(map[[32]byte]bool)
+	for round := 0; round < 30; round++ {
+		drained := p.Drain()
+		switch round % 3 {
+		case 0:
+			p.Return(drained)
+		case 1:
+			p.Discard(drained)
+		default:
+			for _, b := range drained {
+				if d := b.Digest(); onChain[d] {
+					t.Fatalf("bid %x drained after it was committed", d[:4])
+				} else {
+					onChain[d] = true
+				}
+			}
+			p.Committed(drained, nil)
+		}
+	}
+	wg.Wait()
+	if got, want := p.Verified().Len(), p.Len(); got != want {
+		t.Fatalf("trust set holds %d bids, pool %d, no round in flight", got, want)
+	}
+	pending := make(map[[32]byte]bool)
+	for _, b := range p.Drain() {
+		d := b.Digest()
+		if pending[d] || onChain[d] {
+			t.Fatalf("bid %x pending twice, or pending and committed", d[:4])
+		}
+		pending[d] = true
+		if !b.VerifySignature() {
+			t.Fatalf("bid %x pooled with a bad signature", d[:4])
+		}
+	}
+}
+
+// TestPoolDigestSquattingPinned pins a hole, it does not bless it: the
+// door dedupes on the envelope's hash alone, so whoever re-signs a bid
+// seen in gossip under their own key and reaches the door first has the
+// owner's bid absorbed as a duplicate. The squatter's copy commits, the
+// owner's reveal does not open it (reveal from non-owner), and the order
+// is censored for the round. Keying the door by sealed.BidKey is a
+// protocol change: ROADMAP item 1, DESIGN.md §11.3.
+func TestPoolDigestSquattingPinned(t *testing.T) {
+	victim := testParticipant(t, "victim")
+	bid, err := victim.SubmitRequest(request("r-victim", 2, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallory, err := sealed.NewIdentityFrom(newDetReader("squatter"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	squat := &sealed.Bid{
+		Sender:    append([]byte(nil), mallory.Public()...),
+		Envelope:  bid.Envelope,
+		Signature: mallory.Sign(bid.Envelope),
+	}
+	p, _ := observedPool()
+	if err := p.Admit(squat); err != nil {
+		t.Fatalf("the squatter's copy is validly signed: %v", err)
+	}
+	if err := p.Admit(bid); err != nil {
+		t.Fatalf("the owner's bid is absorbed, not refused: %v", err)
+	}
+	pooled := p.Drain()
+	if len(pooled) != 1 || pooled[0].SenderID() == victim.ID() {
+		t.Fatalf("pool holds %d bids; today it holds the squatter's copy alone", len(pooled))
+	}
+	dec := DecryptOrders(pooled, revealsFor(victim, pooled))
+	if dec.Rejected != 1 || len(dec.Requests) != 0 {
+		t.Fatalf("the squatted order must not trade under either key: %+v", dec)
+	}
+}
+
+// TestNetworkCommitsAResubmittedBidOnce: the in-process network shares
+// the door's dedupe and its committed guard — a bid submitted twice is
+// committed once, and a replay of a committed bid never reaches a block.
+func TestNetworkCommitsAResubmittedBidOnce(t *testing.T) {
+	net := NewNetwork(2, testDifficulty, auction.DefaultConfig())
+	parts, bids := sealedMarket(t, "twice")
+	submitAll(t, net, bids)
+	submitAll(t, net, []*sealed.Bid{bids[0], cloneBid(bids[1])})
+	if got := net.MempoolSize(); got != len(bids) {
+		t.Fatalf("%d bids pooled after a resubmission, want %d", got, len(bids))
+	}
+	res, err := net.RunRound(context.Background(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Block.Bids) != len(bids) || len(res.Outcome.Matches) == 0 {
+		t.Fatalf("block carries %d bids and %d matches, want %d bids trading", len(res.Block.Bids), len(res.Outcome.Matches), len(bids))
+	}
+	submitAll(t, net, []*sealed.Bid{cloneBid(bids[2])})
+	if got := net.MempoolSize(); got != 0 {
+		t.Fatalf("a replayed committed bid was pooled (%d pending)", got)
+	}
+	if _, err := net.RunRound(context.Background(), parts); !errors.Is(err, ErrEmptyMempool) {
+		t.Fatalf("round over a replayed bid: %v, want ErrEmptyMempool", err)
+	}
+}
+
+// TestOnlyThePoolWritesTheTrustSet guards the boundary the Pool exists
+// for: outside pool.go (and the type's own file) no non-test code adds to
+// or forgets from a sealed.Verified, and none but the miner that reads
+// it names the type at all.
+func TestOnlyThePoolWritesTheTrustSet(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mayName := map[string]bool{
+		"internal/sealed/sealed.go": true, // the type
+		"internal/miner/pool.go":    true, // its one writer
+		"internal/miner/miner.go":   true, // its reader: Miner.Admitted
+	}
+	holder := regexp.MustCompile(`(?i)verified|admitted`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+string(filepath.Separator)))
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sealed" && n.Sel.Name == "Verified" && !mayName[rel] {
+					t.Errorf("%s names sealed.Verified: a node's trust set lives in its miner.Pool", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Add" && sel.Sel.Name != "Forget") {
+					return true
+				}
+				if recv := types.ExprString(sel.X); holder.MatchString(recv) && rel != "internal/miner/pool.go" {
+					t.Errorf("%s: %s.%s outside miner.Pool", fset.Position(n.Pos()), recv, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

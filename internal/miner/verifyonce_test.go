@@ -48,10 +48,15 @@ func submitAll(t *testing.T, net *Network, bids []*sealed.Bid) {
 	}
 }
 
+// revealsFor asks one participant about a preamble given as its bids.
+func revealsFor(p *Participant, committed []*sealed.Bid) []*sealed.KeyReveal {
+	return p.RevealsIn(sealed.NewIndex(committed))
+}
+
 func revealAll(parts []*Participant, bids []*sealed.Bid) []*sealed.KeyReveal {
 	var krs []*sealed.KeyReveal
 	for _, p := range parts {
-		krs = append(krs, p.RevealsFor(bids)...)
+		krs = append(krs, revealsFor(p, bids)...)
 	}
 	return krs
 }
@@ -207,7 +212,7 @@ func TestNetworkChecksBidMutatedAfterAdmission(t *testing.T) {
 	net.Obs = obs.NewMinerMetrics(reg)
 	parts, bids := sealedMarket(t, "mutated")
 	submitAll(t, net, bids)
-	if got := net.admitted.Len(); got != len(bids) || got != net.MempoolSize() {
+	if got := net.pool.Verified().Len(); got != len(bids) || got != net.MempoolSize() {
 		t.Fatalf("admitted %d bids, pool holds %d", got, net.MempoolSize())
 	}
 	bids[0].Signature[0] ^= 1
@@ -235,7 +240,7 @@ func TestNetworkChecksBidMutatedAfterAdmission(t *testing.T) {
 	if got := reg.CounterValue("decloud_miner_bid_sig_skipped_total"); got != 3*(n-1) {
 		t.Fatalf("bid signature checks skipped = %d, want %d", got, 3*(n-1))
 	}
-	if got := net.admitted.Len(); got != 0 {
+	if got := net.pool.Verified().Len(); got != 0 {
 		t.Fatalf("%d bids still admitted after their block committed", got)
 	}
 }
@@ -247,7 +252,7 @@ func TestAdmittedSetDrainsWithEveryRound(t *testing.T) {
 	ctx := context.Background()
 	check := func(t *testing.T, net *Network) {
 		t.Helper()
-		if got := net.admitted.Len(); got != 0 || net.MempoolSize() != 0 {
+		if got := net.pool.Verified().Len(); got != 0 || net.MempoolSize() != 0 {
 			t.Fatalf("%d bids admitted and %d pooled after the round", got, net.MempoolSize())
 		}
 	}
@@ -332,7 +337,7 @@ func decryptZoo(t *testing.T, n int) ([]*sealed.Bid, []*sealed.KeyReveal) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kr := p.RevealsFor([]*sealed.Bid{bid})[0]
+		kr := revealsFor(p, []*sealed.Bid{bid})[0]
 		switch i % 8 {
 		case 1: // unrevealed
 			kr = nil
@@ -400,7 +405,7 @@ func TestParallelDecryptEqualsSequential(t *testing.T) {
 	}
 }
 
-// referenceRevealsFor is RevealsFor as it was: walk the committed bids,
+// referenceRevealsFor is the reveal lookup as it was: walk the committed bids,
 // digest each, look it up. It does not mark bids revealed, so it can run
 // beside the real thing.
 func referenceRevealsFor(p *Participant, committed []*sealed.Bid) []*sealed.KeyReveal {
@@ -445,11 +450,11 @@ func TestRevealsForEquivalence(t *testing.T) {
 	for name, committed := range preambles {
 		for _, p := range []*Participant{busy, idle, other} {
 			want := referenceRevealsFor(p, committed)
-			got := p.RevealsFor(committed)
+			got := revealsFor(p, committed)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: %d reveals, the committed-bid walk gives %d (or another order)", name, len(got), len(want))
 			}
-			if again := p.RevealsFor(committed); !reflect.DeepEqual(again, want) {
+			if again := revealsFor(p, committed); !reflect.DeepEqual(again, want) {
 				t.Fatalf("%s: re-asking is not idempotent", name)
 			}
 			if shared := p.RevealsIn(sealed.NewIndex(committed)); !reflect.DeepEqual(shared, want) {
@@ -476,14 +481,14 @@ func TestRevealsForEquivalence(t *testing.T) {
 	idle.Forget([][32]byte{one.Digest()})
 	for _, p := range []*Participant{busy, idle} {
 		want := referenceRevealsFor(p, committed)
-		if got := p.RevealsFor(committed); !reflect.DeepEqual(got, want) {
+		if got := revealsFor(p, committed); !reflect.DeepEqual(got, want) {
 			t.Fatalf("after Forget: %d reveals, want %d", len(got), len(want))
 		}
 	}
-	if got := busy.RevealsFor(committed); len(got) != 1 || got[0].BidDigest != mine[2].Digest() {
+	if got := revealsFor(busy, committed); len(got) != 1 || got[0].BidDigest != mine[2].Digest() {
 		t.Fatalf("after forgetting one of two committed bids busy reveals %d", len(got))
 	}
-	if got := idle.RevealsFor(committed); got != nil {
+	if got := revealsFor(idle, committed); got != nil {
 		t.Fatalf("idle still reveals %d forgotten bids", len(got))
 	}
 }

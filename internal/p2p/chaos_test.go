@@ -73,7 +73,7 @@ func (l *spuriousLogs) take() []string {
 
 // chaosTopology is marketTopology with a fault plan and log capture
 // installed on every endpoint before any connection is made.
-func chaosTopology(t *testing.T, plan FaultPlan, logs *spuriousLogs) (miners []*MarketNode, clients []*ParticipantClient) {
+func chaosTopology(t *testing.T, plan FaultPlan, logs *spuriousLogs) (miners []*MarketNode, clients []*LoadClient) {
 	t.Helper()
 	cfg := auction.DefaultConfig()
 	for i, name := range []string{"m0", "m1", "m2"} {
@@ -92,13 +92,11 @@ func chaosTopology(t *testing.T, plan FaultPlan, logs *spuriousLogs) (miners []*
 		}
 	}
 	for _, name := range []string{"alice", "bob", "zed", "prov"} {
-		pc, err := NewParticipantClient(name, "127.0.0.1:0", newDetReader(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { pc.Close() })
+		pc := newTestClient(t, name)
 		pc.SetFaults(plan)
-		pc.SetLogf(logs.logf)
+		for _, n := range pc.nets {
+			n.SetLogf(logs.logf)
+		}
 		if err := pc.Connect(miners[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
@@ -282,10 +280,10 @@ func TestCrashRestartMinerResyncs(t *testing.T) {
 			Bid: value,
 		}
 	}
-	if err := clients[0].SubmitRequest(mkReq("r2-alice", 9)); err != nil {
+	if _, err := clients[0].SubmitRequest(0, mkReq("r2-alice", 9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := clients[3].SubmitOffer(&bidding.Offer{
+	if _, err := clients[3].SubmitOffer(0, &bidding.Offer{
 		ID:        "o2-prov",
 		Resources: resource.Vector{resource.CPU: 8, resource.RAM: 32},
 		Start:     0, End: 100,

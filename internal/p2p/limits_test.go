@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -173,7 +174,7 @@ func TestMempoolLimit(t *testing.T) {
 	if err := mn.SubmitBid(bids[1]); err != nil {
 		t.Fatalf("duplicate submit err = %v", err)
 	}
-	if err := mn.SubmitBid(bids[2]); !errors.Is(err, ErrPoolFull) {
+	if err := mn.SubmitBid(bids[2]); !errors.Is(err, miner.ErrPoolFull) {
 		t.Fatalf("over-limit submit err = %v, want ErrPoolFull", err)
 	}
 	if got := mn.MempoolSize(); got != 2 {
@@ -184,7 +185,52 @@ func TestMempoolLimit(t *testing.T) {
 	}
 	// A refused bid passed the signature check but is not admitted: the
 	// set holds what the pool holds.
-	if got := mn.admitted.Len(); got != 2 {
+	if got := mn.pool.Verified().Len(); got != 2 {
 		t.Fatalf("%d bids admitted, want the 2 pooled", got)
+	}
+}
+
+// TestDoorRefusesBeforeItChecks: the refusals that cost nothing come
+// before the signature check at the gossip handler too — a duplicate
+// frame of a pooled bid and a bid offered to a full pool buy zero
+// signature checks, so neither a replay nor a flood against a full pool
+// is paid for in ed25519.
+func TestDoorRefusesBeforeItChecks(t *testing.T) {
+	mn, reg := observedNode(t, "door")
+	netReg := obs.NewRegistry()
+	dropped := obs.NewNetMetrics(netReg)
+	mn.SetNetObs(dropped)
+	part, err := miner.NewParticipant(newDetReader("door"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(id string) Message {
+		t.Helper()
+		bid, err := part.SubmitRequest(testRequest(id, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(bid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Message{Type: msgBid, Payload: payload}
+	}
+	first, second := frame("r-0"), frame("r-1")
+	mn.onBid(first)
+	if got := reg.CounterValue(sigChecked); got != 1 || mn.MempoolSize() != 1 {
+		t.Fatalf("first frame: %d checks, %d pooled", got, mn.MempoolSize())
+	}
+	mn.onBid(first) // a duplicate frame of a pooled bid
+	mn.SetMempoolLimit(1)
+	mn.onBid(second) // a bid offered to a full pool
+	if got := reg.CounterValue(sigChecked); got != 1 {
+		t.Fatalf("%d signature checks after a duplicate frame and a full-pool refusal, want the first bid's 1", got)
+	}
+	if got := dropped.PoolDropped.Value(); got != 1 {
+		t.Fatalf("PoolDropped = %d, want 1", got)
+	}
+	if got, trusted := mn.MempoolSize(), mn.pool.Verified().Len(); got != 1 || trusted != 1 {
+		t.Fatalf("%d pooled, %d trusted, want 1 and 1", got, trusted)
 	}
 }

@@ -15,14 +15,13 @@ import (
 	"decloud/internal/sealed"
 )
 
-// LoadClient multiplexes many virtual participant identities over a
-// small set of gossip endpoints — the load generator's workhorse. A
-// ParticipantClient opens a TCP node per identity, which caps a
-// single-box load test at a few hundred participants; a LoadClient
-// carries thousands of sealed-bid identities over one connection (or a
-// few, see NewLoadClientConns) while still speaking the exact two-phase
-// protocol: it answers preambles with per-identity signed key reveals
-// and stamps submit→commit latency when the full block lands.
+// LoadClient is the participant side of the protocol: it multiplexes any
+// number of virtual participant identities — one for a single client or
+// provider, thousands for the load generator — over one gossip
+// connection (or a few, see NewLoadClientConns). It seals and publishes
+// bids, answers each preamble with one frame of per-identity signed key
+// reveals, stamps submit→commit latency when the full block lands, and
+// releases the keys of the bids that block carries.
 //
 // Submission is safe for concurrent use as long as two goroutines never
 // submit for the SAME virtual client index at once (each identity's
@@ -235,8 +234,9 @@ func (lc *LoadClient) Counts() (submitted, committed, matched int64) {
 }
 
 // onPreamble validates a mined preamble and answers with key reveals for
-// every virtual identity's committed bids — same phase discipline as
-// ParticipantClient, multiplied across identities.
+// every virtual identity's committed bids — the phase boundary of the
+// protocol: keys go out only once the proof-of-work is fixed, and only
+// against a preamble that commits to the bids it lists.
 func (lc *LoadClient) onPreamble(msg Message) {
 	var block ledger.Block
 	if err := json.Unmarshal(msg.Payload, &block); err != nil {

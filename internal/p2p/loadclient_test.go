@@ -82,7 +82,7 @@ func TestLoadClientRoundTrip(t *testing.T) {
 	waitFor(t, "bids pooled", func() bool { return mn.MempoolSize() == 3 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := mn.ProduceBlock(ctx, 0, 3*time.Second); err != nil {
+	if _, err := mn.ProduceBlockOpts(ctx, RoundConfig{RevealWindow: 3 * time.Second}); err != nil {
 		t.Fatalf("round failed: %v", err)
 	}
 
@@ -132,7 +132,7 @@ func TestLoadClientDuplicateBlockCountedOnce(t *testing.T) {
 	waitFor(t, "bid pooled", func() bool { return mn.MempoolSize() == 1 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := mn.ProduceBlock(ctx, 0, 3*time.Second); err != nil {
+	if _, err := mn.ProduceBlockOpts(ctx, RoundConfig{RevealWindow: 3 * time.Second}); err != nil {
 		t.Fatalf("round failed: %v", err)
 	}
 	waitFor(t, "commit observed", func() bool {
@@ -200,7 +200,7 @@ func TestLoadClientShardedConns(t *testing.T) {
 	waitFor(t, "bids pooled", func() bool { return mn.MempoolSize() == 4 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := mn.ProduceBlock(ctx, 0, 3*time.Second); err != nil {
+	if _, err := mn.ProduceBlockOpts(ctx, RoundConfig{RevealWindow: 3 * time.Second}); err != nil {
 		t.Fatalf("round failed: %v", err)
 	}
 	waitFor(t, "commits observed", func() bool {

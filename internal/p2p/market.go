@@ -21,7 +21,6 @@ import (
 const (
 	msgBid      = "bid"      // sealed.Bid
 	msgPreamble = "preamble" // ledger.Block without body
-	msgReveal   = "reveal"   // sealed.KeyReveal (legacy single-reveal frame)
 	msgReveals  = "reveals"  // []*sealed.KeyReveal — one frame per participant per round
 	msgBlock    = "block"    // full ledger.Block
 	msgVote     = "vote"     // vote
@@ -55,11 +54,12 @@ type chainTransfer struct {
 // maintains a mempool and a chain replica, can produce blocks
 // (mine → collect reveals → allocate → broadcast), and verifies and
 // votes on blocks produced by others.
-// Concurrency: network handlers (onBid/onReveal/onBlock/onVote) run on
-// the gossip reader goroutines while ProduceBlock runs on the caller's.
-// The discipline is:
-//   - mu guards mempool and havePool — the only state both sides write —
-//     and admitted wherever it must change together with them.
+// Concurrency: network handlers (onBid/onReveals/onBlock/onVote) run on
+// the gossip reader goroutines while ProduceBlockOpts runs on the
+// caller's. The discipline is:
+//   - pool (miner.Pool) is the only state both sides write: the mempool
+//     and the trust set of the bids checked at this node's door, behind
+//     the pool's own lock.
 //   - miner is written once in NewMarketNode and only read afterwards;
 //     its methods copy AuctionCfg by value per block, so concurrent
 //     VerifyBlock (verifier path) and ComputeBody (producer path) are
@@ -78,16 +78,7 @@ type MarketNode struct {
 	miner *miner.Miner
 	chain *ledger.Chain
 
-	mu        sync.Mutex
-	mempool   []*sealed.Bid
-	havePool  map[[32]byte]bool
-	committed map[[32]byte]bool // bid digests already on this replica's chain
-	poolLimit int               // max pending bids; 0 = unlimited
-	// admitted holds the signature verdicts of the pooled bids: a bid
-	// enters when addToPool pools it and leaves when its block commits or
-	// its drained round is discarded — never more than pool + in-flight
-	// block. Executing a block, the miner skips re-checking exactly these.
-	admitted sealed.Verified
+	pool *miner.Pool
 
 	// metrics/tracer are read on both the producer and the gossip reader
 	// goroutines; atomic pointers let SetObs/SetTracer install them after
@@ -102,10 +93,9 @@ type MarketNode struct {
 
 	voteCh chan vote
 
-	// revealFrames counts reveal transport frames received (msgReveal and
-	// msgReveals alike — a batch of n reveals is ONE frame). The batching
-	// regression test pins the frame count to O(participants), not
-	// O(orders), per round.
+	// revealFrames counts reveal transport frames received (a batch of n
+	// reveals is ONE frame). The batching regression test pins the frame
+	// count to O(participants), not O(orders), per round.
 	revealFrames atomic.Int64
 }
 
@@ -119,12 +109,11 @@ func NewMarketNode(name, addr string, difficulty int, cfg auction.Config) (*Mark
 		net:       n,
 		miner:     &miner.Miner{Name: name, Difficulty: difficulty, AuctionCfg: cfg},
 		chain:     ledger.NewChain(),
-		havePool:  make(map[[32]byte]bool),
-		committed: make(map[[32]byte]bool),
 		revealSig: make(chan struct{}, 1),
 		voteCh:    make(chan vote, 1024),
 	}
-	mn.miner.Admitted = &mn.admitted
+	mn.pool = miner.NewPool(mn.metrics.Load)
+	mn.miner.Admitted = mn.pool.Verified()
 	mn.miner.Metrics = mn.metrics.Load
 	if cfg.Incremental {
 		// Incremental mode: this node clears a continuous order book kept
@@ -133,7 +122,6 @@ func NewMarketNode(name, addr string, difficulty int, cfg auction.Config) (*Mark
 		mn.miner.Book = book.New(cfg)
 	}
 	n.Handle(msgBid, mn.onBid)
-	n.Handle(msgReveal, mn.onReveal)
 	n.Handle(msgReveals, mn.onReveals)
 	n.Handle(msgBlock, mn.onBlock)
 	n.Handle(msgVote, mn.onVote)
@@ -171,11 +159,7 @@ func (mn *MarketNode) SetLimits(l Limits) { mn.net.SetLimits(l) }
 // NetMetrics.PoolDropped — rather than growing memory without bound; a
 // well-behaved client observes its bid missing from the next block and
 // resubmits.
-func (mn *MarketNode) SetMempoolLimit(n int) {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
-	mn.poolLimit = n
-}
+func (mn *MarketNode) SetMempoolLimit(n int) { mn.pool.SetLimit(n) }
 
 // SetObs installs the round metrics bundle (nil removes it).
 func (mn *MarketNode) SetObs(m *obs.MinerMetrics) { mn.metrics.Store(m) }
@@ -195,138 +179,44 @@ func (mn *MarketNode) Close() error { return mn.net.Close() }
 
 // SubmitBid accepts a sealed bid locally and gossips it.
 func (mn *MarketNode) SubmitBid(b *sealed.Bid) error {
-	if !mn.checkSignature(b) {
-		return miner.ErrBadBid
-	}
-	if !mn.addToPool(b) {
-		return ErrPoolFull
+	if err := mn.admit(b); err != nil {
+		return err
 	}
 	return mn.net.Broadcast(msgBid, b)
 }
 
-// ErrPoolFull is returned by SubmitBid when the mempool limit is reached.
-var ErrPoolFull = errors.New("p2p: mempool full")
-
-// markCommitted records a block's bid digests as on-chain and prunes any
-// pending copy of them from the pool. Called after every successful chain
-// append — producer self-append, verifier accept, and sync catch-up — it
-// keeps an already-committed bid from ever (re-)entering a later round,
-// e.g. when the transport redelivers a duplicate bid message after the
-// pool was drained. digests are the block's bid digests; a producer
-// derived them once, with the preamble.
-func (mn *MarketNode) markCommitted(b *ledger.Block, digests [][32]byte) {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
-	for _, d := range digests {
-		mn.committed[d] = true
+func (mn *MarketNode) onBid(msg Message) {
+	var b sealed.Bid
+	if err := json.Unmarshal(msg.Payload, &b); err == nil {
+		_ = mn.admit(&b) // a refused gossip bid is just not pooled
 	}
-	mn.admitted.Forget(b.Bids...)
-	if len(mn.mempool) == 0 {
-		return
-	}
-	kept := mn.mempool[:0]
-	for _, bid := range mn.mempool {
-		d := bid.Digest()
-		if mn.committed[d] {
-			delete(mn.havePool, d)
-			mn.admitted.Forget(bid)
-			continue
-		}
-		kept = append(kept, bid)
-	}
-	mn.mempool = kept
 }
 
-// addToPool admits a bid whose signature the caller has just checked,
-// reporting false when the pool is at its limit. Duplicates and
-// already-committed bids are absorbed silently and report true.
-func (mn *MarketNode) addToPool(b *sealed.Bid) bool {
-	mn.mu.Lock()
-	pooled, full := mn.poolLocked(b)
-	if pooled {
-		mn.admitted.Add(b)
-	}
-	mn.mu.Unlock()
-	if full {
+// admit offers a bid to the node's door (miner.Pool.Admit: nil,
+// miner.ErrBadBid or miner.ErrPoolFull), counting a full pool's refusal.
+func (mn *MarketNode) admit(b *sealed.Bid) error {
+	err := mn.pool.Admit(b)
+	if errors.Is(err, miner.ErrPoolFull) {
 		if m := mn.net.metrics.Load(); m != nil {
 			m.PoolDropped.Inc()
 		}
 	}
-	return !full
-}
-
-// poolLocked appends b to the mempool unless it is already pooled or
-// committed (absorbed) or the pool is at its limit (full). mn.mu held.
-func (mn *MarketNode) poolLocked(b *sealed.Bid) (pooled, full bool) {
-	d := b.Digest()
-	if mn.havePool[d] || mn.committed[d] {
-		return false, false
-	}
-	if mn.poolLimit > 0 && len(mn.mempool) >= mn.poolLimit {
-		return false, true
-	}
-	mn.havePool[d] = true
-	mn.mempool = append(mn.mempool, b)
-	return true, false
-}
-
-// repool puts the drained bids of a round that never committed back into
-// the pool, still admitted — best effort: the pool may have refilled
-// meanwhile — and forgets each bid that does not go back.
-func (mn *MarketNode) repool(bids []*sealed.Bid) {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
-	for _, b := range bids {
-		if pooled, _ := mn.poolLocked(b); !pooled {
-			mn.admitted.Forget(b)
-		}
-	}
+	return err
 }
 
 // MempoolSize reports the number of pending sealed bids.
-func (mn *MarketNode) MempoolSize() int {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
-	return len(mn.mempool)
-}
-
-func (mn *MarketNode) onBid(msg Message) {
-	var b sealed.Bid
-	if err := json.Unmarshal(msg.Payload, &b); err != nil || !mn.checkSignature(&b) {
-		return
-	}
-	mn.addToPool(&b)
-}
-
-// checkSignature is the node's door: every bid entering the pool has its
-// signature checked here, once.
-func (mn *MarketNode) checkSignature(b *sealed.Bid) bool {
-	if m := mn.metrics.Load(); m != nil {
-		m.BidSigChecked.Inc()
-	}
-	return b.VerifySignature()
-}
+func (mn *MarketNode) MempoolSize() int { return mn.pool.Len() }
 
 // PoolLimit returns the configured mempool cap (0 = unlimited).
-func (mn *MarketNode) PoolLimit() int {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
-	return mn.poolLimit
-}
+func (mn *MarketNode) PoolLimit() int { return mn.pool.Limit() }
 
-func (mn *MarketNode) onReveal(msg Message) {
-	var kr sealed.KeyReveal
-	if err := json.Unmarshal(msg.Payload, &kr); err != nil {
-		return
-	}
-	mn.revealFrames.Add(1)
-	mn.enqueueReveals(&kr)
-}
-
-// onReveals ingests a batched reveal frame: every reveal a participant
-// owes for one preamble arrives in a single message instead of one
-// frame per order (ROADMAP item 2 — reveal gossip was the dominant
-// per-round message cost at high order rates).
+// onReveals ingests a reveal frame — every reveal a participant owes for
+// one preamble in a single message, not one frame per order — into the
+// pending intake buffer if a produce stage is collecting, and pulses the
+// signal channel. Outside a round the reveals are dropped, so replicas
+// that never produce don't accumulate gossip; while a round IS open the
+// buffer is unbounded: one frame can carry every reveal of a 1e5-order
+// round, and dropping any of them costs a full retry window.
 func (mn *MarketNode) onReveals(msg Message) {
 	var krs []*sealed.KeyReveal
 	if err := json.Unmarshal(msg.Payload, &krs); err != nil {
@@ -339,23 +229,12 @@ func (mn *MarketNode) onReveals(msg Message) {
 			live = append(live, kr)
 		}
 	}
-	mn.enqueueReveals(live...)
-}
-
-// enqueueReveals appends reveals to the pending intake buffer if a
-// produce stage is collecting, and pulses the signal channel. Outside a
-// round the reveals are dropped — same policy as the old bounded
-// channel, so replicas that never produce don't accumulate gossip —
-// but while a round IS open the buffer is unbounded: a single batched
-// frame can carry every reveal of a 1e5-order round, and dropping any
-// of them costs a full retry window.
-func (mn *MarketNode) enqueueReveals(krs ...*sealed.KeyReveal) {
 	mn.revealMu.Lock()
 	if !mn.revealOpen {
 		mn.revealMu.Unlock()
 		return
 	}
-	mn.pendingReveals = append(mn.pendingReveals, krs...)
+	mn.pendingReveals = append(mn.pendingReveals, live...)
 	mn.revealMu.Unlock()
 	select {
 	case mn.revealSig <- struct{}{}:
@@ -393,7 +272,7 @@ func (mn *MarketNode) takeReveals() []*sealed.KeyReveal {
 }
 
 // RevealFrames reports how many reveal transport frames this node has
-// received (batched or legacy single).
+// received.
 func (mn *MarketNode) RevealFrames() int64 { return mn.revealFrames.Load() }
 
 // onBlock verifies a block produced elsewhere, appends it to the local
@@ -408,10 +287,7 @@ func (mn *MarketNode) onBlock(msg Message) {
 	m := mn.metrics.Load()
 	verifyStart := obsNow(m)
 	v := vote{Voter: mn.Name(), Height: b.Preamble.Height, OK: true}
-	err := mn.appendVerified(&b)
-	if err == nil {
-		mn.markCommitted(&b, sealed.Digests(b.Bids))
-	} else {
+	if err := mn.appendVerified(&b); err != nil {
 		v.OK = false
 		v.Err = err.Error()
 		if errors.Is(err, ledger.ErrBadLinkage) && b.Preamble.Height > int64(mn.chain.Len()) {
@@ -457,29 +333,25 @@ func (mn *MarketNode) onChain(msg Message) {
 		if err := mn.appendVerified(b); err != nil {
 			continue // already have it, or it does not verify
 		}
-		mn.markCommitted(b, sealed.Digests(b.Bids))
 		_ = mn.net.Broadcast(msgVote, vote{Voter: mn.Name(), Height: b.Preamble.Height, OK: true})
 	}
 }
 
 // appendVerified appends a block produced elsewhere after full
-// verification, keeping the order book (incremental mode) in lockstep.
-// The book must mirror the chain BEFORE the verify callback runs — the
-// verifier previews the block against its live set — and syncing inside
-// the callback would deadlock on the chain lock, so the sync happens
-// first. If another handler appends between our sync and our Append,
-// the verify preview ran against a stale book and fails spuriously;
-// one resync-and-retry absorbs that race (a second failure is a real
-// rejection).
+// verification, keeping the order book (incremental mode) in lockstep,
+// and retires the block's bids from the pool. The book must mirror the
+// chain BEFORE the verify callback runs — the verifier previews the
+// block against its live set — and syncing inside the callback would
+// deadlock on the chain lock, so the sync happens first. If another
+// handler appends between our sync and our Append, the verify preview
+// ran against a stale book and fails spuriously; one resync-and-retry
+// absorbs that race (a second failure is a real rejection).
 func (mn *MarketNode) appendVerified(b *ledger.Block) error {
-	if mn.miner.Book == nil {
-		return mn.chain.Append(b, mn.miner.VerifyBlock)
-	}
 	if err := mn.miner.SyncBook(mn.chain); err != nil {
 		return err
 	}
 	err := mn.chain.Append(b, mn.miner.VerifyBlock)
-	if err != nil {
+	if err != nil && mn.miner.Book != nil {
 		if serr := mn.miner.SyncBook(mn.chain); serr != nil {
 			return serr
 		}
@@ -488,9 +360,12 @@ func (mn *MarketNode) appendVerified(b *ledger.Block) error {
 	if err != nil {
 		return err
 	}
-	// Absorb the block we just accepted; the verify's preview memo makes
-	// this a cheap replay, and divergence here is a consensus bug.
-	return mn.miner.SyncBook(mn.chain)
+	// Absorb the block we just accepted — the verify's preview memo makes
+	// this a cheap replay, and divergence here is a consensus bug — while
+	// the door still vouches for its bids; then they leave the pool.
+	err = mn.miner.SyncBook(mn.chain)
+	mn.pool.Committed(b.Bids, nil)
+	return err
 }
 
 func (mn *MarketNode) onVote(msg Message) {
@@ -532,12 +407,6 @@ type RoundConfig struct {
 	Backoff float64
 }
 
-// ProduceBlock runs one round with a single reveal window — see
-// ProduceBlockOpts for the retrying variant.
-func (mn *MarketNode) ProduceBlock(ctx context.Context, quorum int, revealWindow time.Duration) (*RoundSummary, error) {
-	return mn.ProduceBlockOpts(ctx, RoundConfig{Quorum: quorum, RevealWindow: revealWindow})
-}
-
 // ProduceBlockOpts runs one round as the producing miner: drain the
 // mempool, mine the preamble, broadcast it, collect key reveals until
 // every committed bid is revealed or the reveal window lapses (retrying
@@ -545,47 +414,50 @@ func (mn *MarketNode) ProduceBlock(ctx context.Context, quorum int, revealWindow
 // then collect verifier votes until cfg.Quorum OK votes arrive or ctx
 // expires. The producer appends to its own replica before broadcasting.
 func (mn *MarketNode) ProduceBlockOpts(ctx context.Context, cfg RoundConfig) (*RoundSummary, error) {
-	bids := mn.drainPool()
-	if len(bids) == 0 {
-		return nil, miner.ErrEmptyMempool
-	}
-	m := mn.metrics.Load()
-	roundStart := obsNow(m)
-	if m != nil {
-		m.Rounds.Inc()
-	}
-	tr := mn.tracer.Load().StartRound(int64(mn.chain.Len()))
-	defer tr.End()
-
-	var height int64
-	if head := mn.chain.Head(); head != nil {
-		height = head.Preamble.Height + 1
-	}
-	pr, err := mn.produceStage(ctx, cfg, mn.chain.HeadHash(), height, bids, tr)
+	prevHash, height := mn.nextParent()
+	bids, roundStart, tr, err := mn.beginRound(height)
 	if err != nil {
-		// The round died before anything was appended or broadcast (timed
-		// out mid-reveal, node closing, mining aborted). The drained bids
-		// were never committed anywhere — put them back so the next round
-		// retries them instead of silently losing them.
-		if errors.Is(err, ErrClosed) {
-			mn.admitted.Forget(bids...)
-		} else {
-			mn.repool(bids)
-		}
+		return nil, err
+	}
+	defer tr.End()
+	pr, err := mn.produceStage(ctx, cfg, prevHash, height, bids, tr)
+	if err != nil {
+		mn.abortRound(bids, err)
 		return nil, err
 	}
 	pr.roundStart = roundStart
 	return mn.commitStage(ctx, cfg, pr, tr)
 }
 
-// drainPool atomically takes the current mempool.
-func (mn *MarketNode) drainPool() []*sealed.Bid {
-	mn.mu.Lock()
-	defer mn.mu.Unlock()
-	bids := mn.mempool
-	mn.mempool = nil
-	mn.havePool = make(map[[32]byte]bool)
-	return bids
+// nextParent returns what the next block on this replica links to: the
+// head's preamble hash and the height after it.
+func (mn *MarketNode) nextParent() (prevHash [32]byte, height int64) {
+	return mn.chain.HeadHash(), int64(mn.chain.Len())
+}
+
+// beginRound opens a produced round for either driver: the pool is
+// drained into its bid set and its clock and trace start.
+func (mn *MarketNode) beginRound(height int64) (bids []*sealed.Bid, start time.Time, tr *obs.RoundTrace, err error) {
+	if bids = mn.pool.Drain(); len(bids) == 0 {
+		return nil, start, nil, miner.ErrEmptyMempool
+	}
+	m := mn.metrics.Load()
+	if m != nil {
+		m.Rounds.Inc()
+	}
+	return bids, obsNow(m), mn.tracer.Load().StartRound(height), nil
+}
+
+// abortRound ends, for either driver, a round whose produce stage died
+// (timed out mid-reveal, mining aborted, node closing). Nothing was
+// appended or broadcast, so the drained bids go back for the next round
+// to retry; a closing node has no next round and discards them.
+func (mn *MarketNode) abortRound(bids []*sealed.Bid, err error) {
+	if errors.Is(err, ErrClosed) {
+		mn.pool.Discard(bids)
+	} else {
+		mn.pool.Return(bids)
+	}
 }
 
 // producedRound is the output of the production stage — everything the
@@ -594,7 +466,6 @@ type producedRound struct {
 	block      *ledger.Block
 	digests    [][32]byte // of block.Bids, derived once per preamble
 	reveals    []*sealed.KeyReveal
-	bids       []*sealed.Bid
 	unrevealed int
 	attempts   int
 	roundStart time.Time
@@ -684,7 +555,7 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 		"revealed": len(reveals), "unrevealed": len(want),
 	})
 	return &producedRound{
-		block: block, digests: digests, reveals: reveals, bids: bids,
+		block: block, digests: digests, reveals: reveals,
 		unrevealed: len(want), attempts: attempts,
 	}, nil
 }
@@ -698,7 +569,7 @@ func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *prod
 	appended := false // until then the round can die, its drained bids with it
 	defer func() {
 		if !appended {
-			mn.admitted.Forget(pr.bids...)
+			mn.pool.Discard(block.Bids)
 		}
 	}()
 	computeStart := obsNow(m)
@@ -718,7 +589,7 @@ func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *prod
 	if err := mn.chain.Append(block, nil); err != nil {
 		return nil, fmt.Errorf("p2p: self-append: %w", err)
 	}
-	mn.markCommitted(block, pr.digests)
+	mn.pool.Committed(block.Bids, pr.digests)
 	appended = true
 	if err := mn.miner.SyncBook(mn.chain); err != nil {
 		return nil, fmt.Errorf("p2p: post-append book sync: %w", err)
@@ -734,29 +605,27 @@ func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *prod
 		RevealAttempts: pr.attempts,
 	}
 	for summary.OKVotes < cfg.Quorum {
+		var gaveUp error
 		select {
 		case v := <-mn.voteCh:
-			if v.Height != block.Preamble.Height {
-				continue
-			}
-			if v.OK {
+			switch {
+			case v.Height != block.Preamble.Height: // another round's vote
+			case v.OK:
 				summary.OKVotes++
-			} else {
+			default:
 				summary.BadVotes++
 			}
+			continue
 		case <-mn.net.stop:
-			tr.Event("denied", map[string]any{
-				"ok_votes": summary.OKVotes, "bad_votes": summary.BadVotes, "quorum": cfg.Quorum,
-			})
-			return summary, fmt.Errorf("p2p: quorum not reached: %d/%d ok, %d bad: %w",
-				summary.OKVotes, cfg.Quorum, summary.BadVotes, ErrClosed)
+			gaveUp = ErrClosed
 		case <-ctx.Done():
-			tr.Event("denied", map[string]any{
-				"ok_votes": summary.OKVotes, "bad_votes": summary.BadVotes, "quorum": cfg.Quorum,
-			})
-			return summary, fmt.Errorf("p2p: quorum not reached: %d/%d ok, %d bad: %w",
-				summary.OKVotes, cfg.Quorum, summary.BadVotes, ctx.Err())
+			gaveUp = ctx.Err()
 		}
+		tr.Event("denied", map[string]any{
+			"ok_votes": summary.OKVotes, "bad_votes": summary.BadVotes, "quorum": cfg.Quorum,
+		})
+		return summary, fmt.Errorf("p2p: quorum not reached: %d/%d ok, %d bad: %w",
+			summary.OKVotes, cfg.Quorum, summary.BadVotes, gaveUp)
 	}
 	tr.Event("verified", map[string]any{
 		"ok_votes": summary.OKVotes, "bad_votes": summary.BadVotes,
@@ -789,26 +658,15 @@ type PipelinedSummary struct {
 // bundle. Per-round failures are recorded and the pipeline continues.
 func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConfig, feed func(round int) error) ([]*PipelinedSummary, error) {
 	results := make([]*PipelinedSummary, 0, rounds)
-	type commitOut struct {
-		round int
-		sum   *RoundSummary
-		err   error
-	}
-	var pending chan commitOut
+	var pending chan *PipelinedSummary // the commit in flight, if any
 	join := func() {
-		if pending == nil {
-			return
+		if pending != nil {
+			results = append(results, <-pending)
+			pending = nil
 		}
-		out := <-pending
-		pending = nil
-		results = append(results, &PipelinedSummary{Round: out.round, Summary: out.sum, Err: out.err})
 	}
 
-	specPrev := mn.chain.HeadHash()
-	var specHeight int64
-	if head := mn.chain.Head(); head != nil {
-		specHeight = head.Preamble.Height + 1
-	}
+	specPrev, specHeight := mn.nextParent()
 
 	for r := 0; r < rounds; r++ {
 		if feed != nil {
@@ -817,58 +675,44 @@ func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConf
 				return results, fmt.Errorf("p2p: feed round %d: %w", r, err)
 			}
 		}
-		bids := mn.drainPool()
-		if len(bids) == 0 {
+		bids, roundStart, tr, err := mn.beginRound(specHeight)
+		if err != nil {
 			join()
-			results = append(results, &PipelinedSummary{Round: r, Err: miner.ErrEmptyMempool})
+			results = append(results, &PipelinedSummary{Round: r, Err: err})
 			continue
 		}
-		m := mn.metrics.Load()
-		roundStart := obsNow(m)
-		if m != nil {
-			m.Rounds.Inc()
-		}
-		tr := mn.tracer.Load().StartRound(specHeight)
 
 		pr, err := mn.produceStage(ctx, cfg, specPrev, specHeight, bids, tr)
 		join()
-		if err != nil {
-			mn.admitted.Forget(bids...)
-			tr.End()
-			results = append(results, &PipelinedSummary{Round: r, Err: err})
-			specPrev = mn.chain.HeadHash()
-			specHeight = int64(mn.chain.Len())
-			continue
-		}
-		if realPrev := mn.chain.HeadHash(); pr.block.Preamble.PrevHash != realPrev {
+		realPrev, realHeight := mn.nextParent()
+		if err == nil && pr.block.Preamble.PrevHash != realPrev {
 			// The previous commit never extended the speculated parent:
 			// flush and re-produce against the real head.
-			if m != nil {
+			if m := mn.metrics.Load(); m != nil {
 				m.PipelineFlushes.Inc()
 			}
-			realHeight := int64(mn.chain.Len())
 			tr.Event("pipeline_flushed", map[string]any{
 				"speculated_height": pr.block.Preamble.Height, "height": realHeight,
 			})
 			pr, err = mn.produceStage(ctx, cfg, realPrev, realHeight, bids, tr)
-			if err != nil {
-				mn.admitted.Forget(bids...)
-				tr.End()
-				results = append(results, &PipelinedSummary{Round: r, Err: err})
-				specPrev, specHeight = realPrev, realHeight
-				continue
-			}
+		}
+		if err != nil {
+			mn.abortRound(bids, err)
+			tr.End()
+			results = append(results, &PipelinedSummary{Round: r, Err: err})
+			specPrev, specHeight = realPrev, realHeight
+			continue
 		}
 		pr.roundStart = roundStart
 		specPrev = pr.block.Preamble.Hash()
 		specHeight = pr.block.Preamble.Height + 1
 
-		ch := make(chan commitOut, 1)
+		ch := make(chan *PipelinedSummary, 1)
 		pending = ch
 		go func(r int, pr *producedRound, tr *obs.RoundTrace) {
 			sum, err := mn.commitStage(ctx, cfg, pr, tr)
 			tr.End()
-			ch <- commitOut{round: r, sum: sum, err: err}
+			ch <- &PipelinedSummary{Round: r, Summary: sum, Err: err}
 		}(r, pr, tr)
 	}
 	join()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -148,8 +149,9 @@ func TestGossipDedupInCycle(t *testing.T) {
 }
 
 // marketTopology builds three miner nodes (fully meshed) plus client and
-// provider participant endpoints connected to the first miner.
-func marketTopology(t *testing.T) (miners []*MarketNode, clients []*ParticipantClient) {
+// provider participant endpoints — one identity each — connected to the
+// first miner.
+func marketTopology(t *testing.T) (miners []*MarketNode, clients []*LoadClient) {
 	t.Helper()
 	cfg := auction.DefaultConfig()
 	for i, name := range []string{"m0", "m1", "m2"} {
@@ -166,11 +168,7 @@ func marketTopology(t *testing.T) (miners []*MarketNode, clients []*ParticipantC
 		}
 	}
 	for _, name := range []string{"alice", "bob", "zed", "prov"} {
-		pc, err := NewParticipantClient(name, "127.0.0.1:0", newDetReader(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { pc.Close() })
+		pc := newTestClient(t, name)
 		if err := pc.Connect(miners[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +177,19 @@ func marketTopology(t *testing.T) (miners []*MarketNode, clients []*ParticipantC
 	return miners, clients
 }
 
-func submitTestMarket(t *testing.T, clients []*ParticipantClient) {
+// newTestClient starts a participant endpoint with one deterministic
+// identity, closed with the test.
+func newTestClient(t *testing.T, name string) *LoadClient {
+	t.Helper()
+	pc, err := NewLoadClient(name, "127.0.0.1:0", []io.Reader{newDetReader(name)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	return pc
+}
+
+func submitTestMarket(t *testing.T, clients []*LoadClient) {
 	t.Helper()
 	mkReq := func(id string, value float64) *bidding.Request {
 		return &bidding.Request{
@@ -189,16 +199,16 @@ func submitTestMarket(t *testing.T, clients []*ParticipantClient) {
 			Bid: value,
 		}
 	}
-	if err := clients[0].SubmitRequest(mkReq("r-alice", 10)); err != nil {
+	if _, err := clients[0].SubmitRequest(0, mkReq("r-alice", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := clients[1].SubmitRequest(mkReq("r-bob", 8)); err != nil {
+	if _, err := clients[1].SubmitRequest(0, mkReq("r-bob", 8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := clients[2].SubmitRequest(mkReq("r-zed", 1)); err != nil {
+	if _, err := clients[2].SubmitRequest(0, mkReq("r-zed", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := clients[3].SubmitOffer(&bidding.Offer{
+	if _, err := clients[3].SubmitOffer(0, &bidding.Offer{
 		ID:        "o-prov",
 		Resources: resource.Vector{resource.CPU: 8, resource.RAM: 32},
 		Start:     0, End: 100,
@@ -219,7 +229,7 @@ func TestNetworkedProtocolRound(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	summary, err := miners[0].ProduceBlock(ctx, 2 /* quorum: both other miners */, 3*time.Second)
+	summary, err := miners[0].ProduceBlockOpts(ctx, RoundConfig{Quorum: 2 /* both other miners */, RevealWindow: 3 * time.Second})
 	if err != nil {
 		t.Fatalf("round failed: %v", err)
 	}
@@ -259,12 +269,8 @@ func TestNetworkedTamperedBlockVotedDown(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	// Reproduce ProduceBlock's steps manually with a tamper in between.
-	cheater.mu.Lock()
-	bids := cheater.mempool
-	cheater.mempool = nil
-	cheater.havePool = map[[32]byte]bool{}
-	cheater.mu.Unlock()
+	// Reproduce ProduceBlockOpts's steps manually with a tamper in between.
+	bids := cheater.pool.Drain()
 	block := cheater.miner.AssembleBlockAt(cheater.chain.HeadHash(), int64(cheater.chain.Len()), bids, time.Now().Unix())
 	if err := cheater.miner.Mine(ctx, block, 0); err != nil {
 		t.Fatal(err)
@@ -329,12 +335,7 @@ func TestBadBidRejectedAtNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mn.Close()
-	pc, err := NewParticipantClient("p", "127.0.0.1:0", newDetReader("p"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	bid, err := pc.part.SubmitRequest(&bidding.Request{
+	bid, err := newTestClient(t, "p").SealRequest(0, &bidding.Request{
 		ID:        "r",
 		Resources: resource.Vector{resource.CPU: 1},
 		Start:     0, End: 10, Duration: 10, Bid: 1,
@@ -354,7 +355,7 @@ func TestProduceBlockEmptyMempool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mn.Close()
-	if _, err := mn.ProduceBlock(context.Background(), 0, time.Millisecond); err == nil {
+	if _, err := mn.ProduceBlockOpts(context.Background(), RoundConfig{RevealWindow: time.Millisecond}); err == nil {
 		t.Fatal("empty mempool produced a block")
 	}
 }
@@ -380,14 +381,11 @@ func TestSilentParticipantTimesOutAndIsExcluded(t *testing.T) {
 	submitTestMarket(t, clients)
 	// A ghost submits a bid but its client is closed before the preamble,
 	// so no reveal ever arrives.
-	ghost, err := NewParticipantClient("ghost", "127.0.0.1:0", newDetReader("ghost"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ghost := newTestClient(t, "ghost")
 	if err := ghost.Connect(miners[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ghost.SubmitRequest(&bidding.Request{
+	if _, err := ghost.SubmitRequest(0, &bidding.Request{
 		ID:        "r-ghost",
 		Resources: resource.Vector{resource.CPU: 2, resource.RAM: 8},
 		Start:     0, End: 100, Duration: 100,
@@ -403,7 +401,7 @@ func TestSilentParticipantTimesOutAndIsExcluded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	// Short reveal window: the round completes without the ghost.
-	summary, err := miners[0].ProduceBlock(ctx, 2, 1500*time.Millisecond)
+	summary, err := miners[0].ProduceBlockOpts(ctx, RoundConfig{Quorum: 2, RevealWindow: 1500 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("round failed: %v", err)
 	}

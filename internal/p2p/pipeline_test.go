@@ -4,17 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"testing"
 	"time"
 
 	"decloud/internal/bidding"
+	"decloud/internal/ledger"
+	"decloud/internal/miner"
 	"decloud/internal/obs"
 	"decloud/internal/resource"
 )
 
 // submitRoundMarket submits one round's market with round-unique order
 // IDs — three requests at descending valuations plus one covering offer.
-func submitRoundMarket(t *testing.T, clients []*ParticipantClient, round int) {
+func submitRoundMarket(t *testing.T, clients []*LoadClient, round int) {
 	t.Helper()
 	mkReq := func(id string, value float64) *bidding.Request {
 		return &bidding.Request{
@@ -25,11 +29,11 @@ func submitRoundMarket(t *testing.T, clients []*ParticipantClient, round int) {
 		}
 	}
 	for i, value := range []float64{10, 8, 1} {
-		if err := clients[i].SubmitRequest(mkReq(fmt.Sprintf("r%d-%d", round, i), value)); err != nil {
+		if _, err := clients[i].SubmitRequest(0, mkReq(fmt.Sprintf("r%d-%d", round, i), value)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := clients[3].SubmitOffer(&bidding.Offer{
+	if _, err := clients[3].SubmitOffer(0, &bidding.Offer{
 		ID:        bidding.OrderID(fmt.Sprintf("o%d-prov", round)),
 		Resources: resource.Vector{resource.CPU: 8, resource.RAM: 32},
 		Start:     0, End: 100,
@@ -93,7 +97,7 @@ func TestPipelinedRoundsOverTCP(t *testing.T) {
 			t.Fatalf("replica %s diverged", mn.Name())
 		}
 		// A replica marks a block's bids committed just after appending it.
-		waitFor(t, "admitted set drained at "+mn.Name(), func() bool { return mn.admitted.Len() == 0 })
+		waitFor(t, "admitted set drained at "+mn.Name(), func() bool { return mn.pool.Verified().Len() == 0 })
 	}
 	for i := 1; i < rounds; i++ {
 		prev := miners[0].Chain().BlockAt(i - 1).Preamble.Hash()
@@ -133,10 +137,147 @@ func TestCloseAbortsRevealWindow(t *testing.T) {
 		if waited := time.Since(start); waited > 2*time.Second {
 			t.Fatalf("producer took %v to notice Close", waited)
 		}
-		if got := miners[0].admitted.Len(); got != 0 {
+		if got := miners[0].pool.Verified().Len(); got != 0 {
 			t.Fatalf("%d bids still admitted after the closing node discarded its round", got)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("producer still blocked in the reveal window 5s after Close")
+	}
+}
+
+// TestPipelineReturnsBidsOnProduceFailure: a pipelined round whose
+// produce stage dies — here its context ends inside the reveal window —
+// hands its drained bids back to the pool, exactly as a sequential round
+// does, and keeps doing so for every round of the batch that dies the
+// same way. The bids stay trusted, and the next batch commits them. (The
+// pipeline used to drop them: the participants saw their bids vanish.)
+func TestPipelineReturnsBidsOnProduceFailure(t *testing.T) {
+	mn, _ := observedNode(t, "returns")
+	const n = 4
+	entropy := make([]io.Reader, n)
+	for i := range entropy {
+		entropy[i] = newDetReader(fmt.Sprintf("returns-%d", i))
+	}
+	lc, err := NewLoadClient("returns-lc", "127.0.0.1:0", entropy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	if err := lc.Connect(mn.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n-1; i++ {
+		if _, err := lc.SubmitRequest(i, testRequest(fmt.Sprintf("r-%d", i), float64(10-3*i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := lc.SubmitOffer(n-1, testOffer("o-prov")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "bids pooled", func() bool { return mn.MempoolSize() == n })
+	pooled := func(when string) {
+		t.Helper()
+		if got, trusted := mn.MempoolSize(), mn.pool.Verified().Len(); got != n || trusted != n {
+			t.Fatalf("%s: %d pooled, %d trusted, want %d and %d", when, got, trusted, n, n)
+		}
+	}
+
+	// Every reveal frame is dropped at the producer, so the reveal window
+	// stays open until the round's context ends it.
+	mn.SetFaults(&dropFirstReveals{remaining: math.MaxInt})
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	cfg := RoundConfig{RevealWindow: 30 * time.Second}
+	sums, err := mn.RunPipeline(ctx, 2, cfg, nil)
+	if err != nil || len(sums) != 2 {
+		t.Fatalf("pipeline: %d summaries, %v", len(sums), err)
+	}
+	for r, s := range sums {
+		if s.Err == nil || errors.Is(s.Err, miner.ErrEmptyMempool) {
+			t.Fatalf("round %d: %v, want a produce-stage failure over the returned bids", r, s.Err)
+		}
+	}
+	pooled("after a batch whose produce stages failed")
+	if mn.Chain().Len() != 0 {
+		t.Fatal("a failed produce stage appended a block")
+	}
+
+	mn.SetFaults(nil)
+	sums, err = mn.RunPipeline(context.Background(), 1, cfg, nil)
+	if err != nil || len(sums) != 1 || sums[0].Err != nil {
+		t.Fatalf("retry batch: %+v, %v", sums, err)
+	}
+	if got := sums[0].Summary; len(got.Block.Bids) != n || got.Unrevealed != 0 || len(got.Outcome.Matches) == 0 {
+		t.Fatalf("retry committed %d bids, %d unrevealed, %d matches", len(got.Block.Bids), got.Unrevealed, len(got.Outcome.Matches))
+	}
+	if got, trusted := mn.MempoolSize(), mn.pool.Verified().Len(); got != 0 || trusted != 0 {
+		t.Fatalf("%d pooled, %d trusted after the bids committed", got, trusted)
+	}
+}
+
+// TestRivalBlockMidRound reaches the two endings no other test does. A
+// rival's block lands on the producer's replica while its round collects
+// reveals, so the round's preamble no longer links to the head. The
+// sequential driver finds out at its self-append: the commit fails before
+// anything is appended and the round's bids are discarded. The pipeline
+// checks the head first: it flushes the round and redoes it on the
+// rival's block. Either way the trust set is the pool again afterwards.
+func TestRivalBlockMidRound(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			mn, reg := observedNode(t, "rival-p")
+			rival, _ := observedNode(t, "rival-r")
+			if err := rival.Connect(mn.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			part, err := miner.NewParticipant(newDetReader("rival"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each node pools one bid of its own, not gossiped. Nobody
+			// reveals, so windows lapse and blocks commit unrevealed.
+			for _, node := range []*MarketNode{rival, mn} {
+				bid, err := part.SubmitRequest(testRequest("r-"+node.Name(), 5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := node.pool.Admit(bid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rivalDone := make(chan error, 1)
+			go func() {
+				time.Sleep(50 * time.Millisecond) // inside the producer's reveal window
+				_, err := rival.ProduceBlockOpts(context.Background(), RoundConfig{RevealWindow: 20 * time.Millisecond})
+				rivalDone <- err
+			}()
+			cfg := RoundConfig{RevealWindow: 400 * time.Millisecond}
+			if pipelined {
+				sums, err := mn.RunPipeline(context.Background(), 1, cfg, nil)
+				if err != nil || len(sums) != 1 || sums[0].Err != nil {
+					t.Fatalf("pipeline: %+v, %v", sums, err)
+				}
+				if got := sums[0].Summary.Block.Preamble.Height; got != 1 {
+					t.Fatalf("redone round committed at height %d, want 1 (on the rival's block)", got)
+				}
+				if got := reg.CounterValue("decloud_miner_pipeline_flushes_total"); got != 1 {
+					t.Fatalf("pipeline_flushes_total = %d, want 1", got)
+				}
+			} else {
+				_, err := mn.ProduceBlockOpts(context.Background(), cfg)
+				if !errors.Is(err, ledger.ErrBadLinkage) {
+					t.Fatalf("round over a moved head: %v, want a failed self-append", err)
+				}
+				if got := mn.Chain().Len(); got != 1 {
+					t.Fatalf("chain holds %d blocks, want the rival's alone", got)
+				}
+			}
+			if err := <-rivalDone; err != nil {
+				t.Fatalf("rival round: %v", err)
+			}
+			if got, trusted := mn.MempoolSize(), mn.pool.Verified().Len(); got != 0 || trusted != 0 {
+				t.Fatalf("%d pooled, %d trusted after the round ended", got, trusted)
+			}
+		})
 	}
 }

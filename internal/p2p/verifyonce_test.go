@@ -92,14 +92,14 @@ func TestRoundChecksEachBidSignatureOncePerNode(t *testing.T) {
 	for _, mn := range []*MarketNode{producer, verifier} {
 		mn := mn
 		waitFor(t, "bids pooled at "+mn.Name(), func() bool { return mn.MempoolSize() == n })
-		if got := mn.admitted.Len(); got != n {
+		if got := mn.pool.Verified().Len(); got != n {
 			t.Fatalf("%s admitted %d of %d pooled bids", mn.Name(), got, n)
 		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	sum, err := producer.ProduceBlock(ctx, 1, 5*time.Second)
+	sum, err := producer.ProduceBlockOpts(ctx, RoundConfig{Quorum: 1, RevealWindow: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRoundChecksEachBidSignatureOncePerNode(t *testing.T) {
 		t.Fatalf("%d bid-signature checks for a producer + verifier round of %d bids, want %d", checked, n, 2*n)
 	}
 	for _, mn := range []*MarketNode{producer, verifier} {
-		if got := mn.admitted.Len(); got != 0 {
+		if got := mn.pool.Verified().Len(); got != 0 {
 			t.Fatalf("%s still holds %d admitted bids after their block committed", mn.Name(), got)
 		}
 	}
@@ -219,7 +219,7 @@ func TestVerifierChecksWhatItDidNotAdmit(t *testing.T) {
 			}
 			var reveals []*sealed.KeyReveal
 			for _, p := range parts {
-				reveals = append(reveals, p.RevealsFor(honest)...)
+				reveals = append(reveals, p.RevealsIn(sealed.NewIndex(honest))...)
 			}
 			dec := miner.DecryptOrders(honest, reveals)
 			if dec.Rejected != 0 || dec.Unrevealed != 0 {
@@ -254,11 +254,11 @@ func TestVerifierChecksWhatItDidNotAdmit(t *testing.T) {
 				t.Fatalf("%d bid signature checks skipped, want %d", got, want)
 			}
 			if accepted {
-				if v.admitted.Len() != 0 || v.MempoolSize() != 0 {
-					t.Fatalf("%d admitted, %d pooled after the block committed", v.admitted.Len(), v.MempoolSize())
+				if v.pool.Verified().Len() != 0 || v.MempoolSize() != 0 {
+					t.Fatalf("%d admitted, %d pooled after the block committed", v.pool.Verified().Len(), v.MempoolSize())
 				}
-			} else if v.admitted.Len() != len(admit) || v.MempoolSize() != len(admit) {
-				t.Fatalf("%d admitted, %d pooled after a rejected block, want %d", v.admitted.Len(), v.MempoolSize(), len(admit))
+			} else if v.pool.Verified().Len() != len(admit) || v.MempoolSize() != len(admit) {
+				t.Fatalf("%d admitted, %d pooled after a rejected block, want %d", v.pool.Verified().Len(), v.MempoolSize(), len(admit))
 			}
 		})
 	}
@@ -283,8 +283,8 @@ func TestAdmittedSetFollowsThePool(t *testing.T) {
 	}
 	expect := func(when string, n int) {
 		t.Helper()
-		if mn.admitted.Len() != n || mn.MempoolSize() != n {
-			t.Fatalf("%s: %d admitted, %d pooled, want %d", when, mn.admitted.Len(), mn.MempoolSize(), n)
+		if mn.pool.Verified().Len() != n || mn.MempoolSize() != n {
+			t.Fatalf("%s: %d admitted, %d pooled, want %d", when, mn.pool.Verified().Len(), mn.MempoolSize(), n)
 		}
 	}
 	expect("after submission", 4)
@@ -311,7 +311,7 @@ func TestAdmittedSetFollowsThePool(t *testing.T) {
 
 	// A reveal window that lapses commits the block with every bid
 	// unrevealed; committed bids leave the set.
-	sum, err := mn.ProduceBlock(context.Background(), 0, 20*time.Millisecond)
+	sum, err := mn.ProduceBlockOpts(context.Background(), RoundConfig{RevealWindow: 20 * time.Millisecond})
 	if err != nil || sum.Unrevealed != 2 {
 		t.Fatalf("reveal-timeout round: %+v, %v", sum, err)
 	}

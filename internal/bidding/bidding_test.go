@@ -264,6 +264,44 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingBytes: an order's encoding is the whole input.
+// Bytes after it were once ignored — slack a sender could fill with
+// anything without changing what the order decodes to.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	req, _ := validRequest().MarshalBinary()
+	off, _ := validOffer().MarshalBinary()
+	for _, tc := range []struct {
+		name   string
+		order  []byte
+		suffix []byte
+	}{
+		{"request + one zero byte", req, []byte{0}},
+		{"request + a second request", req, req},
+		{"request + an offer", req, off},
+		{"request + 4 KiB", req, make([]byte, 4096)},
+		{"offer + one zero byte", off, []byte{0}},
+		{"offer + a second offer", off, off},
+		{"offer + a request tag", off, []byte{tagRequest}},
+	} {
+		if _, _, err := DecodeOrder(tc.order); err != nil {
+			t.Fatalf("%s: the order alone is refused: %v", tc.name, err)
+		}
+		data := append(append([]byte(nil), tc.order...), tc.suffix...)
+		if r, o, err := DecodeOrder(data); !errors.Is(err, ErrTrailingBytes) || r != nil || o != nil {
+			t.Errorf("%s: DecodeOrder = %v, %v, %v; want ErrTrailingBytes", tc.name, r, o, err)
+		}
+		var err error
+		if tc.order[0] == tagRequest {
+			err = new(Request).UnmarshalBinary(data)
+		} else {
+			err = new(Offer).UnmarshalBinary(data)
+		}
+		if !errors.Is(err, ErrTrailingBytes) {
+			t.Errorf("%s: UnmarshalBinary = %v, want ErrTrailingBytes", tc.name, err)
+		}
+	}
+}
+
 func TestDecodeHostileLength(t *testing.T) {
 	// A length prefix far larger than the remaining data must not panic
 	// or allocate unboundedly.

@@ -23,8 +23,11 @@ const (
 	tagOffer   byte = 0x02
 )
 
-// ErrTruncated is returned when decoding runs out of bytes.
-var ErrTruncated = errors.New("bidding: truncated order encoding")
+// Decoding ran out of bytes, or left some over: an order is the whole input.
+var (
+	ErrTruncated     = errors.New("bidding: truncated order encoding")
+	ErrTrailingBytes = errors.New("bidding: bytes after the end of the order encoding")
+)
 
 type encoder struct{ buf bytes.Buffer }
 
@@ -150,6 +153,14 @@ func (d *decoder) weights() (map[resource.Kind]float64, error) {
 	return map[resource.Kind]float64(v), nil
 }
 
+// done reports whether the input was consumed to its last byte.
+func (d *decoder) done() error {
+	if d.r.Len() != 0 {
+		return ErrTrailingBytes
+	}
+	return nil
+}
+
 func (d *decoder) location() (Location, error) {
 	var l Location
 	var err error
@@ -232,7 +243,7 @@ func (r *Request) UnmarshalBinary(data []byte) error {
 	if r.MaxDistance, err = d.f64(); err != nil {
 		return err
 	}
-	return nil
+	return d.done()
 }
 
 // MarshalBinary encodes the offer canonically. TrueCost is never encoded.
@@ -291,7 +302,7 @@ func (o *Offer) UnmarshalBinary(data []byte) error {
 	if o.MinReputation, err = d.f64(); err != nil {
 		return err
 	}
-	return nil
+	return d.done()
 }
 
 // DecodeOrder decodes either order type based on the leading tag and

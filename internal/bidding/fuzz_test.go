@@ -2,6 +2,7 @@ package bidding
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"decloud/internal/resource"
@@ -51,8 +52,10 @@ func fuzzSeedOrders(tb testing.TB) [][]byte {
 }
 
 // FuzzDecodeBid throws arbitrary bytes at the wire decoder every peer
-// runs on unauthenticated gossip. DecodeOrder must never panic, and any
-// input it accepts must re-encode to a canonical fixpoint: decoding the
+// runs on unauthenticated gossip. DecodeOrder must never panic, any
+// input it accepts was consumed to its last byte (so the same input with
+// anything appended is refused for its trailing bytes, and for nothing
+// else), and it must re-encode to a canonical fixpoint: decoding the
 // re-encoding yields the same bytes again. (Byte-level comparison
 // rather than DeepEqual so NaN bids — representable on the wire via
 // Float64bits — don't produce false mismatches.)
@@ -75,6 +78,9 @@ func FuzzDecodeBid(f *testing.F) {
 		}
 		if (req == nil) == (off == nil) {
 			t.Fatal("DecodeOrder must return exactly one non-nil order")
+		}
+		if _, _, err := DecodeOrder(append(data[:len(data):len(data)], 0)); !errors.Is(err, ErrTrailingBytes) {
+			t.Fatalf("accepted input plus one byte: %v, want ErrTrailingBytes — the decoder stopped before the end", err)
 		}
 		var enc []byte
 		if req != nil {

@@ -16,7 +16,7 @@ import (
 
 const testDifficulty = 8 // cheap enough for unit tests
 
-func testBid(t *testing.T, seed string) (*sealed.Bid, *sealed.Identity, []byte) {
+func testBid(t *testing.T, seed string) (*sealed.Bid, []byte) {
 	t.Helper()
 	id, err := sealed.NewIdentityFrom(sha256Reader(seed))
 	if err != nil {
@@ -39,7 +39,7 @@ func testBid(t *testing.T, seed string) (*sealed.Bid, *sealed.Identity, []byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bid, id, key
+	return bid, key
 }
 
 // sha256Reader yields a deterministic byte stream.
@@ -113,16 +113,16 @@ func TestMineMaxIter(t *testing.T) {
 }
 
 func TestHashBidsOrderSensitive(t *testing.T) {
-	b1, _, _ := testBid(t, "one")
-	b2, _, _ := testBid(t, "two")
+	b1, _ := testBid(t, "one")
+	b2, _ := testBid(t, "two")
 	if HashBids([]*sealed.Bid{b1, b2}) == HashBids([]*sealed.Bid{b2, b1}) {
 		t.Fatal("bid order must be committed by the hash")
 	}
 }
 
 func TestBlockValidate(t *testing.T) {
-	bid, id, key := testBid(t, "v")
-	reveal := sealed.NewKeyReveal(id, bid, key)
+	bid, key := testBid(t, "v")
+	reveal := sealed.NewKeyReveal(bid, key)
 	body := NewBody([]*sealed.KeyReveal{reveal}, []byte(`[]`))
 	b := minedBlock(t, [32]byte{}, 0, []*sealed.Bid{bid}, body)
 	if err := b.Validate(); err != nil {
@@ -145,8 +145,8 @@ func TestChainAppendAndLinkage(t *testing.T) {
 	if c.Head() != nil || c.Len() != 0 {
 		t.Fatal("fresh chain not empty")
 	}
-	bid, id, key := testBid(t, "a")
-	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id, bid, key)}, []byte(`[]`))
+	bid, key := testBid(t, "a")
+	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(bid, key)}, []byte(`[]`))
 	b0 := minedBlock(t, [32]byte{}, 0, []*sealed.Bid{bid}, body)
 	if err := c.Append(b0, nil); err != nil {
 		t.Fatalf("append genesis: %v", err)
@@ -156,8 +156,8 @@ func TestChainAppendAndLinkage(t *testing.T) {
 	}
 
 	// Second block must link.
-	bid2, id2, key2 := testBid(t, "b")
-	body2 := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id2, bid2, key2)}, []byte(`[]`))
+	bid2, key2 := testBid(t, "b")
+	body2 := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(bid2, key2)}, []byte(`[]`))
 	wrong := minedBlock(t, [32]byte{0xde, 0xad}, 1, []*sealed.Bid{bid2}, body2)
 	if err := c.Append(wrong, nil); !errors.Is(err, ErrBadLinkage) {
 		t.Fatalf("bad linkage accepted: %v", err)
@@ -173,8 +173,8 @@ func TestChainAppendAndLinkage(t *testing.T) {
 
 func TestChainRejectsBadPoW(t *testing.T) {
 	c := NewChain()
-	bid, id, key := testBid(t, "pow")
-	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id, bid, key)}, []byte(`[]`))
+	bid, key := testBid(t, "pow")
+	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(bid, key)}, []byte(`[]`))
 	b := &Block{
 		Preamble: Preamble{Difficulty: 255, BidsHash: HashBids([]*sealed.Bid{bid})},
 		Bids:     []*sealed.Bid{bid},
@@ -187,8 +187,8 @@ func TestChainRejectsBadPoW(t *testing.T) {
 
 func TestChainVerifyCallback(t *testing.T) {
 	c := NewChain()
-	bid, id, key := testBid(t, "cb")
-	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id, bid, key)}, []byte(`[]`))
+	bid, key := testBid(t, "cb")
+	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(bid, key)}, []byte(`[]`))
 	b := minedBlock(t, [32]byte{}, 0, []*sealed.Bid{bid}, body)
 	boom := errors.New("allocation disagreement")
 	err := c.Append(b, func(*Block) error { return boom })
@@ -201,8 +201,8 @@ func TestChainVerifyCallback(t *testing.T) {
 }
 
 func TestEvidenceFixedByPoW(t *testing.T) {
-	bid, id, key := testBid(t, "ev")
-	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id, bid, key)}, []byte(`[]`))
+	bid, key := testBid(t, "ev")
+	body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(bid, key)}, []byte(`[]`))
 	b := minedBlock(t, [32]byte{}, 0, []*sealed.Bid{bid}, body)
 	ev1 := b.Evidence()
 	// Evidence is a pure function of the preamble: same block → same bytes.
@@ -264,9 +264,9 @@ func TestAllocationEncodeDecode(t *testing.T) {
 func TestCheckNoDoubleSettle(t *testing.T) {
 	chainOf := func(seed string, allocs ...string) *Chain {
 		c := NewChain()
-		bid, id, key := testBid(t, seed)
+		bid, key := testBid(t, seed)
 		for h, alloc := range allocs {
-			body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id, bid, key)}, []byte(alloc))
+			body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(bid, key)}, []byte(alloc))
 			if err := c.Append(minedBlock(t, c.HeadHash(), int64(h), []*sealed.Bid{bid}, body), nil); err != nil {
 				t.Fatal(err)
 			}

@@ -14,8 +14,8 @@ func buildChain(t *testing.T, n int) *Chain {
 	t.Helper()
 	c := NewChain()
 	for i := 0; i < n; i++ {
-		bid, id, key := testBid(t, string(rune('a'+i)))
-		body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(id, bid, key)}, []byte(`[]`))
+		bid, key := testBid(t, string(rune('a'+i)))
+		body := NewBody([]*sealed.KeyReveal{sealed.NewKeyReveal(bid, key)}, []byte(`[]`))
 		b := minedBlock(t, c.HeadHash(), int64(i), []*sealed.Bid{bid}, body)
 		if err := c.Append(b, nil); err != nil {
 			t.Fatal(err)

@@ -92,9 +92,9 @@ type DecryptResult struct {
 	// Unrevealed counts bids whose temporary key never arrived — they are
 	// excluded from the round (their senders can resubmit).
 	Unrevealed int
-	// Rejected counts bids dropped for integrity reasons: bad reveal
-	// signatures, undecryptable envelopes, malformed orders, or orders
-	// whose owner does not match the signing key.
+	// Rejected counts bids dropped for integrity reasons: bad signatures,
+	// reveals of a key the envelope does not commit to, undecryptable
+	// envelopes, malformed orders, or orders whose owner is not the signer.
 	Rejected int
 	// SigSkipped counts bids whose signature was not re-checked because
 	// the executing node had checked it at its own door (Miner.Admitted);
@@ -106,7 +106,8 @@ type DecryptResult struct {
 // the paper's verification step implies is enforced here:
 //
 //   - the bid must be signed by its sender over the envelope;
-//   - the reveal must be signed by the bid's sender over (digest ‖ key);
+//   - the reveal must name the bid and carry the one key the envelope
+//     commits to (unsigned: relaying it reveals the sender's own order);
 //   - the envelope must authenticate under the revealed key;
 //   - the decoded order's owner must equal the sender's fingerprint, so
 //     nobody can submit orders on someone else's behalf.

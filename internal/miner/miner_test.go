@@ -284,10 +284,74 @@ func TestImpersonatedOrderDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reveal := sealed.NewKeyReveal(mallory.identity, bid, key)
+	reveal := sealed.NewKeyReveal(bid, key)
 	res := DecryptOrders([]*sealed.Bid{bid}, []*sealed.KeyReveal{reveal})
 	if res.Rejected != 1 || len(res.Requests) != 0 {
 		t.Fatalf("impersonated order not dropped: %+v", res)
+	}
+}
+
+// TestAnyoneMayRelayTheTrueKey: a reveal is not signed, so mallory can
+// reveal alice's bid — but only with the one key alice's signed envelope
+// commits to, which opens the bid to alice's own order. That is a relay,
+// not an attack. What mallory cannot do is make the key open anything
+// else: under any other key the bid is rejected, and a copy of the
+// envelope re-signed under mallory's key opens to an order that names
+// alice, which the owner check drops.
+func TestAnyoneMayRelayTheTrueKey(t *testing.T) {
+	alice := testParticipant(t, "alice")
+	mallory := testParticipant(t, "mallory")
+	bid, err := alice.SubmitRequest(request("r-alice", 2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := revealsFor(alice, []*sealed.Bid{bid})[0].Key
+
+	relayed := &sealed.KeyReveal{BidDigest: bid.Digest(), Key: append([]byte(nil), key...)}
+	res := DecryptOrders([]*sealed.Bid{bid}, []*sealed.KeyReveal{relayed})
+	if res.Rejected != 0 || len(res.Requests) != 1 || res.Requests[0].Client != alice.ID() || res.Requests[0].ID != "r-alice" {
+		t.Fatalf("the true key relayed by a third party must open alice's order: %+v", res)
+	}
+
+	junk, _ := sealed.NewTempKeyFrom(newDetReader("mallory's key"))
+	res = DecryptOrders([]*sealed.Bid{bid}, []*sealed.KeyReveal{{BidDigest: bid.Digest(), Key: junk}})
+	if res.Rejected != 1 || len(res.Requests) != 0 {
+		t.Fatalf("a key the envelope does not commit to opened it: %+v", res)
+	}
+
+	squat := &sealed.Bid{
+		Sender:    mallory.identity.Public(),
+		Envelope:  bid.Envelope,
+		Signature: mallory.identity.Sign(bid.Envelope),
+	}
+	res = DecryptOrders([]*sealed.Bid{squat}, []*sealed.KeyReveal{relayed})
+	if res.Rejected != 1 || len(res.Requests) != 0 {
+		t.Fatalf("alice's order traded under mallory's signature: %+v", res)
+	}
+}
+
+// TestOldLayoutBidIsRejected: there is no version switch. A bid whose
+// envelope has the layout before the key commitment (nonce ‖ ciphertext)
+// is validly signed, commits to no key, and is executed as Rejected —
+// by every node alike, without a panic.
+func TestOldLayoutBidIsRejected(t *testing.T) {
+	p := testParticipant(t, "old-layout")
+	cur, err := p.SubmitRequest(request("r-old", 2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := revealsFor(p, []*sealed.Bid{cur})[0].Key
+	old := cur.Envelope[32:] // what Seal produced before it prepended the commitment
+	bid := &sealed.Bid{Sender: p.identity.Public(), Envelope: old, Signature: p.identity.Sign(old)}
+	if !bid.VerifySignature() {
+		t.Fatal("the old-layout bid must fail on its envelope, not its signature")
+	}
+	if _, err := bid.Envelope.Open(key); !errors.Is(err, sealed.ErrOpenFailed) {
+		t.Fatalf("old-layout envelope: %v, want ErrOpenFailed", err)
+	}
+	res := DecryptOrders([]*sealed.Bid{bid, cur}, []*sealed.KeyReveal{sealed.NewKeyReveal(bid, key), sealed.NewKeyReveal(cur, key)})
+	if res.Rejected != 1 || res.Unrevealed != 0 || len(res.Requests) != 1 {
+		t.Fatalf("old-layout bid beside a current one: %+v, want one rejected and one opened", res)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"decloud/internal/bidding"
-	"decloud/internal/par"
 	"decloud/internal/sealed"
 )
 
@@ -25,13 +24,7 @@ type Participant struct {
 	entropy  io.Reader
 
 	mu      sync.Mutex
-	pending map[[32]byte]pendingBid // bid digest → retained key
-}
-
-type pendingBid struct {
-	bid      *sealed.Bid
-	key      []byte
-	revealed bool
+	pending map[[32]byte][]byte // bid digest → retained temporary key
 }
 
 // NewParticipant creates a participant with a fresh identity. A nil
@@ -47,7 +40,7 @@ func NewParticipant(entropy io.Reader) (*Participant, error) {
 	return &Participant{
 		identity: id,
 		entropy:  entropy,
-		pending:  make(map[[32]byte]pendingBid),
+		pending:  make(map[[32]byte][]byte),
 	}, nil
 }
 
@@ -94,22 +87,22 @@ func (p *Participant) seal(orderBytes []byte) (*sealed.Bid, error) {
 		return nil, err
 	}
 	p.mu.Lock()
-	p.pending[bid.Digest()] = pendingBid{bid: bid, key: key}
+	p.pending[bid.Digest()] = key
 	p.mu.Unlock()
 	return bid, nil
 }
 
 // RevealsIn inspects a preamble — by its digest index, which a caller
 // asking many participants about one preamble builds once — and returns
-// signed key reveals for every retained bid of this participant
+// the (unsigned) key reveal of every retained bid of this participant
 // committed there. The call is idempotent: re-asking for the same
-// committed bid yields a fresh (byte-identical, ed25519 signing is
-// deterministic) reveal rather than nothing, because reveal messages can
-// be lost in transit and the retry path — re-broadcast preambles,
-// re-requested reveals — depends on participants answering again. Keys
-// therefore stay retained until the caller Forgets them, typically once
-// the block is final on-chain. It walks the smaller of {own retained
-// bids, committed bids}; reveals come back in preamble order either way.
+// committed bid yields an equal reveal rather than nothing, because
+// reveal messages can be lost in transit and the retry path —
+// re-broadcast preambles, re-requested reveals — depends on participants
+// answering again. Keys therefore stay retained until the caller Forgets
+// them, typically once the block is final on-chain. It walks the smaller
+// of {own retained bids, committed bids}; reveals come back in preamble
+// order either way.
 func (p *Participant) RevealsIn(ix *sealed.Index) []*sealed.KeyReveal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -129,25 +122,17 @@ func (p *Participant) RevealsIn(ix *sealed.Index) []*sealed.KeyReveal {
 	var reveals []*sealed.KeyReveal
 	for _, i := range at {
 		d := ix.Digests[i]
-		pb := p.pending[d]
-		reveals = append(reveals, sealed.NewKeyReveal(p.identity, pb.bid, pb.key))
-		pb.revealed = true
-		p.pending[d] = pb
+		reveals = append(reveals, &sealed.KeyReveal{BidDigest: d, Key: append([]byte(nil), p.pending[d]...)})
 	}
 	return reveals
 }
 
-// RevealAll asks every participant for its reveals to one preamble: the
-// preamble was digested once for all of them, they sign concurrently,
-// and the reveals come back concatenated in participant order.
+// RevealAll asks every participant, in order, for its reveals to one
+// preamble, which was digested once for all of them.
 func RevealAll(parts []*Participant, ix *sealed.Index) []*sealed.KeyReveal {
-	signed := make([][]*sealed.KeyReveal, len(parts))
-	par.ForEach(par.Default(), len(parts), func(i int) {
-		signed[i] = parts[i].RevealsIn(ix)
-	})
 	var all []*sealed.KeyReveal
-	for _, krs := range signed {
-		all = append(all, krs...)
+	for _, p := range parts {
+		all = append(all, p.RevealsIn(ix)...)
 	}
 	return all
 }
@@ -160,19 +145,4 @@ func (p *Participant) Forget(digests [][32]byte) {
 	for _, d := range digests {
 		delete(p.pending, d)
 	}
-}
-
-// PendingCount reports how many sealed bids still await a first preamble
-// (bids already revealed at least once are not counted, even though their
-// keys stay retained for retries).
-func (p *Participant) PendingCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, pb := range p.pending {
-		if !pb.revealed {
-			n++
-		}
-	}
-	return n
 }

@@ -10,7 +10,9 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -205,9 +207,11 @@ func TestPoolConcurrentAdmitters(t *testing.T) {
 // door dedupes on the envelope's hash alone, so whoever re-signs a bid
 // seen in gossip under their own key and reaches the door first has the
 // owner's bid absorbed as a duplicate. The squatter's copy commits, the
-// owner's reveal does not open it (reveal from non-owner), and the order
-// is censored for the round. Keying the door by sealed.BidKey is a
-// protocol change: ROADMAP item 1, DESIGN.md §11.3.
+// owner's reveal opens it — a reveal belongs to the envelope, not to a
+// sender — to an order that names the owner, not the squatter who signed
+// the copy, so the owner check rejects it and the order is censored for
+// the round. Keying the door by sealed.BidKey is a door change, not a
+// format change: ROADMAP item 1, DESIGN.md §11.3.
 func TestPoolDigestSquattingPinned(t *testing.T) {
 	victim := testParticipant(t, "victim")
 	bid, err := victim.SubmitRequest(request("r-victim", 2, 9))
@@ -234,7 +238,11 @@ func TestPoolDigestSquattingPinned(t *testing.T) {
 	if len(pooled) != 1 || pooled[0].SenderID() == victim.ID() {
 		t.Fatalf("pool holds %d bids; today it holds the squatter's copy alone", len(pooled))
 	}
-	dec := DecryptOrders(pooled, revealsFor(victim, pooled))
+	reveals := revealsFor(victim, pooled)
+	if len(reveals) != 1 || reveals[0].Verify(pooled[0]) != nil {
+		t.Fatal("the owner's reveal is valid for the squatter's copy: same envelope, same committed key")
+	}
+	dec := DecryptOrders(pooled, reveals)
 	if dec.Rejected != 1 || len(dec.Requests) != 0 {
 		t.Fatalf("the squatted order must not trade under either key: %+v", dec)
 	}
@@ -267,18 +275,11 @@ func TestNetworkCommitsAResubmittedBidOnce(t *testing.T) {
 	}
 }
 
-// TestOnlyThePoolWritesTheTrustSet guards the boundary the Pool exists
-// for: outside pool.go (and the type's own file) no non-test code adds to
-// or forgets from a sealed.Verified, and none but the miner that reads
-// it names the type at all.
-func TestOnlyThePoolWritesTheTrustSet(t *testing.T) {
+// eachNonTestFile parses every non-test Go file of the repository and
+// hands it over with its slash-separated path from the repository root.
+func eachNonTestFile(t *testing.T, visit func(rel string, fset *token.FileSet, file *ast.File)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	mayName := map[string]bool{
-		"internal/sealed/sealed.go": true, // the type
-		"internal/miner/pool.go":    true, // its one writer
-		"internal/miner/miner.go":   true, // its reader: Miner.Admitted
-	}
-	holder := regexp.MustCompile(`(?i)verified|admitted`)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -298,6 +299,26 @@ func TestOnlyThePoolWritesTheTrustSet(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		visit(rel, fset, file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOnlyThePoolWritesTheTrustSet guards the boundary the Pool exists
+// for: outside pool.go (and the type's own file) no non-test code adds to
+// or forgets from a sealed.Verified, and none but the miner that reads
+// it names the type at all.
+func TestOnlyThePoolWritesTheTrustSet(t *testing.T) {
+	mayName := map[string]bool{
+		"internal/sealed/sealed.go": true, // the type
+		"internal/miner/pool.go":    true, // its one writer
+		"internal/miner/miner.go":   true, // its reader: Miner.Admitted
+	}
+	holder := regexp.MustCompile(`(?i)verified|admitted`)
+	eachNonTestFile(t, func(rel string, fset *token.FileSet, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
@@ -315,9 +336,53 @@ func TestOnlyThePoolWritesTheTrustSet(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestOneFunctionReachesEd25519 is what lets a counter stand for a cost:
+// the only signature the protocol checks is a bid's. ed25519 verification
+// is called from Bid.VerifySignature alone, and Bid.VerifySignature from
+// the two places that count it in decloud_miner_bid_sig_checked_total —
+// the door (Pool.Admit) and the block executor (openBid); the benchmark,
+// which measures the call from outside, is not a node. So that counter is
+// every ed25519 verification a node performs; a reveal costs hashes.
+func TestOneFunctionReachesEd25519(t *testing.T) {
+	callers := map[string][]string{} // callee → "file:func" of every call site
+	eachNonTestFile(t, func(rel string, _ *token.FileSet, file *ast.File) {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := rel + ":" + fn.Name.Name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fun, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg, _ := fun.X.(*ast.Ident)
+				switch {
+				case pkg != nil && pkg.Name == "ed25519" && strings.HasPrefix(fun.Sel.Name, "Verify"):
+					callers["ed25519.Verify"] = append(callers["ed25519.Verify"], site)
+				case fun.Sel.Name == "VerifySignature" && !strings.HasPrefix(rel, "benchmark/"):
+					callers["VerifySignature"] = append(callers["VerifySignature"], site)
+				}
+				return true
+			})
+		}
+	})
+	for callee, want := range map[string][]string{
+		"ed25519.Verify":  {"internal/sealed/sealed.go:VerifySignature"},
+		"VerifySignature": {"internal/miner/miner.go:openBid", "internal/miner/pool.go:Admit"},
+	} {
+		got := append([]string(nil), callers[callee]...)
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s is called from %v, want exactly %v", callee, got, want)
+		}
 	}
 }

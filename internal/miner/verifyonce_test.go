@@ -155,8 +155,9 @@ func TestVerifyOnceBoundary(t *testing.T) {
 			return []*sealed.Bid{b[0], b[1], b[2], forged}
 		}, 4, 3, 1},
 		{"admitted envelope, re-signed by another key", func(b []*sealed.Bid) []*sealed.Bid {
-			// A valid signature, but not the owner's: the check passes and
-			// the reveal's owner rule rejects the bid.
+			// A valid signature, but not the owner's: the check passes, the
+			// owner's reveal opens the envelope, and the order inside names
+			// the owner, not this signer — the owner rule rejects the bid.
 			resigned := cloneBid(b[3])
 			resigned.Sender = append([]byte(nil), mallory.identity.Public()...)
 			resigned.Signature = mallory.identity.Sign(resigned.Envelope)
@@ -338,33 +339,49 @@ func decryptZoo(t *testing.T, n int) ([]*sealed.Bid, []*sealed.KeyReveal) {
 			t.Fatal(err)
 		}
 		kr := revealsFor(p, []*sealed.Bid{bid})[0]
-		switch i % 8 {
+		key := kr.Key
+		resign := func(env sealed.Envelope) *sealed.Bid {
+			return &sealed.Bid{Sender: p.identity.Public(), Envelope: env, Signature: p.identity.Sign(env)}
+		}
+		switch i % 10 {
 		case 1: // unrevealed
 			kr = nil
-		case 2: // forged reveal
-			kr.Signature[0] ^= 1
-		case 3: // undecryptable: the owner signs a key that does not open the envelope
+		case 2: // forged reveal: the right digest under a key the envelope does not commit to
+			kr = &sealed.KeyReveal{BidDigest: kr.BidDigest, Key: append([]byte{key[0] ^ 1}, key[1:]...)}
+		case 3: // undecryptable: the equivocator's envelope, committed to one key, sealed under another
 			wrong, _ := sealed.NewTempKeyFrom(newDetReader(fmt.Sprintf("wrong-%d", i)))
-			kr = sealed.NewKeyReveal(p.identity, bid, wrong)
+			body, err := sealed.Seal([]byte("sealed under another key"), wrong, newDetReader("nonce"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bid = resign(append(append(sealed.Envelope(nil), bid.Envelope[:32]...), body[32:]...))
+			kr = sealed.NewKeyReveal(bid, key)
+			if kr.Verify(bid) != nil {
+				t.Fatal("the crafted envelope does not commit to the revealed key")
+			}
 		case 4: // malformed: the envelope opens to bytes that are no order
-			key, _ := sealed.NewTempKeyFrom(newDetReader(fmt.Sprintf("key-%d", i)))
 			bid, err = sealed.SealBid(p.identity, []byte{0xff, 1, 2, 3}, key, newDetReader("nonce"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			kr = sealed.NewKeyReveal(p.identity, bid, key)
+			kr = sealed.NewKeyReveal(bid, key)
 		case 5: // owner mismatch: a well-formed order naming someone else
 			r := request(fmt.Sprintf("r-stolen-%d", i), 2, 5)
 			r.Client = testParticipant(t, "victim").ID()
 			data, _ := r.MarshalBinary()
-			key, _ := sealed.NewTempKeyFrom(newDetReader(fmt.Sprintf("key-%d", i)))
 			bid, err = sealed.SealBid(p.identity, data, key, newDetReader("nonce"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			kr = sealed.NewKeyReveal(p.identity, bid, key)
+			kr = sealed.NewKeyReveal(bid, key)
 		case 6: // bad bid signature
 			bid.Signature[3] ^= 1
+		case 7: // the envelope layout before the key commitment: nonce ‖ ciphertext
+			bid = resign(bid.Envelope[32:])
+			kr = sealed.NewKeyReveal(bid, key)
+		case 8: // a reveal addressed to another digest is no reveal of this bid: unrevealed
+			kr = &sealed.KeyReveal{BidDigest: kr.BidDigest, Key: key}
+			kr.BidDigest[0] ^= 1
 		}
 		bids = append(bids, bid)
 		if kr != nil {
@@ -380,7 +397,7 @@ func decryptZoo(t *testing.T, n int) ([]*sealed.Bid, []*sealed.KeyReveal) {
 func TestParallelDecryptEqualsSequential(t *testing.T) {
 	bids, reveals := decryptZoo(t, 67)
 	want := referenceDecrypt(bids, reveals)
-	if len(want.Requests) == 0 || len(want.Offers) == 0 || want.Unrevealed == 0 || want.Rejected < 5 {
+	if len(want.Requests) == 0 || len(want.Offers) == 0 || want.Unrevealed < 2 || want.Rejected < 6 {
 		t.Fatalf("the zoo lost a species: %d requests, %d offers, %d unrevealed, %d rejected",
 			len(want.Requests), len(want.Offers), want.Unrevealed, want.Rejected)
 	}
@@ -413,8 +430,8 @@ func referenceRevealsFor(p *Participant, committed []*sealed.Bid) []*sealed.KeyR
 	defer p.mu.Unlock()
 	var reveals []*sealed.KeyReveal
 	for _, b := range committed {
-		if pb, ok := p.pending[b.Digest()]; ok {
-			reveals = append(reveals, sealed.NewKeyReveal(p.identity, pb.bid, pb.key))
+		if key, ok := p.pending[b.Digest()]; ok {
+			reveals = append(reveals, sealed.NewKeyReveal(b, key))
 		}
 	}
 	return reveals

@@ -65,6 +65,7 @@ type MinerMetrics struct {
 	RevealRetries  *Counter   // extra attempts beyond the first
 	RevealLosses   *Counter   // reveal deliveries lost in transit
 	ExcludedBids   *Counter   // bids excluded after the retry budget
+	RevealsRefused *Counter   // reveals a collecting round turned away at the intake
 	UnrevealedBids *Counter   // bids opened as unrevealed at decryption
 	RejectedBids   *Counter   // bids dropped for integrity at decryption
 	Slashes        *Counter   // producers slashed for rejected blocks
@@ -95,6 +96,7 @@ func NewMinerMetrics(r *Registry) *MinerMetrics {
 		RevealRetries:  r.Counter("decloud_miner_reveal_retries_total", "reveal-phase retries beyond the first attempt"),
 		RevealLosses:   r.Counter("decloud_miner_reveal_losses_total", "reveal deliveries lost in transit"),
 		ExcludedBids:   r.Counter("decloud_miner_excluded_bids_total", "bids excluded after the reveal retry budget"),
+		RevealsRefused: r.Counter("decloud_miner_reveals_refused_total", "reveals refused at a collecting round's intake: unwanted digest, duplicate, or a key the bid does not commit to"),
 		UnrevealedBids: r.Counter("decloud_miner_unrevealed_bids_total", "bids unrevealed at decryption"),
 		RejectedBids:   r.Counter("decloud_miner_rejected_bids_total", "bids rejected for integrity at decryption"),
 		Slashes:        r.Counter("decloud_miner_slashes_total", "producers slashed for rejected blocks"),

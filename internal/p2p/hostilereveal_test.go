@@ -15,6 +15,8 @@ import (
 	"decloud/internal/sealed"
 )
 
+const revealsRefused = "decloud_miner_reveals_refused_total"
+
 // delayRevealsFrom holds back one peer's reveal frames at the node it is
 // installed on, so that anybody else's answer to a preamble lands first.
 type delayRevealsFrom struct {
@@ -126,8 +128,6 @@ func TestForgedRevealCannotCensor(t *testing.T) {
 	}
 }
 
-const revealsRefused = "decloud_miner_reveals_refused_total"
-
 // intakeLen reads the reveal intake buffer's length as a gossip handler
 // would find it.
 func intakeLen(mn *MarketNode) int {
@@ -210,11 +210,7 @@ func TestRevealFloodIsBounded(t *testing.T) {
 		sum, err := mn.ProduceBlockOpts(ctx, RoundConfig{RevealWindow: 60 * time.Second})
 		done <- result{sum, err}
 	}()
-	waitFor(t, "the reveal intake to open", func() bool {
-		mn.revealMu.Lock()
-		defer mn.revealMu.Unlock()
-		return mn.revealOpen
-	})
+	waitFor(t, "the reveal intake to open", func() bool { return mn.unrevealed() == n })
 
 	// A second observer beside the flooder's own look after every batch.
 	var sampler sync.WaitGroup

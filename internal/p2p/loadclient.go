@@ -19,7 +19,7 @@ import (
 // number of virtual participant identities — one for a single client or
 // provider, thousands for the load generator — over one gossip
 // connection (or a few, see NewLoadClientConns). It seals and publishes
-// bids, answers each preamble with one frame of per-identity signed key
+// bids, answers each preamble with one frame of every identity's key
 // reveals, stamps submit→commit latency when the full block lands, and
 // releases the keys of the bids that block carries.
 //
@@ -210,16 +210,16 @@ func (lc *LoadClient) Publish(orderID string, bid *sealed.Bid) error {
 	return lc.PublishOn(0, orderID, bid)
 }
 
-// PublishOn is Publish over connection conn (mod Conns).
+// PublishOn is Publish over connection conn (mod Conns). The bid is booked
+// before it is sent: onBlock may see its block before Broadcast returns.
 func (lc *LoadClient) PublishOn(conn int, orderID string, bid *sealed.Bid) error {
+	lc.mu.Lock()
+	lc.submitAt[bid.Digest()] = time.Now()
+	lc.mine[orderID] = true
+	lc.mu.Unlock()
 	if err := lc.nets[conn%len(lc.nets)].Broadcast(msgBid, bid); err != nil {
 		return err
 	}
-	now := time.Now()
-	lc.mu.Lock()
-	lc.submitAt[bid.Digest()] = now
-	lc.mine[orderID] = true
-	lc.mu.Unlock()
 	atomic.AddInt64(&lc.submitted, 1)
 	return nil
 }

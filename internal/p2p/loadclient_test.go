@@ -10,8 +10,10 @@ import (
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
+	"decloud/internal/miner"
 	"decloud/internal/obs"
 	"decloud/internal/resource"
+	"decloud/internal/sealed"
 )
 
 // TestLoadClientRoundTrip: one LoadClient carries two virtual identities
@@ -149,6 +151,58 @@ func TestLoadClientDuplicateBlockCountedOnce(t *testing.T) {
 	lc.onBlock(Message{Type: msgBlock, Payload: payload})
 	if _, committed, _ := lc.Counts(); committed != 1 {
 		t.Fatalf("duplicate block double-counted: committed = %d", committed)
+	}
+}
+
+// deliverDuringBroadcast runs deliver in the middle of the node's own
+// Broadcast of a bid — the instant at which a fast producer's block can
+// already be on its way back.
+type deliverDuringBroadcast struct{ deliver func() }
+
+func (d deliverDuringBroadcast) PlanDelivery(node, from, msgType string, key [32]byte) []time.Duration {
+	if msgType == msgBid {
+		d.deliver()
+	}
+	return nil
+}
+
+// TestLoadClientCountsACommitThatBeatsPublish: the block carrying a bid
+// may reach the client before Publish has returned. The bid must be on
+// the client's books by then, or it is never counted committed and its
+// submitter waits for it forever.
+func TestLoadClientCountsACommitThatBeatsPublish(t *testing.T) {
+	lc, err := NewLoadClient("early-gen", "127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	bid, err := lc.SealRequest(0, &bidding.Request{
+		ID:        "early-r",
+		Resources: resource.Vector{resource.CPU: 1},
+		Start:     0, End: 10, Duration: 10,
+		Bid: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &miner.Miner{Name: "early-m0", AuctionCfg: auction.DefaultConfig()}
+	block := m.AssembleBlockAt([32]byte{}, 0, []*sealed.Bid{bid}, 1)
+	if err := m.Mine(context.Background(), block, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ComputeBody(block, nil); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc.SetFaults(deliverDuringBroadcast{func() { lc.onBlock(Message{Type: msgBlock, Payload: payload}) }})
+	if err := lc.Publish("early-r", bid); err != nil {
+		t.Fatal(err)
+	}
+	if submitted, committed, _ := lc.Counts(); submitted != 1 || committed != 1 {
+		t.Fatalf("submitted %d, committed %d; the block that arrived during Publish was not counted", submitted, committed)
 	}
 }
 

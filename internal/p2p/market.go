@@ -66,13 +66,13 @@ type chainTransfer struct {
 //     safe. Do not mutate miner fields after the node starts.
 //   - chain is internally RWMutex-guarded; appended blocks are treated
 //     as immutable (see ledger.Chain).
-//   - reveal intake is a mutex-guarded buffer gated by revealOpen:
-//     handlers append only while a produce stage is collecting, so one
-//     batched frame carrying a whole round's reveals (1e5+ at the load
-//     frontier) is absorbed losslessly, while between rounds — and on
-//     verify-only replicas that see reveal gossip but never produce —
-//     reveals are dropped rather than hoarded. voteCh stays a bounded
-//     channel with non-blocking sends.
+//   - reveal intake is mutex-guarded and filtered against the open
+//     round's wanted set: while a produce stage is collecting, handlers
+//     keep a reveal only if its digest is still wanted and its key is the
+//     one that committed bid's envelope commits to — at most one reveal
+//     per committed digest, whatever arrives; between rounds, and on
+//     replicas that never produce, reveals are dropped, not hoarded.
+//     voteCh stays a bounded channel with non-blocking sends.
 type MarketNode struct {
 	net   *Node
 	miner *miner.Miner
@@ -87,9 +87,9 @@ type MarketNode struct {
 	tracer  atomic.Pointer[obs.Tracer]
 
 	revealMu       sync.Mutex
-	pendingReveals []*sealed.KeyReveal
-	revealOpen     bool          // a produce stage is collecting; handlers may append
-	revealSig      chan struct{} // cap 1, pulsed after appends
+	revealWant     map[[32]byte]*sealed.Bid // the collecting round's committed bids still unrevealed; nil between rounds
+	pendingReveals []*sealed.KeyReveal      // the valid reveal of each of its other bids
+	revealSig      chan struct{}            // cap 1, pulsed after appends
 
 	voteCh chan vote
 
@@ -211,43 +211,57 @@ func (mn *MarketNode) MempoolSize() int { return mn.pool.Len() }
 func (mn *MarketNode) PoolLimit() int { return mn.pool.Limit() }
 
 // onReveals ingests a reveal frame — every reveal a participant owes for
-// one preamble in a single message, not one frame per order — into the
-// pending intake buffer if a produce stage is collecting, and pulses the
-// signal channel. Outside a round the reveals are dropped, so replicas
-// that never produce don't accumulate gossip; while a round IS open the
-// buffer is unbounded: one frame can carry every reveal of a 1e5-order
-// round, and dropping any of them costs a full retry window.
+// one preamble in a single message. A reveal is kept only while a produce
+// stage is collecting, for a digest it still wants, and if it carries the
+// key that committed bid's envelope commits to. So the first VALID reveal
+// per digest wins, a forged one cannot displace it, and the preamble
+// bounds the intake. What a collecting round turns away is counted;
+// between rounds reveals are dropped uncounted — not an attack, gossip.
 func (mn *MarketNode) onReveals(msg Message) {
 	var krs []*sealed.KeyReveal
 	if err := json.Unmarshal(msg.Payload, &krs); err != nil {
 		return
 	}
 	mn.revealFrames.Add(1)
-	live := krs[:0]
-	for _, kr := range krs {
-		if kr != nil {
-			live = append(live, kr)
-		}
-	}
 	mn.revealMu.Lock()
-	if !mn.revealOpen {
+	if mn.revealWant == nil {
 		mn.revealMu.Unlock()
 		return
 	}
-	mn.pendingReveals = append(mn.pendingReveals, live...)
+	kept, refused := 0, 0
+	for _, kr := range krs {
+		if kr == nil {
+			continue
+		}
+		if bid := mn.revealWant[kr.BidDigest]; bid == nil || kr.Verify(bid) != nil {
+			refused++
+			continue
+		}
+		delete(mn.revealWant, kr.BidDigest)
+		mn.pendingReveals = append(mn.pendingReveals, kr)
+		kept++
+	}
 	mn.revealMu.Unlock()
-	select {
-	case mn.revealSig <- struct{}{}:
-	default:
+	if m := mn.metrics.Load(); m != nil {
+		m.RevealsRefused.Add(int64(refused))
+	}
+	if kept > 0 {
+		select {
+		case mn.revealSig <- struct{}{}:
+		default:
+		}
 	}
 }
 
-// openRevealIntake clears any stale reveals and lets handlers append
-// until closeRevealIntake. Called at the top of a produce stage.
-func (mn *MarketNode) openRevealIntake() {
+// openRevealIntake starts collecting reveals for the given committed
+// bids. Called at the top of a produce stage.
+func (mn *MarketNode) openRevealIntake(bids []*sealed.Bid, digests [][32]byte) {
+	want := make(map[[32]byte]*sealed.Bid, len(bids))
+	for i, b := range bids {
+		want[digests[i]] = b
+	}
 	mn.revealMu.Lock()
-	mn.pendingReveals = nil
-	mn.revealOpen = true
+	mn.revealWant, mn.pendingReveals = want, nil
 	mn.revealMu.Unlock()
 	select { // clear a stale pulse from a previous round
 	case <-mn.revealSig:
@@ -255,20 +269,21 @@ func (mn *MarketNode) openRevealIntake() {
 	}
 }
 
-func (mn *MarketNode) closeRevealIntake() {
+// closeRevealIntake ends the collection and returns what it gathered and
+// how many committed digests nobody revealed. Closing twice is harmless.
+func (mn *MarketNode) closeRevealIntake() (reveals []*sealed.KeyReveal, unrevealed int) {
 	mn.revealMu.Lock()
-	mn.pendingReveals = nil
-	mn.revealOpen = false
-	mn.revealMu.Unlock()
+	defer mn.revealMu.Unlock()
+	reveals, unrevealed = mn.pendingReveals, len(mn.revealWant)
+	mn.revealWant, mn.pendingReveals = nil, nil
+	return reveals, unrevealed
 }
 
-// takeReveals returns and clears the pending reveal buffer.
-func (mn *MarketNode) takeReveals() []*sealed.KeyReveal {
+// unrevealed reports how many committed digests the open round still wants.
+func (mn *MarketNode) unrevealed() int {
 	mn.revealMu.Lock()
-	krs := mn.pendingReveals
-	mn.pendingReveals = nil
-	mn.revealMu.Unlock()
-	return krs
+	defer mn.revealMu.Unlock()
+	return len(mn.revealWant)
 }
 
 // RevealFrames reports how many reveal transport frames this node has
@@ -488,20 +503,13 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 		"producer": mn.Name(), "height": block.Preamble.Height, "bids": len(block.Bids),
 	})
 
-	// Open the reveal intake for this round, clearing anything stale.
-	// The intake closes again when the stage returns, so reveals
-	// gossiped between rounds are dropped, not hoarded.
-	mn.openRevealIntake()
-	defer mn.closeRevealIntake()
-
-	// Collect reveals for the committed bids, re-broadcasting the preamble
-	// with a growing window while any are missing and retries remain.
+	// Collect the reveals of the committed bids — the intake keeps one per
+	// digest, checked against its bid, and drops whatever is gossiped
+	// outside a round — re-broadcasting the preamble with a growing window
+	// while any are missing and retries remain.
 	digests := sealed.Digests(block.Bids)
-	want := make(map[[32]byte]bool, len(digests))
-	for _, d := range digests {
-		want[d] = true
-	}
-	reveals := make([]*sealed.KeyReveal, 0, len(want))
+	mn.openRevealIntake(block.Bids, digests)
+	defer mn.closeRevealIntake() // for the early returns
 	backoff := cfg.Backoff
 	if backoff <= 1 {
 		backoff = 2
@@ -516,16 +524,7 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 		}
 		timer := time.NewTimer(window)
 	collect:
-		for len(want) > 0 {
-			if krs := mn.takeReveals(); len(krs) > 0 {
-				for _, kr := range krs {
-					if want[kr.BidDigest] {
-						delete(want, kr.BidDigest)
-						reveals = append(reveals, kr)
-					}
-				}
-				continue
-			}
+		for mn.unrevealed() > 0 {
 			select {
 			case <-mn.revealSig:
 			case <-timer.C:
@@ -539,24 +538,25 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 			}
 		}
 		timer.Stop()
-		if len(want) == 0 || attempts > cfg.RevealRetries {
+		if mn.unrevealed() == 0 || attempts > cfg.RevealRetries {
 			break
 		}
 		window = time.Duration(float64(window) * backoff)
 	}
+	reveals, unrevealed := mn.closeRevealIntake()
 	if m != nil {
 		m.RevealSeconds.Observe(time.Since(revealStart).Seconds())
 		m.RevealAttempts.Add(int64(attempts))
 		m.RevealRetries.Add(int64(attempts - 1))
-		m.UnrevealedBids.Add(int64(len(want)))
+		m.UnrevealedBids.Add(int64(unrevealed))
 	}
 	tr.Event("reveals_collected", map[string]any{
 		"attempts": attempts, "retries": attempts - 1,
-		"revealed": len(reveals), "unrevealed": len(want),
+		"revealed": len(reveals), "unrevealed": unrevealed,
 	})
 	return &producedRound{
 		block: block, digests: digests, reveals: reveals,
-		unrevealed: len(want), attempts: attempts,
+		unrevealed: unrevealed, attempts: attempts,
 	}, nil
 }
 

@@ -275,22 +275,13 @@ func TestNetworkedTamperedBlockVotedDown(t *testing.T) {
 	if err := cheater.miner.Mine(ctx, block, 0); err != nil {
 		t.Fatal(err)
 	}
-	cheater.openRevealIntake()
+	cheater.openRevealIntake(block.Bids, sealed.Digests(block.Bids))
 	defer cheater.closeRevealIntake()
 	if err := mnNet.Broadcast(msgPreamble, block); err != nil {
 		t.Fatal(err)
 	}
-	// Collect all four reveals.
-	var reveals []*sealed.KeyReveal
-	timer := time.After(3 * time.Second)
-	for len(reveals) < 4 {
-		select {
-		case <-cheater.revealSig:
-			reveals = append(reveals, cheater.takeReveals()...)
-		case <-timer:
-			t.Fatalf("only %d reveals", len(reveals))
-		}
-	}
+	waitFor(t, "all four reveals", func() bool { return cheater.unrevealed() == 0 })
+	reveals, _ := cheater.closeRevealIntake()
 	if _, err := cheater.miner.ComputeBody(block, reveals); err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,11 @@ func (f *fuzzEntropy) Read(p []byte) (int, error) {
 
 // FuzzSealedRoundTrip exercises the sealed-bid envelope both ways: any
 // payload sealed under a key must open to the identical bytes under
-// that key, must NOT open under a different key, and must not open
-// after ciphertext corruption — and Open must never panic, whatever
-// junk arrives as an envelope off the wire.
+// that key, must NOT open under a different key — not even when the
+// body was sealed under that other key behind this key's commitment —
+// and must not open after commitment, nonce or ciphertext corruption;
+// and Open must never panic, whatever junk arrives as an envelope off
+// the wire.
 func FuzzSealedRoundTrip(f *testing.F) {
 	f.Add([]byte("order-bytes"), []byte("key-seed"), byte(0))
 	f.Add([]byte{}, []byte{}, byte(7))
@@ -62,16 +64,39 @@ func FuzzSealedRoundTrip(f *testing.F) {
 			t.Fatal("envelope opened under a short key")
 		}
 
-		// Flip one byte anywhere in the envelope (nonce or ciphertext):
-		// GCM authentication must reject it.
-		corrupt := append(Envelope(nil), env...)
-		corrupt[int(flip)%len(corrupt)] ^= 0x01
-		if _, err := corrupt.Open(key[:]); err == nil {
-			t.Fatal("corrupted envelope opened cleanly")
+		if !env.CommitsTo(key[:]) || env.CommitsTo(wrong[:]) {
+			t.Fatal("the envelope does not commit to exactly its sealing key")
 		}
 
-		// Treat the raw fuzz payload itself as an envelope: must error
-		// (or at worst succeed on a forged-by-chance input), never panic.
-		_, _ = Envelope(payload).Open(key[:])
+		// Flip one byte anywhere in the envelope (commitment, nonce or
+		// ciphertext): the commitment check or GCM must reject it. The
+		// commitment gets a flip of its own, flip only reaches it when small.
+		for _, at := range []int{int(flip) % len(env), int(flip) % commitSize} {
+			corrupt := append(Envelope(nil), env...)
+			corrupt[at] ^= 0x01
+			if _, err := corrupt.Open(key[:]); err == nil {
+				t.Fatalf("envelope corrupted at byte %d opened cleanly", at)
+			}
+		}
+
+		// Transplant the commitment: a body sealed under one key behind
+		// the other key's commitment opens under neither.
+		other, err := Seal(payload, wrong[:], newFuzzEntropy(append([]byte("n:"), keySeed...)))
+		if err != nil {
+			t.Fatalf("seal failed: %v", err)
+		}
+		crafted := append(append(Envelope(nil), env[:commitSize]...), other[commitSize:]...)
+		for _, k := range [][]byte{key[:], wrong[:]} {
+			if _, err := crafted.Open(k); err == nil {
+				t.Fatal("an envelope committed to one key opened with a body sealed under another")
+			}
+		}
+
+		// Treat the raw fuzz payload itself as an envelope: it must error
+		// or — forged by chance — open only under a key it commits to,
+		// never panic.
+		if _, err := Envelope(payload).Open(key[:]); err == nil && !Envelope(payload).CommitsTo(key[:]) {
+			t.Fatal("an envelope opened under a key it does not commit to")
+		}
 	})
 }

@@ -1,9 +1,9 @@
 // Package sealed implements the cryptography of the two-phase bid
 // exposure protocol (Section III): participant identities (ed25519),
-// sealed-bid envelopes (AES-256-GCM under single-use temporary keys), and
-// the signed wrapper that goes into a block's preamble. Bids stay
-// unreadable until their temporary keys are broadcast after the
-// proof-of-work is fixed.
+// sealed-bid envelopes (AES-256-GCM under single-use temporary keys, each
+// envelope committing to its key), and the signed wrapper that goes into
+// a block's preamble. Bids stay unreadable until their temporary keys are
+// broadcast — unsigned, the envelope vouches — after the PoW is fixed.
 package sealed
 
 import (
@@ -13,6 +13,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -28,10 +29,10 @@ const KeySize = 32
 
 // Errors surfaced by the package.
 var (
-	ErrBadKey       = errors.New("sealed: temporary key must be 32 bytes")
-	ErrOpenFailed   = errors.New("sealed: envelope authentication failed")
-	ErrBadSignature = errors.New("sealed: signature verification failed")
-	ErrShortData    = errors.New("sealed: envelope data too short")
+	ErrBadKey     = errors.New("sealed: temporary key must be 32 bytes")
+	ErrOpenFailed = errors.New("sealed: envelope authentication failed")
+	ErrBadReveal  = errors.New("sealed: reveal names another bid or a key the bid does not commit to")
+	ErrShortData  = errors.New("sealed: envelope data too short")
 )
 
 // Identity is a participant's signing keypair. Its fingerprint doubles as
@@ -74,11 +75,6 @@ func FingerprintOf(pub ed25519.PublicKey) bidding.ParticipantID {
 // Sign signs a message with the identity's private key.
 func (id *Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) }
 
-// Verify checks an ed25519 signature.
-func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
-	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
-}
-
 // NewTempKey draws a fresh 32-byte temporary key.
 func NewTempKey() ([]byte, error) {
 	return NewTempKeyFrom(rand.Reader)
@@ -93,46 +89,81 @@ func NewTempKeyFrom(r io.Reader) ([]byte, error) {
 	return key, nil
 }
 
-// Envelope is an AES-256-GCM sealed payload: nonce ‖ ciphertext.
+// Envelope is commitment ‖ nonce ‖ AES-256-GCM ciphertext. GCM alone lets
+// one ciphertext authenticate under two keys; the first 32 bytes name the
+// only key the envelope may be opened with, and whatever covers the
+// envelope (Digest, the bid signature, ledger.HashBids) covers them.
 type Envelope []byte
 
-// Seal encrypts payload under a 32-byte temporary key.
+const (
+	keyCommitDomain = "decloud/sealed/key-commit/v1" // the commitment is the hash of nothing else
+	commitSize      = sha256.Size
+	nonceSize       = 12 // cipher.NewGCM's standard nonce
+)
+
+// commitment is SHA-256(keyCommitDomain ‖ key) for a KeySize key.
+func commitment(key []byte) [commitSize]byte {
+	var msg [len(keyCommitDomain) + KeySize]byte
+	copy(msg[copy(msg[:], keyCommitDomain):], key)
+	return sha256.Sum256(msg[:])
+}
+
+// CommitsTo reports whether key is the envelope's one key; no cipher runs.
+func (e Envelope) CommitsTo(key []byte) bool {
+	if len(key) != KeySize || len(e) < commitSize {
+		return false
+	}
+	c := commitment(key)
+	return subtle.ConstantTimeCompare(c[:], e[:commitSize]) == 1
+}
+
+func newGCM(key []byte) (cipher.AEAD, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("sealed: cipher: %w", err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("sealed: gcm: %w", err)
+	}
+	return gcm, nil
+}
+
+// Seal encrypts payload under a 32-byte temporary key and commits to it.
 func Seal(payload, key []byte, entropy io.Reader) (Envelope, error) {
 	if len(key) != KeySize {
 		return nil, ErrBadKey
 	}
-	block, err := aes.NewCipher(key)
+	gcm, err := newGCM(key)
 	if err != nil {
-		return nil, fmt.Errorf("sealed: cipher: %w", err)
+		return nil, err
 	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("sealed: gcm: %w", err)
-	}
-	nonce := make([]byte, gcm.NonceSize())
+	c := commitment(key)
+	env := make([]byte, commitSize+nonceSize, commitSize+nonceSize+len(payload)+gcm.Overhead())
+	copy(env, c[:])
+	nonce := env[commitSize:]
 	if _, err := io.ReadFull(entropy, nonce); err != nil {
 		return nil, fmt.Errorf("sealed: nonce: %w", err)
 	}
-	return Envelope(append(nonce, gcm.Seal(nil, nonce, payload, nil)...)), nil
+	return gcm.Seal(env, nonce, payload, nil), nil
 }
 
-// Open decrypts the envelope with the temporary key.
+// Open decrypts the envelope with the one temporary key it commits to.
 func (e Envelope) Open(key []byte) ([]byte, error) {
 	if len(key) != KeySize {
 		return nil, ErrBadKey
 	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("sealed: cipher: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("sealed: gcm: %w", err)
-	}
-	if len(e) < gcm.NonceSize() {
+	if len(e) < commitSize+nonceSize {
 		return nil, ErrShortData
 	}
-	plain, err := gcm.Open(nil, e[:gcm.NonceSize()], e[gcm.NonceSize():], nil)
+	if !e.CommitsTo(key) {
+		return nil, ErrOpenFailed
+	}
+	gcm, err := newGCM(key)
+	if err != nil {
+		return nil, err
+	}
+	plain, err := gcm.Open(nil, e[commitSize:commitSize+nonceSize], e[commitSize+nonceSize:], nil)
 	if err != nil {
 		return nil, ErrOpenFailed
 	}
@@ -164,7 +195,7 @@ func SealBid(id *Identity, orderBytes, tempKey []byte, entropy io.Reader) (*Bid,
 
 // VerifySignature checks the bid's signature over its envelope.
 func (b *Bid) VerifySignature() bool {
-	return Verify(ed25519.PublicKey(b.Sender), b.Envelope, b.Signature)
+	return len(b.Sender) == ed25519.PublicKeySize && ed25519.Verify(b.Sender, b.Envelope, b.Signature)
 }
 
 // SenderID returns the sender's participant fingerprint.
@@ -345,39 +376,24 @@ func (v *Verified) Len() int {
 	return len(v.keys)
 }
 
-// KeyReveal is a participant's broadcast of its temporary key after the
-// preamble is public, signed so only the bid's owner can reveal it.
+// KeyReveal is the broadcast of a bid's temporary key after the preamble
+// is public — unsigned: the owner signed an envelope that commits to one
+// key, so whoever relays it reveals the owner's order and nothing else.
 type KeyReveal struct {
 	BidDigest [32]byte `json:"bid_digest"`
 	Key       []byte   `json:"key"`
-	Sender    []byte   `json:"sender"`
-	Signature []byte   `json:"signature"`
 }
 
-// NewKeyReveal builds a signed reveal for a bid.
-func NewKeyReveal(id *Identity, bid *Bid, tempKey []byte) *KeyReveal {
-	d := bid.Digest()
-	msg := append(append([]byte{}, d[:]...), tempKey...)
-	return &KeyReveal{
-		BidDigest: d,
-		Key:       append([]byte(nil), tempKey...),
-		Sender:    append([]byte(nil), id.Public()...),
-		Signature: id.Sign(msg),
-	}
+// NewKeyReveal builds the reveal of a bid's temporary key.
+func NewKeyReveal(bid *Bid, tempKey []byte) *KeyReveal {
+	return &KeyReveal{BidDigest: bid.Digest(), Key: append([]byte(nil), tempKey...)}
 }
 
-// Verify checks the reveal's signature and that the revealer is the bid's
-// sender.
+// Verify checks that the reveal names this bid and carries the key the
+// bid's envelope commits to: two hashes, no signature.
 func (kr *KeyReveal) Verify(bid *Bid) error {
-	if kr.BidDigest != bid.Digest() {
-		return fmt.Errorf("sealed: reveal digest mismatch")
-	}
-	if FingerprintOf(ed25519.PublicKey(kr.Sender)) != bid.SenderID() {
-		return fmt.Errorf("sealed: reveal from non-owner")
-	}
-	msg := append(append([]byte{}, kr.BidDigest[:]...), kr.Key...)
-	if !Verify(ed25519.PublicKey(kr.Sender), msg, kr.Signature) {
-		return ErrBadSignature
+	if kr.BidDigest != bid.Digest() || !bid.Envelope.CommitsTo(kr.Key) {
+		return ErrBadReveal
 	}
 	return nil
 }

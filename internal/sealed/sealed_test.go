@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -60,13 +61,16 @@ func TestSignVerify(t *testing.T) {
 	id := testIdentity(t, "signer")
 	msg := []byte("hello decloud")
 	sig := id.Sign(msg)
-	if !Verify(id.Public(), msg, sig) {
+	verify := func(pub, msg []byte) bool {
+		return (&Bid{Sender: pub, Envelope: msg, Signature: sig}).VerifySignature()
+	}
+	if !verify(id.Public(), msg) {
 		t.Fatal("valid signature rejected")
 	}
-	if Verify(id.Public(), []byte("tampered"), sig) {
+	if verify(id.Public(), []byte("tampered")) {
 		t.Fatal("tampered message accepted")
 	}
-	if Verify(nil, msg, sig) {
+	if verify(nil, msg) {
 		t.Fatal("nil key accepted")
 	}
 }
@@ -171,27 +175,106 @@ func TestSealBidAndVerify(t *testing.T) {
 	}
 }
 
+// TestKeyReveal: a reveal is two fields and is valid iff it names the bid
+// and carries the key the bid's envelope commits to. Nobody signs it.
 func TestKeyReveal(t *testing.T) {
+	if n := reflect.TypeOf(KeyReveal{}).NumField(); n != 2 {
+		t.Fatalf("KeyReveal has %d fields, want BidDigest and Key", n)
+	}
 	alice := testIdentity(t, "alice")
-	mallory := testIdentity(t, "mallory")
 	key, _ := NewTempKeyFrom(newDetRand("k"))
 	bid, err := SealBid(alice, testOrderBytes(t, alice.ParticipantID()), key, newDetRand("n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reveal := NewKeyReveal(alice, bid, key)
+	otherKey, _ := NewTempKeyFrom(newDetRand("k2"))
+	other, err := SealBid(alice, testOrderBytes(t, alice.ParticipantID()), otherKey, newDetRand("n2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reveal := NewKeyReveal(bid, key)
 	if err := reveal.Verify(bid); err != nil {
 		t.Fatalf("valid reveal rejected: %v", err)
 	}
-	// A non-owner cannot reveal.
-	fake := NewKeyReveal(mallory, bid, key)
-	if err := fake.Verify(bid); err == nil {
-		t.Fatal("non-owner reveal accepted")
+	for name, kr := range map[string]*KeyReveal{
+		"another key":                NewKeyReveal(bid, otherKey),
+		"another bid's reveal":       NewKeyReveal(other, otherKey),
+		"this key, another digest":   {BidDigest: other.Digest(), Key: key},
+		"a short key":                {BidDigest: bid.Digest(), Key: key[:KeySize-1]},
+		"a long key":                 {BidDigest: bid.Digest(), Key: append(append([]byte(nil), key...), 0)},
+		"no key":                     {BidDigest: bid.Digest()},
+		"one flipped bit in the key": {BidDigest: bid.Digest(), Key: append([]byte{key[0] ^ 1}, key[1:]...)},
+	} {
+		if err := kr.Verify(bid); !errors.Is(err, ErrBadReveal) {
+			t.Errorf("%s: Verify = %v, want ErrBadReveal", name, err)
+		}
 	}
-	// Tampered key breaks the signature.
-	reveal.Key[0] ^= 1
-	if err := reveal.Verify(bid); err == nil {
-		t.Fatal("tampered reveal accepted")
+}
+
+// TestEnvelopeCommitsToOneKey: GCM alone lets a sender craft one
+// ciphertext that authenticates under two keys and pick after the
+// preamble. The envelope's first 32 bytes name the one key it may be
+// opened with, and Open refuses every other before any cipher runs.
+func TestEnvelopeCommitsToOneKey(t *testing.T) {
+	k1, _ := NewTempKeyFrom(newDetRand("k1"))
+	k2, _ := NewTempKeyFrom(newDetRand("k2"))
+	payload := testOrderBytes(t, "owner")
+	env1, err := Seal(payload, k1, newDetRand("n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env2, err := Seal(payload, k2, newDetRand("n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !env1.CommitsTo(k1) || env1.CommitsTo(k2) || env1.CommitsTo(k1[:KeySize-1]) || Envelope(nil).CommitsTo(k1) {
+		t.Fatal("CommitsTo does not single out the sealing key")
+	}
+	if bare := sha256.Sum256(k1); bytes.Equal(env1[:commitSize], k1) || bytes.Equal(env1[:commitSize], bare[:]) {
+		t.Fatal("the commitment is the key or its bare hash; it must be domain-separated")
+	}
+
+	// The equivocator's envelope: a body that authenticates under k2
+	// behind a commitment to k1. Without the commitment check Open(k2)
+	// would succeed; with it k2 never reaches AES, and k1 — the only key
+	// the check lets through — does not authenticate the body.
+	crafted := append(append(Envelope(nil), env1[:commitSize]...), env2[commitSize:]...)
+	if plain, err := Envelope(env2).Open(k2); err != nil || !bytes.Equal(plain, payload) {
+		t.Fatalf("control: the k2 body does not open under k2: %v", err)
+	}
+	for name, k := range map[string][]byte{"the key the body was sealed under": k2, "the key it commits to": k1} {
+		if _, err := crafted.Open(k); !errors.Is(err, ErrOpenFailed) {
+			t.Errorf("crafted envelope under %s: %v, want ErrOpenFailed", name, err)
+		}
+	}
+
+	// One flipped commitment byte: the true key is refused.
+	for _, i := range []int{0, commitSize / 2, commitSize - 1} {
+		flipped := append(Envelope(nil), env1...)
+		flipped[i] ^= 0x80
+		if _, err := flipped.Open(k1); !errors.Is(err, ErrOpenFailed) {
+			t.Errorf("commitment byte %d flipped: %v, want ErrOpenFailed", i, err)
+		}
+	}
+
+	// An envelope in the layout before the commitment fails to open and
+	// its reveal fails to verify; nothing panics. (miner.DecryptOrders
+	// counting such a bid Rejected is pinned in internal/miner.)
+	old := env1[commitSize:] // nonce ‖ ciphertext: what Seal returned before it prepended the commitment
+	if _, err := old.Open(k1); !errors.Is(err, ErrOpenFailed) {
+		t.Errorf("old-layout envelope: %v, want ErrOpenFailed", err)
+	}
+	empty, err := Seal(nil, k1, newDetRand("n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty[commitSize:].Open(k1); !errors.Is(err, ErrShortData) {
+		t.Errorf("old-layout envelope of an empty payload: %v, want ErrShortData", err)
+	}
+	id := testIdentity(t, "old")
+	oldBid := &Bid{Sender: id.Public(), Envelope: old, Signature: id.Sign(old)}
+	if err := NewKeyReveal(oldBid, k1).Verify(oldBid); !errors.Is(err, ErrBadReveal) {
+		t.Errorf("old-layout bid's reveal: %v, want ErrBadReveal", err)
 	}
 }
 

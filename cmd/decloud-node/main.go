@@ -11,7 +11,10 @@
 // m0 generates a demo workload (20 requests per round, sealed by one
 // in-process participant endpoint), mines blocks every 5 s, and m1/m2
 // verify them. -pipeline-rounds N produces N rounds per interval as a
-// pipeline. -chain FILE persists the replica across restarts.
+// pipeline. -chain FILE persists the replica across restarts: the node
+// saves it after every block and, started on an existing FILE, re-verifies
+// and reloads it — order book included under -incremental — before it
+// joins the network; a file that does not verify is exit 1.
 //
 // With -obs-addr the node serves live metrics (Prometheus text at
 // /metrics, JSON at /vars, pprof under /debug/pprof/); -trace-out
@@ -59,7 +62,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	incremental := fs.Bool("incremental", false, "clear over a persistent order book, carrying unmatched orders across blocks")
 	pipelineRounds := fs.Int("pipeline-rounds", 1, "rounds produced per interval; past the first, each round's reveals overlap the previous round's votes")
 	demoRequests := fs.Int("demo", 0, "submit a demo workload of N requests before each round")
-	chainFile := fs.String("chain", "", "persist the chain to this file after each block")
+	chainFile := fs.String("chain", "", "persist the chain to this file after each block; reloaded at start-up")
 	obsAddr := fs.String("obs-addr", "", "serve metrics/pprof on this address (empty = off)")
 	traceOut := fs.String("trace-out", "", "append per-round JSONL traces to this file")
 	maxConns := fs.Int("max-conns", 0, "cap on simultaneous gossip connections (0 = unlimited)")
@@ -84,6 +87,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	node.SetLimits(p2p.Limits{MaxConns: *maxConns, MaxFrameBytes: *maxFrameMB * 1024 * 1024})
 	node.SetMempoolLimit(*mempoolLimit)
 	fmt.Fprintf(stdout, "%s listening on %s\n", *name, node.Addr())
+	if *chainFile != "" {
+		if err := node.LoadChain(*chainFile); err == nil {
+			fmt.Fprintf(stdout, "loaded %d blocks from %s\n", node.Chain().Len(), *chainFile)
+		} else if !errors.Is(err, os.ErrNotExist) {
+			fmt.Fprintf(stderr, "decloud-node: %v\n", err)
+			return 1
+		}
+	}
 
 	var tracer *obs.Tracer
 	if *obsAddr != "" {
@@ -137,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		RevealWindow:  *revealWindow,
 		RevealRetries: *revealRetries,
 	}
-	round := 0
+	round := node.Chain().Len() // a restarted node continues the demo workload
 	for {
 		select {
 		case <-ctx.Done():

@@ -5,12 +5,16 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"decloud/internal/auction"
+	"decloud/internal/p2p"
 )
 
 // The binary must exit non-zero with a clear error — not panic — when
@@ -142,5 +146,109 @@ func TestDemoProducesAtBothDepths(t *testing.T) {
 				t.Fatalf("unexpected diagnostics: %s", diagnostics)
 			}
 		})
+	}
+}
+
+// runUntilBlocks runs a producing node until its stdout shows n more
+// block lines, stops it, and returns its stdout. The node must exit 0
+// with nothing on stderr before the stop.
+func runUntilBlocks(t *testing.T, n int, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout, stderr lockedBuffer
+	done := make(chan int, 1)
+	go func() { done <- run(ctx, args, &stdout, &stderr) }()
+	deadline := time.Now().Add(30 * time.Second)
+	for strings.Count(stdout.String(), "\nblock ") < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d blocks after 30s\nstdout: %s\nstderr: %s", n, stdout.String(), stderr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	diagnostics := stderr.String()
+	cancel()
+	if code := <-done; code != 0 || diagnostics != "" {
+		t.Fatalf("exit code %d, diagnostics %q", code, diagnostics)
+	}
+	return stdout.String()
+}
+
+// TestChainFileSurvivesRestart: -chain FILE is read back. A node stopped
+// after two or more blocks and restarted on the same file reloads them
+// through the node's own intake and produces its next block on top; a
+// node that started from height 0 again would overwrite the file with a
+// one-block chain. Under -incremental the reload rebuilds the order book
+// too: the whole file — blocks from before and after the restart — must
+// replay on a fresh incremental replica, which it would not had the
+// restarted node cleared its next block over an empty book while orders
+// carried over from the first run were still live.
+func TestChainFileSurvivesRestart(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			file := filepath.Join(t.TempDir(), "chain.jsonl")
+			args := []string{
+				"-listen", "127.0.0.1:0", "-difficulty", "4", "-produce", "50ms", "-demo", "6",
+				"-chain", file, fmt.Sprintf("-incremental=%v", incremental),
+			}
+			first := runUntilBlocks(t, 2, args...)
+			kept := strings.Count(first, "\nblock ")
+			if strings.Contains(first, "loaded ") {
+				t.Fatalf("first start loaded a chain that did not exist:\n%s", first)
+			}
+
+			if incremental {
+				if st := replay(t, file, true).Book().Stats(); st.LiveRequests+st.LiveOffers == 0 {
+					t.Fatal("no order is live at the restart: the replay below proves nothing about the book")
+				}
+			}
+
+			second := runUntilBlocks(t, 1, args...)
+			if want := fmt.Sprintf("loaded %d blocks from %s\n", kept, file); !strings.Contains(second, want) {
+				t.Fatalf("restart did not report %q:\n%s", want, second)
+			}
+			if want := fmt.Sprintf("\nblock %d: ", kept); !strings.Contains(second, want) || strings.Contains(second, "\nblock 0: ") {
+				t.Fatalf("restarted node did not continue at height %d:\n%s", kept, second)
+			}
+
+			if got := replay(t, file, incremental).Chain().Len(); got <= kept {
+				t.Fatalf("file holds %d blocks, want more than the %d of the first run", got, kept)
+			}
+		})
+	}
+}
+
+// replay loads a chain file into a fresh replica, which must accept it.
+func replay(t *testing.T, file string, incremental bool) *p2p.MarketNode {
+	t.Helper()
+	cfg := auction.DefaultConfig()
+	cfg.Incremental = incremental
+	replica, err := p2p.NewMarketNode("replica", "127.0.0.1:0", 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { replica.Close() })
+	if err := replica.LoadChain(file); err != nil {
+		t.Fatalf("%s does not replay: %v", file, err)
+	}
+	return replica
+}
+
+// TestUnlinkableChainFileExitsOne: a chain file whose first block is gone
+// does not load, and the error names the height that failed.
+func TestUnlinkableChainFileExitsOne(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "chain.jsonl")
+	runUntilBlocks(t, 2, "-listen", "127.0.0.1:0", "-difficulty", "4", "-produce", "50ms", "-demo", "6", "-chain", file)
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, data[bytes.IndexByte(data, '\n')+1:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-listen", "127.0.0.1:0", "-chain", file}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "load block 1") {
+		t.Fatalf("exit code %d, stderr %q; want 1 and the failing height", code, stderr.String())
 	}
 }

@@ -367,12 +367,10 @@ func (b *Book) CancelOffer(id bidding.OrderID) bool {
 
 // ArrivalWatermark derives a market clock from a batch of arriving
 // orders: the earliest window start among them. Orders whose windows end
-// before that point predate everything the market will see from now on;
-// the round loops (miner.SyncBook, sim's incremental rounds) feed it to
-// ExpireBefore after each applied block. The watermark is a pure
-// function of the block's bid time fields, so every consensus replica
-// expires identically. ok is false for an empty batch (no clock
-// advance).
+// before that point predate everything the market will see from now on
+// (AdvanceClock). The watermark is a pure function of the block's bid
+// time fields, so every consensus replica expires identically. ok is
+// false for an empty batch (no clock advance).
 func ArrivalWatermark(reqs []*bidding.Request, offs []*bidding.Offer) (now int64, ok bool) {
 	for _, r := range reqs {
 		if !ok || r.Start < now {
@@ -385,6 +383,20 @@ func ArrivalWatermark(reqs []*bidding.Request, offs []*bidding.Offer) (now int64
 		}
 	}
 	return now, ok
+}
+
+// AdvanceClock is what every round loop does after it applies a batch:
+// advance the market clock to the batch's arrival watermark and expire
+// the survivors whose windows closed before it — they can never be
+// scheduled again (Const. 10–11) and would otherwise haunt the live set
+// until their carry budget ran out. It runs AFTER the Apply, never
+// between a Preview and its Apply. Returns the number of orders removed.
+func (b *Book) AdvanceClock(reqs []*bidding.Request, offs []*bidding.Offer) int {
+	now, ok := ArrivalWatermark(reqs, offs)
+	if !ok {
+		return 0
+	}
+	return b.ExpireBefore(now)
 }
 
 // ExpireBefore removes every order whose time window ends before now —

@@ -47,23 +47,10 @@ type Topology struct {
 	// Dir receives configs, logs, ready files, chain replicas, and
 	// participant reports.
 	Dir string
-	// Bin is the executable to re-exec (default: os.Executable()).
-	Bin string
 	// Seed derives the fault plan and every participant's order stream.
 	Seed int64
 	// Rate paces each participant, orders/second (default 10).
 	Rate float64
-	// EpochOrders shapes each participant's stream (default 16 — small
-	// epochs keep offers and requests interleaved, so every produced
-	// round holds both sides of the market and short runs still clear
-	// trades).
-	EpochOrders int
-	// Difficulty is the miners' PoW difficulty (default 8).
-	Difficulty int
-	// Quorum is the producer's per-round OK-vote requirement (default 1).
-	Quorum int
-	// MinPool batches production (default 16 bids).
-	MinPool int
 	// Soak is how long faults and churn run before healing (default 8s).
 	Soak time.Duration
 	// Churn kills one participant mid-soak and respawns a replacement.
@@ -80,9 +67,18 @@ type Topology struct {
 	// ConvergeTimeout bounds the post-soak wait for identical chains
 	// (default 60s).
 	ConvergeTimeout time.Duration
-	// TickMS is the fault plan's logical clock granularity (default 100).
-	TickMS int
 }
+
+// What every devnet run shares.
+const (
+	// epochOrders shapes each participant's stream: small epochs keep
+	// offers and requests interleaved, so every produced round holds both
+	// sides of the market and short runs still clear trades.
+	epochOrders = 16
+	difficulty  = 8   // the miners' PoW difficulty
+	minPool     = 16  // bids a producer batches per round
+	tickMS      = 100 // the fault plan's logical clock granularity
+)
 
 func (t Topology) withDefaults() (Topology, error) {
 	if t.Miners < 1 || t.Participants < 1 {
@@ -100,27 +96,8 @@ func (t Topology) withDefaults() (Topology, error) {
 	if t.Dir == "" {
 		return t, fmt.Errorf("devnet: Dir is required")
 	}
-	if t.Bin == "" {
-		bin, err := os.Executable()
-		if err != nil {
-			return t, err
-		}
-		t.Bin = bin
-	}
 	if t.Rate <= 0 {
 		t.Rate = 10
-	}
-	if t.EpochOrders <= 0 {
-		t.EpochOrders = 16
-	}
-	if t.Difficulty <= 0 {
-		t.Difficulty = 8
-	}
-	if t.Quorum <= 0 && t.Miners > 1 {
-		t.Quorum = 1
-	}
-	if t.MinPool <= 0 {
-		t.MinPool = 16
 	}
 	if t.Soak <= 0 {
 		t.Soak = 8 * time.Second
@@ -128,10 +105,16 @@ func (t Topology) withDefaults() (Topology, error) {
 	if t.ConvergeTimeout <= 0 {
 		t.ConvergeTimeout = 60 * time.Second
 	}
-	if t.TickMS <= 0 {
-		t.TickMS = 100
-	}
 	return t, nil
+}
+
+// quorum is the producer's per-round OK-vote requirement: one, when there
+// is a verifier to give it.
+func (t Topology) quorum() int {
+	if t.Miners > 1 {
+		return 1
+	}
+	return 0
 }
 
 // federated reports whether this topology runs multiple metro exchanges.
@@ -183,7 +166,7 @@ var Logf = func(format string, args ...any) {}
 
 // tick converts a wall duration from cluster start into plan ticks.
 func (c *Cluster) tick(d time.Duration) int64 {
-	return int64(d / (time.Duration(c.top.TickMS) * time.Millisecond))
+	return int64(d / (tickMS * time.Millisecond))
 }
 
 func (c *Cluster) elapsedTick() int64 {
@@ -216,7 +199,7 @@ func buildPlan(top Topology, minerNames, partNames []string) *chaos.Plan {
 		Step: 10 * time.Millisecond,
 	}
 	if top.Partition {
-		tickLen := time.Duration(top.TickMS) * time.Millisecond
+		const tickLen = tickMS * time.Millisecond
 		from := int64(top.Soak / 3 / tickLen)
 		until := int64(top.Soak * 2 / 3 / tickLen)
 		var groupA, groupB []string
@@ -344,10 +327,10 @@ func (c *Cluster) minerConfig(i int) MinerConfig {
 		Name:           name,
 		Listen:         "127.0.0.1:0",
 		Peers:          peers,
-		Difficulty:     c.top.Difficulty,
+		Difficulty:     difficulty,
 		Produce:        produce,
-		Quorum:         c.top.Quorum,
-		MinPool:        c.top.MinPool,
+		Quorum:         c.top.quorum(),
+		MinPool:        minPool,
 		MaxPoolWaitMS:  1500,
 		RevealWindowMS: 800,
 		// Reveal windows sum to 0.8×(1+2+4) = 5.6 s — comfortably inside
@@ -360,7 +343,7 @@ func (c *Cluster) minerConfig(i int) MinerConfig {
 		StatusFile:    filepath.Join(c.top.Dir, name+".status"),
 		Plan:          c.plan,
 		StartTick:     c.elapsedTick(),
-		TickMS:        c.top.TickMS,
+		TickMS:        tickMS,
 	}
 	if c.top.federated() {
 		m := i / c.top.Miners
@@ -387,7 +370,7 @@ func (c *Cluster) participantConfig(name string, streamSeed int64, m int) Partic
 	stream := workload.StreamConfig{
 		Seed:        c.top.Seed ^ (streamSeed+1)*0x9e3779b9,
 		Clients:     1,
-		EpochOrders: c.top.EpochOrders,
+		EpochOrders: epochOrders,
 		EpochSec:    600,
 		IDPrefix:    name,
 	}
@@ -413,7 +396,7 @@ func (c *Cluster) participantConfig(name string, streamSeed int64, m int) Partic
 		ReadyFile:  filepath.Join(c.top.Dir, name+".ready"),
 		Plan:       c.plan,
 		StartTick:  c.elapsedTick(),
-		TickMS:     c.top.TickMS,
+		TickMS:     tickMS,
 	}
 }
 
@@ -434,7 +417,11 @@ func (c *Cluster) spawn(ctx context.Context, role, name, readyFile string, cfg a
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.CommandContext(ctx, c.top.Bin)
+	bin, err := os.Executable() // every child is this binary under a role
+	if err != nil {
+		return nil, err
+	}
+	cmd := exec.CommandContext(ctx, bin)
 	cmd.Env = append(os.Environ(),
 		RoleEnv+"="+role,
 		ConfigEnv+"="+cfgPath,
@@ -842,11 +829,4 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -87,12 +87,6 @@ type MinerConfig struct {
 	// Incremental runs this miner over a continuous order book (carried
 	// orders compete in every block).
 	Incremental bool `json:"incremental"`
-	// RoundTimeoutMS bounds one whole round (default 12s). The block is
-	// appended and broadcast before vote collection, so a quorum that
-	// never arrives (verifier partitioned or crashed) costs at most this
-	// long and the chain still grows.
-	RoundTimeoutMS int `json:"round_timeout_ms"`
-
 	// ChainFile receives the replica after every appended block and at
 	// shutdown; ReadyFile receives the node's listen address once it
 	// accepts connections; StatusFile (optional) receives a MinerStatus
@@ -383,6 +377,12 @@ func runMiner(configPath string) error {
 
 // runMinerWith is the miner role's body, factored from the signal shell
 // so tests can run a miner in-process under a cancellable context.
+// roundTimeout bounds one whole produced round. The block is appended and
+// broadcast before vote collection, so a quorum that never arrives
+// (verifier partitioned or crashed) costs at most this long and the chain
+// still grows.
+const roundTimeout = 12 * time.Second
+
 func runMinerWith(ctx context.Context, cfg MinerConfig) error {
 	acfg := auction.DefaultConfig()
 	acfg.Incremental = cfg.Incremental
@@ -454,10 +454,6 @@ func runMinerWith(ctx context.Context, cfg MinerConfig) error {
 	maxPoolWait := time.Duration(cfg.MaxPoolWaitMS) * time.Millisecond
 	if maxPoolWait <= 0 {
 		maxPoolWait = 2 * time.Second
-	}
-	roundTimeout := time.Duration(cfg.RoundTimeoutMS) * time.Millisecond
-	if roundTimeout <= 0 {
-		roundTimeout = 12 * time.Second
 	}
 	rcfg := p2p.RoundConfig{
 		Quorum:        cfg.Quorum,

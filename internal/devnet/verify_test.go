@@ -141,7 +141,7 @@ func TestTopologyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top.Bin == "" || top.Rate <= 0 || top.Quorum != 1 || top.TickMS <= 0 {
+	if top.Rate <= 0 || top.quorum() != 1 {
 		t.Fatalf("defaults not applied: %+v", top)
 	}
 	if top.Incremental || top.MaxHops != 0 {
@@ -163,7 +163,7 @@ func TestTopologyDefaults(t *testing.T) {
 func TestBuildPlanPartitionSplitsEndpoints(t *testing.T) {
 	top, err := (Topology{
 		Miners: 3, Participants: 4, Dir: t.TempDir(),
-		Partition: true, Soak: 9 * time.Second, TickMS: 100,
+		Partition: true, Soak: 9 * time.Second,
 	}).withDefaults()
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,6 @@ type Config struct {
 	// that exhausts its carry budget after MaxHops spills expires.
 	MaxHops int
 
-	// MaxSpillLatencyMS, when > 0, additionally expires a request whose
-	// cumulative spill-path latency would exceed this cap.
-	MaxSpillLatencyMS float64
-
 	// DistancePerMS couples the latency matrix into the Eq. 18 locality
 	// term: a spilled request with a MaxDistance constraint has it
 	// tightened by DistancePerMS × path-latency, so a far metro sees a
@@ -124,9 +120,7 @@ type bookExchange struct{ *book.Book }
 func (x bookExchange) Clear(reqs []*bidding.Request, offs []*bidding.Offer, spilledIn []*bidding.Request, evidence []byte) (*auction.Outcome, book.Removals, error) {
 	reqs = append(reqs, spilledIn...)
 	out := x.Apply(reqs, offs, evidence)
-	if now, ok := book.ArrivalWatermark(reqs, offs); ok {
-		x.ExpireBefore(now)
-	}
+	x.AdvanceClock(reqs, offs)
 	return out, x.TakeRemovals(), nil
 }
 
@@ -508,9 +502,6 @@ func (f *Federation) spillOrExpire(r *bidding.Request, st *orderState, from int,
 			continue
 		}
 		pathMS := st.pathMS + f.cfg.Latency.Latency(from, to)
-		if f.cfg.MaxSpillLatencyMS > 0 && pathMS > f.cfg.MaxSpillLatencyMS {
-			break // monotone: every later candidate is farther
-		}
 		rr := *r
 		if f.cfg.DistancePerMS > 0 && rr.MaxDistance > 0 {
 			// Eq. 18 locality coupling: the path latency consumes part

@@ -220,9 +220,7 @@ func CheckSingleMetroIdentity(cfg metro.Config, tr *Trace) error {
 		}
 
 		want := oracle.Apply(round.Reqs, round.Offs, round.Evidence)
-		if now, ok := book.ArrivalWatermark(round.Reqs, round.Offs); ok {
-			oracle.ExpireBefore(now)
-		}
+		oracle.AdvanceClock(round.Reqs, round.Offs)
 		wantJSON, err := paralleltest.MarshalOutcome(want)
 		if err != nil {
 			return err

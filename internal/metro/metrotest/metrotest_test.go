@@ -102,18 +102,19 @@ func TestZeroLatencyFederation(t *testing.T) {
 	}
 }
 
-// TestLatencyMonotoneWelfare: raising the uniform inter-metro latency
-// (with MaxSpillLatencyMS fixed) can only shrink the set of feasible
-// spills, so total spills must be non-increasing in latency.
+// TestLatencyMonotoneSpills: raising the uniform inter-metro latency
+// (with DistancePerMS fixed) can only shrink the set of feasible spills —
+// the path latency consumes a spilled request's distance tolerance — so
+// total spills must be non-increasing in latency, down to none once the
+// latency spends every request's tolerance.
 func TestLatencyMonotoneSpills(t *testing.T) {
 	t.Parallel()
 	tr := NewTrace(4242, 60, 4)
 	var prev *metro.Stats
-	for _, ms := range []float64{0, 20, 60} {
+	for _, ms := range []float64{0, 60, 1000} {
 		cfg := baseConfig()
 		cfg.Metros = 4
 		cfg.Latency = metro.UniformMatrix(4, ms)
-		cfg.MaxSpillLatencyMS = 50
 		res, err := Replay(cfg, tr, nil)
 		if err != nil {
 			t.Fatalf("latency %v: %v", ms, err)
@@ -125,7 +126,8 @@ func TestLatencyMonotoneSpills(t *testing.T) {
 		prev = &st
 	}
 	if prev.Spills != 0 {
-		t.Fatalf("60ms > 50ms cap should forbid every spill, got %d", prev.Spills)
+		t.Fatalf("1000 ms at DistancePerMS %v spends every tolerance and should forbid every spill, got %d",
+			baseConfig().DistancePerMS, prev.Spills)
 	}
 }
 

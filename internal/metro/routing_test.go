@@ -241,8 +241,8 @@ func TestRoutingSpillSettlesOnce(t *testing.T) {
 // TestRoutingLatencyTightening pins the Eq. 18 coupling: every hop hands
 // the next metro a copy whose MaxDistance shrank by DistancePerMS × the
 // cumulative path latency (the submitted request is untouched), and the
-// search stops at the first candidate the tolerance — or the latency cap
-// — cannot reach, because every later candidate is farther. The copy a
+// search stops at the first candidate the tolerance cannot reach,
+// because every later candidate is farther. The copy a
 // hop tightens is the one the previous hop made, so the path's early
 // legs are charged again on every later hop; that is what the rule has
 // always done and this test holds it there.
@@ -290,16 +290,6 @@ func TestRoutingLatencyTightening(t *testing.T) {
 	round(t, f)
 	if got := holder(xs, 2, "r-spent"); got != -1 {
 		t.Fatalf("spent request admitted by metro %d", got)
-	}
-
-	// Early break on the latency cap: 0 → 2 costs 5 ms (allowed under a
-	// 10 ms cap); from 2 the next unvisited neighbour is 1 at 7 ms, path
-	// 12 ms — over the cap, so it expires although 3 is unvisited too.
-	f, xs = scriptedFed(t, Config{Metros: 4, Latency: lat, MaxSpillLatencyMS: 10, MaxHops: 3})
-	round(t, f, scriptReq("r-capped", locIn(t, f, 0), 0))
-	res = round(t, f)
-	if holder(xs, 2, "r-capped") != 2 || res.Spilled != 0 || res.SpillExpired != 1 {
-		t.Fatalf("latency cap: holder %d spilled %d expired %d", holder(xs, 2, "r-capped"), res.Spilled, res.SpillExpired)
 	}
 }
 

@@ -3,10 +3,16 @@ package miner
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
+	"decloud/internal/book"
+	"decloud/internal/ledger"
+	"decloud/internal/sealed"
 )
 
 func incrementalConfig() auction.Config {
@@ -100,5 +106,73 @@ func TestIncrementalCarryAcrossBlocks(t *testing.T) {
 	}
 	if net.Chain().Len() != 2 {
 		t.Fatalf("chain length = %d", net.Chain().Len())
+	}
+}
+
+// TestRivalBlocksRaceIntoOneVerifier: two valid blocks for the same
+// height reach an incremental verifier at once, a hundred heights in a
+// row. Accept holds the miner's book lock from catch-up to absorb, so
+// exactly one lands and the other fails linkage — never a spurious
+// allocation mismatch from a preview against a book the rival's block
+// had just moved, never a diverged book — and the book has absorbed
+// exactly the chain. The losing producer replays the winner's block
+// (SyncBook) before it builds on it.
+func TestRivalBlocksRaceIntoOneVerifier(t *testing.T) {
+	cfg := incrementalConfig()
+	newMiner := func(name string) *Miner {
+		return &Miner{Name: name, Difficulty: testDifficulty, AuctionCfg: cfg, Book: book.New(cfg)}
+	}
+	verifier, rivals := newMiner("verifier"), []*Miner{newMiner("rival-a"), newMiner("rival-b")}
+	chain := ledger.NewChain()
+	for h := 0; h < 100; h++ {
+		blocks := make([]*ledger.Block, len(rivals))
+		for k, m := range rivals {
+			if err := m.SyncBook(chain); err != nil {
+				t.Fatalf("height %d: %s: %v", h, m.Name, err)
+			}
+			p := testParticipant(t, fmt.Sprintf("race-%d-%d", h, k))
+			var bids []*sealed.Bid
+			for i, value := range []float64{9, 3} { // the cheaper one carries
+				bid, err := p.SubmitRequest(request(fmt.Sprintf("r-%d-%d-%d", h, k, i), 2, value))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bids = append(bids, bid)
+			}
+			bid, err := p.SubmitOffer(offer(fmt.Sprintf("o-%d-%d", h, k), 2, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := m.AssembleBlockAt(chain.HeadHash(), int64(h), append(bids, bid), int64(h+1))
+			if err := m.Mine(context.Background(), b, uint64(k)<<48); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.ComputeBody(b, p.RevealsIn(sealed.NewIndex(b.Bids))); err != nil {
+				t.Fatal(err)
+			}
+			blocks[k] = b
+		}
+		errs := make([]error, len(blocks))
+		var wg sync.WaitGroup
+		for k := range blocks {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				errs[k] = verifier.Accept(chain, blocks[k])
+			}(k)
+		}
+		wg.Wait()
+		landed := 0
+		for k, err := range errs {
+			switch {
+			case err == nil:
+				landed++
+			case !errors.Is(err, ledger.ErrBadLinkage):
+				t.Fatalf("height %d: %s's block: %v, want accepted or ErrBadLinkage", h, rivals[k].Name, err)
+			}
+		}
+		if landed != 1 || chain.Len() != h+1 || verifier.Book.Blocks() != chain.Len() {
+			t.Fatalf("height %d: %d blocks landed, chain %d, book %d", h, landed, chain.Len(), verifier.Book.Blocks())
+		}
 	}
 }

@@ -38,7 +38,7 @@ type Miner struct {
 	// (AuctionCfg.Incremental): orders live in a continuous book,
 	// unmatched ones carry across blocks, and each block's body is the
 	// book's incremental clear rather than a from-scratch run over the
-	// block's bids alone. Keep it synced with SyncBook.
+	// block's bids alone. Produce and Accept keep it equal to the chain.
 	Book *book.Book
 	// Admitted, when non-nil, is the owning node's set of bids whose
 	// signature it checked at its own door: executing a block skips the
@@ -48,9 +48,8 @@ type Miner struct {
 	Admitted *sealed.Verified
 	Metrics  func() *obs.MinerMetrics
 
-	// bookMu serializes SyncBook's multi-block catch-up loop. It is
-	// never taken inside a chain.Append verify callback — see book.go
-	// for the lock order.
+	// bookMu is held across every catch-up → append → absorb (book.go),
+	// so the book moves only in chain order.
 	bookMu sync.Mutex
 }
 
@@ -194,7 +193,7 @@ type execution struct {
 	// reqs/offs are the market the clear ran over: the block's own
 	// orders from scratch, the union of carried and newly revealed
 	// orders over a book preview (a carried match references an order
-	// that is not among this block's bids). Unset when commit is true.
+	// that is not among this block's bids).
 	reqs  []*bidding.Request
 	offs  []*bidding.Offer
 	alloc []byte
@@ -205,10 +204,9 @@ type execution struct {
 // bids with the reveals, clear them under the block's PoW evidence, and
 // encode the allocation. From scratch the clear is auction.Run over the
 // block's orders alone. With a book it is a speculative Book.Preview
-// over carried + new orders, which leaves the book where it was — or,
-// when commit is set, the Book.Apply that advances it (reusing the
-// preview's memoized outcome when nothing changed in between).
-func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal, commit bool) (execution, error) {
+// over carried + new orders, which leaves the book where it was; absorb
+// advances it once the block is on the chain.
+func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal) (execution, error) {
 	ex := execution{dec: decryptOrders(b.Bids, reveals, m.Admitted, m.AuctionCfg.Workers)}
 	if m.Metrics != nil {
 		if mm := m.Metrics(); mm != nil {
@@ -216,15 +214,12 @@ func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal, commit boo
 			mm.BidSigChecked.Add(int64(len(b.Bids) - ex.dec.SigSkipped))
 		}
 	}
-	switch {
-	case m.Book == nil:
+	if m.Book == nil {
 		cfg := m.AuctionCfg
 		cfg.Evidence = b.Evidence()
 		ex.reqs, ex.offs = ex.dec.Requests, ex.dec.Offers
 		ex.outcome = auction.Run(ex.reqs, ex.offs, cfg)
-	case commit:
-		ex.outcome = m.Book.Apply(ex.dec.Requests, ex.dec.Offers, b.Evidence())
-	default:
+	} else {
 		ex.outcome, ex.reqs, ex.offs = m.Book.Preview(ex.dec.Requests, ex.dec.Offers, b.Evidence())
 	}
 	var err error
@@ -232,12 +227,29 @@ func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal, commit boo
 	return ex, err
 }
 
+// verify is VerifyBlock, handing back the execution it ran.
+func (m *Miner) verify(b *ledger.Block) (execution, error) {
+	if err := b.Validate(); err != nil {
+		return execution{}, err
+	}
+	ex, err := m.execute(b, b.Body.Reveals)
+	if err != nil {
+		return ex, err
+	}
+	if !bytes.Equal(ex.alloc, b.Body.Allocation) {
+		return ex, fmt.Errorf("%w (miner %s)", ErrAllocationMismatch, m.Name)
+	}
+	if violations := audit.Outcome(ex.reqs, ex.offs, ex.outcome); len(violations) > 0 {
+		return ex, fmt.Errorf("miner %s: allocation violates the market model: %v", m.Name, violations[0])
+	}
+	return ex, nil
+}
+
 // ComputeBody executes the block and attaches the resulting body. It
-// returns the outcome so the caller can propose agreements. In
-// incremental mode the book itself is not advanced; that happens when
-// the appended block is synced (SyncBook).
+// returns the outcome so the caller can propose agreements. The book of
+// an incremental miner is not advanced (see Produce).
 func (m *Miner) ComputeBody(b *ledger.Block, reveals []*sealed.KeyReveal) (*auction.Outcome, error) {
-	ex, err := m.execute(b, reveals, false)
+	ex, err := m.execute(b, reveals)
 	if err != nil {
 		return nil, err
 	}
@@ -254,18 +266,6 @@ func (m *Miner) ComputeBody(b *ledger.Block, reveals []*sealed.KeyReveal) (*auct
 // clear ran over (defense in depth: a bug that corrupted every replica
 // identically would still be caught here).
 func (m *Miner) VerifyBlock(b *ledger.Block) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	ex, err := m.execute(b, b.Body.Reveals, false)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(ex.alloc, b.Body.Allocation) {
-		return fmt.Errorf("%w (miner %s)", ErrAllocationMismatch, m.Name)
-	}
-	if violations := audit.Outcome(ex.reqs, ex.offs, ex.outcome); len(violations) > 0 {
-		return fmt.Errorf("miner %s: allocation violates the market model: %v", m.Name, violations[0])
-	}
-	return nil
+	_, err := m.verify(b)
+	return err
 }

@@ -149,21 +149,6 @@ func NewNetwork(n int, difficulty int, cfg auction.Config) *Network {
 	return net
 }
 
-// syncBooks catches every miner's book replica up to the canonical
-// chain. A no-op outside incremental mode. Books must be current before
-// a round's verify phase (verifiers preview blocks against their own
-// live set) and are advanced again once the block lands — the producer
-// and verifiers just previewed the same mutation batch, so the apply
-// reuses their memoized outcome.
-func (n *Network) syncBooks() error {
-	for _, m := range n.miners {
-		if err := m.SyncBook(n.chain); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Chain exposes the canonical chain.
 func (n *Network) Chain() *ledger.Chain { return n.chain }
 
@@ -419,10 +404,16 @@ func (n *Network) electLeaderAt(prevHash [32]byte, height int64, eligible []int,
 
 // verifyByPolicy applies the network's verification policy to a block.
 // verifiers lists the live (non-crashed) miners; everyone but the
-// producer checks, including miners barred from producing. Slashing on
-// rejection is the caller's job, so a rejected block costs its producer
-// exactly one slash under any policy.
-func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []int) error {
+// producer checks, including miners barred from producing, and leaves
+// the execution it ran in exs (by miner index). Slashing on rejection is
+// the caller's job, so a rejected block costs its producer exactly one
+// slash under any policy.
+func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []int, exs []*execution) error {
+	check := func(i int) error {
+		ex, err := n.miners[i].verify(b)
+		exs[i] = &ex
+		return err
+	}
 	if n.Policy == VerifySampled {
 		challenged := false
 		for _, i := range verifiers {
@@ -430,7 +421,7 @@ func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []i
 			if i == producerIdx || !shouldSample(b.Evidence(), m.Name, n.SampleProb) {
 				continue
 			}
-			if err := m.VerifyBlock(b); err != nil {
+			if err := check(i); err != nil {
 				n.Challenges = append(n.Challenges, Challenge{
 					Height: b.Preamble.Height, Challenger: m.Name, Err: err.Error(),
 				})
@@ -450,7 +441,7 @@ func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []i
 	errs := make([]error, len(verifiers))
 	par.ForEach(par.Default(), len(verifiers), func(k int) {
 		if i := verifiers[k]; i != producerIdx {
-			errs[k] = n.miners[i].VerifyBlock(b)
+			errs[k] = check(i)
 		}
 	})
 	for _, err := range errs {

@@ -256,18 +256,15 @@ func (n *Network) produceStage(ctx context.Context, st *pipelineStage, prevHash 
 // moving head, and the bids are untouched: the next producer re-runs
 // the same round.
 //
-// Book replicas (incremental mode) are synced here, not in
-// produceStage: production only elects and collects reveals, while the
-// producer and the verifiers preview the block against their live sets.
-// They must mirror the chain before that preview and absorb the block
-// once it lands, so callers observing the network between rounds see
-// the post-block market. Commits run strictly one at a time (the
-// pipeline joins the previous commit before launching the next), so the
-// books advance in block order even though production overlaps.
+// Book replicas (incremental mode) advance here, not in produceStage:
+// production only elects and collects reveals, while the producer and
+// the verifiers preview the block against their live sets and absorb
+// what they executed once it lands, so callers observing the network
+// between rounds see the post-block market. Commits run
+// strictly one at a time (the pipeline joins the previous commit before
+// launching the next), so the books advance in block order even though
+// production overlaps.
 func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundResult, error) {
-	if err := n.syncBooks(); err != nil {
-		return nil, fmt.Errorf("miner: pre-commit book sync: %w", err)
-	}
 	var verifiers []int
 	for i := range n.miners {
 		if !st.crashed[i] {
@@ -280,10 +277,12 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 		winnerIdx, block := st.winnerIdx, st.block
 		winner := n.miners[winnerIdx]
 		computeStart := obsNow(n.Obs)
-		ex, err := winner.execute(block, st.reveals, false)
+		ex, err := winner.execute(block, st.reveals)
 		if err != nil {
 			return nil, fmt.Errorf("miner: compute body: %w", err)
 		}
+		exs := make([]*execution, len(n.miners))
+		exs[winnerIdx] = &ex
 		block.Body = ledger.NewBody(st.reveals, ex.alloc)
 		if n.Obs != nil {
 			n.Obs.ComputeSeconds.Observe(time.Since(computeStart).Seconds())
@@ -300,7 +299,7 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 
 		verifyStart := obsNow(n.Obs)
 		err = n.chain.Append(block, func(b *ledger.Block) error {
-			return n.verifyByPolicy(b, winnerIdx, verifiers)
+			return n.verifyByPolicy(b, winnerIdx, verifiers, exs)
 		})
 		if n.Obs != nil {
 			n.Obs.VerifySeconds.Observe(time.Since(verifyStart).Seconds())
@@ -325,10 +324,23 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 			continue
 		}
 		st.tr.Event("verified", map[string]any{"producer": winner.Name, "verifiers": len(verifiers) - 1})
+		// Every book replica moves to the new head while the door still
+		// vouches for its bids: a miner that executed the block absorbs
+		// that execution; one that sat it out (crashed, not sampled)
+		// replays it. Then the bids leave the pool.
+		for i, m := range n.miners {
+			if exs[i] != nil {
+				err = m.absorb(block, *exs[i])
+			} else {
+				err = m.SyncBook(n.chain)
+			}
+			if err != nil {
+				break
+			}
+		}
 		n.pool.Committed(block.Bids, nil)
 		st.committed = true
-
-		if err := n.syncBooks(); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("miner: post-append book sync: %w", err)
 		}
 

@@ -22,7 +22,10 @@ import (
 	"decloud/internal/sealed"
 )
 
-const sigChecked = "decloud_miner_bid_sig_checked_total"
+const (
+	sigChecked = "decloud_miner_bid_sig_checked_total"
+	sigSkipped = "decloud_miner_bid_sig_skipped_total"
+)
 
 // poolBids seals n requests, one identity each.
 func poolBids(t *testing.T, seed string, n int) []*sealed.Bid {
@@ -332,6 +335,35 @@ func TestOnlyThePoolWritesTheTrustSet(t *testing.T) {
 				}
 				if recv := types.ExprString(sel.X); holder.MatchString(recv) && rel != "internal/miner/pool.go" {
 					t.Errorf("%s: %s.%s outside miner.Pool", fset.Position(n.Pos()), recv, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
+// TestOnlyTheMinerMovesItsBook guards book == chain: a host lets a block
+// in through Miner.Produce or Miner.Accept and never syncs, previews or
+// applies a miner's book by hand. No non-test file of the hosts mentions
+// SyncBook, and Apply / Preview on a miner's book (reached as x.Book or
+// x.Book()) are called from internal/miner alone.
+func TestOnlyTheMinerMovesItsBook(t *testing.T) {
+	hosts := regexp.MustCompile(`^(internal/(p2p|sim|devnet)|cmd)/`)
+	minersBook := regexp.MustCompile(`\.Book(\(\))?$`)
+	eachNonTestFile(t, func(rel string, fset *token.FileSet, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "SyncBook" && hosts.MatchString(rel) {
+					t.Errorf("%s mentions SyncBook: blocks enter a node through Miner.Produce / Miner.Accept", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Apply" && sel.Sel.Name != "Preview") {
+					return true
+				}
+				if recv := types.ExprString(sel.X); minersBook.MatchString(recv) && !strings.HasPrefix(rel, "internal/miner/") {
+					t.Errorf("%s: %s.%s outside internal/miner", fset.Position(n.Pos()), recv, sel.Sel.Name)
 				}
 			}
 			return true

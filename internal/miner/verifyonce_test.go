@@ -319,6 +319,43 @@ func TestAdmittedSetDrainsWithEveryRound(t *testing.T) {
 	})
 }
 
+// TestBlockExecutedOncePerNode: a block enters each miner through one
+// execution — the winner's or a verifier's own, absorbed by its book in
+// incremental mode, never replayed — and no execution re-checks a
+// signature the door checked. The network's miners share one metrics
+// bundle, so per block the counters move by miners × bids skipped and 0
+// checked.
+func TestBlockExecutedOncePerNode(t *testing.T) {
+	const miners = 3
+	for _, consensus := range []Consensus{ProofOfWork, ProofOfStake} {
+		for _, cfg := range []auction.Config{auction.DefaultConfig(), incrementalConfig()} {
+			t.Run(fmt.Sprintf("%s/incremental=%v", consensus, cfg.Incremental), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				net := NewNetwork(miners, testDifficulty, cfg)
+				net.Consensus = consensus
+				net.Obs = obs.NewMinerMetrics(reg)
+				for r := 0; r < 3; r++ {
+					parts, bids := sealedMarket(t, fmt.Sprintf("once-%d", r))
+					submitAll(t, net, bids)
+					checked, skipped := reg.CounterValue(sigChecked), reg.CounterValue(sigSkipped)
+					if _, err := net.RunRound(context.Background(), parts); err != nil {
+						t.Fatal(err)
+					}
+					if c, s := reg.CounterValue(sigChecked)-checked, reg.CounterValue(sigSkipped)-skipped; c != 0 || s != int64(miners*len(bids)) {
+						t.Fatalf("block %d: %d signatures checked and %d skipped in executions, want 0 and %d (one execution per miner)",
+							r, c, s, miners*len(bids))
+					}
+					for _, m := range net.miners {
+						if m.Book != nil && m.Book.Blocks() != net.Chain().Len() {
+							t.Fatalf("%s absorbed %d of %d blocks", m.Name, m.Book.Blocks(), net.Chain().Len())
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // decryptZoo builds a block holding every way a bid can fail next to
 // bids that open, interleaved so a merge that lost input order would
 // show. It returns the bids in block order with their reveals.
@@ -565,7 +602,7 @@ func TestConcurrentVerifiersReportFirstObjection(t *testing.T) {
 			dissent(net, tc.objectors...)
 			want := sequential(net, block)
 			for i := 0; i < 5; i++ {
-				got := net.verifyByPolicy(block, 0, verifiers)
+				got := net.verifyByPolicy(block, 0, verifiers, make([]*execution, len(net.miners)))
 				if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
 					t.Fatalf("concurrent verdict %v, sequential verdict %v", got, want)
 				}

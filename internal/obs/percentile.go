@@ -1,16 +1,11 @@
 package obs
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Client-side histogram aggregation: quantile estimation and snapshot
-// merging, so load generators can fold per-connection (or per-process)
-// latency histograms into one frontier report without shipping raw
-// samples. Everything operates on HistogramSnapshot — the immutable,
-// cumulative-bucket view — and never on live histograms, keeping the
-// hot Observe path untouched.
+// Client-side histogram digests: quantile estimation for a load
+// generator's frontier report without shipping raw samples. Everything
+// operates on HistogramSnapshot — the immutable, cumulative-bucket view —
+// and never on live histograms, keeping the hot Observe path untouched.
 
 // Quantile estimates the q-th quantile (q in [0, 1]) from the
 // snapshot's cumulative buckets, interpolating linearly inside the
@@ -53,52 +48,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return s.Bounds[i]
 	}
 	return lo + (s.Bounds[i]-lo)*(rank-float64(below))/float64(in)
-}
-
-// Merge folds other into a copy of s and returns the sum: bucket-wise
-// addition of the cumulative counts plus summed Count and Sum. The two
-// snapshots must share identical bounds (histograms cut from the same
-// registry layout do); mismatched bounds return an error rather than a
-// silently skewed aggregate. An empty snapshot (zero value) merges as
-// the identity in either position.
-func (s HistogramSnapshot) Merge(other HistogramSnapshot) (HistogramSnapshot, error) {
-	if len(s.Buckets) == 0 {
-		return other, nil
-	}
-	if len(other.Buckets) == 0 {
-		return s, nil
-	}
-	if len(s.Bounds) != len(other.Bounds) {
-		return HistogramSnapshot{}, fmt.Errorf("obs: merge: %d vs %d bounds", len(s.Bounds), len(other.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != other.Bounds[i] {
-			return HistogramSnapshot{}, fmt.Errorf("obs: merge: bound %d differs: %v vs %v", i, s.Bounds[i], other.Bounds[i])
-		}
-	}
-	out := HistogramSnapshot{
-		Bounds:  append([]float64(nil), s.Bounds...),
-		Buckets: make([]int64, len(s.Buckets)),
-		Count:   s.Count + other.Count,
-		Sum:     s.Sum + other.Sum,
-	}
-	for i := range s.Buckets {
-		out.Buckets[i] = s.Buckets[i] + other.Buckets[i]
-	}
-	return out, nil
-}
-
-// MergeSnapshots folds any number of snapshots (skipping empties) into
-// one aggregate; it fails on the first bounds mismatch.
-func MergeSnapshots(snaps ...HistogramSnapshot) (HistogramSnapshot, error) {
-	var acc HistogramSnapshot
-	var err error
-	for _, s := range snaps {
-		if acc, err = acc.Merge(s); err != nil {
-			return HistogramSnapshot{}, err
-		}
-	}
-	return acc, nil
 }
 
 // LatencySummary is the percentile digest a load report carries.

@@ -82,55 +82,6 @@ func TestQuantileKnownDistributions(t *testing.T) {
 	}
 }
 
-// TestMergeEquivalence: merging per-client snapshots must yield the same
-// quantiles as observing everything into one histogram.
-func TestMergeEquivalence(t *testing.T) {
-	bounds := []float64{0.1, 0.2, 0.5, 1, 2}
-	rnd := rand.New(rand.NewSource(5))
-	whole := histWith(t, bounds)
-	parts := []*Histogram{histWith(t, bounds), histWith(t, bounds), histWith(t, bounds)}
-	for i := 0; i < 3000; i++ {
-		v := rnd.Float64() * 2
-		whole.Observe(v)
-		parts[i%3].Observe(v)
-	}
-	merged, err := MergeSnapshots(parts[0].Snapshot(), parts[1].Snapshot(), parts[2].Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := whole.Snapshot()
-	if merged.Count != ws.Count || math.Abs(merged.Sum-ws.Sum) > 1e-9 {
-		t.Fatalf("merged count/sum %d/%v, want %d/%v", merged.Count, merged.Sum, ws.Count, ws.Sum)
-	}
-	for _, q := range []float64{0.25, 0.5, 0.9, 0.99} {
-		if m, w := merged.Quantile(q), ws.Quantile(q); m != w {
-			t.Fatalf("merged Quantile(%v) = %v, whole = %v", q, m, w)
-		}
-	}
-	// Identity merges.
-	id, err := (HistogramSnapshot{}).Merge(ws)
-	if err != nil || id.Count != ws.Count {
-		t.Fatalf("empty-left merge: %v count %d", err, id.Count)
-	}
-	id, err = ws.Merge(HistogramSnapshot{})
-	if err != nil || id.Count != ws.Count {
-		t.Fatalf("empty-right merge: %v count %d", err, id.Count)
-	}
-}
-
-// TestMergeBoundsMismatch: differing layouts must error, not skew.
-func TestMergeBoundsMismatch(t *testing.T) {
-	a := histWith(t, []float64{1, 2}, 1).Snapshot()
-	b := histWith(t, []float64{1, 3}, 1).Snapshot()
-	if _, err := a.Merge(b); err == nil {
-		t.Fatal("merge of mismatched bounds succeeded")
-	}
-	c := histWith(t, []float64{1, 2, 3}, 1).Snapshot()
-	if _, err := a.Merge(c); err == nil {
-		t.Fatal("merge of different bucket counts succeeded")
-	}
-}
-
 // TestSummarize: the digest reports count, mean, ordered percentiles,
 // and the top occupied bucket edge; empty summaries are all zeros.
 func TestSummarize(t *testing.T) {

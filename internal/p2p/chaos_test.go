@@ -135,9 +135,8 @@ func TestChaosSoakTCP(t *testing.T) {
 			defer cancel()
 			summary, err := miners[0].ProduceBlockOpts(ctx, RoundConfig{
 				Quorum:        2,
-				RevealWindow:  150 * time.Millisecond,
+				RevealWindow:  100 * time.Millisecond,
 				RevealRetries: 3,
-				Backoff:       1.5,
 			})
 			if err != nil {
 				t.Fatalf("seed %d: round failed: %v", seed, err)
@@ -190,7 +189,7 @@ func TestChaosSoakTCP(t *testing.T) {
 // attempt at the producer; the preamble re-broadcast must recover them so
 // the round completes with no exclusions.
 func TestRevealRetryRecoversDroppedReveal(t *testing.T) {
-	drop := &dropFirstReveals{remaining: 4}
+	drop := &dropFirst{msgType: msgReveals, remaining: 4}
 	miners, clients := marketTopology(t)
 	miners[0].SetFaults(drop)
 	submitTestMarket(t, clients)
@@ -220,15 +219,16 @@ func TestRevealRetryRecoversDroppedReveal(t *testing.T) {
 	}
 }
 
-// dropFirstReveals drops the first N reveal deliveries at the node it is
-// installed on, then behaves cleanly.
-type dropFirstReveals struct {
+// dropFirst drops the first N deliveries of one message type at the node
+// it is installed on, then behaves cleanly.
+type dropFirst struct {
+	msgType   string
 	mu        sync.Mutex
 	remaining int
 }
 
-func (d *dropFirstReveals) PlanDelivery(node, from, msgType string, key [32]byte) []time.Duration {
-	if msgType != msgReveals {
+func (d *dropFirst) PlanDelivery(node, from, msgType string, key [32]byte) []time.Duration {
+	if msgType != d.msgType {
 		return nil
 	}
 	d.mu.Lock()
@@ -238,6 +238,33 @@ func (d *dropFirstReveals) PlanDelivery(node, from, msgType string, key [32]byte
 		return []time.Duration{}
 	}
 	return nil
+}
+
+// TestDroppedLastBlockIsRecovered: the verifier loses the frame of the
+// run's only block. No later block will ever fail linkage there and
+// trigger a catch-up, so the drop used to be final; a replica that has
+// appended nothing for resyncAfter now asks, the producer answers with
+// the block, and the late OK vote completes the producer's quorum.
+func TestDroppedLastBlockIsRecovered(t *testing.T) {
+	miners, clients := marketTopology(t)
+	producer, verifier := miners[0], miners[1]
+	miners[2].Close() // two nodes: the dropped frame has no other route
+	verifier.SetFaults(&dropFirst{msgType: msgBlock, remaining: 1})
+	submitTestMarket(t, clients)
+	waitFor(t, "producer mempool", func() bool { return producer.MempoolSize() == 4 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*resyncAfter)
+	defer cancel()
+	sum, err := producer.ProduceBlockOpts(ctx, RoundConfig{Quorum: 1, RevealWindow: 2 * time.Second, RevealRetries: 2})
+	if err != nil {
+		t.Fatalf("round failed (the verifier never recovered the dropped block?): %v", err)
+	}
+	if sum.OKVotes != 1 || sum.BadVotes != 0 {
+		t.Fatalf("votes: %d ok, %d bad", sum.OKVotes, sum.BadVotes)
+	}
+	if got, want := verifier.Chain().HeadHash(), producer.Chain().HeadHash(); got != want {
+		t.Fatal("verifier did not converge on the producer's head")
+	}
 }
 
 // TestCrashRestartMinerResyncs crashes one miner for the first round and

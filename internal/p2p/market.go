@@ -38,7 +38,8 @@ type vote struct {
 
 // syncRequest asks peers for every block from Height (the requester's
 // current chain length) upward — sent by a replica that received a block
-// it cannot link, e.g. after a crash-restart.
+// it cannot link, e.g. after a crash-restart, and by one that has appended
+// nothing for resyncAfter (the block it is missing may be the last one).
 type syncRequest struct {
 	From   string `json:"from"`
 	Height int64  `json:"height"`
@@ -55,15 +56,17 @@ type chainTransfer struct {
 // (mine → collect reveals → allocate → broadcast), and verifies and
 // votes on blocks produced by others.
 // Concurrency: network handlers (onBid/onReveals/onBlock/onVote) run on
-// the gossip reader goroutines while ProduceBlockOpts runs on the
-// caller's. The discipline is:
+// the gossip reader goroutines while RunPipeline runs on the caller's.
+// The discipline is:
 //   - pool (miner.Pool) is the only state both sides write: the mempool
 //     and the trust set of the bids checked at this node's door, behind
 //     the pool's own lock.
-//   - miner is written once in NewMarketNode and only read afterwards;
-//     its methods copy AuctionCfg by value per block, so concurrent
-//     VerifyBlock (verifier path) and ComputeBody (producer path) are
-//     safe. Do not mutate miner fields after the node starts.
+//   - miner is written once in NewMarketNode and only read afterwards.
+//     A block enters the node — chain and, in incremental mode, order
+//     book together — through miner.Produce (commitStage: this node's
+//     own) or miner.Accept (appendVerified: anyone else's) and no other
+//     way; the miner serializes the two, so whichever side loses a race
+//     for a height gets ledger.ErrBadLinkage and nothing moved.
 //   - chain is internally RWMutex-guarded; appended blocks are treated
 //     as immutable (see ledger.Chain).
 //   - reveal intake is mutex-guarded and filtered against the open
@@ -117,8 +120,8 @@ func NewMarketNode(name, addr string, difficulty int, cfg auction.Config) (*Mark
 	mn.miner.Metrics = mn.metrics.Load
 	if cfg.Incremental {
 		// Incremental mode: this node clears a continuous order book kept
-		// in lockstep with its chain replica (synced before every verify
-		// and after every append). Unmatched orders carry across blocks.
+		// in lockstep with its chain replica. Unmatched orders carry
+		// across blocks.
 		mn.miner.Book = book.New(cfg)
 	}
 	n.Handle(msgBid, mn.onBid)
@@ -127,7 +130,46 @@ func NewMarketNode(name, addr string, difficulty int, cfg auction.Config) (*Mark
 	n.Handle(msgVote, mn.onVote)
 	n.Handle(msgSyncReq, mn.onSyncReq)
 	n.Handle(msgChain, mn.onChain)
+	n.wg.Add(1)
+	go mn.resyncLoop()
 	return mn, nil
+}
+
+// resyncAfter is how long a node goes without appending a block before it
+// asks its peers whether it missed one.
+const resyncAfter = 2 * time.Second
+
+// resyncLoop re-announces this replica's height whenever a whole
+// resyncAfter passed without an append. A dropped block frame is
+// otherwise recovered only when a LATER block fails linkage — never, if
+// it was the last. Peers answer only when ahead, and while blocks flow
+// the loop says nothing. Ends with the node.
+func (mn *MarketNode) resyncLoop() {
+	defer mn.net.wg.Done()
+	t := time.NewTicker(resyncAfter)
+	defer t.Stop()
+	seen := 0
+	for {
+		select {
+		case <-mn.net.stop:
+			return
+		case <-t.C:
+		}
+		if n := mn.chain.Len(); n != seen {
+			seen = n
+			continue
+		}
+		_ = mn.net.Broadcast(msgSyncReq, syncRequest{From: mn.Name(), Height: int64(seen)})
+	}
+}
+
+// LoadChain replays a persisted replica (ledger.Chain.SaveFile) into the
+// node, each block through the same door a peer's block takes: fully
+// re-verified, absorbed by the order book, its bids known to the pool as
+// committed. The error of a tampered or unlinkable file names the height.
+func (mn *MarketNode) LoadChain(path string) error {
+	_, err := ledger.LoadFile(path, mn.appendVerified)
+	return err
 }
 
 // Addr returns the node's listen address.
@@ -352,35 +394,15 @@ func (mn *MarketNode) onChain(msg Message) {
 	}
 }
 
-// appendVerified appends a block produced elsewhere after full
-// verification, keeping the order book (incremental mode) in lockstep,
-// and retires the block's bids from the pool. The book must mirror the
-// chain BEFORE the verify callback runs — the verifier previews the
-// block against its live set — and syncing inside the callback would
-// deadlock on the chain lock, so the sync happens first. If another
-// handler appends between our sync and our Append, the verify preview
-// ran against a stale book and fails spuriously; one resync-and-retry
-// absorbs that race (a second failure is a real rejection).
+// appendVerified lets a block produced elsewhere into the node — chain
+// and order book together, after full verification (miner.Accept) — and
+// retires its bids from the pool.
 func (mn *MarketNode) appendVerified(b *ledger.Block) error {
-	if err := mn.miner.SyncBook(mn.chain); err != nil {
+	if err := mn.miner.Accept(mn.chain, b); err != nil {
 		return err
 	}
-	err := mn.chain.Append(b, mn.miner.VerifyBlock)
-	if err != nil && mn.miner.Book != nil {
-		if serr := mn.miner.SyncBook(mn.chain); serr != nil {
-			return serr
-		}
-		err = mn.chain.Append(b, mn.miner.VerifyBlock)
-	}
-	if err != nil {
-		return err
-	}
-	// Absorb the block we just accepted — the verify's preview memo makes
-	// this a cheap replay, and divergence here is a consensus bug — while
-	// the door still vouches for its bids; then they leave the pool.
-	err = mn.miner.SyncBook(mn.chain)
 	mn.pool.Committed(b.Bids, nil)
-	return err
+	return nil
 }
 
 func (mn *MarketNode) onVote(msg Message) {
@@ -418,9 +440,10 @@ type RoundConfig struct {
 	// bids still unrevealed after the last window are excluded from the
 	// allocation (DecryptOrders counts them as Unrevealed).
 	RevealRetries int
-	// Backoff multiplies the reveal window on each retry (default 2).
-	Backoff float64
 }
+
+// revealBackoff multiplies the reveal window on each retry.
+const revealBackoff = 2
 
 // ProduceBlockOpts runs one round as the producing miner: drain the
 // mempool, mine the preamble, broadcast it, collect key reveals until
@@ -428,20 +451,14 @@ type RoundConfig struct {
 // with exponential backoff per cfg), compute and broadcast the block,
 // then collect verifier votes until cfg.Quorum OK votes arrive or ctx
 // expires. The producer appends to its own replica before broadcasting.
+// It is RunPipeline at depth 1: nothing overlaps, and a rival's block
+// that lands mid-round flushes the round onto the new head.
 func (mn *MarketNode) ProduceBlockOpts(ctx context.Context, cfg RoundConfig) (*RoundSummary, error) {
-	prevHash, height := mn.nextParent()
-	bids, roundStart, tr, err := mn.beginRound(height)
+	rounds, err := mn.RunPipeline(ctx, 1, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer tr.End()
-	pr, err := mn.produceStage(ctx, cfg, prevHash, height, bids, tr)
-	if err != nil {
-		mn.abortRound(bids, err)
-		return nil, err
-	}
-	pr.roundStart = roundStart
-	return mn.commitStage(ctx, cfg, pr, tr)
+	return rounds[0].Summary, rounds[0].Err
 }
 
 // nextParent returns what the next block on this replica links to: the
@@ -450,23 +467,12 @@ func (mn *MarketNode) nextParent() (prevHash [32]byte, height int64) {
 	return mn.chain.HeadHash(), int64(mn.chain.Len())
 }
 
-// beginRound opens a produced round for either driver: the pool is
-// drained into its bid set and its clock and trace start.
-func (mn *MarketNode) beginRound(height int64) (bids []*sealed.Bid, start time.Time, tr *obs.RoundTrace, err error) {
-	if bids = mn.pool.Drain(); len(bids) == 0 {
-		return nil, start, nil, miner.ErrEmptyMempool
-	}
-	m := mn.metrics.Load()
-	if m != nil {
-		m.Rounds.Inc()
-	}
-	return bids, obsNow(m), mn.tracer.Load().StartRound(height), nil
-}
-
-// abortRound ends, for either driver, a round whose produce stage died
-// (timed out mid-reveal, mining aborted, node closing). Nothing was
-// appended or broadcast, so the drained bids go back for the next round
-// to retry; a closing node has no next round and discards them.
+// abortRound ends a round that died before its block was appended (timed
+// out mid-reveal, mining aborted, the self-append lost a race for the
+// height, node closing). Nothing was appended or broadcast, so the
+// drained bids go back for the next round to retry — but for those a
+// rival's block committed meanwhile; a closing node has no next round and
+// discards them.
 func (mn *MarketNode) abortRound(bids []*sealed.Bid, err error) {
 	if errors.Is(err, ErrClosed) {
 		mn.pool.Discard(bids)
@@ -510,10 +516,6 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 	digests := sealed.Digests(block.Bids)
 	mn.openRevealIntake(block.Bids, digests)
 	defer mn.closeRevealIntake() // for the early returns
-	backoff := cfg.Backoff
-	if backoff <= 1 {
-		backoff = 2
-	}
 	window := cfg.RevealWindow
 	revealStart := obsNow(m)
 	attempts := 0
@@ -541,7 +543,7 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 		if mn.unrevealed() == 0 || attempts > cfg.RevealRetries {
 			break
 		}
-		window = time.Duration(float64(window) * backoff)
+		window *= revealBackoff
 	}
 	reveals, unrevealed := mn.closeRevealIntake()
 	if m != nil {
@@ -560,40 +562,23 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 	}, nil
 }
 
-// commitStage runs the round's execution phase: compute the body,
-// self-append, broadcast the full block, and wait for the verifier
+// commitStage runs the round's execution phase: execute the block, let it
+// into this node (miner.Produce), broadcast it, and wait for the verifier
 // quorum. Vote waits abort on node shutdown as well as ctx.
 func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *producedRound, tr *obs.RoundTrace) (*RoundSummary, error) {
 	m := mn.metrics.Load()
 	block := pr.block
-	appended := false // until then the round can die, its drained bids with it
-	defer func() {
-		if !appended {
-			mn.pool.Discard(block.Bids)
-		}
-	}()
 	computeStart := obsNow(m)
-	// Incremental mode: the producer previews the block against its book,
-	// so the book must be current first.
-	if err := mn.miner.SyncBook(mn.chain); err != nil {
-		return nil, fmt.Errorf("p2p: pre-commit book sync: %w", err)
-	}
-	outcome, err := mn.miner.ComputeBody(block, pr.reveals)
+	outcome, err := mn.miner.Produce(mn.chain, block, pr.reveals)
 	if err != nil {
-		return nil, err
+		mn.abortRound(block.Bids, err)
+		return nil, fmt.Errorf("p2p: self-append: %w", err)
 	}
+	mn.pool.Committed(block.Bids, pr.digests)
 	if m != nil {
 		m.ComputeSeconds.Observe(time.Since(computeStart).Seconds())
 	}
 	tr.Event("allocation_computed", map[string]any{"matches": len(outcome.Matches)})
-	if err := mn.chain.Append(block, nil); err != nil {
-		return nil, fmt.Errorf("p2p: self-append: %w", err)
-	}
-	mn.pool.Committed(block.Bids, pr.digests)
-	appended = true
-	if err := mn.miner.SyncBook(mn.chain); err != nil {
-		return nil, fmt.Errorf("p2p: post-append book sync: %w", err)
-	}
 	if err := mn.net.Broadcast(msgBlock, block); err != nil {
 		return nil, fmt.Errorf("p2p: broadcast block: %w", err)
 	}
@@ -651,11 +636,15 @@ type PipelinedSummary struct {
 // is already mined and broadcast and its reveal window is open — the
 // reveal round-trip of epoch n+1 overlaps the vote round-trip of epoch
 // n. feed, when non-nil, is called at the top of each round to submit
-// that round's bids. If a commit leaves the replica's head different
-// from the parent the next round speculated on (e.g. the commit failed
-// before self-append), the speculative production is flushed and redone
-// against the real head; flushes are counted in the miner metrics
-// bundle. Per-round failures are recorded and the pipeline continues.
+// that round's bids. This is the node's one round driver and the one
+// head check: if, once the previous commit has joined, the replica's
+// head is not the parent the round was produced on (that commit failed
+// before its self-append, or a rival's block landed meanwhile), the
+// production is flushed and redone against the real head; flushes are
+// counted in the miner metrics bundle. A rival that lands later still
+// fails the self-append, and the round's bids go back to the pool
+// (abortRound). Per-round failures are recorded and the pipeline
+// continues.
 func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConfig, feed func(round int) error) ([]*PipelinedSummary, error) {
 	results := make([]*PipelinedSummary, 0, rounds)
 	var pending chan *PipelinedSummary // the commit in flight, if any
@@ -675,12 +664,17 @@ func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConf
 				return results, fmt.Errorf("p2p: feed round %d: %w", r, err)
 			}
 		}
-		bids, roundStart, tr, err := mn.beginRound(specHeight)
-		if err != nil {
+		bids := mn.pool.Drain()
+		if len(bids) == 0 {
 			join()
-			results = append(results, &PipelinedSummary{Round: r, Err: err})
+			results = append(results, &PipelinedSummary{Round: r, Err: miner.ErrEmptyMempool})
 			continue
 		}
+		m := mn.metrics.Load()
+		if m != nil {
+			m.Rounds.Inc()
+		}
+		roundStart, tr := obsNow(m), mn.tracer.Load().StartRound(specHeight)
 
 		pr, err := mn.produceStage(ctx, cfg, specPrev, specHeight, bids, tr)
 		join()
@@ -688,7 +682,7 @@ func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConf
 		if err == nil && pr.block.Preamble.PrevHash != realPrev {
 			// The previous commit never extended the speculated parent:
 			// flush and re-produce against the real head.
-			if m := mn.metrics.Load(); m != nil {
+			if m != nil {
 				m.PipelineFlushes.Inc()
 			}
 			tr.Event("pipeline_flushed", map[string]any{

@@ -14,6 +14,7 @@ import (
 	"decloud/internal/miner"
 	"decloud/internal/obs"
 	"decloud/internal/resource"
+	"decloud/internal/sealed"
 )
 
 // submitRoundMarket submits one round's market with round-unique order
@@ -184,7 +185,7 @@ func TestPipelineReturnsBidsOnProduceFailure(t *testing.T) {
 
 	// Every reveal frame is dropped at the producer, so the reveal window
 	// stays open until the round's context ends it.
-	mn.SetFaults(&dropFirstReveals{remaining: math.MaxInt})
+	mn.SetFaults(&dropFirst{msgType: msgReveals, remaining: math.MaxInt})
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	cfg := RoundConfig{RevealWindow: 30 * time.Second}
@@ -215,13 +216,12 @@ func TestPipelineReturnsBidsOnProduceFailure(t *testing.T) {
 	}
 }
 
-// TestRivalBlockMidRound reaches the two endings no other test does. A
-// rival's block lands on the producer's replica while its round collects
-// reveals, so the round's preamble no longer links to the head. The
-// sequential driver finds out at its self-append: the commit fails before
-// anything is appended and the round's bids are discarded. The pipeline
-// checks the head first: it flushes the round and redoes it on the
-// rival's block. Either way the trust set is the pool again afterwards.
+// TestRivalBlockMidRound: a rival's block lands on the producer's replica
+// while its round collects reveals, so the round's preamble no longer
+// links to the head. Both entry points are the one driver, which checks
+// the head before it commits: it flushes the round and redoes it on the
+// rival's block, and no bid is lost. The trust set is the pool again
+// afterwards.
 func TestRivalBlockMidRound(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
@@ -236,6 +236,7 @@ func TestRivalBlockMidRound(t *testing.T) {
 			}
 			// Each node pools one bid of its own, not gossiped. Nobody
 			// reveals, so windows lapse and blocks commit unrevealed.
+			own := map[*MarketNode][32]byte{}
 			for _, node := range []*MarketNode{rival, mn} {
 				bid, err := part.SubmitRequest(testRequest("r-"+node.Name(), 5))
 				if err != nil {
@@ -244,6 +245,7 @@ func TestRivalBlockMidRound(t *testing.T) {
 				if err := node.pool.Admit(bid); err != nil {
 					t.Fatal(err)
 				}
+				own[node] = bid.Digest()
 			}
 			rivalDone := make(chan error, 1)
 			go func() {
@@ -252,32 +254,90 @@ func TestRivalBlockMidRound(t *testing.T) {
 				rivalDone <- err
 			}()
 			cfg := RoundConfig{RevealWindow: 400 * time.Millisecond}
+			var sum *RoundSummary
 			if pipelined {
 				sums, err := mn.RunPipeline(context.Background(), 1, cfg, nil)
 				if err != nil || len(sums) != 1 || sums[0].Err != nil {
 					t.Fatalf("pipeline: %+v, %v", sums, err)
 				}
-				if got := sums[0].Summary.Block.Preamble.Height; got != 1 {
-					t.Fatalf("redone round committed at height %d, want 1 (on the rival's block)", got)
-				}
-				if got := reg.CounterValue("decloud_miner_pipeline_flushes_total"); got != 1 {
-					t.Fatalf("pipeline_flushes_total = %d, want 1", got)
-				}
-			} else {
-				_, err := mn.ProduceBlockOpts(context.Background(), cfg)
-				if !errors.Is(err, ledger.ErrBadLinkage) {
-					t.Fatalf("round over a moved head: %v, want a failed self-append", err)
-				}
-				if got := mn.Chain().Len(); got != 1 {
-					t.Fatalf("chain holds %d blocks, want the rival's alone", got)
-				}
+				sum = sums[0].Summary
+			} else if sum, err = mn.ProduceBlockOpts(context.Background(), cfg); err != nil {
+				t.Fatalf("round over a moved head: %v", err)
+			}
+			if got := sum.Block.Preamble.Height; got != 1 {
+				t.Fatalf("redone round committed at height %d, want 1 (on the rival's block)", got)
+			}
+			if got := reg.CounterValue("decloud_miner_pipeline_flushes_total"); got != 1 {
+				t.Fatalf("pipeline_flushes_total = %d, want 1", got)
 			}
 			if err := <-rivalDone; err != nil {
 				t.Fatalf("rival round: %v", err)
+			}
+			for h, node := range []*MarketNode{rival, mn} {
+				if b := mn.Chain().BlockAt(h); len(b.Bids) != 1 || b.Bids[0].Digest() != own[node] {
+					t.Fatalf("block %d does not hold %s's bid alone", h, node.Name())
+				}
 			}
 			if got, trusted := mn.MempoolSize(), mn.pool.Verified().Len(); got != 0 || trusted != 0 {
 				t.Fatalf("%d pooled, %d trusted after the round ended", got, trusted)
 			}
 		})
+	}
+}
+
+// TestLostSelfAppendReturnsBids: the rival's block lands after the driver
+// checked the head, so the self-append itself loses the race for the
+// height. Nothing of the round was appended or broadcast: its bids go back
+// to the pool, still trusted — but for the one the rival's block committed.
+func TestLostSelfAppendReturnsBids(t *testing.T) {
+	mn, _ := observedNode(t, "lost-p")
+	rival, _ := observedNode(t, "lost-r")
+	part, err := miner.NewParticipant(newDetReader("lost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(id string) *sealed.Bid {
+		bid, err := part.SubmitRequest(testRequest(id, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bid
+	}
+	shared, mine := seal("r-shared"), seal("r-mine")
+	for _, b := range []*sealed.Bid{shared, mine} {
+		if err := mn.pool.Admit(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rival.pool.Admit(shared); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cfg := context.Background(), RoundConfig{RevealWindow: 10 * time.Millisecond}
+	rivalSum, err := rival.ProduceBlockOpts(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	prevHash, height := mn.nextParent()
+	tr := mn.tracer.Load().StartRound(height)
+	pr, err := mn.produceStage(ctx, cfg, prevHash, height, mn.pool.Drain(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mn.appendVerified(rivalSum.Block); err != nil { // after the head check
+		t.Fatal(err)
+	}
+	if _, err := mn.commitStage(ctx, cfg, pr, tr); !errors.Is(err, ledger.ErrBadLinkage) {
+		t.Fatalf("self-append over a moved head: %v, want ErrBadLinkage", err)
+	}
+	if got := mn.Chain().Len(); got != 1 {
+		t.Fatalf("chain holds %d blocks, want the rival's alone", got)
+	}
+	back := mn.pool.Drain()
+	if len(back) != 1 || back[0].Digest() != mine.Digest() {
+		t.Fatalf("%d bids back in the pool, want the one the rival did not commit", len(back))
+	}
+	if !mn.pool.Verified().Has(mine) || mn.pool.Verified().Len() != 1 {
+		t.Fatalf("trust set holds %d bids, want the returned one", mn.pool.Verified().Len())
 	}
 }

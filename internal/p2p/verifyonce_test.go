@@ -37,7 +37,12 @@ func testOffer(id string) *bidding.Offer {
 
 func observedNode(t *testing.T, name string) (*MarketNode, *obs.Registry) {
 	t.Helper()
-	mn, err := NewMarketNode(name, "127.0.0.1:0", testDifficulty, auction.DefaultConfig())
+	return observedNodeWith(t, name, auction.DefaultConfig())
+}
+
+func observedNodeWith(t *testing.T, name string, cfg auction.Config) (*MarketNode, *obs.Registry) {
+	t.Helper()
+	mn, err := NewMarketNode(name, "127.0.0.1:0", testDifficulty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +142,70 @@ func TestRoundChecksEachBidSignatureOncePerNode(t *testing.T) {
 		if got := mn.pool.Verified().Len(); got != 0 {
 			t.Fatalf("%s still holds %d admitted bids after their block committed", mn.Name(), got)
 		}
+	}
+}
+
+// TestBlockExecutedOncePerNode: over TCP too a block enters each node
+// through one execution — the producer's own (miner.Produce), the
+// verifier's verification (miner.Accept) — which the order book absorbs
+// in incremental mode instead of replaying the block. Per node per block
+// the executions push len(bids) signatures through, all skipped: the
+// node's door had checked them.
+func TestBlockExecutedOncePerNode(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			cfg := auction.DefaultConfig()
+			cfg.Incremental = incremental
+			producer, regP := observedNodeWith(t, "exec-p", cfg)
+			verifier, regV := observedNodeWith(t, "exec-v", cfg)
+			if err := verifier.Connect(producer.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			lc, err := NewLoadClient("exec-lc", "127.0.0.1:0", []io.Reader{newDetReader("exec-id")}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { lc.Close() })
+			if err := lc.Connect(producer.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			nodes := map[*MarketNode]*obs.Registry{producer: regP, verifier: regV}
+			const n = 6
+			for round := 0; round < 3; round++ {
+				for i := 0; i < n; i++ {
+					if i%3 == 2 {
+						_, err = lc.SubmitOffer(0, testOffer(fmt.Sprintf("o-%d-%d", round, i)))
+					} else {
+						_, err = lc.SubmitRequest(0, testRequest(fmt.Sprintf("r-%d-%d", round, i), float64(2+i)))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				checked, skipped := map[*MarketNode]int64{}, map[*MarketNode]int64{}
+				for mn, reg := range nodes {
+					mn := mn
+					waitFor(t, "bids pooled at "+mn.Name(), func() bool { return mn.MempoolSize() == n })
+					checked[mn], skipped[mn] = reg.CounterValue(sigChecked), reg.CounterValue(sigSkipped)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				sum, err := producer.ProduceBlockOpts(ctx, RoundConfig{Quorum: 1, RevealWindow: 5 * time.Second})
+				cancel()
+				if err != nil || sum.Unrevealed != 0 || sum.OKVotes != 1 || sum.BadVotes != 0 {
+					t.Fatalf("round %d: %+v, %v", round, sum, err)
+				}
+				for mn, reg := range nodes {
+					c, s := reg.CounterValue(sigChecked)-checked[mn], reg.CounterValue(sigSkipped)-skipped[mn]
+					if c != 0 || s != n {
+						t.Fatalf("round %d, %s: executing the block checked %d signatures and skipped %d, want 0 and %d (one execution)",
+							round, mn.Name(), c, s, n)
+					}
+					if bk := mn.Book(); bk != nil && bk.Blocks() != mn.Chain().Len() {
+						t.Fatalf("%s absorbed %d of %d blocks", mn.Name(), bk.Blocks(), mn.Chain().Len())
+					}
+				}
+			}
+		})
 	}
 }
 

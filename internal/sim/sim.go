@@ -472,14 +472,7 @@ func bookClearer(cfg Config) clearer {
 			offs: append(bk.LiveOffers(), market.Offers...),
 		}
 		c.outcomes = []*auction.Outcome{bk.Apply(market.Requests, market.Offers, roundEvidence(cfg, round))}
-		// Advance the market clock from the round's own bid time fields:
-		// survivors whose windows closed before this round's earliest
-		// arrival can never match again (Const. 10–11) — drop them now
-		// instead of carrying them to budget exhaustion. Mirrors
-		// miner.SyncBook's post-apply expiry in ledger mode.
-		if now, ok := book.ArrivalWatermark(market.Requests, market.Offers); ok {
-			bk.ExpireBefore(now)
-		}
+		bk.AdvanceClock(market.Requests, market.Offers)
 		return c, nil
 	}
 }

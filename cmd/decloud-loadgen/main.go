@@ -29,7 +29,7 @@ import (
 	"syscall"
 	"time"
 
-	"decloud/internal/auction"
+	"decloud/internal/futures"
 	"decloud/internal/loadgen"
 	"decloud/internal/workload"
 )
@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DrainTimeout: *drain,
 	}
 	if *reserveHorizon > 0 {
-		lcfg.Futures = auction.FuturesConfig{
+		lcfg.Futures = futures.Config{
 			OverbookRatio:  *overbook,
 			PenaltyRate:    *penaltyRate,
 			ReserveHorizon: *reserveHorizon,

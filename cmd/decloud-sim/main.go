@@ -41,7 +41,7 @@ import (
 	"os"
 	"time"
 
-	"decloud/internal/auction"
+	"decloud/internal/futures"
 	"decloud/internal/metro"
 	"decloud/internal/obs"
 	"decloud/internal/sim"
@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Auction.ExactScheduling = *exact
 	cfg.Auction.Incremental = *incremental
 	if *reserveHorizon > 0 {
-		cfg.Auction.Futures = auction.FuturesConfig{
+		cfg.Futures = futures.Config{
 			OverbookRatio:  *overbook,
 			PenaltyRate:    *penaltyRate,
 			ReserveHorizon: *reserveHorizon,
@@ -173,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.Mode == sim.Ledger {
 		fmt.Fprintf(stdout, " %-9s %-7s %-7s", "winner", "agreed", "denied")
 	}
-	futuresOn := cfg.Auction.Futures.Enabled()
+	futuresOn := cfg.Futures.Enabled()
 	if futuresOn {
 		fmt.Fprintf(stdout, " %-8s %-9s %-7s %-8s %-6s", "reserved", "delivered", "noshows", "defaults", "bumped")
 	}

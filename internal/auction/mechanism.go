@@ -76,49 +76,6 @@ type Config struct {
 	// (Run/RunPrepared) ignores the flag; it is read by the round loops
 	// in miner, p2p, sim, and devnet.
 	Incremental bool
-	// Futures configures the two-stage futures/spot market
-	// (internal/futures): a reservation stage sells forward contracts up
-	// to OverbookRatio × declared supply ahead of each epoch and the
-	// spot auction settles only the unreserved remainder plus defaults.
-	// Like Incremental, the knob is consensus-critical and is
-	// ignored by Run/RunPrepared itself — the futures exchange and the
-	// round loops in sim and loadgen read it. The zero value disables
-	// the reservation stage entirely (futures/futurestest proves the
-	// disabled exchange byte-identical to plain Run).
-	Futures FuturesConfig
-}
-
-// FuturesConfig tunes the two-stage futures/spot market. All three
-// fields are consensus-critical: every party replaying a reservation
-// chain must agree on them.
-type FuturesConfig struct {
-	// OverbookRatio caps forward sales at this multiple of an offer's
-	// declared aggregate capacity (≥ 1.0; values below 1 are read as
-	// exactly 1.0, i.e. no overbooking). Selling beyond 1.0 bets on
-	// buyer no-shows — reservations that do not fit real capacity at
-	// delivery are bumped and the seller pays the penalty.
-	OverbookRatio float64
-	// PenaltyRate is the fraction of a reservation's payment a breaking
-	// party owes its counterparty: defaulting or overbooked-and-bumping
-	// sellers pay the buyer, no-show or cancelling buyers pay the
-	// seller. Every penalty debited is credited — the flow is budget
-	// balanced by construction.
-	PenaltyRate float64
-	// ReserveHorizon is the number of rounds between reservation and
-	// delivery. 0 disables the reservation stage: every order clears
-	// spot and the exchange reduces to plain Run.
-	ReserveHorizon int
-}
-
-// Enabled reports whether the reservation stage runs at all.
-func (f FuturesConfig) Enabled() bool { return f.ReserveHorizon > 0 }
-
-// Ratio returns the effective overbooking ratio (floor 1.0).
-func (f FuturesConfig) Ratio() float64 {
-	if f.OverbookRatio < 1 {
-		return 1.0
-	}
-	return f.OverbookRatio
 }
 
 // ReputationSource exposes participant reputations to the mechanism

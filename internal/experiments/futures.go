@@ -215,13 +215,11 @@ func runSpotOnly(cfg OverbookingConfig, rounds []obRound, level int) Overbooking
 // one overbooking ratio, then drains the reservation horizon so every
 // contract settles.
 func runTwoStage(cfg OverbookingConfig, rounds []obRound, level int, ratio float64) OverbookingPoint {
-	fcfg := auction.DefaultConfig()
-	fcfg.Futures = auction.FuturesConfig{
+	ex := futures.New(auction.DefaultConfig(), futures.Config{
 		OverbookRatio:  ratio,
 		PenaltyRate:    cfg.PenaltyRate,
 		ReserveHorizon: cfg.Horizon,
-	}
-	ex := futures.New(fcfg)
+	})
 	var used, welfare float64
 	collect := func(res *futures.RoundResult) {
 		if res.Delivery != nil {

@@ -212,13 +212,50 @@ type RoundResult struct {
 	PenaltyCredited  float64
 }
 
+// Config tunes the two-stage futures/spot market: a reservation stage
+// sells forward contracts up to OverbookRatio × declared supply ahead of
+// each epoch and the spot auction settles only the unreserved remainder
+// plus defaults. All three fields are consensus-critical: every party
+// replaying a reservation chain must agree on them. The zero value
+// disables the reservation stage entirely (futures/futurestest proves
+// the disabled exchange byte-identical to plain auction.Run).
+type Config struct {
+	// OverbookRatio caps forward sales at this multiple of an offer's
+	// declared aggregate capacity (≥ 1.0; values below 1 are read as
+	// exactly 1.0, i.e. no overbooking). Selling beyond 1.0 bets on
+	// buyer no-shows — reservations that do not fit real capacity at
+	// delivery are bumped and the seller pays the penalty.
+	OverbookRatio float64
+	// PenaltyRate is the fraction of a reservation's payment a breaking
+	// party owes its counterparty: defaulting or overbooked-and-bumping
+	// sellers pay the buyer, no-show or cancelling buyers pay the
+	// seller. Every penalty debited is credited — the flow is budget
+	// balanced by construction.
+	PenaltyRate float64
+	// ReserveHorizon is the number of rounds between reservation and
+	// delivery. 0 disables the reservation stage: every order clears
+	// spot and the exchange reduces to plain Run.
+	ReserveHorizon int
+}
+
+// Enabled reports whether the reservation stage runs at all.
+func (f Config) Enabled() bool { return f.ReserveHorizon > 0 }
+
+// Ratio returns the effective overbooking ratio (floor 1.0).
+func (f Config) Ratio() float64 {
+	if f.OverbookRatio < 1 {
+		return 1.0
+	}
+	return f.OverbookRatio
+}
+
 // Exchange is the futures market state: pending forward contracts keyed
 // by delivery round, per-offer sold-capacity bookkeeping, cumulative
 // conservation counters, and the hash-chained head. Not safe for
 // concurrent use.
 type Exchange struct {
 	cfg   auction.Config
-	fut   auction.FuturesConfig
+	fut   Config
 	round int64
 	head  [32]byte
 
@@ -246,12 +283,12 @@ type Exchange struct {
 	stats Stats
 }
 
-// New builds an exchange. cfg.Futures configures the reservation stage;
-// the rest of cfg tunes the spot mechanism exactly as auction.Run does.
-func New(cfg auction.Config) *Exchange {
+// New builds an exchange. fut configures the reservation stage; cfg
+// tunes the spot mechanism exactly as auction.Run does.
+func New(cfg auction.Config, fut Config) *Exchange {
 	return &Exchange{
 		cfg:       cfg,
-		fut:       cfg.Futures,
+		fut:       fut,
 		dueRes:    make(map[int64][]*Reservation),
 		dueOff:    make(map[int64][]*fwdOffer),
 		dueReq:    make(map[int64][]*fwdRequest),

@@ -39,21 +39,20 @@ func foff(id, provider string, qty float64, start, end int64, bid float64) *bidd
 	}
 }
 
-func futCfg(ratio float64, horizon int) auction.Config {
-	cfg := auction.DefaultConfig()
-	cfg.Futures = auction.FuturesConfig{
+// futEx builds an exchange over the default spot mechanism.
+func futEx(ratio float64, horizon int) *Exchange {
+	return New(auction.DefaultConfig(), Config{
 		OverbookRatio:  ratio,
 		PenaltyRate:    0.25,
 		ReserveHorizon: horizon,
-	}
-	return cfg
+	})
 }
 
 // TestReserveUniformPriceFloor: with room for one of two requests, the
 // winner pays the loser's unit value — the classic capacity-excluded
 // floor — not its own bid and not the seller's ask.
 func TestReserveUniformPriceFloor(t *testing.T) {
-	ex := New(futCfg(1.0, 1))
+	ex := futEx(1.0, 1)
 	// Offer: 1 core × 10 time units = capacity 10, ask 10 → ĉ = 1.
 	// Both requests want the full 10 resource·time; only one fits.
 	made := ex.Reserve(RoundInput{
@@ -82,7 +81,7 @@ func TestReserveUniformPriceFloor(t *testing.T) {
 // unit value, its contract is dropped rather than priced beyond the bid
 // — individual rationality beats trade volume.
 func TestReservePricedOut(t *testing.T) {
-	ex := New(futCfg(1.0, 1))
+	ex := futEx(1.0, 1)
 	// Offer capacity 10. r-top (load 6, v̂ 5) reserves; r-big (load 6,
 	// v̂ 4.5) no longer fits → capacity-excluded, floor 4.5; r-small
 	// (load 4, v̂ 4) fits the remainder but the floor exceeds its v̂.
@@ -109,7 +108,7 @@ func TestReservePricedOut(t *testing.T) {
 // show up forces a bump at delivery — the lower-priority contract pays
 // the seller's penalty to the buyer and the request retries spot.
 func TestDeliverOverbookBump(t *testing.T) {
-	ex := New(futCfg(2.0, 1))
+	ex := futEx(2.0, 1)
 	first := ex.Run(RoundInput{
 		FwdRequests: []*bidding.Request{
 			freq("r-a", "c1", 1, 0, 10, 10, 40),
@@ -151,7 +150,7 @@ func TestDeliverOverbookBump(t *testing.T) {
 // TestDeliverSellerDefault: a defaulted offer fails all its contracts,
 // pays each buyer the penalty, and none of its capacity enters spot.
 func TestDeliverSellerDefault(t *testing.T) {
-	ex := New(futCfg(1.0, 1))
+	ex := futEx(1.0, 1)
 	ex.Run(RoundInput{
 		FwdRequests: []*bidding.Request{freq("r-a", "c1", 1, 0, 10, 10, 40)},
 		FwdOffers:   []*bidding.Offer{foff("o1", "p1", 1, 0, 10, 10)},
@@ -181,7 +180,7 @@ func TestDeliverSellerDefault(t *testing.T) {
 // the spot market scaled down, with the ask shrunk proportionally so the
 // provider's unit cost ĉ is unchanged.
 func TestRemainderOfferKeepsUnitCost(t *testing.T) {
-	ex := New(futCfg(1.0, 1))
+	ex := futEx(1.0, 1)
 	// Offer 2 cores × 10 = capacity 20; the reservation takes 10.
 	first := ex.Run(RoundInput{
 		FwdRequests: []*bidding.Request{freq("r-a", "c1", 1, 0, 10, 10, 40)},
@@ -212,8 +211,7 @@ func TestRemainderOfferKeepsUnitCost(t *testing.T) {
 // TestDisabledStageRejectsForwardOrders: with ReserveHorizon=0, forward
 // submissions are misroutings — counted rejected, never reserved.
 func TestDisabledStageRejectsForwardOrders(t *testing.T) {
-	cfg := auction.DefaultConfig()
-	ex := New(cfg)
+	ex := New(auction.DefaultConfig(), Config{})
 	made := ex.Reserve(RoundInput{
 		FwdRequests: []*bidding.Request{freq("r-a", "c1", 1, 0, 10, 10, 40)},
 		FwdOffers:   []*bidding.Offer{foff("o1", "p1", 1, 0, 10, 10)},
@@ -230,7 +228,7 @@ func TestDisabledStageRejectsForwardOrders(t *testing.T) {
 // top-priority buyer no-shows delivers the lower-priority contract into
 // the freed real capacity instead of bumping it.
 func TestNoShowFreesCapacityForLowerPriority(t *testing.T) {
-	ex := New(futCfg(2.0, 1))
+	ex := futEx(2.0, 1)
 	ex.Run(RoundInput{
 		FwdRequests: []*bidding.Request{
 			freq("r-a", "c1", 1, 0, 10, 10, 40),
@@ -265,11 +263,10 @@ func TestNoShowFreesCapacityForLowerPriority(t *testing.T) {
 func BenchmarkTwoStage1000(b *testing.B) {
 	m := workload.Generate(workload.Config{Seed: 42, Requests: 1000})
 	tm := workload.SplitTwoStage(m, 42, 0.5, 0.1, 0.1)
-	cfg := futCfg(1.5, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex := New(cfg)
+		ex := futEx(1.5, 1)
 		ex.Run(RoundInput{
 			FwdRequests:  tm.Fwd.Requests,
 			FwdOffers:    tm.Fwd.Offers,

@@ -133,8 +133,8 @@ func (r *Result) Equal(o *Result) error {
 // is captured. When audit is non-nil it is called once per round
 // (including drain rounds) with the round's full result — the
 // property-test hook.
-func Replay(cfg auction.Config, tr *Trace, audit func(round int, res *futures.RoundResult) error) (*Result, error) {
-	ex := futures.New(cfg)
+func Replay(cfg auction.Config, fut futures.Config, tr *Trace, audit func(round int, res *futures.RoundResult) error) (*Result, error) {
+	ex := futures.New(cfg, fut)
 	out := &Result{}
 	step := func(round int, in futures.RoundInput) error {
 		res := ex.Run(in)
@@ -158,7 +158,7 @@ func Replay(cfg auction.Config, tr *Trace, audit func(round int, res *futures.Ro
 			return nil, err
 		}
 	}
-	for i := 0; i < cfg.Futures.ReserveHorizon; i++ {
+	for i := 0; i < fut.ReserveHorizon; i++ {
 		in := futures.RoundInput{
 			Evidence: []byte(fmt.Sprintf("futurestest-%d-drain-%d", tr.Seed, i)),
 		}
@@ -179,8 +179,7 @@ func Replay(cfg auction.Config, tr *Trace, audit func(round int, res *futures.Ro
 // same orders, config, and evidence: the delta-settlement path is a
 // strict superset of the spot mechanism, never a perturbation of it.
 func CheckDisabledIdentity(cfg auction.Config, tr *Trace) error {
-	cfg.Futures = auction.FuturesConfig{OverbookRatio: 1.0}
-	ex := futures.New(cfg)
+	ex := futures.New(cfg, futures.Config{OverbookRatio: 1.0})
 	for i, in := range tr.Rounds {
 		// Route BOTH stages through the spot slots: with the stage
 		// disabled, forward submissions would be rejected as misroutings

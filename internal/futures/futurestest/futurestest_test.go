@@ -10,16 +10,13 @@ import (
 	"decloud/internal/futures"
 )
 
-// enabledConfig is the harness's standard treatment config: overbooked
-// reservation stage, two-round horizon.
-func enabledConfig(workers int) auction.Config {
+// enabled is the harness's standard treatment: overbooked reservation
+// stage, two-round horizon.
+var enabled = futures.Config{OverbookRatio: 1.5, PenaltyRate: 0.2, ReserveHorizon: 2}
+
+func spotConfig(workers int) auction.Config {
 	cfg := auction.DefaultConfig()
 	cfg.Workers = workers
-	cfg.Futures = auction.FuturesConfig{
-		OverbookRatio:  1.5,
-		PenaltyRate:    0.2,
-		ReserveHorizon: 2,
-	}
 	return cfg
 }
 
@@ -46,12 +43,12 @@ func TestDisabledIdentityAcrossSeeds(t *testing.T) {
 func TestReplayDeterminism(t *testing.T) {
 	for _, seed := range []int64{3, 11, 27} {
 		tr := NewTrace(seed, 48, 4)
-		base, err := Replay(enabledConfig(1), tr, nil)
+		base, err := Replay(spotConfig(1), enabled, tr, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, workers := range []int{1, 4} {
-			got, err := Replay(enabledConfig(workers), tr, nil)
+			got, err := Replay(spotConfig(workers), enabled, tr, nil)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -70,7 +67,7 @@ func TestReplayConservesAndSettles(t *testing.T) {
 	var agg futures.Stats
 	for seed := int64(0); seed < 12; seed++ {
 		tr := NewTrace(seed, 48, 4)
-		res, err := Replay(enabledConfig(1), tr, nil)
+		res, err := Replay(spotConfig(1), enabled, tr, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -124,13 +121,11 @@ func reservationUtility(made []*futures.Reservation, id bidding.OrderID, trueVal
 // every contract here delivers with certainty — reservation-time utility
 // IS final utility.
 func runReserveOnly(reqs []*bidding.Request, offs []*bidding.Offer) []*futures.Reservation {
-	cfg := auction.DefaultConfig()
-	cfg.Futures = auction.FuturesConfig{
+	ex := futures.New(auction.DefaultConfig(), futures.Config{
 		OverbookRatio:  1.0,
 		PenaltyRate:    0.2,
 		ReserveHorizon: 1,
-	}
-	ex := futures.New(cfg)
+	})
 	return ex.Reserve(futures.RoundInput{FwdRequests: reqs, FwdOffers: offs})
 }
 
@@ -178,8 +173,7 @@ func TestBuyerReservationTruthfulness(t *testing.T) {
 func TestIndividualRationality(t *testing.T) {
 	for _, seed := range []int64{1, 5, 9, 13} {
 		tr := NewTrace(seed, 48, 4)
-		cfg := enabledConfig(1)
-		ex := futures.New(cfg)
+		ex := futures.New(spotConfig(1), enabled)
 		breakers := make(map[bidding.ParticipantID]bool)
 		for i, in := range tr.Rounds {
 			res := ex.Run(in)
@@ -207,7 +201,7 @@ func TestIndividualRationality(t *testing.T) {
 				}
 			}
 		}
-		for i := 0; i < cfg.Futures.ReserveHorizon; i++ {
+		for i := 0; i < enabled.ReserveHorizon; i++ {
 			res := ex.Run(futures.RoundInput{
 				Evidence: []byte(fmt.Sprintf("ir-%d-drain-%d", seed, i)),
 			})
@@ -252,8 +246,7 @@ func TestIndividualRationality(t *testing.T) {
 // closes (Replay checks it per round).
 func TestCancelFlowsThroughReplay(t *testing.T) {
 	tr := NewTrace(7, 48, 3)
-	cfg := enabledConfig(1)
-	ex := futures.New(cfg)
+	ex := futures.New(spotConfig(1), enabled)
 	cancelled := 0
 	for _, in := range tr.Rounds {
 		res := ex.Run(in)
@@ -272,7 +265,7 @@ func TestCancelFlowsThroughReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < cfg.Futures.ReserveHorizon; i++ {
+	for i := 0; i < enabled.ReserveHorizon; i++ {
 		ex.Run(futures.RoundInput{Evidence: []byte(fmt.Sprintf("cancel-drain-%d", i))})
 	}
 	if err := ex.CheckConservation(); err != nil {

@@ -40,13 +40,11 @@ func decodeFuzzOps(data []byte) []fuzzOp {
 // after every op (the live run audits conservation; the oracle run
 // skips it). Returns the exchange for final-state comparison.
 func applyFuzzOps(base *workload.Market, ops []fuzzOp, check func(op int, ex *Exchange) error) (*Exchange, error) {
-	cfg := auction.DefaultConfig()
-	cfg.Futures = auction.FuturesConfig{
+	ex := New(auction.DefaultConfig(), Config{
 		OverbookRatio:  1.5,
 		PenaltyRate:    0.2,
 		ReserveHorizon: 2,
-	}
-	ex := New(cfg)
+	})
 	var reserved []bidding.OrderID // reservation request IDs, in creation order
 	for i, op := range ops {
 		if op.cancel {

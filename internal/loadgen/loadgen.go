@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"decloud/internal/auction"
 	"decloud/internal/futures"
 	"decloud/internal/obs"
 	"decloud/internal/p2p"
@@ -87,7 +86,7 @@ type Config struct {
 	// and one that does not falls through to normal spot submission. The
 	// desk models the client-side reservation stage of the two-stage
 	// market (internal/futures) without needing a futures-aware node.
-	Futures auction.FuturesConfig
+	Futures futures.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -147,7 +146,7 @@ type Report struct {
 // forward requests. Only touched from the single-threaded emission
 // loop.
 type reservationDesk struct {
-	cfg      auction.FuturesConfig
+	cfg      futures.Config
 	capacity float64 // remaining overbookable pool
 	rep      Report  // desk counters, folded into the run report
 }

@@ -9,6 +9,7 @@ import (
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
+	"decloud/internal/futures"
 	"decloud/internal/p2p"
 	"decloud/internal/workload"
 )
@@ -303,7 +304,7 @@ func TestReservationDesk(t *testing.T) {
 		Seed: 5, Clients: 4, EpochOrders: 64,
 		FuturesFraction: 0.5,
 	})
-	desk := &reservationDesk{cfg: auction.FuturesConfig{
+	desk := &reservationDesk{cfg: futures.Config{
 		OverbookRatio: 1.5, PenaltyRate: 0.2, ReserveHorizon: 1,
 	}}
 	var withheld, passed int

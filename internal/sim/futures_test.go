@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"decloud/internal/auction"
+	"decloud/internal/futures"
 	"decloud/internal/obs"
 	"decloud/internal/workload"
 )
@@ -18,7 +19,7 @@ func futuresConfig(mode Mode, overbook float64) Config {
 		SupplyShock:  0.2,
 	}
 	cfg.Auction = auction.DefaultConfig()
-	cfg.Auction.Futures = auction.FuturesConfig{
+	cfg.Futures = futures.Config{
 		OverbookRatio:  overbook,
 		PenaltyRate:    0.2,
 		ReserveHorizon: 2,
@@ -77,12 +78,12 @@ func TestFastFuturesDeterministic(t *testing.T) {
 	}
 }
 
-// TestFastControlArm: FuturesSplit without Auction.Futures runs the
+// TestFastControlArm: FuturesSplit without Futures runs the
 // spot-only control arm — no reservations, utilization still measured,
 // failing forward orders withheld from the market.
 func TestFastControlArm(t *testing.T) {
 	cfg := futuresConfig(Fast, 1.5)
-	cfg.Auction.Futures = auction.FuturesConfig{}
+	cfg.Futures = futures.Config{}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

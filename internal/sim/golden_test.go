@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"decloud/internal/auction"
+	"decloud/internal/futures"
 	"decloud/internal/workload"
 )
 
@@ -30,13 +31,13 @@ func fastGoldenCases() []struct {
 
 	// ReserveHorizon 1 so reservations made in round 0 deliver inside
 	// the three pinned rounds.
-	futures := plain
-	futures.FuturesSplit, futures.DemandShock, futures.SupplyShock = 0.5, 0.3, 0.2
-	futures.Auction = auction.DefaultConfig()
-	futures.Auction.Futures = auction.FuturesConfig{OverbookRatio: 1.5, PenaltyRate: 0.2, ReserveHorizon: 1}
+	twoStage := plain
+	twoStage.FuturesSplit, twoStage.DemandShock, twoStage.SupplyShock = 0.5, 0.3, 0.2
+	twoStage.Auction = auction.DefaultConfig()
+	twoStage.Futures = futures.Config{OverbookRatio: 1.5, PenaltyRate: 0.2, ReserveHorizon: 1}
 
-	control := futures
-	control.Auction.Futures = auction.FuturesConfig{}
+	control := twoStage
+	control.Futures = futures.Config{}
 
 	resubmit := plain
 	resubmit.Workload.Providers = 4 // tight supply: requests carry and expire
@@ -54,7 +55,7 @@ func fastGoldenCases() []struct {
 		{"plain", plain},
 		{"incremental", incremental},
 		{"metros3", metros},
-		{"futures_treatment", futures},
+		{"futures_treatment", twoStage},
 		{"futures_control", control},
 		{"resubmit", resubmit},
 		{"stream", stream},

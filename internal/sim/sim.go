@@ -88,8 +88,8 @@ type Config struct {
 	// orders into the FORWARD stage of the two-stage futures market
 	// (internal/futures), with DemandShock/SupplyShock as the divergence
 	// probabilities between reservation and delivery. Two arms share the
-	// knob: with Auction.Futures enabled the forward orders clear through
-	// the reservation stage (treatment); with it disabled the surviving
+	// knob: with Futures enabled the forward orders clear through the
+	// reservation stage (treatment); with it disabled the surviving
 	// forward orders are merged into the spot market and the failing ones
 	// withheld — the SPOT-ONLY CONTROL arm of the overbooking study, same
 	// demand/supply realization, no reservation stage. Incompatible with
@@ -97,6 +97,9 @@ type Config struct {
 	FuturesSplit float64
 	DemandShock  float64
 	SupplyShock  float64
+	// Futures configures the reservation stage of the two-stage market;
+	// the zero value disables it.
+	Futures futures.Config
 	// Pipeline overlaps round n+1's reveal collection with round n's
 	// clearing and verification in ledger mode (miner.Network.RunPipelined).
 	// Incompatible with Resubmit and DenyProb > 0: both feed the next
@@ -133,10 +136,10 @@ func (c Config) withDefaults() Config {
 }
 
 // twoStage reports whether rounds arrive split into a forward and a spot
-// stage: the futures treatment arm (Auction.Futures enabled) or its
+// stage: the futures treatment arm (Futures enabled) or its
 // spot-only control (FuturesSplit alone).
 func (c Config) twoStage() bool {
-	return c.FuturesSplit > 0 || c.Auction.Futures.Enabled()
+	return c.FuturesSplit > 0 || c.Futures.Enabled()
 }
 
 // validate rejects the market-shape combinations that were never
@@ -301,8 +304,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var futex *futures.Exchange
 	var fm *obs.FuturesMetrics
-	if cfg.Auction.Futures.Enabled() {
-		futex = futures.New(cfg.Auction)
+	if cfg.Futures.Enabled() {
+		futex = futures.New(cfg.Auction, cfg.Futures)
 		fm = obs.NewFuturesMetrics(cfg.Obs)
 		clr = futuresClearer(futex, clr)
 	}

@@ -69,11 +69,9 @@ type Topology struct {
 	ConvergeTimeout time.Duration
 }
 
-// What every devnet run shares.
 const (
-	// epochOrders shapes each participant's stream: small epochs keep
-	// offers and requests interleaved, so every produced round holds both
-	// sides of the market and short runs still clear trades.
+	// epochOrders shapes each participant's stream: small epochs keep both
+	// sides of the market in every round, so short runs still clear trades.
 	epochOrders = 16
 	difficulty  = 8   // the miners' PoW difficulty
 	minPool     = 16  // bids a producer batches per round
@@ -106,15 +104,6 @@ func (t Topology) withDefaults() (Topology, error) {
 		t.ConvergeTimeout = 60 * time.Second
 	}
 	return t, nil
-}
-
-// quorum is the producer's per-round OK-vote requirement: one, when there
-// is a verifier to give it.
-func (t Topology) quorum() int {
-	if t.Miners > 1 {
-		return 1
-	}
-	return 0
 }
 
 // federated reports whether this topology runs multiple metro exchanges.
@@ -329,7 +318,7 @@ func (c *Cluster) minerConfig(i int) MinerConfig {
 		Peers:          peers,
 		Difficulty:     difficulty,
 		Produce:        produce,
-		Quorum:         c.top.quorum(),
+		Quorum:         min(c.top.Miners-1, 1), // one OK vote, when there is a verifier to give it
 		MinPool:        minPool,
 		MaxPoolWaitMS:  1500,
 		RevealWindowMS: 800,

@@ -375,14 +375,13 @@ func runMiner(configPath string) error {
 	return runMinerWith(ctx, cfg)
 }
 
-// runMinerWith is the miner role's body, factored from the signal shell
-// so tests can run a miner in-process under a cancellable context.
-// roundTimeout bounds one whole produced round. The block is appended and
-// broadcast before vote collection, so a quorum that never arrives
-// (verifier partitioned or crashed) costs at most this long and the chain
-// still grows.
+// roundTimeout bounds one produced round. The block is appended and
+// broadcast before vote collection, so a quorum that never arrives costs
+// at most this long and the chain still grows.
 const roundTimeout = 12 * time.Second
 
+// runMinerWith is the miner role's body, factored from the signal shell
+// so tests can run a miner in-process under a cancellable context.
 func runMinerWith(ctx context.Context, cfg MinerConfig) error {
 	acfg := auction.DefaultConfig()
 	acfg.Incremental = cfg.Incremental

@@ -141,7 +141,7 @@ func TestTopologyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top.Rate <= 0 || top.quorum() != 1 {
+	if top.Rate <= 0 || top.Soak <= 0 {
 		t.Fatalf("defaults not applied: %+v", top)
 	}
 	if top.Incremental || top.MaxHops != 0 {

@@ -203,11 +203,10 @@ type execution struct {
 // and every verifier re-executes (Section III-B): decrypt the block's
 // bids with the reveals, clear them under the block's PoW evidence, and
 // encode the allocation. From scratch the clear is auction.Run over the
-// block's orders alone. With a book it is a speculative Book.Preview
-// over carried + new orders, which leaves the book where it was; absorb
-// advances it once the block is on the chain.
-func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal) (execution, error) {
-	ex := execution{dec: decryptOrders(b.Bids, reveals, m.Admitted, m.AuctionCfg.Workers)}
+// block's orders alone. With a book it is a speculative Book.Preview over
+// carried + new orders; absorb advances the book once the block is on chain.
+func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal) (*execution, error) {
+	ex := &execution{dec: decryptOrders(b.Bids, reveals, m.Admitted, m.AuctionCfg.Workers)}
 	if m.Metrics != nil {
 		if mm := m.Metrics(); mm != nil {
 			mm.BidSigSkipped.Add(int64(ex.dec.SigSkipped))
@@ -227,20 +226,18 @@ func (m *Miner) execute(b *ledger.Block, reveals []*sealed.KeyReveal) (execution
 	return ex, err
 }
 
-// verify is VerifyBlock, handing back the execution it ran.
-func (m *Miner) verify(b *ledger.Block) (execution, error) {
-	if err := b.Validate(); err != nil {
-		return execution{}, err
-	}
+// verify is VerifyBlock on a block that passed Validate (chain.Append runs
+// it before the callback), handing back the execution it ran.
+func (m *Miner) verify(b *ledger.Block) (*execution, error) {
 	ex, err := m.execute(b, b.Body.Reveals)
 	if err != nil {
-		return ex, err
+		return nil, err
 	}
 	if !bytes.Equal(ex.alloc, b.Body.Allocation) {
-		return ex, fmt.Errorf("%w (miner %s)", ErrAllocationMismatch, m.Name)
+		return nil, fmt.Errorf("%w (miner %s)", ErrAllocationMismatch, m.Name)
 	}
 	if violations := audit.Outcome(ex.reqs, ex.offs, ex.outcome); len(violations) > 0 {
-		return ex, fmt.Errorf("miner %s: allocation violates the market model: %v", m.Name, violations[0])
+		return nil, fmt.Errorf("miner %s: allocation violates the market model: %v", m.Name, violations[0])
 	}
 	return ex, nil
 }
@@ -266,6 +263,9 @@ func (m *Miner) ComputeBody(b *ledger.Block, reveals []*sealed.KeyReveal) (*auct
 // clear ran over (defense in depth: a bug that corrupted every replica
 // identically would still be caught here).
 func (m *Miner) VerifyBlock(b *ledger.Block) error {
+	if err := b.Validate(); err != nil {
+		return err
+	}
 	_, err := m.verify(b)
 	return err
 }

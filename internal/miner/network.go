@@ -405,13 +405,11 @@ func (n *Network) electLeaderAt(prevHash [32]byte, height int64, eligible []int,
 // verifyByPolicy applies the network's verification policy to a block.
 // verifiers lists the live (non-crashed) miners; everyone but the
 // producer checks, including miners barred from producing, and leaves
-// the execution it ran in exs (by miner index). Slashing on rejection is
-// the caller's job, so a rejected block costs its producer exactly one
-// slash under any policy.
+// the execution it ran in exs (by miner index). Slashing is the caller's
+// job, so a rejected block costs its producer one slash under any policy.
 func (n *Network) verifyByPolicy(b *ledger.Block, producerIdx int, verifiers []int, exs []*execution) error {
-	check := func(i int) error {
-		ex, err := n.miners[i].verify(b)
-		exs[i] = &ex
+	check := func(i int) (err error) {
+		exs[i], err = n.miners[i].verify(b)
 		return err
 	}
 	if n.Policy == VerifySampled {

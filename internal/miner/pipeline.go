@@ -251,19 +251,13 @@ func (n *Network) produceStage(ctx context.Context, st *pipelineStage, prevHash 
 // detected mismatch becomes a challenge that triggers full verification
 // (TrueBit's escape from the verifier's dilemma). A rejected producer is
 // slashed and barred, and production re-runs among the remaining miners
-// against the round's fixed parent — the previous round has fully
-// committed before a commit starts, so re-elections never chase a
-// moving head, and the bids are untouched: the next producer re-runs
-// the same round.
+// against the round's fixed parent, over the same bids.
 //
 // Book replicas (incremental mode) advance here, not in produceStage:
-// production only elects and collects reveals, while the producer and
-// the verifiers preview the block against their live sets and absorb
-// what they executed once it lands, so callers observing the network
-// between rounds see the post-block market. Commits run
-// strictly one at a time (the pipeline joins the previous commit before
-// launching the next), so the books advance in block order even though
-// production overlaps.
+// the producer and the verifiers preview the block against their live
+// sets and absorb what they executed once it lands. Commits run one at a
+// time (the pipeline joins the previous one before launching the next),
+// so the books advance in block order even though production overlaps.
 func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundResult, error) {
 	var verifiers []int
 	for i := range n.miners {
@@ -282,7 +276,7 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 			return nil, fmt.Errorf("miner: compute body: %w", err)
 		}
 		exs := make([]*execution, len(n.miners))
-		exs[winnerIdx] = &ex
+		exs[winnerIdx] = ex
 		block.Body = ledger.NewBody(st.reveals, ex.alloc)
 		if n.Obs != nil {
 			n.Obs.ComputeSeconds.Observe(time.Since(computeStart).Seconds())
@@ -325,16 +319,10 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 		}
 		st.tr.Event("verified", map[string]any{"producer": winner.Name, "verifiers": len(verifiers) - 1})
 		// Every book replica moves to the new head while the door still
-		// vouches for its bids: a miner that executed the block absorbs
-		// that execution; one that sat it out (crashed, not sampled)
-		// replays it. Then the bids leave the pool.
+		// vouches for the bids: a miner that executed the block absorbs
+		// that execution, one that sat it out (crashed, unsampled) replays.
 		for i, m := range n.miners {
-			if exs[i] != nil {
-				err = m.absorb(block, *exs[i])
-			} else {
-				err = m.SyncBook(n.chain)
-			}
-			if err != nil {
+			if err = m.absorb(block, exs[i]); err != nil {
 				break
 			}
 		}

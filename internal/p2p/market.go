@@ -38,8 +38,7 @@ type vote struct {
 
 // syncRequest asks peers for every block from Height (the requester's
 // current chain length) upward — sent by a replica that received a block
-// it cannot link, e.g. after a crash-restart, and by one that has appended
-// nothing for resyncAfter (the block it is missing may be the last one).
+// it cannot link, e.g. after a crash-restart, or appended nothing lately.
 type syncRequest struct {
 	From   string `json:"from"`
 	Height int64  `json:"height"`
@@ -62,11 +61,10 @@ type chainTransfer struct {
 //     and the trust set of the bids checked at this node's door, behind
 //     the pool's own lock.
 //   - miner is written once in NewMarketNode and only read afterwards.
-//     A block enters the node — chain and, in incremental mode, order
-//     book together — through miner.Produce (commitStage: this node's
-//     own) or miner.Accept (appendVerified: anyone else's) and no other
-//     way; the miner serializes the two, so whichever side loses a race
-//     for a height gets ledger.ErrBadLinkage and nothing moved.
+//     A block enters the node — chain and order book together — through
+//     miner.Produce (commitStage) or miner.Accept (appendVerified) only;
+//     the miner serializes them, so the loser of a race for a height
+//     gets ledger.ErrBadLinkage and nothing moved.
 //   - chain is internally RWMutex-guarded; appended blocks are treated
 //     as immutable (see ledger.Chain).
 //   - reveal intake is mutex-guarded and filtered against the open
@@ -119,9 +117,8 @@ func NewMarketNode(name, addr string, difficulty int, cfg auction.Config) (*Mark
 	mn.miner.Admitted = mn.pool.Verified()
 	mn.miner.Metrics = mn.metrics.Load
 	if cfg.Incremental {
-		// Incremental mode: this node clears a continuous order book kept
-		// in lockstep with its chain replica. Unmatched orders carry
-		// across blocks.
+		// This node clears a continuous order book kept in lockstep with
+		// its chain replica: unmatched orders carry across blocks.
 		mn.miner.Book = book.New(cfg)
 	}
 	n.Handle(msgBid, mn.onBid)
@@ -135,21 +132,18 @@ func NewMarketNode(name, addr string, difficulty int, cfg auction.Config) (*Mark
 	return mn, nil
 }
 
-// resyncAfter is how long a node goes without appending a block before it
-// asks its peers whether it missed one.
+// resyncAfter is how long a node appends nothing before it asks for news.
 const resyncAfter = 2 * time.Second
 
-// resyncLoop re-announces this replica's height whenever a whole
-// resyncAfter passed without an append. A dropped block frame is
-// otherwise recovered only when a LATER block fails linkage — never, if
-// it was the last. Peers answer only when ahead, and while blocks flow
-// the loop says nothing. Ends with the node.
+// resyncLoop re-announces this replica's height whenever resyncAfter
+// passed without an append: a dropped block frame is otherwise recovered
+// only when a LATER block fails linkage — never, if it was the last.
+// Peers answer only when ahead; while blocks flow the loop is silent.
 func (mn *MarketNode) resyncLoop() {
 	defer mn.net.wg.Done()
 	t := time.NewTicker(resyncAfter)
 	defer t.Stop()
-	seen := 0
-	for {
+	for seen := 0; ; {
 		select {
 		case <-mn.net.stop:
 			return
@@ -157,16 +151,15 @@ func (mn *MarketNode) resyncLoop() {
 		}
 		if n := mn.chain.Len(); n != seen {
 			seen = n
-			continue
+		} else {
+			_ = mn.net.Broadcast(msgSyncReq, syncRequest{From: mn.Name(), Height: int64(seen)})
 		}
-		_ = mn.net.Broadcast(msgSyncReq, syncRequest{From: mn.Name(), Height: int64(seen)})
 	}
 }
 
 // LoadChain replays a persisted replica (ledger.Chain.SaveFile) into the
-// node, each block through the same door a peer's block takes: fully
-// re-verified, absorbed by the order book, its bids known to the pool as
-// committed. The error of a tampered or unlinkable file names the height.
+// node, every block through the door a peer's block takes. The error of a
+// tampered or unlinkable file names the height.
 func (mn *MarketNode) LoadChain(path string) error {
 	_, err := ledger.LoadFile(path, mn.appendVerified)
 	return err
@@ -394,9 +387,8 @@ func (mn *MarketNode) onChain(msg Message) {
 	}
 }
 
-// appendVerified lets a block produced elsewhere into the node — chain
-// and order book together, after full verification (miner.Accept) — and
-// retires its bids from the pool.
+// appendVerified lets a block produced elsewhere into the node, fully
+// verified (miner.Accept), and retires its bids from the pool.
 func (mn *MarketNode) appendVerified(b *ledger.Block) error {
 	if err := mn.miner.Accept(mn.chain, b); err != nil {
 		return err
@@ -451,8 +443,7 @@ const revealBackoff = 2
 // with exponential backoff per cfg), compute and broadcast the block,
 // then collect verifier votes until cfg.Quorum OK votes arrive or ctx
 // expires. The producer appends to its own replica before broadcasting.
-// It is RunPipeline at depth 1: nothing overlaps, and a rival's block
-// that lands mid-round flushes the round onto the new head.
+// It is RunPipeline at depth 1.
 func (mn *MarketNode) ProduceBlockOpts(ctx context.Context, cfg RoundConfig) (*RoundSummary, error) {
 	rounds, err := mn.RunPipeline(ctx, 1, cfg, nil)
 	if err != nil {
@@ -468,11 +459,10 @@ func (mn *MarketNode) nextParent() (prevHash [32]byte, height int64) {
 }
 
 // abortRound ends a round that died before its block was appended (timed
-// out mid-reveal, mining aborted, the self-append lost a race for the
-// height, node closing). Nothing was appended or broadcast, so the
-// drained bids go back for the next round to retry — but for those a
-// rival's block committed meanwhile; a closing node has no next round and
-// discards them.
+// out mid-reveal, mining aborted, the self-append lost the race for its
+// height, node closing). Nothing was appended or broadcast, so the bids
+// go back for the next round — but for those a rival's block committed
+// meanwhile; a closing node has no next round and discards them.
 func (mn *MarketNode) abortRound(bids []*sealed.Bid, err error) {
 	if errors.Is(err, ErrClosed) {
 		mn.pool.Discard(bids)
@@ -562,8 +552,8 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 	}, nil
 }
 
-// commitStage runs the round's execution phase: execute the block, let it
-// into this node (miner.Produce), broadcast it, and wait for the verifier
+// commitStage runs the round's execution phase: execute the block into
+// this node (miner.Produce), broadcast it, and wait for the verifier
 // quorum. Vote waits abort on node shutdown as well as ctx.
 func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *producedRound, tr *obs.RoundTrace) (*RoundSummary, error) {
 	m := mn.metrics.Load()
@@ -636,15 +626,13 @@ type PipelinedSummary struct {
 // is already mined and broadcast and its reveal window is open — the
 // reveal round-trip of epoch n+1 overlaps the vote round-trip of epoch
 // n. feed, when non-nil, is called at the top of each round to submit
-// that round's bids. This is the node's one round driver and the one
-// head check: if, once the previous commit has joined, the replica's
-// head is not the parent the round was produced on (that commit failed
-// before its self-append, or a rival's block landed meanwhile), the
-// production is flushed and redone against the real head; flushes are
-// counted in the miner metrics bundle. A rival that lands later still
-// fails the self-append, and the round's bids go back to the pool
-// (abortRound). Per-round failures are recorded and the pipeline
-// continues.
+// that round's bids. It is the node's one round driver and holds the one
+// head check: if, once the previous commit has joined, the head is not
+// the parent the round was produced on (that commit failed before its
+// self-append, or a rival's block landed), the production is flushed
+// and redone against the real head; flushes are counted in the miner
+// metrics bundle. A rival landing later still fails the self-append
+// (abortRound). Per-round failures are recorded and the pipeline continues.
 func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConfig, feed func(round int) error) ([]*PipelinedSummary, error) {
 	results := make([]*PipelinedSummary, 0, rounds)
 	var pending chan *PipelinedSummary // the commit in flight, if any

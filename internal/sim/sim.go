@@ -97,8 +97,7 @@ type Config struct {
 	FuturesSplit float64
 	DemandShock  float64
 	SupplyShock  float64
-	// Futures configures the reservation stage of the two-stage market;
-	// the zero value disables it.
+	// Futures configures the reservation stage (zero value: disabled).
 	Futures futures.Config
 	// Pipeline overlaps round n+1's reveal collection with round n's
 	// clearing and verification in ledger mode (miner.Network.RunPipelined).

@@ -40,21 +40,22 @@ type Preamble struct {
 	BidsHash   [32]byte `json:"bids_hash"`
 }
 
+const preambleSize = 8*4 + 32*2 // the length of appendTo's encoding
+
+// appendTo appends what Hash hashes and a block on the wire starts with:
+// height ‖ prev hash ‖ timestamp ‖ difficulty ‖ nonce ‖ bids hash, integers
+// as big-endian u64.
+func (p *Preamble) appendTo(dst []byte) []byte {
+	dst = append(binary.BigEndian.AppendUint64(dst, uint64(p.Height)), p.PrevHash[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Timestamp))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Difficulty))
+	return append(binary.BigEndian.AppendUint64(dst, p.Nonce), p.BidsHash[:]...)
+}
+
 // Hash computes the preamble's canonical SHA-256 hash.
 func (p *Preamble) Hash() [32]byte {
-	buf := make([]byte, 0, 8*4+32*2)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(p.Height))
-	buf = append(buf, n[:]...)
-	buf = append(buf, p.PrevHash[:]...)
-	binary.BigEndian.PutUint64(n[:], uint64(p.Timestamp))
-	buf = append(buf, n[:]...)
-	binary.BigEndian.PutUint64(n[:], uint64(p.Difficulty))
-	buf = append(buf, n[:]...)
-	binary.BigEndian.PutUint64(n[:], p.Nonce)
-	buf = append(buf, n[:]...)
-	buf = append(buf, p.BidsHash[:]...)
-	return sha256.Sum256(buf)
+	var buf [preambleSize]byte
+	return sha256.Sum256(p.appendTo(buf[:0]))
 }
 
 // ValidPoW reports whether the preamble hash has the required number of
@@ -104,9 +105,7 @@ func HashBids(bids []*sealed.Bid) [32]byte {
 		h.Write(b.Sender)
 		h.Write(b.Signature)
 	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return [32]byte(h.Sum(nil))
 }
 
 // AllocationRecord is one match as recorded on-chain.

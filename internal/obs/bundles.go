@@ -119,11 +119,12 @@ type NetMetrics struct {
 	Conns        *Gauge   // decloud_p2p_conns — live connections
 	SentMsgs     *Counter // messages written to peers
 	SentBytes    *Counter // bytes written to peers
-	RecvMsgs     *Counter // wire lines received
+	RecvMsgs     *Counter // frames received
 	RecvBytes    *Counter // bytes received
-	Malformed    *Counter // undecodable wire lines dropped
+	Malformed    *Counter // connections dropped for a malformed frame
 	Rejected     *Counter // inbound connections refused at the accept limit
 	Oversize     *Counter // connections dropped for exceeding the frame limit
+	Stalled      *Counter // peers dropped for a write that made no progress within the stall timeout
 	PoolDropped  *Counter // bids refused at the mempool limit
 	FaultDropped *Counter // messages dropped by the fault plan
 	FaultDelayed *Counter // messages delayed by the fault plan
@@ -139,11 +140,12 @@ func NewNetMetrics(r *Registry) *NetMetrics {
 		Conns:        r.Gauge("decloud_p2p_conns", "live gossip connections"),
 		SentMsgs:     r.Counter("decloud_p2p_sent_msgs_total", "messages written to peers"),
 		SentBytes:    r.Counter("decloud_p2p_sent_bytes_total", "bytes written to peers"),
-		RecvMsgs:     r.Counter("decloud_p2p_recv_msgs_total", "wire lines received"),
+		RecvMsgs:     r.Counter("decloud_p2p_recv_msgs_total", "frames received"),
 		RecvBytes:    r.Counter("decloud_p2p_recv_bytes_total", "bytes received"),
-		Malformed:    r.Counter("decloud_p2p_malformed_msgs_total", "undecodable wire lines dropped"),
+		Malformed:    r.Counter("decloud_p2p_malformed_msgs_total", "connections dropped for a malformed frame"),
 		Rejected:     r.Counter("decloud_p2p_rejected_conns_total", "inbound connections refused at the accept limit"),
 		Oversize:     r.Counter("decloud_p2p_oversize_frames_total", "connections dropped for exceeding the frame limit"),
+		Stalled:      r.Counter("decloud_p2p_stalled_peers_total", "peers dropped for a write that made no progress within the stall timeout"),
 		PoolDropped:  r.Counter("decloud_p2p_pool_dropped_total", "bids refused at the mempool limit"),
 		FaultDropped: r.Counter("decloud_p2p_fault_dropped_total", "messages dropped by the fault plan"),
 		FaultDelayed: r.Counter("decloud_p2p_fault_delayed_total", "messages delayed by the fault plan"),

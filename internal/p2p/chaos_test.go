@@ -373,7 +373,7 @@ func TestCloseUnderLoad(t *testing.T) {
 			for i := 0; ; i++ {
 				// Write errors against peers that closed first are expected
 				// mid-shutdown; the loop just stops broadcasting.
-				if err := n.Broadcast("load", i); err != nil {
+				if err := n.Broadcast("load", []byte(strconv.Itoa(i))); err != nil {
 					return
 				}
 			}
@@ -388,7 +388,7 @@ func TestCloseUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	for _, n := range nodes {
-		if err := n.Broadcast("late", 1); err != ErrClosed {
+		if err := n.Broadcast("late", nil); err != ErrClosed {
 			t.Fatalf("broadcast after close: %v, want ErrClosed", err)
 		}
 		if n.PeerCount() != 0 {
@@ -432,7 +432,7 @@ func TestFaultPlanDuplicatesAreHarmless(t *testing.T) {
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Broadcast("x", "payload"); err != nil {
+	if err := a.Broadcast("x", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "duplicate delivery", func() bool {

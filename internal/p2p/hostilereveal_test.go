@@ -3,7 +3,6 @@ package p2p
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -57,15 +56,17 @@ func TestForgedRevealCannotCensor(t *testing.T) {
 	}
 	t.Cleanup(func() { mallory.Close() })
 	mallory.Handle(msgPreamble, func(m Message) {
-		var block ledger.Block
-		if json.Unmarshal(m.Payload, &block) != nil {
+		block, err := ledger.DecodeBlock(m.Payload)
+		if err != nil {
 			return
 		}
 		forged := make([]*sealed.KeyReveal, len(block.Bids))
 		for i, b := range block.Bids {
 			forged[i] = &sealed.KeyReveal{BidDigest: b.Digest(), Key: junkKey(fmt.Sprint(i))}
 		}
-		_ = mallory.Broadcast(msgReveals, forged)
+		if payload, err := sealed.AppendReveals(nil, forged); err == nil {
+			_ = mallory.Broadcast(msgReveals, payload)
+		}
 	})
 	if err := mallory.Connect(producer.Addr()); err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func intakeLen(mn *MarketNode) int {
 // TestRevealFloodIsBounded: while a round is open the intake holds at
 // most one reveal per digest the round still wants, whatever is thrown
 // at it — junk keys for wanted digests, the valid reveals over and over,
-// reveals for digests nobody committed, nils — and the round commits
+// reveals for digests nobody committed — and the round commits
 // every bid as soon as the last valid reveal arrives. Between rounds it
 // holds nothing.
 func TestRevealFloodIsBounded(t *testing.T) {
@@ -171,8 +172,9 @@ func TestRevealFloodIsBounded(t *testing.T) {
 	}
 
 	// One batch of the flood: every wanted digest under a junk key, every
-	// valid reveal but the withheld one (twice), unwanted digests, a nil.
-	// The withheld reveal keeps the round open for the whole flood.
+	// valid reveal but the withheld one (twice), unwanted digests. (A nil
+	// reveal, once part of the flood, has no encoding.) The withheld
+	// reveal keeps the round open for the whole flood.
 	batch := func(round int) Message {
 		var krs []*sealed.KeyReveal
 		for i, kr := range valid {
@@ -187,8 +189,7 @@ func TestRevealFloodIsBounded(t *testing.T) {
 				Key:       junkKey("unwanted"),
 			})
 		}
-		krs = append(krs, nil)
-		payload, err := json.Marshal(krs)
+		payload, err := sealed.AppendReveals(nil, krs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestRevealFloodIsBounded(t *testing.T) {
 	default:
 	}
 
-	payload, err := json.Marshal(valid[:1])
+	payload, err := sealed.AppendReveals(nil, valid[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +274,7 @@ func TestRevealFloodIsBounded(t *testing.T) {
 		t.Fatalf("the body carries %d reveals for %d bids", len(res.sum.Block.Body.Reveals), n)
 	}
 
-	// Every flood reveal was refused — nils are not reveals — and only
-	// those: refusals are counted while a round is open, and nothing of
+	// Every flood reveal was refused, and only those: refusals are counted while a round is open, and nothing of
 	// what arrives between rounds is kept or counted.
 	refused := int64(batches)*999 - (n - 1)
 	if got := reg.CounterValue(revealsRefused); got != refused {

@@ -1,10 +1,12 @@
 package p2p
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -55,7 +57,7 @@ func TestConnLimitInbound(t *testing.T) {
 	// The survivor still gossips.
 	got := make(chan struct{}, 1)
 	a.Handle("ping", func(Message) { got <- struct{}{} })
-	if err := srv.Broadcast("ping", "x"); err != nil {
+	if err := srv.Broadcast("ping", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -94,41 +96,72 @@ func TestConnLimitOutbound(t *testing.T) {
 	}
 }
 
-// TestFrameLimitDropsPeer: a peer shipping an oversize line is
-// disconnected, counted, and the oversize payload is never delivered.
+// TestFrameLimitDropsPeer: a peer whose frame is over the cap is
+// disconnected and counted, and the oversize payload is never delivered —
+// whether it sends the whole frame or a header claiming cap+1 bytes and
+// nothing after it: the header alone is refused.
 func TestFrameLimitDropsPeer(t *testing.T) {
-	srv, err := Listen("srv", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	const limit = 4 * 1024
+	server := func(t *testing.T) (*Node, *obs.NetMetrics, chan int) {
+		srv, err := Listen("srv", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		m := obs.NewNetMetrics(obs.NewRegistry())
+		srv.SetObs(m)
+		srv.SetLimits(Limits{MaxFrameBytes: limit})
+		delivered := make(chan int, 4)
+		srv.Handle("blob", func(msg Message) { delivered <- len(msg.Payload) })
+		return srv, m, delivered
 	}
-	defer srv.Close()
-	reg := obs.NewRegistry()
-	m := obs.NewNetMetrics(reg)
-	srv.SetObs(m)
-	srv.SetLimits(Limits{MaxFrameBytes: 4 * 1024})
+	dropped := func(t *testing.T, srv *Node, m *obs.NetMetrics, delivered chan int) {
+		t.Helper()
+		waitFor(t, "oversize drop", func() bool { return m.Oversize.Value() == 1 })
+		waitFor(t, "peer disconnected", func() bool { return srv.PeerCount() == 0 })
+		select {
+		case n := <-delivered:
+			t.Fatalf("oversize payload of %d bytes was delivered", n)
+		default:
+		}
+	}
 
-	peer, err := Listen("peer", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	if err := peer.Connect(srv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "peer connected", func() bool { return srv.PeerCount() == 1 })
+	t.Run("whole frame", func(t *testing.T) {
+		srv, m, delivered := server(t)
+		peer, err := Listen("peer", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		if err := peer.Connect(srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "peer connected", func() bool { return srv.PeerCount() == 1 })
+		if err := peer.Broadcast("blob", bytes.Repeat([]byte("x"), 64*1024)); err != nil {
+			t.Fatal(err)
+		}
+		dropped(t, srv, m, delivered)
+	})
 
-	delivered := make(chan int, 4)
-	srv.Handle("blob", func(msg Message) { delivered <- len(msg.Payload) })
-	if err := peer.Broadcast("blob", strings.Repeat("x", 64*1024)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "oversize drop", func() bool { return m.Oversize.Value() == 1 })
-	waitFor(t, "peer disconnected", func() bool { return srv.PeerCount() == 0 })
-	select {
-	case n := <-delivered:
-		t.Fatalf("oversize payload of %d bytes was delivered", n)
-	default:
-	}
+	t.Run("header alone", func(t *testing.T) {
+		srv, m, delivered := server(t)
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		waitFor(t, "peer connected", func() bool { return srv.PeerCount() == 1 })
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], limit+1)
+		if _, err := conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		dropped(t, srv, m, delivered)
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(hdr[:]); err != io.EOF {
+			t.Fatalf("the dropped peer reads %v, want EOF", err)
+		}
+	})
 }
 
 // TestMempoolLimit: bids beyond the cap are refused at SubmitBid and at
@@ -210,7 +243,7 @@ func TestDoorRefusesBeforeItChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := json.Marshal(bid)
+		payload, err := sealed.AppendBid(nil, bid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -213,15 +212,18 @@ func (lc *LoadClient) Publish(orderID string, bid *sealed.Bid) error {
 // PublishOn is Publish over connection conn (mod Conns). The bid is booked
 // before it is sent: onBlock may see its block before Broadcast returns.
 func (lc *LoadClient) PublishOn(conn int, orderID string, bid *sealed.Bid) error {
+	payload, err := sealed.AppendBid(nil, bid)
+	if err != nil {
+		return err
+	}
 	lc.mu.Lock()
 	lc.submitAt[bid.Digest()] = time.Now()
 	lc.mine[orderID] = true
 	lc.mu.Unlock()
-	if err := lc.nets[conn%len(lc.nets)].Broadcast(msgBid, bid); err != nil {
-		return err
+	if err = lc.nets[conn%len(lc.nets)].Broadcast(msgBid, payload); err == nil {
+		atomic.AddInt64(&lc.submitted, 1)
 	}
-	atomic.AddInt64(&lc.submitted, 1)
-	return nil
+	return err
 }
 
 // Counts reports (submitted, committed, matched) bid totals. Committed
@@ -238,21 +240,16 @@ func (lc *LoadClient) Counts() (submitted, committed, matched int64) {
 // protocol: keys go out only once the proof-of-work is fixed, and only
 // against a preamble that commits to the bids it lists.
 func (lc *LoadClient) onPreamble(msg Message) {
-	var block ledger.Block
-	if err := json.Unmarshal(msg.Payload, &block); err != nil {
-		return
-	}
-	if !block.Preamble.ValidPoW() {
-		return
-	}
-	if ledger.HashBids(block.Bids) != block.Preamble.BidsHash {
+	block, err := ledger.DecodeBlock(msg.Payload)
+	if err != nil || !block.Preamble.ValidPoW() || ledger.HashBids(block.Bids) != block.Preamble.BidsHash {
 		return
 	}
 	// Batch all identities' reveals into a single frame per preamble —
 	// at load-test order rates the per-order reveal frames were the
 	// dominant transport cost of a round.
 	if krs := miner.RevealAll(lc.parts, sealed.NewIndex(block.Bids)); len(krs) > 0 {
-		_ = lc.nets[0].Broadcast(msgReveals, krs)
+		payload, _ := sealed.AppendReveals(nil, krs) // the identities' own keys: KeySize each
+		_ = lc.nets[0].Broadcast(msgReveals, payload)
 	}
 }
 
@@ -261,11 +258,8 @@ func (lc *LoadClient) onPreamble(msg Message) {
 // requests counts as a match, and the identities' retained keys for the
 // block's bids are released.
 func (lc *LoadClient) onBlock(msg Message) {
-	var block ledger.Block
-	if err := json.Unmarshal(msg.Payload, &block); err != nil {
-		return
-	}
-	if block.Validate() != nil {
+	block, err := ledger.DecodeBlock(msg.Payload)
+	if err != nil || block.Validate() != nil {
 		return
 	}
 	now := time.Now()

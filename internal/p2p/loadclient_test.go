@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
+	"decloud/internal/ledger"
 	"decloud/internal/miner"
 	"decloud/internal/obs"
 	"decloud/internal/resource"
@@ -144,7 +144,7 @@ func TestLoadClientDuplicateBlockCountedOnce(t *testing.T) {
 
 	// Re-deliver the committed block straight into the handler.
 	head := mn.Chain().Head()
-	payload, err := json.Marshal(head)
+	payload, err := ledger.AppendBlock(nil, head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestLoadClientCountsACommitThatBeatsPublish(t *testing.T) {
 	if _, err := m.ComputeBody(block, nil); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(block)
+	payload, err := ledger.AppendBlock(nil, block)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,16 @@ import (
 	"decloud/internal/sealed"
 )
 
-// Wire message types of the two-phase protocol.
+// Wire message types of the two-phase protocol: votes and sync requests
+// travel as JSON, everything that carries bids in the binary codecs.
 const (
-	msgBid      = "bid"      // sealed.Bid
-	msgPreamble = "preamble" // ledger.Block without body
-	msgReveals  = "reveals"  // []*sealed.KeyReveal — one frame per participant per round
-	msgBlock    = "block"    // full ledger.Block
+	msgBid      = "bid"      // sealed.AppendBid
+	msgPreamble = "preamble" // ledger.AppendBlock of the block without body
+	msgReveals  = "reveals"  // sealed.AppendReveals — one frame per participant per round
+	msgBlock    = "block"    // ledger.AppendBlock
 	msgVote     = "vote"     // vote
 	msgSyncReq  = "syncreq"  // syncRequest — a lagging replica asks for blocks
-	msgChain    = "chain"    // chainTransfer — catch-up blocks for one node
+	msgChain    = "chain"    // u8-prefixed recipient ‖ its catch-up blocks, each ledger.AppendBlock
 )
 
 // vote is a verifier's verdict on a broadcast block.
@@ -42,12 +43,6 @@ type vote struct {
 type syncRequest struct {
 	From   string `json:"from"`
 	Height int64  `json:"height"`
-}
-
-// chainTransfer answers a syncRequest with catch-up blocks for one node.
-type chainTransfer struct {
-	For    string          `json:"for"`
-	Blocks []*ledger.Block `json:"blocks"`
 }
 
 // MarketNode is a miner running the protocol over TCP gossip: it
@@ -152,7 +147,7 @@ func (mn *MarketNode) resyncLoop() {
 		if n := mn.chain.Len(); n != seen {
 			seen = n
 		} else {
-			_ = mn.net.Broadcast(msgSyncReq, syncRequest{From: mn.Name(), Height: int64(seen)})
+			mn.broadcastJSON(msgSyncReq, syncRequest{From: mn.Name(), Height: int64(seen)})
 		}
 	}
 }
@@ -217,14 +212,29 @@ func (mn *MarketNode) SubmitBid(b *sealed.Bid) error {
 	if err := mn.admit(b); err != nil {
 		return err
 	}
-	return mn.net.Broadcast(msgBid, b)
+	payload, _ := sealed.AppendBid(nil, b) // admitted, so ed25519-sized
+	return mn.net.Broadcast(msgBid, payload)
 }
 
 func (mn *MarketNode) onBid(msg Message) {
-	var b sealed.Bid
-	if err := json.Unmarshal(msg.Payload, &b); err == nil {
-		_ = mn.admit(&b) // a refused gossip bid is just not pooled
+	if b, err := sealed.DecodeBid(msg.Payload); err == nil {
+		_ = mn.admit(b) // a refused gossip bid is just not pooled
 	}
+}
+
+// broadcastBlock gossips a block — or, without its body, its preamble.
+func (mn *MarketNode) broadcastBlock(msgType string, b *ledger.Block) error {
+	payload, err := ledger.AppendBlock(nil, b)
+	if err == nil {
+		err = mn.net.Broadcast(msgType, payload)
+	}
+	return err
+}
+
+// broadcastJSON gossips a vote or a sync request.
+func (mn *MarketNode) broadcastJSON(msgType string, v any) {
+	data, _ := json.Marshal(v) // neither can fail to marshal
+	_ = mn.net.Broadcast(msgType, data)
 }
 
 // admit offers a bid to the node's door (miner.Pool.Admit: nil,
@@ -253,8 +263,8 @@ func (mn *MarketNode) PoolLimit() int { return mn.pool.Limit() }
 // bounds the intake. What a collecting round turns away is counted;
 // between rounds reveals are dropped uncounted — not an attack, gossip.
 func (mn *MarketNode) onReveals(msg Message) {
-	var krs []*sealed.KeyReveal
-	if err := json.Unmarshal(msg.Payload, &krs); err != nil {
+	krs, err := sealed.DecodeReveals(msg.Payload)
+	if err != nil {
 		return
 	}
 	mn.revealFrames.Add(1)
@@ -265,9 +275,6 @@ func (mn *MarketNode) onReveals(msg Message) {
 	}
 	kept, refused := 0, 0
 	for _, kr := range krs {
-		if kr == nil {
-			continue
-		}
 		if bid := mn.revealWant[kr.BidDigest]; bid == nil || kr.Verify(bid) != nil {
 			refused++
 			continue
@@ -330,60 +337,62 @@ func (mn *MarketNode) RevealFrames() int64 { return mn.revealFrames.Load() }
 // this replica is behind (e.g. it crash-restarted and missed rounds), so
 // it asks its peers for the gap before it can vote.
 func (mn *MarketNode) onBlock(msg Message) {
-	var b ledger.Block
-	if err := json.Unmarshal(msg.Payload, &b); err != nil {
+	b, err := ledger.DecodeBlock(msg.Payload)
+	if err != nil {
 		return
 	}
 	m := mn.metrics.Load()
 	verifyStart := obsNow(m)
 	v := vote{Voter: mn.Name(), Height: b.Preamble.Height, OK: true}
-	if err := mn.appendVerified(&b); err != nil {
+	if err := mn.appendVerified(b); err != nil {
 		v.OK = false
 		v.Err = err.Error()
 		if errors.Is(err, ledger.ErrBadLinkage) && b.Preamble.Height > int64(mn.chain.Len()) {
-			_ = mn.net.Broadcast(msgSyncReq, syncRequest{From: mn.Name(), Height: int64(mn.chain.Len())})
+			mn.broadcastJSON(msgSyncReq, syncRequest{From: mn.Name(), Height: int64(mn.chain.Len())})
 		}
 	}
 	if m != nil {
 		m.VerifySeconds.Observe(time.Since(verifyStart).Seconds())
 	}
-	_ = mn.net.Broadcast(msgVote, v)
+	mn.broadcastJSON(msgVote, v)
 }
 
 // onSyncReq answers a lagging peer with the blocks it is missing.
 func (mn *MarketNode) onSyncReq(msg Message) {
 	var req syncRequest
-	if err := json.Unmarshal(msg.Payload, &req); err != nil || req.From == mn.Name() {
+	if err := json.Unmarshal(msg.Payload, &req); err != nil || req.From == mn.Name() || len(req.From) > 255 {
 		return
 	}
 	n := int64(mn.chain.Len())
 	if n <= req.Height || req.Height < 0 {
 		return
 	}
-	var blocks []*ledger.Block
+	payload := append([]byte{byte(len(req.From))}, req.From...)
 	for h := req.Height; h < n; h++ {
-		b := mn.chain.BlockAt(int(h))
-		if b == nil {
+		var err error
+		if payload, err = ledger.AppendBlock(payload, mn.chain.BlockAt(int(h))); err != nil {
 			return
 		}
-		blocks = append(blocks, b)
 	}
-	_ = mn.net.Broadcast(msgChain, chainTransfer{For: req.From, Blocks: blocks})
+	_ = mn.net.Broadcast(msgChain, payload)
 }
 
 // onChain applies catch-up blocks addressed to this node, verifying each
 // one before appending, and votes OK for every height it accepts — so a
 // producer still waiting on quorum hears from a replica that synced late.
 func (mn *MarketNode) onChain(msg Message) {
-	var tr chainTransfer
-	if err := json.Unmarshal(msg.Payload, &tr); err != nil || tr.For != mn.Name() {
+	to, rest, err := cutString(msg.Payload)
+	if err != nil || to != mn.Name() {
 		return
 	}
-	for _, b := range tr.Blocks {
-		if err := mn.appendVerified(b); err != nil {
-			continue // already have it, or it does not verify
+	for len(rest) > 0 {
+		var b *ledger.Block
+		if b, rest, err = ledger.ReadBlock(rest); err != nil {
+			return
 		}
-		_ = mn.net.Broadcast(msgVote, vote{Voter: mn.Name(), Height: b.Preamble.Height, OK: true})
+		if mn.appendVerified(b) == nil { // not held already, and verified
+			mn.broadcastJSON(msgVote, vote{Voter: mn.Name(), Height: b.Preamble.Height, OK: true})
+		}
 	}
 }
 
@@ -511,7 +520,7 @@ func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHas
 	attempts := 0
 	for {
 		attempts++
-		if err := mn.net.Broadcast(msgPreamble, block); err != nil {
+		if err := mn.broadcastBlock(msgPreamble, block); err != nil {
 			return nil, fmt.Errorf("p2p: broadcast preamble: %w", err)
 		}
 		timer := time.NewTimer(window)
@@ -569,7 +578,7 @@ func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *prod
 		m.ComputeSeconds.Observe(time.Since(computeStart).Seconds())
 	}
 	tr.Event("allocation_computed", map[string]any{"matches": len(outcome.Matches)})
-	if err := mn.net.Broadcast(msgBlock, block); err != nil {
+	if err := mn.broadcastBlock(msgBlock, block); err != nil {
 		return nil, fmt.Errorf("p2p: broadcast block: %w", err)
 	}
 
@@ -579,16 +588,15 @@ func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *prod
 		Unrevealed:     pr.unrevealed,
 		RevealAttempts: pr.attempts,
 	}
+	// Voters, once per verdict: a duplicate is no second voter; bad-then-OK (caught up) counts.
+	voters := map[bool]map[string]bool{false: {}, true: {}}
 	for summary.OKVotes < cfg.Quorum {
 		var gaveUp error
 		select {
 		case v := <-mn.voteCh:
-			switch {
-			case v.Height != block.Preamble.Height: // another round's vote
-			case v.OK:
-				summary.OKVotes++
-			default:
-				summary.BadVotes++
+			if v.Height == block.Preamble.Height { // not another round's vote
+				voters[v.OK][v.Voter] = true
+				summary.OKVotes, summary.BadVotes = len(voters[true]), len(voters[false])
 			}
 			continue
 		case <-mn.net.stop:

@@ -1,21 +1,22 @@
 // Package p2p provides the networked deployment of the two-phase bid
-// exposure protocol: a small TCP gossip transport (JSON-line framing,
-// flood routing with deduplication) and a MarketNode that runs the miner
-// role over it. The in-process miner.Network is the reference
-// implementation; this package carries the same message flow across real
-// sockets so that miners and participants can run as separate processes
-// (see cmd/decloud-node).
+// exposure protocol: a small TCP gossip transport (length-prefixed binary
+// frames, relayed as received; flood routing with deduplication) and a
+// MarketNode that runs the miner role over it. The in-process
+// miner.Network is the reference implementation; this package carries the
+// same message flow across real sockets so that miners and participants
+// can run as separate processes (see cmd/decloud-node).
 package p2p
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,28 +26,85 @@ import (
 	"decloud/internal/obs"
 )
 
-// Message is the wire envelope. ID makes flooding idempotent: every node
-// relays a message at most once.
+// Message is one delivered frame. ID makes flooding idempotent: every node
+// relays a message at most once. Payload aliases the frame: read-only.
 type Message struct {
-	ID      uint64          `json:"id"`
-	From    string          `json:"from"`
-	Type    string          `json:"type"`
-	Payload json.RawMessage `json:"payload"`
+	ID      uint64
+	From    string
+	Type    string
+	Payload []byte
 }
 
+// key is SHA-256(id ‖ from ‖ 0 ‖ type ‖ 0 ‖ payload), for dedup and faults.
 func (m *Message) key() [32]byte {
 	h := sha256.New()
-	var id [8]byte
-	binary.BigEndian.PutUint64(id[:], m.ID)
-	h.Write(id[:])
-	h.Write([]byte(m.From))
-	h.Write([]byte{0})
-	h.Write([]byte(m.Type))
-	h.Write([]byte{0})
+	h.Write(binary.BigEndian.AppendUint64(nil, m.ID))
+	h.Write([]byte(m.From + "\x00" + m.Type + "\x00"))
 	h.Write(m.Payload)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return [32]byte(h.Sum(nil))
+}
+
+// A frame is u32 length ‖ u64 id ‖ u8 len ‖ type ‖ u8 len ‖ from ‖ payload,
+// the length counting the bytes after it; it is read and written in
+// frameChunk steps, and a peer that takes no chunk for stallTimeout is
+// dropped (DESIGN.md §8.1).
+const (
+	minFrame     = 8 + 1 + 1 // id and the two field lengths
+	frameChunk   = 64 * 1024
+	stallTimeout = 5 * time.Second
+)
+
+var errOversize, errMalformed = errors.New("p2p: frame over the frame cap"), errors.New("p2p: malformed frame")
+
+// appendFrame encodes a message whose type and from are at most 255 bytes.
+func appendFrame(dst []byte, m *Message) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(minFrame+len(m.Type)+len(m.From)+len(m.Payload)))
+	dst = append(binary.BigEndian.AppendUint64(dst, m.ID), byte(len(m.Type)))
+	dst = append(append(dst, m.Type...), byte(len(m.From)))
+	return append(append(dst, m.From...), m.Payload...)
+}
+
+// readFrame reads a frame (with its length, as a relay forwards it) and its
+// message. A length over max, or too short for the fields, is refused unread;
+// the body arrives in frameChunk pieces, each allocated once the last is full.
+func readFrame(r io.Reader, max int) (msg Message, frame []byte, err error) {
+	var hdr [4]byte
+	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+		return msg, nil, err
+	}
+	n := int64(binary.BigEndian.Uint32(hdr[:]))
+	if n > int64(max) {
+		return msg, nil, errOversize
+	} else if n < minFrame {
+		return msg, nil, errMalformed
+	}
+	frame = make([]byte, 4+min(n, frameChunk))
+	_, err = io.ReadFull(r, frame[copy(frame, hdr[:]):])
+	parts := [][]byte{frame}
+	for left := n - frameChunk; left > 0 && err == nil; left -= frameChunk {
+		parts = append(parts, make([]byte, min(left, frameChunk)))
+		_, err = io.ReadFull(r, parts[len(parts)-1])
+	}
+	if err != nil {
+		return msg, nil, err
+	} else if len(parts) > 1 {
+		frame = bytes.Join(parts, nil)
+	}
+	msg.ID, msg.Payload = binary.BigEndian.Uint64(frame[4:]), frame[12:]
+	for _, field := range []*string{&msg.Type, &msg.From} {
+		if *field, msg.Payload, err = cutString(msg.Payload); err != nil {
+			return msg, nil, err
+		}
+	}
+	return msg, frame, nil
+}
+
+// cutString splits a u8-length-prefixed string off b.
+func cutString(b []byte) (string, []byte, error) {
+	if len(b) == 0 || len(b) <= int(b[0]) {
+		return "", nil, errMalformed
+	}
+	return string(b[1 : 1+int(b[0])]), b[1+int(b[0]):], nil
 }
 
 // Handler consumes a delivered message.
@@ -73,10 +131,9 @@ var ErrClosed = errors.New("p2p: node closed")
 // counted in NetMetrics.Rejected).
 var ErrConnLimit = errors.New("p2p: connection limit reached")
 
-// DefaultMaxFrameBytes is the wire-line size cap applied when Limits
-// leaves MaxFrameBytes zero. A block carrying ~100k sealed bids
-// serializes to well over 16 MiB of JSON, so the default is sized for
-// load-test blocks rather than chat traffic.
+// DefaultMaxFrameBytes is the frame size cap applied when Limits leaves
+// MaxFrameBytes zero. A block carrying ~100k sealed bids encodes to over
+// 60 MiB: the default is sized for load-test blocks, not chat traffic.
 const DefaultMaxFrameBytes = 256 * 1024 * 1024
 
 // Limits bounds a node's resource use under load. The zero value means
@@ -88,9 +145,9 @@ type Limits struct {
 	// 0 means unlimited. Inbound connections beyond the cap are closed
 	// immediately; Connect returns ErrConnLimit.
 	MaxConns int
-	// MaxFrameBytes caps a single wire line (one JSON message). A peer
-	// that sends a longer line is disconnected. 0 means
-	// DefaultMaxFrameBytes.
+	// MaxFrameBytes caps a single frame (its length field). A peer whose
+	// frame header claims more is disconnected before any of the body is
+	// read. 0 means DefaultMaxFrameBytes.
 	MaxFrameBytes int
 }
 
@@ -104,7 +161,7 @@ type Node struct {
 	stop chan struct{}
 
 	mu       sync.Mutex
-	conns    map[net.Conn]*bufio.Writer
+	conns    map[net.Conn]*peer
 	seen     map[[32]byte]bool
 	handlers map[string][]Handler
 	faults   FaultPlan
@@ -121,6 +178,12 @@ type Node struct {
 	wg  sync.WaitGroup
 }
 
+// peer is one connection's write side, serialized, never under n.mu.
+type peer struct {
+	conn net.Conn
+	mu   sync.Mutex
+}
+
 // Listen starts a node named name on addr (use "127.0.0.1:0" for an
 // ephemeral port).
 func Listen(name, addr string) (*Node, error) {
@@ -132,7 +195,7 @@ func Listen(name, addr string) (*Node, error) {
 		name:     name,
 		ln:       ln,
 		stop:     make(chan struct{}),
-		conns:    make(map[net.Conn]*bufio.Writer),
+		conns:    make(map[net.Conn]*peer),
 		seen:     make(map[[32]byte]bool),
 		handlers: make(map[string][]Handler),
 		logf:     func(string, ...any) {},
@@ -222,55 +285,29 @@ func (n *Node) Handle(msgType string, fn Handler) {
 	n.handlers[msgType] = append(n.handlers[msgType], fn)
 }
 
-// Broadcast floods a message to every peer. The local node's handlers do
-// NOT receive their own broadcasts. Under a FaultPlan the broadcast may
-// be silently dropped or delayed at the source, as a lossy network would.
-func (n *Node) Broadcast(msgType string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("p2p: marshal %s: %w", msgType, err)
+// Broadcast floods a message to every peer, encoding its frame once (type
+// and node name at most 255 bytes). The local node's handlers do NOT
+// receive their own broadcasts. Under a FaultPlan the broadcast may be
+// silently dropped or delayed at the source, as a lossy network would.
+func (n *Node) Broadcast(msgType string, payload []byte) error {
+	if len(msgType) > 255 || len(n.name) > 255 {
+		return fmt.Errorf("p2p: message type %q or node name %q over 255 bytes", msgType, n.name)
 	}
-	msg := Message{
-		ID:      atomic.AddUint64(&n.seq, 1),
-		From:    n.name,
-		Type:    msgType,
-		Payload: data,
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	msg := Message{ID: atomic.AddUint64(&n.seq, 1), From: n.name, Type: msgType, Payload: payload}
+	if !n.deliver(msg, appendFrame(make([]byte, 0, 4+minFrame+len(msgType)+len(n.name)+len(payload)), &msg), nil) {
 		return ErrClosed
 	}
-	n.seen[msg.key()] = true // never re-deliver our own message
-	schedule := n.scheduleLocked(msg)
-	if len(schedule) == 0 { // dropped at the source
-		n.mu.Unlock()
-		return nil
-	}
-	if schedule[0] == 0 {
-		err = n.relayLocked(msg, nil)
-		n.mu.Unlock()
-		return err
-	}
-	n.mu.Unlock()
-	n.after(schedule[0], func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if !n.closed {
-			_ = n.relayLocked(msg, nil)
-		}
-	})
 	return nil
 }
 
 // scheduleLocked consults the fault plan for a message's delivery
 // schedule, sorted ascending. Callers hold n.mu. No plan (or no opinion)
 // yields a single immediate delivery.
-func (n *Node) scheduleLocked(msg Message) []time.Duration {
+func (n *Node) scheduleLocked(msg *Message, key [32]byte) []time.Duration {
 	if n.faults == nil {
 		return []time.Duration{0}
 	}
-	s := n.faults.PlanDelivery(n.name, msg.From, msg.Type, msg.key())
+	s := n.faults.PlanDelivery(n.name, msg.From, msg.Type, key)
 	if s == nil {
 		return []time.Duration{0}
 	}
@@ -291,8 +328,13 @@ func (n *Node) scheduleLocked(msg Message) []time.Duration {
 }
 
 // after runs fn on a tracked goroutine once d elapses, unless the node
-// closes first — so Close never waits out a pending chaos delay.
+// closes first — so Close never waits out a pending chaos delay. A zero d
+// runs fn at once, on the caller's goroutine.
 func (n *Node) after(d time.Duration, fn func()) {
+	if d == 0 {
+		fn()
+		return
+	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -306,35 +348,44 @@ func (n *Node) after(d time.Duration, fn func()) {
 	}()
 }
 
-// relayLocked writes the message to every connection except skip.
-// Callers hold n.mu.
-func (n *Node) relayLocked(msg Message, skip net.Conn) error {
-	line, err := json.Marshal(&msg)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	m := n.metrics.Load()
-	var firstErr error
-	for conn, w := range n.conns {
-		if conn == skip {
-			continue
+// relay writes a frame, as it is, to every peer but skip; false if closed.
+func (n *Node) relay(frame []byte, skip net.Conn) bool {
+	n.mu.Lock()
+	peers := make([]*peer, 0, len(n.conns))
+	for conn, p := range n.conns {
+		if conn != skip {
+			peers = append(peers, p)
 		}
-		if _, err := w.Write(line); err == nil {
-			err = w.Flush()
-			if err == nil {
-				if m != nil {
-					m.SentMsgs.Inc()
-					m.SentBytes.Add(int64(len(line)))
-				}
-				continue
+	}
+	closed := n.closed
+	n.mu.Unlock()
+	for _, p := range peers {
+		p.send(frame, n.metrics.Load())
+	}
+	return !closed
+}
+
+// send writes a frame, each chunk under a fresh stallTimeout deadline, so
+// a slow but live link is not cut off. A failed write closes the
+// connection (its reader then unregisters it); a stall is counted.
+func (p *peer) send(frame []byte, m *obs.NetMetrics) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for rest := frame; len(rest) > 0; {
+		_ = p.conn.SetWriteDeadline(time.Now().Add(stallTimeout))
+		k, err := p.conn.Write(rest[:min(len(rest), frameChunk)])
+		if rest = rest[k:]; err != nil {
+			p.conn.Close()
+			if m != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+				m.Stalled.Inc()
 			}
-		}
-		if firstErr == nil {
-			firstErr = err
+			return
 		}
 	}
-	return firstErr
+	if m != nil {
+		m.SentMsgs.Inc()
+		m.SentBytes.Add(int64(len(frame)))
+	}
 }
 
 // Close shuts the node down: no new connections are accepted, every
@@ -353,7 +404,7 @@ func (n *Node) Close() error {
 	for conn := range n.conns {
 		conn.Close()
 	}
-	n.conns = map[net.Conn]*bufio.Writer{}
+	n.conns = map[net.Conn]*peer{}
 	n.mu.Unlock()
 	err := n.ln.Close()
 	n.wg.Wait()
@@ -407,7 +458,7 @@ func (n *Node) addConn(conn net.Conn) bool {
 		}
 		return false
 	}
-	n.conns[conn] = bufio.NewWriter(conn)
+	n.conns[conn] = &peer{conn: conn}
 	maxFrame := n.limits.MaxFrameBytes
 	n.mu.Unlock()
 	if maxFrame <= 0 {
@@ -421,6 +472,8 @@ func (n *Node) addConn(conn net.Conn) bool {
 	return true
 }
 
+// readLoop reads frames until the connection ends, or until an oversize
+// or malformed frame ends it: the stream cannot be re-synchronized.
 func (n *Node) readLoop(conn net.Conn, maxFrame int) {
 	defer n.wg.Done()
 	defer func() {
@@ -432,60 +485,61 @@ func (n *Node) readLoop(conn net.Conn, maxFrame int) {
 			m.Conns.Add(-1)
 		}
 	}()
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), maxFrame)
-	for scanner.Scan() {
+	r := bufio.NewReaderSize(conn, frameChunk)
+	for {
+		msg, frame, err := readFrame(r, maxFrame)
 		m := n.metrics.Load()
-		if m != nil {
+		if err == nil && m != nil {
 			m.RecvMsgs.Inc()
-			m.RecvBytes.Add(int64(len(scanner.Bytes()) + 1)) // +1 for the newline framing
+			m.RecvBytes.Add(int64(len(frame)))
 		}
-		var msg Message
-		if err := json.Unmarshal(scanner.Bytes(), &msg); err != nil {
-			if m != nil {
-				m.Malformed.Inc()
-			}
-			continue // drop malformed lines, keep the connection
+		switch {
+		case err == nil:
+			n.deliver(msg, frame, conn)
+			continue
+		case m != nil && err == errOversize:
+			m.Oversize.Inc()
+		case m != nil && err == errMalformed:
+			m.Malformed.Inc()
 		}
-		n.deliver(msg, conn)
-	}
-	if err := scanner.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			if m := n.metrics.Load(); m != nil {
-				m.Oversize.Inc()
-			}
-			n.log("p2p: %s: dropping %s: frame exceeds %d bytes", n.name, conn.RemoteAddr(), maxFrame)
-		} else if !n.isClosed() && !expectedDisconnect(err) {
-			n.log("p2p: %s: read %s: %v", n.name, conn.RemoteAddr(), err)
+		if err == errOversize || err == errMalformed || !n.isClosed() && !expectedDisconnect(err) {
+			n.log("p2p: %s: dropping %s: %v", n.name, conn.RemoteAddr(), err)
 		}
+		return
 	}
 }
 
 // expectedDisconnect reports whether a read error is ordinary peer-
-// shutdown noise (the peer closed or reset mid-line, or our own Close
+// shutdown noise (the peer closed or reset mid-frame, or our own Close
 // raced the reader) rather than something worth logging.
 func expectedDisconnect(err error) bool {
 	return errors.Is(err, io.EOF) ||
+		errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, net.ErrClosed) ||
 		errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, syscall.EPIPE)
 }
 
-// deliver dispatches an inbound message once (per scheduled delivery) and
-// relays it onward.
-func (n *Node) deliver(msg Message, from net.Conn) {
+// deliver takes a message in once: per scheduled delivery it is
+// dispatched to the local handlers — unless it is the node's own broadcast
+// (from == nil) — and it is relayed onward, the frame as received. It
+// reports false, doing nothing, once the node is closed.
+func (n *Node) deliver(msg Message, frame []byte, from net.Conn) bool {
 	key := msg.key()
 	n.mu.Lock()
-	if n.closed || n.seen[key] {
+	if closed := n.closed; closed || n.seen[key] {
 		n.mu.Unlock()
-		return
+		return !closed
 	}
 	n.seen[key] = true
-	handlers := append([]Handler(nil), n.handlers[msg.Type]...)
-	schedule := n.scheduleLocked(msg)
+	var handlers []Handler
+	if from != nil { // not the node's own broadcast
+		handlers = append(handlers, n.handlers[msg.Type]...)
+	}
+	schedule := n.scheduleLocked(&msg, key)
+	n.mu.Unlock()
 	if len(schedule) == 0 { // dropped at this hop: not relayed, not handled
-		n.mu.Unlock()
-		return
+		return true
 	}
 	dispatch := func() {
 		for _, fn := range handlers {
@@ -494,33 +548,17 @@ func (n *Node) deliver(msg Message, from net.Conn) {
 	}
 	// The earliest delivery carries the relay; later entries are local
 	// duplicates only (peers would dedup a re-relay anyway).
-	if schedule[0] == 0 {
-		_ = n.relayLocked(msg, from)
-		n.mu.Unlock()
-		dispatch()
-	} else {
-		n.mu.Unlock()
-		n.after(schedule[0], func() {
-			n.mu.Lock()
-			closed := n.closed
-			if !closed {
-				_ = n.relayLocked(msg, from)
-			}
-			n.mu.Unlock()
-			if !closed {
-				dispatch()
-			}
-		})
-	}
-	for _, d := range schedule[1:] {
-		if d == 0 {
+	n.after(schedule[0], func() {
+		if n.relay(frame, from) {
 			dispatch()
-			continue
 		}
+	})
+	for _, d := range schedule[1:] {
 		n.after(d, func() {
 			if !n.isClosed() {
 				dispatch()
 			}
 		})
 	}
+	return true
 }

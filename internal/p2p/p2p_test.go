@@ -76,13 +76,11 @@ func TestGossipFloodsAcrossLineTopology(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
 	c.Handle("ping", func(m Message) {
-		var s string
-		_ = json.Unmarshal(m.Payload, &s)
 		mu.Lock()
-		got = append(got, s)
+		got = append(got, string(m.Payload))
 		mu.Unlock()
 	})
-	if err := a.Broadcast("ping", "hello"); err != nil {
+	if err := a.Broadcast("ping", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "flooded message", func() bool {
@@ -130,7 +128,7 @@ func TestGossipDedupInCycle(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	if err := nodes[0].Broadcast("x", 1); err != nil {
+	if err := nodes[0].Broadcast("x", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "cycle delivery", func() bool {
@@ -277,7 +275,7 @@ func TestNetworkedTamperedBlockVotedDown(t *testing.T) {
 	}
 	cheater.openRevealIntake(block.Bids, sealed.Digests(block.Bids))
 	defer cheater.closeRevealIntake()
-	if err := mnNet.Broadcast(msgPreamble, block); err != nil {
+	if err := cheater.broadcastBlock(msgPreamble, block); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "all four reveals", func() bool { return cheater.unrevealed() == 0 })
@@ -294,7 +292,7 @@ func TestNetworkedTamperedBlockVotedDown(t *testing.T) {
 	records[0].Payment *= 100
 	forged, _ := json.Marshal(records)
 	block.Body = ledger.NewBody(block.Body.Reveals, forged)
-	if err := mnNet.Broadcast(msgBlock, block); err != nil {
+	if err := cheater.broadcastBlock(msgBlock, block); err != nil {
 		t.Fatal(err)
 	}
 
@@ -316,6 +314,51 @@ func TestNetworkedTamperedBlockVotedDown(t *testing.T) {
 		if mn.Chain().Len() != 0 {
 			t.Fatalf("replica %s appended a forged block", mn.Name())
 		}
+	}
+}
+
+// duplicateVotes delivers every vote twice at the node it is installed on.
+type duplicateVotes struct{}
+
+func (duplicateVotes) PlanDelivery(node, from, msgType string, key [32]byte) []time.Duration {
+	if msgType == msgVote {
+		return []time.Duration{0, 0}
+	}
+	return nil
+}
+
+// TestDuplicatedVoteIsOneVoter: a quorum counts voters, not vote
+// deliveries. With one verifier and every vote delivered twice at the
+// producer, a quorum of two is never reached.
+func TestDuplicatedVoteIsOneVoter(t *testing.T) {
+	producer, _ := observedNode(t, "dupvote-p")
+	verifier, _ := observedNode(t, "dupvote-v")
+	producer.SetFaults(duplicateVotes{})
+	if err := verifier.Connect(producer.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	lc := newTestClient(t, "dupvote-lc")
+	if err := lc.Connect(producer.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.SubmitRequest(0, testRequest("r-dup", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.SubmitOffer(0, testOffer("o-dup")); err != nil {
+		t.Fatal(err)
+	}
+	for _, mn := range []*MarketNode{producer, verifier} {
+		mn := mn
+		waitFor(t, "bids pooled at "+mn.Name(), func() bool { return mn.MempoolSize() == 2 })
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	sum, err := producer.ProduceBlockOpts(ctx, RoundConfig{Quorum: 2, RevealWindow: time.Second})
+	if err == nil {
+		t.Fatalf("one verifier's duplicated vote made a quorum of two: %d ok", sum.OKVotes)
+	}
+	if sum == nil || sum.OKVotes != 1 || sum.BadVotes != 0 {
+		t.Fatalf("round: %+v, %v; want 1 OK vote and no quorum", sum, err)
 	}
 }
 
@@ -359,7 +402,7 @@ func TestBroadcastAfterClose(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Broadcast("t", 1); err != ErrClosed {
+	if err := n.Broadcast("t", nil); err != ErrClosed {
 		t.Fatalf("broadcast after close: %v", err)
 	}
 	if err := n.Close(); err != nil {

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
@@ -315,7 +314,7 @@ func TestVerifierChecksWhatItDidNotAdmit(t *testing.T) {
 				t.Fatal(err)
 			}
 			block.Body = ledger.NewBody(reveals, alloc)
-			payload, err := json.Marshal(block)
+			payload, err := ledger.AppendBlock(nil, block)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,17 +44,19 @@ echo "==> verify-once boundary + parallel-decrypt determinism (-race, -cpu 1,2,4
 # counts, so both the sequential and the concurrent branch of every pool
 # meet the race detector. So do the block intake's: two rival blocks
 # racing into one verifier (Miner.Accept), one execution per node per
-# block, the lost self-append.
+# block, the lost self-append. And the wire's: frames written per peer
+# outside the node lock while readers relay them as received, a peer that
+# stops reading, the codecs' fuzz corpora, a 2 048-bid round's payloads.
 go test -race -count=1 -cpu 1,2,4 \
-  -run 'VerifyOnce|Admitted|VerifiedSet|BidKey|IndexPositions|ParallelDecrypt|RevealsForEquivalence|ConcurrentVerifiers|MutatedAfterAdmission|ChecksEachBid|VerifierChecksWhat|TestPool|OnlyThePool|OneFunctionReaches|NetworkCommitsAResubmitted|DoorRefuses|ForgedReveal|RevealFlood|EnvelopeCommits|RivalBlocksRaceIntoOneVerifier|BlockExecutedOncePerNode|OnlyTheMinerMovesItsBook|LostSelfAppend' \
-  ./internal/sealed ./internal/miner ./internal/p2p
+  -run 'VerifyOnce|Admitted|VerifiedSet|BidKey|IndexPositions|ParallelDecrypt|RevealsForEquivalence|ConcurrentVerifiers|MutatedAfterAdmission|ChecksEachBid|VerifierChecksWhat|TestPool|OnlyThePool|OneFunctionReaches|NetworkCommitsAResubmitted|DoorRefuses|ForgedReveal|RevealFlood|EnvelopeCommits|RivalBlocksRaceIntoOneVerifier|BlockExecutedOncePerNode|OnlyTheMinerMovesItsBook|LostSelfAppend|FrameGolden|RelayForwardsReceivedBytes|StalledPeerIsDropped|FrameLimitDropsPeer|DuplicatedVoteIsOneVoter|PayloadSizesAt2048Bids|FuzzFrameDecode|FuzzBidDecode|FuzzRevealBatch|FuzzBlockDecode|PreambleEncodingIsWhatHashHashes|RevealWithoutEncoding|DecodedBidIsIndependentOfAppends' \
+  ./internal/sealed ./internal/ledger ./internal/miner ./internal/p2p
 
 echo "==> chaos smoke (-race, fresh run, small schedule sweep)"
 # LedgerFederation: the federation over one miner network per metro
 # (internal/sim) — spill onto a neighbour's chain, the hop budget, deny
 # routing, and conservation when the chain excludes a bid.
 DECLOUD_CHAOS_SCHEDULES=8 go test -race -count=1 \
-  -run 'Chaos|CloseUnderLoad|Byzantine|CrashRestart|RevealRetry|LedgerFederation|PipelineReturnsBidsOnProduceFailure|RivalBlock|LostSelfAppend|DroppedLastBlock|ForgedReveal|RevealFlood|EnvelopeCommits' \
+  -run 'Chaos|CloseUnderLoad|Byzantine|CrashRestart|RevealRetry|LedgerFederation|PipelineReturnsBidsOnProduceFailure|RivalBlock|LostSelfAppend|DroppedLastBlock|ForgedReveal|RevealFlood|EnvelopeCommits|StalledPeerIsDropped|DuplicatedVoteIsOneVoter|FaultPlanDuplicates' \
   ./internal/sealed ./internal/miner ./internal/p2p ./internal/sim
 
 echo "==> coverage gate (protocol + toolkit packages)"
@@ -101,10 +103,12 @@ check_union_cov ./internal/futures "./internal/futures/..." 80.0
 echo "==> non-test Go lines (a ratchet; ROADMAP item 2 wants them down)"
 # Every non-_test.go line outside benchmark/, and the share carried by
 # the four packages that hold the round loops. The ceilings are what the
-# tree reached last; a PR that gets below one lowers it here, and none
-# raises it.
-LINES_CEILING_TOTAL=22979
-LINES_CEILING_ROUND_LOOPS=6129
+# tree reached last; a PR that gets below one lowers it here. The binary
+# wire raised them once, by its budget: 22 979 → 23 171 (the sealed and
+# ledger codecs +150, the frame reader, stall rule and voter set +40, one
+# transport counter +2) and 6 129 → 6 169.
+LINES_CEILING_TOTAL=23171
+LINES_CEILING_ROUND_LOOPS=6169
 count_lines() { # dir...
   find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 }
@@ -226,7 +230,16 @@ rm -f "${OBS_LOG}"
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz=FuzzDecodeBid -fuzztime="${FUZZTIME}" ./internal/bidding
-go test -run='^$' -fuzz=FuzzSealedRoundTrip -fuzztime="${FUZZTIME}" ./internal/sealed
+go test -run='^$' -fuzz='^FuzzSealedRoundTrip$' -fuzztime="${FUZZTIME}" ./internal/sealed
+# Anchored: the wire. The frame reader on any byte stream (no panic, the
+# allocation bound, the cap refused at the header, canonical re-encoding)
+# and the strict bid, reveal-batch and block codecs (accepted bytes
+# re-encode identically; short input, trailing bytes and counts beyond the
+# bytes left are refused).
+go test -run='^$' -fuzz='^FuzzFrameDecode$' -fuzztime="${FUZZTIME}" ./internal/p2p
+go test -run='^$' -fuzz='^FuzzBidDecode$' -fuzztime="${FUZZTIME}" ./internal/sealed
+go test -run='^$' -fuzz='^FuzzRevealBatch$' -fuzztime="${FUZZTIME}" ./internal/sealed
+go test -run='^$' -fuzz='^FuzzBlockDecode$' -fuzztime="${FUZZTIME}" ./internal/ledger
 # Anchored: the book's mutation-trace fuzzer replays every input against
 # the rebuild-from-scratch oracle and fails on any byte divergence.
 go test -run='^$' -fuzz='^FuzzBookMutations$' -fuzztime="${FUZZTIME}" ./internal/book

@@ -66,21 +66,14 @@ func TestFastFederatedCustomLatency(t *testing.T) {
 	}
 }
 
-// TestFederationRejectsIncompatibleConfigs: pipeline and resubmission
-// cannot compose with federation. A carrying market is not something the
-// caller has to ask for: federated ledger mode clears over order books
-// whether or not Auction.Incremental is set.
+// TestFederationRejectsIncompatibleConfigs: resubmission cannot compose
+// with federation. A carrying market is not something the caller has to
+// ask for: federated ledger mode clears over order books whether or not
+// Auction.Incremental is set.
 func TestFederationRejectsIncompatibleConfigs(t *testing.T) {
 	base := Config{Rounds: 1, Metros: 2, Workload: workload.Config{Seed: 3, Requests: 10}}
 
 	cfg := base
-	cfg.Mode = Ledger
-	cfg.Pipeline = true
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("want error for pipeline + federation")
-	}
-
-	cfg = base
 	cfg.Mode = Fast
 	cfg.Resubmit = true
 	if _, err := Run(cfg); err == nil {

@@ -164,7 +164,6 @@ func TestLedgerFuturesSimulation(t *testing.T) {
 func TestFuturesConfigRejections(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"metros":      func(c *Config) { c.Metros = 2 },
-		"pipeline":    func(c *Config) { c.Mode = Ledger; c.Pipeline = true },
 		"resubmit":    func(c *Config) { c.Resubmit = true },
 		"incremental": func(c *Config) { c.Auction.Incremental = true },
 	} {

@@ -250,15 +250,16 @@ func TestRoutingLatencyTightening(t *testing.T) {
 	t.Parallel()
 	lat := ringless()
 
-	// 0 →(5 ms) 2 →(7 ms) 1: tolerance 1.0 − 0.01·5, then a further
-	// − 0.01·12.
-	f, xs := scriptedFed(t, Config{Metros: 4, Latency: lat, DistancePerMS: 0.01})
+	// 0 →(5 ms) 2 →(7 ms) 1 →(2 ms) 3: each leg is charged once, so
+	// after every hop the tolerance is 1.0 − 0.01 × the path's total
+	// latency (5, 12, 14 ms) — no leg is paid again on a later hop.
+	f, xs := scriptedFed(t, Config{Metros: 4, Latency: lat, MaxHops: 3, DistancePerMS: 0.01})
 	r := scriptReq("r-tight", locIn(t, f, 0), 1.0)
 	round(t, f, r)
 	for i, want := range []struct {
 		metro int
 		dist  float64
-	}{{2, 1.0 - 0.01*5}, {1, 1.0 - 0.01*5 - 0.01*12}} {
+	}{{2, 1.0 - 0.01*5}, {1, 1.0 - 0.01*12}, {3, 1.0 - 0.01*14}} {
 		round(t, f)
 		batch := xs[want.metro].batches[len(xs[want.metro].batches)-1]
 		if len(batch) != 1 || batch[0].ID != r.ID {

@@ -220,7 +220,9 @@ func TestPipelineReturnsBidsOnProduceFailure(t *testing.T) {
 // while its round collects reveals, so the round's preamble no longer
 // links to the head. Both entry points are the one driver, which checks
 // the head before it commits: it flushes the round and redoes it on the
-// rival's block, and no bid is lost. The trust set is the pool again
+// rival's block, and no bid is lost. Both nodes also pooled one shared
+// bid, which the rival's block committed: the redo leaves it out, so
+// every digest is on the chain once. The trust set is the pool again
 // afterwards.
 func TestRivalBlockMidRound(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
@@ -234,16 +236,23 @@ func TestRivalBlockMidRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Each node pools one bid of its own, not gossiped. Nobody
-			// reveals, so windows lapse and blocks commit unrevealed.
+			// Each node pools one bid of its own and the shared one, none
+			// gossiped. Nobody reveals, so windows lapse and blocks commit
+			// unrevealed.
+			shared, err := part.SubmitRequest(testRequest("r-shared", 5))
+			if err != nil {
+				t.Fatal(err)
+			}
 			own := map[*MarketNode][32]byte{}
 			for _, node := range []*MarketNode{rival, mn} {
 				bid, err := part.SubmitRequest(testRequest("r-"+node.Name(), 5))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := node.pool.Admit(bid); err != nil {
-					t.Fatal(err)
+				for _, b := range []*sealed.Bid{bid, shared} {
+					if err := node.pool.Admit(b); err != nil {
+						t.Fatal(err)
+					}
 				}
 				own[node] = bid.Digest()
 			}
@@ -273,10 +282,22 @@ func TestRivalBlockMidRound(t *testing.T) {
 			if err := <-rivalDone; err != nil {
 				t.Fatalf("rival round: %v", err)
 			}
-			for h, node := range []*MarketNode{rival, mn} {
-				if b := mn.Chain().BlockAt(h); len(b.Bids) != 1 || b.Bids[0].Digest() != own[node] {
-					t.Fatalf("block %d does not hold %s's bid alone", h, node.Name())
+			if got := mn.Chain().Len(); got != 2 {
+				t.Fatalf("chain holds %d blocks, want the rival's and the redone one", got)
+			}
+			onChain := map[[32]byte]int{}
+			for h := 0; h < mn.Chain().Len(); h++ {
+				for _, b := range mn.Chain().BlockAt(h).Bids {
+					onChain[b.Digest()]++
 				}
+			}
+			for _, d := range [][32]byte{own[rival], shared.Digest(), own[mn]} {
+				if onChain[d] != 1 {
+					t.Fatalf("digest %x is on the chain %d times, want once", d[:4], onChain[d])
+				}
+			}
+			if b := mn.Chain().BlockAt(1); len(b.Bids) != 1 || b.Bids[0].Digest() != own[mn] {
+				t.Fatalf("the redone block does not hold %s's bid alone", mn.Name())
 			}
 			if got, trusted := mn.MempoolSize(), mn.pool.Verified().Len(); got != 0 || trusted != 0 {
 				t.Fatalf("%d pooled, %d trusted after the round ended", got, trusted)

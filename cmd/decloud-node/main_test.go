@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"decloud/internal/auction"
+	"decloud/internal/miner"
 	"decloud/internal/p2p"
+	"decloud/internal/workload"
 )
 
 // The binary must exit non-zero with a clear error — not panic — when
@@ -250,5 +252,64 @@ func TestUnlinkableChainFileExitsOne(t *testing.T) {
 	code := run(context.Background(), []string{"-listen", "127.0.0.1:0", "-chain", file}, &stdout, &stderr)
 	if code != 1 || !strings.Contains(stderr.String(), "load block 1") {
 		t.Fatalf("exit code %d, stderr %q; want 1 and the failing height", code, stderr.String())
+	}
+}
+
+// TestVerifyOnlyNodeWritesItsChainFile: -chain FILE is the node's job, not
+// the producer loop's. A verify-only node accepts two blocks from a peer;
+// once stopped, FILE holds both.
+func TestVerifyOnlyNodeWritesItsChainFile(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "chain.jsonl")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout, stderr lockedBuffer
+	done := make(chan int, 1)
+	go func() {
+		done <- run(ctx, []string{"-name", "v", "-listen", "127.0.0.1:0", "-difficulty", "4", "-chain", file}, &stdout, &stderr)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(stdout.String(), "verify-only mode") {
+		if time.Now().After(deadline) {
+			t.Fatalf("the node never came up\nstdout: %s\nstderr: %s", stdout.String(), stderr.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	_, addr, _ := strings.Cut(stdout.String(), "v listening on ")
+	addr, _, _ = strings.Cut(addr, "\n")
+
+	producer, err := p2p.NewMarketNode("p", "127.0.0.1:0", 4, auction.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer producer.Close()
+	if err := producer.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	part, err := miner.NewParticipant(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range workload.Generate(workload.Config{Seed: 1, Requests: 2}).Requests {
+		bid, err := part.SubmitRequest(r)
+		if err == nil {
+			err = producer.SubmitBid(bid)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Quorum 1: the round ends once the verify-only node appended it.
+		rctx, rcancel := context.WithTimeout(ctx, 10*time.Second)
+		_, err = producer.ProduceBlockOpts(rctx, p2p.RoundConfig{Quorum: 1, RevealWindow: 20 * time.Millisecond})
+		rcancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	if code := <-done; code != 0 {
+		t.Fatalf("exit code %d, stderr %q", code, stderr.String())
+	}
+	if got := replay(t, file, false).Chain().Len(); got != 2 {
+		t.Fatalf("%s holds %d blocks, want the 2 the node accepted", file, got)
 	}
 }

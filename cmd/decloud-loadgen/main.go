@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"decloud/internal/futures"
 	"decloud/internal/loadgen"
 	"decloud/internal/workload"
 )
@@ -55,12 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metros := fs.Int("metros", 0, "steer client homes toward this many metro exchanges (needs -geo)")
 	metroMix := fs.String("metro-mix", "", "comma-separated per-metro arrival weights, e.g. 6,2,1,1 (default uniform)")
 	drain := fs.Duration("drain", 90*time.Second, "stall timeout while waiting for outstanding commits")
-	futuresSplit := fs.Float64("futures-split", 0, "fraction of stream orders tagged forward for the reservation desk")
-	overbook := fs.Float64("overbook", 1.0, "reservation desk overbooking ratio over banked forward capacity")
-	penaltyRate := fs.Float64("penalty-rate", 0.2, "break penalty fraction echoed in the report")
-	reserveHorizon := fs.Int("reserve-horizon", 0, "enable the reservation desk: rounds between reservation and delivery (0 = off)")
-	demandShock := fs.Float64("demand-shock", 0, "probability a forward request is tagged as a no-show")
-	supplyShock := fs.Float64("supply-shock", 0, "probability a forward offer is tagged as defaulting")
 	out := fs.String("out", "", "write the JSON report to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -90,24 +83,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Conns:   *conns,
 		Seed:    *seed,
 		Stream: workload.StreamConfig{
-			Clients:         *clients,
-			EpochOrders:     *epochOrders,
-			OfferFraction:   *offerFraction,
-			GeoRadius:       *geo,
-			GeoMetros:       *metros,
-			GeoMix:          mix,
-			FuturesFraction: *futuresSplit,
-			DemandShock:     *demandShock,
-			SupplyShock:     *supplyShock,
+			Clients:       *clients,
+			EpochOrders:   *epochOrders,
+			OfferFraction: *offerFraction,
+			GeoRadius:     *geo,
+			GeoMetros:     *metros,
+			GeoMix:        mix,
 		},
 		DrainTimeout: *drain,
-	}
-	if *reserveHorizon > 0 {
-		lcfg.Futures = futures.Config{
-			OverbookRatio:  *overbook,
-			PenaltyRate:    *penaltyRate,
-			ReserveHorizon: *reserveHorizon,
-		}
 	}
 	eng := loadgen.New(lcfg)
 
@@ -127,10 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep.EmitSeconds, rep.AchievedRate, rep.DrainSeconds)
 	fmt.Fprintf(stdout, "latency p50 %.3fs  p95 %.3fs  p99 %.3fs  max %.3fs (n=%d)\n",
 		rep.Latency.P50, rep.Latency.P95, rep.Latency.P99, rep.Latency.Max, rep.Latency.Count)
-	if lcfg.Futures.Enabled() {
-		fmt.Fprintf(stdout, "reservation desk: %d forward offers banked, %d reserved (load %.1f), %d fell through to spot, penalty rate %.2f\n",
-			rep.ForwardOffers, rep.Reserved, rep.ReservedLoad, rep.SpotFallthrough, rep.PenaltyRate)
-	}
 	if *out != "" {
 		data, merr := json.MarshalIndent(rep, "", "  ")
 		if merr != nil {

@@ -76,6 +76,14 @@ const (
 	difficulty  = 8   // the miners' PoW difficulty
 	minPool     = 16  // bids a producer batches per round
 	tickMS      = 100 // the fault plan's logical clock granularity
+	// maxPoolWait runs a round over a non-empty pool below minPool, so a
+	// trickle of leftovers still drains at teardown.
+	maxPoolWait = 1500 * time.Millisecond
+	// Reveal windows sum to 0.8×(1+2+4) = 5.6 s — comfortably inside the
+	// 12 s round timeout, so a round with permanently lost reveals
+	// completes with exclusions instead of dying on ctx.
+	revealWindow  = 800 * time.Millisecond
+	revealRetries = 2
 )
 
 func (t Topology) withDefaults() (Topology, error) {
@@ -205,7 +213,10 @@ func buildPlan(top Topology, minerNames, partNames []string) *chaos.Plan {
 			groupA = append(groupA, minerNames[:cut]...)
 			groupB = append(groupB, minerNames[cut:]...)
 			for m := 0; m < M; m++ {
-				for k := 0; k < M-1; k++ {
+				for k := 0; k < M; k++ {
+					if k == m {
+						continue
+					}
 					rel := fmt.Sprintf("%sx%d", minerNames[m*K], k)
 					if m == M-1 {
 						groupB = append(groupB, rel)
@@ -313,26 +324,17 @@ func (c *Cluster) minerConfig(i int) MinerConfig {
 		peers = append(peers, c.minerAddrs[peerLo:peerHi]...)
 	}
 	cfg := MinerConfig{
-		Name:           name,
-		Listen:         "127.0.0.1:0",
-		Peers:          peers,
-		Difficulty:     difficulty,
-		Produce:        produce,
-		Quorum:         min(c.top.Miners-1, 1), // one OK vote, when there is a verifier to give it
-		MinPool:        minPool,
-		MaxPoolWaitMS:  1500,
-		RevealWindowMS: 800,
-		// Reveal windows sum to 0.8×(1+2+4) = 5.6 s — comfortably inside
-		// the 12 s round timeout, so a round with permanently lost
-		// reveals completes with exclusions instead of dying on ctx.
-		RevealRetries: 2,
-		Incremental:   c.top.Incremental,
-		ChainFile:     filepath.Join(c.top.Dir, name+".chain"),
-		ReadyFile:     filepath.Join(c.top.Dir, name+".ready"),
-		StatusFile:    filepath.Join(c.top.Dir, name+".status"),
-		Plan:          c.plan,
-		StartTick:     c.elapsedTick(),
-		TickMS:        tickMS,
+		Name:        name,
+		Listen:      "127.0.0.1:0",
+		Peers:       peers,
+		Produce:     produce,
+		Quorum:      min(c.top.Miners-1, 1), // one OK vote, when there is a verifier to give it
+		Incremental: c.top.Incremental,
+		ChainFile:   filepath.Join(c.top.Dir, name+".chain"),
+		ReadyFile:   filepath.Join(c.top.Dir, name+".ready"),
+		StatusFile:  filepath.Join(c.top.Dir, name+".status"),
+		Plan:        c.plan,
+		StartTick:   c.elapsedTick(),
 	}
 	if c.top.federated() {
 		m := i / c.top.Miners
@@ -340,9 +342,11 @@ func (c *Cluster) minerConfig(i int) MinerConfig {
 		if produce {
 			cfg.MaxHops = c.top.MaxHops
 			cfg.SpillReport = filepath.Join(c.top.Dir, name+".spill")
-			for _, n := range metro.DefaultMatrix(c.top.Metros).Neighbors(m) {
-				peer := fmt.Sprintf("m%d", n*c.top.Miners)
-				cfg.SpillPeerReady = append(cfg.SpillPeerReady, filepath.Join(c.top.Dir, peer+".ready"))
+			cfg.SpillPeerReady = make(map[int]string)
+			for n := 0; n < c.top.Metros; n++ {
+				if n != m {
+					cfg.SpillPeerReady[n] = filepath.Join(c.top.Dir, fmt.Sprintf("m%d.ready", n*c.top.Miners))
+				}
 			}
 		}
 	}
@@ -385,7 +389,6 @@ func (c *Cluster) participantConfig(name string, streamSeed int64, m int) Partic
 		ReadyFile:  filepath.Join(c.top.Dir, name+".ready"),
 		Plan:       c.plan,
 		StartTick:  c.elapsedTick(),
-		TickMS:     tickMS,
 	}
 }
 

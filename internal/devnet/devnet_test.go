@@ -123,18 +123,13 @@ func runMinerParticipantInProcess(t *testing.T, incremental bool) {
 	defer mcancel()
 
 	mcfg := MinerConfig{
-		Name:           "tm0",
-		Listen:         "127.0.0.1:0",
-		Difficulty:     8,
-		Produce:        true,
-		MinPool:        6,
-		MaxPoolWaitMS:  800,
-		RevealWindowMS: 500,
-		RevealRetries:  2,
-		Incremental:    incremental,
-		ChainFile:      filepath.Join(dir, "tm0.chain"),
-		ReadyFile:      filepath.Join(dir, "tm0.ready"),
-		StatusFile:     filepath.Join(dir, "tm0.status"),
+		Name:        "tm0",
+		Listen:      "127.0.0.1:0",
+		Produce:     true,
+		Incremental: incremental,
+		ChainFile:   filepath.Join(dir, "tm0.chain"),
+		ReadyFile:   filepath.Join(dir, "tm0.ready"),
+		StatusFile:  filepath.Join(dir, "tm0.status"),
 	}
 	minerDone := make(chan error, 1)
 	go func() { minerDone <- runMinerWith(mctx, mcfg) }()
@@ -147,7 +142,6 @@ func runMinerParticipantInProcess(t *testing.T, incremental bool) {
 		Name:       "tp0",
 		Peers:      []string{addr},
 		Rate:       50,
-		Orders:     24,
 		ReportFile: filepath.Join(dir, "tp0.report"),
 		ReadyFile:  filepath.Join(dir, "tp0.ready"),
 	}

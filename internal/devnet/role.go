@@ -65,25 +65,18 @@ func RunRole(role, configPath string) int {
 	return 0
 }
 
-// MinerConfig is the JSON config of a miner process.
+// MinerConfig is the JSON config of a miner process. Every miner mines
+// at the devnet's PoW difficulty; the producer cuts a round once minPool
+// bids are pending, or maxPoolWait after the pool turned non-empty.
 type MinerConfig struct {
-	Name       string   `json:"name"`
-	Listen     string   `json:"listen"`
-	Peers      []string `json:"peers"`
-	Difficulty int      `json:"difficulty"`
+	Name   string   `json:"name"`
+	Listen string   `json:"listen"`
+	Peers  []string `json:"peers"`
 
 	// Produce marks the block producer; the rest verify and vote.
 	Produce bool `json:"produce"`
 	// Quorum is the OK votes the producer waits for per round.
 	Quorum int `json:"quorum"`
-	// MinPool delays production until that many bids are pending; after
-	// MaxPoolWaitMS with a non-empty pool a round runs anyway, so a
-	// trickle of leftovers still drains at teardown.
-	MinPool        int `json:"min_pool"`
-	MaxPoolWaitMS  int `json:"max_pool_wait_ms"`
-	RevealWindowMS int `json:"reveal_window_ms"`
-	RevealRetries  int `json:"reveal_retries"`
-	MempoolLimit   int `json:"mempool_limit"`
 	// Incremental runs this miner over a continuous order book (carried
 	// orders compete in every block).
 	Incremental bool `json:"incremental"`
@@ -98,27 +91,26 @@ type MinerConfig struct {
 	StatusFile string `json:"status_file"`
 
 	// Metro federation (producer + Incremental only). Metro is this
-	// exchange's index; SpillPeerReady lists the neighbor metros'
-	// producer ready files in ascending-latency order — resolved lazily,
-	// since the neighbor may start after this process. A request that
-	// exhausts its carry budget here is re-sealed by a relay identity,
-	// logged to SpillReport (crash-safe, BEFORE the broadcast — the
-	// target chain's committed ⊆ submitted audit includes this file), and
-	// published to one neighbor producer. Hop k of a request renames its
-	// ID root~x<k>; forwarding stops at MaxHops (default
-	// metro.DefaultMaxHops).
-	Metro          int      `json:"metro,omitempty"`
-	SpillPeerReady []string `json:"spill_peer_ready,omitempty"`
-	SpillReport    string   `json:"spill_report,omitempty"`
-	MaxHops        int      `json:"max_hops,omitempty"`
+	// exchange's index; SpillPeerReady maps every other metro to its
+	// producer's ready file — resolved lazily, since the neighbor may
+	// start after this process. A request that exhausts its carry budget
+	// here is re-sealed by a relay identity, logged to SpillReport
+	// (crash-safe, BEFORE the broadcast — the target chain's committed ⊆
+	// submitted audit includes this file), and published to the producer
+	// of the metro metro.LatencyMatrix.SpillTarget picks. Its ID carries
+	// the metros it has visited (root~x<home>.<next>…); forwarding stops
+	// at MaxHops (default metro.DefaultMaxHops).
+	Metro          int            `json:"metro,omitempty"`
+	SpillPeerReady map[int]string `json:"spill_peer_ready,omitempty"`
+	SpillReport    string         `json:"spill_report,omitempty"`
+	MaxHops        int            `json:"max_hops,omitempty"`
 
 	// Plan (optional) injects transport faults; its logical clock starts
-	// at StartTick and advances once per TickMS of wall time, so every
+	// at StartTick and advances once per tickMS of wall time, so every
 	// process — whenever it (re)started — agrees on when fault windows
 	// open and close.
 	Plan      *chaos.Plan `json:"plan,omitempty"`
 	StartTick int64       `json:"start_tick"`
-	TickMS    int         `json:"tick_ms"`
 }
 
 // ParticipantConfig is the JSON config of a participant process.
@@ -128,10 +120,9 @@ type ParticipantConfig struct {
 	// Stream shapes this participant's private order stream; its
 	// IDPrefix must be unique per participant so IDs never collide.
 	Stream workload.StreamConfig `json:"stream"`
-	// Rate paces emission in orders/second (0 = one order per 100 ms).
+	// Rate paces emission in orders/second (0 = one order per 100 ms);
+	// emission runs until SIGUSR1 or SIGTERM.
 	Rate float64 `json:"rate"`
-	// Orders bounds emission (0 = emit until SIGTERM).
-	Orders int `json:"orders"`
 	// ReportFile receives one JSON line per submitted order — written
 	// with an unbuffered fd BEFORE the bid is broadcast, so the
 	// submitted-set survives a SIGKILL mid-flight.
@@ -140,7 +131,6 @@ type ParticipantConfig struct {
 
 	Plan      *chaos.Plan `json:"plan,omitempty"`
 	StartTick int64       `json:"start_tick"`
-	TickMS    int         `json:"tick_ms"`
 }
 
 // MinerStatus is the periodic snapshot a miner writes to its StatusFile.
@@ -161,43 +151,49 @@ type ReportLine struct {
 	Kind   string `json:"kind"`   // "request" | "offer"
 }
 
-// Spill hop suffix: the k-th forwarding of request "r" renames it
-// "r~x<k>". The root survives every hop, so the cross-metro audit can
-// assert each ROOT settles at most once federation-wide even though the
-// per-hop bids are distinct on-chain orders.
+// Spill hop suffix: a forwarded request "r" travels as "r~x<path>",
+// where path lists the metros it has visited, dot-separated, home
+// first: "r~x2.0" left metro 2 for metro 0. The root survives every
+// hop, so the cross-metro audit can assert each ROOT settles at most
+// once federation-wide even though the per-hop bids are distinct
+// on-chain orders.
 
-// SpillRoot strips the ~x<k> hop suffix from a forwarded request ID.
+// SpillRoot strips the ~x<path> hop suffix from a forwarded request ID.
 func SpillRoot(id string) string {
-	if i := strings.LastIndex(id, "~x"); i >= 0 {
-		if _, err := strconv.Atoi(id[i+2:]); err == nil && i+2 < len(id) {
-			return id[:i]
-		}
-	}
-	return id
+	root, _ := spillPath(id)
+	return root
 }
 
-// spillHops reads the hop count off a forwarded request ID (0 = never
-// forwarded).
-func spillHops(id string) int {
-	if i := strings.LastIndex(id, "~x"); i >= 0 {
-		if n, err := strconv.Atoi(id[i+2:]); err == nil {
-			return n
-		}
+// spillPath splits a request ID into its root and the metros it has
+// visited (nil = never forwarded).
+func spillPath(id string) (string, []int) {
+	i := strings.LastIndex(id, "~x")
+	if i < 0 {
+		return id, nil
 	}
-	return 0
+	var path []int
+	for _, part := range strings.Split(id[i+2:], ".") {
+		m, err := strconv.Atoi(part)
+		if err != nil || m < 0 || m >= 64 {
+			return id, nil
+		}
+		path = append(path, m)
+	}
+	return id[:i], path
 }
 
 // spillForwarder is the producer-side federation relay: it re-seals
 // carry-out requests under its own identities and publishes them to
-// neighbor metro producers, one relay client (and one report line) per
-// forwarded bid. Peer addresses resolve lazily from ready files — the
-// neighbor may start later, crash, or sit behind a partition; an
-// unreachable neighbor just drops the spill (the order stays accounted
-// as uncommitted in the audit).
+// neighbor metro producers, one relay client per neighbor metro (and
+// one report line per forwarded bid). Peer addresses resolve lazily from
+// ready files — the neighbor may start later, crash, or sit behind a
+// partition; an unreachable neighbor just drops the spill (the order
+// stays accounted as uncommitted in the audit).
 type spillForwarder struct {
 	cfg    MinerConfig
+	lat    *metro.LatencyMatrix // the devnet's ring over every metro
 	report *os.File
-	relays []*p2p.LoadClient // lazily dialed, parallel to SpillPeerReady
+	relays map[int]*p2p.LoadClient // lazily dialed, by neighbor metro
 }
 
 func newSpillForwarder(cfg MinerConfig) (*spillForwarder, error) {
@@ -207,8 +203,9 @@ func newSpillForwarder(cfg MinerConfig) (*spillForwarder, error) {
 	}
 	return &spillForwarder{
 		cfg:    cfg,
+		lat:    metro.DefaultMatrix(len(cfg.SpillPeerReady) + 1),
 		report: report,
-		relays: make([]*p2p.LoadClient, len(cfg.SpillPeerReady)),
+		relays: make(map[int]*p2p.LoadClient),
 	}, nil
 }
 
@@ -221,9 +218,9 @@ func (f *spillForwarder) Close() {
 	f.report.Close()
 }
 
-// relay returns the lazily-connected client for neighbor k, or nil when
-// the neighbor's producer has no ready file yet (still starting, or
-// gone).
+// relay returns the lazily-connected client for neighbor metro k, or
+// nil when the neighbor's producer has no ready file yet (still
+// starting, or gone).
 func (f *spillForwarder) relay(k int) *p2p.LoadClient {
 	if f.relays[k] != nil {
 		return f.relays[k]
@@ -248,28 +245,38 @@ func (f *spillForwarder) relay(k int) *p2p.LoadClient {
 	return lc
 }
 
-// Forward routes every carry-out request within the hop budget to a
-// neighbor metro. Hop k goes to neighbor k mod len(peers), so a request
-// bounced back from one exchange tries a different one next. The report
-// line lands on disk BEFORE the broadcast — committed ⊆ submitted holds
-// on the target chain through any kill.
+// Forward routes every carry-out request within the hop budget to the
+// nearest metro it has not visited (metro.LatencyMatrix.SpillTarget,
+// the federation's own rule). The report line lands on disk BEFORE the
+// broadcast — committed ⊆ submitted holds on the target chain through
+// any kill.
 func (f *spillForwarder) Forward(carried []*bidding.Request) {
 	maxHops := f.cfg.MaxHops
 	if maxHops <= 0 {
 		maxHops = metro.DefaultMaxHops
 	}
 	for _, r := range carried {
-		hops := spillHops(string(r.ID))
-		if hops >= maxHops || len(f.relays) == 0 {
-			continue // budget exhausted: the request expires here
+		_, path := spillPath(string(r.ID))
+		next := string(r.ID)
+		if path == nil {
+			path = []int{f.cfg.Metro} // homed here
+			next = fmt.Sprintf("%s~x%d", r.ID, f.cfg.Metro)
 		}
-		lc := f.relay(hops % len(f.relays))
+		visited := uint64(0)
+		for _, m := range path {
+			visited |= 1 << uint(m)
+		}
+		to, ok := f.lat.SpillTarget(f.cfg.Metro, visited)
+		if !ok || len(path)-1 >= maxHops {
+			continue // every metro visited or budget spent: expires here
+		}
+		lc := f.relay(to)
 		if lc == nil {
 			continue // neighbor unreachable: spill dropped, stays audited
 		}
 		rr := *r
 		rr.Resources = r.Resources.Clone()
-		rr.ID = bidding.OrderID(fmt.Sprintf("%s~x%d", SpillRoot(string(r.ID)), hops+1))
+		rr.ID = bidding.OrderID(fmt.Sprintf("%s.%d", next, to))
 		bid, err := lc.SealRequest(0, &rr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "devnet miner %s: seal spill %s: %v\n", f.cfg.Name, rr.ID, err)
@@ -306,13 +313,11 @@ func readConfig(path string, into any) error {
 }
 
 // startPlanClock drives a plan's logical clock from wall time until ctx
-// ends. Done synchronously at ticker cadence; SetNow is atomic.
-func startPlanClock(ctx context.Context, plan *chaos.Plan, startTick int64, tickMS int) {
+// ends, one tick per tickMS. Done synchronously at ticker cadence;
+// SetNow is atomic.
+func startPlanClock(ctx context.Context, plan *chaos.Plan, startTick int64) {
 	if plan == nil {
 		return
-	}
-	if tickMS <= 0 {
-		tickMS = 100
 	}
 	plan.SetNow(startTick)
 	start := time.Now()
@@ -386,7 +391,7 @@ const roundTimeout = 12 * time.Second
 func runMinerWith(ctx context.Context, cfg MinerConfig) error {
 	acfg := auction.DefaultConfig()
 	acfg.Incremental = cfg.Incremental
-	mn, err := p2p.NewMarketNode(cfg.Name, cfg.Listen, cfg.Difficulty, acfg)
+	mn, err := p2p.NewMarketNode(cfg.Name, cfg.Listen, difficulty, acfg)
 	if err != nil {
 		return err
 	}
@@ -396,10 +401,9 @@ func runMinerWith(ctx context.Context, cfg MinerConfig) error {
 			return err
 		}
 	}
-	mn.SetMempoolLimit(cfg.MempoolLimit)
 	if cfg.Plan != nil {
 		mn.SetFaults(cfg.Plan)
-		startPlanClock(ctx, cfg.Plan, cfg.StartTick, cfg.TickMS)
+		startPlanClock(ctx, cfg.Plan, cfg.StartTick)
 	}
 	if err := connectAll(mn.Connect, cfg.Peers); err != nil {
 		return err
@@ -450,14 +454,7 @@ func runMinerWith(ctx context.Context, cfg MinerConfig) error {
 	// The producer loop: the round is the node's (ProduceBlockOpts); what
 	// is the devnet's own is the trigger — a pool threshold, or a pool
 	// that has waited long enough.
-	rcfg := p2p.RoundConfig{Quorum: cfg.Quorum, RevealWindow: time.Second, RevealRetries: cfg.RevealRetries}
-	if cfg.RevealWindowMS > 0 {
-		rcfg.RevealWindow = time.Duration(cfg.RevealWindowMS) * time.Millisecond
-	}
-	maxPoolWait := 2 * time.Second
-	if cfg.MaxPoolWaitMS > 0 {
-		maxPoolWait = time.Duration(cfg.MaxPoolWaitMS) * time.Millisecond
-	}
+	rcfg := p2p.RoundConfig{Quorum: cfg.Quorum, RevealWindow: revealWindow, RevealRetries: revealRetries}
 	poolSince := time.Time{} // first time the pool was seen non-empty
 	for {
 		select {
@@ -473,7 +470,7 @@ func runMinerWith(ctx context.Context, cfg MinerConfig) error {
 		case poolSince.IsZero():
 			poolSince = time.Now()
 		}
-		if pool < cfg.MinPool && time.Since(poolSince) < maxPoolWait {
+		if pool < minPool && time.Since(poolSince) < maxPoolWait {
 			continue
 		}
 		roundCtx, cancel := context.WithTimeout(ctx, roundTimeout)
@@ -525,7 +522,7 @@ func runParticipantWith(ctx context.Context, cfg ParticipantConfig) error {
 	defer lc.Close()
 	if cfg.Plan != nil {
 		lc.SetFaults(cfg.Plan)
-		startPlanClock(ctx, cfg.Plan, cfg.StartTick, cfg.TickMS)
+		startPlanClock(ctx, cfg.Plan, cfg.StartTick)
 	}
 	if err := connectAll(lc.Connect, cfg.Peers); err != nil {
 		return err
@@ -542,7 +539,7 @@ func runParticipantWith(ctx context.Context, cfg ParticipantConfig) error {
 	tick := time.NewTicker(gap)
 	defer tick.Stop()
 emit:
-	for i := 0; cfg.Orders == 0 || i < cfg.Orders; i++ {
+	for {
 		select {
 		case <-ctx.Done():
 			return nil

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"decloud/internal/futures"
 	"decloud/internal/obs"
 	"decloud/internal/p2p"
 	"decloud/internal/workload"
@@ -77,16 +76,6 @@ type Config struct {
 	// Registry optionally receives the latency histogram (and lets a
 	// caller scrape it live); nil uses a private registry.
 	Registry *obs.Registry
-	// Futures, when enabled, puts an in-process RESERVATION DESK in
-	// front of submission: forward-tagged stream orders (see
-	// Stream.FuturesFraction) are intercepted before the wire. A forward
-	// offer banks OverbookRatio × its declared resource·time capacity at
-	// the desk and is withheld from the spot node; a forward request that
-	// fits the banked pool is reserved (withheld, counted in the report),
-	// and one that does not falls through to normal spot submission. The
-	// desk models the client-side reservation stage of the two-stage
-	// market (internal/futures) without needing a futures-aware node.
-	Futures futures.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -128,49 +117,6 @@ type Report struct {
 	AchievedRate float64 `json:"achieved_rate"`
 	// Latency summarizes submit→commit seconds across committed bids.
 	Latency obs.LatencySummary `json:"latency"`
-	// Reservation-desk extras (Config.Futures enabled only): forward
-	// offers banked, forward requests reserved against the banked pool
-	// (and their aggregate resource·time), and forward requests that
-	// missed the pool and fell through to spot submission.
-	ForwardOffers   int64   `json:"forward_offers,omitempty"`
-	Reserved        int64   `json:"reserved,omitempty"`
-	ReservedLoad    float64 `json:"reserved_load,omitempty"`
-	SpotFallthrough int64   `json:"spot_fallthrough,omitempty"`
-	// PenaltyRate echoes the configured break penalty for downstream
-	// report consumers.
-	PenaltyRate float64 `json:"penalty_rate,omitempty"`
-}
-
-// reservationDesk is the loadgen's client-side reservation stage: a
-// scalar resource·time pool banked from forward offers, drawn down by
-// forward requests. Only touched from the single-threaded emission
-// loop.
-type reservationDesk struct {
-	cfg      futures.Config
-	capacity float64 // remaining overbookable pool
-	rep      Report  // desk counters, folded into the run report
-}
-
-// intercept routes one stream order through the desk. It reports true
-// when the order is absorbed (withheld from spot submission).
-func (d *reservationDesk) intercept(so workload.StreamOrder) bool {
-	if d == nil || !so.Forward {
-		return false
-	}
-	if so.Offer != nil {
-		d.capacity += d.cfg.Ratio() * futures.OfferCapacity(so.Offer)
-		d.rep.ForwardOffers++
-		return true
-	}
-	load := futures.RequestLoad(so.Request)
-	if load <= d.capacity {
-		d.capacity -= load
-		d.rep.Reserved++
-		d.rep.ReservedLoad += load
-		return true
-	}
-	d.rep.SpotFallthrough++
-	return false
 }
 
 // Schedule returns n deterministic arrival offsets from run start,
@@ -233,10 +179,6 @@ func (e *Engine) Run(ctx context.Context) (*Report, error) {
 	}
 
 	stream := workload.NewStream(cfg.Stream)
-	var desk *reservationDesk
-	if cfg.Futures.Enabled() {
-		desk = &reservationDesk{cfg: cfg.Futures}
-	}
 
 	// One jobs channel per worker: client c always lands on worker
 	// c%Workers, so no identity is ever sealed from two goroutines.
@@ -291,9 +233,6 @@ emit:
 			break emit
 		}
 		so := stream.Next()
-		if desk.intercept(so) {
-			continue
-		}
 		jobs[so.Client%cfg.Workers] <- so
 	}
 	for _, ch := range jobs {
@@ -303,13 +242,6 @@ emit:
 	emitElapsed := time.Since(start)
 
 	rep := &Report{EmitSeconds: emitElapsed.Seconds()}
-	if desk != nil {
-		rep.ForwardOffers = desk.rep.ForwardOffers
-		rep.Reserved = desk.rep.Reserved
-		rep.ReservedLoad = desk.rep.ReservedLoad
-		rep.SpotFallthrough = desk.rep.SpotFallthrough
-		rep.PenaltyRate = cfg.Futures.PenaltyRate
-	}
 	drainStart := time.Now()
 	if !cancelled {
 		e.drain(ctx, lc)

@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"decloud/internal/auction"
-	"decloud/internal/bidding"
-	"decloud/internal/futures"
 	"decloud/internal/p2p"
-	"decloud/internal/workload"
 )
 
 // TestScheduleDeterminism: same seed → same emission schedule, different
@@ -294,56 +291,4 @@ func TestEngineShutdownMidFlightLeaksNothing(t *testing.T) {
 	buf := make([]byte, 1<<16)
 	t.Fatalf("goroutines leaked: %d before, %d after\n%s",
 		before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-}
-
-// TestReservationDesk: forward offers bank overbooked capacity, forward
-// requests draw it down, and the pool never goes negative; spot orders
-// pass through untouched.
-func TestReservationDesk(t *testing.T) {
-	stream := workload.NewStream(workload.StreamConfig{
-		Seed: 5, Clients: 4, EpochOrders: 64,
-		FuturesFraction: 0.5,
-	})
-	desk := &reservationDesk{cfg: futures.Config{
-		OverbookRatio: 1.5, PenaltyRate: 0.2, ReserveHorizon: 1,
-	}}
-	var withheld, passed int
-	for i := 0; i < 600; i++ {
-		so := stream.Next()
-		if desk.intercept(so) {
-			withheld++
-			if !so.Forward {
-				t.Fatal("desk absorbed a spot order")
-			}
-		} else {
-			passed++
-			if so.Forward && so.Offer != nil {
-				t.Fatal("desk passed a forward offer to spot")
-			}
-		}
-		if desk.capacity < 0 {
-			t.Fatalf("desk pool went negative at emission %d", i)
-		}
-	}
-	if desk.rep.ForwardOffers == 0 {
-		t.Fatal("no forward offers banked")
-	}
-	if desk.rep.Reserved == 0 {
-		t.Fatal("no forward requests reserved")
-	}
-	if desk.rep.ReservedLoad <= 0 {
-		t.Fatal("reserved load not accounted")
-	}
-	if withheld != int(desk.rep.ForwardOffers+desk.rep.Reserved) {
-		t.Fatalf("withheld %d != banked %d + reserved %d",
-			withheld, desk.rep.ForwardOffers, desk.rep.Reserved)
-	}
-	if passed == 0 {
-		t.Fatal("nothing passed through to spot")
-	}
-	// A nil desk is the identity.
-	var off *reservationDesk
-	if off.intercept(workload.StreamOrder{Forward: true, Offer: &bidding.Offer{}}) {
-		t.Fatal("nil desk must intercept nothing")
-	}
 }

@@ -11,7 +11,6 @@ import (
 	"decloud/internal/book"
 	"decloud/internal/ledger"
 	"decloud/internal/obs"
-	"decloud/internal/par"
 )
 
 func sha256sum(data []byte) [32]byte { return sha256.Sum256(data) }
@@ -44,10 +43,6 @@ type Config struct {
 	// exchanges handed to New bring their own.
 	MaxCarry int
 	Auction  auction.Config
-
-	// Workers bounds the parallelism of the per-metro clearing fan-out;
-	// 0 means 1. Outcomes are byte-identical at any worker count.
-	Workers int
 
 	// Obs, when non-nil, receives federation metrics.
 	Obs *obs.MetroMetrics
@@ -136,7 +131,7 @@ type metroState struct {
 
 // Federation runs M metro exchanges through deterministic
 // cross-settlement rounds. Not safe for concurrent use; one Round at a
-// time (the round itself parallelizes internally).
+// time.
 type Federation struct {
 	cfg    Config
 	metros []*metroState
@@ -214,9 +209,6 @@ func New(cfg Config, exchanges ...Exchange) (*Federation, error) {
 	if cfg.MaxHops <= 0 {
 		cfg.MaxHops = DefaultMaxHops
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 
 	f := &Federation{
 		cfg:      cfg,
@@ -293,9 +285,9 @@ func (f *Federation) Origin(id bidding.OrderID) (int, bool) {
 
 // Round executes one deterministic cross-settlement round: home the
 // arrivals, flush the spill inboxes, clear every metro's exchange in
-// parallel, then harvest fates and route carried-out requests to their
-// next metro. Outcomes are byte-identical for a fixed (arrivals,
-// evidence) sequence at any worker count.
+// metro order, then harvest fates and route carried-out requests to
+// their next metro. Each exchange's clear spreads over every core
+// through its own auction.Config.Workers.
 func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evidence []byte) (*RoundResult, error) {
 	M := len(f.metros)
 	f.round++
@@ -354,9 +346,8 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 		ms.inbox = ms.inbox[:0]
 	}
 
-	// 3. Clear every metro in parallel. Each exchange's work is
-	// self-contained (own market, own evidence stream), so the fan-out
-	// cannot affect outcome bytes.
+	// 3. Clear every metro in metro order. Each exchange's work is
+	// self-contained (own market, own evidence stream).
 	res := &RoundResult{Round: f.round, Outcomes: make([]*auction.Outcome, M)}
 	matchedLocal0, matchedSpill0 := f.stats.MatchedLocal, f.stats.MatchedSpill
 	if f.cfg.CaptureUnions {
@@ -367,8 +358,7 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 		rem book.Removals
 		err error
 	}, M)
-	par.ForEachWorker(f.cfg.Workers, M, func(_, m int) {
-		ms := f.metros[m]
+	for m, ms := range f.metros {
 		if f.cfg.CaptureUnions {
 			// Union = carried live set ∪ this batch, in market order:
 			// lives first (insertion order), then the batch.
@@ -376,11 +366,10 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 			res.UnionOffers[m] = append(ms.ex.LiveOffers(), offBatch[m]...)
 		}
 		res.Outcomes[m], cleared[m].rem, cleared[m].err = ms.ex.Clear(reqBatch[m], offBatch[m], ms.spillIn, MetroEvidence(evidence, m, M))
-	})
+	}
 
-	// 4. Harvest serially in metro order: record fates, advance heads,
-	// and route carried-out requests. Serial so spill routing — which
-	// appends to sibling inboxes — is deterministic.
+	// 4. Harvest in metro order: record fates, advance heads, and route
+	// carried-out requests.
 	for m, ms := range f.metros {
 		if err := cleared[m].err; err != nil {
 			return nil, fmt.Errorf("metro %d: %w", m, err)
@@ -481,51 +470,38 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 	return res, nil
 }
 
-// spillOrExpire routes one carried-out request to its next metro, or
-// expires it when no viable neighbor exists. The candidate order is the
-// latency matrix's neighbor preference (ascending latency, index
-// tie-break) filtered by the visited mask; budgets are checked against
-// the best candidate only — latency tightening is monotone in the
-// neighbor's latency, so if the nearest unvisited metro fails a budget,
-// every farther one does too.
+// spillOrExpire routes one carried-out request to its next metro
+// (LatencyMatrix.SpillTarget), or expires it when the hop budget is
+// spent, every metro has been visited, or the target's latency spends
+// the request's distance tolerance. Latency tightening is monotone in
+// the neighbor's latency, so if the nearest unvisited metro fails the
+// tolerance, every farther one does too.
 func (f *Federation) spillOrExpire(r *bidding.Request, st *orderState, from int, res *RoundResult) {
-	expire := func() {
+	to, ok := f.cfg.Latency.SpillTarget(from, st.visited)
+	rr := *r
+	legMS := f.cfg.Latency.Latency(from, to)
+	if ok && f.cfg.DistancePerMS > 0 && rr.MaxDistance > 0 {
+		// Eq. 18 locality coupling: the path latency consumes part of
+		// the request's distance tolerance, each leg once (r paid for the
+		// earlier ones). A request whose tolerance is fully spent cannot
+		// be served remotely at all — expire instead of admitting an
+		// unmatchable order.
+		rr.MaxDistance -= f.cfg.DistancePerMS * legMS
+		ok = rr.MaxDistance > 0
+	}
+	if !ok || st.hops >= f.cfg.MaxHops {
 		st.fate = fateExpired
 		f.stats.ExpiredRequests++
 		res.SpillExpired++
-	}
-	if st.hops >= f.cfg.MaxHops {
-		expire()
 		return
 	}
-	for _, to := range f.cfg.Latency.Neighbors(from) {
-		if st.visited&(1<<uint(to)) != 0 {
-			continue
-		}
-		legMS := f.cfg.Latency.Latency(from, to)
-		pathMS := st.pathMS + legMS
-		rr := *r
-		if f.cfg.DistancePerMS > 0 && rr.MaxDistance > 0 {
-			// Eq. 18 locality coupling: the path latency consumes part
-			// of the request's distance tolerance, each leg once (r paid
-			// for the earlier ones). A request whose tolerance is fully
-			// spent cannot be served remotely at all — expire instead
-			// of admitting an unmatchable order.
-			rr.MaxDistance -= f.cfg.DistancePerMS * legMS
-			if rr.MaxDistance <= 0 {
-				break // monotone: farther candidates only tighten more
-			}
-		}
-		st.hops++
-		st.pathMS = pathMS
-		f.metros[to].inbox = append(f.metros[to].inbox, spilled{r: &rr, from: from, pathMS: pathMS})
-		res.Spilled++
-		if mm := f.cfg.Obs; mm != nil {
-			mm.SpillMS[from].Set(pathMS)
-		}
-		return
+	st.hops++
+	st.pathMS += legMS
+	f.metros[to].inbox = append(f.metros[to].inbox, spilled{r: &rr, from: from, pathMS: st.pathMS})
+	res.Spilled++
+	if mm := f.cfg.Obs; mm != nil {
+		mm.SpillMS[from].Set(st.pathMS)
 	}
-	expire()
 }
 
 // Stats returns the federation's conservation counters. They carry no

@@ -150,6 +150,18 @@ func (m *LatencyMatrix) Neighbors(from int) []int {
 	return out
 }
 
+// SpillTarget is the spill-routing rule: the first of Neighbors(from)
+// that is not in visited, a bitmask over metro indexes. It reports false
+// when every other metro has been visited.
+func (m *LatencyMatrix) SpillTarget(from int, visited uint64) (int, bool) {
+	for _, to := range m.Neighbors(from) {
+		if visited&(1<<uint(to)) == 0 {
+			return to, true
+		}
+	}
+	return -1, false
+}
+
 // Fingerprint hashes the matrix into the federation's head-hash seed,
 // so two exchanges running different matrices can never agree on a
 // chain.

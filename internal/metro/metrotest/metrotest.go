@@ -4,7 +4,7 @@
 // simultaneously through a federation and through reference models, and
 // every divergence is an error.
 //
-// Three guarantees are enforced:
+// Two guarantees are enforced:
 //
 //  1. Single-metro identity — a Metros=1 federation must be
 //     byte-identical, round by round, to one monolithic book.Book fed
@@ -12,9 +12,7 @@
 //     the from-scratch mechanism), and the harness additionally
 //     cross-checks each round against auction.Run over the exact union
 //     market.
-//  2. Worker independence — the per-metro clearing fan-out must not
-//     change a single outcome byte at any worker count.
-//  3. Conservation — after every cross-settlement round, across all
+//  2. Conservation — after every cross-settlement round, across all
 //     exchanges: submitted == rejected + matched (local + after-spill)
 //     + expired + live, and no order is live in (or settled by) two
 //     metros.
@@ -86,85 +84,37 @@ func NewTrace(seed int64, n, rounds int) *Trace {
 	return tr
 }
 
-// Result is one replay's observable behavior: the canonical encoding of
-// every per-metro outcome, the final chain heads, and the final
-// federation stats. Two replays of the same trace under configs that
-// must not change behavior (worker count) must produce equal Results.
-type Result struct {
-	// OutcomeJSON[round][metro] is the canonical outcome encoding.
-	OutcomeJSON [][][]byte
-	Heads       [][32]byte
-	Stats       metro.Stats
-}
-
-// Equal reports whether two results are byte-identical.
-func (r *Result) Equal(o *Result) error {
-	if len(r.OutcomeJSON) != len(o.OutcomeJSON) {
-		return fmt.Errorf("round counts differ: %d vs %d", len(r.OutcomeJSON), len(o.OutcomeJSON))
-	}
-	for i := range r.OutcomeJSON {
-		if len(r.OutcomeJSON[i]) != len(o.OutcomeJSON[i]) {
-			return fmt.Errorf("round %d: metro counts differ", i)
-		}
-		for m := range r.OutcomeJSON[i] {
-			if !bytes.Equal(r.OutcomeJSON[i][m], o.OutcomeJSON[i][m]) {
-				return fmt.Errorf("round %d metro %d: outcomes differ:\n%s\nvs\n%s",
-					i, m, r.OutcomeJSON[i][m], o.OutcomeJSON[i][m])
-			}
-		}
-	}
-	if len(r.Heads) != len(o.Heads) {
-		return fmt.Errorf("head counts differ: %d vs %d", len(r.Heads), len(o.Heads))
-	}
-	for m := range r.Heads {
-		if r.Heads[m] != o.Heads[m] {
-			return fmt.Errorf("metro %d: chain heads differ: %x vs %x", m, r.Heads[m], o.Heads[m])
-		}
-	}
-	if r.Stats != o.Stats {
-		return fmt.Errorf("stats differ: %+v vs %+v", r.Stats, o.Stats)
-	}
-	return nil
-}
-
 // Replay runs a trace through a federation under cfg, checking
-// conservation after every round, and returns the observable Result.
+// conservation after every round, and returns the final federation
+// stats.
 // When audit is non-nil it is called once per (round, metro) with the
 // exact order set the outcome was computed over — the property-test
 // hook (cfg.CaptureUnions is forced on).
-func Replay(cfg metro.Config, tr *Trace, audit func(round, m int, reqs []*bidding.Request, offs []*bidding.Offer, out *auction.Outcome) error) (*Result, error) {
+func Replay(cfg metro.Config, tr *Trace, audit func(round, m int, reqs []*bidding.Request, offs []*bidding.Offer, out *auction.Outcome) error) (metro.Stats, error) {
 	if audit != nil {
 		cfg.CaptureUnions = true
 	}
 	f, err := metro.New(cfg)
 	if err != nil {
-		return nil, err
+		return metro.Stats{}, err
 	}
-	res := &Result{}
 	for i, round := range tr.Rounds {
 		rr, err := f.Round(round.Reqs, round.Offs, round.Evidence)
 		if err != nil {
-			return nil, fmt.Errorf("round %d: %w", i, err)
+			return metro.Stats{}, fmt.Errorf("round %d: %w", i, err)
 		}
-		enc := make([][]byte, len(rr.Outcomes))
-		for m, out := range rr.Outcomes {
-			if enc[m], err = paralleltest.MarshalOutcome(out); err != nil {
-				return nil, fmt.Errorf("round %d metro %d: %w", i, m, err)
-			}
-			if audit != nil {
+		if audit != nil {
+			for m, out := range rr.Outcomes {
 				if err := audit(i, m, rr.UnionRequests[m], rr.UnionOffers[m], out); err != nil {
-					return nil, fmt.Errorf("round %d metro %d: %w", i, m, err)
+					return metro.Stats{}, fmt.Errorf("round %d metro %d: %w", i, m, err)
 				}
 			}
 		}
-		res.OutcomeJSON = append(res.OutcomeJSON, enc)
 		if err := f.CheckConservation(); err != nil {
-			return nil, fmt.Errorf("after round %d: %w", i, err)
+			return metro.Stats{}, fmt.Errorf("after round %d: %w", i, err)
 		}
 	}
-	res.Heads = f.Heads()
-	res.Stats = f.Stats()
-	return res, nil
+	return f.Stats(), nil
 }
 
 // CheckSingleMetroIdentity replays a trace through a Metros=1

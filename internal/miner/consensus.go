@@ -91,7 +91,11 @@ func SelectLeader(prevHash [32]byte, height int64, names []string, stakes map[st
 	return 0
 }
 
-// DefaultBlockReward is the per-block cryptotoken emission.
+// DefaultBlockReward is the cryptotoken emission credited to the producer
+// of every accepted block — the paper's miner incentive ("miners
+// responsible for the algorithm execution are rewarded by cryptotokens
+// emission", Section IV-C), which is why the auction itself can be
+// strongly budget balanced.
 const DefaultBlockReward = 1.0
 
 // Challenge records a sampled verifier's dispute of a block.

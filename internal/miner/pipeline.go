@@ -332,7 +332,7 @@ func (n *Network) commitStage(ctx context.Context, st *pipelineStage) (*RoundRes
 			return nil, fmt.Errorf("miner: post-append book sync: %w", err)
 		}
 
-		n.Balances[winner.Name] += n.BlockReward
+		n.Balances[winner.Name] += DefaultBlockReward
 		if n.Obs != nil {
 			n.Obs.BlocksAccepted.Inc()
 			n.Obs.RoundSeconds.Observe(time.Since(st.roundStart).Seconds())

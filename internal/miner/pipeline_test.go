@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"decloud/internal/auction"
 	"decloud/internal/book"
@@ -233,80 +232,6 @@ func TestPipelinedFlushOnReElection(t *testing.T) {
 		}
 	}
 	checkGoroutineLeaks(t, before)
-}
-
-// TestCloseAbortsRevealBackoff pins the shutdown fix: a round sleeping
-// in the reveal retry backoff must be woken by Close instead of holding
-// the network open for the full backoff (mirroring the p2p reconnect
-// timer fix). The blocked reveal forces retries; with a 30s backoff the
-// round would otherwise take ≥ 90s.
-func TestCloseAbortsRevealBackoff(t *testing.T) {
-	before := runtime.NumGoroutine()
-	net := NewNetwork(3, testDifficulty, auction.DefaultConfig())
-	net.Consensus = ProofOfStake
-	net.RevealBackoff = 30 * time.Second
-
-	parts := soakMarket(t, net, 4242)
-	net.pool.mu.Lock()
-	blockedDigest := net.pool.pending[0].Digest()
-	net.pool.mu.Unlock()
-	net.Faults = &chaos.Plan{BlockedReveals: map[[32]byte]bool{blockedDigest: true}}
-
-	done := make(chan struct{})
-	var res *RoundResult
-	var runErr error
-	go func() {
-		defer close(done)
-		res, runErr = net.RunRound(context.Background(), parts)
-	}()
-
-	time.Sleep(50 * time.Millisecond) // let the round reach the backoff
-	start := time.Now()
-	net.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("round still running 5s after Close — the backoff timer leaked")
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("Close took %v — it must abort the backoff, not wait it out", waited)
-	}
-	if runErr != nil {
-		t.Fatalf("aborted round errored: %v", runErr)
-	}
-	if len(res.ExcludedDigests) != 1 || res.ExcludedDigests[0] != blockedDigest {
-		t.Fatalf("the blocked bid must be excluded on shutdown, got %x", res.ExcludedDigests)
-	}
-	checkGoroutineLeaks(t, before)
-}
-
-// TestRevealBackoffWaitsWhenOpen: with the network open, the backoff is
-// honored between attempts — a blocked reveal with a measurable backoff
-// makes the round take at least retries × backoff.
-func TestRevealBackoffWaitsWhenOpen(t *testing.T) {
-	net := NewNetwork(3, testDifficulty, auction.DefaultConfig())
-	net.Consensus = ProofOfStake
-	net.RevealBackoff = 30 * time.Millisecond
-	net.RevealRetries = 2
-
-	parts := soakMarket(t, net, 4243)
-	net.pool.mu.Lock()
-	blockedDigest := net.pool.pending[0].Digest()
-	net.pool.mu.Unlock()
-	net.Faults = &chaos.Plan{BlockedReveals: map[[32]byte]bool{blockedDigest: true}}
-
-	start := time.Now()
-	res, err := net.RunRound(context.Background(), parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 2*30*time.Millisecond {
-		t.Fatalf("round took %v, expected ≥ 60ms of backoff between 3 attempts", elapsed)
-	}
-	if res.RevealAttempts != 3 {
-		t.Fatalf("RevealAttempts = %d, want 3", res.RevealAttempts)
-	}
-	net.Close()
 }
 
 // TestPipelinedEmptyRounds: rounds whose feed submits nothing record

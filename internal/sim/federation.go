@@ -63,8 +63,8 @@ func newFederation(cfg Config, roster map[bidding.ParticipantID]*miner.Participa
 // ledgerExchange is one metro's market in ledger mode, as the
 // federation sees it (metro.Exchange): a persistent miner network with
 // its own chain, whose book replicas carry the market between blocks.
-// The exchanges of one federation share the roster, so they clear one
-// at a time (metro.Config.Workers stays 1).
+// The exchanges of one federation share the roster; the federation
+// clears them one at a time, in metro order.
 type ledgerExchange struct {
 	net    *miner.Network
 	roster map[bidding.ParticipantID]*miner.Participant

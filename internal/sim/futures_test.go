@@ -174,22 +174,3 @@ func TestFuturesConfigRejections(t *testing.T) {
 		}
 	}
 }
-
-// TestFuturesStreamMode: the two-stage market drains from a continuous
-// stream, with the sim knobs filling the stream's futures knobs.
-func TestFuturesStreamMode(t *testing.T) {
-	cfg := futuresConfig(Fast, 1.5)
-	cfg.Stream = &workload.StreamConfig{Seed: 33, Clients: 4, EpochOrders: 128}
-	cfg.StreamOrders = 128
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reserved int
-	for _, m := range res.Rounds {
-		reserved += m.Reserved
-	}
-	if reserved == 0 {
-		t.Fatal("stream-fed futures market made no reservations")
-	}
-}

@@ -43,11 +43,6 @@ func fastGoldenCases() []struct {
 	resubmit.Workload.Providers = 4 // tight supply: requests carry and expire
 	resubmit.Resubmit, resubmit.MaxResubmits = true, 1
 
-	stream := Config{
-		Mode: Fast, Rounds: 3, StreamOrders: 96,
-		Stream: &workload.StreamConfig{Seed: 21, Clients: 4, EpochOrders: 32},
-	}
-
 	return []struct {
 		name string
 		cfg  Config
@@ -58,7 +53,6 @@ func fastGoldenCases() []struct {
 		{"futures_treatment", twoStage},
 		{"futures_control", control},
 		{"resubmit", resubmit},
-		{"stream", stream},
 	}
 }
 

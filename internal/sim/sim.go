@@ -42,16 +42,6 @@ type Config struct {
 	// Workload is the per-round market shape; its Seed advances each
 	// round so rounds differ but the whole simulation is reproducible.
 	Workload workload.Config
-	// Stream, when non-nil, sources every round's market from one
-	// continuous epoch-structured order stream (workload.Stream) instead
-	// of independent Generate calls — the same order flow the load
-	// generator and the devnet emit, so batch simulations are comparable
-	// point for point with networked load tests. Stream order IDs are
-	// globally unique, so ledger mode needs no per-round ID remapping.
-	Stream *workload.StreamConfig
-	// StreamOrders is the number of stream orders drained per round
-	// (default 256). Only read when Stream is set.
-	StreamOrders int
 	// Miners and Difficulty configure ledger mode (defaults 3 and 8).
 	Miners     int
 	Difficulty int
@@ -695,45 +685,15 @@ func settle(cfg Config, round int, c *clearing, m *RoundMetrics) error {
 	return nil
 }
 
-// marketSource returns the per-round market generator: a stateful drain
-// of one continuous stream when Config.Stream is set (rounds are fed in
-// order in both the sequential loop and the pipelined feed, so the drain
-// order is well-defined), otherwise the classic per-round seeded
-// Generate. A two-stage round arrives split with the divergence verdicts
-// attached: stream mode uses the stream's own tagging (the sim knobs
-// filling in unset stream knobs), Generate mode splits with the same
-// (seed, order ID) derivation the stream uses.
+// marketSource returns the per-round market generator: a per-round
+// seeded Generate. A two-stage round arrives split with the divergence
+// verdicts attached.
 //
 // Every order ID is unique across a run, whatever outlives its round (a
 // book, a federation and its cross-chain audit, the futures exchange, a
 // resubmission). The generator reuses IDs from round to round, so its
-// rounds are namespaced; stream IDs are unique already and kept.
+// rounds are namespaced.
 func marketSource(cfg Config) source {
-	if cfg.Stream != nil {
-		scfg := *cfg.Stream
-		if cfg.twoStage() {
-			if scfg.FuturesFraction == 0 {
-				scfg.FuturesFraction = cfg.FuturesSplit
-			}
-			if scfg.DemandShock == 0 {
-				scfg.DemandShock = cfg.DemandShock
-			}
-			if scfg.SupplyShock == 0 {
-				scfg.SupplyShock = cfg.SupplyShock
-			}
-		}
-		s := workload.NewStream(scfg)
-		n := cfg.StreamOrders
-		if n <= 0 {
-			n = 256
-		}
-		return func(int) (*workload.Market, *workload.TwoStageMarket) {
-			if cfg.twoStage() {
-				return submitted(workload.CollectTwoStage(s, n))
-			}
-			return workload.CollectMarket(s, n), nil
-		}
-	}
 	return func(round int) (*workload.Market, *workload.TwoStageMarket) {
 		wcfg := cfg.Workload
 		wcfg.Seed = cfg.Workload.Seed + int64(round)*1009

@@ -426,53 +426,6 @@ func TestLedgerPipelinesUnlessARoundReadsTheLastCommit(t *testing.T) {
 	}
 }
 
-// TestStreamSourcedRounds: with Config.Stream the simulation draws every
-// round's market from one continuous epoch-structured stream — the same
-// order flow the load generator emits — deterministically, in both fast
-// and ledger mode.
-func TestStreamSourcedRounds(t *testing.T) {
-	cfg := Config{
-		Mode:         Fast,
-		Rounds:       3,
-		Stream:       &workload.StreamConfig{Seed: 21, Clients: 4, EpochOrders: 32},
-		StreamOrders: 96,
-	}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rounds) != 3 {
-		t.Fatalf("rounds = %d", len(a.Rounds))
-	}
-	var matches int
-	for i, m := range a.Rounds {
-		matches += m.Matches
-		if m.Requests+m.Offers != 96 {
-			t.Fatalf("round %d drained %d orders, want 96", i, m.Requests+m.Offers)
-		}
-		if m.Welfare != b.Rounds[i].Welfare || m.Matches != b.Rounds[i].Matches {
-			t.Fatalf("stream-sourced rounds are not deterministic: %+v vs %+v", m, b.Rounds[i])
-		}
-	}
-	if matches == 0 {
-		t.Fatal("the streamed market never cleared a trade")
-	}
-
-	cfg.Mode = Ledger
-	cfg.Rounds = 2
-	led, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(led.Rounds) != 2 || led.Rounds[1].BlockHeight != led.Rounds[0].BlockHeight+1 {
-		t.Fatalf("ledger stream rounds: %+v", led.Rounds)
-	}
-}
-
 func TestFastIncrementalBookSimulation(t *testing.T) {
 	cfg := Config{
 		Mode:     Fast,

@@ -39,9 +39,6 @@ type StreamConfig struct {
 	// EpochSec is the epoch length in seconds (default 3600). Offers span
 	// their whole epoch; request windows nest inside it.
 	EpochSec int64
-	// StartEpoch offsets the first emission's epoch — a restarted emitter
-	// can rejoin the market at the epoch its peers have reached.
-	StartEpoch int64
 	// Flexibility applies to every request (0 = inflexible).
 	Flexibility float64
 	// ValuationLow/High bound the uniform valuation coefficient
@@ -66,23 +63,6 @@ type StreamConfig struct {
 	// GeoMix weights the per-metro client assignment (len GeoMetros;
 	// nil/short = uniform). Weights need not sum to 1.
 	GeoMix []float64
-	// FuturesFraction, when positive, marks that fraction of emitted
-	// orders as FORWARD orders (StreamOrder.Forward): bids for delivery
-	// ReserveHorizon rounds ahead, cleared by the futures reservation
-	// stage (internal/futures) instead of the spot auction. The mark is
-	// derived from (Seed, order ID) alone — never from the client's
-	// entropy stream — so enabling it perturbs no existing emission and
-	// stays interleaving-independent.
-	FuturesFraction float64
-	// DemandShock and SupplyShock model demand divergence between
-	// reservation and delivery: each forward REQUEST fails to show up
-	// with probability DemandShock and each forward OFFER's capacity
-	// fails to materialize with probability SupplyShock
-	// (StreamOrder.Fails). Like FuturesFraction, the verdicts are keyed
-	// on (Seed, order ID) and do not touch the emission streams. Only
-	// read when FuturesFraction > 0.
-	DemandShock float64
-	SupplyShock float64
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -109,16 +89,10 @@ func (c StreamConfig) withDefaults() StreamConfig {
 
 // StreamOrder is one emitted order: exactly one of Request and Offer is
 // non-nil. Client is the index of the virtual client that emitted it.
-// Forward marks a futures-stage order and Fails its divergence verdict
-// (a forward request that will no-show, or a forward offer that will
-// default, at delivery); both are always false when
-// StreamConfig.FuturesFraction is 0.
 type StreamOrder struct {
 	Client  int
 	Request *bidding.Request
 	Offer   *bidding.Offer
-	Forward bool
-	Fails   bool
 }
 
 // ID returns the order's namespaced identifier.
@@ -134,7 +108,6 @@ func (so StreamOrder) ID() bidding.OrderID {
 // goroutine via distinct StreamConfig seeds.
 type Stream struct {
 	cfg   StreamConfig
-	seed  [8]byte // big-endian Seed, the futures-tag derivation key
 	gens  []*trace.Generator
 	rnds  []*rand.Rand
 	locs  []bidding.Location // per-client home (GeoRadius > 0 only)
@@ -153,7 +126,6 @@ func NewStream(cfg StreamConfig) *Stream {
 	}
 	var seedBytes [8]byte
 	binary.BigEndian.PutUint64(seedBytes[:], uint64(cfg.Seed))
-	s.seed = seedBytes
 	if cfg.GeoRadius > 0 {
 		s.locs = make([]bidding.Location, cfg.Clients)
 	}
@@ -213,11 +185,10 @@ func (s *Stream) emit(c int) StreamOrder {
 	j := s.local[c]
 	s.local[c]++
 	global := int64(j*cfg.Clients + c)
-	epoch := cfg.StartEpoch + global/int64(cfg.EpochOrders)
+	epoch := global / int64(cfg.EpochOrders)
 	within := int(global % int64(cfg.EpochOrders))
 	epochStart := epoch * cfg.EpochSec
 	epochEnd := epochStart + cfg.EpochSec
-	submitted := cfg.StartEpoch*int64(cfg.EpochOrders) + global
 
 	rnd := s.rnds[c]
 	offerLead := int(cfg.OfferFraction * float64(cfg.EpochOrders))
@@ -235,7 +206,7 @@ func (s *Stream) emit(c int) StreamOrder {
 		o := &bidding.Offer{
 			ID:        bidding.OrderID(fmt.Sprintf("%s-c%02d-o%07d", cfg.IDPrefix, c, j)),
 			Provider:  bidding.ParticipantID(fmt.Sprintf("%s-c%02d", cfg.IDPrefix, c)),
-			Submitted: submitted,
+			Submitted: global,
 			Resources: it.Resources(),
 			Start:     epochStart,
 			End:       epochEnd,
@@ -245,9 +216,7 @@ func (s *Stream) emit(c int) StreamOrder {
 		if s.locs != nil {
 			o.Location = s.locs[c]
 		}
-		so := StreamOrder{Client: c, Offer: o}
-		s.tagFutures(&so)
-		return so
+		return StreamOrder{Client: c, Offer: o}
 	}
 
 	// Requests: Google-trace task shapes scaled onto the M5 reference
@@ -271,7 +240,7 @@ func (s *Stream) emit(c int) StreamOrder {
 	r := &bidding.Request{
 		ID:        bidding.OrderID(fmt.Sprintf("%s-c%02d-r%07d", cfg.IDPrefix, c, j)),
 		Client:    bidding.ParticipantID(fmt.Sprintf("%s-c%02d", cfg.IDPrefix, c)),
-		Submitted: submitted,
+		Submitted: global,
 		Resources: resource.Vector{
 			resource.CPU:  task.CPU * reference.VCPU,
 			resource.RAM:  task.RAM * reference.MemGiB,
@@ -300,27 +269,12 @@ func (s *Stream) emit(c int) StreamOrder {
 	coeff := cfg.ValuationLow + rnd.Float64()*(cfg.ValuationHigh-cfg.ValuationLow)
 	r.Bid = base * coeff
 	r.TrueValue = r.Bid
-	so := StreamOrder{Client: c, Request: r}
-	s.tagFutures(&so)
-	return so
-}
-
-// tagFutures stamps the forward/divergence marks. The draws are keyed
-// on (Seed, order ID) via the stats sub-stream derivation, so the same
-// order gets the same verdict no matter how emissions interleave, and
-// the per-client entropy streams stay untouched (a stream with
-// FuturesFraction 0 emits bit-identical orders).
-func (s *Stream) tagFutures(so *StreamOrder) {
-	if s.cfg.FuturesFraction <= 0 {
-		return
-	}
-	so.Forward, so.Fails = futuresVerdict(s.seed, so.ID(), so.Offer != nil,
-		s.cfg.FuturesFraction, s.cfg.DemandShock, s.cfg.SupplyShock)
+	return StreamOrder{Client: c, Request: r}
 }
 
 // futuresVerdict draws one order's forward mark and divergence verdict
-// from the (seed, order ID) sub-stream — the single derivation both the
-// stream tagger and SplitTwoStage use.
+// from the (seed, order ID) sub-stream, so the verdict never depends on
+// where in the batch the order sits.
 func futuresVerdict(seed [8]byte, id bidding.OrderID, isOffer bool, frac, demandShock, supplyShock float64) (forward, fails bool) {
 	sub := stats.SubRand(seed[:], "workload/stream/futures/"+string(id))
 	if sub.Float64() >= frac {
@@ -361,36 +315,21 @@ func pickMetro(cfg StreamConfig, u float64) int {
 	return cfg.GeoMetros - 1
 }
 
-// CollectMarket drains n orders from the stream into a batch Market —
-// the bridge from streaming emission to the batch APIs (sim rounds,
-// mechanism benchmarks).
-func CollectMarket(s *Stream, n int) *Market {
-	m := &Market{}
-	for _, so := range s.Emit(n) {
-		if so.Request != nil {
-			m.Requests = append(m.Requests, so.Request)
-		} else {
-			m.Offers = append(m.Offers, so.Offer)
-		}
-	}
-	return m
-}
-
 // TwoStageMarket splits one drained batch by stage for the futures
 // exchange: Fwd holds the forward-tagged orders (reservation stage),
 // Spot the rest, and NoShows/Defaults carry the divergence verdicts of
-// the forward orders that fail at delivery. With FuturesFraction 0 every
-// order lands in Spot and the verdict maps are empty.
+// the forward orders that fail at delivery. With a forward fraction of 0
+// every order lands in Spot and the verdict maps are empty.
 type TwoStageMarket struct {
 	Fwd, Spot *Market
 	NoShows   map[bidding.OrderID]bool // forward requests that won't show
 	Defaults  map[bidding.OrderID]bool // forward offers that won't materialize
 }
 
-// SplitTwoStage stage-splits a batch market the way a tagged stream
-// would: every order's forward mark and divergence verdict comes from
-// the same (seed, order ID) derivation the stream tagger uses, so batch
-// (Generate) and streaming simulations share one divergence model.
+// SplitTwoStage stage-splits a batch market: frac of the orders go
+// forward, and a forward request no-shows with probability demandShock,
+// a forward offer defaults with probability supplyShock. Every verdict
+// is keyed on (seed, order ID).
 func SplitTwoStage(m *Market, seed int64, frac, demandShock, supplyShock float64) *TwoStageMarket {
 	var sb [8]byte
 	binary.BigEndian.PutUint64(sb[:], uint64(seed))
@@ -420,36 +359,6 @@ func SplitTwoStage(m *Market, seed int64, frac, demandShock, supplyShock float64
 			}
 		} else {
 			tm.Spot.Offers = append(tm.Spot.Offers, o)
-		}
-	}
-	return tm
-}
-
-// CollectTwoStage drains n orders into a stage-split batch — the
-// futures counterpart of CollectMarket.
-func CollectTwoStage(s *Stream, n int) *TwoStageMarket {
-	tm := &TwoStageMarket{
-		Fwd:      &Market{},
-		Spot:     &Market{},
-		NoShows:  make(map[bidding.OrderID]bool),
-		Defaults: make(map[bidding.OrderID]bool),
-	}
-	for _, so := range s.Emit(n) {
-		m := tm.Spot
-		if so.Forward {
-			m = tm.Fwd
-			if so.Fails {
-				if so.Request != nil {
-					tm.NoShows[so.ID()] = true
-				} else {
-					tm.Defaults[so.ID()] = true
-				}
-			}
-		}
-		if so.Request != nil {
-			m.Requests = append(m.Requests, so.Request)
-		} else {
-			m.Offers = append(m.Offers, so.Offer)
 		}
 	}
 	return tm

@@ -112,31 +112,18 @@ func TestStreamEpochStructure(t *testing.T) {
 	}
 }
 
-// TestStreamStartEpoch: StartEpoch shifts windows and Submitted stamps
-// without changing the per-client draw sequence.
-func TestStreamStartEpoch(t *testing.T) {
-	base := NewStream(StreamConfig{Seed: 9, Clients: 2, EpochOrders: 20, EpochSec: 100}).Emit(40)
-	shift := NewStream(StreamConfig{Seed: 9, Clients: 2, EpochOrders: 20, EpochSec: 100, StartEpoch: 5}).Emit(40)
-	for i := range base {
-		var b0, s0, e0, e1 int64
-		if base[i].Offer != nil {
-			b0, e0 = base[i].Offer.Start, base[i].Offer.End
-			s0, e1 = shift[i].Offer.Start, shift[i].Offer.End
-		} else {
-			b0, e0 = base[i].Request.Start, base[i].Request.End
-			s0, e1 = shift[i].Request.Start, shift[i].Request.End
-		}
-		if s0 != b0+500 || e1 != e0+500 {
-			t.Fatalf("emission %d: shifted window [%d,%d], want [%d,%d]", i, s0, e1, b0+500, e0+500)
-		}
-	}
-}
-
-// TestStreamMarketClears: a collected stream market clears through the
+// TestStreamMarketClears: a drained stream market clears through the
 // real mechanism with a healthy match rate — the structural guarantee
 // the load generator depends on.
 func TestStreamMarketClears(t *testing.T) {
-	m := CollectMarket(NewStream(StreamConfig{Seed: 1, EpochOrders: 128}), 2000)
+	m := &Market{}
+	for _, so := range NewStream(StreamConfig{Seed: 1, EpochOrders: 128}).Emit(2000) {
+		if so.Request != nil {
+			m.Requests = append(m.Requests, so.Request)
+		} else {
+			m.Offers = append(m.Offers, so.Offer)
+		}
+	}
 	if len(m.Requests)+len(m.Offers) != 2000 {
 		t.Fatalf("collected %d+%d orders, want 2000", len(m.Requests), len(m.Offers))
 	}
@@ -225,119 +212,5 @@ func TestStreamMetroMix(t *testing.T) {
 		if perMetro[0] <= perMetro[m] {
 			t.Fatalf("mix not skewed: perMetro = %v", perMetro)
 		}
-	}
-}
-
-// TestStreamFuturesTagsDoNotPerturb: enabling the futures knobs only
-// stamps tags — the emitted orders themselves are byte-identical to a
-// plain stream with the same seed, because the verdict draws come from
-// per-order sub-streams, never from the client entropy streams.
-func TestStreamFuturesTagsDoNotPerturb(t *testing.T) {
-	base := StreamConfig{Seed: 11, Clients: 4, EpochOrders: 64}
-	tagged := base
-	tagged.FuturesFraction = 0.5
-	tagged.DemandShock = 0.3
-	tagged.SupplyShock = 0.2
-	a := NewStream(base).Emit(600)
-	b := NewStream(tagged).Emit(600)
-	fwd, fails := 0, 0
-	for i := range a {
-		if a[i].ID() != b[i].ID() {
-			t.Fatalf("emission %d diverged: %s vs %s", i, a[i].ID(), b[i].ID())
-		}
-		if a[i].Request != nil {
-			ar, br := a[i].Request, b[i].Request
-			if ar.Bid != br.Bid || ar.Start != br.Start || ar.End != br.End ||
-				ar.Duration != br.Duration || !ar.Resources.Equal(br.Resources) {
-				t.Fatalf("emission %d request perturbed by futures knobs", i)
-			}
-		} else {
-			ao, bo := a[i].Offer, b[i].Offer
-			if ao.Bid != bo.Bid || ao.Start != bo.Start || ao.End != bo.End ||
-				!ao.Resources.Equal(bo.Resources) {
-				t.Fatalf("emission %d offer perturbed by futures knobs", i)
-			}
-		}
-		if a[i].Forward || a[i].Fails {
-			t.Fatalf("emission %d tagged with FuturesFraction 0", i)
-		}
-		if b[i].Forward {
-			fwd++
-		}
-		if b[i].Fails {
-			if !b[i].Forward {
-				t.Fatalf("emission %d fails without being forward", i)
-			}
-			fails++
-		}
-	}
-	if fwd < 150 || fwd > 450 {
-		t.Fatalf("forward tag count %d implausible for fraction 0.5 over 600", fwd)
-	}
-	if fails == 0 {
-		t.Fatal("no divergence verdicts despite positive shocks")
-	}
-}
-
-// TestStreamFuturesTagsInterleavingIndependent: the same order carries
-// the same Forward/Fails verdict whether drained round-robin or one
-// client at a time.
-func TestStreamFuturesTagsInterleavingIndependent(t *testing.T) {
-	cfg := StreamConfig{Seed: 13, Clients: 3, EpochOrders: 30,
-		FuturesFraction: 0.6, DemandShock: 0.4, SupplyShock: 0.4}
-	rr := NewStream(cfg)
-	perClient := make(map[int][]StreamOrder)
-	for _, so := range rr.Emit(300) {
-		perClient[so.Client] = append(perClient[so.Client], so)
-	}
-	solo := NewStream(cfg)
-	for c := 0; c < 3; c++ {
-		for j, want := range perClient[c] {
-			got := solo.NextFor(c)
-			if got.Forward != want.Forward || got.Fails != want.Fails {
-				t.Fatalf("client %d emission %d (%s): tags diverged under interleaving", c, j, got.ID())
-			}
-		}
-	}
-}
-
-// TestCollectTwoStage: the stage split partitions the drain exactly and
-// the verdict maps cover precisely the failing forward orders.
-func TestCollectTwoStage(t *testing.T) {
-	cfg := StreamConfig{Seed: 17, Clients: 4, EpochOrders: 64,
-		FuturesFraction: 0.5, DemandShock: 0.3, SupplyShock: 0.3}
-	tm := CollectTwoStage(NewStream(cfg), 400)
-	total := len(tm.Fwd.Requests) + len(tm.Fwd.Offers) + len(tm.Spot.Requests) + len(tm.Spot.Offers)
-	if total != 400 {
-		t.Fatalf("split lost orders: %d != 400", total)
-	}
-	if len(tm.Fwd.Requests) == 0 || len(tm.Fwd.Offers) == 0 || len(tm.Spot.Requests) == 0 {
-		t.Fatalf("degenerate split fwd=%d+%d spot=%d+%d",
-			len(tm.Fwd.Requests), len(tm.Fwd.Offers), len(tm.Spot.Requests), len(tm.Spot.Offers))
-	}
-	for id := range tm.NoShows {
-		found := false
-		for _, r := range tm.Fwd.Requests {
-			if r.ID == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("no-show verdict %s not a forward request", id)
-		}
-	}
-	for id := range tm.Defaults {
-		found := false
-		for _, o := range tm.Fwd.Offers {
-			if o.ID == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("default verdict %s not a forward offer", id)
-		}
-	}
-	if len(tm.NoShows) == 0 || len(tm.Defaults) == 0 {
-		t.Fatal("no divergence verdicts collected despite positive shocks")
 	}
 }

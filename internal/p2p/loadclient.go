@@ -42,10 +42,9 @@ type LoadClient struct {
 	matched   int64 // atomic
 
 	mu       sync.Mutex
-	submitAt map[[32]byte]time.Time
-	done     map[[32]byte]bool // bids already counted committed
-	mine     map[string]bool   // order IDs this client submitted
-	blocks   map[[32]byte]bool // block preambles already processed
+	submitAt map[[32]byte]time.Time // bids published and not yet seen committed
+	mine     map[string]bool        // order IDs this client submitted
+	blocks   map[[32]byte]bool      // block preambles already processed
 }
 
 // NewLoadClient starts a load endpoint carrying len(entropy) virtual
@@ -96,7 +95,6 @@ func NewLoadClientConns(name, addr string, entropy []io.Reader, lat *obs.Histogr
 		parts:    parts,
 		lat:      lat,
 		submitAt: make(map[[32]byte]time.Time),
-		done:     make(map[[32]byte]bool),
 		mine:     make(map[string]bool),
 		blocks:   make(map[[32]byte]bool),
 	}
@@ -276,10 +274,9 @@ func (lc *LoadClient) onBlock(msg Message) {
 	var newlyCommitted int64
 	for _, d := range digests {
 		at, ours := lc.submitAt[d]
-		if !ours || lc.done[d] {
+		if !ours {
 			continue
 		}
-		lc.done[d] = true
 		delete(lc.submitAt, d)
 		newlyCommitted++
 		lc.lat.Observe(now.Sub(at).Seconds())

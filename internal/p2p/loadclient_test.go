@@ -206,6 +206,55 @@ func TestLoadClientCountsACommitThatBeatsPublish(t *testing.T) {
 	}
 }
 
+// TestLoadClientCommitCountedOnceAcrossBlocks: a bid carried by two
+// distinct blocks, one of them delivered twice, counts one commit and
+// one latency sample.
+func TestLoadClientCommitCountedOnceAcrossBlocks(t *testing.T) {
+	lat := obs.NewRegistry().Histogram("commit_seconds", "", nil)
+	lc, err := NewLoadClient("twice-gen", "127.0.0.1:0", nil, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	bid, err := lc.SealRequest(0, &bidding.Request{
+		ID:        "twice-r",
+		Resources: resource.Vector{resource.CPU: 1},
+		Start:     0, End: 10, Duration: 10,
+		Bid: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Publish("twice-r", bid); err != nil {
+		t.Fatal(err)
+	}
+	m := &miner.Miner{Name: "twice-m0", AuctionCfg: auction.DefaultConfig()}
+	var payloads [][]byte
+	for height := int64(0); height < 2; height++ {
+		block := m.AssembleBlockAt([32]byte{}, height, []*sealed.Bid{bid}, height+1)
+		if err := m.Mine(context.Background(), block, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ComputeBody(block, nil); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ledger.AppendBlock(nil, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, payload)
+	}
+	for _, p := range [][]byte{payloads[0], payloads[0], payloads[1]} {
+		lc.onBlock(Message{Type: msgBlock, Payload: p})
+	}
+	if _, committed, _ := lc.Counts(); committed != 1 {
+		t.Fatalf("committed = %d, want 1", committed)
+	}
+	if n := lat.Snapshot().Count; n != 1 {
+		t.Fatalf("latency samples = %d, want 1", n)
+	}
+}
+
 // TestLoadClientShardedConns: a LoadClient sharded over three TCP
 // connections still speaks the protocol exactly once — bids submitted
 // on every connection all pool, preambles are answered with one reveal

@@ -42,6 +42,37 @@ func TestRunTraceOutUnwritable(t *testing.T) {
 	}
 }
 
+// TestFastStdoutGolden pins what the command prints for a fast-mode run,
+// byte for byte, against testdata/fast_stdout.golden. A refactor must
+// leave the file untouched; an intentional change to the output
+// regenerates it with:
+//
+//	GOLDEN_UPDATE=1 go test ./cmd/decloud-sim -run TestFastStdoutGolden
+func TestFastStdoutGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-mode", "fast", "-rounds", "4", "-seed", "7"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, want 0; stderr: %s", code, stderr.String())
+	}
+	path := filepath.Join("testdata", "fast_stdout.golden")
+	if os.Getenv("GOLDEN_UPDATE") == "1" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file updated: %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run with GOLDEN_UPDATE=1 to create): %v", err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Fatalf("stdout drifted from %s:\n got:\n%s\nwant:\n%s", path, stdout.Bytes(), want)
+	}
+}
+
 func TestRunUnknownModeExitsTwo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-mode", "bogus"}, &stdout, &stderr); code != 2 {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -115,5 +117,35 @@ func TestOverbookingTableRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q", want)
 		}
+	}
+}
+
+// TestOverbookingTableGolden pins the overbooking study's numbers, not
+// just their shape: the rendered default sweep must match
+// testdata/overbooking.golden byte for byte. A refactor of the futures
+// exchange must leave the file untouched; an intentional change to the
+// study regenerates it with:
+//
+//	GOLDEN_UPDATE=1 go test ./internal/experiments -run TestOverbookingTableGolden
+func TestOverbookingTableGolden(t *testing.T) {
+	var sb strings.Builder
+	OverbookingTable(RunOverbookingSweep(DefaultOverbookingConfig())).Fprint(&sb)
+	path := filepath.Join("testdata", "overbooking.golden")
+	if os.Getenv("GOLDEN_UPDATE") == "1" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file updated: %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run with GOLDEN_UPDATE=1 to create): %v", err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("overbooking table drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"decloud/internal/auction"
-	"decloud/internal/futures"
 	"decloud/internal/workload"
 )
 
@@ -29,16 +27,6 @@ func fastGoldenCases() []struct {
 	metros.Metros = 3
 	metros.Workload.GeoRadius = 0.6
 
-	// ReserveHorizon 1 so reservations made in round 0 deliver inside
-	// the three pinned rounds.
-	twoStage := plain
-	twoStage.FuturesSplit, twoStage.DemandShock, twoStage.SupplyShock = 0.5, 0.3, 0.2
-	twoStage.Auction = auction.DefaultConfig()
-	twoStage.Futures = futures.Config{OverbookRatio: 1.5, PenaltyRate: 0.2, ReserveHorizon: 1}
-
-	control := twoStage
-	control.Futures = futures.Config{}
-
 	resubmit := plain
 	resubmit.Workload.Providers = 4 // tight supply: requests carry and expire
 	resubmit.Resubmit, resubmit.MaxResubmits = true, 1
@@ -50,8 +38,6 @@ func fastGoldenCases() []struct {
 		{"plain", plain},
 		{"incremental", incremental},
 		{"metros3", metros},
-		{"futures_treatment", twoStage},
-		{"futures_control", control},
 		{"resubmit", resubmit},
 	}
 }

@@ -8,27 +8,16 @@
 //	            [-providers N] [-miners N] [-difficulty BITS]
 //	            [-deny P] [-flex F] [-seed N]
 //	            [-metros M] [-latency-matrix FILE] [-geo R]
-//	            [-futures-split F] [-overbook R] [-penalty-rate P]
-//	            [-reserve-horizon H] [-demand-shock P] [-supply-shock P]
 //	            [-obs-addr HOST:PORT] [-obs-linger D] [-trace-out FILE]
 //
 // Ledger rounds overlap in the epoch pipeline whenever no round reads
-// the last commit: one chain, no futures stage, no -resubmit, -deny 0.
+// the last commit: one chain, no -resubmit, -deny 0.
 //
 // With -metros ≥ 2 the market federates over M geography-homed metro
 // exchanges (internal/metro): orders route to the exchange owning their
 // location's grid cell and unfillable requests spill to neighbors over
 // the latency matrix (-latency-matrix overrides the default ring).
 // Pair with -geo to give generated orders locations worth homing by.
-//
-// With -reserve-horizon ≥ 1 a futures reservation stage clears forward
-// contracts H rounds ahead of delivery (internal/futures): -futures-split
-// routes that fraction of orders forward, -overbook sells reserved
-// capacity up to R × declared supply, -penalty-rate prices broken
-// contracts, and -demand-shock/-supply-shock set the probability that a
-// forward buyer no-shows or a forward seller's capacity never
-// materializes. With -futures-split > 0 but -reserve-horizon 0 the same
-// order flow runs SPOT-ONLY — the control arm of the overbooking study.
 //
 // With -obs-addr the simulation serves live metrics (Prometheus text at
 // /metrics, JSON at /vars, pprof under /debug/pprof/) while it runs;
@@ -44,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"decloud/internal/futures"
 	"decloud/internal/metro"
 	"decloud/internal/obs"
 	"decloud/internal/sim"
@@ -76,12 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	distancePerMS := fs.Float64("distance-per-ms", 0, "Eq. 18 coupling: tighten a spilled request's MaxDistance by this much per ms of path latency")
 	maxHops := fs.Int("max-hops", 0, "spill hop budget per request beyond its home metro (default 2)")
 	geoRadius := fs.Float64("geo", 0, "scatter participants over the unit square; requests match within this radius")
-	futuresSplit := fs.Float64("futures-split", 0, "fraction of orders routed to the futures reservation stage")
-	overbook := fs.Float64("overbook", 1.0, "overbooking ratio: reserved capacity up to this multiple of declared supply")
-	penaltyRate := fs.Float64("penalty-rate", 0.2, "penalty on broken reservations as a fraction of the contract payment")
-	reserveHorizon := fs.Int("reserve-horizon", 0, "rounds between reservation and delivery (0 = futures stage off)")
-	demandShock := fs.Float64("demand-shock", 0, "probability a forward buyer no-shows at delivery")
-	supplyShock := fs.Float64("supply-shock", 0, "probability a forward seller's capacity never materializes")
 	obsAddr := fs.String("obs-addr", "", "serve metrics/pprof on this address (empty = off)")
 	obsLinger := fs.Duration("obs-linger", 0, "keep the obs endpoint up this long after the simulation")
 	traceOut := fs.String("trace-out", "", "append per-round JSONL traces to this file")
@@ -106,19 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DenyProb:      *deny,
 		Resubmit:      *resubmit,
 		MaxResubmits:  *maxResubmits,
-		FuturesSplit:  *futuresSplit,
-		DemandShock:   *demandShock,
-		SupplyShock:   *supplyShock,
 	}
 	cfg.Auction.ExactScheduling = *exact
 	cfg.Auction.Incremental = *incremental
-	if *reserveHorizon > 0 {
-		cfg.Futures = futures.Config{
-			OverbookRatio:  *overbook,
-			PenaltyRate:    *penaltyRate,
-			ReserveHorizon: *reserveHorizon,
-		}
-	}
 	if *latencyMatrix != "" {
 		lm, err := metro.LoadMatrix(*latencyMatrix)
 		if err != nil {
@@ -174,13 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.Mode == sim.Ledger {
 		fmt.Fprintf(stdout, " %-9s %-7s %-7s", "winner", "agreed", "denied")
 	}
-	futuresOn := cfg.Futures.Enabled()
-	if futuresOn {
-		fmt.Fprintf(stdout, " %-8s %-9s %-7s %-8s %-6s", "reserved", "delivered", "noshows", "defaults", "bumped")
-	}
-	if futuresOn || cfg.FuturesSplit > 0 {
-		fmt.Fprintf(stdout, " %-7s %-9s", "util", "penalty")
-	}
 	fmt.Fprintln(stdout)
 	for _, m := range res.Rounds {
 		fmt.Fprintf(stdout, "%-5d %-8d %-7d %-7d %-10.4f %-10.4f %-6.3f %-8.2f %-9.3f",
@@ -191,13 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if cfg.Mode == sim.Ledger {
 			fmt.Fprintf(stdout, " %-9s %-7d %-7d", m.Winner, m.Agreed, m.Denied)
-		}
-		if futuresOn {
-			fmt.Fprintf(stdout, " %-8d %-9d %-7d %-8d %-6d",
-				m.Reserved, m.DeliveredFut, m.FutNoShows, m.SellerDefaults, m.Bumped)
-		}
-		if futuresOn || cfg.FuturesSplit > 0 {
-			fmt.Fprintf(stdout, " %-7.3f %-9.4f", m.Utilization, m.PenaltyFlow)
 		}
 		fmt.Fprintln(stdout)
 	}

@@ -105,8 +105,8 @@ func TestRunWithObsAndTrace(t *testing.T) {
 }
 
 // TestRunShardedPipelinedLedger: the pipelined ledger — what a
-// feedback-free ledger run is — runs end to end, and the removed -shards
-// flag is an unknown-flag usage error.
+// feedback-free ledger run is — runs end to end. (The removed -shards
+// flag is refused in TestRunPipelineFlagExitsTwo.)
 func TestRunShardedPipelinedLedger(t *testing.T) {
 	args := []string{
 		"-mode", "ledger", "-rounds", "2", "-requests", "10",
@@ -119,27 +119,33 @@ func TestRunShardedPipelinedLedger(t *testing.T) {
 	if !strings.Contains(stdout.String(), "total welfare") {
 		t.Fatalf("stdout lacks the summary line: %q", stdout.String())
 	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(append(args, "-shards", "4"), &stdout, &stderr); code != 2 {
-		t.Fatalf("-shards 4: exit code = %d, want 2; stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "flag provided but not defined: -shards") {
-		t.Fatalf("stderr lacks the unknown-flag error: %q", stderr.String())
-	}
 }
 
-// TestRunPipelineFlagExitsTwo: the simulator decides itself when a
-// ledger run is pipelined, so -pipeline is an unknown flag, in either mode.
+// TestRunPipelineFlagExitsTwo: every removed flag is an unknown-flag
+// usage error, in either mode. The simulator decides itself when a
+// ledger run is pipelined (-pipeline), the order book is not sharded
+// (-shards), and the two-stage futures market runs only in
+// decloud-bench -overbooking (the six futures flags).
 func TestRunPipelineFlagExitsTwo(t *testing.T) {
-	for _, mode := range []string{"fast", "ledger"} {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-mode", mode, "-pipeline", "-rounds", "1", "-requests", "4"}, &stdout, &stderr); code != 2 {
-			t.Fatalf("-mode %s -pipeline: exit code = %d, want 2; stderr: %s", mode, code, stderr.String())
-		}
-		if !strings.Contains(stderr.String(), "flag provided but not defined: -pipeline") {
-			t.Fatalf("stderr lacks the unknown-flag error: %q", stderr.String())
+	for _, removed := range [][]string{
+		{"-pipeline"},
+		{"-shards", "4"},
+		{"-futures-split", "0.5"},
+		{"-overbook", "1.5"},
+		{"-penalty-rate", "0.2"},
+		{"-reserve-horizon", "1"},
+		{"-demand-shock", "0.3"},
+		{"-supply-shock", "0.2"},
+	} {
+		for _, mode := range []string{"fast", "ledger"} {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-mode", mode, "-rounds", "1", "-requests", "4"}, removed...)
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("-mode %s %s: exit code = %d, want 2; stderr: %s", mode, removed[0], code, stderr.String())
+			}
+			if want := "flag provided but not defined: " + removed[0]; !strings.Contains(stderr.String(), want) {
+				t.Fatalf("-mode %s %s: stderr lacks %q: %q", mode, removed[0], want, stderr.String())
+			}
 		}
 	}
 }

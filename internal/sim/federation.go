@@ -181,7 +181,7 @@ func denyAtOrigin(fed *metro.Federation, nets []*ledgerExchange, m int, id contr
 // the round's submissions, as on the single chain, and every metro that
 // cut a block hands its agreements to settlement.
 func federationClearer(cfg Config, fed *metro.Federation, nets []*ledgerExchange) clearer {
-	return func(round int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+	return func(round int, market *workload.Market) (*clearing, error) {
 		res, err := fed.Round(market.Requests, market.Offers, roundEvidence(cfg, round))
 		if err != nil {
 			return nil, err

@@ -408,7 +408,7 @@ func TestFederationOverBooksAndLedgerNetworks(t *testing.T) {
 		}
 		settled := make(map[bidding.OrderID]bool)
 		for round := 0; round < cfg.Rounds; round++ {
-			market, _ := next(round)
+			market := next(round)
 			res, err := fed.Round(market.Requests, market.Offers, roundEvidence(cfg, round))
 			if err != nil {
 				t.Fatalf("mode %d round %d: %v", mode, round, err)

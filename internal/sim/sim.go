@@ -14,7 +14,6 @@ import (
 	"decloud/internal/bidding"
 	"decloud/internal/book"
 	"decloud/internal/contract"
-	"decloud/internal/futures"
 	"decloud/internal/ledger"
 	"decloud/internal/metro"
 	"decloud/internal/miner"
@@ -75,21 +74,6 @@ type Config struct {
 	// DistancePerMS tightens spilled requests' MaxDistance by this much
 	// per millisecond of spill-path latency (Eq. 18 coupling; 0 off).
 	DistancePerMS float64
-	// FuturesSplit, when positive, routes that fraction of each round's
-	// orders into the FORWARD stage of the two-stage futures market
-	// (internal/futures), with DemandShock/SupplyShock as the divergence
-	// probabilities between reservation and delivery. Two arms share the
-	// knob: with Futures enabled the forward orders clear through the
-	// reservation stage (treatment); with it disabled the surviving
-	// forward orders are merged into the spot market and the failing ones
-	// withheld — the SPOT-ONLY CONTROL arm of the overbooking study, same
-	// demand/supply realization, no reservation stage. Incompatible with
-	// Metros, Resubmit, and Auction.Incremental.
-	FuturesSplit float64
-	DemandShock  float64
-	SupplyShock  float64
-	// Futures configures the reservation stage (zero value: disabled).
-	Futures futures.Config
 	// Obs, when set, is the registry the simulation publishes metrics to:
 	// the mechanism, miner, and sim bundles are resolved from it and wired
 	// through the whole pipeline. Purely observational — results are
@@ -122,39 +106,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// twoStage reports whether rounds arrive split into a forward and a spot
-// stage: the futures treatment arm (Futures enabled) or its
-// spot-only control (FuturesSplit alone).
-func (c Config) twoStage() bool {
-	return c.FuturesSplit > 0 || c.Futures.Enabled()
-}
-
 // pipelines reports whether a ledger run goes through the miner
 // network's epoch pipeline, which feeds every round before the previous
 // one commits: it does when no round's market reads the last commit —
-// one chain, no futures stage, no resubmission, no denials. Every other
-// ledger run clears round by round.
+// one chain, no resubmission, no denials. Every other ledger run clears
+// round by round.
 func (c Config) pipelines() bool {
-	return c.Mode == Ledger && c.Metros <= 1 && !c.twoStage() && !c.Resubmit && c.DenyProb == 0
+	return c.Mode == Ledger && c.Metros <= 1 && !c.Resubmit && c.DenyProb == 0
 }
 
 // validate rejects the market-shape combinations that were never
-// composed (DESIGN.md §2 tabulates them). The book, the federation, the
-// futures exchange and Resubmit each carry unmatched orders their own
-// way; running two at once would double-carry or break an accounting
-// identity, so the pairs are refused rather than silently picking one.
+// composed (DESIGN.md §2 tabulates them). The book, the federation and
+// Resubmit each carry unmatched orders their own way; running two at
+// once would double-carry every unmatched request, so the pairs are
+// refused rather than silently picking one.
 func (c Config) validate() error {
 	switch {
 	case c.Mode != Fast && c.Mode != Ledger:
 		return fmt.Errorf("sim: unknown mode %d", c.Mode)
 	case c.Metros > 1 && c.Resubmit:
 		return fmt.Errorf("sim: Resubmit is redundant under metro federation — the exchange books carry unmatched orders")
-	case c.twoStage() && c.Metros > 1:
-		return fmt.Errorf("sim: futures market is incompatible with metro federation")
-	case c.twoStage() && c.Resubmit:
-		return fmt.Errorf("sim: Resubmit is redundant under the futures market — broken reservations retry through the exchange")
-	case c.twoStage() && c.Auction.Incremental:
-		return fmt.Errorf("sim: futures market requires from-scratch spot rounds (Auction.Incremental off)")
 	case c.Auction.Incremental && c.Resubmit:
 		// The order book subsumes the simulator's resubmission loop:
 		// carry is protocol state now, and running both would double-carry
@@ -188,19 +159,6 @@ type RoundMetrics struct {
 	Winner      string
 	Agreed      int
 	Denied      int
-	// Two-stage futures extras (FuturesSplit > 0 only). Utilization is
-	// realized utilization — matched resource·time over the capacity that
-	// actually materialized this round — and is filled in BOTH arms, so
-	// the control arm is comparable point for point (and on every
-	// single-chain ledger round).
-	Reserved       int
-	DeliveredFut   int
-	FutNoShows     int
-	SellerDefaults int
-	Bumped         int
-	SpotRetries    int
-	Utilization    float64
-	PenaltyFlow    float64
 
 	// matchedIDs feeds the resubmission bookkeeping.
 	matchedIDs []bidding.OrderID
@@ -293,13 +251,6 @@ func run(cfg Config, pipelined bool) (*Result, error) {
 	default:
 		clr = scratchClearer(cfg)
 	}
-	var futex *futures.Exchange
-	var fm *obs.FuturesMetrics
-	if cfg.Futures.Enabled() {
-		futex = futures.New(cfg.Auction, cfg.Futures)
-		fm = obs.NewFuturesMetrics(cfg.Obs)
-		clr = futuresClearer(futex, clr)
-	}
 	var resub *resubmitter
 	if cfg.Resubmit {
 		resub = &resubmitter{max: cfg.MaxResubmits}
@@ -307,18 +258,12 @@ func run(cfg Config, pipelined bool) (*Result, error) {
 
 	res := &Result{}
 	for round := 0; round < cfg.Rounds; round++ {
-		// market is the round's full submission set — the Requests and
-		// Offers columns; spot is what the clearer is handed.
-		market, tm := next(round)
+		market := next(round)
 		if resub != nil {
 			market.Requests = append(market.Requests, resub.next...)
 		}
-		spot := market
-		if tm != nil && futex == nil {
-			spot = controlMarket(tm)
-		}
 		var m RoundMetrics
-		c, err := clr(round, spot, tm)
+		c, err := clr(round, market)
 		if err == nil {
 			m = fold(c, cfg)
 			err = settle(cfg, round, c, &m)
@@ -342,12 +287,6 @@ func run(cfg Config, pipelined bool) (*Result, error) {
 			sm.Expired.Add(int64(m.Expired))
 			sm.WelfareSum.Add(m.Welfare)
 		}
-		if futex != nil {
-			st := futex.Stats()
-			liveR, _ := futex.Live()
-			fm.ObserveFuturesRound(m.Reserved, m.DeliveredFut, m.FutNoShows, m.SellerDefaults,
-				m.Bumped, m.SpotRetries, m.Utilization, st.PenaltiesCollected, st.PenaltiesCredited, liveR)
-		}
 		if cfg.Mode == Fast && cfg.Tracer != nil {
 			// Fast mode has no protocol phases; emit a one-event timeline
 			// per round so -trace-out is useful in both modes. (Ledger
@@ -364,14 +303,8 @@ func run(cfg Config, pipelined bool) (*Result, error) {
 	if net != nil {
 		res.Reputation = net.Contracts().Reputation().Snapshot()
 	}
-	// The conservation identities must hold at every exit: an order that
-	// fell through the two-stage lifecycle, or between two metros, is a
-	// bug, not a metric.
-	if futex != nil {
-		if err := futex.CheckConservation(); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	}
+	// The conservation identity must hold at every exit: an order that
+	// fell between two metros is a bug, not a metric.
 	if fed != nil {
 		// Ledger mode: one chain per metro, and no request on two of them.
 		chains := make([]*ledger.Chain, len(fednets))
@@ -399,14 +332,9 @@ type clearing struct {
 	// benchmark's input, and reqs is the satisfaction denominator.
 	reqs []*bidding.Request
 	offs []*bidding.Offer
-	// utilization is realized utilization, where the shape reports it.
-	utilization float64
 	// blocks are the committed blocks whose agreements await settlement
 	// (ledger mode).
 	blocks []committed
-	// fut is the two-stage round the spot clear was part of (futures
-	// treatment arm).
-	fut *futures.RoundResult
 }
 
 // committed is one ledger block with the registry its agreements live
@@ -417,15 +345,12 @@ type committed struct {
 	deny func(contract.AgreementID, bidding.ParticipantID) (bidding.ParticipantID, error)
 }
 
-// source yields one round's submissions: market is everything submitted
-// in the round; tm is its split into forward and spot stages in a
-// two-stage simulation (nil otherwise).
-type source func(round int) (market *workload.Market, tm *workload.TwoStageMarket)
+// source yields everything submitted in one round.
+type source func(round int) *workload.Market
 
 // clearer is one market shape: it clears a round's market and reports
-// what cleared. tm is the round's stage split when the simulation is
-// two-stage (nil otherwise); only the shapes that care read it.
-type clearer func(round int, market *workload.Market, tm *workload.TwoStageMarket) (*clearing, error)
+// what cleared.
+type clearer func(round int, market *workload.Market) (*clearing, error)
 
 // roundEvidence is the stand-in for a block's PoW evidence in fast mode.
 func roundEvidence(cfg Config, round int) []byte {
@@ -433,18 +358,13 @@ func roundEvidence(cfg Config, round int) []byte {
 }
 
 // scratchClearer clears each round from scratch with auction.Run, under
-// the round's evidence like every other shape; the control arm of the
-// overbooking study also reports realized utilization.
+// the round's evidence like every other shape.
 func scratchClearer(cfg Config) clearer {
-	return func(round int, market *workload.Market, tm *workload.TwoStageMarket) (*clearing, error) {
+	return func(round int, market *workload.Market) (*clearing, error) {
 		acfg := cfg.Auction
 		acfg.Evidence = roundEvidence(cfg, round)
 		out := auction.Run(market.Requests, market.Offers, acfg)
-		c := &clearing{outcomes: []*auction.Outcome{out}, reqs: market.Requests, offs: market.Offers}
-		if tm != nil {
-			c.utilization = spotUtilization(out, market.Offers)
-		}
-		return c, nil
+		return &clearing{outcomes: []*auction.Outcome{out}, reqs: market.Requests, offs: market.Offers}, nil
 	}
 }
 
@@ -455,7 +375,7 @@ func scratchClearer(cfg Config) clearer {
 // from-scratch rounds.
 func bookClearer(cfg Config) clearer {
 	bk := book.New(cfg.Auction)
-	return func(round int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+	return func(round int, market *workload.Market) (*clearing, error) {
 		c := &clearing{
 			reqs: append(bk.LiveRequests(), market.Requests...),
 			offs: append(bk.LiveOffers(), market.Offers...),
@@ -469,7 +389,7 @@ func bookClearer(cfg Config) clearer {
 // ledgerClearer pushes every order through the two-phase protocol on the
 // simulation's persistent network.
 func ledgerClearer(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant) clearer {
-	return func(_ int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+	return func(_ int, market *workload.Market) (*clearing, error) {
 		participants, err := submitMarket(net, roster, market.Requests, market.Offers)
 		if err != nil {
 			return nil, err
@@ -490,11 +410,10 @@ func ledgerClearer(net *miner.Network, roster map[bidding.ParticipantID]*miner.P
 func ledgerClearing(net *miner.Network, res *miner.RoundResult, market *workload.Market) *clearing {
 	restoreGroundTruth(res.Outcome, market)
 	return &clearing{
-		outcomes:    []*auction.Outcome{res.Outcome},
-		reqs:        market.Requests,
-		offs:        market.Offers,
-		utilization: spotUtilization(res.Outcome, market.Offers),
-		blocks:      []committed{{res: res, reg: net.Contracts(), deny: net.Contracts().Deny}},
+		outcomes: []*auction.Outcome{res.Outcome},
+		reqs:     market.Requests,
+		offs:     market.Offers,
+		blocks:   []committed{{res: res, reg: net.Contracts(), deny: net.Contracts().Deny}},
 	}
 }
 
@@ -563,7 +482,7 @@ func pipelinedRounds(cfg Config, net *miner.Network, roster map[bidding.Particip
 	markets := make([]*workload.Market, cfg.Rounds)
 	var feedErr error
 	rounds, err := net.RunPipelined(context.Background(), cfg.Rounds, func(round int) []*miner.Participant {
-		markets[round], _ = next(round)
+		markets[round] = next(round)
 		parts, err := submitMarket(net, roster, markets[round].Requests, markets[round].Offers)
 		if err != nil {
 			feedErr = err
@@ -574,8 +493,8 @@ func pipelinedRounds(cfg Config, net *miner.Network, roster map[bidding.Particip
 	if err == nil {
 		err = feedErr
 	}
-	replay := func(round int) (*workload.Market, *workload.TwoStageMarket) { return markets[round], nil }
-	return replay, func(round int, market *workload.Market, _ *workload.TwoStageMarket) (*clearing, error) {
+	replay := func(round int) *workload.Market { return markets[round] }
+	return replay, func(round int, market *workload.Market) (*clearing, error) {
 		if err := rounds[round].Err; err != nil {
 			return nil, err
 		}
@@ -584,11 +503,10 @@ func pipelinedRounds(cfg Config, net *miner.Network, roster map[bidding.Particip
 }
 
 // fold turns one round's clearing into its metrics row: the outcomes'
-// totals, the non-truthful greedy benchmark over the market the clear
-// ran over, and — in the two-stage treatment arm — the forward
-// contracts delivered this round on top of the spot trades.
+// totals and the non-truthful greedy benchmark over the market the clear
+// ran over.
 func fold(c *clearing, cfg Config) RoundMetrics {
-	m := RoundMetrics{Utilization: c.utilization}
+	var m RoundMetrics
 	for _, out := range c.outcomes {
 		m.Matches += len(out.Matches)
 		m.Welfare += out.Welfare()
@@ -599,24 +517,8 @@ func fold(c *clearing, cfg Config) RoundMetrics {
 	}
 	bench := auction.RunGreedy(c.reqs, c.offs, cfg.Auction)
 	m.BenchWelfare = bench.Welfare()
-	// Trade reduction is the mechanism's cost: forward deliveries are
-	// not cleared by it and stay out of the rate.
 	if nb := len(bench.Matches); nb > m.Matches {
 		m.ReducedRate = float64(nb-m.Matches) / float64(nb)
-	}
-	if c.fut != nil {
-		m.Reserved = len(c.fut.Reserved)
-		if d := c.fut.Delivery; d != nil {
-			m.DeliveredFut = len(d.Delivered)
-			m.FutNoShows = len(d.NoShows)
-			m.SellerDefaults = len(d.Defaults)
-			m.Bumped = len(d.Bumped)
-			m.SpotRetries = len(d.RetryRequests)
-			m.Matches += m.DeliveredFut
-			m.Welfare += d.DeliveredWelfare()
-			m.Payments += d.DeliveredPayments()
-		}
-		m.PenaltyFlow = c.fut.PenaltyCollected
 	}
 	if m.BenchWelfare > 0 {
 		m.WelfareRatio = m.Welfare / m.BenchWelfare
@@ -639,8 +541,7 @@ func fold(c *clearing, cfg Config) RoundMetrics {
 // denied with probability DenyProb, accepted otherwise. A denied
 // allocation never executes, so its request rejoins the unmatched pool:
 // with Resubmit on it is carried into the next round (and the denying
-// client keeps paying for the churn through its reputation). The
-// treatment arm's forward contracts settle through the same registry.
+// client keeps paying for the churn through its reputation).
 func settle(cfg Config, round int, c *clearing, m *RoundMetrics) error {
 	if len(c.blocks) == 0 {
 		return nil // fast mode: nothing was committed, nothing to settle
@@ -667,12 +568,6 @@ func settle(cfg Config, round int, c *clearing, m *RoundMetrics) error {
 			}
 		}
 	}
-	if c.fut != nil {
-		// The futures stage never runs over a federation: one registry.
-		if err := settleFuturesContracts(c.blocks[0].reg, c.fut.Delivery, round, m); err != nil {
-			return err
-		}
-	}
 	if len(denied) > 0 {
 		kept := m.matchedIDs[:0]
 		for _, rid := range m.matchedIDs {
@@ -686,33 +581,20 @@ func settle(cfg Config, round int, c *clearing, m *RoundMetrics) error {
 }
 
 // marketSource returns the per-round market generator: a per-round
-// seeded Generate. A two-stage round arrives split with the divergence
-// verdicts attached.
+// seeded Generate.
 //
 // Every order ID is unique across a run, whatever outlives its round (a
-// book, a federation and its cross-chain audit, the futures exchange, a
-// resubmission). The generator reuses IDs from round to round, so its
-// rounds are namespaced.
+// book, a federation and its cross-chain audit, a resubmission). The
+// generator reuses IDs from round to round, so its rounds are
+// namespaced.
 func marketSource(cfg Config) source {
-	return func(round int) (*workload.Market, *workload.TwoStageMarket) {
+	return func(round int) *workload.Market {
 		wcfg := cfg.Workload
 		wcfg.Seed = cfg.Workload.Seed + int64(round)*1009
 		market := workload.Generate(wcfg)
 		namespaceIDs(market, round)
-		if cfg.twoStage() {
-			return submitted(workload.SplitTwoStage(market, cfg.Workload.Seed,
-				cfg.FuturesSplit, cfg.DemandShock, cfg.SupplyShock))
-		}
-		return market, nil
+		return market
 	}
-}
-
-// submitted rejoins a stage-split round into its full submission set.
-func submitted(tm *workload.TwoStageMarket) (*workload.Market, *workload.TwoStageMarket) {
-	return &workload.Market{
-		Requests: append(append([]*bidding.Request{}, tm.Fwd.Requests...), tm.Spot.Requests...),
-		Offers:   append(append([]*bidding.Offer{}, tm.Fwd.Offers...), tm.Spot.Offers...),
-	}, tm
 }
 
 // namespaceIDs tags the IDs of a freshly generated market with its

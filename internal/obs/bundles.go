@@ -226,66 +226,3 @@ func NewMetroMetrics(r *Registry, metros int) *MetroMetrics {
 	}
 	return m
 }
-
-// FuturesMetrics instruments the two-stage futures/spot market
-// (internal/futures): reservation volume, delivery verdicts, penalty
-// flow, and realized utilization. Purely observational — exchange
-// outcomes are byte-identical with the bundle nil or set.
-type FuturesMetrics struct {
-	Rounds       *Counter // decloud_futures_rounds_total
-	Reservations *Counter // decloud_futures_reservations_total — forward contracts made
-	PricedOut    *Counter // decloud_futures_priced_out_total — assignments dropped by the uniform floor
-	Delivered    *Counter // decloud_futures_delivered_total — reservations executed at delivery
-	NoShows      *Counter // decloud_futures_noshows_total — buyer-side breaks
-	Defaults     *Counter // decloud_futures_defaults_total — seller capacity that never materialized
-	Bumps        *Counter // decloud_futures_bumps_total — overbooked reservations bumped at delivery
-	Cancels      *Counter // decloud_futures_cancels_total — buyer cancellations pre-delivery
-	Retries      *Counter // decloud_futures_spot_retries_total — broken/unreserved requests sent to spot
-
-	PenaltyCollected *Gauge // decloud_futures_penalty_collected_sum — cumulative penalties collected
-	PenaltyCredited  *Gauge // decloud_futures_penalty_credited_sum — cumulative penalties credited
-	Utilization      *Gauge // decloud_futures_utilization_last — realized utilization of the latest round
-	LiveReservations *Gauge // decloud_futures_live_reservations — pending forward contracts
-}
-
-// NewFuturesMetrics resolves the futures bundle (nil registry → nil).
-func NewFuturesMetrics(r *Registry) *FuturesMetrics {
-	if r == nil {
-		return nil
-	}
-	return &FuturesMetrics{
-		Rounds:           r.Counter("decloud_futures_rounds_total", "two-stage market rounds completed"),
-		Reservations:     r.Counter("decloud_futures_reservations_total", "forward contracts made"),
-		PricedOut:        r.Counter("decloud_futures_priced_out_total", "reservation assignments dropped by the uniform price floor"),
-		Delivered:        r.Counter("decloud_futures_delivered_total", "reservations executed at delivery"),
-		NoShows:          r.Counter("decloud_futures_noshows_total", "reservations broken by no-show buyers"),
-		Defaults:         r.Counter("decloud_futures_defaults_total", "forward offers whose capacity never materialized"),
-		Bumps:            r.Counter("decloud_futures_bumps_total", "reservations bumped by overbooking at delivery"),
-		Cancels:          r.Counter("decloud_futures_cancels_total", "reservations cancelled by the buyer before delivery"),
-		Retries:          r.Counter("decloud_futures_spot_retries_total", "broken or unreserved forward requests retried in spot"),
-		PenaltyCollected: r.Gauge("decloud_futures_penalty_collected_sum", "cumulative penalty fees collected from breaking parties"),
-		PenaltyCredited:  r.Gauge("decloud_futures_penalty_credited_sum", "cumulative penalty fees credited to counterparties"),
-		Utilization:      r.Gauge("decloud_futures_utilization_last", "realized utilization of the latest round"),
-		LiveReservations: r.Gauge("decloud_futures_live_reservations", "pending forward contracts awaiting delivery"),
-	}
-}
-
-// ObserveFuturesRound folds one two-stage round's deltas into the
-// bundle. Callers pass the round's event counts; cumulative gauges are
-// set absolutely. Nil-safe.
-func (m *FuturesMetrics) ObserveFuturesRound(reserved, delivered, noShows, defaults, bumps, retries int, utilization, penCollected, penCredited float64, liveReservations int64) {
-	if m == nil {
-		return
-	}
-	m.Rounds.Inc()
-	m.Reservations.Add(int64(reserved))
-	m.Delivered.Add(int64(delivered))
-	m.NoShows.Add(int64(noShows))
-	m.Defaults.Add(int64(defaults))
-	m.Bumps.Add(int64(bumps))
-	m.Retries.Add(int64(retries))
-	m.Utilization.Set(utilization)
-	m.PenaltyCollected.Set(penCollected)
-	m.PenaltyCredited.Set(penCredited)
-	m.LiveReservations.Set(float64(liveReservations))
-}

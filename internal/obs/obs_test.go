@@ -151,53 +151,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry WriteJSON: %v", err)
 	}
 	if NewMechanismMetrics(nil) != nil || NewMinerMetrics(nil) != nil ||
-		NewNetMetrics(nil) != nil || NewSimMetrics(nil) != nil ||
-		NewFuturesMetrics(nil) != nil {
+		NewNetMetrics(nil) != nil || NewSimMetrics(nil) != nil {
 		t.Fatal("bundle constructors must return nil on a nil registry")
-	}
-	var fm *FuturesMetrics
-	fm.ObserveFuturesRound(1, 1, 1, 1, 1, 1, 0.5, 1, 1, 1) // nil-safe no-op
-}
-
-// TestFuturesMetricsBundle: the futures bundle folds round deltas into
-// its counters and sets the cumulative gauges absolutely.
-func TestFuturesMetricsBundle(t *testing.T) {
-	r := NewRegistry()
-	fm := NewFuturesMetrics(r)
-	fm.ObserveFuturesRound(5, 3, 1, 1, 0, 2, 0.75, 10, 10, 4)
-	fm.ObserveFuturesRound(2, 2, 0, 0, 1, 1, 0.5, 14, 14, 3)
-	if got := r.CounterValue("decloud_futures_rounds_total"); got != 2 {
-		t.Fatalf("rounds = %d, want 2", got)
-	}
-	if got := r.CounterValue("decloud_futures_reservations_total"); got != 7 {
-		t.Fatalf("reservations = %d, want 7", got)
-	}
-	if got := r.CounterValue("decloud_futures_delivered_total"); got != 5 {
-		t.Fatalf("delivered = %d, want 5", got)
-	}
-	if got := r.CounterValue("decloud_futures_noshows_total"); got != 1 {
-		t.Fatalf("noshows = %d, want 1", got)
-	}
-	if got := r.CounterValue("decloud_futures_bumps_total"); got != 1 {
-		t.Fatalf("bumps = %d, want 1", got)
-	}
-	if got := r.CounterValue("decloud_futures_spot_retries_total"); got != 3 {
-		t.Fatalf("retries = %d, want 3", got)
-	}
-	if got := r.GaugeValue("decloud_futures_utilization_last"); got != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-	if got := r.GaugeValue("decloud_futures_penalty_collected_sum"); got != 14 {
-		t.Fatalf("penalty collected = %v, want 14", got)
-	}
-	if got := r.GaugeValue("decloud_futures_live_reservations"); got != 3 {
-		t.Fatalf("live reservations = %v, want 3", got)
-	}
-	fm.PricedOut.Inc()
-	fm.Cancels.Inc()
-	if r.CounterValue("decloud_futures_priced_out_total") != 1 ||
-		r.CounterValue("decloud_futures_cancels_total") != 1 {
-		t.Fatal("priced-out/cancel counters not wired")
 	}
 }
 

@@ -68,7 +68,6 @@ func (a *Agreement) Provider() bidding.ParticipantID {
 var (
 	ErrNotFound       = errors.New("contract: agreement not found")
 	ErrNotClient      = errors.New("contract: caller is not the client of this agreement")
-	ErrNotProvider    = errors.New("contract: caller is not the provider of this agreement")
 	ErrAlreadyDecided = errors.New("contract: agreement already decided")
 )
 
@@ -133,7 +132,7 @@ func (r *Registry) Get(id AgreementID) (Agreement, error) {
 // Accept is the contract's accept method: the named client binds the
 // agreement. The caller must be the client recorded in the allocation.
 func (r *Registry) Accept(id AgreementID, caller bidding.ParticipantID) error {
-	if err := r.decide(id, caller, clientParty, Agreed); err != nil {
+	if err := r.decide(id, caller, Agreed); err != nil {
 		return err
 	}
 	r.reputation.RecordAccept(caller)
@@ -153,7 +152,7 @@ func (r *Registry) Deny(id AgreementID, caller bidding.ParticipantID) (bidding.P
 // settles on the metro that cleared it, but the client's standing must
 // decay on its ORIGIN metro — the exchange its future requests home to.
 func (r *Registry) DenyInto(id AgreementID, caller bidding.ParticipantID, rep *reputation.Store) (bidding.ParticipantID, error) {
-	if err := r.decide(id, caller, clientParty, Denied); err != nil {
+	if err := r.decide(id, caller, Denied); err != nil {
 		return "", err
 	}
 	if rep == nil {
@@ -164,44 +163,16 @@ func (r *Registry) DenyInto(id AgreementID, caller bidding.ParticipantID, rep *r
 	return a.Provider(), nil
 }
 
-// DenyByProvider is the provider-side break: the provider named in the
-// allocation repudiates it (futures: reserved capacity that never
-// materialized, or an overbooked reservation bumped at delivery). The
-// penalty lands on the PROVIDER's reputation; the returned client is
-// the party to notify (its request re-enters the spot market).
-func (r *Registry) DenyByProvider(id AgreementID, caller bidding.ParticipantID) (bidding.ParticipantID, error) {
-	if err := r.decide(id, caller, providerParty, Denied); err != nil {
-		return "", err
-	}
-	r.reputation.RecordDeny(caller)
-	a, _ := r.Get(id)
-	return a.Client(), nil
-}
-
-// party selects which side of an agreement a decide call authenticates.
-type party int
-
-const (
-	clientParty party = iota
-	providerParty
-)
-
-func (r *Registry) decide(id AgreementID, caller bidding.ParticipantID, p party, status Status) error {
+// decide moves a proposed agreement to status on behalf of its client.
+func (r *Registry) decide(id AgreementID, caller bidding.ParticipantID, status Status) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	a, ok := r.agreements[id]
 	if !ok {
 		return ErrNotFound
 	}
-	switch p {
-	case clientParty:
-		if a.Client() != caller {
-			return ErrNotClient
-		}
-	case providerParty:
-		if a.Provider() != caller {
-			return ErrNotProvider
-		}
+	if a.Client() != caller {
+		return ErrNotClient
 	}
 	if a.Status != Proposed {
 		return ErrAlreadyDecided

@@ -8,9 +8,9 @@
 // Resource Provision over Edge Networks via Overbooking" (PAPERS.md):
 // selling beyond declared capacity bets on demand divergence between
 // reservation and delivery. Buyers that no-show and sellers whose
-// capacity fails to materialize pay penalty fees to their counterparty;
-// in ledger mode those breaks additionally flow through the contract
-// registry's deny path, so reputation prices forward reliability.
+// capacity fails to materialize pay penalty fees to their counterparty.
+// experiments.RunOverbookingSweep (decloud-bench -overbooking) runs the
+// study over Exchange.Run.
 //
 // Determinism invariants (enforced by futures/futurestest):
 //   - With the stage disabled (ReserveHorizon = 0) a Round is
@@ -264,13 +264,6 @@ type Exchange struct {
 	dueReq map[int64][]*fwdRequest
 	byReq  map[bidding.OrderID]*Reservation
 
-	// retryIDs marks request IDs the current round's spot stage received
-	// from the delivery path, so RecordSpot does not double-count them
-	// as fresh submissions.
-	retryIDs map[bidding.OrderID]bool
-	// remainderIDs marks forward-offer remainders in the spot stage for
-	// the same reason.
-	remainderIDs map[bidding.OrderID]bool
 	// pendingCancelCollected/Credited accumulate penalty flow from
 	// Cancel calls between rounds; folded into the next RoundResult.
 	pendingCancelCollected float64
@@ -296,9 +289,6 @@ func New(cfg auction.Config, fut Config) *Exchange {
 		penalties: make(map[bidding.ParticipantID]float64),
 	}
 }
-
-// Round returns the next round number to be executed.
-func (ex *Exchange) Round() int64 { return ex.round }
 
 // Head returns the hash-chained state head.
 func (ex *Exchange) Head() [32]byte { return ex.head }
@@ -557,13 +547,13 @@ func (ex *Exchange) payPenalty(debtor, creditor bidding.ParticipantID, pen float
 	ex.stats.PenaltiesCredited += pen
 }
 
-// Deliver settles every reservation due at the current round: seller
+// deliver settles every reservation due at the current round: seller
 // defaults fail all their contracts, no-show buyers forfeit theirs, and
 // the survivors re-enter real (1.0×) capacity in price-priority order —
 // the overflow of an overbooked offer is bumped. Broken-contract
 // requests and surviving unreserved forwards retry in this round's spot
 // market; unreserved offer capacity joins it as remainder offers.
-func (ex *Exchange) Deliver() *Delivery {
+func (ex *Exchange) deliver() *Delivery {
 	fos := ex.dueOff[ex.round]
 	frs := ex.dueReq[ex.round]
 	if len(fos) == 0 && len(frs) == 0 && len(ex.dueRes[ex.round]) == 0 {
@@ -711,38 +701,11 @@ func remainderOffer(o *bidding.Offer, used resource.Vector, window float64) *bid
 	return &fresh
 }
 
-// SpotMarket composes the round's spot inputs: native spot orders plus
-// the delivery fallout. With the stage disabled this is the identity on
-// the native orders — the same pointers, in the same order.
-func (ex *Exchange) SpotMarket(d *Delivery, spotR []*bidding.Request, spotO []*bidding.Offer) ([]*bidding.Request, []*bidding.Offer) {
-	ex.retryIDs = nil
-	ex.remainderIDs = nil
-	if d == nil {
-		return spotR, spotO
-	}
-	reqs := spotR
-	offs := spotO
-	if len(d.RetryRequests) > 0 {
-		ex.retryIDs = make(map[bidding.OrderID]bool, len(d.RetryRequests))
-		reqs = append(append([]*bidding.Request{}, spotR...), d.RetryRequests...)
-		for _, r := range d.RetryRequests {
-			ex.retryIDs[r.ID] = true
-		}
-	}
-	if len(d.RemainderOffers) > 0 {
-		ex.remainderIDs = make(map[bidding.OrderID]bool, len(d.RemainderOffers))
-		offs = append(append([]*bidding.Offer{}, spotO...), d.RemainderOffers...)
-		for _, o := range d.RemainderOffers {
-			ex.remainderIDs[o.ID] = true
-		}
-	}
-	return reqs, offs
-}
-
-// RecordSpot folds a committed spot outcome into the fate counters and
-// the hash chain, and advances the round. reqs/offs must be exactly
-// what the spot stage cleared (the slices SpotMarket returned).
-func (ex *Exchange) RecordSpot(res *RoundResult, out *auction.Outcome, reqs []*bidding.Request, offs []*bidding.Offer) {
+// recordSpot folds a committed spot outcome into the fate counters and
+// the hash chain, and advances the round. reqs/offs are exactly what the
+// spot stage cleared; retryIDs and remainderIDs mark the delivery
+// fallout among them, already counted at reservation and delivery.
+func (ex *Exchange) recordSpot(res *RoundResult, out *auction.Outcome, reqs []*bidding.Request, offs []*bidding.Offer, retryIDs, remainderIDs map[bidding.OrderID]bool) {
 	rejectedR := make(map[bidding.OrderID]bool, len(out.RejectedRequests))
 	for _, id := range out.RejectedRequests {
 		rejectedR[id] = true
@@ -756,7 +719,7 @@ func (ex *Exchange) RecordSpot(res *RoundResult, out *auction.Outcome, reqs []*b
 		matched[out.Matches[i].Request.ID] = true
 	}
 	for _, r := range reqs {
-		retry := ex.retryIDs[r.ID]
+		retry := retryIDs[r.ID]
 		if !retry {
 			ex.stats.SubmittedRequests++
 		}
@@ -770,7 +733,7 @@ func (ex *Exchange) RecordSpot(res *RoundResult, out *auction.Outcome, reqs []*b
 		}
 	}
 	for _, o := range offs {
-		if ex.remainderIDs[o.ID] {
+		if remainderIDs[o.ID] {
 			continue // counted Materialized at delivery
 		}
 		ex.stats.SubmittedOffers++
@@ -780,8 +743,6 @@ func (ex *Exchange) RecordSpot(res *RoundResult, out *auction.Outcome, reqs []*b
 			ex.stats.MaterializedOffers++
 		}
 	}
-	ex.retryIDs = nil
-	ex.remainderIDs = nil
 	ex.stats.Rounds++
 
 	res.Spot = out
@@ -830,18 +791,39 @@ func (ex *Exchange) utilization(res *RoundResult, out *auction.Outcome, offs []*
 }
 
 // Run executes one full two-stage round in-process: reserve → deliver →
-// spot (auction.Run) → record. With the reservation stage disabled and
-// all orders routed spot, the result's Spot outcome is byte-identical
-// to plain auction.Run over the same orders — the futurestest identity.
+// spot (auction.Run) → record. The spot stage clears the native spot
+// orders plus the delivery fallout: retried requests and remainder
+// offers. With the reservation stage disabled and all orders routed
+// spot, the spot inputs are the native orders themselves — the same
+// pointers, in the same order — so the result's Spot outcome is
+// byte-identical to plain auction.Run over them: the futurestest
+// identity.
 func (ex *Exchange) Run(in RoundInput) *RoundResult {
 	res := &RoundResult{Round: ex.round}
 	res.Reserved = ex.Reserve(in)
-	res.Delivery = ex.Deliver()
-	reqs, offs := ex.SpotMarket(res.Delivery, in.SpotRequests, in.SpotOffers)
+	res.Delivery = ex.deliver()
+	reqs, offs := in.SpotRequests, in.SpotOffers
+	var retryIDs, remainderIDs map[bidding.OrderID]bool
+	if d := res.Delivery; d != nil {
+		if len(d.RetryRequests) > 0 {
+			retryIDs = make(map[bidding.OrderID]bool, len(d.RetryRequests))
+			reqs = append(append([]*bidding.Request{}, reqs...), d.RetryRequests...)
+			for _, r := range d.RetryRequests {
+				retryIDs[r.ID] = true
+			}
+		}
+		if len(d.RemainderOffers) > 0 {
+			remainderIDs = make(map[bidding.OrderID]bool, len(d.RemainderOffers))
+			offs = append(append([]*bidding.Offer{}, offs...), d.RemainderOffers...)
+			for _, o := range d.RemainderOffers {
+				remainderIDs[o.ID] = true
+			}
+		}
+	}
 	acfg := ex.cfg
 	acfg.Evidence = in.Evidence
 	out := auction.Run(reqs, offs, acfg)
-	ex.RecordSpot(res, out, reqs, offs)
+	ex.recordSpot(res, out, reqs, offs, retryIDs, remainderIDs)
 	return res
 }
 
@@ -959,16 +941,4 @@ func (d *Delivery) DeliveredWelfare() float64 {
 		w += res.Request.TrueValue - res.Offer.TrueCost*(res.Load/offerCapacity(res.Offer))
 	}
 	return w
-}
-
-// DeliveredPayments sums the payments the delivery moved.
-func (d *Delivery) DeliveredPayments() float64 {
-	if d == nil {
-		return 0
-	}
-	var p float64
-	for _, res := range d.Delivered {
-		p += res.Payment
-	}
-	return p
 }

@@ -302,6 +302,99 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+type kindQty struct {
+	k resource.Kind
+	q float64
+}
+
+// rawVector writes a vector's entries in the order given, duplicates and
+// all, as a sender that skips the canonical sort could.
+func rawVector(e *encoder, entries []kindQty) {
+	e.u64(uint64(len(entries)))
+	for _, x := range entries {
+		e.str(string(x.k))
+		e.f64(x.q)
+	}
+}
+
+// rawRequest is validRequest's encoding with its Resources and Weights
+// written as given.
+func rawRequest(resources, weights []kindQty) []byte {
+	r := validRequest()
+	var e encoder
+	e.buf.WriteByte(tagRequest)
+	e.str(string(r.ID))
+	e.str(string(r.Client))
+	e.i64(r.Submitted)
+	rawVector(&e, resources)
+	rawVector(&e, weights)
+	e.i64(r.Start)
+	e.i64(r.End)
+	e.i64(r.Duration)
+	e.f64(r.Bid)
+	e.location(r.Location)
+	e.f64(r.Flexibility)
+	e.f64(r.MaxDistance)
+	return e.buf.Bytes()
+}
+
+// rawOffer is validOffer's encoding with its Resources written as given.
+func rawOffer(resources []kindQty) []byte {
+	o := validOffer()
+	var e encoder
+	e.buf.WriteByte(tagOffer)
+	e.str(string(o.ID))
+	e.str(string(o.Provider))
+	e.i64(o.Submitted)
+	rawVector(&e, resources)
+	e.i64(o.Start)
+	e.i64(o.End)
+	e.f64(o.Bid)
+	e.location(o.Location)
+	e.f64(o.MinReputation)
+	return e.buf.Bytes()
+}
+
+// TestDecodeRefusesNonCanonicalKinds: a resource vector's kinds must be
+// strictly increasing. A kind written twice (once the last one won) or
+// out of order (once accepted as is) would give one order several
+// encodings; the decoder refuses both, in each of the three vectors on
+// the wire.
+func TestDecodeRefusesNonCanonicalKinds(t *testing.T) {
+	reqRes := []kindQty{{resource.CPU, 2}, {resource.RAM, 8}}
+	reqWeights := []kindQty{{resource.RAM, 0.5}}
+	offRes := []kindQty{{resource.CPU, 8}, {resource.RAM, 32}}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"canonical request", rawRequest(reqRes, reqWeights), true},
+		{"canonical offer", rawOffer(offRes), true},
+		{"request resources: duplicate cpu", rawRequest([]kindQty{{resource.CPU, 2}, {resource.CPU, 2}, {resource.RAM, 8}}, reqWeights), false},
+		{"request resources: ram before cpu", rawRequest([]kindQty{{resource.RAM, 8}, {resource.CPU, 2}}, reqWeights), false},
+		{"request weights: duplicate cpu", rawRequest(reqRes, []kindQty{{resource.CPU, 0.5}, {resource.CPU, 0.5}}), false},
+		{"request weights: ram before cpu", rawRequest(reqRes, []kindQty{{resource.RAM, 0.5}, {resource.CPU, 0.5}}), false},
+		{"offer resources: duplicate cpu", rawOffer([]kindQty{{resource.CPU, 8}, {resource.CPU, 8}, {resource.RAM, 32}}), false},
+		{"offer resources: ram before cpu", rawOffer([]kindQty{{resource.RAM, 32}, {resource.CPU, 8}}), false},
+	} {
+		r, o, err := DecodeOrder(tc.data)
+		if tc.ok {
+			want, _ := validRequest().MarshalBinary()
+			if o != nil {
+				want, _ = validOffer().MarshalBinary()
+			}
+			if err != nil || string(tc.data) != string(want) {
+				t.Fatalf("%s: DecodeOrder = %v; the hand-built encoding must be the order's own", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrNonCanonical) || r != nil || o != nil {
+			t.Errorf("%s: DecodeOrder = %v, %v, %v; want ErrNonCanonical", tc.name, r, o, err)
+		}
+	}
+}
+
 func TestDecodeHostileLength(t *testing.T) {
 	// A length prefix far larger than the remaining data must not panic
 	// or allocate unboundedly.

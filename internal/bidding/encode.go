@@ -23,10 +23,14 @@ const (
 	tagOffer   byte = 0x02
 )
 
-// Decoding ran out of bytes, or left some over: an order is the whole input.
+// Decoding ran out of bytes, or left some over: an order is the whole
+// input. Or a resource vector was not in canonical form: its kinds must
+// be strictly increasing, so no kind appears twice and an accepted order
+// is its own encoding.
 var (
 	ErrTruncated     = errors.New("bidding: truncated order encoding")
 	ErrTrailingBytes = errors.New("bidding: bytes after the end of the order encoding")
+	ErrNonCanonical  = errors.New("bidding: resource kinds not in strictly increasing order")
 )
 
 type encoder struct{ buf bytes.Buffer }
@@ -131,11 +135,16 @@ func (d *decoder) vector() (resource.Vector, error) {
 		return nil, ErrTruncated
 	}
 	v := make(resource.Vector, n)
+	var prev string
 	for i := uint64(0); i < n; i++ {
 		k, err := d.str()
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && k <= prev {
+			return nil, ErrNonCanonical
+		}
+		prev = k
 		q, err := d.f64()
 		if err != nil {
 			return nil, err

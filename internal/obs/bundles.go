@@ -75,11 +75,13 @@ type MinerMetrics struct {
 	RevealSeconds  *Histogram // reveal-collection wall time
 	ComputeSeconds *Histogram // decrypt + allocate wall time
 	VerifySeconds  *Histogram // verification wall time
-	// Pipelined-epoch production (Network.RunPipelined,
-	// MarketNode.RunPipeline): speculative productions flushed because
-	// the committed parent diverged (Byzantine re-election), and the
-	// wall time of each overlapped stage.
-	PipelineFlushes *Counter   // speculative stage-1 productions redone
+	// Productions redone because the parent they were mined on is not
+	// the head they must commit on: in-process, a pipelined epoch whose
+	// parent was re-elected (Network.RunPipelined); over TCP, a round a
+	// rival's block overtook while it collected reveals
+	// (MarketNode.ProduceBlockOpts). The two stage histograms time the
+	// overlapped stages of Network.RunPipelined.
+	PipelineFlushes *Counter   // stage-1 productions redone on the real head
 	ProduceSeconds  *Histogram // stage 1: elect/mine + reveal collection
 	CommitSeconds   *Histogram // stage 2: compute + verify + append
 }
@@ -107,7 +109,7 @@ func NewMinerMetrics(r *Registry) *MinerMetrics {
 		ComputeSeconds: r.Histogram("decloud_miner_compute_seconds", "decrypt and allocation wall time", nil),
 		VerifySeconds:  r.Histogram("decloud_miner_verify_seconds", "block verification wall time", nil),
 
-		PipelineFlushes: r.Counter("decloud_miner_pipeline_flushes_total", "speculative productions flushed after a re-elected parent"),
+		PipelineFlushes: r.Counter("decloud_miner_pipeline_flushes_total", "productions redone on the real head: in-process after a re-elected parent, over TCP after a rival's block landed mid-round"),
 		ProduceSeconds:  r.Histogram("decloud_miner_pipeline_produce_seconds", "pipeline stage 1 (production + reveals) wall time", nil),
 		CommitSeconds:   r.Histogram("decloud_miner_pipeline_commit_seconds", "pipeline stage 2 (compute + verify + append) wall time", nil),
 	}

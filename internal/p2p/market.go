@@ -51,7 +51,7 @@ type syncRequest struct {
 // (mine → collect reveals → allocate → broadcast), and verifies and
 // votes on blocks produced by others.
 // Concurrency: network handlers (onBid/onReveals/onBlock/onVote) run on
-// the gossip reader goroutines while RunPipeline runs on the caller's.
+// the gossip reader goroutines while ProduceBlockOpts runs on the caller's.
 // The discipline is:
 //   - pool (miner.Pool) is the only state both sides write: the mempool
 //     and the trust set of the bids checked at this node's door, behind
@@ -483,19 +483,55 @@ type RoundConfig struct {
 // revealBackoff multiplies the reveal window on each retry.
 const revealBackoff = 2
 
-// ProduceBlockOpts runs one round as the producing miner: drain the
-// mempool, mine the preamble, broadcast it, collect key reveals until
-// every committed bid is revealed or the reveal window lapses (retrying
-// with exponential backoff per cfg), compute and broadcast the block,
-// then collect verifier votes until cfg.Quorum OK votes arrive or ctx
-// expires. The producer appends to its own replica before broadcasting.
-// It is RunPipeline at depth 1.
+// ProduceBlockOpts runs one round as the producing miner, and is the
+// node's one round driver: drain the mempool, mine the preamble,
+// broadcast it, collect key reveals until every committed bid is revealed
+// or the reveal window lapses (retrying with exponential backoff per
+// cfg), compute and broadcast the block, then collect verifier votes
+// until cfg.Quorum OK votes arrive or ctx expires. The producer appends
+// to its own replica before broadcasting. It holds the one head check:
+// if a rival's block landed while the round collected reveals, the
+// preamble no longer links to the head, so the round is flushed and
+// redone on the real head, over its bids but those the rival's block
+// committed; flushes are counted in the miner metrics bundle. A rival
+// landing later still fails the self-append (abortRound).
 func (mn *MarketNode) ProduceBlockOpts(ctx context.Context, cfg RoundConfig) (*RoundSummary, error) {
-	rounds, err := mn.RunPipeline(ctx, 1, cfg, nil)
+	bids := mn.pool.Drain()
+	if len(bids) == 0 {
+		return nil, miner.ErrEmptyMempool
+	}
+	m := mn.metrics.Load()
+	if m != nil {
+		m.Rounds.Inc()
+	}
+	prevHash, height := mn.nextParent()
+	roundStart, tr := obsNow(m), mn.tracer.Load().StartRound(height)
+	defer tr.End()
+
+	pr, err := mn.produceStage(ctx, cfg, prevHash, height, bids, tr)
+	if realPrev, realHeight := mn.nextParent(); err == nil && realPrev != prevHash {
+		// The drained bids go back first, so those the pool saw committed
+		// meanwhile leave like any committed bid, and the redo drains
+		// what is left.
+		if m != nil {
+			m.PipelineFlushes.Inc()
+		}
+		tr.Event("pipeline_flushed", map[string]any{"speculated_height": height, "height": realHeight})
+		mn.pool.Return(bids)
+		if bids = mn.pool.Drain(); len(bids) == 0 {
+			return nil, miner.ErrEmptyMempool
+		}
+		pr, err = mn.produceStage(ctx, cfg, realPrev, realHeight, bids, tr)
+	}
 	if err != nil {
+		mn.abortRound(bids, err)
 		return nil, err
 	}
-	return rounds[0].Summary, rounds[0].Err
+	sum, err := mn.commitStage(ctx, cfg, pr, tr)
+	if m != nil && err == nil {
+		m.RoundSeconds.Observe(time.Since(roundStart).Seconds())
+	}
+	return sum, err
 }
 
 // nextParent returns what the next block on this replica links to: the
@@ -525,16 +561,13 @@ type producedRound struct {
 	reveals    []*sealed.KeyReveal
 	unrevealed int
 	attempts   int
-	roundStart time.Time
 }
 
 // produceStage runs the round's bidding phase against an explicit
 // parent: assemble and mine the preamble, broadcast it, and collect key
-// reveals with the retrying window. The parent hash depends only on the
-// previous block's preamble, so the pipeline can run this stage while
-// the previous block's body is still out for votes. Reveal waits abort
-// on node shutdown as well as ctx — a closing node must not sit out a
-// multi-second reveal window.
+// reveals with the retrying window. Reveal waits abort on node shutdown
+// as well as ctx — a closing node must not sit out a multi-second reveal
+// window.
 func (mn *MarketNode) produceStage(ctx context.Context, cfg RoundConfig, prevHash [32]byte, height int64, bids []*sealed.Bid, tr *obs.RoundTrace) (*producedRound, error) {
 	m := mn.metrics.Load()
 	block := mn.miner.AssembleBlockAt(prevHash, height, bids, time.Now().Unix())
@@ -652,107 +685,8 @@ func (mn *MarketNode) commitStage(ctx context.Context, cfg RoundConfig, pr *prod
 	})
 	if m != nil {
 		m.BlocksAccepted.Inc()
-		if !pr.roundStart.IsZero() {
-			m.RoundSeconds.Observe(time.Since(pr.roundStart).Seconds())
-		}
 	}
 	return summary, nil
-}
-
-// PipelinedSummary is one pipelined round's (summary, error) pair.
-type PipelinedSummary struct {
-	Round   int
-	Summary *RoundSummary
-	Err     error
-}
-
-// RunPipeline produces rounds blocks as a bounded two-stage pipeline:
-// while block n's body is out for verifier votes, block n+1's preamble
-// is already mined and broadcast and its reveal window is open — the
-// reveal round-trip of epoch n+1 overlaps the vote round-trip of epoch
-// n. feed, when non-nil, is called at the top of each round to submit
-// that round's bids. It is the node's one round driver and holds the one
-// head check: if, once the previous commit has joined, the head is not
-// the parent the round was produced on (that commit failed before its
-// self-append, or a rival's block landed), the production is flushed
-// and redone against the real head, over the round's bids but those a
-// block committed meanwhile; flushes are counted in the miner metrics
-// bundle. A rival landing later still fails the self-append
-// (abortRound). Per-round failures are recorded and the pipeline continues.
-func (mn *MarketNode) RunPipeline(ctx context.Context, rounds int, cfg RoundConfig, feed func(round int) error) ([]*PipelinedSummary, error) {
-	results := make([]*PipelinedSummary, 0, rounds)
-	var pending chan *PipelinedSummary // the commit in flight, if any
-	join := func() {
-		if pending != nil {
-			results = append(results, <-pending)
-			pending = nil
-		}
-	}
-
-	specPrev, specHeight := mn.nextParent()
-
-	for r := 0; r < rounds; r++ {
-		if feed != nil {
-			if err := feed(r); err != nil {
-				join()
-				return results, fmt.Errorf("p2p: feed round %d: %w", r, err)
-			}
-		}
-		bids := mn.pool.Drain()
-		if len(bids) == 0 {
-			join()
-			results = append(results, &PipelinedSummary{Round: r, Err: miner.ErrEmptyMempool})
-			continue
-		}
-		m := mn.metrics.Load()
-		if m != nil {
-			m.Rounds.Inc()
-		}
-		roundStart, tr := obsNow(m), mn.tracer.Load().StartRound(specHeight)
-
-		pr, err := mn.produceStage(ctx, cfg, specPrev, specHeight, bids, tr)
-		join()
-		realPrev, realHeight := mn.nextParent()
-		if err == nil && pr.block.Preamble.PrevHash != realPrev {
-			// The previous commit never extended the speculated parent:
-			// flush and re-produce against the real head. The drained
-			// bids go back first, so those the pool saw committed
-			// meanwhile (a rival's block) leave like any committed bid,
-			// and the redo drains what is left.
-			if m != nil {
-				m.PipelineFlushes.Inc()
-			}
-			tr.Event("pipeline_flushed", map[string]any{
-				"speculated_height": pr.block.Preamble.Height, "height": realHeight,
-			})
-			mn.pool.Return(bids)
-			if bids = mn.pool.Drain(); len(bids) == 0 {
-				err = miner.ErrEmptyMempool
-			} else {
-				pr, err = mn.produceStage(ctx, cfg, realPrev, realHeight, bids, tr)
-			}
-		}
-		if err != nil {
-			mn.abortRound(bids, err)
-			tr.End()
-			results = append(results, &PipelinedSummary{Round: r, Err: err})
-			specPrev, specHeight = realPrev, realHeight
-			continue
-		}
-		pr.roundStart = roundStart
-		specPrev = pr.block.Preamble.Hash()
-		specHeight = pr.block.Preamble.Height + 1
-
-		ch := make(chan *PipelinedSummary, 1)
-		pending = ch
-		go func(r int, pr *producedRound, tr *obs.RoundTrace) {
-			sum, err := mn.commitStage(ctx, cfg, pr, tr)
-			tr.End()
-			ch <- &PipelinedSummary{Round: r, Summary: sum, Err: err}
-		}(r, pr, tr)
-	}
-	join()
-	return results, nil
 }
 
 // obsNow reads the wall clock only when metrics are enabled.

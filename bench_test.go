@@ -282,8 +282,8 @@ func TestClearAllocCeiling(t *testing.T) {
 		measured float64
 		clear    func()
 	}{
-		{"auction.Run", 131650, func() { auction.Run(market.Requests, market.Offers, cfg) }},
-		{"book.Preview", 22665, func() { preview() }},
+		{"auction.Run", 129946, func() { auction.Run(market.Requests, market.Offers, cfg) }},
+		{"book.Preview", 20958, func() { preview() }},
 	} {
 		got := testing.AllocsPerRun(3, arm.clear)
 		t.Logf("%s: %.0f allocs/op (measured %.0f)", arm.name, got, arm.measured)

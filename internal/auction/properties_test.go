@@ -550,7 +550,7 @@ func TestSBBAPriceRuleParallel(t *testing.T) {
 		scratch := &Outcome{Payments: map[bidding.OrderID]float64{}, Revenues: map[bidding.OrderID]float64{}}
 		sreqs, soffs := screen(reqs, offs, scratch)
 		scale := match.BlockScale(sreqs, soffs)
-		clusters := cluster.Build(sreqs, soffs, scale, cfg.Match)
+		clusters := cluster.BuildIndex(match.NewIndex(sreqs, soffs, scale), cfg.Match, 1)
 		pairOK := pairGate(cfg)
 		all := make([]clusterStats, len(clusters))
 		for i := range clusters {

@@ -6,12 +6,19 @@
 //
 // The builder represents offer sets as bitmasks over the block's offer
 // universe (bits assigned in first-seen order), so Algorithm 2's subset
-// and intersection tests — executed once per (request, existing cluster)
-// pair — are word-wise AND/ANDN instead of per-offer map probes, and an
-// intersection cluster is only materialized when its popcount proves it
-// non-trivial. Cluster identity in the builder's map is the trimmed
-// byte encoding of the mask, which is bijective with the offer set; the
-// public Key() (sorted IDs) is unchanged and computed once per cluster.
+// and intersection tests are word-wise AND/ANDN instead of per-offer map
+// probes, and an intersection cluster is only materialized when its
+// popcount proves it non-trivial. Cluster identity in the builder's map
+// is the trimmed byte encoding of the mask, which is bijective with the
+// offer set; the public Key() (sorted IDs) is unchanged and computed
+// once per cluster.
+//
+// The tests run once per (best-offer set, existing cluster) pair, not
+// once per (request, existing cluster) pair: within an epoch a cluster's
+// offer mask never changes and clusters are only ever appended, so the
+// outcome of comparing a best set with a cluster never changes either.
+// Each best-set cluster memoizes the subsets and supersets it found and
+// how far into the creation order it has looked (see Builder.Update).
 //
 // Request membership uses the same trick over a request universe:
 // during Update a cluster's members are a bitmask, so inheriting a
@@ -30,7 +37,6 @@ import (
 	"decloud/internal/arena"
 	"decloud/internal/bidding"
 	"decloud/internal/match"
-	"decloud/internal/resource"
 )
 
 // Cluster is a set of offers together with the requests that consider
@@ -44,10 +50,15 @@ type Cluster struct {
 	// construction membership lives in rmask.
 	Requests []*bidding.Request
 
-	offerIDs map[bidding.OrderID]bool
-	mask     []uint64 // offer set over the builder's offer universe
-	rmask    []uint64 // member requests over the builder's request universe
-	key      string   // cached offerSetKey
+	mask  []uint64 // offer set over the builder's offer universe
+	rmask []uint64 // member requests over the builder's request universe
+	key   string   // cached offerSetKey
+
+	// Algorithm 2 memo of this offer set as a best set: the clusters of
+	// the builder's order[:horizon] that are subsets and supersets of
+	// it, in creation order. Builder-epoch scratch, like mask.
+	horizon    int
+	subs, sups []*Cluster
 
 	// Creation tag: the (Submitted, ID) canonical sort key of the
 	// Update call that created this cluster, plus the creation sequence
@@ -63,35 +74,15 @@ type Cluster struct {
 }
 
 // newCluster builds a cluster from an offer set and its builder mask.
-// The Cluster struct, its Offers copy, the ID set, and the key are
-// ordinary heap allocations on purpose: clusters outlive the build — the
-// auction's prepass cache retains them across many later clears — while
-// mask/rmask are builder-epoch scratch that Clusters() severs.
+// The Cluster struct, its Offers copy and the key are ordinary heap
+// allocations on purpose: clusters outlive the build — the auction's
+// prepass cache retains them across many later clears — while mask,
+// rmask and the memo are builder-epoch scratch that Clusters() severs.
 func newCluster(offers []*bidding.Offer, mask []uint64) *Cluster {
-	c := &Cluster{
-		Offers:   append([]*bidding.Offer(nil), offers...),
-		offerIDs: make(map[bidding.OrderID]bool, len(offers)),
-		mask:     mask,
-	}
+	c := &Cluster{Offers: append([]*bidding.Offer(nil), offers...), mask: mask}
 	sortOffers(c.Offers)
-	for _, o := range offers {
-		c.offerIDs[o.ID] = true
-	}
 	c.key = offerSetKey(c.Offers)
 	return c
-}
-
-// HasOffer reports whether the offer belongs to the cluster's offer set.
-func (c *Cluster) HasOffer(id bidding.OrderID) bool { return c.offerIDs[id] }
-
-// HasRequest reports whether the request belongs to the cluster.
-func (c *Cluster) HasRequest(id bidding.OrderID) bool {
-	for _, r := range c.Requests {
-		if r.ID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Key returns the canonical identity of the cluster's offer set: the
@@ -171,7 +162,8 @@ func maskSubset(a, b []uint64) bool {
 	return true
 }
 
-// Builder incrementally applies Algorithm 2's UPDATECLUSTERS procedure.
+// Builder incrementally applies Algorithm 2's UPDATECLUSTERS procedure,
+// with one memo per best-offer set (see Update).
 //
 // A Builder is single-use by default (NewBuilder + Updates + Clusters),
 // but a long-lived clearing loop can hold one across epochs: call Reset
@@ -181,7 +173,7 @@ func maskSubset(a, b []uint64) bool {
 // each concurrent clearing loop owns its own.
 type Builder struct {
 	clusters map[string]*Cluster // keyed by trimmed mask bytes
-	order    []string            // insertion order of mask keys, for determinism
+	order    []*Cluster          // creation order, for determinism
 
 	bitOf    map[*bidding.Offer]int // offer → universe bit
 	universe []*bidding.Offer       // bit → offer
@@ -199,12 +191,10 @@ type Builder struct {
 	// membership bookkeeping of an epoch lives in the slab.
 	rw int
 
-	bm   []uint64         // scratch: the current request's best-offer mask
-	iw   []uint64         // scratch: intersection words
-	kb   []byte           // scratch: trimmed key bytes
-	subs []*Cluster       // scratch: subset clusters of the current update
-	sups []*Cluster       // scratch: superset clusters of the current update
-	ob   []*bidding.Offer // scratch: offersOf output
+	bm []uint64         // scratch: the current request's best-offer mask
+	iw []uint64         // scratch: intersection words
+	kb []byte           // scratch: trimmed key bytes
+	ob []*bidding.Offer // scratch: offersOf output
 
 	// Current Update's creation tag, stamped onto clusters by put.
 	updSub int64
@@ -224,9 +214,11 @@ func NewBuilder() *Builder {
 // Reset rewinds the builder for a new epoch, retaining map buckets,
 // scratch slices, and mask-slab capacity. Clusters previously returned
 // by Clusters() remain valid (they own their data); everything else the
-// builder handed out becomes invalid.
+// builder handed out becomes invalid. The memos live on the epoch's
+// clusters, so they go with them.
 func (b *Builder) Reset() {
 	clear(b.clusters)
+	clear(b.order)
 	b.order = b.order[:0]
 	clear(b.bitOf)
 	b.universe = b.universe[:0]
@@ -343,15 +335,13 @@ func (b *Builder) offersOf(m []uint64) []*bidding.Offer {
 	return out
 }
 
-// put registers a newly created cluster (both call sites construct c
-// fresh), stamping it with the current Update's creation tag.
+// put registers a newly created cluster under its mask key, stamping
+// it with the current Update's creation tag.
 func (b *Builder) put(key string, c *Cluster) {
 	c.cSub, c.cID, c.cSeq = b.updSub, b.updID, b.updSeq
 	b.updSeq++
-	if _, exists := b.clusters[key]; !exists {
-		b.order = append(b.order, key)
-	}
 	b.clusters[key] = c
+	b.order = append(b.order, c)
 }
 
 // Update inserts request r with its best-offer set bestR, following
@@ -363,6 +353,13 @@ func (b *Builder) put(key string, c *Cluster) {
 //     (their offers serve those requests too).
 //  3. For every other cluster whose offer set overlaps bestR in more
 //     than one offer, materialize (or extend) the intersection cluster.
+//
+// Only clusters created since the last Update with the same best set
+// are compared with it. The earlier ones were classified then, and
+// within an epoch masks are immutable and order is append-only, so the
+// memo on the best-set cluster is still exact. Step 3 needs nothing
+// from them either: an intersection with bestR is a subset of bestR,
+// so one that already exists is in the memo and has r from step 2.
 func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 	if len(bestR) == 0 {
 		return
@@ -370,45 +367,41 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 	b.updSub, b.updID, b.updSeq = r.Submitted, r.ID, 0
 	ri := b.internReq(r)
 	bestMask := b.maskOf(bestR)
-	bestKey := string(b.keyBytes(bestMask))
-	if b.clusters[bestKey] == nil {
-		b.put(bestKey, newCluster(bestR, b.cloneMask(bestMask)))
+	best := b.clusters[string(b.keyBytes(bestMask))]
+	if best == nil {
+		best = newCluster(bestR, b.cloneMask(bestMask))
+		b.put(string(b.keyBytes(bestMask)), best)
 	}
 
 	// Fix the horizon now: intersection clusters created below must not
 	// themselves be revisited within this update. Entries already in
 	// b.order stay valid when it grows.
-	keys := b.order[:len(b.order):len(b.order)]
+	horizon := len(b.order)
+	fresh := b.order[best.horizon:horizon:horizon]
+	best.horizon = horizon
 
-	subsets, supersets := b.subs[:0], b.sups[:0]
-	for _, key := range keys {
-		c := b.clusters[key]
+	for _, c := range fresh {
 		if maskSubset(c.mask, bestMask) {
-			subsets = append(subsets, c)
+			best.subs = append(best.subs, c)
 		}
 		if maskSubset(bestMask, c.mask) {
-			supersets = append(supersets, c)
+			best.sups = append(best.sups, c)
 		}
 	}
-	b.subs, b.sups = subsets, supersets
-	for _, subset := range subsets {
+	for _, subset := range best.subs {
 		subset.rmask = b.setRBit(subset.rmask, ri)
-		for _, superset := range supersets {
+		for _, superset := range best.sups {
 			subset.rmask = orMask(subset.rmask, superset.rmask)
 		}
 	}
 
-	for _, key := range keys {
-		if key == bestKey {
+	for _, c := range fresh {
+		if c == best {
 			continue
 		}
-		c := b.clusters[key]
 		// Intersect into scratch; only popcount ≥ 2 overlaps ever touch
 		// the cluster map or allocate.
-		nw := len(c.mask)
-		if len(bestMask) < nw {
-			nw = len(bestMask)
-		}
+		nw := min(len(c.mask), len(bestMask))
 		if cap(b.iw) < nw {
 			b.iw = make([]uint64, nw)
 		}
@@ -418,17 +411,13 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 			inter[i] = c.mask[i] & bestMask[i]
 			pop += bits.OnesCount64(inter[i])
 		}
-		if pop <= 1 {
+		if pop <= 1 || b.clusters[string(b.keyBytes(inter))] != nil {
 			continue
 		}
-		if x := b.clusters[string(b.keyBytes(inter))]; x != nil {
-			x.rmask = b.setRBit(x.rmask, ri)
-		} else {
-			nc := newCluster(b.offersOf(inter), b.cloneMask(inter))
-			nc.rmask = b.setRBit(nc.rmask, ri)
-			nc.rmask = orMask(nc.rmask, c.rmask)
-			b.put(string(b.keyBytes(inter)), nc)
-		}
+		nc := newCluster(b.offersOf(inter), b.cloneMask(inter))
+		nc.rmask = b.setRBit(nc.rmask, ri)
+		nc.rmask = orMask(nc.rmask, c.rmask)
+		b.put(string(b.keyBytes(inter)), nc)
 	}
 }
 
@@ -438,16 +427,16 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 // canonical (Submitted, ID) sort makes the result independent of bit
 // assignment order.
 //
-// Clusters is terminal for the epoch: every returned cluster's mask and
-// rmask are severed (the builder's Reset may recycle their memory), and
+// Clusters is terminal for the epoch: every cluster's mask, rmask and
+// memo are severed (the builder's Reset may recycle their memory), and
 // the Requests slices are capacity-pinned views of one shared backing
 // array. Clusters therefore stay valid — and never mutate each other —
 // arbitrarily far past the builder's next Reset.
 func (b *Builder) Clusters() []*Cluster {
 	out := make([]*Cluster, 0, len(b.order))
 	total := 0
-	for _, key := range b.order {
-		c := b.clusters[key]
+	for _, c := range b.order {
+		c.subs, c.sups, c.horizon = nil, nil, 0
 		n := 0
 		for _, w := range c.rmask {
 			n += bits.OnesCount64(w)
@@ -491,23 +480,6 @@ func sortRequests(rs []*bidding.Request) {
 		}
 		return 0
 	})
-}
-
-// Build runs the full clustering pass of Algorithm 1's first loop: for
-// every request (in deterministic order) compute the feasible offers,
-// rank them by quality of match, take the best-offer set, and update the
-// clusters. The scale must be the block-wide normalization scale.
-func Build(requests []*bidding.Request, offers []*bidding.Offer, scale *resource.Scale, cfg match.Config) []*Cluster {
-	return BuildWorkers(requests, offers, scale, cfg, 1)
-}
-
-// BuildWorkers is Build with the per-request best-offer scoring fanned
-// out across at most workers goroutines. It compiles a throwaway block
-// index; callers that also need the index afterwards (the mechanism
-// shares it with the economics pre-pass) should build one and call
-// BuildIndex.
-func BuildWorkers(requests []*bidding.Request, offers []*bidding.Offer, scale *resource.Scale, cfg match.Config, workers int) []*Cluster {
-	return BuildIndex(match.NewIndex(requests, offers, scale), cfg, workers)
 }
 
 // BuildIndex runs the clustering pass over a prebuilt block index. Only

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"decloud/internal/bidding"
 	"decloud/internal/match"
 	"decloud/internal/resource"
+	"decloud/internal/workload"
 )
 
 func req(id string, cpu float64) *bidding.Request {
@@ -26,6 +29,29 @@ func off(id string, cpu float64) *bidding.Offer {
 	}
 }
 
+func hasOffer(c *Cluster, id bidding.OrderID) bool {
+	for _, o := range c.Offers {
+		if o.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+func hasRequest(c *Cluster, id bidding.OrderID) bool {
+	for _, r := range c.Requests {
+		if r.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// build runs the whole clustering pass over a fresh block index.
+func build(reqs []*bidding.Request, offs []*bidding.Offer) []*Cluster {
+	return BuildIndex(match.NewIndex(reqs, offs, match.BlockScale(reqs, offs)), match.DefaultConfig(), 1)
+}
+
 func TestBuilderCreatesClusterForNewOfferSet(t *testing.T) {
 	b := NewBuilder()
 	o1, o2 := off("o1", 8), off("o2", 8)
@@ -39,7 +65,7 @@ func TestBuilderCreatesClusterForNewOfferSet(t *testing.T) {
 	if len(c.Offers) != 2 || len(c.Requests) != 1 {
 		t.Fatalf("cluster shape: %d offers, %d requests", len(c.Offers), len(c.Requests))
 	}
-	if !c.HasOffer("o1") || !c.HasOffer("o2") || !c.HasRequest("r1") {
+	if !hasOffer(c, "o1") || !hasOffer(c, "o2") || !hasRequest(c, "r1") {
 		t.Fatal("membership checks failed")
 	}
 }
@@ -76,7 +102,7 @@ func TestBuilderSubsetInheritsRequest(t *testing.T) {
 	if small == nil {
 		t.Fatal("subset cluster {o1} vanished")
 	}
-	if !small.HasRequest("r2") {
+	if !hasRequest(small, "r2") {
 		t.Fatal("subset cluster should inherit the new request")
 	}
 }
@@ -98,7 +124,7 @@ func TestBuilderSubsetInheritsSupersetRequests(t *testing.T) {
 	if small == nil {
 		t.Fatal("cluster {o1} missing")
 	}
-	if !small.HasRequest("r1") || !small.HasRequest("r2") {
+	if !hasRequest(small, "r1") || !hasRequest(small, "r2") {
 		t.Fatalf("subset should hold both requests, has %d", len(small.Requests))
 	}
 }
@@ -111,14 +137,14 @@ func TestBuilderIntersectionCluster(t *testing.T) {
 	// Intersection {o2,o3} has size 2 > 1 → materialized with r2 and r1's requests.
 	var inter *Cluster
 	for _, c := range b.Clusters() {
-		if len(c.Offers) == 2 && c.HasOffer("o2") && c.HasOffer("o3") {
+		if len(c.Offers) == 2 && hasOffer(c, "o2") && hasOffer(c, "o3") {
 			inter = c
 		}
 	}
 	if inter == nil {
 		t.Fatal("intersection cluster {o2,o3} not created")
 	}
-	if !inter.HasRequest("r1") || !inter.HasRequest("r2") {
+	if !hasRequest(inter, "r1") || !hasRequest(inter, "r2") {
 		t.Fatal("intersection cluster should hold both requests")
 	}
 }
@@ -200,8 +226,7 @@ func TestBuildEndToEnd(t *testing.T) {
 	r2 := req("r2", 4)
 	r2.Start, r2.End = 110, 190 // fits only "late"
 
-	scale := match.BlockScale([]*bidding.Request{r1, r2}, []*bidding.Offer{early, late})
-	clusters := Build([]*bidding.Request{r1, r2}, []*bidding.Offer{early, late}, scale, match.DefaultConfig())
+	clusters := build([]*bidding.Request{r1, r2}, []*bidding.Offer{early, late})
 	if len(clusters) != 2 {
 		t.Fatalf("expected 2 time-separated clusters, got %d", len(clusters))
 	}
@@ -215,8 +240,7 @@ func TestBuildEndToEnd(t *testing.T) {
 func TestBuildUnservableRequestDropped(t *testing.T) {
 	r := req("r1", 64) // no offer is big enough
 	o := off("o1", 8)
-	scale := match.BlockScale([]*bidding.Request{r}, []*bidding.Offer{o})
-	clusters := Build([]*bidding.Request{r}, []*bidding.Offer{o}, scale, match.DefaultConfig())
+	clusters := build([]*bidding.Request{r}, []*bidding.Offer{o})
 	if len(clusters) != 0 {
 		t.Fatalf("unservable request produced clusters: %d", len(clusters))
 	}
@@ -248,8 +272,7 @@ func TestClusterPairsAlwaysFeasible(t *testing.T) {
 			o.End = o.Start + int64(50+rnd.Intn(150))
 			offs = append(offs, o)
 		}
-		scale := match.BlockScale(reqs, offs)
-		for _, c := range Build(reqs, offs, scale, match.DefaultConfig()) {
+		for _, c := range build(reqs, offs) {
 			for _, r := range c.Requests {
 				feasibleWithAny := false
 				for _, o := range c.Offers {
@@ -265,4 +288,295 @@ func TestClusterPairsAlwaysFeasible(t *testing.T) {
 			}
 		}
 	}
+}
+
+// algorithm2 is Algorithm 2 without the per-best-set memo: every Update
+// compares the best set with every existing cluster. Its Update is the
+// builder's body from before the memo, kept as the oracle the memoized
+// Builder is checked against.
+type algorithm2 struct {
+	*Builder
+	order      []string // insertion order of mask keys
+	subs, sups []*Cluster
+}
+
+func newAlgorithm2() *algorithm2 { return &algorithm2{Builder: NewBuilder()} }
+
+func (b *algorithm2) Reset() {
+	b.Builder.Reset()
+	b.order = b.order[:0]
+}
+
+func (b *algorithm2) put(key string, c *Cluster) {
+	if _, exists := b.clusters[key]; !exists {
+		b.order = append(b.order, key)
+	}
+	b.Builder.put(key, c)
+}
+
+func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
+	if len(bestR) == 0 {
+		return
+	}
+	b.updSub, b.updID, b.updSeq = r.Submitted, r.ID, 0
+	ri := b.internReq(r)
+	bestMask := b.maskOf(bestR)
+	bestKey := string(b.keyBytes(bestMask))
+	if b.clusters[bestKey] == nil {
+		b.put(bestKey, newCluster(bestR, b.cloneMask(bestMask)))
+	}
+
+	// Fix the horizon now: intersection clusters created below must not
+	// themselves be revisited within this update. Entries already in
+	// b.order stay valid when it grows.
+	keys := b.order[:len(b.order):len(b.order)]
+
+	subsets, supersets := b.subs[:0], b.sups[:0]
+	for _, key := range keys {
+		c := b.clusters[key]
+		if maskSubset(c.mask, bestMask) {
+			subsets = append(subsets, c)
+		}
+		if maskSubset(bestMask, c.mask) {
+			supersets = append(supersets, c)
+		}
+	}
+	b.subs, b.sups = subsets, supersets
+	for _, subset := range subsets {
+		subset.rmask = b.setRBit(subset.rmask, ri)
+		for _, superset := range supersets {
+			subset.rmask = orMask(subset.rmask, superset.rmask)
+		}
+	}
+
+	for _, key := range keys {
+		if key == bestKey {
+			continue
+		}
+		c := b.clusters[key]
+		// Intersect into scratch; only popcount ≥ 2 overlaps ever touch
+		// the cluster map or allocate.
+		nw := len(c.mask)
+		if len(bestMask) < nw {
+			nw = len(bestMask)
+		}
+		if cap(b.iw) < nw {
+			b.iw = make([]uint64, nw)
+		}
+		inter := b.iw[:nw]
+		pop := 0
+		for i := 0; i < nw; i++ {
+			inter[i] = c.mask[i] & bestMask[i]
+			pop += bits.OnesCount64(inter[i])
+		}
+		if pop <= 1 {
+			continue
+		}
+		if x := b.clusters[string(b.keyBytes(inter))]; x != nil {
+			x.rmask = b.setRBit(x.rmask, ri)
+		} else {
+			nc := newCluster(b.offersOf(inter), b.cloneMask(inter))
+			nc.rmask = b.setRBit(nc.rmask, ri)
+			nc.rmask = orMask(nc.rmask, c.rmask)
+			b.put(string(b.keyBytes(inter)), nc)
+		}
+	}
+}
+
+// sameClusters fails unless two Clusters() results agree cluster by
+// cluster — offers, requests, key and creation tag — and SortByCreation
+// restores the builder's order from a reversed copy.
+func sameClusters(t *testing.T, got, want []*Cluster) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d clusters, Algorithm 2 has %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Key() != w.Key() || !slices.Equal(g.Offers, w.Offers) || !slices.Equal(g.Requests, w.Requests) ||
+			g.cSub != w.cSub || g.cID != w.cID || g.cSeq != w.cSeq {
+			t.Fatalf("cluster %d: got %q with %d requests (tag %d/%s/%d), Algorithm 2 has %q with %d (tag %d/%s/%d)",
+				i, g.Key(), len(g.Requests), g.cSub, g.cID, g.cSeq, w.Key(), len(w.Requests), w.cSub, w.cID, w.cSeq)
+		}
+	}
+	sorted := slices.Clone(got)
+	slices.Reverse(sorted)
+	SortByCreation(sorted)
+	if !slices.Equal(sorted, got) {
+		t.Fatal("SortByCreation does not restore the creation order")
+	}
+}
+
+// checkAgainstAlgorithm2 runs a script of Updates through a Builder and
+// the algorithm2 oracle, both held across epochs, and compares their
+// Clusters() at every epoch end. The first byte sizes the offer universe
+// (1–200 offers, so masks span 1–4 words and a mask made early in an
+// epoch can be narrower than a later best mask). Each further byte picks
+// an op: a zero ends the epoch (Reset, with or without Reserve); any
+// other byte updates with an earlier best set, an empty or a
+// single-offer set, a new set around one offer, or a new wide set.
+func checkAgainstAlgorithm2(t *testing.T, script []byte) {
+	pos := 0
+	next := func() int {
+		if pos >= len(script) {
+			return 0
+		}
+		pos++
+		return int(script[pos-1])
+	}
+	n := 1 + next()%200
+	offers := make([]*bidding.Offer, n)
+	for i := range offers {
+		offers[i] = off(fmt.Sprintf("o%03d", i), 8)
+		offers[i].Submitted = int64(i * 7 % 13)
+	}
+	// setOf maps offer indices (mod n) to a best set without repeats,
+	// in first-mention order.
+	setOf := func(idx []int) []*bidding.Offer {
+		seen := make([]bool, n)
+		var set []*bidding.Offer
+		for _, i := range idx {
+			if i %= n; !seen[i] {
+				seen[i] = true
+				set = append(set, offers[i])
+			}
+		}
+		return set
+	}
+	memo, ref := NewBuilder(), newAlgorithm2()
+	var sets [][]*bidding.Offer
+	epoch, updates := 0, 0
+	endEpoch := func() {
+		sameClusters(t, memo.Clusters(), ref.Clusters())
+		memo.Reset()
+		ref.Reset()
+		epoch++
+		updates = 0
+	}
+	for pos < len(script) {
+		var set []*bidding.Offer
+		op := next()
+		if op == 0 {
+			endEpoch()
+			if k := next(); k%2 == 1 {
+				memo.Reserve(k / 2)
+				ref.Reserve(k / 2)
+			}
+			continue
+		}
+		switch op %= 15; {
+		case op <= 5 && len(sets) > 0:
+			set = sets[next()%len(sets)]
+		case op == 6:
+		case op == 7:
+			set = setOf([]int{next()})
+		case op <= 12:
+			c, idx := next(), make([]int, 2+next()%6)
+			for i := range idx {
+				idx[i] = c + next()%10
+			}
+			set = setOf(idx)
+		default:
+			start, stride, idx := next(), 1+next()%3, make([]int, 2+next()%70)
+			for i := range idx {
+				idx[i] = start + i*stride
+			}
+			set = setOf(idx)
+		}
+		if len(set) > 0 {
+			sets = append(sets, set)
+		}
+		r := req(fmt.Sprintf("r%d-%04d", epoch, updates), 4)
+		r.Submitted = int64(updates / 3) // canonical order, as BuildIndex feeds it
+		updates++
+		memo.Update(r, set)
+		ref.Update(r, set)
+	}
+	endEpoch()
+}
+
+// TestBuilderMatchesAlgorithm2 holds the memoized Builder to the
+// algorithm2 oracle on seeded scripts and on the best sets of generated
+// markets, one Builder of each kind serving every epoch of a case.
+func TestBuilderMatchesAlgorithm2(t *testing.T) {
+	script := func(seed int64, universe, ops, resetEvery int) []byte {
+		rnd := rand.New(rand.NewSource(seed))
+		s := []byte{byte(universe - 1)}
+		for range ops {
+			b := byte(1 + rnd.Intn(255))
+			if rnd.Intn(resetEvery) == 0 {
+				b = 0
+			}
+			s = append(s, b)
+		}
+		return s
+	}
+	cases := []struct {
+		name   string
+		script []byte
+	}{
+		{"one offer", script(1, 1, 400, 50)},
+		{"one word", script(2, 40, 3000, 400)},
+		{"two words", script(3, 100, 3000, 400)},
+		{"four words", script(4, 200, 4000, 1000)},
+		{"short epochs", script(5, 120, 3000, 12)},
+		{"sliding window", func() []byte {
+			// New sets around a creeping center, each followed by a
+			// repeat: the universe widens one word at a time, so early
+			// clusters' masks are narrower than later best masks.
+			s := []byte{199}
+			for k := range 300 {
+				s = append(s, 9, byte(k*2/3), 5, 0, 3, 6, 9, 12, 15, 18, 1, byte(k))
+			}
+			return s
+		}()},
+		{"random bytes", func() []byte {
+			b := make([]byte, 4000)
+			rand.New(rand.NewSource(6)).Read(b)
+			return b
+		}()},
+	}
+	for seed := int64(10); seed < 26; seed++ {
+		cases = append(cases, struct {
+			name   string
+			script []byte
+		}{fmt.Sprintf("seed %d", seed), script(seed, 1+int(seed*37%200), 1500, 300)})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkAgainstAlgorithm2(t, tc.script) })
+	}
+
+	t.Run("markets", func(t *testing.T) {
+		memo, ref := NewBuilder(), newAlgorithm2()
+		for seed := int64(1); seed <= 3; seed++ {
+			m := workload.Generate(workload.Config{Seed: seed, Requests: 600})
+			ix := match.NewIndex(m.Requests, m.Offers, match.BlockScale(m.Requests, m.Offers))
+			best := match.BestOffersAll(ix, match.DefaultConfig(), 1)
+			memo.Reset()
+			ref.Reset()
+			if seed != 2 {
+				memo.Reserve(len(best))
+				ref.Reserve(len(best))
+			}
+			for i, r := range ix.Requests() {
+				memo.Update(r, best[i])
+				ref.Update(r, best[i])
+			}
+			sameClusters(t, memo.Clusters(), ref.Clusters())
+		}
+	})
+}
+
+// FuzzBuilderMatchesAlgorithm2 holds the memoized Builder to the
+// algorithm2 oracle on arbitrary scripts (see checkAgainstAlgorithm2).
+func FuzzBuilderMatchesAlgorithm2(f *testing.F) {
+	f.Add([]byte{199, 9, 0, 3, 1, 14, 20, 2, 60, 1, 0, 1, 1, 2, 9, 100, 5, 1, 2, 3, 4, 5})
+	f.Add([]byte{63, 14, 0, 1, 40, 9, 10, 3, 0, 1, 2, 3, 1, 0, 1, 0, 0, 7, 5, 8, 1, 1, 1})
+	f.Add([]byte{0, 8, 8, 8, 7, 1, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 4096 {
+			script = script[:4096]
+		}
+		checkAgainstAlgorithm2(t, script)
+	})
 }

@@ -41,56 +41,21 @@ func (t *Tracker) capacity(o *bidding.Offer) resource.Vector {
 	return rem
 }
 
-// Remaining returns a copy of the offer's remaining resource·time vector.
-func (t *Tracker) Remaining(o *bidding.Offer) resource.Vector {
-	return t.capacity(o).Clone()
-}
-
 // TryGrant computes the resource vector offer o can grant request r right
 // now: per requested kind, the minimum of the requested amount, the
 // offer's instantaneous capacity, and what the remaining resource·time
 // budget supports for d_r. It returns nil when the grant would fall below
 // the request's flexibility threshold on any kind, or the windows are
 // incompatible. TryGrant does not mutate the tracker.
+//
+// The mechanism packs through the dense aggregate model (capacity.go),
+// whose arithmetic is this one's; the map Tracker is the baseline
+// solver's and the dense model's test oracle.
 func (t *Tracker) TryGrant(r *bidding.Request, o *bidding.Offer) resource.Vector {
 	if !bidding.TimeCompatible(r, o) || !r.WithinReach(o) {
 		return nil
 	}
-	return grantFrom(t.capacity(o), r, o)
-}
-
-// grantFrom is the resource math of TryGrant against an explicit
-// remaining-capacity vector, shared with the copy-on-write overlay. Two
-// passes: the first validates every kind against the flexibility
-// threshold without allocating — packing loops probe far more pairs than
-// they place, and a failed probe must cost nothing — and only a feasible
-// grant builds the result map. Per-kind arithmetic is identical in both
-// passes, so the second pass cannot disagree with the first.
-func grantFrom(rem resource.Vector, r *bidding.Request, o *bidding.Offer) resource.Vector {
-	flex := r.Flex()
-	dur := float64(r.Duration)
-	positive := false
-	for k, need := range r.Resources {
-		if need <= 0 {
-			continue
-		}
-		g := need
-		if inst := o.Resources[k]; inst < g {
-			g = inst
-		}
-		if byTime := rem[k] / dur; byTime < g {
-			g = byTime
-		}
-		if g < need*flex-1e-9 {
-			return nil
-		}
-		if g > 0 {
-			positive = true
-		}
-	}
-	if !positive {
-		return nil
-	}
+	rem := t.capacity(o)
 	granted := make(resource.Vector, len(r.Resources))
 	for k, need := range r.Resources {
 		if need <= 0 {
@@ -100,58 +65,58 @@ func grantFrom(rem resource.Vector, r *bidding.Request, o *bidding.Offer) resour
 		if inst := o.Resources[k]; inst < g {
 			g = inst
 		}
-		if byTime := rem[k] / dur; byTime < g {
+		if byTime := rem[k] / float64(r.Duration); byTime < g {
 			g = byTime
 		}
+		if g < need*r.Flex()-1e-9 {
+			return nil
+		}
 		granted[k] = g
+	}
+	if granted.IsZero() {
+		return nil
 	}
 	return granted
 }
 
 // Commit deducts a grant from the offer's remaining capacity, mutating
-// the stored vector in place (same multiply/subtract/clamp per component
-// as the former rem.Sub(granted.Scale(d)), without the two intermediate
-// vectors).
+// the stored vector in place.
 func (t *Tracker) Commit(o *bidding.Offer, granted resource.Vector, duration int64) {
 	t.capacity(o).SubScaledInPlace(granted, float64(duration))
 }
 
-// overlayTracker is a copy-on-write view of a parent Tracker for trial
-// packing: reads fall through to the parent, commits clone only the
-// touched offer's vector into the overlay. A trial touches a handful of
-// offers; Clone copies every offer materialized block-wide.
-type overlayTracker struct {
-	parent *Tracker
-	delta  map[bidding.OrderID]resource.Vector
-}
-
-func (ot *overlayTracker) capacity(o *bidding.Offer) resource.Vector {
-	if rem, ok := ot.delta[o.ID]; ok {
-		return rem
-	}
-	return ot.parent.capacity(o)
-}
-
-func (ot *overlayTracker) commit(o *bidding.Offer, granted resource.Vector, duration int64) {
-	rem, ok := ot.delta[o.ID]
-	if !ok {
-		rem = ot.parent.capacity(o).Clone()
-		ot.delta[o.ID] = rem
-	}
-	rem.SubScaledInPlace(granted, float64(duration))
-}
-
 // Assignment is one request placed on one offer with a concrete grant.
 type Assignment struct {
-	Req     EconRequest
-	Off     EconOffer
-	Granted resource.Vector
+	Req EconRequest
+	Off EconOffer
 	// Start is the scheduled start time (the request's window start
 	// under the aggregate model; a concrete slot under exact scheduling).
 	Start int64
+	frac  float64   // φ of the grant (Eq. 6)
+	g     []float64 // the dense grant
 }
 
-// Pack greedily places the cluster's requests onto its offers.
+// packer is the reusable state of a packing loop: the capacity model it
+// packs against, the last pack's assignments, and the store of their
+// grants, which outlive the pack (a trade's Granted vector is built from
+// its grant when recorded).
+type packer struct {
+	tr     Capacity
+	asg    []Assignment
+	grants []float64
+}
+
+// newPacker packs against the capacity model cfg picks.
+func newPacker(cfg Config) *packer {
+	if cfg.ExactScheduling {
+		return &packer{tr: NewIntervalCapacity()}
+	}
+	return &packer{tr: NewAggregateCapacity()}
+}
+
+// pack greedily places the cluster's requests onto its offers, leaves
+// the assignments in pk.asg, and counts the eligible requests it tried:
+// those neither taken before their turn nor refused by reqOK.
 //
 //   - reqOrder lists indexes into ec.Requests in the order to try; nil
 //     means natural order (v̂ descending).
@@ -166,61 +131,22 @@ type Assignment struct {
 //   - pairOK filters request↔offer pairs (nil admits all); the mechanism
 //     uses it for the provider-side reputation gate of Section III-B.
 //   - taken marks requests already allocated elsewhere in the block; it
-//     is updated as requests are placed.
-//   - tr supplies shared capacity; successful grants are committed.
+//     is updated as requests are placed. nil packs the cluster alone
+//     (the pre-pass: each request is visited once).
+//   - pk.tr supplies shared capacity; successful grants are committed.
 //
 // A request is placed on the first eligible offer (in offOrder) that is
 // profitable for it (v̂_r ≥ ĉ_o) and can grant it within the request's
 // flexibility.
-func (ec *EconCluster) Pack(
-	tr Capacity,
+func (ec *EconCluster) pack(
+	pk *packer,
 	taken map[bidding.OrderID]bool,
 	reqOK func(EconRequest) bool,
 	offOK func(EconOffer) bool,
 	pairOK func(EconRequest, EconOffer) bool,
 	reqOrder []int,
 	offOrder []int,
-) []Assignment {
-	return ec.pack(tr, takenMap(taken), reqOK, offOK, pairOK, reqOrder, offOrder)
-}
-
-// takenSet abstracts the taken bookkeeping so a trial pack can layer an
-// overlay over the block's set without copying it.
-type takenSet interface {
-	has(bidding.OrderID) bool
-	mark(bidding.OrderID)
-}
-
-type takenMap map[bidding.OrderID]bool
-
-func (m takenMap) has(id bidding.OrderID) bool { return m[id] }
-func (m takenMap) mark(id bidding.OrderID)     { m[id] = true }
-
-// takenOverlay reads through to a base set and keeps writes local.
-type takenOverlay struct {
-	base  map[bidding.OrderID]bool
-	local map[bidding.OrderID]bool
-}
-
-func newTakenOverlay(base map[bidding.OrderID]bool) *takenOverlay {
-	return &takenOverlay{base: base, local: make(map[bidding.OrderID]bool)}
-}
-
-func (t *takenOverlay) has(id bidding.OrderID) bool { return t.local[id] || t.base[id] }
-func (t *takenOverlay) mark(id bidding.OrderID)     { t.local[id] = true }
-
-// pack is Pack over a takenSet. A nil reqOrder/offOrder means natural
-// order, iterated directly rather than via a materialized identity
-// permutation.
-func (ec *EconCluster) pack(
-	tr Capacity,
-	taken takenSet,
-	reqOK func(EconRequest) bool,
-	offOK func(EconOffer) bool,
-	pairOK func(EconRequest, EconOffer) bool,
-	reqOrder []int,
-	offOrder []int,
-) []Assignment {
+) (eligible int) {
 	nr := len(ec.Requests)
 	if reqOrder != nil {
 		nr = len(reqOrder)
@@ -229,19 +155,21 @@ func (ec *EconCluster) pack(
 	if offOrder != nil {
 		no = len(offOrder)
 	}
-	var out []Assignment
+	tr := pk.tr
+	pk.asg = pk.asg[:0]
 	for i := 0; i < nr; i++ {
 		ri := i
 		if reqOrder != nil {
 			ri = reqOrder[i]
 		}
 		er := ec.Requests[ri]
-		if taken.has(er.Request.ID) {
+		if taken[er.Request.ID] {
 			continue
 		}
 		if reqOK != nil && !reqOK(er) {
 			continue
 		}
+		eligible++
 		for j := 0; j < no; j++ {
 			oi := j
 			if offOrder != nil {
@@ -259,17 +187,25 @@ func (ec *EconCluster) pack(
 				// offers may still be cheaper, so keep scanning.
 				continue
 			}
-			granted, start, ok := tr.TryGrant(er.Request, eo.Offer)
+			g, start, ok := tr.TryGrant(er, eo)
 			if !ok {
 				continue
 			}
-			tr.Commit(er.Request, eo.Offer, granted, start)
-			taken.mark(er.Request.ID)
-			out = append(out, Assignment{Req: er, Off: eo, Granted: granted, Start: start})
+			tr.Commit(er, eo, g, start)
+			if taken != nil {
+				taken[er.Request.ID] = true
+			}
+			// Growth moves later grants to a new array and leaves the
+			// earlier ones where their assignments point.
+			pk.grants = append(pk.grants, g...)
+			n := len(pk.grants)
+			pk.asg = append(pk.asg, Assignment{
+				Req: er, Off: eo, Start: start, frac: grantFraction(er, eo, g), g: pk.grants[n-len(g) : n : n],
+			})
 			break
 		}
 	}
-	return out
+	return eligible
 }
 
 // Fraction computes φ_{(r,o)} (Eq. 6) for a concrete grant: the time

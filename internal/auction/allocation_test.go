@@ -65,7 +65,7 @@ func TestTryGrantResourceTimeBudget(t *testing.T) {
 	r3 := trackerRequest(2, 100)
 	r3.ID = "r3"
 	if g := tr.TryGrant(r3, o); g != nil {
-		t.Fatalf("overcommit: %v (remaining %v)", g, tr.Remaining(o))
+		t.Fatalf("overcommit: %v (remaining %v)", g, tr.capacity(o).Clone())
 	}
 }
 
@@ -95,9 +95,9 @@ func TestTryGrantDoesNotMutate(t *testing.T) {
 	tr := NewTracker()
 	o := trackerOffer()
 	r := trackerRequest(2, 50)
-	before := tr.Remaining(o)
+	before := tr.capacity(o).Clone()
 	_ = tr.TryGrant(r, o)
-	after := tr.Remaining(o)
+	after := tr.capacity(o).Clone()
 	if !before.Equal(after) {
 		t.Fatalf("TryGrant mutated capacity: %v → %v", before, after)
 	}
@@ -110,7 +110,7 @@ func TestTrackerClone(t *testing.T) {
 	g := tr.TryGrant(r, o)
 	clone := tr.Clone()
 	clone.Commit(o, g, r.Duration)
-	if !tr.Remaining(o).Equal(o.Resources.Scale(100)) {
+	if !tr.capacity(o).Clone().Equal(o.Resources.Scale(100)) {
 		t.Fatal("commit on clone leaked into original")
 	}
 }

@@ -8,6 +8,7 @@
 package auction
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -25,6 +26,14 @@ type EconRequest struct {
 	Request *bidding.Request
 	Nu      float64
 	VHat    float64
+	d       *dense // the EconCluster's own copy of the index row (ownRows)
+}
+
+// dense is an order's quantities and kind bits over the block's kind
+// table: bit i%64 of mask word i/64 is set iff row[i] > 0.
+type dense struct {
+	row  []float64
+	mask []uint64
 }
 
 // EconOffer is an offer with its cluster-normalized economics:
@@ -33,6 +42,7 @@ type EconOffer struct {
 	Offer *bidding.Offer
 	Nu    float64
 	CHat  float64
+	d     *dense // see EconRequest
 }
 
 // EconCluster carries a cluster's normalized requests and offers, sorted
@@ -145,19 +155,7 @@ func sortEcon(ec *EconCluster) {
 		case a.VHat < b.VHat:
 			return 1
 		}
-		switch {
-		case a.Request.Submitted < b.Request.Submitted:
-			return -1
-		case a.Request.Submitted > b.Request.Submitted:
-			return 1
-		}
-		switch {
-		case a.Request.ID < b.Request.ID:
-			return -1
-		case a.Request.ID > b.Request.ID:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Request.Submitted, b.Request.Submitted), cmp.Compare(a.Request.ID, b.Request.ID))
 	})
 	slices.SortFunc(ec.Offers, func(a, b EconOffer) int {
 		switch {
@@ -166,19 +164,7 @@ func sortEcon(ec *EconCluster) {
 		case a.CHat > b.CHat:
 			return 1
 		}
-		switch {
-		case a.Offer.Submitted < b.Offer.Submitted:
-			return -1
-		case a.Offer.Submitted > b.Offer.Submitted:
-			return 1
-		}
-		switch {
-		case a.Offer.ID < b.Offer.ID:
-			return -1
-		case a.Offer.ID > b.Offer.ID:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Offer.Submitted, b.Offer.Submitted), cmp.Compare(a.Offer.ID, b.Offer.ID))
 	})
 }
 
@@ -190,39 +176,23 @@ func sortEcon(ec *EconCluster) {
 // outcome is consensus-critical). Masks are MaskWords() words wide —
 // wide blocks (> 64 distinct kinds) take the same path, iterating words
 // ascending and bits ascending, which is still globally ascending kind
-// order. Falls back to ComputeEconomics only when the index is nil or
-// does not know the cluster's orders.
+// order. ix must be the index the cluster was built over; the cluster
+// keeps its own copies of its members' rows (ownRows).
 func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]bool, ix *match.Index) *EconCluster {
-	if ix == nil {
-		return ComputeEconomics(cl, critical)
-	}
 	kinds := ix.Kinds()
 	nw := ix.MaskWords()
-	reqMasks := make([][]uint64, len(cl.Requests))
-	reqRows := make([][]float64, len(cl.Requests))
+	nr := len(cl.Requests)
+	ds := ownRows(ix, cl.Requests, cl.Offers)
+	reqD, offD := ds[:nr], ds[nr:]
 	reqUnion := make([]uint64, nw)
-	for i, r := range cl.Requests {
-		m, ok := ix.RequestMaskRow(r)
-		row, ok2 := ix.RequestRow(r)
-		if !ok || !ok2 {
-			return ComputeEconomics(cl, critical)
-		}
-		reqMasks[i], reqRows[i] = m, row
-		for w, mw := range m {
+	for _, d := range reqD {
+		for w, mw := range d.mask {
 			reqUnion[w] |= mw
 		}
 	}
-	offMasks := make([][]uint64, len(cl.Offers))
-	offRows := make([][]float64, len(cl.Offers))
 	offUnion := make([]uint64, nw)
-	for i, o := range cl.Offers {
-		m, ok := ix.OfferMaskRow(o)
-		row, ok2 := ix.OfferRow(o)
-		if !ok || !ok2 {
-			return ComputeEconomics(cl, critical)
-		}
-		offMasks[i], offRows[i] = m, row
-		for w, mw := range m {
+	for _, d := range offD {
+		for w, mw := range d.mask {
 			offUnion[w] |= mw
 		}
 	}
@@ -237,12 +207,12 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		ncommon += bits.OnesCount64(common[w])
 	}
 	maxRow := make([]float64, len(kinds))
-	for i := range offRows {
+	for _, d := range offD {
 		for w := 0; w < nw; w++ {
 			base := w * 64
-			for m := offMasks[i][w] & common[w]; m != 0; m &= m - 1 {
+			for m := d.mask[w] & common[w]; m != 0; m &= m - 1 {
 				k := base + bits.TrailingZeros64(m)
-				if q := offRows[i][k]; q > maxRow[k] {
+				if q := d.row[k]; q > maxRow[k] {
 					maxRow[k] = q
 				}
 			}
@@ -269,10 +239,10 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 	for k := range critical {
 		crit[k] = true
 	}
-	if len(reqMasks) > 0 {
-		inAll := append([]uint64(nil), reqMasks[0]...)
-		for _, m := range reqMasks[1:] {
-			for w, mw := range m {
+	if nr > 0 {
+		inAll := append([]uint64(nil), reqD[0].mask...)
+		for _, d := range reqD[1:] {
+			for w, mw := range d.mask {
 				inAll[w] &= mw
 			}
 		}
@@ -291,17 +261,18 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 	}
 
 	ec := &EconCluster{Cluster: cl, Scale: resource.NewScale(maxVec), Critical: crit}
+	ec.Requests, ec.Offers = make([]EconRequest, 0, len(cl.Requests)), make([]EconOffer, 0, len(cl.Offers))
 	// fraction is Scale.Fraction over a dense row: Σ q² over the vector's
 	// kinds known to M_CL, ascending bit = sorted kind order.
-	fraction := func(vmask []uint64, row []float64) float64 {
+	fraction := func(d *dense) float64 {
 		if denom <= 0 {
 			return 0
 		}
 		var sum float64
 		for w := 0; w < nw; w++ {
 			base := w * 64
-			for m := vmask[w] & common[w]; m != 0; m &= m - 1 {
-				q := row[base+bits.TrailingZeros64(m)]
+			for m := d.mask[w] & common[w]; m != 0; m &= m - 1 {
+				q := d.row[base+bits.TrailingZeros64(m)]
 				sum += q * q
 			}
 		}
@@ -312,7 +283,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		return f
 	}
 	for i, o := range cl.Offers {
-		nu := fraction(offMasks[i], offRows[i])
+		nu := fraction(&offD[i])
 		if nu <= 0 || o.Window() <= 0 {
 			continue
 		}
@@ -320,6 +291,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 			Offer: o,
 			Nu:    nu,
 			CHat:  o.Bid / (nu * float64(o.Window())),
+			d:     &offD[i],
 		})
 	}
 	for i, r := range cl.Requests {
@@ -330,7 +302,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 			base := w * 64
 			for m := critMask[w] & common[w]; m != 0; m &= m - 1 {
 				k := base + bits.TrailingZeros64(m)
-				if f := reqRows[i][k] / maxRow[k]; f > cf {
+				if f := reqD[i].row[k] / maxRow[k]; f > cf {
 					cf = f
 				}
 			}
@@ -338,7 +310,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		if cf > 1 {
 			cf = 1
 		}
-		nu := math.Max(cf, fraction(reqMasks[i], reqRows[i]))
+		nu := math.Max(cf, fraction(&reqD[i]))
 		if nu <= 0 || r.Duration <= 0 {
 			continue
 		}
@@ -346,10 +318,59 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 			Request: r,
 			Nu:      nu,
 			VHat:    r.Bid / (nu * float64(r.Duration)),
+			d:       &reqD[i],
 		})
 	}
 	sortEcon(ec)
 	return ec
+}
+
+// ownRows copies the index rows and kind masks of reqs, then offs, into
+// memory the caller owns. The index is epoch scratch (a book Resets its
+// match.IndexScratch every clear) while PrepassCache keeps EconClusters
+// across clears, so a retained cluster must hold nothing that aliases
+// the index (DESIGN §14.2). An order the index does not know is a caller
+// bug (a cluster built over another block), not block content.
+func ownRows(ix *match.Index, reqs []*bidding.Request, offs []*bidding.Offer) []dense {
+	nk, nw, n := len(ix.Kinds()), ix.MaskWords(), len(reqs)+len(offs)
+	ds, rows, masks := make([]dense, n), make([]float64, n*nk), make([]uint64, n*nw)
+	for i := range ds {
+		m, row, ok := []uint64(nil), []float64(nil), false
+		if i < len(reqs) {
+			m, ok = ix.RequestMaskRow(reqs[i])
+			row, _ = ix.RequestRow(reqs[i])
+		} else {
+			m, ok = ix.OfferMaskRow(offs[i-len(reqs)])
+			row, _ = ix.OfferRow(offs[i-len(reqs)])
+		}
+		if !ok {
+			panic("auction: a cluster member is not in the block index")
+		}
+		ds[i] = dense{row: rows[i*nk : (i+1)*nk : (i+1)*nk], mask: masks[i*nw : (i+1)*nw : (i+1)*nw]}
+		copy(ds[i].row, row)
+		copy(ds[i].mask, m)
+	}
+	return ds
+}
+
+// bindRows gives the members of a map-path EconCluster (ComputeEconomics)
+// their own rows, so the dense capacity model can pack it.
+func (ec *EconCluster) bindRows(ix *match.Index) {
+	reqs := make([]*bidding.Request, len(ec.Requests))
+	for i, er := range ec.Requests {
+		reqs[i] = er.Request
+	}
+	offs := make([]*bidding.Offer, len(ec.Offers))
+	for i, eo := range ec.Offers {
+		offs[i] = eo.Offer
+	}
+	ds := ownRows(ix, reqs, offs)
+	for i := range ec.Requests {
+		ec.Requests[i].d = &ds[i]
+	}
+	for i := range ec.Offers {
+		ec.Offers[i].d = &ds[len(reqs)+i]
+	}
 }
 
 // NuOf recomputes ν for an arbitrary granted resource vector against this

@@ -123,14 +123,6 @@ func pairGate(cfg Config) func(EconRequest, EconOffer) bool {
 	}
 }
 
-// newCapacity picks the capacity model for a run.
-func newCapacity(cfg Config) Capacity {
-	if cfg.ExactScheduling {
-		return NewIntervalCapacity()
-	}
-	return NewAggregateCapacity()
-}
-
 const eps = 1e-9
 
 // clusterStats caches the per-cluster marginal economics computed by the
@@ -154,13 +146,18 @@ type clusterStats struct {
 	active  bool
 }
 
-// prePass greedily allocates the cluster in isolation (fresh capacity) to
-// locate the break-even indices z and z′ and estimate the cluster's
-// welfare, per Algorithm 1's "allocate r, o ∈ cluster greedily; determine
-// v̂_z, ĉ_{z'+1}".
-func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, fresh func() Capacity) clusterStats {
+// prePass greedily allocates the cluster in isolation to locate the
+// break-even indices z and z′ and estimate the cluster's welfare, per
+// Algorithm 1's "allocate r, o ∈ cluster greedily; determine v̂_z,
+// ĉ_{z'+1}". It packs as a trial on the worker's packer and reverts it,
+// so that capacity is fresh for every cluster.
+func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, pk *packer) clusterStats {
 	st := clusterStats{ec: ec, used: make(map[bidding.OrderID]bool)}
-	asg := ec.Pack(fresh(), make(map[bidding.OrderID]bool), nil, nil, pairOK, nil, nil)
+	pk.tr.begin()
+	pk.grants = pk.grants[:0]
+	ec.pack(pk, nil, nil, nil, pairOK, nil, nil)
+	pk.tr.end(true)
+	asg := pk.asg
 	if len(asg) == 0 {
 		return st
 	}
@@ -175,7 +172,7 @@ func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, fresh fu
 			st.cHatZ = a.Off.CHat
 		}
 		st.used[a.Off.Offer.ID] = true
-		st.welfare += a.Req.Request.Bid - Fraction(a.Granted, a.Req.Request, a.Off.Offer)*a.Off.Offer.Bid
+		st.welfare += a.Req.Request.Bid - a.frac*a.Off.Offer.Bid
 	}
 	for _, eo := range ec.Offers {
 		if !st.used[eo.Offer.ID] {
@@ -220,11 +217,11 @@ func Run(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outc
 
 // RunReference is Run through the reference implementations: the
 // brute-force scan-and-sort matcher (match.BestOffers) and the
-// map-walking ComputeEconomics, so that neither a best-offer set nor a
-// cluster's economics is read off the block index — the index only
-// fixes the canonical request order. It is the oracle the indexed
-// engine is compared against (paralleltest.CheckIndexedVsNaive);
-// nothing outside tests calls it.
+// map-walking ComputeEconomics: no best-offer set or economics is read
+// off the block index, which fixes the request order and lends the rows
+// the capacity kernel packs over. It is the oracle the indexed engine
+// is compared against (paralleltest.CheckIndexedVsNaive); nothing
+// outside tests calls it.
 func RunReference(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outcome {
 	out := newOutcome()
 	reqs, offs := screen(requests, offers, out)
@@ -235,7 +232,9 @@ func RunReference(requests []*bidding.Request, offers []*bidding.Offer, cfg Conf
 	}
 	pt := startPhases(cfg.Obs)
 	runClustered(out, ix, b.Clusters(), cfg, &pt, nil, func(cl *cluster.Cluster) *EconCluster {
-		return ComputeEconomics(cl, cfg.Critical)
+		ec := ComputeEconomics(cl, cfg.Critical)
+		ec.bindRows(ix)
+		return ec
 	})
 	return out
 }
@@ -317,7 +316,7 @@ func (pt *phaseTimer) finish(out *Outcome, ix *match.Index) {
 // equivalent because every map is keyed by order ID and components
 // share no orders.
 type blockState struct {
-	tracker    Capacity
+	pk         *packer
 	taken      map[bidding.OrderID]bool
 	reducedReq map[bidding.OrderID]bool
 	reducedOff map[bidding.OrderID]bool
@@ -326,7 +325,7 @@ type blockState struct {
 
 func newBlockState(cfg Config) *blockState {
 	return &blockState{
-		tracker:    newCapacity(cfg),
+		pk:         newPacker(cfg),
 		taken:      make(map[bidding.OrderID]bool),
 		reducedReq: make(map[bidding.OrderID]bool),
 		reducedOff: make(map[bidding.OrderID]bool),
@@ -435,22 +434,10 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 			return eo.CHat <= p+eps && !exclProviders[eo.Offer.Provider]
 		}
 
-		eligible := 0
-		for _, er := range ec.Requests {
-			if !st.taken[er.Request.ID] && reqOK(er) {
-				eligible++
-			}
-		}
-		if eligible == 0 {
-			continue
-		}
-		eligibleOffers := 0
-		for _, eo := range ec.Offers {
-			if offOK(eo) {
-				eligibleOffers++
-			}
-		}
-		if eligibleOffers == 0 {
+		// Nested clusters often hold only requests that traded already.
+		if !slices.ContainsFunc(ec.Requests, func(er EconRequest) bool {
+			return reqOK(er) && !st.taken[er.Request.ID]
+		}) || !slices.ContainsFunc(ec.Offers, offOK) {
 			continue
 		}
 
@@ -463,49 +450,56 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 		label := fmt.Sprintf("auction:%d/cluster:%s", ai, ec.Cluster.Key())
 		offOrder := sizeOrder(evidence, label+"/offers", ec.Offers)
 
-		// Trial pack on copy-on-write state: if every eligible request
-		// fits, the deterministic v̂-descending request order is fine.
-		// Otherwise Algorithm 4 applies: "randomize the allocation of
-		// cluster" — BOTH which requests trade and where they land
-		// are drawn from the evidence-keyed lottery, so no marginal
-		// participant can bid its way into the capacity-constrained
-		// allocation. This randomization is the welfare price of
-		// truthfulness the paper measures in Figures 5a–5b.
-		//
-		// The overlay observes exactly the values a full Clone would, so
-		// the trial's assignments equal what a re-pack against the real
-		// state would produce; in the full case they are committed
-		// directly — same grants, same order, same float mutations as
-		// the re-pack the sequential mechanism used to run.
-		trialTaken := newTakenOverlay(st.taken)
-		full := ec.pack(trialCapacity(st.tracker), trialTaken, reqOK, offOK, pairOK, nil, offOrder)
-
-		var asg []Assignment
-		if len(full) == eligible {
-			asg = full
-			for _, a := range full {
-				st.tracker.Commit(a.Req.Request, a.Off.Offer, a.Granted, a.Start)
-				st.taken[a.Req.Request.ID] = true
-			}
+		// Trial pack, committed in place: if every eligible request
+		// fits, the deterministic v̂-descending request order is fine
+		// and the trial stands. Otherwise the trial is undone — the
+		// capacity model restores every value it overwrote, and the
+		// trial's requests leave the taken set — and Algorithm 4
+		// applies: "randomize the allocation of cluster" — BOTH which
+		// requests trade and where they land are drawn from the
+		// evidence-keyed lottery, so no marginal participant can bid
+		// its way into the capacity-constrained allocation. This
+		// randomization is the welfare price of truthfulness the paper
+		// measures in Figures 5a–5b.
+		pk := st.pk
+		kept := len(pk.grants)
+		pk.tr.begin()
+		if eligible := ec.pack(pk, st.taken, reqOK, offOK, pairOK, nil, offOrder); len(pk.asg) == eligible {
+			pk.tr.end(false)
 		} else {
-			reqIDs := make([]string, len(ec.Requests))
+			pk.tr.end(true)
+			pk.grants = pk.grants[:kept]
+			for _, a := range pk.asg {
+				delete(st.taken, a.Req.Request.ID)
+			}
+			// The request lottery draws over the eligible requests
+			// only: each rank comes from the ID's own key, so leaving
+			// the others out moves no eligible request's place.
+			var elig []int
+			var reqIDs []string
 			for i, er := range ec.Requests {
-				reqIDs[i] = string(er.Request.ID)
+				if !st.taken[er.Request.ID] && reqOK(er) {
+					elig = append(elig, i)
+					reqIDs = append(reqIDs, string(er.Request.ID))
+				}
 			}
 			reqOrder := stats.KeyedOrder(evidence, label+"/requests", reqIDs)
+			for j, k := range reqOrder {
+				reqOrder[j] = elig[k]
+			}
 			offIDs := make([]string, len(ec.Offers))
 			for i, eo := range ec.Offers {
 				offIDs[i] = string(eo.Offer.ID)
 			}
 			randOff := stats.KeyedOrder(evidence, label+"/offers-lottery", offIDs)
-			asg = ec.Pack(st.tracker, st.taken, reqOK, offOK, pairOK, reqOrder, randOff)
-			for _, er := range ec.Requests {
-				if !st.taken[er.Request.ID] && reqOK(er) {
-					st.lottery[er.Request.ID] = true
+			ec.pack(pk, st.taken, reqOK, offOK, pairOK, reqOrder, randOff)
+			for _, i := range elig {
+				if id := ec.Requests[i].Request.ID; !st.taken[id] {
+					st.lottery[id] = true
 				}
 			}
 		}
-		for _, a := range asg {
+		for _, a := range pk.asg {
 			trades = append(trades, trade{ec: ec, a: a, price: p})
 		}
 	}
@@ -544,26 +538,13 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 	clusters := cluster.BuildIndex(ix, cfg.Match, workers)
 	out.Clusters = len(clusters)
 
-	type ranked struct {
-		ec      *EconCluster
-		welfare float64
-		active  bool
-	}
-	econ := indexedEcon(cfg, ix)
-	pairOK := pairGate(cfg)
-	prePassed := make([]ranked, len(clusters))
-	par.ForEach(workers, len(clusters), func(i int) {
-		ec := econ(clusters[i])
-		st := prePass(ec, pairOK, func() Capacity { return newCapacity(cfg) })
-		prePassed[i] = ranked{ec: ec, welfare: st.welfare, active: st.active}
-	})
-	rankedClusters := make([]ranked, 0, len(clusters))
-	for _, rc := range prePassed {
-		if rc.active {
-			rankedClusters = append(rankedClusters, rc)
+	var ranked []clusterStats
+	for _, st := range prePassAll(clusters, ix.Kinds(), cfg, indexedEcon(cfg, ix), nil) {
+		if st.active {
+			ranked = append(ranked, st)
 		}
 	}
-	slices.SortFunc(rankedClusters, func(a, b ranked) int {
+	slices.SortFunc(ranked, func(a, b clusterStats) int {
 		switch {
 		case a.welfare > b.welfare:
 			return -1
@@ -575,11 +556,12 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 		return strings.Compare(a.ec.Cluster.Key(), b.ec.Cluster.Key())
 	})
 
-	tracker := newCapacity(cfg)
+	pk, pairOK := newPacker(cfg), pairGate(cfg)
 	taken := make(map[bidding.OrderID]bool)
-	for _, rc := range rankedClusters {
-		for _, a := range rc.ec.Pack(tracker, taken, nil, nil, pairOK, nil, nil) {
-			recordMatch(out, rc.ec, a, 0)
+	for _, rc := range ranked {
+		rc.ec.pack(pk, taken, nil, nil, pairOK, nil, nil)
+		for _, a := range pk.asg {
+			recordMatch(out, ix.Kinds(), rc.ec, a, 0)
 		}
 	}
 	settle(out)
@@ -608,19 +590,21 @@ func screen(requests []*bidding.Request, offers []*bidding.Offer, out *Outcome) 
 	return reqs, offs
 }
 
-// recordMatch appends one trade to the outcome. Payments and Revenues
+// recordMatch appends one trade to the outcome; kinds is the live
+// index's kind table, naming the grant's kinds. Payments and Revenues
 // are NOT written here: they are struct-of-arrays state derived from
 // Matches, built once at settle time with exact capacity instead of
 // growing two maps trade by trade.
-func recordMatch(out *Outcome, ec *EconCluster, a Assignment, price float64) {
+func recordMatch(out *Outcome, kinds []resource.Kind, ec *EconCluster, a Assignment, price float64) {
 	r, o := a.Req.Request, a.Off.Offer
-	nu := ec.NuOf(a.Granted)
+	granted := grantVector(kinds, a.Req, a.g)
+	nu := ec.NuOf(granted)
 	pay := nu * price * float64(r.Duration)
 	out.Matches = append(out.Matches, Match{
 		Request:   r,
 		Offer:     o,
-		Granted:   a.Granted,
-		Fraction:  Fraction(a.Granted, r, o),
+		Granted:   granted,
+		Fraction:  a.frac,
 		Nu:        nu,
 		UnitPrice: price,
 		Payment:   pay,
@@ -654,15 +638,13 @@ func sizeOrder(evidence []byte, label string, offers []EconOffer) []int {
 	for rank, idx := range stats.KeyedOrder(evidence, label, ids) {
 		hashRank[idx] = rank
 	}
-	// Norm2 allocates (it sorts the vector's kinds); compute it once per
-	// offer, not once per comparison.
-	norm := make([]float64, len(offers))
+	// ‖ρ_o‖₂ off the dense row: ascending kind bits are the sorted
+	// order Norm2 sums in, so the norm is bit-identical.
+	norm, order := make([]float64, len(offers)), make([]int, len(offers))
 	for i, eo := range offers {
-		norm[i] = eo.Offer.Resources.Norm2()
-	}
-	order := make([]int, len(offers))
-	for i := range order {
-		order[i] = i
+		var sum float64
+		eachKind(eo.d.mask, func(k int) { sum += eo.d.row[k] * eo.d.row[k] })
+		norm[i], order[i] = math.Sqrt(sum), i
 	}
 	slices.SortFunc(order, func(a, b int) int {
 		na, nb := norm[a], norm[b]

@@ -4,6 +4,7 @@ import (
 	"decloud/internal/bidding"
 	"decloud/internal/miniauction"
 	"decloud/internal/par"
+	"decloud/internal/resource"
 )
 
 // Parallel mini-auction execution.
@@ -42,7 +43,7 @@ func clusterFootprint(cs clusterStats) []string {
 
 // runAuctionsParallel executes the mini-auctions across the worker pool
 // and fills in the outcome exactly as the sequential loop would.
-func runAuctionsParallel(out *Outcome, auctions []miniauction.Auction, all []clusterStats, cfg Config, pairOK func(EconRequest, EconOffer) bool, evidence []byte, workers int) {
+func runAuctionsParallel(out *Outcome, auctions []miniauction.Auction, all []clusterStats, cfg Config, pairOK func(EconRequest, EconOffer) bool, evidence []byte, workers int, kinds []resource.Kind) {
 	groups := miniauction.IndependentGroups(auctions, func(ci int) []string {
 		return clusterFootprint(all[ci])
 	})
@@ -65,7 +66,7 @@ func runAuctionsParallel(out *Outcome, auctions []miniauction.Auction, all []clu
 	// disjoint across components, so union order is immaterial.
 	for _, trs := range tradesByAuction {
 		for _, tr := range trs {
-			recordMatch(out, tr.ec, tr.a, tr.price)
+			recordMatch(out, kinds, tr.ec, tr.a, tr.price)
 		}
 	}
 	taken := make(map[bidding.OrderID]bool)

@@ -1,6 +1,7 @@
 package auction
 
 import (
+	"slices"
 	"strings"
 
 	"decloud/internal/bidding"
@@ -8,6 +9,7 @@ import (
 	"decloud/internal/match"
 	"decloud/internal/miniauction"
 	"decloud/internal/par"
+	"decloud/internal/resource"
 )
 
 // PrepassCache carries per-cluster pre-pass economics across successive
@@ -28,6 +30,7 @@ import (
 // The zero value is ready to use.
 type PrepassCache struct {
 	entries map[string]clusterStats
+	kinds   []resource.Kind // the kind table the entries' rows are laid out over
 }
 
 // Flush drops every cached entry.
@@ -49,7 +52,12 @@ func (pc *PrepassCache) cacheable(cfg Config) bool {
 // pre-pass depends on nothing else once the caller guarantees a stable
 // scale and stable order contents per ID.
 func prepassSignature(cl *cluster.Cluster) string {
+	n := len(cl.Key()) + len(cl.Requests)
+	for _, r := range cl.Requests {
+		n += len(r.ID)
+	}
 	var sb strings.Builder
+	sb.Grow(n)
 	sb.WriteString(cl.Key())
 	sb.WriteByte('\x01')
 	for i, r := range cl.Requests {
@@ -86,38 +94,39 @@ func RunPrepared(_ []*bidding.Request, _ []*bidding.Offer, ix *match.Index, clus
 	return out
 }
 
-// runClustered is the tail of the mechanism shared by Run and
-// RunPrepared: everything downstream of cluster formation. It mutates
-// out and drives the phase timer through the prepass and auction laps.
-func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cfg Config, pt *phaseTimer, cache *PrepassCache, econ econPass) {
+// prePassAll pre-passes every cluster, each in isolation against fresh
+// capacity, writing only its own slot — so the fan-out is exact. With a
+// usable cache, unchanged clusters reuse last round's stats; the map is
+// read-only during the fan-out and replaced wholesale afterwards, which
+// prunes vanished clusters. Cached rows are laid out over the kind table
+// they were copied under: under another table the cache is not read.
+func prePassAll(clusters []*cluster.Cluster, kinds []resource.Kind, cfg Config, econ econPass, cache *PrepassCache) []clusterStats {
 	workers := effectiveWorkers(cfg)
-	out.Clusters = len(clusters)
-
-	// Pre-pass every cluster. Each pre-pass allocates the cluster in
-	// isolation against fresh capacity and writes only its own slot, so
-	// the fan-out is exact; the interval list is then assembled in
-	// cluster-index order, as the sequential loop would. With a usable
-	// cache, unchanged clusters reuse last round's stats: the cache map
-	// is read-only during the fan-out and replaced wholesale afterwards,
-	// so vanished clusters are pruned for free.
 	pairOK := pairGate(cfg)
 	all := make([]clusterStats, len(clusters))
 	useCache := cache.cacheable(cfg)
 	var sigs []string
 	if useCache {
+		if !slices.Equal(cache.kinds, kinds) {
+			cache.entries = nil
+		}
 		sigs = make([]string, len(clusters))
 		for i, cl := range clusters {
 			sigs[i] = prepassSignature(cl)
 		}
 	}
-	par.ForEach(workers, len(clusters), func(i int) {
+	pks := make([]*packer, workers)
+	for w := range pks {
+		pks[w] = newPacker(cfg)
+	}
+	par.ForEachWorker(workers, len(clusters), func(w, i int) {
 		if useCache {
 			if st, ok := cache.entries[sigs[i]]; ok {
 				all[i] = st
 				return
 			}
 		}
-		all[i] = prePass(econ(clusters[i]), pairOK, func() Capacity { return newCapacity(cfg) })
+		all[i] = prePass(econ(clusters[i]), pairOK, pks[w])
 	})
 	if useCache {
 		next := make(map[string]clusterStats, len(clusters))
@@ -125,7 +134,19 @@ func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cf
 			next[sigs[i]] = all[i]
 		}
 		cache.entries = next
+		cache.kinds = append(cache.kinds[:0], kinds...) // a copy: ix is epoch scratch
 	}
+	return all
+}
+
+// runClustered is the tail of the mechanism shared by Run and
+// RunPrepared: everything downstream of cluster formation. It mutates
+// out and drives the phase timer through the prepass and auction laps.
+func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cfg Config, pt *phaseTimer, cache *PrepassCache, econ econPass) {
+	workers := effectiveWorkers(cfg)
+	out.Clusters = len(clusters)
+	all := prePassAll(clusters, ix.Kinds(), cfg, econ, cache)
+	pairOK := pairGate(cfg)
 	pt.lapPrepass()
 
 	var intervals []miniauction.Interval
@@ -144,13 +165,16 @@ func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cf
 		evidence = []byte("decloud/no-evidence")
 	}
 
-	if workers > 1 {
-		runAuctionsParallel(out, auctions, all, cfg, pairOK, evidence, workers)
+	// A single mini-auction — the dense market's usual case — is one
+	// order-disjoint group by definition: partitioning it would only
+	// rebuild every member's footprint to find that out.
+	if workers > 1 && len(auctions) > 1 {
+		runAuctionsParallel(out, auctions, all, cfg, pairOK, evidence, workers, ix.Kinds())
 	} else {
 		st := newBlockState(cfg)
 		for ai := range auctions {
 			for _, tr := range runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, st) {
-				recordMatch(out, tr.ec, tr.a, tr.price)
+				recordMatch(out, ix.Kinds(), tr.ec, tr.a, tr.price)
 			}
 		}
 		finalize(out, st.taken, st.reducedReq, st.reducedOff, st.lottery)

@@ -550,11 +550,14 @@ func TestSBBAPriceRuleParallel(t *testing.T) {
 		scratch := &Outcome{Payments: map[bidding.OrderID]float64{}, Revenues: map[bidding.OrderID]float64{}}
 		sreqs, soffs := screen(reqs, offs, scratch)
 		scale := match.BlockScale(sreqs, soffs)
-		clusters := cluster.BuildIndex(match.NewIndex(sreqs, soffs, scale), cfg.Match, 1)
+		ix := match.NewIndex(sreqs, soffs, scale)
+		clusters := cluster.BuildIndex(ix, cfg.Match, 1)
 		pairOK := pairGate(cfg)
 		all := make([]clusterStats, len(clusters))
 		for i := range clusters {
-			all[i] = prePass(ComputeEconomics(clusters[i], cfg.Critical), pairOK, func() Capacity { return newCapacity(cfg) })
+			ec := ComputeEconomics(clusters[i], cfg.Critical)
+			ec.bindRows(ix)
+			all[i] = prePass(ec, pairOK, newPacker(cfg))
 		}
 		var intervals []miniauction.Interval
 		for i := range all {

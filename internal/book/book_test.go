@@ -11,6 +11,7 @@ import (
 	"decloud/internal/bidding"
 	"decloud/internal/book"
 	"decloud/internal/book/booktest"
+	"decloud/internal/match"
 	"decloud/internal/resource"
 	"decloud/internal/workload"
 )
@@ -517,5 +518,108 @@ func TestArenaReuseVsFreshByteIdentical(t *testing.T) {
 				t.Fatalf("W=%d epoch %d: degenerate epoch, nothing matched", workers, epoch)
 			}
 		}
+	}
+}
+
+// TestPrepassCacheNeverAliasesTheIndex: the pre-pass cache keeps each
+// cluster's economics — its members' dense rows included — across
+// clears, while the book Resets its index scratch at every clear. A
+// cancel between two clears shifts the index position of every later
+// order, under clusters whose membership is unchanged and so come from
+// the cache. With heterogeneous resources, a cached cluster that read
+// its rows through the index would pack other orders' quantities; the
+// second clear must still equal auction.Run over the live orders.
+func TestPrepassCacheNeverAliasesTheIndex(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cfg := auction.DefaultConfig()
+		cfg.Workers = workers
+		// A geo-fragmented market: the cancel's own component re-clusters,
+		// every other component's clusters come from the cache. No two
+		// orders alike, so a row read at another order's index position
+		// moves the clear.
+		m := workload.Generate(workload.Config{Seed: 5, Requests: 120, GeoRadius: 0.2})
+		for i, r := range m.Requests {
+			r.Resources = r.Resources.Scale(1 + float64(i)/1024)
+		}
+		for j, o := range m.Offers {
+			o.Resources = o.Resources.Scale(1 + float64(j)/1024)
+		}
+		bk := book.New(cfg)
+		for _, r := range m.Requests {
+			bk.InsertRequest(r)
+		}
+		for _, o := range m.Offers {
+			bk.InsertOffer(o)
+		}
+		bk.Preview(nil, nil, []byte("epoch-0"))
+
+		// Cancel the earliest request below every block maximum: it
+		// moves every later request's index row, but not the scale,
+		// which would flush the cache.
+		reqs, offs := bk.LiveRequests(), bk.LiveOffers()
+		maxima := match.BlockScale(reqs, offs)
+		var victim *bidding.Request
+		for _, r := range reqs {
+			below := true
+			for k, q := range r.Resources {
+				below = below && q < maxima.Max(k)
+			}
+			if below && (victim == nil || r.Submitted < victim.Submitted) {
+				victim = r
+			}
+		}
+		if victim == nil || !bk.CancelRequest(victim.ID) {
+			t.Fatal("no request to cancel")
+		}
+
+		ev := []byte("epoch-1")
+		got, liveR, liveO := bk.Preview(nil, nil, ev)
+		oracle := cfg
+		oracle.Evidence = ev
+		want := auction.Run(liveR, liveO, oracle)
+		gj, _ := paralleltest.MarshalOutcome(got)
+		wj, _ := paralleltest.MarshalOutcome(want)
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("W=%d: the clear after the cancel diverges from auction.Run over the live orders", workers)
+		}
+		if len(got.Matches) == 0 {
+			t.Fatalf("W=%d: degenerate market, nothing matched", workers)
+		}
+	}
+}
+
+// TestPrepassCacheFollowsTheKindTable: cached rows are laid out over the
+// kind table of the clear that computed them. A kind too small to move
+// the block scale (the book flushes on scale changes, to a 1e-9
+// tolerance) still enters the table and shifts every later kind's
+// index, so the cache must not be read under the new table.
+func TestPrepassCacheFollowsTheKindTable(t *testing.T) {
+	cfg := auction.DefaultConfig()
+	cfg.Workers = 1
+	m := workload.Generate(workload.Config{Seed: 9, Requests: 80, GeoRadius: 0.2})
+	bk := book.New(cfg)
+	for _, r := range m.Requests {
+		bk.InsertRequest(r)
+	}
+	for _, o := range m.Offers {
+		bk.InsertOffer(o)
+	}
+	bk.Preview(nil, nil, []byte("epoch-0"))
+
+	tiny := *m.Requests[0]
+	tiny.ID = "tiny-kind"
+	tiny.Resources = tiny.Resources.Clone()
+	tiny.Resources["a-tiny"] = 5e-10 // sorts first: every kind index moves
+	if !bk.InsertRequest(&tiny) {
+		t.Fatal("tiny-kind request refused")
+	}
+	ev := []byte("epoch-1")
+	got, liveR, liveO := bk.Preview(nil, nil, ev)
+	oracle := cfg
+	oracle.Evidence = ev
+	gj, _ := paralleltest.MarshalOutcome(got)
+	wj, _ := paralleltest.MarshalOutcome(auction.Run(liveR, liveO, oracle))
+	if !bytes.Equal(gj, wj) {
+		t.Fatal("the clear after the kind table moved diverges from auction.Run over the live orders")
 	}
 }

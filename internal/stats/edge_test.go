@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -171,5 +174,35 @@ func TestKLDivergenceClampsFloatResidue(t *testing.T) {
 	}
 	if math.Signbit(d) {
 		t.Fatal("clamped divergence is negative zero")
+	}
+}
+
+// TestKeyedOrderHashesEvidenceLabelID pins the draw key itself: each id
+// sorts by SHA-256(evidence ‖ 0 ‖ label ‖ 0 ‖ id), fed to a streaming
+// hasher here, so reusing one buffer across ids cannot leak one id's
+// bytes into the next key (ids of unequal length, a prefix of another).
+func TestKeyedOrderHashesEvidenceLabelID(t *testing.T) {
+	ev, label := []byte("block-evidence"), "auction:0/cluster:o1,o2/offers"
+	ids := []string{"offer-long-identifier", "o", "of", "", "offer-7", "o"}
+	type keyed struct {
+		idx int
+		key []byte
+	}
+	want := make([]keyed, len(ids))
+	for i, id := range ids {
+		h := sha256.New()
+		h.Write(ev)
+		h.Write([]byte{0})
+		h.Write([]byte(label))
+		h.Write([]byte{0})
+		h.Write([]byte(id))
+		want[i] = keyed{idx: i, key: h.Sum(nil)}
+	}
+	slices.SortStableFunc(want, func(a, b keyed) int { return bytes.Compare(a.key, b.key) })
+	got := KeyedOrder(ev, label, ids)
+	for i := range want {
+		if got[i] != want[i].idx {
+			t.Fatalf("KeyedOrder = %v, want the streaming-hash order %v", got, want)
+		}
 	}
 }

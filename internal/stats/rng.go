@@ -50,15 +50,17 @@ func KeyedOrder(evidence []byte, label string, ids []string) []int {
 		key [32]byte
 	}
 	ks := make([]keyed, len(ids))
+	// One buffer holds evidence ‖ 0 ‖ label ‖ 0, and each id in turn
+	// after it: one Sum256 per id, no hasher or digest slice.
+	buf := make([]byte, 0, len(evidence)+len(label)+2+32)
+	buf = append(buf, evidence...)
+	buf = append(buf, 0)
+	buf = append(buf, label...)
+	buf = append(buf, 0)
+	prefix := len(buf)
 	for i, id := range ids {
-		h := sha256.New()
-		h.Write(evidence)
-		h.Write([]byte{0})
-		h.Write([]byte(label))
-		h.Write([]byte{0})
-		h.Write([]byte(id))
-		copy(ks[i].key[:], h.Sum(nil))
-		ks[i].idx = i
+		buf = append(buf[:prefix], id...)
+		ks[i] = keyed{idx: i, key: sha256.Sum256(buf)}
 	}
 	// Keys are unique whenever ids are (they are order IDs / cluster
 	// keys, unique per block); the idx tiebreak only fires on duplicate

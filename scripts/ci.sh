@@ -131,8 +131,9 @@ echo "==> non-test Go lines (a ratchet; ROADMAP item 2 wants them down)"
 # node producing one round at a time, without its TCP epoch pipeline, to
 # 22 351 and 5 744; memoizing Algorithm 2 per best-offer set while
 # deleting the cluster package's test-only API, to 22 323 (the round-loop
-# packages untouched).
-LINES_CEILING_TOTAL=22323
+# packages untouched); packing over dense rows while deleting the
+# copy-on-write trial overlays, to 22 321.
+LINES_CEILING_TOTAL=22321
 LINES_CEILING_ROUND_LOOPS=5744
 count_lines() { # dir...
   find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -161,9 +162,11 @@ go run ./benchmark -workload all -seconds 3
 echo "==> incremental/from-scratch clear ratio (same run, <= 0.5)"
 # The continuous-market acceptance: pricing a 50-order block into a warm
 # 1000-order book must take at most half of clearing that market from
-# scratch (0.24–0.28 on the 2-core runner, where the from-scratch side
-# runs two workers; 0.38–0.47 before Algorithm 2 was memoized per
-# best-offer set, which sped the book's side more). Both sides come from ONE go test invocation,
+# scratch (0.35–0.46 on the 2-core runner, where the from-scratch side
+# runs two workers. The dense capacity kernel sped the pre-pass, which
+# the book mostly caches, so the from-scratch side gained more: 0.24–0.28
+# before it, 0.38–0.47 before Algorithm 2 was memoized per best-offer
+# set). Both sides come from ONE go test invocation,
 # fastest of three samples each, so machine drift cancels. Allocation
 # drift is gated in tier-1 by TestClearAllocCeiling.
 BENCH_TXT=$(go test -run '^$' -bench 'BenchmarkMechanism1000$|BenchmarkBookIncremental1000$' -benchtime 1s -count=3 .)
@@ -281,5 +284,10 @@ go test -run='^$' -fuzz='^FuzzReservationLifecycle$' -fuzztime="${FUZZTIME}" ./i
 # without Reserve) through the memoized builder and the literal,
 # un-memoized Algorithm 2, and fails on any difference in Clusters().
 go test -run='^$' -fuzz='^FuzzBuilderMatchesAlgorithm2$' -fuzztime="${FUZZTIME}" ./internal/cluster
+# Anchored: the dense capacity kernel against the map Tracker — probes,
+# commits and reverted trials over markets with partial grants,
+# zero-quantity and missing kinds, and masks wider than one word; any
+# grant, φ or remaining-capacity bit that differs fails.
+go test -run='^$' -fuzz='^FuzzDenseCapacityMatchesTracker$' -fuzztime="${FUZZTIME}" ./internal/auction
 
 echo "==> ci.sh: all green"

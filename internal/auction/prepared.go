@@ -20,12 +20,14 @@ import (
 // cluster whose membership is unchanged since the previous clear can
 // reuse its stats verbatim.
 //
-// The CALLER owns the preconditions: entries are keyed by membership
-// only, so the cache must be flushed (Flush) whenever the normalization
-// scale changes or an order ID is re-used with different contents —
-// internal/book tracks both. Caching is disabled automatically when the
-// config carries a reputation source (reputation scores can move
-// between blocks) or runs the reference matcher.
+// The CALLER owns one precondition: the cache must be flushed (Flush)
+// whenever the normalization scale changes — internal/book tracks it.
+// Entries are keyed by member IDs, and a hit is taken only when the
+// cached cluster's member pointers equal the new cluster's, so an order
+// ID re-used with other contents misses instead of reading stale
+// economics. Caching is disabled automatically when the config carries
+// a reputation source (reputation scores can move between blocks) or
+// runs the reference matcher.
 //
 // The zero value is ready to use.
 type PrepassCache struct {
@@ -48,9 +50,8 @@ func (pc *PrepassCache) cacheable(cfg Config) bool {
 
 // prepassSignature is the cache key of a cluster: offer-set identity
 // (Cluster.Key, sorted offer IDs) plus the sorted member request IDs.
-// Two clusters with equal signatures have identical membership, and the
-// pre-pass depends on nothing else once the caller guarantees a stable
-// scale and stable order contents per ID.
+// Two clusters with equal signatures have the same member IDs; cachedFor
+// checks that they are the same orders.
 func prepassSignature(cl *cluster.Cluster) string {
 	n := len(cl.Key()) + len(cl.Requests)
 	for _, r := range cl.Requests {
@@ -94,6 +95,14 @@ func RunPrepared(_ []*bidding.Request, _ []*bidding.Offer, ix *match.Index, clus
 	return out
 }
 
+// cachedFor reports whether a cached entry was computed for exactly
+// cl's orders: the same request and offer pointers, in the same order.
+// Orders are immutable once admitted, so equal pointers mean equal
+// contents.
+func cachedFor(st clusterStats, cl *cluster.Cluster) bool {
+	return slices.Equal(st.ec.Cluster.Requests, cl.Requests) && slices.Equal(st.ec.Cluster.Offers, cl.Offers)
+}
+
 // prePassAll pre-passes every cluster, each in isolation against fresh
 // capacity, writing only its own slot — so the fan-out is exact. With a
 // usable cache, unchanged clusters reuse last round's stats; the map is
@@ -121,7 +130,7 @@ func prePassAll(clusters []*cluster.Cluster, kinds []resource.Kind, cfg Config, 
 	}
 	par.ForEachWorker(workers, len(clusters), func(w, i int) {
 		if useCache {
-			if st, ok := cache.entries[sigs[i]]; ok {
+			if st, ok := cache.entries[sigs[i]]; ok && cachedFor(st, clusters[i]) {
 				all[i] = st
 				return
 			}

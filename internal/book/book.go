@@ -25,18 +25,23 @@
 //     removing a request never changes another request's best set.
 //
 //   - Per-cluster pre-pass economics are cached in an
-//     auction.PrepassCache keyed by exact membership, flushed on scale
-//     changes and order-ID reuse (see below).
+//     auction.PrepassCache keyed by member IDs and flushed on scale
+//     changes. A hit is taken only when the cached cluster's request
+//     and offer pointers equal the new cluster's, so an order ID
+//     re-used for another order misses.
 //
 // Cluster formation and mini-auction execution are NOT cached: cluster
 // identity is order-dependent global state (intersection clusters
 // depend on creation order), and the mini-auction lotteries are keyed
-// by the block evidence, which changes every round. Both re-run from
-// the cached/rescanned best sets in the index's canonical request
-// order, which is what makes the outcome byte-identical to the
-// from-scratch oracle — the booktest differential harness replays
-// randomized multi-epoch mutation traces against auction.Run and
-// asserts byte equality at every clear.
+// by the block evidence, which changes every round. Each clear runs
+// the persistent cluster.Builder once over every live request's
+// cached or rescanned best set, in the index's canonical request
+// order, exactly as cluster.BuildIndex does; that is what makes the
+// outcome byte-identical to the from-scratch oracle — the booktest
+// differential harness replays randomized multi-epoch mutation traces
+// against auction.Run and asserts byte equality at every clear. The
+// builder's own posting walk keeps that pass local: a request's Update
+// visits only the clusters that share an offer with its best set.
 //
 // # Concurrency
 //
@@ -50,7 +55,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"decloud/internal/auction"
@@ -86,20 +90,11 @@ type Stats struct {
 	// saves); FullRescores counts clears that ran all-dirty.
 	Clears, Rescored, FullRescores int
 
-	// ComponentsReused counts connected components of the
-	// shares-a-best-offer graph whose cluster lists were taken from the
-	// previous clear without re-running the builder; ComponentsRebuilt
-	// counts components that went through it.
+	// ComponentsReused and ComponentsRebuilt are no longer counted and
+	// always read 0: every clear runs the cluster builder over the whole
+	// live set. They stay only because the benchmark's book_churn
+	// workload still reads them.
 	ComponentsReused, ComponentsRebuilt int
-}
-
-// compClusters is one cached component: its member entries in canonical
-// order, their best-offer slices (validated by pointer identity), and
-// the cluster list their Updates produced.
-type compClusters struct {
-	entries  []*reqEntry
-	best     [][]*bidding.Offer
-	clusters []*cluster.Cluster
 }
 
 type reqEntry struct {
@@ -137,17 +132,8 @@ type Book struct {
 
 	// prevMax is the per-kind maxima of the last clear's normalization
 	// scale; a mismatch invalidates every cached quality score.
-	prevMax  resource.Vector
-	allDirty bool
-	cleared  bool
-
-	// fingerprints of every order ID ever admitted: re-using an ID with
-	// different contents silently invalidates caches keyed by ID, so it
-	// triggers a full flush instead (re-use with identical contents is
-	// benign and common — Preview inserts and rolls back block orders
-	// that Apply then re-inserts).
-	seenReq map[bidding.OrderID]uint64
-	seenOff map[bidding.OrderID]uint64
+	prevMax resource.Vector
+	cleared bool
 
 	cache   *auction.PrepassCache
 	scratch []*match.Scratch
@@ -160,16 +146,6 @@ type Book struct {
 	// marshalling. Guarded by mu like the rest of the book.
 	ixScratch *match.IndexScratch
 	builder   *cluster.Builder
-
-	// compCache holds the per-component cluster lists of the last
-	// clear, keyed by the component's first canonical request entry.
-	// Cluster formation factorizes over connected components of the
-	// shares-a-best-offer graph, so a component whose members and best
-	// sets are unchanged (validated by pointer identity — BestOffers
-	// allocates fresh slices, so a rescored request can never alias its
-	// cached set) reuses its cluster list without re-running the
-	// builder. Rebuilt fresh-keyed every clear; see clearLocked.
-	compCache map[*reqEntry]*compClusters
 
 	// memo carries the outcome of the latest Preview to a matching
 	// Apply so the block's clear runs once, not twice. Any mutation in
@@ -243,8 +219,6 @@ func New(cfg auction.Config) *Book {
 		MaxCarry: DefaultMaxCarry,
 		reqByID:  make(map[bidding.OrderID]*reqEntry),
 		offByID:  make(map[bidding.OrderID]*offEntry),
-		seenReq:  make(map[bidding.OrderID]uint64),
-		seenOff:  make(map[bidding.OrderID]uint64),
 		cache:    &auction.PrepassCache{},
 	}
 }
@@ -285,11 +259,6 @@ func (b *Book) insertRequestLocked(r *bidding.Request, record bool) bool {
 		}
 		return false
 	}
-	fp := fingerprint(r)
-	if prev, ok := b.seenReq[r.ID]; ok && prev != fp {
-		b.flushCachesLocked()
-	}
-	b.seenReq[r.ID] = fp
 	e := &reqEntry{r: r, pos: len(b.reqs), left: b.MaxCarry + 1, dirty: true}
 	b.reqs = append(b.reqs, e)
 	b.reqByID[r.ID] = e
@@ -307,11 +276,6 @@ func (b *Book) insertOfferLocked(o *bidding.Offer, record bool) bool {
 		}
 		return false
 	}
-	fp := fingerprint(o)
-	if prev, ok := b.seenOff[o.ID]; ok && prev != fp {
-		b.flushCachesLocked()
-	}
-	b.seenOff[o.ID] = fp
 	e := &offEntry{o: o, pos: len(b.offs), left: b.MaxCarry + 1}
 	b.offs = append(b.offs, e)
 	b.offByID[o.ID] = e
@@ -326,15 +290,6 @@ func (b *Book) insertOfferLocked(o *bidding.Offer, record bool) bool {
 		b.stats.InsertedOffers++
 	}
 	return true
-}
-
-// flushCachesLocked drops every cross-clear cache: an order ID was
-// re-used with different contents, so membership-keyed state is no
-// longer trustworthy.
-func (b *Book) flushCachesLocked() {
-	b.allDirty = true
-	b.cache.Flush()
-	b.compCache = nil
 }
 
 // CancelRequest removes a live request. Reports whether it was live.
@@ -543,8 +498,8 @@ func (b *Book) Clear(evidence []byte) *auction.Outcome {
 }
 
 // clearLocked executes the incremental clear: rescore dirty requests,
-// rebuild clusters from cached + fresh best sets in canonical order,
-// and run the post-clustering mechanism. It refreshes every cache and
+// build clusters from cached + fresh best sets in canonical order, and
+// run the post-clustering mechanism. It refreshes every cache and
 // resets all dirt; it does not commit (carry/removal) effects.
 func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	b.compactLocked()
@@ -558,8 +513,8 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	}
 
 	scale := match.BlockScale(reqs, offs)
-	if !b.cleared || !scale.MaxVector().Equal(b.prevMax) {
-		b.allDirty = true
+	allDirty := !b.cleared || !scale.MaxVector().Equal(b.prevMax)
+	if allDirty {
 		b.cache.Flush()
 	}
 
@@ -575,7 +530,7 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	for i, r := range ordered {
 		e := b.reqByID[r.ID]
 		entries[i] = e
-		if b.allDirty || e.dirty || e.best == nil {
+		if allDirty || e.dirty || e.best == nil {
 			dirtyIdx = append(dirtyIdx, i)
 		} else {
 			best[i] = e.best
@@ -599,7 +554,18 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 		best[i] = ix.BestOffers(i, cfg.Match, b.scratch[w])
 	})
 
-	clusters := b.buildClustersLocked(ordered, entries, best)
+	// The builder is persistent: Reset/Reserve recycle its maps and
+	// mask slab, and Clusters() severs the returned clusters from that
+	// memory (the prepass cache retains them across clears).
+	if b.builder == nil {
+		b.builder = cluster.NewBuilder()
+	}
+	b.builder.Reset()
+	b.builder.Reserve(len(ordered))
+	for i, r := range ordered {
+		b.builder.Update(r, best[i])
+	}
+	clusters := b.builder.Clusters()
 
 	out := auction.RunPrepared(reqs, offs, ix, clusters, cfg, b.cache)
 
@@ -621,157 +587,12 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	}
 	b.prevMax = scale.MaxVector()
 	b.cleared = true
-	b.allDirty = false
 	b.stats.Clears++
 	b.stats.Rescored += len(dirtyIdx)
 	if len(dirtyIdx) == len(ordered) {
 		b.stats.FullRescores++
 	}
 	return out
-}
-
-// buildClustersLocked produces the clear's cluster list, exactly equal
-// to a from-scratch cluster.BuildIndex run over (ordered, best) —
-// cluster formation is order-dependent global state, but it factorizes
-// over connected components of the shares-a-best-offer graph: two
-// requests interact in Algorithm 2 only through subset/superset/
-// intersection tests on their best-offer masks, all of which are vacuous
-// for disjoint offer sets. So components whose members and best sets
-// are unchanged since the previous clear (pointer-identical entries and
-// best slices — rescoring always allocates fresh slices) reuse their
-// cached cluster lists, only dirty components re-run the builder, and
-// the merged list is restored to monolithic creation order by the
-// clusters' creation tags (cluster.SortByCreation).
-func (b *Book) buildClustersLocked(ordered []*bidding.Request, entries []*reqEntry, best [][]*bidding.Offer) []*cluster.Cluster {
-	// Union-find over request indices: requests sharing any best-set
-	// offer join one component. Union by smaller root keeps each root
-	// the component's first canonical member.
-	parent := make([]int, len(ordered))
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	owner := make(map[*bidding.Offer]int, len(b.offs))
-	for i := range ordered {
-		for _, o := range best[i] {
-			j, ok := owner[o]
-			if !ok {
-				owner[o] = i
-				continue
-			}
-			ri, rj := find(i), find(j)
-			if ri != rj {
-				if rj < ri {
-					ri, rj = rj, ri
-				}
-				parent[rj] = ri
-			}
-		}
-	}
-
-	// Group members per root in canonical order. Requests with empty
-	// best sets create no clusters and belong to no component.
-	members := make(map[int][]int)
-	var roots []int
-	for i := range ordered {
-		if len(best[i]) == 0 {
-			continue
-		}
-		r := find(i)
-		if members[r] == nil {
-			roots = append(roots, r)
-		}
-		members[r] = append(members[r], i)
-	}
-
-	nextCache := make(map[*reqEntry]*compClusters, len(roots))
-	var clusters []*cluster.Cluster
-	var dirtyIdx []int   // indices needing a builder run, canonical order
-	var dirtyRoots []int // their components
-	for _, root := range roots {
-		mem := members[root]
-		cached := b.compCache[entries[mem[0]]]
-		valid := cached != nil && len(cached.entries) == len(mem)
-		if valid {
-			for k, i := range mem {
-				if cached.entries[k] != entries[i] || !sameSlice(cached.best[k], best[i]) {
-					valid = false
-					break
-				}
-			}
-		}
-		if valid {
-			nextCache[entries[mem[0]]] = cached
-			clusters = append(clusters, cached.clusters...)
-			b.stats.ComponentsReused++
-			continue
-		}
-		dirtyIdx = append(dirtyIdx, mem...)
-		dirtyRoots = append(dirtyRoots, root)
-		b.stats.ComponentsRebuilt++
-	}
-
-	if len(dirtyIdx) > 0 {
-		sort.Ints(dirtyIdx)
-		// One builder pass over all dirty components at once, in
-		// canonical order: cross-component Updates cannot interact, so
-		// this equals per-component runs while sharing one slab. The
-		// builder is persistent: Reset/Reserve recycle its maps and
-		// mask slab, and Clusters() severs the returned clusters from
-		// that memory (the prepass cache retains them across clears).
-		if b.builder == nil {
-			b.builder = cluster.NewBuilder()
-		}
-		builder := b.builder
-		builder.Reset()
-		builder.Reserve(len(ordered))
-		for _, i := range dirtyIdx {
-			builder.Update(ordered[i], best[i])
-		}
-		rebuilt := builder.Clusters()
-
-		// Split the rebuilt clusters back into their creators'
-		// components and cache each component's list.
-		rootOf := make(map[bidding.OrderID]int, len(dirtyIdx))
-		for _, i := range dirtyIdx {
-			rootOf[ordered[i].ID] = find(i)
-		}
-		byRoot := make(map[int][]*cluster.Cluster, len(dirtyRoots))
-		for _, cl := range rebuilt {
-			r := rootOf[cl.Creator()]
-			byRoot[r] = append(byRoot[r], cl)
-		}
-		for _, root := range dirtyRoots {
-			mem := members[root]
-			cc := &compClusters{
-				entries:  make([]*reqEntry, len(mem)),
-				best:     make([][]*bidding.Offer, len(mem)),
-				clusters: byRoot[root],
-			}
-			for k, i := range mem {
-				cc.entries[k] = entries[i]
-				cc.best[k] = best[i]
-			}
-			nextCache[entries[mem[0]]] = cc
-		}
-		clusters = append(clusters, rebuilt...)
-	}
-
-	b.compCache = nextCache
-	cluster.SortByCreation(clusters)
-	return clusters
-}
-
-// sameSlice reports whether two slices are the identical view of the
-// same backing array.
-func sameSlice(a, b []*bidding.Offer) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // commitLocked applies a clear's outcome to the book: matched orders

@@ -43,12 +43,11 @@ func TestBookDifferentialTraces(t *testing.T) {
 	}
 }
 
-// TestComponentReuseDifferentialTraces is the differential guard of
-// component-granular cluster reuse: randomized mutation traces over a
-// geo-fragmented market (several independent shares-a-best-offer
-// components) replay byte-identically against the from-scratch oracle,
-// while across the whole set the reuse path demonstrably fires.
-func TestComponentReuseDifferentialTraces(t *testing.T) {
+// TestGeoFragmentedDifferentialTraces replays randomized mutation traces
+// over a geo-fragmented market (several neighbourhoods that share no
+// best offer, where the cluster builder walks its posting lists instead
+// of scanning) byte-identically against the from-scratch oracle.
+func TestGeoFragmentedDifferentialTraces(t *testing.T) {
 	traces := 24
 	if testing.Short() {
 		traces = 8
@@ -66,13 +65,14 @@ func TestComponentReuseDifferentialTraces(t *testing.T) {
 	}
 }
 
-// TestComponentReuseFires pins the reuse mechanics down concretely: a
-// market with an isolated no-trade neighborhood (locality-constrained
-// orders whose prices never cross) and a normal trading one. After the
-// warm-up clear, the isolated component is never touched again, so
-// every further clear must reuse it — and outcomes must stay identical
-// to the from-scratch mechanism throughout.
-func TestComponentReuseFires(t *testing.T) {
+// TestIsolatedNeighbourhoodClearsLikeRun: a market with an isolated
+// no-trade neighborhood (locality-constrained orders whose prices never
+// cross) and a normal trading one. After the warm-up clear, the
+// isolated neighbourhood is never touched again: its best sets and
+// pre-passes come from the caches at every further clear, and the
+// outcomes must stay identical to the from-scratch mechanism
+// throughout.
+func TestIsolatedNeighbourhoodClearsLikeRun(t *testing.T) {
 	cfg := auction.DefaultConfig()
 	cfg.Workers = 1
 	bk := book.New(cfg)
@@ -127,24 +127,13 @@ func TestComponentReuseFires(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: reuse-path outcome diverges from from-scratch mechanism:\nwant %s\ngot  %s", tag, want, got)
+			t.Fatalf("%s: book outcome diverges from from-scratch mechanism:\nwant %s\ngot  %s", tag, want, got)
 		}
 	}
 
 	clearAndCheck("warm")
-	warm := bk.Stats()
-	if warm.ComponentsRebuilt == 0 {
-		t.Fatal("warm clear built no components")
-	}
-	if warm.ComponentsReused != 0 {
-		t.Fatal("warm clear cannot reuse")
-	}
 	for round := 0; round < 3; round++ {
 		clearAndCheck(fmt.Sprintf("steady-%d", round))
-	}
-	st := bk.Stats()
-	if st.ComponentsReused == 0 {
-		t.Fatalf("isolated component never reused: %+v", st)
 	}
 	// The isolated neighborhood must still be live (nothing crossed).
 	for _, id := range isoReqs {
@@ -243,8 +232,6 @@ func TestBookPreviewIsSideEffectFree(t *testing.T) {
 	pre.Clears, got.Clears = 0, 0
 	pre.Rescored, got.Rescored = 0, 0
 	pre.FullRescores, got.FullRescores = 0, 0
-	pre.ComponentsReused, got.ComponentsReused = 0, 0
-	pre.ComponentsRebuilt, got.ComponentsRebuilt = 0, 0
 	if got != pre {
 		t.Fatalf("Preview mutated ledger stats: %+v -> %+v", pre, got)
 	}
@@ -258,36 +245,50 @@ func TestBookPreviewIsSideEffectFree(t *testing.T) {
 	}
 }
 
-// TestBookIDReuseFlushesCaches: re-using an order ID with different
-// contents must not let stale cached economics leak into the outcome —
-// the replay oracle would catch a divergence, so here it is enough
-// that the same-ID-different-bid sequence clears identically to a
-// fresh book.
-func TestBookIDReuseFlushesCaches(t *testing.T) {
+// TestBookIDReuseNeverReadsStaleEconomics: an order ID re-used with
+// other contents must not be priced from the pre-pass cached for the
+// old order. The warm-up is a Preview, so nothing leaves the book and
+// every cluster's pre-pass is cached. Each case then re-uses one
+// order's ID — a request's with a ten times higher bid, an offer's with
+// a ten times lower one. The new order joins the same clusters under
+// the same member IDs, so the cache's key does not move. The clear that
+// follows must equal auction.Run over the live orders byte for byte.
+func TestBookIDReuseNeverReadsStaleEconomics(t *testing.T) {
 	cfg := auction.DefaultConfig()
+	cfg.Workers = 1
 	m := workload.Generate(workload.Config{Seed: 23, Requests: 20})
-	variant := *m.Requests[0]
-	variant.Bid *= 2
-	variant.TrueValue = variant.Bid
-
-	bk := book.New(cfg)
-	for _, r := range m.Requests {
-		bk.InsertRequest(r)
-	}
-	for _, o := range m.Offers {
-		bk.InsertOffer(o)
-	}
-	bk.Clear([]byte("e0"))
-	bk.CancelRequest(m.Requests[0].ID) // no-op if it matched in e0
-	bk.InsertRequest(&variant)
-	got := bk.Clear([]byte("e1"))
-
-	// The differential harness covers the general divergence case; here
-	// assert directly that the variant's doubled bid is what cleared.
-	for _, match := range got.Matches {
-		if match.Request.ID == variant.ID && match.Request.Bid != variant.Bid {
-			t.Fatalf("stale request contents cleared: bid %v, want %v", match.Request.Bid, variant.Bid)
+	check := func(id bidding.OrderID, reuse func(bk *book.Book) bool) {
+		t.Helper()
+		bk := book.New(cfg)
+		for _, r := range m.Requests {
+			bk.InsertRequest(r)
 		}
+		for _, o := range m.Offers {
+			bk.InsertOffer(o)
+		}
+		bk.Preview(nil, nil, []byte("e0"))
+		if !reuse(bk) {
+			t.Fatalf("%s: re-use refused", id)
+		}
+		ocfg := cfg
+		ocfg.Evidence = []byte("e1")
+		want, _ := paralleltest.MarshalOutcome(auction.Run(bk.LiveRequests(), bk.LiveOffers(), ocfg))
+		got, _ := paralleltest.MarshalOutcome(bk.Clear(ocfg.Evidence))
+		if !bytes.Equal(want, got) {
+			t.Fatalf("%s re-used with another bid: the clear diverges from auction.Run over the live orders", id)
+		}
+	}
+	for _, old := range m.Requests {
+		variant := *old
+		variant.Bid *= 10
+		variant.TrueValue = variant.Bid
+		check(old.ID, func(bk *book.Book) bool { return bk.CancelRequest(old.ID) && bk.InsertRequest(&variant) })
+	}
+	for _, old := range m.Offers {
+		variant := *old
+		variant.Bid /= 10
+		variant.TrueCost = variant.Bid
+		check(old.ID, func(bk *book.Book) bool { return bk.CancelOffer(old.ID) && bk.InsertOffer(&variant) })
 	}
 }
 
@@ -533,10 +534,10 @@ func TestPrepassCacheNeverAliasesTheIndex(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := auction.DefaultConfig()
 		cfg.Workers = workers
-		// A geo-fragmented market: the cancel's own component re-clusters,
-		// every other component's clusters come from the cache. No two
-		// orders alike, so a row read at another order's index position
-		// moves the clear.
+		// A geo-fragmented market: the cancel changes its own
+		// neighbourhood's clusters, every other neighbourhood's pre-passes
+		// come from the cache. No two orders alike, so a row read at
+		// another order's index position moves the clear.
 		m := workload.Generate(workload.Config{Seed: 5, Requests: 120, GeoRadius: 0.2})
 		for i, r := range m.Requests {
 			r.Resources = r.Resources.Scale(1 + float64(i)/1024)

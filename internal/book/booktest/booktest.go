@@ -50,8 +50,9 @@ func NewPool(seed int64, n int) *Pool {
 	badO.ID, badO.Start, badO.End = "booktest-bad-off", 100, 50
 	p.Offs = append(p.Offs, &badO)
 
-	// ID re-use with different contents: inserting one of these after
-	// the other has lived and left must flush the book's caches.
+	// ID re-use with different contents: one of these, inserted after
+	// the other has lived and left, must not be priced from economics
+	// cached for the other.
 	varR := *m.Requests[1]
 	varR.Bid *= 1.5
 	varR.TrueValue = varR.Bid
@@ -67,8 +68,9 @@ func NewPool(seed int64, n int) *Pool {
 // scatter across the unit square and every request carries a
 // MaxDistance = radius locality constraint, so the shares-a-best-offer
 // graph splits into several connected components. Traces over this pool
-// are the differential guard of the book's component-granular cluster
-// reuse — reuse must fire without moving a single outcome byte.
+// drive the cluster builder down its posting walk, where a request's
+// Update visits only its own neighbourhood's clusters; the outcome
+// bytes must not move.
 func NewGeoPool(seed int64, n int, radius float64) *Pool {
 	m := workload.Generate(workload.Config{Seed: seed, Requests: n, GeoRadius: radius})
 	return &Pool{Reqs: m.Requests, Offs: m.Offers}

@@ -19,6 +19,13 @@
 // outcome of comparing a best set with a cluster never changes either.
 // Each best-set cluster memoizes the subsets and supersets it found and
 // how far into the creation order it has looked (see Builder.Update).
+// Of the clusters past that horizon, Update needs only those sharing an
+// offer with the best set: a disjoint cluster is neither a subset, a
+// superset nor a ≥ 2-offer intersection of it. The builder keeps, per
+// offer, the clusters holding it in creation order, and walks those
+// lists instead of scanning the horizon's tail when they are the
+// shorter of the two — so in a geo-fragmented market, a request's
+// Update costs what its own neighbourhood holds, not the whole market.
 //
 // Request membership uses the same trick over a request universe:
 // during Update a cluster's members are a bitmask, so inheriting a
@@ -60,17 +67,11 @@ type Cluster struct {
 	horizon    int
 	subs, sups []*Cluster
 
-	// Creation tag: the (Submitted, ID) canonical sort key of the
-	// Update call that created this cluster, plus the creation sequence
-	// within that call. Because Algorithm 2 runs Updates in canonical
-	// request order and cluster formation factorizes over connected
-	// components of the shares-a-best-offer graph, sorting any merge of
-	// per-component cluster lists by this tag reconstructs exactly the
-	// monolithic builder's creation order — the property the book's
-	// component-granular reuse (book.clearLocked) depends on.
-	cSub int64
-	cID  bidding.OrderID
-	cSeq int
+	// idx is the cluster's position in the builder's creation order;
+	// stamp marks it as collected by the Update of that stamp (see
+	// Builder.Update's posting walk). Builder-epoch scratch, like mask.
+	idx   int
+	stamp uint64
 }
 
 // newCluster builds a cluster from an offer set and its builder mask.
@@ -90,34 +91,6 @@ func newCluster(offers []*bidding.Offer, mask []uint64) *Cluster {
 // lotteries of the mechanism, so its format is consensus-critical and
 // independent of the builder's internal mask representation.
 func (c *Cluster) Key() string { return c.key }
-
-// Creator returns the ID of the request whose Update call created this
-// cluster. The book's component reuse uses it to assign a rebuilt
-// cluster to its creator's component.
-func (c *Cluster) Creator() bidding.OrderID { return c.cID }
-
-// SortByCreation orders clusters by their creation tag — the order the
-// monolithic builder would have created them in. Merging reused and
-// rebuilt per-component cluster lists and sorting with this restores
-// the exact from-scratch cluster order (tags are unique: at most one
-// Update call per request ID, and cSeq numbers creations within it).
-func SortByCreation(cs []*Cluster) {
-	slices.SortFunc(cs, func(a, b *Cluster) int {
-		switch {
-		case a.cSub < b.cSub:
-			return -1
-		case a.cSub > b.cSub:
-			return 1
-		}
-		switch {
-		case a.cID < b.cID:
-			return -1
-		case a.cID > b.cID:
-			return 1
-		}
-		return a.cSeq - b.cSeq
-	})
-}
 
 func offerSetKey(offers []*bidding.Offer) string {
 	ids := make([]string, len(offers))
@@ -191,15 +164,18 @@ type Builder struct {
 	// membership bookkeeping of an epoch lives in the slab.
 	rw int
 
-	bm []uint64         // scratch: the current request's best-offer mask
-	iw []uint64         // scratch: intersection words
-	kb []byte           // scratch: trimmed key bytes
-	ob []*bidding.Offer // scratch: offersOf output
+	// post lists, per offer-universe bit, the clusters whose offer set
+	// holds that offer, in creation order; it is never shorter than
+	// universe. Reset clears each list before truncating it, so retired
+	// clusters are not pinned by the capacity kept across epochs.
+	post  [][]*Cluster
+	stamp uint64 // last Update stamp handed to the posting walk
 
-	// Current Update's creation tag, stamped onto clusters by put.
-	updSub int64
-	updID  bidding.OrderID
-	updSeq int
+	bm   []uint64         // scratch: the current request's best-offer mask
+	iw   []uint64         // scratch: intersection words
+	kb   []byte           // scratch: trimmed key bytes
+	ob   []*bidding.Offer // scratch: offersOf output
+	cand []*Cluster       // scratch: the posting walk's candidates
 }
 
 // NewBuilder returns an empty cluster builder.
@@ -222,10 +198,15 @@ func (b *Builder) Reset() {
 	b.order = b.order[:0]
 	clear(b.bitOf)
 	b.universe = b.universe[:0]
+	for i := range b.post {
+		clear(b.post[i])
+		b.post[i] = b.post[i][:0]
+	}
 	clear(b.reqBit)
 	b.reqUniverse = b.reqUniverse[:0]
 	b.masks.Reset()
 	b.rw = 0
+	clear(b.cand[:cap(b.cand)])
 }
 
 // Reserve sizes the request-membership masks for a round expected to
@@ -288,6 +269,9 @@ func (b *Builder) maskOf(offers []*bidding.Offer) []uint64 {
 		if _, ok := b.bitOf[o]; !ok {
 			b.bitOf[o] = len(b.universe)
 			b.universe = append(b.universe, o)
+			if len(b.post) < len(b.universe) {
+				b.post = append(b.post, nil)
+			}
 		}
 	}
 	nw := (len(b.universe) + 63) / 64
@@ -335,13 +319,18 @@ func (b *Builder) offersOf(m []uint64) []*bidding.Offer {
 	return out
 }
 
-// put registers a newly created cluster under its mask key, stamping
-// it with the current Update's creation tag.
+// put registers a newly created cluster under its mask key, at the end
+// of the creation order and of its offers' posting lists.
 func (b *Builder) put(key string, c *Cluster) {
-	c.cSub, c.cID, c.cSeq = b.updSub, b.updID, b.updSeq
-	b.updSeq++
+	c.idx = len(b.order)
 	b.clusters[key] = c
 	b.order = append(b.order, c)
+	for wi, w := range c.mask {
+		for ; w != 0; w &= w - 1 {
+			bit := wi*64 + bits.TrailingZeros64(w)
+			b.post[bit] = append(b.post[bit], c)
+		}
+	}
 }
 
 // Update inserts request r with its best-offer set bestR, following
@@ -360,11 +349,12 @@ func (b *Builder) put(key string, c *Cluster) {
 // memo on the best-set cluster is still exact. Step 3 needs nothing
 // from them either: an intersection with bestR is a subset of bestR,
 // so one that already exists is in the memo and has r from step 2.
+// Of the new clusters, only those sharing an offer with bestR can take
+// part in any step (see fresh).
 func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 	if len(bestR) == 0 {
 		return
 	}
-	b.updSub, b.updID, b.updSeq = r.Submitted, r.ID, 0
 	ri := b.internReq(r)
 	bestMask := b.maskOf(bestR)
 	best := b.clusters[string(b.keyBytes(bestMask))]
@@ -377,7 +367,7 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 	// themselves be revisited within this update. Entries already in
 	// b.order stay valid when it grows.
 	horizon := len(b.order)
-	fresh := b.order[best.horizon:horizon:horizon]
+	fresh := b.fresh(best, bestMask, horizon)
 	best.horizon = horizon
 
 	for _, c := range fresh {
@@ -419,6 +409,48 @@ func (b *Builder) Update(r *bidding.Request, bestR []*bidding.Offer) {
 		nc.rmask = orMask(nc.rmask, c.rmask)
 		b.put(string(b.keyBytes(inter)), nc)
 	}
+}
+
+// fresh returns the clusters of order[best.horizon:horizon] that share
+// an offer with bestMask, in creation order, plus, when it scans, the
+// ones that do not. A cluster disjoint from the best set is neither a
+// subset, a superset nor a ≥ 2-offer intersection of it, so Update
+// gets the same result from either. The walk over the best set's
+// posting lists dedupes with a per-call stamp and sorts what it
+// collects by creation index, which keeps step 3's creations in
+// Algorithm 2's order. It is taken only when the lists are shorter
+// than the stretch of order it replaces: a best set in a small
+// neighbourhood of a large market walks, one whose offers sit in most
+// clusters scans.
+func (b *Builder) fresh(best *Cluster, bestMask []uint64, horizon int) []*Cluster {
+	total := 0
+	for wi, w := range bestMask {
+		for ; w != 0; w &= w - 1 {
+			total += len(b.post[wi*64+bits.TrailingZeros64(w)])
+		}
+	}
+	if total >= horizon-best.horizon {
+		return b.order[best.horizon:horizon:horizon]
+	}
+	b.stamp++
+	cand := b.cand[:0]
+	for wi, w := range bestMask {
+		for ; w != 0; w &= w - 1 {
+			list := b.post[wi*64+bits.TrailingZeros64(w)]
+			// Lists are in creation order, and nothing was put since
+			// horizon was fixed: the window is list[lo:].
+			lo, _ := slices.BinarySearchFunc(list, best.horizon, func(c *Cluster, h int) int { return c.idx - h })
+			for _, c := range list[lo:] {
+				if c.stamp != b.stamp {
+					c.stamp = b.stamp
+					cand = append(cand, c)
+				}
+			}
+		}
+	}
+	slices.SortFunc(cand, func(x, y *Cluster) int { return x.idx - y.idx })
+	b.cand = cand
+	return cand
 }
 
 // Clusters returns the built clusters in deterministic creation order,

@@ -318,7 +318,6 @@ func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
 	if len(bestR) == 0 {
 		return
 	}
-	b.updSub, b.updID, b.updSeq = r.Submitted, r.ID, 0
 	ri := b.internReq(r)
 	bestMask := b.maskOf(bestR)
 	bestKey := string(b.keyBytes(bestMask))
@@ -384,8 +383,7 @@ func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
 }
 
 // sameClusters fails unless two Clusters() results agree cluster by
-// cluster — offers, requests, key and creation tag — and SortByCreation
-// restores the builder's order from a reversed copy.
+// cluster, in order: offers, requests and key.
 func sameClusters(t *testing.T, got, want []*Cluster) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -393,17 +391,10 @@ func sameClusters(t *testing.T, got, want []*Cluster) {
 	}
 	for i, w := range want {
 		g := got[i]
-		if g.Key() != w.Key() || !slices.Equal(g.Offers, w.Offers) || !slices.Equal(g.Requests, w.Requests) ||
-			g.cSub != w.cSub || g.cID != w.cID || g.cSeq != w.cSeq {
-			t.Fatalf("cluster %d: got %q with %d requests (tag %d/%s/%d), Algorithm 2 has %q with %d (tag %d/%s/%d)",
-				i, g.Key(), len(g.Requests), g.cSub, g.cID, g.cSeq, w.Key(), len(w.Requests), w.cSub, w.cID, w.cSeq)
+		if g.Key() != w.Key() || !slices.Equal(g.Offers, w.Offers) || !slices.Equal(g.Requests, w.Requests) {
+			t.Fatalf("cluster %d: got %q with %d requests, Algorithm 2 has %q with %d",
+				i, g.Key(), len(g.Requests), w.Key(), len(w.Requests))
 		}
-	}
-	sorted := slices.Clone(got)
-	slices.Reverse(sorted)
-	SortByCreation(sorted)
-	if !slices.Equal(sorted, got) {
-		t.Fatal("SortByCreation does not restore the creation order")
 	}
 }
 
@@ -491,8 +482,28 @@ func checkAgainstAlgorithm2(t *testing.T, script []byte) {
 		updates++
 		memo.Update(r, set)
 		ref.Update(r, set)
+		memoInOrder(t, memo, set)
 	}
 	endEpoch()
+}
+
+// memoInOrder fails unless the memo of set's cluster lists each subset
+// and superset once, in creation order, and only clusters before its
+// horizon: what a scan of the creation order would have recorded.
+func memoInOrder(t *testing.T, b *Builder, set []*bidding.Offer) {
+	t.Helper()
+	if len(set) == 0 {
+		return
+	}
+	best := b.clusters[string(b.keyBytes(b.maskOf(set)))]
+	for _, list := range [][]*Cluster{best.subs, best.sups} {
+		for i, c := range list {
+			if c.idx >= best.horizon || i > 0 && c.idx <= list[i-1].idx {
+				t.Fatalf("memo of %q: cluster %d at position %d (horizon %d) is out of creation order or past the horizon",
+					best.Key(), c.idx, i, best.horizon)
+			}
+		}
+	}
 }
 
 // TestBuilderMatchesAlgorithm2 holds the memoized Builder to the
@@ -527,6 +538,60 @@ func TestBuilderMatchesAlgorithm2(t *testing.T) {
 			s := []byte{199}
 			for k := range 300 {
 				s = append(s, 9, byte(k*2/3), 5, 0, 3, 6, 9, 12, 15, 18, 1, byte(k))
+			}
+			return s
+		}()},
+		{"interleaved neighbourhoods", func() []byte {
+			// Five disjoint ten-offer neighbourhoods, a new set from each
+			// in turn, with a repeat now and then. A best set's offers
+			// post clusters whose creation indices interleave with the
+			// other neighbourhoods', so the walk merges several lists
+			// and must restore creation order before step 3 creates
+			// intersections.
+			rnd := rand.New(rand.NewSource(8))
+			s, sets := []byte{199}, 0
+			for k := range 900 {
+				if k%7 == 6 {
+					s = append(s, 1, byte(rnd.Intn(min(sets, 256))))
+				} else {
+					n := rnd.Intn(6)
+					s = append(s, 8, byte(40*(k%5)), byte(n))
+					for range 2 + n {
+						s = append(s, byte(rnd.Intn(10)))
+					}
+				}
+				sets++
+				if k%300 == 299 {
+					s = append(s, 0, byte(k/300)*255) // Reserve(127) once
+				}
+			}
+			return s
+		}()},
+		{"returning best set", func() []byte {
+			// A set in neighbourhood 0 comes back after new clusters
+			// appeared only in neighbourhoods 1–4 (its walk finds
+			// nothing new), then after new overlapping sets in its own
+			// neighbourhood (its walk resumes at its horizon).
+			s, sets := []byte{199}, 0
+			hood := func(c, n int, at ...int) {
+				s = append(s, 8, byte(c), byte(n-2))
+				for _, i := range at[:n] {
+					s = append(s, byte(i))
+				}
+				sets++
+			}
+			for round := range 8 {
+				first := sets
+				hood(0, 5, 0, 1, 2, 3, 4)
+				for k := range 20 {
+					hood(40*(1+k%4), 3, k%7, (k+2)%7, (k+5)%9)
+				}
+				s = append(s, 1, byte(first))
+				sets++
+				hood(0, 4, 2, 3, 4, 5+round%3)
+				hood(0, 3, 4, 6, 1)
+				s = append(s, 1, byte(first))
+				sets++
 			}
 			return s
 		}()},
@@ -565,6 +630,29 @@ func TestBuilderMatchesAlgorithm2(t *testing.T) {
 			sameClusters(t, memo.Clusters(), ref.Clusters())
 		}
 	})
+
+	// The two sides of fresh's selection: in a dense market most best
+	// sets' offers sit in many clusters, and Update mostly scans; in a
+	// geo-fragmented one a neighbourhood's posting lists are short next
+	// to the market's creation order, and Update mostly walks.
+	for _, tc := range []struct {
+		name   string
+		radius float64
+	}{{"dense market", 0}, {"geo-fragmented market", 0.15}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := workload.Generate(workload.Config{Seed: 4, Requests: 800, GeoRadius: tc.radius})
+			ix := match.NewIndex(m.Requests, m.Offers, match.BlockScale(m.Requests, m.Offers))
+			best := match.BestOffersAll(ix, match.DefaultConfig(), 1)
+			memo, ref := NewBuilder(), newAlgorithm2()
+			memo.Reserve(len(best))
+			for i, r := range ix.Requests() {
+				memo.Update(r, best[i])
+				ref.Update(r, best[i])
+				memoInOrder(t, memo, best[i])
+			}
+			sameClusters(t, memo.Clusters(), ref.Clusters())
+		})
+	}
 }
 
 // FuzzBuilderMatchesAlgorithm2 holds the memoized Builder to the

@@ -56,12 +56,14 @@ echo "==> verify-once boundary + parallel-decrypt determinism (-race, -cpu 1,2,4
 # (never back to a metro it left), and decloud-loadgen end to end. And
 # the pinned outputs: the overbooking table, decloud-sim's fast-mode
 # stdout, the order codec's one encoding per order, and the removed
-# decloud-sim flags exiting 2.
+# decloud-sim flags exiting 2. And the book's ID re-use: a cancelled
+# order's ID re-used for another order must miss the pre-pass cache,
+# under every worker count's fan-out.
 go test -race -count=1 -cpu 1,2,4 \
-  -run 'VerifyOnce|Admitted|VerifiedSet|BidKey|IndexPositions|ParallelDecrypt|RevealsForEquivalence|ConcurrentVerifiers|MutatedAfterAdmission|ChecksEachBid|VerifierChecksWhat|TestPool|OnlyThePool|OneFunctionReaches|NetworkCommitsAResubmitted|DoorRefuses|ForgedReveal|RevealFlood|EnvelopeCommits|RivalBlocksRaceIntoOneVerifier|BlockExecutedOncePerNode|OnlyTheMinerMovesItsBook|LostSelfAppend|FrameGolden|RelayForwardsReceivedBytes|StalledPeerIsDropped|FrameLimitDropsPeer|DuplicatedVoteIsOneVoter|PayloadSizesAt2048Bids|FuzzFrameDecode|FuzzBidDecode|FuzzRevealBatch|FuzzBlockDecode|PreambleEncodingIsWhatHashHashes|RevealWithoutEncoding|DecodedBidIsIndependentOfAppends|LedgerPipelinesUnlessARoundReadsTheLastCommit|LedgerIncrementalAdmitsEveryArrival|ResubmitBudgetFollowsTheInjectedID|RivalBlockMidRound|RoutingLatencyTightening|VerifyOnlyNodeWritesItsChainFile|StreamGolden|SpillForwardNeverRevisits|RunRefusesBadFlags|RunWritesReport|OverbookingTableGolden|FastStdoutGolden|NonCanonical|RunPipelineFlagExitsTwo|PipelineReturnsBidsOnProduceFailure|DemoOrdersEnterTheBook' \
+  -run 'VerifyOnce|Admitted|VerifiedSet|BidKey|IndexPositions|ParallelDecrypt|RevealsForEquivalence|ConcurrentVerifiers|MutatedAfterAdmission|ChecksEachBid|VerifierChecksWhat|TestPool|OnlyThePool|OneFunctionReaches|NetworkCommitsAResubmitted|DoorRefuses|ForgedReveal|RevealFlood|EnvelopeCommits|RivalBlocksRaceIntoOneVerifier|BlockExecutedOncePerNode|OnlyTheMinerMovesItsBook|LostSelfAppend|FrameGolden|RelayForwardsReceivedBytes|StalledPeerIsDropped|FrameLimitDropsPeer|DuplicatedVoteIsOneVoter|PayloadSizesAt2048Bids|FuzzFrameDecode|FuzzBidDecode|FuzzRevealBatch|FuzzBlockDecode|PreambleEncodingIsWhatHashHashes|RevealWithoutEncoding|DecodedBidIsIndependentOfAppends|LedgerPipelinesUnlessARoundReadsTheLastCommit|LedgerIncrementalAdmitsEveryArrival|ResubmitBudgetFollowsTheInjectedID|RivalBlockMidRound|RoutingLatencyTightening|VerifyOnlyNodeWritesItsChainFile|StreamGolden|SpillForwardNeverRevisits|RunRefusesBadFlags|RunWritesReport|OverbookingTableGolden|FastStdoutGolden|NonCanonical|RunPipelineFlagExitsTwo|PipelineReturnsBidsOnProduceFailure|DemoOrdersEnterTheBook|BookIDReuseNeverReadsStaleEconomics' \
   ./internal/sealed ./internal/ledger ./internal/miner ./internal/p2p ./internal/sim ./internal/metro ./cmd/decloud-node \
   ./internal/workload ./internal/devnet ./cmd/decloud-loadgen \
-  ./internal/bidding ./internal/experiments ./cmd/decloud-sim
+  ./internal/bidding ./internal/experiments ./cmd/decloud-sim ./internal/book
 
 echo "==> chaos smoke (-race, fresh run, small schedule sweep)"
 # LedgerFederation: the federation over one miner network per metro
@@ -132,8 +134,10 @@ echo "==> non-test Go lines (a ratchet; ROADMAP item 2 wants them down)"
 # 22 351 and 5 744; memoizing Algorithm 2 per best-offer set while
 # deleting the cluster package's test-only API, to 22 323 (the round-loop
 # packages untouched); packing over dense rows while deleting the
-# copy-on-write trial overlays, to 22 321.
-LINES_CEILING_TOTAL=22321
+# copy-on-write trial overlays, to 22 321; deleting the book's
+# component-granular cluster reuse and its ID fingerprints, while the
+# builder gained a posting walk, to 22 185.
+LINES_CEILING_TOTAL=22185
 LINES_CEILING_ROUND_LOOPS=5744
 count_lines() { # dir...
   find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -162,11 +166,14 @@ go run ./benchmark -workload all -seconds 3
 echo "==> incremental/from-scratch clear ratio (same run, <= 0.5)"
 # The continuous-market acceptance: pricing a 50-order block into a warm
 # 1000-order book must take at most half of clearing that market from
-# scratch (0.35–0.46 on the 2-core runner, where the from-scratch side
-# runs two workers. The dense capacity kernel sped the pre-pass, which
-# the book mostly caches, so the from-scratch side gained more: 0.24–0.28
-# before it, 0.38–0.47 before Algorithm 2 was memoized per best-offer
-# set). Both sides come from ONE go test invocation,
+# scratch (0.36–0.45 on the 2-core runner, where the from-scratch side
+# runs two workers, in eight readings once the book clustered from
+# scratch with the builder's posting walk; interleaved readings of the
+# code before read 0.38–0.48. Before that, 0.35–0.46. The dense capacity
+# kernel sped the pre-pass, which the book mostly caches, so the
+# from-scratch side gained more: 0.24–0.28 before it, 0.38–0.47 before
+# Algorithm 2 was memoized per best-offer set). Both sides come from ONE
+# go test invocation,
 # fastest of three samples each, so machine drift cancels. Allocation
 # drift is gated in tier-1 by TestClearAllocCeiling.
 BENCH_TXT=$(go test -run '^$' -bench 'BenchmarkMechanism1000$|BenchmarkBookIncremental1000$' -benchtime 1s -count=3 .)
@@ -283,6 +290,10 @@ go test -run='^$' -fuzz='^FuzzReservationLifecycle$' -fuzztime="${FUZZTIME}" ./i
 # word masks, repeated, empty and single-offer best sets, Reset with and
 # without Reserve) through the memoized builder and the literal,
 # un-memoized Algorithm 2, and fails on any difference in Clusters().
+# It covers both sides of Update's choice between scanning the creation
+# order and walking the best set's posting lists, and after every
+# Update checks that the memo lists each cluster once, in creation
+# order, below its horizon.
 go test -run='^$' -fuzz='^FuzzBuilderMatchesAlgorithm2$' -fuzztime="${FUZZTIME}" ./internal/cluster
 # Anchored: the dense capacity kernel against the map Tracker — probes,
 # commits and reverted trials over markets with partial grants,

@@ -335,13 +335,11 @@ func ownRows(ix *match.Index, reqs []*bidding.Request, offs []*bidding.Offer) []
 	nk, nw, n := len(ix.Kinds()), ix.MaskWords(), len(reqs)+len(offs)
 	ds, rows, masks := make([]dense, n), make([]float64, n*nk), make([]uint64, n*nw)
 	for i := range ds {
-		m, row, ok := []uint64(nil), []float64(nil), false
+		row, m, ok := []float64(nil), []uint64(nil), false
 		if i < len(reqs) {
-			m, ok = ix.RequestMaskRow(reqs[i])
-			row, _ = ix.RequestRow(reqs[i])
+			row, m, ok = ix.RequestRow(reqs[i])
 		} else {
-			m, ok = ix.OfferMaskRow(offs[i-len(reqs)])
-			row, _ = ix.OfferRow(offs[i-len(reqs)])
+			row, m, ok = ix.OfferRow(offs[i-len(reqs)])
 		}
 		if !ok {
 			panic("auction: a cluster member is not in the block index")

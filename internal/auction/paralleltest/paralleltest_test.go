@@ -2,11 +2,13 @@ package paralleltest
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
 	"decloud/internal/reputation"
+	"decloud/internal/resource"
 	"decloud/internal/workload"
 )
 
@@ -74,10 +76,11 @@ func TestEquivalenceRandomizedMarkets(t *testing.T) {
 // TestEquivalenceIndexedVsNaive is the acceptance property of the
 // indexed matching engine: across the same ≥ 50 randomized markets as
 // the worker sweep, the production pipeline (kind bitmasks, time-bucket
-// pruning, bounded top-k, dense economics) produces Outcomes
-// byte-identical to the brute-force reference pipeline, at workers
-// ∈ {1, 2, 4}. Distinct seed offsets keep the markets disjoint from the
-// worker-sweep test so the two properties don't share blind spots.
+// and locality-strip pruning, bounded top-k, dense economics) produces
+// Outcomes byte-identical to the brute-force reference pipeline, at
+// workers ∈ {1, 2, 4}. Distinct seed offsets keep the markets disjoint
+// from the worker-sweep test so the two properties don't share blind
+// spots.
 func TestEquivalenceIndexedVsNaive(t *testing.T) {
 	counts := []int{1, 2, 4}
 	trials := 56
@@ -95,8 +98,14 @@ func TestEquivalenceIndexedVsNaive(t *testing.T) {
 			if seed%3 == 1 {
 				wcfg.Flexibility = 0.8
 			}
-			if seed%5 == 2 {
+			switch seed % 5 {
+			case 2:
 				wcfg.GeoRadius = 0.4
+			case 4:
+				// Reaches that prune: the locality strip holds a few
+				// percent of the offers, and enough providers that
+				// most requests still find one.
+				wcfg.GeoRadius, wcfg.Providers = 0.02, 1500
 			}
 			if seed%7 == 3 {
 				wcfg.RequestsPerClient = 3
@@ -149,6 +158,47 @@ func TestEquivalenceIndexedDegenerate(t *testing.T) {
 		reqs[i] = &bad
 	}
 	AssertIndexedVsNaive(t, reqs, m.Offers, cfg, nil)
+}
+
+// TestEquivalenceNonFiniteLocation: offers at (0.9, NaN) are out of
+// every client's reach, since a NaN distance is within no radius. They
+// must not crowd the reachable offers out of the clients' best sets:
+// the indexed engine's distance test once let them through, and its
+// block then cleared nothing where the reference cleared 5 trades.
+// Intake now refuses a non-finite coordinate (bidding.ErrBadLocation).
+func TestEquivalenceNonFiniteLocation(t *testing.T) {
+	var reqs []*bidding.Request
+	var offs []*bidding.Offer
+	for i := 0; i < 6; i++ {
+		reqs = append(reqs, &bidding.Request{
+			ID: bidding.OrderID(fmt.Sprintf("r%d", i)), Client: bidding.ParticipantID(fmt.Sprintf("c%d", i)),
+			Submitted: int64(i), Resources: resource.Vector{resource.CPU: 2},
+			Start: 0, End: 100, Duration: 50, Bid: 10 + float64(i),
+			Location:    bidding.Location{X: 0.001 * float64(i), Y: 0.002},
+			MaxDistance: 0.05,
+		})
+		offs = append(offs, &bidding.Offer{
+			ID: bidding.OrderID(fmt.Sprintf("o%d", i)), Provider: bidding.ParticipantID(fmt.Sprintf("p%d", i)),
+			Submitted: int64(i), Resources: resource.Vector{resource.CPU: 4},
+			Start: 0, End: 100, Bid: 1 + float64(i)/10,
+			Location: bidding.Location{X: 0.003, Y: 0.001},
+		})
+	}
+	for i := 0; i < 12; i++ {
+		offs = append(offs, &bidding.Offer{
+			ID: bidding.OrderID(fmt.Sprintf("nan%02d", i)), Provider: bidding.ParticipantID(fmt.Sprintf("q%02d", i)),
+			Submitted: int64(i), Resources: resource.Vector{resource.CPU: 8},
+			Start: 0, End: 100, Bid: 0.5,
+			Location: bidding.Location{X: 0.9, Y: math.NaN()},
+		})
+	}
+	cfg := auction.DefaultConfig()
+	cfg.Evidence = []byte("non-finite-location")
+	AssertIndexedVsNaive(t, reqs, offs, cfg, []int{1, 2, 4})
+	out := auction.Run(reqs, offs, cfg)
+	if len(out.Matches) == 0 || len(out.RejectedOffers) != 12 {
+		t.Fatalf("got %d trades and %d refused offers, want some trades and 12 refused", len(out.Matches), len(out.RejectedOffers))
+	}
 }
 
 // TestEquivalenceDegenerateBlocks covers the edges the randomized sweep

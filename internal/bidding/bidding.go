@@ -118,7 +118,12 @@ var (
 	ErrBadFlexibility = errors.New("bidding: flexibility must lie in (0, 1]")
 	ErrBadReputation  = errors.New("bidding: reputation threshold must lie in [0, 1]")
 	ErrBadDistance    = errors.New("bidding: max distance must be non-negative")
+	ErrBadLocation    = errors.New("bidding: location coordinates must be finite")
 )
+
+// finite reports whether both coordinates are finite (x−x is NaN iff x
+// is NaN or ±Inf), so that every distance is comparable with a radius.
+func (l Location) finite() bool { return !math.IsNaN(l.X-l.X) && !math.IsNaN(l.Y-l.Y) }
 
 // Validate checks structural well-formedness of a request (Const. 12 and
 // the definitional constraints of Eq. 1).
@@ -154,6 +159,9 @@ func (r *Request) Validate() error {
 	}
 	if r.MaxDistance < 0 || math.IsNaN(r.MaxDistance) {
 		return fmt.Errorf("request %s: %w", r.ID, ErrBadDistance)
+	}
+	if !r.Location.finite() {
+		return fmt.Errorf("request %s: %w", r.ID, ErrBadLocation)
 	}
 	return nil
 }
@@ -191,6 +199,9 @@ func (o *Offer) Validate() error {
 	}
 	if o.MinReputation < 0 || o.MinReputation > 1 || math.IsNaN(o.MinReputation) {
 		return fmt.Errorf("offer %s: %w", o.ID, ErrBadReputation)
+	}
+	if !o.Location.finite() {
+		return fmt.Errorf("offer %s: %w", o.ID, ErrBadLocation)
 	}
 	return nil
 }

@@ -59,6 +59,8 @@ func TestRequestValidate(t *testing.T) {
 		{"weight above one", func(r *Request) { r.Weights[resource.RAM] = 1.5 }, ErrBadWeight},
 		{"flexibility above one", func(r *Request) { r.Flexibility = 1.1 }, ErrBadFlexibility},
 		{"negative resource", func(r *Request) { r.Resources[resource.CPU] = -1 }, nil},
+		{"nan x", func(r *Request) { r.Location.X = math.NaN() }, ErrBadLocation},
+		{"infinite y", func(r *Request) { r.Location.Y = math.Inf(-1) }, ErrBadLocation},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -89,6 +91,8 @@ func TestOfferValidate(t *testing.T) {
 		{"no resources", func(o *Offer) { o.Resources = nil }, ErrNoResources},
 		{"inverted window", func(o *Offer) { o.Start, o.End = 10, 10 }, ErrBadWindow},
 		{"negative bid", func(o *Offer) { o.Bid = -0.1 }, ErrNegativeBid},
+		{"nan y", func(o *Offer) { o.Location.Y = math.NaN() }, ErrBadLocation},
+		{"infinite x", func(o *Offer) { o.Location.X = math.Inf(1) }, ErrBadLocation},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -34,10 +35,13 @@ import (
 //     request-side ρ', significance weights σ, and the exact
 //     CoversFraction thresholds, all as dense rows;
 //   - a time bucket: offer indexes sorted by availability start, so a
-//     request only scans the prefix of offers with t_o⁻ ≤ t_r⁻
-//     (Const. 10) and the rest are pruned wholesale; the remaining
-//     structural tests (Const. 11, locality, Const. 8) are scalar
-//     compares against dense columns.
+//     request without a reach only scans the prefix of offers with
+//     t_o⁻ ≤ t_r⁻ (Const. 10) and the rest are pruned wholesale;
+//   - a locality strip: offer indexes sorted by X, so a request with a
+//     finite positive MaxDistance R only scans the offers whose X lies
+//     within R of its own — a superset of the offers the distance test
+//     accepts. The structural tests (Const. 10, 11, locality, Const. 8)
+//     are then scalar compares against dense columns.
 //
 // Exactness: every arithmetic expression reproduces the reference path
 // (Feasible + Quality in match.go) operation for operation — same
@@ -55,9 +59,10 @@ type Index struct {
 	nw     int // mask words per order: ⌈nk/64⌉ (1 when nk == 0)
 
 	// scans counts offers considered by the top-k loop across the whole
-	// block — the observability layer's "work done" signal for the
-	// pruning. One atomic add per request (not per pair), so the hot
-	// loop stays untouched.
+	// block (the time prefix's or the strip's candidates) — the
+	// observability layer's "work done" signal for the pruning. One
+	// atomic add per request (not per pair), so the hot loop stays
+	// untouched.
 	scans atomic.Int64
 
 	// scoreMask has bit k set iff the block scale's maximum for kind k
@@ -89,6 +94,10 @@ type Index struct {
 	// binary search.
 	byStart []int32
 	starts  []int64
+
+	// Locality strip: byX lists offer indexes sorted by X ascending
+	// (ties by index). Built only when some request has a reach.
+	byX []int32
 
 	reqPos map[*bidding.Request]int
 	offPos map[*bidding.Offer]int
@@ -165,22 +174,10 @@ func NewIndexWith(requests []*bidding.Request, offers []*bidding.Offer, scale *r
 		ix.offPos = make(map[*bidding.Offer]int, len(offers))
 		seen = make(map[resource.Kind]bool)
 	}
+	// IDs are unique per block, so the order is total and
+	// algorithm-independent.
 	slices.SortFunc(ix.requests, func(a, b *bidding.Request) int {
-		switch {
-		case a.Submitted < b.Submitted:
-			return -1
-		case a.Submitted > b.Submitted:
-			return 1
-		}
-		// IDs are unique per block, so the order is total and
-		// algorithm-independent.
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Submitted, b.Submitted), cmp.Compare(a.ID, b.ID))
 	})
 
 	// Kind table: every kind positive anywhere in the block, sorted so
@@ -235,6 +232,12 @@ func NewIndexWith(requests []*bidding.Request, offers []*bidding.Offer, scale *r
 			return s.a.I64.Make(n)
 		}
 		return make([]int64, n)
+	}
+	mkI32 := func(n int) []int32 {
+		if s != nil {
+			return s.a.I32.Make(n)
+		}
+		return make([]int32, n)
 	}
 
 	ix.scoreMask = mk64(nw)
@@ -301,29 +304,35 @@ func NewIndexWith(requests []*bidding.Request, offers []*bidding.Offer, scale *r
 		ix.offY[i] = o.Location.Y
 	}
 
-	if s != nil {
-		ix.byStart = s.a.I32.Make(no)
-	} else {
-		ix.byStart = make([]int32, no)
-	}
-	for i := range ix.byStart {
-		ix.byStart[i] = int32(i)
-	}
-	slices.SortFunc(ix.byStart, func(a, b int32) int {
-		sa, sb := ix.offStart[a], ix.offStart[b]
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		}
-		return int(a) - int(b)
-	})
+	ix.byStart = sortedOffers(mkI32(no), ix.offStart)
 	ix.starts = mkI64(no)
 	for i, oi := range ix.byStart {
 		ix.starts[i] = ix.offStart[oi]
 	}
+	if slices.ContainsFunc(ix.requests, hasReach) {
+		ix.byX = sortedOffers(mkI32(no), ix.offX)
+	}
 	return ix
+}
+
+// sortedOffers fills order with the offer indexes sorted by key
+// ascending, ties by index, and returns it.
+func sortedOffers[T int64 | float64](order []int32, key []T) []int32 {
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(key[a], key[b]); c != 0 {
+			return c
+		}
+		return int(a) - int(b)
+	})
+	return order
+}
+
+// hasReach reports whether r has a finite positive MaxDistance.
+func hasReach(r *bidding.Request) bool {
+	return r.MaxDistance > 0 && !math.IsInf(r.MaxDistance, 1)
 }
 
 // Requests returns the block's valid requests in canonical
@@ -339,8 +348,7 @@ func (ix *Index) Scale() *resource.Scale { return ix.scale }
 
 // Kinds returns the block's kind table: every kind with a positive
 // quantity anywhere, sorted. Kind i of the table corresponds to bit
-// i%64 of word i/64 of the masks returned by RequestMaskRow /
-// OfferMaskRow.
+// i%64 of word i/64 of the masks returned by RequestRow / OfferRow.
 func (ix *Index) Kinds() []resource.Kind { return ix.kinds }
 
 // MaskWords returns the number of 64-bit words per kind mask: 1 for
@@ -348,51 +356,31 @@ func (ix *Index) Kinds() []resource.Kind { return ix.kinds }
 func (ix *Index) MaskWords() int { return ix.nw }
 
 // Scans reports how many offer candidates the top-k best-offer loop has
-// considered so far (after time-bucket pruning, before feasibility).
-// Purely observational.
+// considered so far: the time prefix's or the locality strip's offers,
+// before feasibility. Purely observational.
 func (ix *Index) Scans() int64 { return ix.scans.Load() }
 
-// RequestMaskRow returns the request's kind bitmask words (MaskWords()
-// long; bit i%64 of word i/64 ⇔ positive quantity of Kinds()[i]). The
-// slice aliases the index — callers must not mutate it. ok is false
-// when the request is not part of the block.
-func (ix *Index) RequestMaskRow(r *bidding.Request) (mask []uint64, ok bool) {
-	i, ok := ix.reqPos[r]
-	if !ok {
-		return nil, false
-	}
-	return ix.reqMask[i*ix.nw : (i+1)*ix.nw], true
-}
-
-// OfferMaskRow returns the offer's kind bitmask words; see
-// RequestMaskRow.
-func (ix *Index) OfferMaskRow(o *bidding.Offer) (mask []uint64, ok bool) {
-	i, ok := ix.offPos[o]
-	if !ok {
-		return nil, false
-	}
-	return ix.offMask[i*ix.nw : (i+1)*ix.nw], true
-}
-
-// OfferRow returns the offer's dense quantity row, aligned with Kinds().
-// The slice aliases the index — callers must not mutate it. ok is false
-// when the offer is unknown.
-func (ix *Index) OfferRow(o *bidding.Offer) (row []float64, ok bool) {
-	i, ok := ix.offPos[o]
-	if !ok {
-		return nil, false
-	}
-	return ix.offRaw[i*ix.nk : (i+1)*ix.nk], true
-}
-
 // RequestRow returns the request's dense quantity row ρ_{r,k}, aligned
-// with Kinds(); see OfferRow.
-func (ix *Index) RequestRow(r *bidding.Request) (row []float64, ok bool) {
+// with Kinds(), and its kind bitmask words (MaskWords() long; bit i%64
+// of word i/64 ⇔ positive quantity of Kinds()[i]). Both slices alias
+// the index — callers must not mutate them. ok is false when the
+// request is not part of the block.
+func (ix *Index) RequestRow(r *bidding.Request) (row []float64, mask []uint64, ok bool) {
 	i, ok := ix.reqPos[r]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
-	return ix.reqRaw[i*ix.nk : (i+1)*ix.nk], true
+	return ix.reqRaw[i*ix.nk : (i+1)*ix.nk], ix.reqMask[i*ix.nw : (i+1)*ix.nw], true
+}
+
+// OfferRow returns the offer's dense quantity row and kind bitmask
+// words; see RequestRow.
+func (ix *Index) OfferRow(o *bidding.Offer) (row []float64, mask []uint64, ok bool) {
+	i, ok := ix.offPos[o]
+	if !ok {
+		return nil, nil, false
+	}
+	return ix.offRaw[i*ix.nk : (i+1)*ix.nk], ix.offMask[i*ix.nw : (i+1)*ix.nw], true
 }
 
 // scored is a top-k slot: an offer index with its Eq. 18 quality.
@@ -415,8 +403,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // deterministic tie order of RankOffers: quality descending, then
 // Submitted ascending, then ID ascending. The final offer-index tiebreak
 // only fires for byte-identical duplicate orders; it makes the top-k
-// result independent of scan order, which lets the time bucket reorder
-// the offer scan freely.
+// result independent of scan order, which lets the time bucket and the
+// locality strip reorder the offer scan freely.
 func (ix *Index) better(a, b scored) bool {
 	if a.q != b.q {
 		return a.q > b.q
@@ -432,11 +420,10 @@ func (ix *Index) better(a, b scored) bool {
 }
 
 // feasible1 is the single-word feasibility test (nw == 1), reproducing
-// Feasible's verdicts exactly. The time test (Const. 10: t_o⁻ ≤ t_r⁻) is
-// already guaranteed by the byStart prefix the caller scans, so only the
-// remaining constraints are checked here.
+// Feasible's verdicts exactly. The start test (Const. 10: t_o⁻ ≤ t_r⁻)
+// always holds in the byStart prefix; it is here for the strip.
 func (ix *Index) feasible1(ri, oi int, r *bidding.Request) bool {
-	if ix.offEnd[oi] < r.End { // Const. 11: t_o⁺ ≥ t_r⁺
+	if ix.offStart[oi] > r.Start || ix.offEnd[oi] < r.End { // Const. 10–11
 		return false
 	}
 	if r.MaxDistance > 0 {
@@ -481,7 +468,7 @@ func (ix *Index) quality1(ri, oi int) float64 {
 // feasibleW is feasible1 generalized to multi-word masks (wide blocks:
 // more than 64 distinct kinds).
 func (ix *Index) feasibleW(ri, oi int, r *bidding.Request) bool {
-	if ix.offEnd[oi] < r.End {
+	if ix.offStart[oi] > r.Start || ix.offEnd[oi] < r.End {
 		return false
 	}
 	if r.MaxDistance > 0 {
@@ -540,8 +527,9 @@ func (ix *Index) qualityW(ri, oi int) float64 {
 // Requests()) — the same set BestOffers(r, offers, scale, cfg) returns,
 // via feasibility pruning and bounded top-k selection instead of a full
 // scan-sort. Only the result slice is allocated; all intermediate state
-// lives in s. The mask width specializes the scan once per call, not
-// per probe.
+// lives in s. The candidates are the locality strip for a request with
+// a reach and the time prefix for any other; the mask width specializes
+// the scan once per call, not per probe.
 func (ix *Index) BestOffers(ri int, cfg Config, s *Scratch) []*bidding.Offer {
 	r := ix.requests[ri]
 	band := cfg.QualityBand
@@ -558,12 +546,10 @@ func (ix *Index) BestOffers(ri int, cfg Config, s *Scratch) []*bidding.Offer {
 	}
 	top := s.top[:0]
 
-	// Const. 10 prune: only offers with t_o⁻ ≤ t_r⁻ can host r, and
-	// byStart puts exactly those in a prefix.
-	prefix := sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] > r.Start })
-	ix.scans.Add(int64(prefix))
+	cand := ix.candidates(r)
+	ix.scans.Add(int64(len(cand)))
 	if ix.nw == 1 {
-		for _, oi32 := range ix.byStart[:prefix] {
+		for _, oi32 := range cand {
 			oi := int(oi32)
 			if !ix.feasible1(ri, oi, r) {
 				continue
@@ -571,7 +557,7 @@ func (ix *Index) BestOffers(ri int, cfg Config, s *Scratch) []*bidding.Offer {
 			top = ix.insertTop(top, scored{oi: oi32, q: ix.quality1(ri, oi)}, limit)
 		}
 	} else {
-		for _, oi32 := range ix.byStart[:prefix] {
+		for _, oi32 := range cand {
 			oi := int(oi32)
 			if !ix.feasibleW(ri, oi, r) {
 				continue
@@ -596,6 +582,21 @@ func (ix *Index) BestOffers(ri int, cfg Config, s *Scratch) []*bidding.Offer {
 		}
 	}
 	return best
+}
+
+// candidates returns the offers BestOffers scans for r, a superset of
+// those feasible for it (DESIGN §9). Without a reach: the byStart
+// prefix with t_o⁻ ≤ t_r⁻ (Const. 10). With a reach R: the byX strip
+// where dx = x_r − x_o, computed as the distance test computes it, has
+// |dx| ≤ R·(1+2⁻³²) + 2⁻⁵⁰⁰; the last term covers dx² underflowing.
+func (ix *Index) candidates(r *bidding.Request) []int32 {
+	if !hasReach(r) {
+		return ix.byStart[:sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] > r.Start })]
+	}
+	x, reach := r.Location.X, r.MaxDistance*(1+0x1p-32)+0x1p-500
+	lo := sort.Search(len(ix.byX), func(i int) bool { return x-ix.offX[ix.byX[i]] <= reach })
+	hi := sort.Search(len(ix.byX), func(i int) bool { return x-ix.offX[ix.byX[i]] < -reach })
+	return ix.byX[lo:hi]
 }
 
 // insertTop inserts candidate c into the bounded, better-first top

@@ -73,13 +73,45 @@ func offerIDs(offers []*bidding.Offer) []string {
 	return ids
 }
 
+// localize gives every request a reach of 0.01–0.05 and moves three in
+// four offers to within ±0.04 of a random request; half of those are
+// sized and timed for it, starting one tick before, with or after it.
+// So best sets are decided by the distance and start tests, at the
+// edges of the locality strip.
+func localize(seed int64, reqs []*bidding.Request, offs []*bidding.Offer) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, r := range reqs {
+		r.MaxDistance = 0.01 + 0.04*rng.Float64()
+	}
+	for _, o := range offs[len(offs)/4:] {
+		r := reqs[rng.Intn(len(reqs))]
+		o.Location = bidding.Location{X: r.Location.X + 0.08*(rng.Float64()-0.5), Y: r.Location.Y + 0.08*(rng.Float64()-0.5)}
+		if rng.Intn(2) == 0 {
+			o.Resources = r.Resources.Clone()
+			for k := range o.Resources {
+				o.Resources[k] *= 1 + rng.Float64()
+			}
+			o.Start, o.End = r.Start+int64(rng.Intn(3))-1, r.End+int64(rng.Intn(20))
+		}
+	}
+}
+
 // TestIndexBestOffersMatchesNaive cross-checks the indexed engine against
 // the brute-force reference per request, over randomized blocks and
 // config variants, with one Scratch reused across every request (the
-// production access pattern).
+// production access pattern). The local variant gives every request a
+// 0.01–0.05 reach, so the locality strip prunes most of the block.
 func TestIndexBestOffersMatchesNaive(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		reqs, offs := randomBlock(seed, 30+int(seed)*3, 40+int(seed)*5)
+	for seed := int64(0); seed < 40; seed++ {
+		local := seed >= 20
+		n, no := int(seed%20), 40+int(seed%20)*5
+		if local {
+			no *= 4
+		}
+		reqs, offs := randomBlock(seed%20, 30+n*3, no)
+		if local {
+			localize(seed, reqs, offs)
+		}
 		scale := BlockScale(reqs, offs)
 		ix := NewIndex(reqs, offs, scale)
 		cfg := DefaultConfig()
@@ -96,6 +128,9 @@ func TestIndexBestOffersMatchesNaive(t *testing.T) {
 			if fmt.Sprint(offerIDs(want)) != fmt.Sprint(offerIDs(got)) {
 				t.Fatalf("seed %d request %s: indexed %v != naive %v", seed, r.ID, offerIDs(got), offerIDs(want))
 			}
+		}
+		if pairs := int64(len(reqs) * len(offs)); local && ix.Scans() > pairs/4 {
+			t.Fatalf("seed %d: the strip scanned %d of %d pairs", seed, ix.Scans(), pairs)
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package match
 
 import (
+	"cmp"
 	"slices"
 
 	"decloud/internal/bidding"
@@ -118,25 +119,8 @@ func RankOffers(r *bidding.Request, offers []*bidding.Offer, scale *resource.Sca
 	}
 	// Total order (IDs are unique), so unstable sorting cannot differ.
 	slices.SortFunc(ranked, func(a, b Ranked) int {
-		switch {
-		case a.Quality > b.Quality:
-			return -1
-		case a.Quality < b.Quality:
-			return 1
-		}
-		switch {
-		case a.Offer.Submitted < b.Offer.Submitted:
-			return -1
-		case a.Offer.Submitted > b.Offer.Submitted:
-			return 1
-		}
-		switch {
-		case a.Offer.ID < b.Offer.ID:
-			return -1
-		case a.Offer.ID > b.Offer.ID:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(b.Quality, a.Quality),
+			cmp.Compare(a.Offer.Submitted, b.Offer.Submitted), cmp.Compare(a.Offer.ID, b.Offer.ID))
 	})
 	return ranked
 }

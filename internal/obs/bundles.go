@@ -19,7 +19,7 @@ type MechanismMetrics struct {
 	ClusterSeconds  *Histogram // best-offer scoring + cluster formation
 	PrepassSeconds  *Histogram // per-cluster economics pre-passes
 	AuctionsSeconds *Histogram // mini-auction pricing/reduction/packing
-	TopKScans       *Counter   // offers scanned by the pruned top-k loop
+	TopKScans       *Counter   // candidates of the top-k loop: time prefix or locality strip
 	Clusters        *Counter   // clusters formed
 	MiniAuctions    *Counter   // mini-auctions run
 	Matches         *Counter   // executed trades

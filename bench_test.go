@@ -8,6 +8,7 @@ import (
 	"decloud/internal/bidding"
 	"decloud/internal/book"
 	"decloud/internal/experiments"
+	"decloud/internal/obs"
 	"decloud/internal/workload"
 )
 
@@ -177,6 +178,41 @@ func BenchmarkGreedyBenchmark400(b *testing.B) {
 		if len(out.Matches) == 0 {
 			b.Fatal("no trades")
 		}
+	}
+}
+
+// BenchmarkClearScale clears the seed-1 paper-shaped market (the
+// clear_dense shape) from scratch at 2 000, 8 000 and 32 000 requests,
+// at DefaultConfig's worker count, and reports where a clear's time
+// goes: each MechanismMetrics phase in seconds per clear, and ns per
+// request. A claim at scale is paired runs of this one command:
+//
+//	go test -run '^$' -bench 'BenchmarkClearScale' -benchtime 3x .
+func BenchmarkClearScale(b *testing.B) {
+	for _, n := range []int{2000, 8000, 32000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			market := workload.Generate(workload.Config{Seed: 1, Requests: n})
+			cfg := auction.DefaultConfig()
+			cfg.Evidence = []byte("bench")
+			cfg.Obs = obs.NewMechanismMetrics(obs.NewRegistry())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out := auction.Run(market.Requests, market.Offers, cfg); len(out.Matches) == 0 {
+					b.Fatal("no trades")
+				}
+			}
+			b.StopTimer()
+			for _, phase := range []struct {
+				unit string
+				h    *obs.Histogram
+			}{
+				{"index_s", cfg.Obs.IndexSeconds}, {"cluster_s", cfg.Obs.ClusterSeconds},
+				{"prepass_s", cfg.Obs.PrepassSeconds}, {"auctions_s", cfg.Obs.AuctionsSeconds},
+			} {
+				b.ReportMetric(phase.h.Snapshot().Sum/float64(b.N), phase.unit)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/request")
+		})
 	}
 }
 

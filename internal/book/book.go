@@ -9,8 +9,8 @@
 // # What is incremental, and why it is safe
 //
 // The dominant cost of a from-scratch block execution is the
-// per-request best-offer scan (each request scans its time prefix of
-// the offers, or its locality strip when it has a reach) plus the
+// per-request best-offer scan (each request walks the offer classes,
+// or scans its locality strip when it has a reach) plus the
 // per-cluster economics pre-pass. Both are cached here:
 //
 //   - Each live request caches its best-offer set from the last clear

@@ -19,7 +19,7 @@ type MechanismMetrics struct {
 	ClusterSeconds  *Histogram // best-offer scoring + cluster formation
 	PrepassSeconds  *Histogram // per-cluster economics pre-passes
 	AuctionsSeconds *Histogram // mini-auction pricing/reduction/packing
-	TopKScans       *Counter   // candidates of the top-k loop: time prefix or locality strip
+	TopKScans       *Counter   // top-k loop work: strip offers, or classes + runs + members walked
 	Clusters        *Counter   // clusters formed
 	MiniAuctions    *Counter   // mini-auctions run
 	Matches         *Counter   // executed trades
@@ -43,7 +43,7 @@ func NewMechanismMetrics(r *Registry) *MechanismMetrics {
 		ClusterSeconds:  r.Histogram("decloud_mech_cluster_seconds", "best-offer scoring and cluster formation time", nil),
 		PrepassSeconds:  r.Histogram("decloud_mech_prepass_seconds", "cluster economics pre-pass time", nil),
 		AuctionsSeconds: r.Histogram("decloud_mech_auctions_seconds", "mini-auction execution time", nil),
-		TopKScans:       r.Counter("decloud_mech_topk_scans_total", "offers scanned by the top-k best-offer loop"),
+		TopKScans:       r.Counter("decloud_mech_topk_scans_total", "offers, offer classes and runs scanned by the top-k best-offer loop"),
 		Clusters:        r.Counter("decloud_mech_clusters_total", "clusters formed"),
 		MiniAuctions:    r.Counter("decloud_mech_mini_auctions_total", "mini-auctions run"),
 		Matches:         r.Counter("decloud_mech_matches_total", "executed trades"),

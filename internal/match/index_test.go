@@ -382,11 +382,28 @@ func BenchmarkBestOffersIndexed(b *testing.B) {
 }
 
 // BenchmarkBestOffersIndexedScan isolates the per-request scan cost with
-// the index already built (the amortized regime of big blocks).
+// the index already built (the amortized regime of big blocks). Every
+// offer of benchBlock has a shape of its own, so each is a one-member
+// class; BenchmarkBestOffersIndexedScanShapes is the same block with
+// four shapes, the class walk's side.
 func BenchmarkBestOffersIndexedScan(b *testing.B) {
-	reqs, offs, scale := benchBlock()
+	reqs, offs, _ := benchBlock()
+	benchScan(b, reqs, offs)
+}
+
+func BenchmarkBestOffersIndexedScanShapes(b *testing.B) {
+	reqs, offs, _ := benchBlock()
+	for i, o := range offs {
+		c := *o
+		c.Resources = offs[i%4].Resources
+		offs[i] = &c
+	}
+	benchScan(b, reqs, offs)
+}
+
+func benchScan(b *testing.B, reqs []*bidding.Request, offs []*bidding.Offer) {
 	cfg := DefaultConfig()
-	ix := NewIndex(reqs, offs, scale)
+	ix := NewIndex(reqs, offs, BlockScale(reqs, offs))
 	var s Scratch
 	b.ReportAllocs()
 	b.ResetTimer()

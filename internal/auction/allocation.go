@@ -140,7 +140,7 @@ func newPacker(cfg Config) *packer {
 // flexibility.
 func (ec *EconCluster) pack(
 	pk *packer,
-	taken map[bidding.OrderID]bool,
+	taken map[*bidding.Request]bool,
 	reqOK func(EconRequest) bool,
 	offOK func(EconOffer) bool,
 	pairOK func(EconRequest, EconOffer) bool,
@@ -163,7 +163,7 @@ func (ec *EconCluster) pack(
 			ri = reqOrder[i]
 		}
 		er := ec.Requests[ri]
-		if taken[er.Request.ID] {
+		if taken[er.Request] {
 			continue
 		}
 		if reqOK != nil && !reqOK(er) {
@@ -193,7 +193,7 @@ func (ec *EconCluster) pack(
 			}
 			tr.Commit(er, eo, g, start)
 			if taken != nil {
-				taken[er.Request.ID] = true
+				taken[er.Request] = true
 			}
 			// Growth moves later grants to a new array and leaves the
 			// earlier ones where their assignments point.

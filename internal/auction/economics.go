@@ -55,6 +55,49 @@ type EconCluster struct {
 	Critical map[resource.Kind]bool
 	Requests []EconRequest
 	Offers   []EconOffer
+	rows     *scaleRows // M_CL over the index's kind table; nil on the map path
+}
+
+// scaleRows is M_CL over the block's kind table: its row, the common
+// kinds K_CL (exactly where the row is positive), the critical kinds
+// and ‖M_CL‖₂ summed in sorted kind order.
+type scaleRows struct {
+	max          []float64
+	common, crit []uint64
+	denom        float64
+}
+
+// fraction is Scale.Fraction over a dense row: Σ q² over the row's
+// positive kinds known to M_CL, ascending bit = sorted kind order.
+func (s *scaleRows) fraction(mask []uint64, row []float64) float64 {
+	if s.denom <= 0 {
+		return 0
+	}
+	var sum float64
+	for w, m := range mask {
+		for m &= s.common[w]; m != 0; m &= m - 1 {
+			if q := row[w*64+bits.TrailingZeros64(m)]; q > 0 {
+				sum += q * q
+			}
+		}
+	}
+	return min(math.Sqrt(sum)/s.denom, 1)
+}
+
+// nu is NuOf over a dense row: the larger of φ and ν_CR, the largest
+// share of a critical kind M_CL knows (a max, so order is immaterial).
+// A kind outside mask holds nothing, so it cannot raise ν_CR above 0.
+func (s *scaleRows) nu(mask []uint64, row []float64) float64 {
+	var cf float64
+	for w, m := range mask {
+		for m &= s.crit[w] & s.common[w]; m != 0; m &= m - 1 {
+			k := w*64 + bits.TrailingZeros64(m)
+			if f := row[k] / s.max[k]; f > cf {
+				cf = f
+			}
+		}
+	}
+	return math.Max(min(cf, 1), s.fraction(mask, row))
 }
 
 // ComputeEconomics derives the cluster's common resource types K_CL, the
@@ -260,30 +303,11 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		}
 	}
 
-	ec := &EconCluster{Cluster: cl, Scale: resource.NewScale(maxVec), Critical: crit}
+	rows := &scaleRows{max: maxRow, common: common, crit: critMask, denom: denom}
+	ec := &EconCluster{Cluster: cl, Scale: resource.NewScale(maxVec), Critical: crit, rows: rows}
 	ec.Requests, ec.Offers = make([]EconRequest, 0, len(cl.Requests)), make([]EconOffer, 0, len(cl.Offers))
-	// fraction is Scale.Fraction over a dense row: Σ q² over the vector's
-	// kinds known to M_CL, ascending bit = sorted kind order.
-	fraction := func(d *dense) float64 {
-		if denom <= 0 {
-			return 0
-		}
-		var sum float64
-		for w := 0; w < nw; w++ {
-			base := w * 64
-			for m := d.mask[w] & common[w]; m != 0; m &= m - 1 {
-				q := d.row[base+bits.TrailingZeros64(m)]
-				sum += q * q
-			}
-		}
-		f := math.Sqrt(sum) / denom
-		if f > 1 {
-			f = 1
-		}
-		return f
-	}
 	for i, o := range cl.Offers {
-		nu := fraction(&offD[i])
+		nu := rows.fraction(offD[i].mask, offD[i].row)
 		if nu <= 0 || o.Window() <= 0 {
 			continue
 		}
@@ -295,22 +319,7 @@ func ComputeEconomicsIndexed(cl *cluster.Cluster, critical map[resource.Kind]boo
 		})
 	}
 	for i, r := range cl.Requests {
-		// CriticalFraction: max share of any critical kind M_CL knows —
-		// a max, so iteration order is immaterial.
-		var cf float64
-		for w := 0; w < nw; w++ {
-			base := w * 64
-			for m := critMask[w] & common[w]; m != 0; m &= m - 1 {
-				k := base + bits.TrailingZeros64(m)
-				if f := reqD[i].row[k] / maxRow[k]; f > cf {
-					cf = f
-				}
-			}
-		}
-		if cf > 1 {
-			cf = 1
-		}
-		nu := math.Max(cf, fraction(&reqD[i]))
+		nu := rows.nu(reqD[i].mask, reqD[i].row)
 		if nu <= 0 || r.Duration <= 0 {
 			continue
 		}

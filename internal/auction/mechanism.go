@@ -313,23 +313,24 @@ func (pt *phaseTimer) finish(out *Outcome, ix *match.Index) {
 // reduction / lottery bookkeeping. Sequential mode threads ONE state
 // through every mini-auction; parallel mode gives each order-disjoint
 // component of mini-auctions its own state and merges afterwards —
-// equivalent because every map is keyed by order ID and components
-// share no orders.
+// equivalent because every map is keyed by order and components share
+// no orders. The request-side sets are keyed by *bidding.Request, one
+// pointer per ID within a clear (DESIGN §7), hashed in one word.
 type blockState struct {
 	pk         *packer
-	taken      map[bidding.OrderID]bool
-	reducedReq map[bidding.OrderID]bool
+	taken      map[*bidding.Request]bool
+	reducedReq map[*bidding.Request]bool
 	reducedOff map[bidding.OrderID]bool
-	lottery    map[bidding.OrderID]bool
+	lottery    map[*bidding.Request]bool
 }
 
 func newBlockState(cfg Config) *blockState {
 	return &blockState{
 		pk:         newPacker(cfg),
-		taken:      make(map[bidding.OrderID]bool),
-		reducedReq: make(map[bidding.OrderID]bool),
+		taken:      make(map[*bidding.Request]bool),
+		reducedReq: make(map[*bidding.Request]bool),
 		reducedOff: make(map[bidding.OrderID]bool),
-		lottery:    make(map[bidding.OrderID]bool),
+		lottery:    make(map[*bidding.Request]bool),
 	}
 }
 
@@ -436,7 +437,7 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 
 		// Nested clusters often hold only requests that traded already.
 		if !slices.ContainsFunc(ec.Requests, func(er EconRequest) bool {
-			return reqOK(er) && !st.taken[er.Request.ID]
+			return reqOK(er) && !st.taken[er.Request]
 		}) || !slices.ContainsFunc(ec.Offers, offOK) {
 			continue
 		}
@@ -470,7 +471,7 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 			pk.tr.end(true)
 			pk.grants = pk.grants[:kept]
 			for _, a := range pk.asg {
-				delete(st.taken, a.Req.Request.ID)
+				delete(st.taken, a.Req.Request)
 			}
 			// The request lottery draws over the eligible requests
 			// only: each rank comes from the ID's own key, so leaving
@@ -478,7 +479,7 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 			var elig []int
 			var reqIDs []string
 			for i, er := range ec.Requests {
-				if !st.taken[er.Request.ID] && reqOK(er) {
+				if !st.taken[er.Request] && reqOK(er) {
 					elig = append(elig, i)
 					reqIDs = append(reqIDs, string(er.Request.ID))
 				}
@@ -494,7 +495,7 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 			randOff := stats.KeyedOrder(evidence, label+"/offers-lottery", offIDs)
 			ec.pack(pk, st.taken, reqOK, offOK, pairOK, reqOrder, randOff)
 			for _, i := range elig {
-				if id := ec.Requests[i].Request.ID; !st.taken[id] {
+				if id := ec.Requests[i].Request; !st.taken[id] {
 					st.lottery[id] = true
 				}
 			}
@@ -511,8 +512,8 @@ func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Con
 		for _, er := range cs.ec.Requests {
 			excluded := exclClients[er.Request.Client] ||
 				(cfg.StrictReduction && cs.active && er.Request.Client == cs.zClient)
-			if excluded && er.VHat >= p-eps && !st.taken[er.Request.ID] {
-				st.reducedReq[er.Request.ID] = true
+			if excluded && er.VHat >= p-eps && !st.taken[er.Request] {
+				st.reducedReq[er.Request] = true
 			}
 		}
 		for _, eo := range cs.ec.Offers {
@@ -557,7 +558,7 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 	})
 
 	pk, pairOK := newPacker(cfg), pairGate(cfg)
-	taken := make(map[bidding.OrderID]bool)
+	taken := make(map[*bidding.Request]bool)
 	for _, rc := range ranked {
 		rc.ec.pack(pk, taken, nil, nil, pairOK, nil, nil)
 		for _, a := range pk.asg {
@@ -598,7 +599,12 @@ func screen(requests []*bidding.Request, offers []*bidding.Offer, out *Outcome) 
 func recordMatch(out *Outcome, kinds []resource.Kind, ec *EconCluster, a Assignment, price float64) {
 	r, o := a.Req.Request, a.Off.Offer
 	granted := grantVector(kinds, a.Req, a.g)
-	nu := ec.NuOf(granted)
+	var nu float64
+	if ec.rows != nil { // NuOf from the dense grant, without the maps
+		nu = ec.rows.nu(a.Req.d.mask, a.g)
+	} else {
+		nu = ec.NuOf(granted)
+	}
 	pay := nu * price * float64(r.Duration)
 	out.Matches = append(out.Matches, Match{
 		Request:   r,
@@ -664,22 +670,22 @@ func sizeOrder(evidence []byte, label string, offers []EconOffer) []int {
 // finalize drops reduction/lottery records for orders that did trade in
 // a later mini-auction, emits them deterministically sorted, and settles
 // the payment/revenue maps from the recorded matches.
-func finalize(out *Outcome, taken map[bidding.OrderID]bool, reducedReq, reducedOff, lottery map[bidding.OrderID]bool) {
+func finalize(out *Outcome, taken, reducedReq, lottery map[*bidding.Request]bool, reducedOff map[bidding.OrderID]bool) {
 	usedOffers := make(map[bidding.OrderID]bool, len(out.Matches))
 	for i := range out.Matches {
 		usedOffers[out.Matches[i].Offer.ID] = true
 	}
-	out.ReducedRequests = sortedIDs(reducedReq, taken)
-	out.ReducedOffers = sortedIDs(reducedOff, usedOffers)
-	out.LotteryDropped = sortedIDs(lottery, taken)
+	out.ReducedRequests = sortedIDs(reducedReq, taken, func(r *bidding.Request) bidding.OrderID { return r.ID })
+	out.ReducedOffers = sortedIDs(reducedOff, usedOffers, func(id bidding.OrderID) bidding.OrderID { return id })
+	out.LotteryDropped = sortedIDs(lottery, taken, func(r *bidding.Request) bidding.OrderID { return r.ID })
 	settle(out)
 }
 
-func sortedIDs(set map[bidding.OrderID]bool, traded map[bidding.OrderID]bool) []bidding.OrderID {
+func sortedIDs[K comparable](set, traded map[K]bool, id func(K) bidding.OrderID) []bidding.OrderID {
 	var ids []bidding.OrderID
-	for id := range set {
-		if !traded[id] {
-			ids = append(ids, id)
+	for k := range set {
+		if !traded[k] {
+			ids = append(ids, id(k))
 		}
 	}
 	slices.Sort(ids)

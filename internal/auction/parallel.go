@@ -13,8 +13,8 @@ import (
 // intersection clusters let one order appear in several clusters, and a
 // cluster on a shared tree prefix appears on several root-to-leaf
 // paths. All cross-auction coupling, however, flows through state keyed
-// by order ID — the capacity tracker (offer IDs), the taken set
-// (request IDs), and the reduction/lottery bookkeeping — so auctions
+// by order — the capacity tracker (offer IDs), the taken set
+// (requests), and the reduction/lottery bookkeeping — so auctions
 // whose member clusters share no order can neither observe nor affect
 // each other. We therefore partition the auctions into order-disjoint
 // components (union-find over order footprints), execute each component
@@ -69,20 +69,20 @@ func runAuctionsParallel(out *Outcome, auctions []miniauction.Auction, all []clu
 			recordMatch(out, kinds, tr.ec, tr.a, tr.price)
 		}
 	}
-	taken := make(map[bidding.OrderID]bool)
-	reducedReq := make(map[bidding.OrderID]bool)
+	taken := make(map[*bidding.Request]bool)
+	reducedReq := make(map[*bidding.Request]bool)
 	reducedOff := make(map[bidding.OrderID]bool)
-	lottery := make(map[bidding.OrderID]bool)
+	lottery := make(map[*bidding.Request]bool)
 	for _, st := range states {
 		mergeIDs(taken, st.taken)
 		mergeIDs(reducedReq, st.reducedReq)
 		mergeIDs(reducedOff, st.reducedOff)
 		mergeIDs(lottery, st.lottery)
 	}
-	finalize(out, taken, reducedReq, reducedOff, lottery)
+	finalize(out, taken, reducedReq, lottery, reducedOff)
 }
 
-func mergeIDs(dst, src map[bidding.OrderID]bool) {
+func mergeIDs[K comparable](dst, src map[K]bool) {
 	for id, v := range src {
 		if v {
 			dst[id] = true

@@ -2,7 +2,6 @@ package auction
 
 import (
 	"slices"
-	"strings"
 
 	"decloud/internal/bidding"
 	"decloud/internal/cluster"
@@ -22,9 +21,10 @@ import (
 //
 // The CALLER owns one precondition: the cache must be flushed (Flush)
 // whenever the normalization scale changes — internal/book tracks it.
-// Entries are keyed by member IDs, and a hit is taken only when the
-// cached cluster's member pointers equal the new cluster's, so an order
-// ID re-used with other contents misses instead of reading stale
+// Entries are keyed by the cluster's offer set (Cluster.Key, unique
+// within one clear), and a hit is taken only when the cached cluster's
+// member pointers equal the new cluster's, so a changed membership or an
+// order ID re-used with other contents misses instead of reading stale
 // economics. Caching is disabled automatically when the config carries
 // a reputation source (reputation scores can move between blocks) or
 // runs the reference matcher.
@@ -46,28 +46,6 @@ func (pc *PrepassCache) Flush() {
 // reputation gate reads ledger state that changes between blocks.
 func (pc *PrepassCache) cacheable(cfg Config) bool {
 	return pc != nil && cfg.Reputation == nil
-}
-
-// prepassSignature is the cache key of a cluster: offer-set identity
-// (Cluster.Key, sorted offer IDs) plus the sorted member request IDs.
-// Two clusters with equal signatures have the same member IDs; cachedFor
-// checks that they are the same orders.
-func prepassSignature(cl *cluster.Cluster) string {
-	n := len(cl.Key()) + len(cl.Requests)
-	for _, r := range cl.Requests {
-		n += len(r.ID)
-	}
-	var sb strings.Builder
-	sb.Grow(n)
-	sb.WriteString(cl.Key())
-	sb.WriteByte('\x01')
-	for i, r := range cl.Requests {
-		if i > 0 {
-			sb.WriteByte('\x02')
-		}
-		sb.WriteString(string(r.ID))
-	}
-	return sb.String()
 }
 
 // RunPrepared executes the mechanism's post-clustering pipeline —
@@ -114,15 +92,8 @@ func prePassAll(clusters []*cluster.Cluster, kinds []resource.Kind, cfg Config, 
 	pairOK := pairGate(cfg)
 	all := make([]clusterStats, len(clusters))
 	useCache := cache.cacheable(cfg)
-	var sigs []string
-	if useCache {
-		if !slices.Equal(cache.kinds, kinds) {
-			cache.entries = nil
-		}
-		sigs = make([]string, len(clusters))
-		for i, cl := range clusters {
-			sigs[i] = prepassSignature(cl)
-		}
+	if useCache && !slices.Equal(cache.kinds, kinds) {
+		cache.entries = nil
 	}
 	pks := make([]*packer, workers)
 	for w := range pks {
@@ -130,7 +101,7 @@ func prePassAll(clusters []*cluster.Cluster, kinds []resource.Kind, cfg Config, 
 	}
 	par.ForEachWorker(workers, len(clusters), func(w, i int) {
 		if useCache {
-			if st, ok := cache.entries[sigs[i]]; ok && cachedFor(st, clusters[i]) {
+			if st, ok := cache.entries[clusters[i].Key()]; ok && cachedFor(st, clusters[i]) {
 				all[i] = st
 				return
 			}
@@ -140,7 +111,7 @@ func prePassAll(clusters []*cluster.Cluster, kinds []resource.Kind, cfg Config, 
 	if useCache {
 		next := make(map[string]clusterStats, len(clusters))
 		for i := range all {
-			next[sigs[i]] = all[i]
+			next[clusters[i].Key()] = all[i]
 		}
 		cache.entries = next
 		cache.kinds = append(cache.kinds[:0], kinds...) // a copy: ix is epoch scratch
@@ -186,7 +157,7 @@ func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cf
 				recordMatch(out, ix.Kinds(), tr.ec, tr.a, tr.price)
 			}
 		}
-		finalize(out, st.taken, st.reducedReq, st.reducedOff, st.lottery)
+		finalize(out, st.taken, st.reducedReq, st.lottery, st.reducedOff)
 	}
 	pt.lapAuctions()
 	pt.finish(out, ix)

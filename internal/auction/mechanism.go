@@ -570,19 +570,29 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 }
 
 // screen validates orders, returning the accepted ones and recording
-// rejections in the outcome.
+// rejections in the outcome. An order ID names one order per side of a
+// block: the first order carrying an ID is screened, every later one is
+// rejected, since the index sort, the payment maps and the prepass cache
+// all key on it.
 func screen(requests []*bidding.Request, offers []*bidding.Offer, out *Outcome) ([]*bidding.Request, []*bidding.Offer) {
+	seen := make(map[bidding.OrderID]bool, len(requests))
+	repeat := func(id bidding.OrderID) bool {
+		dup := seen[id]
+		seen[id] = true
+		return dup
+	}
 	reqs := make([]*bidding.Request, 0, len(requests))
 	for _, r := range requests {
-		if err := r.Validate(); err != nil {
+		if repeat(r.ID) || r.Validate() != nil {
 			out.RejectedRequests = append(out.RejectedRequests, r.ID)
 			continue
 		}
 		reqs = append(reqs, r)
 	}
+	clear(seen)
 	offs := make([]*bidding.Offer, 0, len(offers))
 	for _, o := range offers {
-		if err := o.Validate(); err != nil {
+		if repeat(o.ID) || o.Validate() != nil {
 			out.RejectedOffers = append(out.RejectedOffers, o.ID)
 			continue
 		}

@@ -6,12 +6,15 @@
 //
 //	decloud-sim [-mode fast|ledger] [-rounds N] [-requests N]
 //	            [-providers N] [-miners N] [-difficulty BITS]
-//	            [-deny P] [-flex F] [-seed N]
+//	            [-deny P] [-flex F] [-seed N] [-incremental]
 //	            [-metros M] [-latency-matrix FILE] [-geo R]
 //	            [-obs-addr HOST:PORT] [-obs-linger D] [-trace-out FILE]
 //
 // Ledger rounds overlap in the epoch pipeline whenever no round reads
-// the last commit: one chain, no -resubmit, -deny 0.
+// the last commit: one chain, -deny 0.
+//
+// With -incremental every round clears over a persistent order book
+// that carries unmatched orders into later rounds.
 //
 // With -metros ≥ 2 the market federates over M geography-homed metro
 // exchanges (internal/metro): orders route to the exchange owning their
@@ -55,10 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	deny := fs.Float64("deny", 0, "per-agreement client denial probability (ledger mode)")
 	flex := fs.Float64("flex", 0, "request flexibility in (0,1]; 0 = inflexible")
 	seed := fs.Int64("seed", 1, "random seed")
-	resubmit := fs.Bool("resubmit", false, "carry unmatched requests into later rounds")
 	incremental := fs.Bool("incremental", false, "clear over a persistent order book that carries unmatched orders itself")
 	exact := fs.Bool("exact", false, "exact interval scheduling instead of aggregate resource-time")
-	maxResubmits := fs.Int("max-resubmits", 3, "attempts before an unmatched request expires")
 	metros := fs.Int("metros", 0, "federate the market over this many metro exchanges (0/1 = monolithic)")
 	latencyMatrix := fs.String("latency-matrix", "", "JSON file with the inter-metro latency matrix {\"latency_ms\": [[...]]}")
 	distancePerMS := fs.Float64("distance-per-ms", 0, "Eq. 18 coupling: tighten a spilled request's MaxDistance by this much per ms of path latency")
@@ -86,8 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Miners:        *miners,
 		Difficulty:    *difficulty,
 		DenyProb:      *deny,
-		Resubmit:      *resubmit,
-		MaxResubmits:  *maxResubmits,
 	}
 	cfg.Auction.ExactScheduling = *exact
 	cfg.Auction.Incremental = *incremental
@@ -140,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "%-5s %-8s %-7s %-7s %-10s %-10s %-6s %-8s %-9s",
 		"round", "requests", "offers", "matches", "welfare", "benchmark", "ratio", "reduced%", "satisf.")
-	if cfg.Resubmit {
-		fmt.Fprintf(stdout, " %-7s %-7s %-7s", "carried", "pending", "expired")
-	}
 	if cfg.Mode == sim.Ledger {
 		fmt.Fprintf(stdout, " %-9s %-7s %-7s", "winner", "agreed", "denied")
 	}
@@ -151,9 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-5d %-8d %-7d %-7d %-10.4f %-10.4f %-6.3f %-8.2f %-9.3f",
 			m.Round, m.Requests, m.Offers, m.Matches, m.Welfare, m.BenchWelfare,
 			m.WelfareRatio, m.ReducedRate*100, m.Satisfaction)
-		if cfg.Resubmit {
-			fmt.Fprintf(stdout, " %-7d %-7d %-7d", m.CarriedIn, m.CarriedOut, m.Expired)
-		}
 		if cfg.Mode == sim.Ledger {
 			fmt.Fprintf(stdout, " %-9s %-7d %-7d", m.Winner, m.Agreed, m.Denied)
 		}

@@ -124,8 +124,9 @@ func TestRunShardedPipelinedLedger(t *testing.T) {
 // TestRunPipelineFlagExitsTwo: every removed flag is an unknown-flag
 // usage error, in either mode. The simulator decides itself when a
 // ledger run is pipelined (-pipeline), the order book is not sharded
-// (-shards), and the two-stage futures market runs only in
-// decloud-bench -overbooking (the six futures flags).
+// (-shards), the two-stage futures market runs only in
+// decloud-bench -overbooking (the six futures flags), and unmatched
+// orders carry only in the order book (-resubmit, -max-resubmits).
 func TestRunPipelineFlagExitsTwo(t *testing.T) {
 	for _, removed := range [][]string{
 		{"-pipeline"},
@@ -136,6 +137,8 @@ func TestRunPipelineFlagExitsTwo(t *testing.T) {
 		{"-reserve-horizon", "1"},
 		{"-demand-shock", "0.3"},
 		{"-supply-shock", "0.2"},
+		{"-resubmit"},
+		{"-max-resubmits", "2"},
 	} {
 		for _, mode := range []string{"fast", "ledger"} {
 			var stdout, stderr bytes.Buffer

@@ -163,8 +163,6 @@ type SimMetrics struct {
 	Matches    *Counter // trades executed
 	Agreed     *Counter // agreements accepted (ledger mode)
 	Denied     *Counter // agreements denied (ledger mode)
-	Carried    *Counter // requests carried for resubmission
-	Expired    *Counter // requests expired after max resubmits
 	WelfareSum *Gauge   // cumulative realized welfare
 }
 
@@ -180,8 +178,6 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 		Matches:    r.Counter("decloud_sim_matches_total", "trades executed"),
 		Agreed:     r.Counter("decloud_sim_agreed_total", "agreements accepted"),
 		Denied:     r.Counter("decloud_sim_denied_total", "agreements denied"),
-		Carried:    r.Counter("decloud_sim_carried_total", "requests carried for resubmission"),
-		Expired:    r.Counter("decloud_sim_expired_total", "requests expired after max resubmits"),
 		WelfareSum: r.Gauge("decloud_sim_welfare_sum", "cumulative realized welfare"),
 	}
 }

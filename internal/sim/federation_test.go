@@ -66,25 +66,15 @@ func TestFastFederatedCustomLatency(t *testing.T) {
 	}
 }
 
-// TestFederationRejectsIncompatibleConfigs: resubmission cannot compose
-// with federation. A carrying market is not something the caller has to
-// ask for: federated ledger mode clears over order books whether or not
-// Auction.Incremental is set.
-func TestFederationRejectsIncompatibleConfigs(t *testing.T) {
-	base := Config{Rounds: 1, Metros: 2, Workload: workload.Config{Seed: 3, Requests: 10}}
-
-	cfg := base
-	cfg.Mode = Fast
-	cfg.Resubmit = true
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("want error for resubmit + federation")
+// TestFederatedLedgerClearsOverBooksWithoutIncremental: a carrying
+// market is not something the caller has to ask for. Federated ledger
+// mode clears over order books whether or not Auction.Incremental is
+// set.
+func TestFederatedLedgerClearsOverBooksWithoutIncremental(t *testing.T) {
+	cfg := Config{
+		Mode: Ledger, Rounds: 2, Metros: 2, Miners: 1,
+		Workload: workload.Config{Seed: 13, Requests: 25, GeoRadius: 0.6},
 	}
-
-	cfg = base
-	cfg.Mode = Ledger
-	cfg.Miners = 1
-	cfg.Rounds = 2
-	cfg.Workload = workload.Config{Seed: 13, Requests: 25, GeoRadius: 0.6}
 	res, err := Run(cfg) // ends with the conservation and no-double-settle audits
 	if err != nil {
 		t.Fatalf("federated ledger without Auction.Incremental: %v", err)

@@ -2,9 +2,9 @@
 // the mutation-friendly layer over match.Index and cluster.Builder that
 // turns the per-block batch auction into a continuous market. Orders
 // are inserted, cancelled, and expired between clears; unmatched orders
-// carry across epochs (promoting the simulator's resubmission loop into
-// the market itself); and each clear re-derives only the state that the
-// mutations since the previous clear could have touched.
+// carry across epochs (the market's one resubmission rule, §III-B); and
+// each clear re-derives only the state that the mutations since the
+// previous clear could have touched.
 //
 // # What is incremental, and why it is safe
 //
@@ -67,8 +67,7 @@ import (
 )
 
 // DefaultMaxCarry is the number of additional clears an unmatched order
-// participates in after its first — mirroring the simulator's historic
-// MaxResubmits default of 3.
+// participates in after its first: three resubmissions of a refused bid.
 const DefaultMaxCarry = 3
 
 // Stats counts every order the book has ever admitted, partitioned by

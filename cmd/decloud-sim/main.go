@@ -11,7 +11,7 @@
 //	            [-obs-addr HOST:PORT] [-obs-linger D] [-trace-out FILE]
 //
 // Ledger rounds overlap in the epoch pipeline whenever no round reads
-// the last commit: one chain, -deny 0.
+// the last commit: one chain, -deny 0, no -incremental.
 //
 // With -incremental every round clears over a persistent order book
 // that carries unmatched orders into later rounds.
@@ -59,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flex := fs.Float64("flex", 0, "request flexibility in (0,1]; 0 = inflexible")
 	seed := fs.Int64("seed", 1, "random seed")
 	incremental := fs.Bool("incremental", false, "clear over a persistent order book that carries unmatched orders itself")
-	exact := fs.Bool("exact", false, "exact interval scheduling instead of aggregate resource-time")
 	metros := fs.Int("metros", 0, "federate the market over this many metro exchanges (0/1 = monolithic)")
 	latencyMatrix := fs.String("latency-matrix", "", "JSON file with the inter-metro latency matrix {\"latency_ms\": [[...]]}")
 	distancePerMS := fs.Float64("distance-per-ms", 0, "Eq. 18 coupling: tighten a spilled request's MaxDistance by this much per ms of path latency")
@@ -88,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Difficulty:    *difficulty,
 		DenyProb:      *deny,
 	}
-	cfg.Auction.ExactScheduling = *exact
 	cfg.Auction.Incremental = *incremental
 	if *latencyMatrix != "" {
 		lm, err := metro.LoadMatrix(*latencyMatrix)

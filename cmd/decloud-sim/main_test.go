@@ -126,7 +126,8 @@ func TestRunShardedPipelinedLedger(t *testing.T) {
 // ledger run is pipelined (-pipeline), the order book is not sharded
 // (-shards), the two-stage futures market runs only in
 // decloud-bench -overbooking (the six futures flags), and unmatched
-// orders carry only in the order book (-resubmit, -max-resubmits).
+// orders carry only in the order book (-resubmit, -max-resubmits), and
+// capacity follows the paper's aggregate resource·time rule (-exact).
 func TestRunPipelineFlagExitsTwo(t *testing.T) {
 	for _, removed := range [][]string{
 		{"-pipeline"},
@@ -139,6 +140,7 @@ func TestRunPipelineFlagExitsTwo(t *testing.T) {
 		{"-supply-shock", "0.2"},
 		{"-resubmit"},
 		{"-max-resubmits", "2"},
+		{"-exact"},
 	} {
 		for _, mode := range []string{"fast", "ledger"} {
 			var stdout, stderr bytes.Buffer

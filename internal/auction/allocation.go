@@ -87,32 +87,23 @@ func (t *Tracker) Commit(o *bidding.Offer, granted resource.Vector, duration int
 
 // Assignment is one request placed on one offer with a concrete grant.
 type Assignment struct {
-	Req EconRequest
-	Off EconOffer
-	// Start is the scheduled start time (the request's window start
-	// under the aggregate model; a concrete slot under exact scheduling).
-	Start int64
-	frac  float64   // φ of the grant (Eq. 6)
-	g     []float64 // the dense grant
+	Req  EconRequest
+	Off  EconOffer
+	frac float64   // φ of the grant (Eq. 6)
+	g    []float64 // the dense grant
 }
 
-// packer is the reusable state of a packing loop: the capacity model it
-// packs against, the last pack's assignments, and the store of their
-// grants, which outlive the pack (a trade's Granted vector is built from
-// its grant when recorded).
+// packer is the reusable state of a packing loop: the capacity it packs
+// against, the last pack's assignments, and the store of their grants,
+// which outlive the pack (a trade's Granted vector is built from its
+// grant when recorded).
 type packer struct {
-	tr     Capacity
+	tr     *aggregate
 	asg    []Assignment
 	grants []float64
 }
 
-// newPacker packs against the capacity model cfg picks.
-func newPacker(cfg Config) *packer {
-	if cfg.ExactScheduling {
-		return &packer{tr: NewIntervalCapacity()}
-	}
-	return &packer{tr: NewAggregateCapacity()}
-}
+func newPacker() *packer { return &packer{tr: newAggregate()} }
 
 // pack greedily places the cluster's requests onto its offers, leaves
 // the assignments in pk.asg, and counts the eligible requests it tried:
@@ -187,11 +178,11 @@ func (ec *EconCluster) pack(
 				// offers may still be cheaper, so keep scanning.
 				continue
 			}
-			g, start, ok := tr.TryGrant(er, eo)
+			g, ok := tr.TryGrant(er, eo)
 			if !ok {
 				continue
 			}
-			tr.Commit(er, eo, g, start)
+			tr.Commit(er, eo, g)
 			if taken != nil {
 				taken[er.Request] = true
 			}
@@ -200,7 +191,7 @@ func (ec *EconCluster) pack(
 			pk.grants = append(pk.grants, g...)
 			n := len(pk.grants)
 			pk.asg = append(pk.asg, Assignment{
-				Req: er, Off: eo, Start: start, frac: grantFraction(er, eo, g), g: pk.grants[n-len(g) : n : n],
+				Req: er, Off: eo, frac: grantFraction(er, eo, g), g: pk.grants[n-len(g) : n : n],
 			})
 			break
 		}

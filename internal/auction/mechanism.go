@@ -35,12 +35,6 @@ type Config struct {
 	// Reputation scores are public ledger state, independent of bids, so
 	// the gate does not affect strategyproofness.
 	Reputation ReputationSource
-	// ExactScheduling switches capacity accounting from the paper's
-	// aggregate resource·time model (Const. 7) to exact interval
-	// scheduling: every grant gets a concrete start time and concurrent
-	// grants never exceed the machine at any instant. Stricter than the
-	// paper; outcomes gain meaningful Match.Start values.
-	ExactScheduling bool
 	// StrictReduction applies trade reduction per CLUSTER instead of per
 	// mini-auction: every cluster's marginal client is excluded from
 	// that cluster, not just the auction-wide price setter. This is the
@@ -326,7 +320,7 @@ type blockState struct {
 
 func newBlockState(cfg Config) *blockState {
 	return &blockState{
-		pk:         newPacker(cfg),
+		pk:         newPacker(),
 		taken:      make(map[*bidding.Request]bool),
 		reducedReq: make(map[*bidding.Request]bool),
 		reducedOff: make(map[bidding.OrderID]bool),
@@ -557,7 +551,7 @@ func RunGreedy(requests []*bidding.Request, offers []*bidding.Offer, cfg Config)
 		return strings.Compare(a.ec.Cluster.Key(), b.ec.Cluster.Key())
 	})
 
-	pk, pairOK := newPacker(cfg), pairGate(cfg)
+	pk, pairOK := newPacker(), pairGate(cfg)
 	taken := make(map[*bidding.Request]bool)
 	for _, rc := range ranked {
 		rc.ec.pack(pk, taken, nil, nil, pairOK, nil, nil)
@@ -624,7 +618,6 @@ func recordMatch(out *Outcome, kinds []resource.Kind, ec *EconCluster, a Assignm
 		Nu:        nu,
 		UnitPrice: price,
 		Payment:   pay,
-		Start:     a.Start,
 	})
 }
 

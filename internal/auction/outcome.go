@@ -17,10 +17,6 @@ type Match struct {
 	Nu        float64 // ν computed on the granted resources
 	UnitPrice float64 // the mini-auction clearing price p
 	Payment   float64 // what the client pays = what the provider receives
-	// Start is when the container is scheduled to begin: the request's
-	// window start under the aggregate capacity model, or a concrete
-	// conflict-free slot under Config.ExactScheduling.
-	Start int64
 }
 
 // Outcome is the result of running the mechanism on one block.

@@ -45,9 +45,7 @@ func TestEquivalenceRandomizedMarkets(t *testing.T) {
 
 			cfg := auction.DefaultConfig()
 			cfg.Evidence = []byte(fmt.Sprintf("equiv-evidence-%d", seed))
-			switch seed % 4 {
-			case 1:
-				cfg.ExactScheduling = true
+			switch seed % 4 { // 0 and 1 run the default config
 			case 2:
 				cfg.StrictReduction = true
 			case 3:
@@ -114,9 +112,7 @@ func TestEquivalenceIndexedVsNaive(t *testing.T) {
 
 			cfg := auction.DefaultConfig()
 			cfg.Evidence = []byte(fmt.Sprintf("indexed-evidence-%d", seed))
-			switch seed % 4 {
-			case 1:
-				cfg.ExactScheduling = true
+			switch seed % 4 { // 0 and 1 run the default config
 			case 2:
 				cfg.StrictReduction = true
 			case 3:

@@ -97,7 +97,7 @@ func prePassAll(clusters []*cluster.Cluster, kinds []resource.Kind, cfg Config, 
 	}
 	pks := make([]*packer, workers)
 	for w := range pks {
-		pks[w] = newPacker(cfg)
+		pks[w] = newPacker()
 	}
 	par.ForEachWorker(workers, len(clusters), func(w, i int) {
 		if useCache {

@@ -557,7 +557,7 @@ func TestSBBAPriceRuleParallel(t *testing.T) {
 		for i := range clusters {
 			ec := ComputeEconomics(clusters[i], cfg.Critical)
 			ec.bindRows(ix)
-			all[i] = prePass(ec, pairOK, newPacker(cfg))
+			all[i] = prePass(ec, pairOK, newPacker())
 		}
 		var intervals []miniauction.Interval
 		for i := range all {
@@ -592,43 +592,6 @@ func TestSBBAPriceRuleParallel(t *testing.T) {
 			if !valid[m.Request.ID][m.UnitPrice] {
 				t.Fatalf("trial %d: match %s→%s clears at %v, not an Eq. 20 price of any auction containing it (valid: %v)",
 					trial, m.Request.ID, m.Offer.ID, m.UnitPrice, valid[m.Request.ID])
-			}
-		}
-	}
-}
-
-// TestDSICHomogeneousExactScheduling completes the config matrix: the
-// exact-scheduling capacity model must be just as truthful on the
-// single-good setting.
-func TestDSICHomogeneousExactScheduling(t *testing.T) {
-	values := []float64{10, 8, 6, 5, 3}
-	costs := []float64{1, 2, 3, 4}
-	reqs, offs := homogeneousMarket(values, costs)
-	tv, tc := truthMaps(reqs, offs)
-	cfg := DefaultConfig()
-	cfg.Evidence = []byte("dsic-exact")
-	cfg.ExactScheduling = true
-
-	base := Run(reqs, offs, cfg)
-	for i := range reqs {
-		truthful := clientUtility(base, reqs[i].Client, tv)
-		for _, dev := range []float64{0.5, 0.9, 1.1, 2} {
-			mod := cloneRequests(reqs)
-			mod[i].Bid = reqs[i].TrueValue * dev
-			out := Run(mod, offs, cfg)
-			if u := clientUtility(out, reqs[i].Client, tv); u > truthful+1e-9 {
-				t.Fatalf("exact mode: client %s gains by deviating ×%v", reqs[i].Client, dev)
-			}
-		}
-	}
-	for j := range offs {
-		truthful := providerUtility(base, offs[j].Provider, tc)
-		for _, dev := range []float64{0.5, 0.9, 1.1, 2} {
-			mod := cloneOffers(offs)
-			mod[j].Bid = offs[j].TrueCost * dev
-			out := Run(reqs, mod, cfg)
-			if u := providerUtility(out, offs[j].Provider, tc); u > truthful+1e-9 {
-				t.Fatalf("exact mode: provider %s gains by deviating ×%v", offs[j].Provider, dev)
 			}
 		}
 	}

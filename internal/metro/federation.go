@@ -48,10 +48,10 @@ type Config struct {
 	Obs *obs.MetroMetrics
 
 	// CaptureUnions, when true, records each round's per-metro cleared
-	// order sets (live ∪ admitted) in the RoundResult so property tests
-	// can re-audit every metro's outcome against the exact order set it
-	// was computed over. Costs O(live) copies per round; off in
-	// production paths.
+	// order sets (live ∪ admitted) in the RoundResult: property tests
+	// re-audit every metro's outcome against the exact order set it was
+	// computed over, and the simulator folds its metrics over them.
+	// Costs O(live) copies per round.
 	CaptureUnions bool
 }
 

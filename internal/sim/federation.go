@@ -28,8 +28,8 @@ func newFederation(cfg Config, roster map[bidding.ParticipantID]*miner.Participa
 		DistancePerMS: cfg.DistancePerMS,
 		Auction:       cfg.Auction,
 		Obs:           obs.NewMetroMetrics(cfg.Obs, cfg.Metros),
-		// The greedy benchmark needs the exact per-metro union markets.
-		CaptureUnions: cfg.Mode == Fast,
+		// The fold needs the exact per-metro union markets.
+		CaptureUnions: true,
 	}
 	if cfg.Mode == Fast {
 		fed, err := metro.New(mcfg)
@@ -174,33 +174,29 @@ func denyAtOrigin(fed *metro.Federation, nets []*ledgerExchange, m int, id contr
 }
 
 // federationClearer drives one cross-settlement round of the persistent
-// federation. In fast mode the greedy benchmark runs over the union of
-// every exchange's cleared market — a single global (un-federated)
-// market — so the welfare ratio measures what federation costs against
-// an omniscient central matcher; in ledger mode (nets set) it runs over
-// the round's submissions, as on the single chain, and every metro that
+// federation. The greedy benchmark runs over the union of every
+// exchange's cleared market — a single global (un-federated) market — so
+// the welfare ratio measures what federation costs against an
+// omniscient central matcher. In ledger mode (nets set) every metro that
 // cut a block hands its agreements to settlement.
 func federationClearer(cfg Config, fed *metro.Federation, nets []*ledgerExchange) clearer {
+	truth := groundTruth{}
 	return func(round int, market *workload.Market) (*clearing, error) {
 		res, err := fed.Round(market.Requests, market.Offers, roundEvidence(cfg, round))
 		if err != nil {
 			return nil, err
 		}
 		c := &clearing{}
-		if nets != nil {
-			c.reqs, c.offs = market.Requests, market.Offers
-		}
 		for m, out := range res.Outcomes {
 			if out == nil {
 				continue
 			}
 			c.outcomes = append(c.outcomes, out)
+			c.reqs = append(c.reqs, res.UnionRequests[m]...)
+			c.offs = append(c.offs, res.UnionOffers[m]...)
 			if nets == nil {
-				c.reqs = append(c.reqs, res.UnionRequests[m]...)
-				c.offs = append(c.offs, res.UnionOffers[m]...)
 				continue
 			}
-			restoreGroundTruth(out, market)
 			c.blocks = append(c.blocks, committed{
 				res: nets[m].last, reg: nets[m].net.Contracts(),
 				deny: func(id contract.AgreementID, client bidding.ParticipantID) (bidding.ParticipantID, error) {
@@ -208,6 +204,6 @@ func federationClearer(cfg Config, fed *metro.Federation, nets []*ledgerExchange
 				},
 			})
 		}
-		return c, nil
+		return truth.restore(c, market), nil
 	}
 }

@@ -98,10 +98,11 @@ func (c Config) withDefaults() Config {
 
 // pipelines reports whether a ledger run goes through the miner
 // network's epoch pipeline, which feeds every round before the previous
-// one commits: it does when no round's market reads the last commit —
-// one chain, no denials. Every other ledger run clears round by round.
+// one commits: it does when no round reads the last commit — one chain,
+// no denials, no order book. Every other ledger run clears round by
+// round.
 func (c Config) pipelines() bool {
-	return c.Mode == Ledger && c.Metros <= 1 && c.DenyProb == 0
+	return c.Mode == Ledger && c.Metros <= 1 && c.DenyProb == 0 && !c.Auction.Incremental
 }
 
 // validate rejects a Mode the simulator does not know. Every market
@@ -348,9 +349,17 @@ func bookClearer(cfg Config) clearer {
 }
 
 // ledgerClearer pushes every order through the two-phase protocol on the
-// simulation's persistent network.
+// simulation's persistent network. The block clears over what the book
+// (under Auction.Incremental) carried into the round and the round's
+// market.
 func ledgerClearer(net *miner.Network, roster map[bidding.ParticipantID]*miner.Participant) clearer {
+	truth := groundTruth{}
 	return func(_ int, market *workload.Market) (*clearing, error) {
+		var reqs []*bidding.Request
+		var offs []*bidding.Offer
+		if bk := net.Book(); bk != nil {
+			reqs, offs = bk.LiveRequests(), bk.LiveOffers()
+		}
 		participants, err := submitMarket(net, roster, market.Requests, market.Offers)
 		if err != nil {
 			return nil, err
@@ -359,21 +368,18 @@ func ledgerClearer(net *miner.Network, roster map[bidding.ParticipantID]*miner.P
 		if err != nil {
 			return nil, err
 		}
-		return ledgerClearing(net, res, market), nil
+		c := ledgerClearing(net, res, append(reqs, market.Requests...), append(offs, market.Offers...))
+		return truth.restore(c, market), nil
 	}
 }
 
-// ledgerClearing wraps one committed block of the single-chain ledger.
-// Private valuations and costs never travel on the wire, so the
-// decrypted orders inside the outcome carry zero TrueValue/TrueCost;
-// they are re-joined from the generator's ground truth so welfare
-// metrics mean the same thing in both modes.
-func ledgerClearing(net *miner.Network, res *miner.RoundResult, market *workload.Market) *clearing {
-	restoreGroundTruth(res.Outcome, market)
+// ledgerClearing wraps one committed block of the single-chain ledger,
+// cleared over reqs and offs.
+func ledgerClearing(net *miner.Network, res *miner.RoundResult, reqs []*bidding.Request, offs []*bidding.Offer) *clearing {
 	return &clearing{
 		outcomes: []*auction.Outcome{res.Outcome},
-		reqs:     market.Requests,
-		offs:     market.Offers,
+		reqs:     reqs,
+		offs:     offs,
 		blocks:   []committed{{res: res, reg: net.Contracts(), deny: net.Contracts().Deny}},
 	}
 }
@@ -402,12 +408,12 @@ func pipelinedRounds(cfg Config, net *miner.Network, roster map[bidding.Particip
 	if err == nil {
 		err = feedErr
 	}
-	replay := func(round int) *workload.Market { return markets[round] }
+	replay, truth := func(round int) *workload.Market { return markets[round] }, groundTruth{}
 	return replay, func(round int, market *workload.Market) (*clearing, error) {
 		if err := rounds[round].Err; err != nil {
 			return nil, err
 		}
-		return ledgerClearing(net, rounds[round].Result, market), nil
+		return truth.restore(ledgerClearing(net, rounds[round].Result, market.Requests, market.Offers), market), nil
 	}, err
 }
 
@@ -504,24 +510,35 @@ func namespaceIDs(market *workload.Market, round int) {
 	}
 }
 
-// restoreGroundTruth copies TrueValue/TrueCost from the generated market
-// onto the decrypted orders referenced by the outcome (joined by order
-// ID). Only the simulator can do this — on a real ledger the private
-// values stay private.
-func restoreGroundTruth(out *auction.Outcome, market *workload.Market) {
-	values := make(map[bidding.OrderID]float64, len(market.Requests))
+// groundTruth is the generator's private valuation or cost of every
+// order of a run, by order ID (its request and offer IDs never collide).
+type groundTruth map[bidding.OrderID]float64
+
+// restore records the round's market in g and copies TrueValue/TrueCost
+// from g onto the orders c cleared over and the orders its outcomes
+// matched. Private values never travel on the wire, so the orders a
+// ledger decrypts, fresh or carried in its books, carry zeros; re-joined
+// here, welfare means the same thing in both modes. Only the simulator
+// can do this: on a real ledger the private values stay private.
+func (g groundTruth) restore(c *clearing, market *workload.Market) *clearing {
 	for _, r := range market.Requests {
-		values[r.ID] = r.TrueValue
+		g[r.ID] = r.TrueValue
 	}
-	costs := make(map[bidding.OrderID]float64, len(market.Offers))
 	for _, o := range market.Offers {
-		costs[o.ID] = o.TrueCost
+		g[o.ID] = o.TrueCost
 	}
-	for i := range out.Matches {
-		m := &out.Matches[i]
-		m.Request.TrueValue = values[m.Request.ID]
-		m.Offer.TrueCost = costs[m.Offer.ID]
+	for _, r := range c.reqs {
+		r.TrueValue = g[r.ID]
 	}
+	for _, o := range c.offs {
+		o.TrueCost = g[o.ID]
+	}
+	for _, out := range c.outcomes {
+		for _, m := range out.Matches {
+			m.Request.TrueValue, m.Offer.TrueCost = g[m.Request.ID], g[m.Offer.ID]
+		}
+	}
+	return c
 }
 
 // submitMarket seals every order through the roster's participants

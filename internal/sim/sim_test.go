@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"decloud/internal/auction"
@@ -289,6 +291,7 @@ func TestLedgerPipelinesUnlessARoundReadsTheLastCommit(t *testing.T) {
 		{"feedback-free", func(*Config) {}, 3},
 		{"deny", func(c *Config) { c.DenyProb = 0.5 }, 0},
 		{"metros", func(c *Config) { c.Metros, c.Workload.GeoRadius = 2, 0.6 }, 0},
+		{"incremental", func(c *Config) { c.Auction.Incremental = true }, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Mode: Ledger, Rounds: 3, Workload: workload.Config{Seed: 43, Requests: 20}, Miners: 2, Difficulty: 6}
@@ -375,5 +378,88 @@ func TestLedgerIncrementalAdmitsEveryArrival(t *testing.T) {
 			t.Fatalf("pipelined=%v: the book admitted %d of %d requests and %d of %d offers",
 				pipelined, st.InsertedRequests, reqs, st.InsertedOffers, offs)
 		}
+	}
+}
+
+// TestLedgerFoldsOverTheCarriedMarket: a ledger round that clears over
+// order books folds over what the books carried into it as well as the
+// round's arrivals, on one chain and across two metros. Every order of
+// that market and every matched order, carried or fresh, holds the
+// generator's private value or cost, and Satisfaction divides the
+// matches by the requests live before the round plus the arrivals.
+func TestLedgerFoldsOverTheCarriedMarket(t *testing.T) {
+	for _, metros := range []int{1, 2} {
+		t.Run(fmt.Sprintf("metros=%d", metros), func(t *testing.T) {
+			cfg := Config{Mode: Ledger, Rounds: 4, Metros: metros, Miners: 2, Difficulty: 6,
+				Workload: workload.Config{Seed: 7, Requests: 60, Providers: 4}}
+			cfg.Auction.Incremental = true
+			cfg = cfg.withDefaults()
+			roster := make(map[bidding.ParticipantID]*miner.Participant)
+			var clr clearer
+			var live func() int
+			if metros == 1 {
+				net := miner.NewNetwork(cfg.Miners, cfg.Difficulty, cfg.Auction)
+				clr, live = ledgerClearer(net, roster), func() int { return len(net.Book().LiveRequests()) }
+			} else {
+				cfg.Workload.GeoRadius = 0.6
+				fed, nets, err := newFederation(cfg, roster)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clr = federationClearer(cfg, fed, nets)
+				live = func() int { // books and spill inboxes: Submitted − Rejected − Matched − Expired
+					st := fed.Stats()
+					return st.SubmittedRequests - st.RejectedRequests - st.MatchedLocal - st.MatchedSpill - st.ExpiredRequests
+				}
+			}
+			truth, next, carried := map[bidding.OrderID]float64{}, marketSource(cfg), 0
+			for round := 0; round < cfg.Rounds; round++ {
+				market, before := next(round), live()
+				for _, r := range market.Requests {
+					truth[r.ID] = r.TrueValue
+				}
+				for _, o := range market.Offers {
+					truth[o.ID] = o.TrueCost
+				}
+				c, err := clr(round, market)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(c.outcomes) != metros {
+					t.Fatalf("round %d: %d of %d metros cut a block; the test needs every one", round, len(c.outcomes), metros)
+				}
+				m := fold(c, cfg)
+				if want := float64(m.Matches) / float64(before+len(market.Requests)); m.Satisfaction != want {
+					t.Fatalf("round %d: satisfaction %v, want %d matches / (%d live + %d fresh) = %v",
+						round, m.Satisfaction, m.Matches, before, len(market.Requests), want)
+				}
+				for _, r := range c.reqs { // the greedy benchmark's market
+					if v, ok := truth[r.ID]; !ok || r.TrueValue != v {
+						t.Fatalf("round %d: request %s in the folded market holds value %v, the generator's is %v", round, r.ID, r.TrueValue, v)
+					}
+				}
+				for _, o := range c.offs {
+					if k, ok := truth[o.ID]; !ok || o.TrueCost != k {
+						t.Fatalf("round %d: offer %s in the folded market holds cost %v, the generator's is %v", round, o.ID, o.TrueCost, k)
+					}
+				}
+				for _, out := range c.outcomes {
+					for _, x := range out.Matches {
+						v, okV := truth[x.Request.ID]
+						k, okC := truth[x.Offer.ID]
+						if !okV || !okC || x.Request.TrueValue != v || x.Offer.TrueCost != k {
+							t.Fatalf("round %d: match %s→%s holds value %v and cost %v, the generator's are %v and %v",
+								round, x.Request.ID, x.Offer.ID, x.Request.TrueValue, x.Offer.TrueCost, v, k)
+						}
+						if !strings.HasSuffix(string(x.Request.ID), fmt.Sprintf("@r%d", round)) {
+							carried++
+						}
+					}
+				}
+			}
+			if carried == 0 {
+				t.Fatal("no carried request matched; the test needs a market that carries")
+			}
+		})
 	}
 }

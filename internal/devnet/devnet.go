@@ -90,6 +90,7 @@ func (t Topology) withDefaults() (Topology, error) {
 	if t.Miners < 1 || t.Participants < 1 {
 		return t, fmt.Errorf("devnet: need at least 1 miner and 1 participant")
 	}
+	t.Metros = max(t.Metros, 1) // a flat devnet is one metro
 	if t.Metros > 1 {
 		t.Incremental = true // an exchange that cannot carry cannot spill
 		if t.Participants < t.Metros {
@@ -117,22 +118,11 @@ func (t Topology) withDefaults() (Topology, error) {
 // federated reports whether this topology runs multiple metro exchanges.
 func (t Topology) federated() bool { return t.Metros > 1 }
 
-// totalMiners is the overall miner process count: Miners is per-metro
-// once the topology federates.
-func (t Topology) totalMiners() int {
-	if t.federated() {
-		return t.Miners * t.Metros
-	}
-	return t.Miners
-}
+// totalMiners is the overall miner process count: Miners is per metro.
+func (t Topology) totalMiners() int { return t.Miners * t.Metros }
 
 // metroOfParticipant maps a participant slot onto its home exchange.
-func (t Topology) metroOfParticipant(slot int) int {
-	if !t.federated() {
-		return 0
-	}
-	return slot % t.Metros
-}
+func (t Topology) metroOfParticipant(slot int) int { return slot % t.Metros }
 
 // proc is one child process and its artifact paths.
 type proc struct {
@@ -542,9 +532,6 @@ func (c *Cluster) SpillReportFiles() []string {
 // replicas converge within a group, never across groups (each metro is
 // its own chain).
 func (c *Cluster) chainGroups() [][]string {
-	if !c.top.federated() {
-		return [][]string{c.ChainFiles()}
-	}
 	K := c.top.Miners
 	out := make([][]string, c.top.Metros)
 	for m := range out {
@@ -816,7 +803,7 @@ func producerDrained(statusFile string) bool {
 }
 
 func writeJSON(path string, v any) error {
-	data, err := jsonMarshalIndent(v)
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -282,7 +282,3 @@ func CheckFederatedSettlement(metroChainFiles []string) (*FederatedSettlementRes
 	res.SettledRoots, res.SpillSettled, err = ledger.CheckNoDoubleSettle(SpillRoot, chains...)
 	return res, err
 }
-
-func jsonMarshalIndent(v any) ([]byte, error) {
-	return json.MarshalIndent(v, "", "  ")
-}

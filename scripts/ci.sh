@@ -148,9 +148,12 @@ echo "==> non-test Go lines (a ratchet; ROADMAP item 2 wants them down)"
 # one-member offer classes by start and reading a trade's ν off dense
 # rows, less the prepass cache's member-ID signature, to 22 225; deleting
 # the simulator's resubmission loop, the book being the one carry path,
-# while the block screen gained its repeated-ID rule, to 22 116 and 5 637.
-LINES_CEILING_TOTAL=22116
-LINES_CEILING_ROUND_LOOPS=5637
+# while the block screen gained its repeated-ID rule, to 22 116 and 5 637;
+# deleting the exact interval scheduler and the Capacity interface, while
+# the ledger fold gained the carried market (paid for by the devnet
+# treating a flat run as one metro), to 21 973 and 5 633.
+LINES_CEILING_TOTAL=21973
+LINES_CEILING_ROUND_LOOPS=5633
 count_lines() { # dir...
   find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 }
@@ -314,7 +317,8 @@ go test -run='^$' -fuzz='^FuzzReservationLifecycle$' -fuzztime="${FUZZTIME}" ./i
 # Update checks that the memo lists each cluster once, in creation
 # order, below its horizon.
 go test -run='^$' -fuzz='^FuzzBuilderMatchesAlgorithm2$' -fuzztime="${FUZZTIME}" ./internal/cluster
-# Anchored: the dense capacity kernel against the map Tracker — probes,
+# Anchored: the pack loop's one capacity model, the dense aggregate
+# kernel of Const. 7, against the map Tracker — probes,
 # commits and reverted trials over markets with partial grants,
 # zero-quantity and missing kinds, and masks wider than one word; any
 # grant, φ or remaining-capacity bit that differs fails.

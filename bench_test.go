@@ -302,6 +302,78 @@ func BenchmarkBookIncremental1000(b *testing.B) {
 	}
 }
 
+// streamBook is a book fed the book_churn order stream: 512 arrivals a
+// block from 8 192 clients, a fifth of them offers, GeoRadius 0.015,
+// epochs of 32 blocks, valuations of 1–10 % of the covering machine's
+// price, a carry budget spanning an epoch and one in twenty live
+// requests cancelled a block. newStreamBook warms it for one epoch,
+// after which it holds ≈ 4 000 live orders.
+type streamBook struct {
+	bk     *book.Book
+	stream *workload.Stream
+}
+
+func newStreamBook(cfg auction.Config) *streamBook {
+	sb := &streamBook{bk: book.New(cfg), stream: workload.NewStream(workload.StreamConfig{
+		Seed: 1, Clients: 16 * 512, OfferFraction: 0.20, EpochOrders: 32 * 512,
+		GeoRadius: 0.015, ValuationLow: 0.01, ValuationHigh: 0.10,
+	})}
+	sb.bk.MaxCarry = 31
+	for range 32 {
+		sb.apply(sb.emit())
+	}
+	return sb
+}
+
+// emit draws the next block's 512 arrivals.
+func (sb *streamBook) emit() []workload.StreamOrder { return sb.stream.Emit(512) }
+
+// apply is one block: cancel every twentieth live request, insert the
+// arrivals, expire what fell behind their watermark, clear and commit.
+func (sb *streamBook) apply(arrivals []workload.StreamOrder) *auction.Outcome {
+	for i, r := range sb.bk.LiveRequests() {
+		if i%20 == 0 {
+			sb.bk.CancelRequest(r.ID)
+		}
+	}
+	var now int64
+	for i, so := range arrivals {
+		start := int64(0)
+		if so.Request != nil {
+			sb.bk.InsertRequest(so.Request)
+			start = so.Request.Start
+		} else {
+			sb.bk.InsertOffer(so.Offer)
+			start = so.Offer.Start
+		}
+		if i == 0 || start < now {
+			now = start
+		}
+	}
+	sb.bk.ExpireBefore(now)
+	return sb.bk.Apply(nil, nil, []byte("bench-stream"))
+}
+
+// BenchmarkBookStream applies one block to the warm streamBook per
+// iteration — the book_churn workload's unit of work, in-tree. The
+// arrivals are drawn outside the timer.
+//
+//	go test -run '^$' -bench BenchmarkBookStream -benchtime 200x .
+func BenchmarkBookStream(b *testing.B) {
+	sb := newStreamBook(auction.DefaultConfig())
+	live := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		arrivals := sb.emit()
+		b.StartTimer()
+		sb.apply(arrivals)
+		st := sb.bk.Stats()
+		live += st.LiveRequests + st.LiveOffers
+	}
+	b.ReportMetric(float64(live)/float64(b.N), "live_orders")
+}
+
 // TestClearAllocCeiling pins the allocation count of one sequential
 // clear, from scratch and incremental. Allocations are a property of
 // the code alone — every real clearing regression this repo has caught
@@ -314,6 +386,8 @@ func TestClearAllocCeiling(t *testing.T) {
 	cfg.Workers = 1
 	market := workload.Generate(workload.Config{Seed: 1, Requests: 1000})
 	preview := warmBook1000(cfg)
+	stream := newStreamBook(cfg)
+	blocks := [][]workload.StreamOrder{stream.emit(), stream.emit(), stream.emit(), stream.emit()}
 	for _, arm := range []struct {
 		name     string
 		measured float64
@@ -321,6 +395,7 @@ func TestClearAllocCeiling(t *testing.T) {
 	}{
 		{"auction.Run", 22003, func() { auction.Run(market.Requests, market.Offers, cfg) }},
 		{"book.Preview", 9005, func() { preview() }},
+		{"BookStream block", 1244, func() { stream.apply(blocks[0]); blocks = blocks[1:] }},
 	} {
 		got := testing.AllocsPerRun(3, arm.clear)
 		t.Logf("%s: %.0f allocs/op (measured %.0f)", arm.name, got, arm.measured)

@@ -16,9 +16,9 @@
 //   - Each live request caches its best-offer set from the last clear
 //     and is rescanned only when dirty. The dirty rules are exact:
 //     a request is dirtied when it is inserted, when an offer feasible
-//     for it (match.Feasible — scale-independent) is inserted, when an
-//     offer belonging to any cluster that contained the request is
-//     removed, or when the block normalization scale changes (scale
+//     for it (match.DigestFeasible — scale-independent) is inserted,
+//     when an offer belonging to any cluster that contained the request
+//     is removed, or when the block normalization scale changes (scale
 //     changes invalidate every quality score, so everything is
 //     dirtied). Removing an offer that was in no cluster cannot have
 //     been in any best set — cluster.Builder.Update places every best
@@ -56,6 +56,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"decloud/internal/auction"
@@ -125,10 +126,17 @@ type Book struct {
 	// before the first insert (New initializes it to DefaultMaxCarry).
 	MaxCarry int
 
-	reqs    []*reqEntry // insertion order, nil holes compacted on clear
-	offs    []*offEntry
-	reqByID map[bidding.OrderID]*reqEntry
-	offByID map[bidding.OrderID]*offEntry
+	reqs []*reqEntry // insertion order, nil holes compacted on clear
+	offs []*offEntry
+	// Beside each row, dense and compacted with it: the orders and
+	// their digests, made at insert over ixScratch's kinds. Compacted,
+	// they are a clear's input as they stand, and the fresh-offer test
+	// scans reqD without touching an entry.
+	reqR       []*bidding.Request
+	offR       []*bidding.Offer
+	reqD, offD []match.Digest
+	reqByID    map[bidding.OrderID]*reqEntry
+	offByID    map[bidding.OrderID]*offEntry
 
 	// prevMax is the per-kind maxima of the last clear's normalization
 	// scale; a mismatch invalidates every cached quality score.
@@ -143,9 +151,14 @@ type Book struct {
 	// builder's maps and mask slab are reused across clears instead of
 	// reallocated. Both are reset at the START of the next clear, so
 	// everything built from them stays valid through commit and outcome
-	// marshalling. Guarded by mu like the rest of the book.
+	// marshalling. ixScratch also interns the kinds of reqD and offD.
+	// Guarded by mu like the rest of the book.
 	ixScratch *match.IndexScratch
 	builder   *cluster.Builder
+
+	// rescan lists the canonical positions of the requests a clear
+	// rescores; it is reused across clears.
+	rescan []int
 
 	// memo carries the outcome of the latest Preview to a matching
 	// Apply so the block's clear runs once, not twice. Any mutation in
@@ -215,11 +228,13 @@ type previewMemo struct {
 // New creates an empty book executing cfg at every clear.
 func New(cfg auction.Config) *Book {
 	return &Book{
-		cfg:      cfg,
-		MaxCarry: DefaultMaxCarry,
-		reqByID:  make(map[bidding.OrderID]*reqEntry),
-		offByID:  make(map[bidding.OrderID]*offEntry),
-		cache:    &auction.PrepassCache{},
+		cfg:       cfg,
+		MaxCarry:  DefaultMaxCarry,
+		reqByID:   make(map[bidding.OrderID]*reqEntry),
+		offByID:   make(map[bidding.OrderID]*offEntry),
+		cache:     &auction.PrepassCache{},
+		ixScratch: match.NewIndexScratch(),
+		builder:   cluster.NewBuilder(),
 	}
 }
 
@@ -260,7 +275,7 @@ func (b *Book) insertRequestLocked(r *bidding.Request, record bool) bool {
 		return false
 	}
 	e := &reqEntry{r: r, pos: len(b.reqs), left: b.MaxCarry + 1, dirty: true}
-	b.reqs = append(b.reqs, e)
+	b.reqs, b.reqR, b.reqD = append(b.reqs, e), append(b.reqR, r), append(b.reqD, b.ixScratch.DigestRequest(r))
 	b.reqByID[r.ID] = e
 	if record {
 		b.stats.InsertedRequests++
@@ -277,13 +292,13 @@ func (b *Book) insertOfferLocked(o *bidding.Offer, record bool) bool {
 		return false
 	}
 	e := &offEntry{o: o, pos: len(b.offs), left: b.MaxCarry + 1}
-	b.offs = append(b.offs, e)
+	b.offs, b.offR, b.offD = append(b.offs, e), append(b.offR, o), append(b.offD, b.ixScratch.DigestOffer(o))
 	b.offByID[o.ID] = e
 	// A fresh offer can enter the best set of any request it is
 	// feasible for; feasibility is scale-independent, so this is exact.
-	for _, re := range b.reqs {
-		if re != nil && !re.dirty && match.Feasible(re.r, o) {
-			re.dirty = true
+	for i := range b.reqD {
+		if match.DigestFeasible(&b.reqD[i], &b.offD[e.pos]) && b.reqs[i] != nil {
+			b.reqs[i].dirty = true
 		}
 	}
 	if record {
@@ -411,24 +426,25 @@ func (b *Book) removeOfferLocked(e *offEntry) {
 	}
 }
 
-// compactLocked drops removal holes, preserving insertion order.
+// compactLocked drops removal holes, preserving insertion order; the
+// orders and digests beside the rows move with their entries.
 func (b *Book) compactLocked() {
-	reqs := b.reqs[:0]
-	for _, e := range b.reqs {
+	n := 0
+	for i, e := range b.reqs {
 		if e != nil {
-			e.pos = len(reqs)
-			reqs = append(reqs, e)
+			e.pos, b.reqs[n], b.reqR[n], b.reqD[n] = n, e, b.reqR[i], b.reqD[i]
+			n++
 		}
 	}
-	b.reqs = reqs
-	offs := b.offs[:0]
-	for _, e := range b.offs {
+	b.reqs, b.reqR, b.reqD = b.reqs[:n], b.reqR[:n], b.reqD[:n]
+	n = 0
+	for i, e := range b.offs {
 		if e != nil {
-			e.pos = len(offs)
-			offs = append(offs, e)
+			e.pos, b.offs[n], b.offR[n], b.offD[n] = n, e, b.offR[i], b.offD[i]
+			n++
 		}
 	}
-	b.offs = offs
+	b.offs, b.offR, b.offD = b.offs[:n], b.offR[:n], b.offD[:n]
 }
 
 // LiveRequests returns the live requests in insertion order.
@@ -436,11 +452,7 @@ func (b *Book) LiveRequests() []*bidding.Request {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.compactLocked()
-	out := make([]*bidding.Request, len(b.reqs))
-	for i, e := range b.reqs {
-		out[i] = e.r
-	}
-	return out
+	return slices.Clone(b.reqR)
 }
 
 // LiveOffers returns the live offers in insertion order.
@@ -448,11 +460,7 @@ func (b *Book) LiveOffers() []*bidding.Offer {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.compactLocked()
-	out := make([]*bidding.Offer, len(b.offs))
-	for i, e := range b.offs {
-		out[i] = e.o
-	}
-	return out
+	return slices.Clone(b.offR)
 }
 
 // Stats returns a snapshot of the book's conservation counters.
@@ -460,17 +468,7 @@ func (b *Book) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.stats
-	st.LiveRequests, st.LiveOffers = 0, 0
-	for _, e := range b.reqs {
-		if e != nil {
-			st.LiveRequests++
-		}
-	}
-	for _, e := range b.offs {
-		if e != nil {
-			st.LiveOffers++
-		}
-	}
+	st.LiveRequests, st.LiveOffers = len(b.reqByID), len(b.offByID)
 	return st
 }
 
@@ -500,40 +498,24 @@ func (b *Book) Clear(evidence []byte) *auction.Outcome {
 // clearLocked executes the incremental clear: rescore dirty requests,
 // build clusters from cached + fresh best sets in canonical order, and
 // run the post-clustering mechanism. It refreshes every cache and
-// resets all dirt; it does not commit (carry/removal) effects.
+// resets all dirt; it does not commit (carry/removal) effects. Every
+// order is read through the digest made at its insert, and index
+// positions lead back to entries: offers keep their order, requests
+// follow the index's canonical permutation.
 func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	b.compactLocked()
-	reqs := make([]*bidding.Request, len(b.reqs))
-	for i, e := range b.reqs {
-		reqs[i] = e.r
-	}
-	offs := make([]*bidding.Offer, len(b.offs))
-	for i, e := range b.offs {
-		offs[i] = e.o
-	}
-
-	scale := match.BlockScale(reqs, offs)
+	b.ixScratch.Reset()
+	ix := match.NewIndexWith(b.reqR, b.offR, b.reqD, b.offD, b.ixScratch)
+	scale := ix.Scale() // the block scale, from the digests' column maxima
 	allDirty := !b.cleared || !scale.MaxVector().Equal(b.prevMax)
 	if allDirty {
 		b.cache.Flush()
 	}
-
-	if b.ixScratch == nil {
-		b.ixScratch = match.NewIndexScratch()
-	}
-	b.ixScratch.Reset()
-	ix := match.NewIndexWith(reqs, offs, scale, b.ixScratch)
-	ordered := ix.Requests() // canonical (Submitted, ID) order
-	best := make([][]*bidding.Offer, len(ordered))
-	entries := make([]*reqEntry, len(ordered))
-	var dirtyIdx []int
-	for i, r := range ordered {
-		e := b.reqByID[r.ID]
-		entries[i] = e
-		if allDirty || e.dirty || e.best == nil {
-			dirtyIdx = append(dirtyIdx, i)
-		} else {
-			best[i] = e.best
+	order := ix.RequestOrder()
+	b.rescan = b.rescan[:0]
+	for i, p := range order {
+		if e := b.reqs[p]; allDirty || e.dirty || e.best == nil {
+			b.rescan = append(b.rescan, i)
 		}
 	}
 
@@ -549,48 +531,56 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	}
 	cfg := b.cfg
 	cfg.Evidence = evidence
-	par.ForEachWorker(workers, len(dirtyIdx), func(w, j int) {
-		i := dirtyIdx[j]
-		best[i] = ix.BestOffers(i, cfg.Match, b.scratch[w])
+	par.ForEachWorker(workers, len(b.rescan), func(w, j int) {
+		i := b.rescan[j]
+		b.reqs[order[i]].best = ix.BestOffers(i, cfg.Match, b.scratch[w])
 	})
 
 	// The builder is persistent: Reset/Reserve recycle its maps and
 	// mask slab, and Clusters() severs the returned clusters from that
 	// memory (the prepass cache retains them across clears).
-	if b.builder == nil {
-		b.builder = cluster.NewBuilder()
-	}
 	b.builder.Reset()
-	b.builder.Reserve(len(ordered))
-	for i, r := range ordered {
-		b.builder.Update(r, best[i])
+	b.builder.Reserve(len(order))
+	for i, r := range ix.Requests() {
+		e := b.reqs[order[i]]
+		b.builder.Update(r, e.best)
+		e.dirty = false
 	}
 	clusters := b.builder.Clusters()
 
-	out := auction.RunPrepared(reqs, offs, ix, clusters, cfg, b.cache)
+	out := auction.RunPrepared(b.reqR, b.offR, ix, clusters, cfg, b.cache)
 
-	// Refresh caches: best sets and dirt on requests, cluster watch
-	// lists on offers, and the scale fingerprint.
-	for i, e := range entries {
-		e.best = best[i]
-		e.dirty = false
-	}
+	// Refresh the cluster watch lists on offers and the scale
+	// fingerprint.
 	for _, e := range b.offs {
 		e.watch = e.watch[:0]
 	}
 	for _, cl := range clusters {
 		for _, o := range cl.Offers {
-			if e := b.offByID[o.ID]; e != nil {
-				e.watch = append(e.watch, cl.Requests)
+			if i, ok := ix.OfferIndex(o); ok {
+				b.offs[i].watch = append(b.offs[i].watch, cl.Requests)
 			}
 		}
 	}
 	b.prevMax = scale.MaxVector()
 	b.cleared = true
 	b.stats.Clears++
-	b.stats.Rescored += len(dirtyIdx)
-	if len(dirtyIdx) == len(ordered) {
+	b.stats.Rescored += len(b.rescan)
+	if len(b.rescan) == len(order) {
 		b.stats.FullRescores++
+	}
+
+	// The intern table keeps every kind it was shown: once it holds
+	// twice this clear's live kinds, digest the live orders again over
+	// a fresh scratch (ix keeps the old one's memory alive).
+	if b.ixScratch.Interned() > 2*len(ix.Kinds()) {
+		b.ixScratch = match.NewIndexScratch()
+		for i, r := range b.reqR {
+			b.reqD[i] = b.ixScratch.DigestRequest(r)
+		}
+		for i, o := range b.offR {
+			b.offD[i] = b.ixScratch.DigestOffer(o)
+		}
 	}
 	return out
 }
@@ -705,15 +695,7 @@ func (b *Book) Preview(newReqs []*bidding.Request, newOffs []*bidding.Offer, evi
 	out.RejectedRequests = append(out.RejectedRequests, rejR...)
 	out.RejectedOffers = append(out.RejectedOffers, rejO...)
 
-	b.compactLocked()
-	allReqs := make([]*bidding.Request, len(b.reqs))
-	for i, e := range b.reqs {
-		allReqs[i] = e.r
-	}
-	allOffs := make([]*bidding.Offer, len(b.offs))
-	for i, e := range b.offs {
-		allOffs[i] = e.o
-	}
+	allReqs, allOffs := slices.Clone(b.reqR), slices.Clone(b.offR) // the live set the clear read
 
 	// Roll back the temporary admissions. Offer removal dirties the
 	// requests whose fresh best sets saw the block's offers, restoring

@@ -210,3 +210,61 @@ func FuzzIndexMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDigestFeasibleMatchesFeasible holds the order book's fresh-offer
+// test, DigestFeasible over two digests of one scratch, to Feasible
+// over the orders themselves. Each 3-byte step sets a request or offer
+// quantity from a menu with zero, negative, tiny and infinite values,
+// puts an offer quantity on the request's cover threshold or one ulp
+// either side, moves the offer's window or location to a boundary, or
+// interns a kind ahead of the digests so intern IDs do not follow
+// names. Flexibility and radius come raw: unset, 1, fractional, tiny,
+// negative or NaN; the offer's location is the request's, on the
+// radius, or one ulp beyond it.
+func FuzzDigestFeasibleMatchesFeasible(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 0, 1, 5, 3, 0, 3, 3, 1, 4}, 0.0, 0.0)
+	f.Add([]byte{0, 0, 4, 0, 2, 1, 3, 0, 2, 3, 2, 0}, 0.8, 0.5)
+	f.Add([]byte{4, 3, 5, 4, 0, 2, 4, 2, 1, 1, 1, 3, 2, 3, 3}, 1e-10, 0.0)
+	f.Add([]byte{1, 0, 5, 1, 1, 1, 2, 1, 4, 1, 3, 4}, 0.5, math.Inf(1))
+	f.Add([]byte{2, 0, 3, 2, 2, 0, 0, 3, 1, 0, 3, 5}, 1.0, 0.25)
+	f.Add([]byte{0, 0, 4, 0, 1, 4}, 0.5, math.NaN())
+	f.Fuzz(func(t *testing.T, data []byte, flex, radius float64) {
+		kinds := []resource.Kind{"cpu", "disk", "gpu", "ram", "zz"}
+		qs := []float64{0, -1, 1e-12, 0.5, 1, 4, 16, math.Inf(1)}
+		r := &bidding.Request{ID: "r", Resources: resource.Vector{}, Start: 10, End: 20, Flexibility: flex, MaxDistance: radius}
+		o := &bidding.Offer{ID: "o", Resources: resource.Vector{}, Start: 10, End: 20}
+		s := NewIndexScratch()
+		for ; len(data) >= 3; data = data[3:] {
+			k, v := kinds[int(data[0])%len(kinds)], data[2]
+			switch data[1] % 4 {
+			case 0:
+				r.Resources[k] = qs[int(v)%len(qs)]
+			case 1:
+				o.Resources[k] = qs[int(v)%len(qs)]
+			case 2:
+				thr := resource.CoverThreshold(r.Resources[k], r.Flex())
+				o.Resources[k] = []float64{thr, math.Nextafter(thr, math.Inf(-1)), math.Nextafter(thr, math.Inf(1))}[v%3]
+			default:
+				switch v % 6 {
+				case 0:
+					o.Start = r.Start + 1
+				case 1:
+					o.End = r.End - 1
+				case 2:
+					o.Start, o.End = r.Start-5, r.End+5
+				case 3:
+					o.Location.X = radius
+				case 4:
+					o.Location.X = math.Nextafter(radius, math.Inf(1))
+				default:
+					s.DigestOffer(&bidding.Offer{Resources: resource.Vector{k: 1}})
+				}
+			}
+		}
+		rd, od := s.DigestRequest(r), s.DigestOffer(o)
+		if got, want := DigestFeasible(&rd, &od), Feasible(r, o); got != want {
+			t.Fatalf("DigestFeasible %v, Feasible %v: request %v flex %g reach %g [%d,%d], offer %v at %v [%d,%d]",
+				got, want, r.Resources, r.Flexibility, r.MaxDistance, r.Start, r.End, o.Resources, o.Location, o.Start, o.End)
+		}
+	})
+}

@@ -23,7 +23,8 @@ import (
 //
 //   - a canonical kind table (every resource kind with a positive
 //     quantity anywhere in the block, sorted) assigning each kind a
-//     small integer, so sparse resource.Vector maps become dense rows;
+//     small integer, so each order's Digest fills dense rows by array
+//     lookups, never walking a resource.Vector map;
 //   - a per-order kind bitmask: bit k set iff the order has a positive
 //     quantity of kind k. K_r ∩ K_o = AND of mask words, replacing the
 //     two map-allocating CommonKinds calls per pair. Masks are nw =
@@ -54,11 +55,10 @@ import (
 // close. The paralleltest harness enforces byte-equality of whole-block
 // Outcomes between this engine and the brute-force reference.
 type Index struct {
-	scale  *resource.Scale
-	kinds  []resource.Kind
-	kindOf map[resource.Kind]int
-	nk     int
-	nw     int // mask words per order: ⌈nk/64⌉ (1 when nk == 0)
+	scale *resource.Scale
+	kinds []resource.Kind
+	nk    int
+	nw    int // mask words per order: ⌈nk/64⌉ (1 when nk == 0)
 
 	// scans counts the top-k loop's work across the whole block, as
 	// Scans reports it — the observability layer's "work done" signal
@@ -73,6 +73,7 @@ type Index struct {
 
 	requests []*bidding.Request // canonical (Submitted, ID) order
 	offers   []*bidding.Offer   // block (input) order
+	reqOrder []int32            // input position of each canonical request
 
 	// Dense request rows: masks nw-strided, quantities nk-strided.
 	reqMask []uint64
@@ -111,22 +112,26 @@ type Index struct {
 }
 
 // IndexScratch is the reusable backing store for index construction: the
-// dense rows, masks, and position maps of one epoch's Index. A long-lived
-// clearing loop (the incremental order book) owns one scratch, calls
-// Reset at each round boundary, and passes it to NewIndexWith — steady
-// state compiles the block with near-zero heap allocation.
+// dense rows, masks, and position maps of one epoch's Index, and the
+// intern table of its digests' kinds. A long-lived clearing loop (the
+// incremental order book) owns one scratch, digests each order once at
+// admission, calls Reset at each round boundary and passes the digests
+// to NewIndexWith, so steady state allocates almost nothing.
 //
 // The Index returned by NewIndexWith aliases the scratch's memory: it is
-// valid until the next Reset, and must not be used after. A scratch must
-// never be shared by concurrent builders (each concurrent clearing loop
-// owns its own).
+// valid until the next Reset, and must not be used after. The intern
+// table survives Reset. A scratch must never be shared by concurrent
+// builders (each concurrent clearing loop owns its own).
 type IndexScratch struct {
 	a     arena.Arena
 	reqs  arena.Slab[*bidding.Request]
 	kinds arena.Slab[resource.Kind]
 
-	seen   map[resource.Kind]bool
-	kindOf map[resource.Kind]int
+	// The intern table: a kind's ID is its position in names. IDs are
+	// node-local, so no float is ever summed in ID order.
+	kindID map[resource.Kind]int32
+	names  []resource.Kind
+
 	reqPos map[*bidding.Request]int
 	offPos map[*bidding.Offer]int
 }
@@ -134,8 +139,7 @@ type IndexScratch struct {
 // NewIndexScratch returns an empty scratch.
 func NewIndexScratch() *IndexScratch {
 	return &IndexScratch{
-		seen:   make(map[resource.Kind]bool),
-		kindOf: make(map[resource.Kind]int),
+		kindID: make(map[resource.Kind]int32),
 		reqPos: make(map[*bidding.Request]int),
 		offPos: make(map[*bidding.Offer]int),
 	}
@@ -147,179 +151,242 @@ func (s *IndexScratch) Reset() {
 	s.a.Reset()
 	s.reqs.Reset()
 	s.kinds.Reset()
-	clear(s.seen)
-	clear(s.kindOf)
 	clear(s.reqPos)
 	clear(s.offPos)
 }
 
-// NewIndex compiles a block into an Index with fresh allocations. The
-// scale must be the block-wide normalization scale (match.BlockScale).
-// Requests are re-ordered canonically by (Submitted, ID) — the order
-// Algorithm 2 consumes them in; Offers keep their input order.
-func NewIndex(requests []*bidding.Request, offers []*bidding.Offer, scale *resource.Scale) *Index {
-	return NewIndexWith(requests, offers, scale, nil)
+// Interned returns the number of kinds in the intern table.
+func (s *IndexScratch) Interned() int { return len(s.names) }
+
+// Digest is an order compiled once: its window, place and reach, and its
+// kinds, interned by the scratch that made it and sorted by ID, each with
+// its quantity and, for a request, its cover threshold and weight. A
+// request lists its positive kinds, an offer every nonzero one (Feasible
+// tests any offer quantity against a threshold).
+type Digest struct {
+	start, end int64
+	at         bidding.Location
+	reach      float64 // a request's MaxDistance
+	ks         []digestKind
 }
 
-// NewIndexWith is NewIndex drawing every dense row, mask, and position
-// map from the given scratch (nil behaves like NewIndex). See
-// IndexScratch for the aliasing contract.
-func NewIndexWith(requests []*bidding.Request, offers []*bidding.Offer, scale *resource.Scale, s *IndexScratch) *Index {
-	ix := &Index{scale: scale, offers: offers}
-	var seen map[resource.Kind]bool
-	if s != nil {
-		ix.requests = s.reqs.Make(len(requests))
-		copy(ix.requests, requests)
-		ix.kindOf = s.kindOf
-		ix.reqPos = s.reqPos
-		ix.offPos = s.offPos
-		seen = s.seen
-	} else {
-		ix.requests = append([]*bidding.Request(nil), requests...)
-		ix.kindOf = make(map[resource.Kind]int)
-		ix.reqPos = make(map[*bidding.Request]int, len(requests))
-		ix.offPos = make(map[*bidding.Offer]int, len(offers))
-		seen = make(map[resource.Kind]bool)
-	}
-	// IDs are unique per block, so the order is total and
-	// algorithm-independent. IDs are compared only on a Submitted tie.
-	slices.SortFunc(ix.requests, func(a, b *bidding.Request) int {
-		if a.Submitted != b.Submitted {
-			return cmp.Compare(a.Submitted, b.Submitted)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+type digestKind struct {
+	id        int32
+	q, thr, w float64
+}
 
-	// Kind table: every kind positive anywhere in the block, sorted so
-	// ascending kind index reproduces CommonKinds' sorted iteration.
-	for _, r := range ix.requests {
-		for k, q := range r.Resources {
-			if q > 0 {
-				seen[k] = true
+// DigestRequest compiles r over s's intern table.
+func (s *IndexScratch) DigestRequest(r *bidding.Request) Digest {
+	return Digest{r.Start, r.End, r.Location, r.MaxDistance, s.digest(make([]digestKind, 0, len(r.Resources)), r.Resources, r)}
+}
+
+// DigestOffer compiles o over s's intern table.
+func (s *IndexScratch) DigestOffer(o *bidding.Offer) Digest {
+	return Digest{o.Start, o.End, o.Location, 0, s.digest(make([]digestKind, 0, len(o.Resources)), o.Resources, nil)}
+}
+
+// digest appends the kinds of v, request r's resources or, with r nil,
+// an offer's, to dst, sorted by ID.
+func (s *IndexScratch) digest(dst []digestKind, v resource.Vector, r *bidding.Request) []digestKind {
+	at := len(dst)
+	for k, q := range v {
+		if q > 0 || r == nil && q != 0 {
+			id, ok := s.kindID[k]
+			if !ok {
+				id = int32(len(s.names))
+				s.kindID[k], s.names = id, append(s.names, k)
+			}
+			if dst = append(dst, digestKind{id: id, q: q}); r != nil {
+				dst[len(dst)-1].thr, dst[len(dst)-1].w = resource.CoverThreshold(q, r.Flex()), r.Weight(k)
 			}
 		}
+	}
+	slices.SortFunc(dst[at:], func(a, b digestKind) int { return cmp.Compare(a.id, b.id) })
+	return dst
+}
+
+// DigestFeasible returns Feasible(r, o) from digests one scratch made:
+// the window test (inlined: it rejects most pairs) and the reach test as
+// bidding computes them, then K_r ∩ K_o and the cover thresholds.
+func DigestFeasible(rd, od *Digest) bool {
+	return od.start <= rd.start && od.end >= rd.end && reachAndKindsFit(rd, od)
+}
+
+// reachAndKindsFit is the rest of DigestFeasible: the reach test, then
+// a merge of the ID-sorted kinds.
+func reachAndKindsFit(rd, od *Digest) bool {
+	if !(rd.reach <= 0 || rd.at.Distance(od.at) <= rd.reach) {
+		return false
+	}
+	common, j := false, 0
+	for _, k := range rd.ks {
+		for j < len(od.ks) && od.ks[j].id < k.id {
+			j++
+		}
+		q := 0.0 // the offer's quantity of kind k
+		if j < len(od.ks) && od.ks[j].id == k.id {
+			q = od.ks[j].q
+		}
+		if q < k.thr {
+			return false
+		}
+		common = common || q > 0
+	}
+	return common
+}
+
+// NewIndex compiles a block into an Index with fresh allocations, its
+// orders digested into one slab. The scale must be the block-wide
+// normalization scale (match.BlockScale). Requests are re-ordered
+// canonically by (Submitted, ID) — the order Algorithm 2 consumes them
+// in; Offers keep their input order.
+func NewIndex(requests []*bidding.Request, offers []*bidding.Offer, scale *resource.Scale) *Index {
+	s := &IndexScratch{kindID: make(map[resource.Kind]int32),
+		reqPos: make(map[*bidding.Request]int, len(requests)), offPos: make(map[*bidding.Offer]int, len(offers))}
+	n, nr := 0, len(requests)
+	for _, r := range requests {
+		n += len(r.Resources)
 	}
 	for _, o := range offers {
-		for k, q := range o.Resources {
-			if q > 0 {
-				seen[k] = true
+		n += len(o.Resources)
+	}
+	slab, ds := make([]digestKind, 0, n), make([]Digest, nr+len(offers))
+	for i := range ds {
+		at := len(slab)
+		if i < nr {
+			slab = s.digest(slab, requests[i].Resources, requests[i])
+		} else {
+			slab = s.digest(slab, offers[i-nr].Resources, nil)
+		}
+		ds[i].ks = slab[at:]
+	}
+	return compile(requests, offers, ds[:nr], ds[nr:], scale, s, false)
+}
+
+// NewIndexWith is NewIndex over digests s made — rd[i] of requests[i],
+// od[i] of offers[i] — drawing every row from s, against the digests'
+// column maxima: a maximum is exact, so that scale is BlockScale's to
+// the bit. See IndexScratch for the aliasing contract.
+func NewIndexWith(requests []*bidding.Request, offers []*bidding.Offer, rd, od []Digest, s *IndexScratch) *Index {
+	return compile(requests, offers, rd, od, nil, s, true)
+}
+
+// rows returns n zeroed elements, from sl when pooled, else the heap.
+func rows[T any](pooled bool, sl *arena.Slab[T], n int) []T {
+	if pooled {
+		return sl.Make(n)
+	}
+	return make([]T, n)
+}
+
+// compile builds the index over digests that s made, against scale or,
+// when it is nil, the digests' column maxima.
+func compile(requests []*bidding.Request, offers []*bidding.Offer, rd, od []Digest, scale *resource.Scale, s *IndexScratch, pooled bool) *Index {
+	ix := &Index{offers: offers, reqPos: s.reqPos, offPos: s.offPos}
+	nr, no := len(requests), len(offers)
+
+	// Kind table: every kind positive anywhere in the block, sorted by
+	// name so ascending kind index reproduces CommonKinds' sorted
+	// iteration; col maps an intern ID to its table index.
+	colMax := rows(pooled, &s.a.F64, len(s.names))
+	for _, ds := range [2][]Digest{rd, od} {
+		for _, d := range ds {
+			for _, k := range d.ks {
+				if k.q > colMax[k.id] {
+					colMax[k.id] = k.q
+				}
 			}
 		}
 	}
-	if s != nil {
-		ix.kinds = s.kinds.Make(len(seen))[:0]
-	} else {
-		ix.kinds = make([]resource.Kind, 0, len(seen))
+	ids, col := rows(pooled, &s.a.I32, len(s.names))[:0], rows(pooled, &s.a.I32, len(s.names))
+	for id, m := range colMax {
+		if m > 0 {
+			ids = append(ids, int32(id))
+		}
 	}
-	for k := range seen {
-		ix.kinds = append(ix.kinds, k)
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(s.names[a], s.names[b]) })
+	ix.kinds = rows(pooled, &s.kinds, len(ids))
+	for i, id := range ids {
+		ix.kinds[i], col[id] = s.names[id], int32(i)
 	}
-	slices.Sort(ix.kinds)
-	ix.nk = len(ix.kinds)
-	ix.nw = (ix.nk + 63) / 64
-	if ix.nw == 0 {
-		ix.nw = 1
+	if scale == nil {
+		m := make(resource.Vector, len(ids))
+		for _, id := range ids {
+			m[s.names[id]] = colMax[id]
+		}
+		scale = resource.NewScale(m)
 	}
-	for i, k := range ix.kinds {
-		ix.kindOf[k] = i
-	}
+	ix.scale, ix.nk, ix.nw = scale, len(ids), max((len(ids)+63)/64, 1)
+	nk, nw := ix.nk, ix.nw
 
-	nr, no, nk, nw := len(ix.requests), len(offers), ix.nk, ix.nw
-	mk64 := func(n int) []uint64 {
-		if s != nil {
-			return s.a.U64.Make(n)
-		}
-		return make([]uint64, n)
-	}
-	mkF := func(n int) []float64 {
-		if s != nil {
-			return s.a.F64.Make(n)
-		}
-		return make([]float64, n)
-	}
-	mkI64 := func(n int) []int64 {
-		if s != nil {
-			return s.a.I64.Make(n)
-		}
-		return make([]int64, n)
-	}
-	mkI32 := func(n int) []int32 {
-		if s != nil {
-			return s.a.I32.Make(n)
-		}
-		return make([]int32, n)
-	}
-
-	ix.scoreMask = mk64(nw)
+	ix.scoreMask = rows(pooled, &s.a.U64, nw)
+	om := rows(pooled, &s.a.F64, nk) // the scale's maximum per table kind
 	for i, k := range ix.kinds {
-		if scale.Max(k) > 0 {
+		if om[i] = scale.Max(k); om[i] > 0 {
 			ix.scoreMask[i/64] |= 1 << uint(i%64)
 		}
 	}
 
-	ix.reqMask = mk64(nr * nw)
-	ix.reqRaw = mkF(nr * nk)
-	ix.reqNorm = mkF(nr * nk)
-	ix.reqThr = mkF(nr * nk)
-	ix.reqW = mkF(nr * nk)
-	for i, r := range ix.requests {
+	// IDs are unique per block, so the order is total and
+	// algorithm-independent. IDs are compared only on a Submitted tie.
+	ix.reqOrder = rows(pooled, &s.a.I32, nr)
+	for i := range ix.reqOrder {
+		ix.reqOrder[i] = int32(i)
+	}
+	slices.SortFunc(ix.reqOrder, func(a, b int32) int {
+		if c := cmp.Compare(requests[a].Submitted, requests[b].Submitted); c != 0 {
+			return c
+		}
+		return cmp.Compare(requests[a].ID, requests[b].ID)
+	})
+	ix.requests = rows(pooled, &s.reqs, nr)
+	ix.reqMask = rows(pooled, &s.a.U64, nr*nw)
+	ix.reqRaw, ix.reqNorm = rows(pooled, &s.a.F64, nr*nk), rows(pooled, &s.a.F64, nr*nk)
+	ix.reqThr, ix.reqW = rows(pooled, &s.a.F64, nr*nk), rows(pooled, &s.a.F64, nr*nk)
+	for i, p := range ix.reqOrder {
+		r := requests[p]
+		ix.requests[i] = r
 		ix.reqPos[r] = i
-		row := i * nk
-		mrow := i * nw
-		flex := r.Flex()
-		for k, q := range r.Resources {
-			if q <= 0 {
-				continue
-			}
-			ki := ix.kindOf[k]
+		row, mrow := i*nk, i*nw
+		for _, k := range rd[p].ks {
+			ki := int(col[k.id])
 			ix.reqMask[mrow+ki/64] |= 1 << uint(ki%64)
-			ix.reqRaw[row+ki] = q
-			ix.reqThr[row+ki] = resource.CoverThreshold(q, flex)
-			ix.reqW[row+ki] = r.Weight(k)
-			if om := scale.Max(k); om > 0 {
-				nrm := q / om
-				if nrm > 1 {
-					nrm = 1
-				}
-				ix.reqNorm[row+ki] = nrm
+			ix.reqRaw[row+ki] = k.q
+			ix.reqThr[row+ki] = k.thr
+			ix.reqW[row+ki] = k.w
+			if om[ki] > 0 {
+				ix.reqNorm[row+ki] = min(k.q/om[ki], 1)
 			}
 		}
 	}
 
-	ix.offMask = mk64(no * nw)
-	ix.offRaw = mkF(no * nk)
-	ix.offNorm = mkF(no * nk)
-	ix.offStart = mkI64(no)
-	ix.offEnd = mkI64(no)
-	ix.offX = mkF(no)
-	ix.offY = mkF(no)
+	ix.offMask = rows(pooled, &s.a.U64, no*nw)
+	ix.offRaw, ix.offNorm = rows(pooled, &s.a.F64, no*nk), rows(pooled, &s.a.F64, no*nk)
+	ix.offStart, ix.offEnd = rows(pooled, &s.a.I64, no), rows(pooled, &s.a.I64, no)
+	ix.offX, ix.offY = rows(pooled, &s.a.F64, no), rows(pooled, &s.a.F64, no)
 	for i, o := range offers {
 		ix.offPos[o] = i
-		row := i * nk
-		mrow := i * nw
-		for k, q := range o.Resources {
-			if q <= 0 {
+		row, mrow := i*nk, i*nw
+		for _, k := range od[i].ks {
+			if !(k.q > 0) {
 				continue
 			}
-			ki := ix.kindOf[k]
+			ki := int(col[k.id])
 			ix.offMask[mrow+ki/64] |= 1 << uint(ki%64)
-			ix.offRaw[row+ki] = q
-			if om := scale.Max(k); om > 0 {
-				ix.offNorm[row+ki] = q / om
+			ix.offRaw[row+ki] = k.q
+			if om[ki] > 0 {
+				ix.offNorm[row+ki] = k.q / om[ki]
 			}
 		}
-		ix.offStart[i] = o.Start
-		ix.offEnd[i] = o.End
-		ix.offX[i] = o.Location.X
-		ix.offY[i] = o.Location.Y
+		ix.offStart[i], ix.offEnd[i], ix.offX[i], ix.offY[i] = o.Start, o.End, o.Location.X, o.Location.Y
 	}
 
 	if slices.ContainsFunc(ix.requests, hasReach) {
-		ix.byX = sortedOffers(mkI32(no), ix.offX)
+		ix.byX = sortedOffers(rows(pooled, &s.a.I32, no), ix.offX)
 	}
 	if slices.ContainsFunc(ix.requests, func(r *bidding.Request) bool { return !hasReach(r) }) {
-		ix.byClass, ix.classAt = ix.classTable(mkI32(no), mkI32(no), mkI32(no + 1)[:0])
-		ix.runStart, ix.runEnd = mkI64((no+31)/32), mkI64((no+31)/32)
+		ix.byClass, ix.classAt = ix.classTable(rows(pooled, &s.a.I32, no), rows(pooled, &s.a.I32, no), rows(pooled, &s.a.I32, no+1)[:0])
+		ix.runStart, ix.runEnd = rows(pooled, &s.a.I64, (no+31)/32), rows(pooled, &s.a.I64, (no+31)/32)
 		for p, oi := range ix.byClass[:ix.classAt[len(ix.classAt)-1]] {
 			if j := p / 32; p%32 == 0 {
 				ix.runStart[j], ix.runEnd[j] = ix.offStart[oi], ix.offEnd[oi]
@@ -399,6 +466,17 @@ func (ix *Index) Requests() []*bidding.Request { return ix.requests }
 
 // Offers returns the block's valid offers in input order.
 func (ix *Index) Offers() []*bidding.Offer { return ix.offers }
+
+// RequestOrder returns the canonical permutation: Requests()[i] is the
+// request the index was given at position RequestOrder()[i].
+func (ix *Index) RequestOrder() []int32 { return ix.reqOrder }
+
+// OfferIndex returns o's position in Offers(); ok is false when the
+// offer is not part of the block.
+func (ix *Index) OfferIndex(o *bidding.Offer) (i int, ok bool) {
+	i, ok = ix.offPos[o]
+	return i, ok
+}
 
 // Scale returns the block-wide normalization scale the index was built
 // against.

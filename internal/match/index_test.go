@@ -291,7 +291,9 @@ func TestIndexWideBlock(t *testing.T) {
 // TestIndexScratchReuse builds different blocks through one reused
 // IndexScratch and cross-checks each against a freshly allocated index:
 // arena-backed construction must be invisible to the results, across
-// epochs, for both narrow and wide blocks.
+// epochs, for both narrow and wide blocks. Its intern table keeps the
+// kinds of earlier epochs, and the index's scale, the digests' column
+// maxima, must be BlockScale's to the bit.
 func TestIndexScratchReuse(t *testing.T) {
 	scratch := NewIndexScratch()
 	cfg := DefaultConfig()
@@ -304,11 +306,29 @@ func TestIndexScratchReuse(t *testing.T) {
 			reqs, offs = wideBlock(epoch, 25, 35, 80)
 		}
 		scale := BlockScale(reqs, offs)
+		rd, od := make([]Digest, len(reqs)), make([]Digest, len(offs))
+		for i, r := range reqs {
+			rd[i] = scratch.DigestRequest(r)
+		}
+		for i, o := range offs {
+			od[i] = scratch.DigestOffer(o)
+		}
 		scratch.Reset()
-		ix := NewIndexWith(reqs, offs, scale, scratch)
+		ix := NewIndexWith(reqs, offs, rd, od, scratch)
 		ref := NewIndex(reqs, offs, scale)
 		if fmt.Sprint(ix.Kinds()) != fmt.Sprint(ref.Kinds()) {
 			t.Fatalf("epoch %d: kind tables differ", epoch)
+		}
+		got, want := ix.Scale().MaxVector(), scale.MaxVector()
+		for k, m := range want {
+			if got[k] != m || len(got) != len(want) {
+				t.Fatalf("epoch %d: scale %v, BlockScale %v", epoch, got, want)
+			}
+		}
+		for i, p := range ix.RequestOrder() {
+			if ix.Requests()[i] != reqs[p] {
+				t.Fatalf("epoch %d: RequestOrder()[%d] = %d is not Requests()[%d]", epoch, i, p, i)
+			}
 		}
 		var s Scratch
 		for ri := range ix.Requests() {

@@ -151,8 +151,12 @@ echo "==> non-test Go lines (a ratchet; ROADMAP item 2 wants them down)"
 # while the block screen gained its repeated-ID rule, to 22 116 and 5 637;
 # deleting the exact interval scheduler and the Capacity interface, while
 # the ledger fold gained the carried market (paid for by the devnet
-# treating a flat run as one metro), to 21 973 and 5 633.
-LINES_CEILING_TOTAL=21973
+# treating a flat run as one metro), to 21 973 and 5 633; the book
+# compiling each order once into a digest (the digest, its intern table
+# and the fresh-offer test, paid for in part by keeping the orders
+# beside the book's rows instead of copying them every clear), to
+# 22 033.
+LINES_CEILING_TOTAL=22033
 LINES_CEILING_ROUND_LOOPS=5633
 count_lines() { # dir...
   find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -198,15 +202,25 @@ echo "==> incremental/from-scratch clear ratio (same run, <= 0.5)"
 # go test invocation,
 # fastest of three samples each, so machine drift cancels. Allocation
 # drift is gated in tier-1 by TestClearAllocCeiling.
-BENCH_TXT=$(go test -run '^$' -bench 'BenchmarkMechanism1000$|BenchmarkBookIncremental1000$' -benchtime 1s -count=3 .)
+# The -cpu 2 ratio divides a mostly sequential Preview by a from-scratch
+# clear that fans out over two workers, so it moves with how busy the
+# second core is: one build read 0.36–0.45 there across readings. The
+# pair therefore also runs at -cpu 1, where both sides are
+# single-threaded (that build read 0.32–0.33), and that ratio is held to
+# the same 0.5. Since the book digests each order at insert, the ratio
+# reads about 0.35 at -cpu 2 and 0.24 at -cpu 1.
+BENCH_TXT=$(go test -run '^$' -bench 'BenchmarkMechanism1000$|BenchmarkBookIncremental1000$' -benchtime 1s -count=3 -cpu 1,2 .)
 echo "${BENCH_TXT}" | grep '^Benchmark'
 echo "${BENCH_TXT}" | awk '
-  $1 ~ /^BenchmarkMechanism1000(-|$)/       && (!m || $3 < m) { m = $3 }
-  $1 ~ /^BenchmarkBookIncremental1000(-|$)/ && (!b || $3 < b) { b = $3 }
+  $1 == "BenchmarkMechanism1000-2"       && (!m2 || $3 < m2) { m2 = $3 }
+  $1 == "BenchmarkBookIncremental1000-2" && (!b2 || $3 < b2) { b2 = $3 }
+  $1 == "BenchmarkMechanism1000"         && (!m1 || $3 < m1) { m1 = $3 }
+  $1 == "BenchmarkBookIncremental1000"   && (!b1 || $3 < b1) { b1 = $3 }
   END {
-    if (!m || !b) { print "ratio gate FAILED: a benchmark is missing from the output"; exit 1 }
-    printf "    BookIncremental1000 / Mechanism1000 = %.2f (gate 0.50)\n", b / m
-    if (b / m > 0.5) { print "ratio gate FAILED"; exit 1 }
+    if (!m2 || !b2 || !m1 || !b1) { print "ratio gate FAILED: a benchmark is missing from the output"; exit 1 }
+    printf "    -cpu 2: BookIncremental1000 / Mechanism1000 = %.2f (gate 0.50)\n", b2 / m2
+    printf "    -cpu 1: BookIncremental1000 / Mechanism1000 = %.2f (gate 0.50)\n", b1 / m1
+    if (b2 / m2 > 0.5 || b1 / m1 > 0.5) { print "ratio gate FAILED"; exit 1 }
   }'
 
 echo "==> devnet smoke (multi-process, time-boxed)"
@@ -329,5 +343,12 @@ go test -run='^$' -fuzz='^FuzzDenseCapacityMatchesTracker$' -fuzztime="${FUZZTIM
 # coordinates, duplicate locations; any best set that differs, in
 # membership or order, fails.
 go test -run='^$' -fuzz='^FuzzIndexMatchesReference$' -fuzztime="${FUZZTIME}" ./internal/match
+# Anchored: the order book's fresh-offer test, DigestFeasible over the
+# digests made at insert, against Feasible over the orders — zero,
+# negative, tiny and infinite quantities, offers on the cover threshold
+# and one ulp either side, flexibility and reach unset, negative or NaN,
+# windows and locations on their boundaries, and intern IDs that do not
+# follow kind names; any verdict that differs fails.
+go test -run='^$' -fuzz='^FuzzDigestFeasibleMatchesFeasible$' -fuzztime="${FUZZTIME}" ./internal/match
 
 echo "==> ci.sh: all green"

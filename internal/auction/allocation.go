@@ -1,6 +1,8 @@
 package auction
 
 import (
+	"slices"
+
 	"decloud/internal/bidding"
 	"decloud/internal/resource"
 )
@@ -22,6 +24,15 @@ func NewTracker() *Tracker {
 	return &Tracker{remaining: make(map[bidding.OrderID]resource.Vector)}
 }
 
+func (t *Tracker) capacity(o *bidding.Offer) resource.Vector {
+	if rem, ok := t.remaining[o.ID]; ok {
+		return rem
+	}
+	rem := o.Resources.Scale(float64(o.Window()))
+	t.remaining[o.ID] = rem
+	return rem
+}
+
 // Clone deep-copies the tracker, letting callers trial-pack without
 // committing.
 func (t *Tracker) Clone() *Tracker {
@@ -30,15 +41,6 @@ func (t *Tracker) Clone() *Tracker {
 		c.remaining[id] = v.Clone()
 	}
 	return c
-}
-
-func (t *Tracker) capacity(o *bidding.Offer) resource.Vector {
-	if rem, ok := t.remaining[o.ID]; ok {
-		return rem
-	}
-	rem := o.Resources.Scale(float64(o.Window()))
-	t.remaining[o.ID] = rem
-	return rem
 }
 
 // TryGrant computes the resource vector offer o can grant request r right
@@ -95,7 +97,7 @@ type Assignment struct {
 
 // packer is the reusable state of a packing loop: the capacity it packs
 // against, the last pack's assignments, and the store of their grants,
-// which outlive the pack (a trade's Granted vector is built from its
+// valid until the next pack (a trade's Granted vector is built from its
 // grant when recorded).
 type packer struct {
 	tr     *aggregate
@@ -121,9 +123,10 @@ func newPacker() *packer { return &packer{tr: newAggregate()} }
 //   - reqOK / offOK filter eligibility (nil means all eligible).
 //   - pairOK filters request↔offer pairs (nil admits all); the mechanism
 //     uses it for the provider-side reputation gate of Section III-B.
-//   - taken marks requests already allocated elsewhere in the block; it
-//     is updated as requests are placed. nil packs the cluster alone
-//     (the pre-pass: each request is visited once).
+//   - taken marks requests already allocated elsewhere in the block, by
+//     index position (dense.id); it is updated as requests are placed.
+//     nil packs the cluster alone (the pre-pass: each request is
+//     visited once).
 //   - pk.tr supplies shared capacity; successful grants are committed.
 //
 // A request is placed on the first eligible offer (in offOrder) that is
@@ -131,7 +134,7 @@ func newPacker() *packer { return &packer{tr: newAggregate()} }
 // flexibility.
 func (ec *EconCluster) pack(
 	pk *packer,
-	taken map[*bidding.Request]bool,
+	taken []bool,
 	reqOK func(EconRequest) bool,
 	offOK func(EconOffer) bool,
 	pairOK func(EconRequest, EconOffer) bool,
@@ -147,14 +150,14 @@ func (ec *EconCluster) pack(
 		no = len(offOrder)
 	}
 	tr := pk.tr
-	pk.asg = pk.asg[:0]
+	pk.asg, pk.grants = slices.Grow(pk.asg[:0], nr), pk.grants[:0]
 	for i := 0; i < nr; i++ {
 		ri := i
 		if reqOrder != nil {
 			ri = reqOrder[i]
 		}
 		er := ec.Requests[ri]
-		if taken[er.Request] {
+		if taken != nil && taken[er.d.id] {
 			continue
 		}
 		if reqOK != nil && !reqOK(er) {
@@ -184,7 +187,7 @@ func (ec *EconCluster) pack(
 			}
 			tr.Commit(er, eo, g)
 			if taken != nil {
-				taken[er.Request] = true
+				taken[er.d.id] = true
 			}
 			// Growth moves later grants to a new array and leaves the
 			// earlier ones where their assignments point.

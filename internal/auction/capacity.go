@@ -24,16 +24,17 @@ func eachKind(mask []uint64, fn func(k int)) {
 // caps per grant but no check that concurrent grants fit together at
 // every moment, so two jobs whose windows force them to overlap can both
 // fit on a machine that could run only one of them at a time. It keeps
-// one remaining resource·time row per offer, keyed by order ID (an offer
-// shared by several clusters draws on one row) and materialized on first
-// use as ρ_{o,k}·(t_o⁺−t_o⁻); a grant is a row over the block's kind
+// one remaining resource·time row per offer, keyed by the offer (one
+// pointer per ID within a clear, DESIGN §7; an offer shared by several
+// clusters draws on one row) and materialized on first use as
+// ρ_{o,k}·(t_o⁺−t_o⁻); a grant is a row over the block's kind
 // table, meaningful at the request's kind bits only. Its arithmetic is
 // the map Tracker's, operation for operation: TryGrant is
 // Tracker.TryGrant's min/flex test, Commit is SubScaledInPlace's
 // multiply-subtract-clamp, so every grant and every remaining quantity
 // is bit-identical to the map path's.
 type aggregate struct {
-	at  map[bidding.OrderID]int // offset of the offer's row in rem
+	at  map[*bidding.Offer]int // offset of the offer's row in rem
 	rem []float64
 	g   []float64 // TryGrant's scratch row
 	log []undo    // the writes since begin
@@ -45,7 +46,7 @@ type undo struct { // a logged write: rem[i] held old before it
 }
 
 func newAggregate() *aggregate {
-	return &aggregate{at: make(map[bidding.OrderID]int)}
+	return &aggregate{at: make(map[*bidding.Offer]int)}
 }
 
 // TryGrant computes the grant offer eo can give request er; ok is false
@@ -87,10 +88,10 @@ func (c *aggregate) TryGrant(er EconRequest, eo EconOffer) (granted []float64, o
 // row returns the offset of the offer's remaining row in rem,
 // materializing it on first use, as the map Tracker does.
 func (c *aggregate) row(eo EconOffer) int {
-	i, ok := c.at[eo.Offer.ID]
+	i, ok := c.at[eo.Offer]
 	if !ok {
 		i = len(c.rem)
-		c.at[eo.Offer.ID] = i
+		c.at[eo.Offer] = i
 		window := float64(eo.Offer.Window())
 		for _, q := range eo.d.row {
 			c.rem = append(c.rem, q*window)

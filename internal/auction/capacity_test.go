@@ -132,7 +132,7 @@ func FuzzDenseCapacityMatchesTracker(f *testing.F) {
 			}
 			for oi, o := range offs {
 				rem := o.Resources.Scale(float64(o.Window()))
-				if i, ok := dense.at[o.ID]; ok {
+				if i, ok := dense.at[o]; ok {
 					rem = resource.Vector{}
 					for k, q := range dense.rem[i : i+len(table)] {
 						rem[table[k]] = q

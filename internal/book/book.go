@@ -17,12 +17,10 @@
 //     and is rescanned only when dirty. The dirty rules are exact:
 //     a request is dirtied when it is inserted, when an offer feasible
 //     for it (match.DigestFeasible — scale-independent) is inserted,
-//     when an offer belonging to any cluster that contained the request
-//     is removed, or when the block normalization scale changes (scale
-//     changes invalidate every quality score, so everything is
-//     dirtied). Removing an offer that was in no cluster cannot have
-//     been in any best set — cluster.Builder.Update places every best
-//     offer of r into the exact best-set cluster containing r — and
+//     when an offer of its cached best set is removed, or when the
+//     block normalization scale changes (scale changes invalidate every
+//     quality score, so everything is dirtied). Removing an offer
+//     outside a request's best set cannot change that set, and
 //     removing a request never changes another request's best set.
 //
 //   - Per-cluster pre-pass economics are cached in an
@@ -53,7 +51,6 @@
 package book
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -110,10 +107,9 @@ type offEntry struct {
 	o    *bidding.Offer
 	pos  int
 	left int
-	// watch lists the request sets of every cluster that contained
-	// this offer at the last clear; removing the offer dirties them
-	// all. The slices are shared with the clusters (read-only).
-	watch [][]*bidding.Request
+	// watch lists the requests whose best-offer set held this offer at
+	// the last clear; removing the offer dirties them.
+	watch []*reqEntry
 }
 
 // Book is the streaming order book. Create with New; the zero value is
@@ -236,18 +232,6 @@ func New(cfg auction.Config) *Book {
 		ixScratch: match.NewIndexScratch(),
 		builder:   cluster.NewBuilder(),
 	}
-}
-
-// fingerprint hashes an order's canonical JSON encoding (struct field
-// order is fixed and map keys are sorted, so the bytes are stable).
-func fingerprint(v any) uint64 {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
 }
 
 // InsertRequest admits a request. Invalid orders and IDs already live
@@ -407,22 +391,17 @@ func (b *Book) removeRequestLocked(e *reqEntry) {
 	b.reqs[e.pos] = nil
 }
 
-// removeOfferLocked unlinks an offer entry and dirties every request of
-// every cluster that contained the offer at the last clear. That set
-// covers every request whose cached best set can contain the offer
-// (Builder.Update puts each best offer of r into r's exact best-set
-// cluster), and removing an offer outside a request's returned best
-// set never changes that set: the top-k scan's non-returned candidates
-// all score below the band cut, so the set is insensitive to them.
+// removeOfferLocked unlinks an offer entry and dirties every request
+// whose cached best set holds the offer. Removing an offer outside a
+// request's returned best set never changes that set: the top-k scan's
+// non-returned candidates all score below the band cut, so the set is
+// insensitive to them. A request removed since the last clear is
+// dirtied harmlessly.
 func (b *Book) removeOfferLocked(e *offEntry) {
 	delete(b.offByID, e.o.ID)
 	b.offs[e.pos] = nil
-	for _, rs := range e.watch {
-		for _, r := range rs {
-			if re := b.reqByID[r.ID]; re != nil {
-				re.dirty = true
-			}
-		}
+	for _, re := range e.watch {
+		re.dirty = true
 	}
 }
 
@@ -550,15 +529,14 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 
 	out := auction.RunPrepared(b.reqR, b.offR, ix, clusters, cfg, b.cache)
 
-	// Refresh the cluster watch lists on offers and the scale
-	// fingerprint.
+	// Refresh the offers' watch lists and the scale fingerprint.
 	for _, e := range b.offs {
 		e.watch = e.watch[:0]
 	}
-	for _, cl := range clusters {
-		for _, o := range cl.Offers {
+	for _, e := range b.reqs {
+		for _, o := range e.best {
 			if i, ok := ix.OfferIndex(o); ok {
-				b.offs[i].watch = append(b.offs[i].watch, cl.Requests)
+				b.offs[i].watch = append(b.offs[i].watch, e)
 			}
 		}
 	}
@@ -589,19 +567,18 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 // are consumed, every unmatched survivor spends one carry unit and is
 // carried out at zero.
 func (b *Book) commitLocked(out *auction.Outcome) {
-	matchedReq := make(map[bidding.OrderID]bool, len(out.Matches))
-	matchedOff := make(map[bidding.OrderID]bool, len(out.Matches))
-	for i := range out.Matches {
-		matchedReq[out.Matches[i].Request.ID] = true
-		matchedOff[out.Matches[i].Offer.ID] = true
+	for _, m := range out.Matches {
+		if e := b.reqByID[m.Request.ID]; e != nil {
+			b.removeRequestLocked(e)
+			b.stats.MatchedRequests++
+		}
+		if e := b.offByID[m.Offer.ID]; e != nil { // an offer can serve several requests
+			b.removeOfferLocked(e)
+			b.stats.MatchedOffers++
+		}
 	}
 	for _, e := range b.reqs {
 		if e == nil {
-			continue
-		}
-		if matchedReq[e.r.ID] {
-			b.removeRequestLocked(e)
-			b.stats.MatchedRequests++
 			continue
 		}
 		e.left--
@@ -615,11 +592,6 @@ func (b *Book) commitLocked(out *auction.Outcome) {
 	}
 	for _, e := range b.offs {
 		if e == nil {
-			continue
-		}
-		if matchedOff[e.o.ID] {
-			b.removeOfferLocked(e)
-			b.stats.MatchedOffers++
 			continue
 		}
 		e.left--
@@ -636,16 +608,19 @@ func (b *Book) commitLocked(out *auction.Outcome) {
 
 // previewKey identifies a block's worth of admitted orders under an
 // evidence value, for Preview→Apply memoization. Order contents (not
-// just IDs) are hashed, so an Apply whose orders differ from the
+// just IDs) are hashed — each order's canonical binary encoding, every
+// field the mechanism reads — so an Apply whose orders differ from the
 // Preview's in any field re-clears instead of reusing the memo.
 func previewKey(evidence []byte, reqs []*bidding.Request, offs []*bidding.Offer) string {
 	h := fnv.New64a()
 	h.Write(evidence)
 	for _, r := range reqs {
-		fmt.Fprintf(h, "\x00%s/%x", r.ID, fingerprint(r))
+		b, _ := r.MarshalBinary()
+		h.Write(b)
 	}
 	for _, o := range offs {
-		fmt.Fprintf(h, "\x01%s/%x", o.ID, fingerprint(o))
+		b, _ := o.MarshalBinary()
+		h.Write(b)
 	}
 	return fmt.Sprintf("%x/%d/%d", h.Sum64(), len(reqs), len(offs))
 }

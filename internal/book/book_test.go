@@ -12,6 +12,7 @@ import (
 	"decloud/internal/book"
 	"decloud/internal/book/booktest"
 	"decloud/internal/match"
+	"decloud/internal/obs"
 	"decloud/internal/resource"
 	"decloud/internal/workload"
 )
@@ -622,5 +623,73 @@ func TestPrepassCacheFollowsTheKindTable(t *testing.T) {
 	wj, _ := paralleltest.MarshalOutcome(auction.Run(liveR, liveO, oracle))
 	if !bytes.Equal(gj, wj) {
 		t.Fatal("the clear after the kind table moved diverges from auction.Run over the live orders")
+	}
+}
+
+// TestBookEconomicsMatchTheMapPath runs a book whose clears mix pre-pass
+// cache hits and misses: the cache keeps each scale's table across
+// clears, numbered again under every later clear's index. At every
+// clear the outcome must equal the map-path economics
+// (auction.RunReference) over the live orders, byte for byte. The
+// orders vary the kinds they demand, so the clusters get several
+// scales; arrivals, commits and cancels change some clusters and leave
+// others to the cache.
+func TestBookEconomicsMatchTheMapPath(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		m := workload.Generate(workload.Config{Seed: 3, Requests: 240, GeoRadius: 0.3})
+		rnd := rand.New(rand.NewSource(3))
+		for _, o := range m.Offers {
+			o.Resources[resource.Disk] = 100 + 400*rnd.Float64()
+		}
+		for _, r := range m.Requests {
+			switch rnd.Intn(3) {
+			case 0:
+				r.Resources[resource.Disk] = 1 + 10*rnd.Float64()
+			case 1:
+				delete(r.Resources, resource.RAM)
+			}
+		}
+		cfg := auction.DefaultConfig()
+		cfg.Workers = workers
+		cfg.Obs = obs.NewMechanismMetrics(obs.NewRegistry())
+		bk := book.New(cfg)
+		for _, r := range m.Requests[:120] {
+			bk.InsertRequest(r)
+		}
+		for _, o := range m.Offers {
+			bk.InsertOffer(o)
+		}
+		hits, misses := false, false
+		for clear, next := 0, 120; clear < 8; clear, next = clear+1, next+12 {
+			arrivals := m.Requests[next : next+12]
+			ev := []byte(fmt.Sprintf("clear-%d", clear))
+			nu := cfg.Obs.NuEvaluations.Value()
+			got, liveR, liveO := bk.Preview(arrivals, nil, ev)
+			nu = cfg.Obs.NuEvaluations.Value() - nu
+
+			oracle := auction.DefaultConfig()
+			oracle.Evidence = ev
+			want := auction.RunReference(liveR, liveO, oracle)
+			gj, _ := paralleltest.MarshalOutcome(got)
+			wj, _ := paralleltest.MarshalOutcome(want)
+			if !bytes.Equal(gj, wj) {
+				t.Fatalf("W=%d clear %d: the book diverges from the map-path economics over its live orders", workers, clear)
+			}
+			fresh := oracle
+			fresh.Obs = obs.NewMechanismMetrics(obs.NewRegistry())
+			auction.Run(liveR, liveO, fresh)
+			hits = hits || nu < fresh.Obs.NuEvaluations.Value()
+			misses = misses || nu > 0
+
+			if clear%3 == 2 { // most clears only preview, as a producer prices a block
+				bk.Apply(arrivals, nil, ev)
+			}
+			if live := bk.LiveRequests(); len(live) > 2 {
+				bk.CancelRequest(live[rnd.Intn(len(live))].ID)
+			}
+		}
+		if !hits || !misses {
+			t.Fatalf("W=%d: cache hits seen %v, misses seen %v: the run does not exercise both", workers, hits, misses)
+		}
 	}
 }

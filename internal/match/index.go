@@ -497,27 +497,25 @@ func (ix *Index) MaskWords() int { return ix.nw }
 // Purely observational.
 func (ix *Index) Scans() int64 { return ix.scans.Load() }
 
-// RequestRow returns the request's dense quantity row ρ_{r,k}, aligned
-// with Kinds(), and its kind bitmask words (MaskWords() long; bit i%64
-// of word i/64 ⇔ positive quantity of Kinds()[i]). Both slices alias
-// the index — callers must not mutate them. ok is false when the
-// request is not part of the block.
-func (ix *Index) RequestRow(r *bidding.Request) (row []float64, mask []uint64, ok bool) {
-	i, ok := ix.reqPos[r]
-	if !ok {
-		return nil, nil, false
-	}
-	return ix.reqRaw[i*ix.nk : (i+1)*ix.nk], ix.reqMask[i*ix.nw : (i+1)*ix.nw], true
+// RequestIndex returns r's position in Requests(); ok is false when
+// the request is not part of the block.
+func (ix *Index) RequestIndex(r *bidding.Request) (i int, ok bool) {
+	i, ok = ix.reqPos[r]
+	return i, ok
 }
 
-// OfferRow returns the offer's dense quantity row and kind bitmask
-// words; see RequestRow.
-func (ix *Index) OfferRow(o *bidding.Offer) (row []float64, mask []uint64, ok bool) {
-	i, ok := ix.offPos[o]
-	if !ok {
-		return nil, nil, false
-	}
-	return ix.offRaw[i*ix.nk : (i+1)*ix.nk], ix.offMask[i*ix.nw : (i+1)*ix.nw], true
+// RequestRow returns the dense quantity row ρ_{r,k} of Requests()[i],
+// aligned with Kinds(), and its kind bitmask words (MaskWords() long;
+// bit i%64 of word i/64 ⇔ positive quantity of Kinds()[i]). Both
+// slices alias the index — callers must not mutate them.
+func (ix *Index) RequestRow(i int) (row []float64, mask []uint64) {
+	return ix.reqRaw[i*ix.nk : (i+1)*ix.nk : (i+1)*ix.nk], ix.reqMask[i*ix.nw : (i+1)*ix.nw : (i+1)*ix.nw]
+}
+
+// OfferRow returns the dense quantity row and kind bitmask words of
+// Offers()[i]; see RequestRow.
+func (ix *Index) OfferRow(i int) (row []float64, mask []uint64) {
+	return ix.offRaw[i*ix.nk : (i+1)*ix.nk : (i+1)*ix.nk], ix.offMask[i*ix.nw : (i+1)*ix.nw : (i+1)*ix.nw]
 }
 
 // scored is a top-k slot: an offer index with its Eq. 18 quality.

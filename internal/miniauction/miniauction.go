@@ -16,7 +16,11 @@
 //  3. yields each root-to-leaf path as one mini-auction.
 package miniauction
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Interval is a cluster's price range and welfare weight.
 type Interval struct {
@@ -67,9 +71,9 @@ func Form(intervals []Interval) []Auction {
 	}
 	roots := selectRoots(intervals)
 	isRoot := make(map[int]bool, len(roots))
-	trees := make([]*node, 0, len(roots))
+	trees := make([]*tree, 0, len(roots))
 	for _, r := range roots {
-		trees = append(trees, &node{iv: r, lo: r.Lo, hi: r.Hi})
+		trees = append(trees, &tree{spine: []*node{{iv: r, lo: r.Lo, hi: r.Hi}}})
 		isRoot[r.ID] = true
 	}
 
@@ -83,26 +87,18 @@ func Form(intervals []Interval) []Auction {
 		}
 	}
 	// (Weight desc, ID) is a total order — cluster IDs are unique.
-	slices.SortFunc(rest, func(a, b Interval) int {
-		switch {
-		case a.Weight > b.Weight:
-			return -1
-		case a.Weight < b.Weight:
-			return 1
-		}
-		return a.ID - b.ID
-	})
+	slices.SortFunc(rest, func(a, b Interval) int { return cmp.Or(cmp.Compare(b.Weight, a.Weight), a.ID-b.ID) })
 	for _, iv := range rest {
 		attached := false
-		for _, root := range trees {
-			if overlaps(iv, root.lo, root.hi) {
-				attach(root, iv)
+		for _, t := range trees {
+			if overlaps(iv, t.spine[0].lo, t.spine[0].hi) {
+				t.attach(iv)
 				attached = true
 				break
 			}
 		}
 		if !attached {
-			trees = append(trees, &node{iv: iv, lo: iv.Lo, hi: iv.Hi})
+			trees = append(trees, &tree{spine: []*node{{iv: iv, lo: iv.Lo, hi: iv.Hi}}})
 		}
 	}
 
@@ -111,8 +107,8 @@ func Form(intervals []Interval) []Auction {
 		weightOf[iv.ID] = iv.Weight
 	}
 	var auctions []Auction
-	for _, root := range trees {
-		for _, path := range rootToLeafPaths(root, nil) {
+	for _, t := range trees {
+		for _, path := range rootToLeafPaths(t.spine[0], nil) {
 			var w float64
 			for _, id := range path {
 				w += weightOf[id]
@@ -123,13 +119,7 @@ func Form(intervals []Interval) []Auction {
 	// Root-to-leaf paths are distinct ID sequences, so (Weight desc,
 	// lexicographic path) is a total order.
 	slices.SortFunc(auctions, func(a, b Auction) int {
-		switch {
-		case a.Weight > b.Weight:
-			return -1
-		case a.Weight < b.Weight:
-			return 1
-		}
-		return slices.Compare(a.Clusters, b.Clusters)
+		return cmp.Or(cmp.Compare(b.Weight, a.Weight), slices.Compare(a.Clusters, b.Clusters))
 	})
 	return auctions
 }
@@ -139,10 +129,20 @@ func overlaps(iv Interval, lo, hi float64) bool {
 	return iv.Hi > lo && hi > iv.Lo
 }
 
+// tree is a root and its spine: the root, then each node's first child.
+type tree struct {
+	spine []*node
+}
+
 // attach inserts iv below the deepest node whose path intersection still
-// admits it, narrowing the common price range as it descends.
-func attach(root *node, iv Interval) {
-	cur := root
+// admits it, narrowing the common price range as it descends into the
+// first child that admits it; the root must admit it. A child's range
+// nests in its parent's, so along the spine the ranges admitting iv are
+// a prefix: the descent follows the spine to its last node there, found
+// by binary search, and walks on from it.
+func (t *tree) attach(iv Interval) {
+	end := len(t.spine) - 1
+	cur := t.spine[sort.Search(end+1, func(i int) bool { return !overlaps(iv, t.spine[i].lo, t.spine[i].hi) })-1]
 	for {
 		var next *node
 		for _, ch := range cur.children {
@@ -154,28 +154,16 @@ func attach(root *node, iv Interval) {
 		if next == nil {
 			child := &node{
 				iv: iv,
-				lo: maxf(cur.lo, iv.Lo),
-				hi: minf(cur.hi, iv.Hi),
+				lo: max(cur.lo, iv.Lo),
+				hi: min(cur.hi, iv.Hi),
 			}
-			cur.children = append(cur.children, child)
+			if cur.children = append(cur.children, child); cur == t.spine[end] {
+				t.spine = append(t.spine, child)
+			}
 			return
 		}
 		cur = next
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // rootToLeafPaths enumerates every root-to-leaf ID path.
@@ -197,21 +185,7 @@ func rootToLeafPaths(n *node, prefix []int) [][]int {
 func selectRoots(intervals []Interval) []Interval {
 	ivs := append([]Interval(nil), intervals...)
 	// (Hi, Lo, ID) is a total order — cluster IDs are unique.
-	slices.SortFunc(ivs, func(a, b Interval) int {
-		switch {
-		case a.Hi < b.Hi:
-			return -1
-		case a.Hi > b.Hi:
-			return 1
-		}
-		switch {
-		case a.Lo < b.Lo:
-			return -1
-		case a.Lo > b.Lo:
-			return 1
-		}
-		return a.ID - b.ID
-	})
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Or(cmp.Compare(a.Hi, b.Hi), cmp.Compare(a.Lo, b.Lo), a.ID-b.ID) })
 	n := len(ivs)
 	// p[i] is the rightmost interval j < i whose Hi ≤ Lo_i. Touching
 	// endpoints do not overlap under the strict Compatible predicate.
@@ -232,16 +206,11 @@ func selectRoots(intervals []Interval) []Interval {
 	// dp[i]: best weight using the first i intervals.
 	dp := make([]float64, n+1)
 	for i := 1; i <= n; i++ {
-		skip := dp[i-1]
 		with := ivs[i-1].Weight
 		if p[i-1] >= 0 {
 			with += dp[p[i-1]+1]
 		}
-		if with > skip {
-			dp[i] = with
-		} else {
-			dp[i] = skip
-		}
+		dp[i] = max(dp[i-1], with)
 	}
 	var roots []Interval
 	for i := n; i > 0; {

@@ -2,6 +2,7 @@ package miniauction
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -245,5 +246,44 @@ func TestPathsShareCommonPriceRange(t *testing.T) {
 					trial, a.Clusters, lo, hi)
 			}
 		}
+	}
+}
+
+// TestSpineAttachMatchesTheWalk holds tree.attach, which binary-searches
+// the spine, to Algorithm 3's plain walk from the root: the same tree,
+// node for node, over random intervals — nested chains, branches and
+// ties on the range ends.
+func TestSpineAttachMatchesTheWalk(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		root := Interval{ID: 0, Lo: 0, Hi: 100}
+		tr := &tree{spine: []*node{{iv: root, lo: root.Lo, hi: root.Hi}}}
+		walk := &node{iv: root, lo: root.Lo, hi: root.Hi}
+		for id := 1; id < 2+rnd.Intn(60); id++ {
+			lo := float64(rnd.Intn(50))
+			iv := Interval{ID: id, Lo: lo, Hi: lo + 1 + float64(rnd.Intn(60))}
+			if !overlaps(iv, root.Lo, root.Hi) {
+				continue
+			}
+			tr.attach(iv)
+			walkAttach(walk, iv)
+		}
+		if got, want := rootToLeafPaths(tr.spine[0], nil), rootToLeafPaths(walk, nil); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("trial %d: spine paths %v, walk paths %v", trial, got, want)
+		}
+	}
+}
+
+// walkAttach is attach as Algorithm 3 states it: from the root, descend
+// into the first child whose range admits iv; hang iv below the node
+// where none does.
+func walkAttach(cur *node, iv Interval) {
+	for {
+		i := slices.IndexFunc(cur.children, func(ch *node) bool { return overlaps(iv, ch.lo, ch.hi) })
+		if i < 0 {
+			cur.children = append(cur.children, &node{iv: iv, lo: max(cur.lo, iv.Lo), hi: min(cur.hi, iv.Hi)})
+			return
+		}
+		cur = cur.children[i]
 	}
 }

@@ -21,6 +21,8 @@ type MechanismMetrics struct {
 	AuctionsSeconds *Histogram // mini-auction pricing/reduction/packing
 	TopKScans       *Counter   // top-k loop work: strip offers, or classes + runs + members walked
 	Clusters        *Counter   // clusters formed
+	Memberships     *Counter   // Σ requests per cluster: the clusters' request memberships
+	NuEvaluations   *Counter   // ν computed by the economics pre-pass (once per order per scale)
 	MiniAuctions    *Counter   // mini-auctions run
 	Matches         *Counter   // executed trades
 	ReducedRequests *Counter   // requests lost to trade reduction
@@ -45,6 +47,8 @@ func NewMechanismMetrics(r *Registry) *MechanismMetrics {
 		AuctionsSeconds: r.Histogram("decloud_mech_auctions_seconds", "mini-auction execution time", nil),
 		TopKScans:       r.Counter("decloud_mech_topk_scans_total", "offers, offer classes and runs scanned by the top-k best-offer loop"),
 		Clusters:        r.Counter("decloud_mech_clusters_total", "clusters formed"),
+		Memberships:     r.Counter("decloud_mech_cluster_memberships_total", "request memberships summed over the clusters formed"),
+		NuEvaluations:   r.Counter("decloud_mech_nu_evaluations_total", "order normalizations (ν) computed by the economics pre-pass"),
 		MiniAuctions:    r.Counter("decloud_mech_mini_auctions_total", "mini-auctions run"),
 		Matches:         r.Counter("decloud_mech_matches_total", "executed trades"),
 		ReducedRequests: r.Counter("decloud_mech_reduced_requests_total", "requests excluded by trade reduction"),

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
@@ -45,14 +46,16 @@ func SubRand(evidence []byte, label string) *rand.Rand {
 // that reorders the input slice. This is what makes the mechanism's
 // randomized exclusion strategyproof.
 func KeyedOrder(evidence []byte, label string, ids []string) []int {
+	// The sort moves a key's first 8 bytes, read big-endian so that they
+	// compare as the bytes do, and reads the rest only on a tie.
 	type keyed struct {
-		idx int
-		key [32]byte
+		head uint64
+		idx  int
 	}
-	ks := make([]keyed, len(ids))
+	ks, keys := make([]keyed, len(ids)), make([][32]byte, len(ids))
 	// One buffer holds evidence ‖ 0 ‖ label ‖ 0, and each id in turn
 	// after it: one Sum256 per id, no hasher or digest slice.
-	buf := make([]byte, 0, len(evidence)+len(label)+2+32)
+	buf := make([]byte, 0, 256) // on the stack unless the prefix is longer
 	buf = append(buf, evidence...)
 	buf = append(buf, 0)
 	buf = append(buf, label...)
@@ -60,13 +63,17 @@ func KeyedOrder(evidence []byte, label string, ids []string) []int {
 	prefix := len(buf)
 	for i, id := range ids {
 		buf = append(buf[:prefix], id...)
-		ks[i] = keyed{idx: i, key: sha256.Sum256(buf)}
+		keys[i] = sha256.Sum256(buf)
+		ks[i] = keyed{head: binary.BigEndian.Uint64(keys[i][:8]), idx: i}
 	}
 	// Keys are unique whenever ids are (they are order IDs / cluster
 	// keys, unique per block); the idx tiebreak only fires on duplicate
 	// ids and keeps even that case deterministic.
 	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := bytes.Compare(a.key[:], b.key[:]); c != 0 {
+		if a.head != b.head {
+			return cmp.Compare(a.head, b.head)
+		}
+		if c := bytes.Compare(keys[a.idx][8:], keys[b.idx][8:]); c != 0 {
 			return c
 		}
 		return a.idx - b.idx

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -296,22 +298,38 @@ func TestClusterPairsAlwaysFeasible(t *testing.T) {
 // Builder is checked against.
 type algorithm2 struct {
 	*Builder
-	order      []string // insertion order of mask keys
+	byKey      map[string]*Cluster // keyed by maskKey
+	order      []string            // insertion order of mask keys
 	subs, sups []*Cluster
 }
 
-func newAlgorithm2() *algorithm2 { return &algorithm2{Builder: NewBuilder()} }
+func newAlgorithm2() *algorithm2 {
+	return &algorithm2{Builder: NewBuilder(), byKey: make(map[string]*Cluster)}
+}
 
 func (b *algorithm2) Reset() {
 	b.Builder.Reset()
+	clear(b.byKey)
 	b.order = b.order[:0]
 }
 
+// maskKey encodes a mask as its little-endian bytes less trailing zero
+// bytes: one key per offer set, whatever the mask's length.
+func maskKey(m []uint64) string {
+	kb := make([]byte, 8*len(m))
+	for i, w := range m {
+		binary.LittleEndian.PutUint64(kb[i*8:], w)
+	}
+	return string(bytes.TrimRight(kb, "\x00"))
+}
+
 func (b *algorithm2) put(key string, c *Cluster) {
-	if _, exists := b.clusters[key]; !exists {
+	if _, exists := b.byKey[key]; !exists {
 		b.order = append(b.order, key)
 	}
-	b.Builder.put(key, c)
+	b.byKey[key] = c
+	_, h := b.find(c.mask)
+	b.Builder.put(h, c)
 }
 
 func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
@@ -320,8 +338,8 @@ func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
 	}
 	ri := b.internReq(r)
 	bestMask := b.maskOf(bestR)
-	bestKey := string(b.keyBytes(bestMask))
-	if b.clusters[bestKey] == nil {
+	bestKey := maskKey(bestMask)
+	if b.byKey[bestKey] == nil {
 		b.put(bestKey, newCluster(bestR, b.cloneMask(bestMask)))
 	}
 
@@ -332,7 +350,7 @@ func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
 
 	subsets, supersets := b.subs[:0], b.sups[:0]
 	for _, key := range keys {
-		c := b.clusters[key]
+		c := b.byKey[key]
 		if maskSubset(c.mask, bestMask) {
 			subsets = append(subsets, c)
 		}
@@ -352,7 +370,7 @@ func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
 		if key == bestKey {
 			continue
 		}
-		c := b.clusters[key]
+		c := b.byKey[key]
 		// Intersect into scratch; only popcount ≥ 2 overlaps ever touch
 		// the cluster map or allocate.
 		nw := len(c.mask)
@@ -371,13 +389,13 @@ func (b *algorithm2) Update(r *bidding.Request, bestR []*bidding.Offer) {
 		if pop <= 1 {
 			continue
 		}
-		if x := b.clusters[string(b.keyBytes(inter))]; x != nil {
+		if x := b.byKey[maskKey(inter)]; x != nil {
 			x.rmask = b.setRBit(x.rmask, ri)
 		} else {
 			nc := newCluster(b.offersOf(inter), b.cloneMask(inter))
 			nc.rmask = b.setRBit(nc.rmask, ri)
 			nc.rmask = orMask(nc.rmask, c.rmask)
-			b.put(string(b.keyBytes(inter)), nc)
+			b.put(maskKey(inter), nc)
 		}
 	}
 }
@@ -495,7 +513,7 @@ func memoInOrder(t *testing.T, b *Builder, set []*bidding.Offer) {
 	if len(set) == 0 {
 		return
 	}
-	best := b.clusters[string(b.keyBytes(b.maskOf(set)))]
+	best, _ := b.find(b.maskOf(set))
 	for _, list := range [][]*Cluster{best.subs, best.sups} {
 		for i, c := range list {
 			if c.idx >= best.horizon || i > 0 && c.idx <= list[i-1].idx {

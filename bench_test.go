@@ -374,12 +374,35 @@ func BenchmarkBookStream(b *testing.B) {
 	b.ReportMetric(float64(live)/float64(b.N), "live_orders")
 }
 
+// TestBookStreamWork pins, exactly, the book's best-offer work over one
+// 32-block epoch of the warm streamBook: the rescans, one per dirty
+// request, and the requests indexed. A clean request whose last scan
+// found no offer is parked: no clear indexes or rescans it until an
+// offer feasible for it arrives or the block scale moves. A fallback to
+// rescanning every live request would leave every outcome byte as it
+// is; these counts are where it shows. scripts/ci.sh prints them.
+func TestBookStreamWork(t *testing.T) {
+	sb := newStreamBook(auction.DefaultConfig())
+	before := sb.bk.Stats()
+	for range 32 {
+		sb.apply(sb.emit())
+	}
+	st := sb.bk.Stats()
+	rescored, indexed, full := st.Rescored-before.Rescored, st.Indexed-before.Indexed, st.FullRescores-before.FullRescores
+	t.Logf("book stream epoch: %d rescans, %d requests indexed, %d full rescores in 32 blocks", rescored, indexed, full)
+	if rescored != 15872 || indexed != 28116 {
+		t.Errorf("book stream epoch: %d rescans and %d requests indexed, want 15 872 and 28 116", rescored, indexed)
+	}
+}
+
 // TestClearAllocCeiling pins the allocation count of one sequential
 // clear, from scratch and incremental. Allocations are a property of
 // the code alone — every real clearing regression this repo has caught
 // (map churn, prepass rebuilds, accidental full re-clears) showed up
 // here first — so a ceiling 5% above the measured count is a drift-free
-// gate where wall time on a shared runner is not.
+// gate where wall time on a shared runner is not. The stream arm is the
+// mean over 32 consecutive blocks, a whole epoch: its first blocks
+// allocate a tenth of its later ones.
 func TestClearAllocCeiling(t *testing.T) {
 	cfg := auction.DefaultConfig()
 	cfg.Evidence = []byte("bench")
@@ -387,17 +410,21 @@ func TestClearAllocCeiling(t *testing.T) {
 	market := workload.Generate(workload.Config{Seed: 1, Requests: 1000})
 	preview := warmBook1000(cfg)
 	stream := newStreamBook(cfg)
-	blocks := [][]workload.StreamOrder{stream.emit(), stream.emit(), stream.emit(), stream.emit()}
+	var blocks [][]workload.StreamOrder
+	for range 33 { // AllocsPerRun runs one more, unmeasured
+		blocks = append(blocks, stream.emit())
+	}
 	for _, arm := range []struct {
 		name     string
 		measured float64
+		runs     int
 		clear    func()
 	}{
-		{"auction.Run", 13774, func() { auction.Run(market.Requests, market.Offers, cfg) }},
-		{"book.Preview", 6667, func() { preview() }},
-		{"BookStream block", 1228, func() { stream.apply(blocks[0]); blocks = blocks[1:] }},
+		{"auction.Run", 13774, 3, func() { auction.Run(market.Requests, market.Offers, cfg) }},
+		{"book.Preview", 6667, 3, func() { preview() }},
+		{"BookStream block", 6597, 32, func() { stream.apply(blocks[0]); blocks = blocks[1:] }},
 	} {
-		got := testing.AllocsPerRun(3, arm.clear)
+		got := testing.AllocsPerRun(arm.runs, arm.clear)
 		t.Logf("%s: %.0f allocs/op (measured %.0f)", arm.name, got, arm.measured)
 		if got > arm.measured*1.05 {
 			t.Errorf("%s: %.0f allocs/op, more than 5%% above the measured %.0f", arm.name, got, arm.measured)

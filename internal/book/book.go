@@ -23,6 +23,11 @@
 //     outside a request's best set cannot change that set, and
 //     removing a request never changes another request's best set.
 //
+//   - A clean request whose cached set is empty is parked: it can join
+//     no cluster, so a clear gives it no index row. Its digest still
+//     counts toward the block's kind table and scale, which stay those
+//     of the whole live set.
+//
 //   - Per-cluster pre-pass economics are cached in an
 //     auction.PrepassCache keyed by member IDs and flushed on scale
 //     changes. A hit is taken only when the cached cluster's request
@@ -33,14 +38,15 @@
 // identity is order-dependent global state (intersection clusters
 // depend on creation order), and the mini-auction lotteries are keyed
 // by the block evidence, which changes every round. Each clear runs
-// the persistent cluster.Builder once over every live request's
+// the persistent cluster.Builder once over every unparked request's
 // cached or rescanned best set, in the index's canonical request
-// order, exactly as cluster.BuildIndex does; that is what makes the
-// outcome byte-identical to the from-scratch oracle — the booktest
-// differential harness replays randomized multi-epoch mutation traces
-// against auction.Run and asserts byte equality at every clear. The
-// builder's own posting walk keeps that pass local: a request's Update
-// visits only the clusters that share an offer with its best set.
+// order, exactly as cluster.BuildIndex does (its Update skips an empty
+// set); that is what makes the outcome byte-identical to the
+// from-scratch oracle — the booktest differential harness replays
+// randomized multi-epoch mutation traces against auction.Run and
+// asserts byte equality at every clear. The builder's own posting walk
+// keeps that pass local: a request's Update visits only the clusters
+// that share an offer with its best set.
 //
 // # Concurrency
 //
@@ -83,10 +89,11 @@ type Stats struct {
 	CarriedOutRequests, CarriedOutOffers int // carry budget exhausted
 	LiveRequests, LiveOffers             int
 
-	// Clears counts clearing rounds; Rescored counts per-request
-	// best-offer rescans across them (the work the dirty-tracking
-	// saves); FullRescores counts clears that ran all-dirty.
-	Clears, Rescored, FullRescores int
+	// Clears counts clearing rounds. Rescored counts best-offer rescans
+	// across them, one per dirty request; Indexed counts the unparked
+	// requests they indexed; FullRescores counts clears that rescanned
+	// every live request.
+	Clears, Rescored, Indexed, FullRescores int
 
 	// ComponentsReused and ComponentsRebuilt are no longer counted and
 	// always read 0: every clear runs the cluster builder over the whole
@@ -152,8 +159,11 @@ type Book struct {
 	ixScratch *match.IndexScratch
 	builder   *cluster.Builder
 
-	// rescan lists the canonical positions of the requests a clear
-	// rescores; it is reused across clears.
+	// A clear's unparked requests — entries, orders, digests — and the
+	// canonical positions of those it rescans; reused across clears.
+	idxE   []*reqEntry
+	idxR   []*bidding.Request
+	idxD   []match.Digest
 	rescan []int
 
 	// memo carries the outcome of the latest Preview to a matching
@@ -480,20 +490,27 @@ func (b *Book) Clear(evidence []byte) *auction.Outcome {
 // resets all dirt; it does not commit (carry/removal) effects. Every
 // order is read through the digest made at its insert, and index
 // positions lead back to entries: offers keep their order, requests
-// follow the index's canonical permutation.
+// follow the index's canonical permutation of the unparked ones.
 func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	b.compactLocked()
 	b.ixScratch.Reset()
-	ix := match.NewIndexWith(b.reqR, b.offR, b.reqD, b.offD, b.ixScratch)
-	scale := ix.Scale() // the block scale, from the digests' column maxima
+	table := b.ixScratch.Table(b.reqD, b.offD) // parked requests count too
+	scale := table.Scale()
 	allDirty := !b.cleared || !scale.MaxVector().Equal(b.prevMax)
 	if allDirty {
 		b.cache.Flush()
 	}
+	b.idxE, b.idxR, b.idxD = b.idxE[:0], b.idxR[:0], b.idxD[:0]
+	for i, e := range b.reqs {
+		if e.dirty = e.dirty || allDirty; e.dirty || len(e.best) > 0 {
+			b.idxE, b.idxR, b.idxD = append(b.idxE, e), append(b.idxR, b.reqR[i]), append(b.idxD, b.reqD[i])
+		}
+	}
+	ix := match.NewIndexWith(b.idxR, b.offR, b.idxD, b.offD, table, b.ixScratch)
 	order := ix.RequestOrder()
 	b.rescan = b.rescan[:0]
 	for i, p := range order {
-		if e := b.reqs[p]; allDirty || e.dirty || e.best == nil {
+		if b.idxE[p].dirty {
 			b.rescan = append(b.rescan, i)
 		}
 	}
@@ -512,7 +529,7 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	cfg.Evidence = evidence
 	par.ForEachWorker(workers, len(b.rescan), func(w, j int) {
 		i := b.rescan[j]
-		b.reqs[order[i]].best = ix.BestOffers(i, cfg.Match, b.scratch[w])
+		b.idxE[order[i]].best = ix.BestOffers(i, cfg.Match, b.scratch[w])
 	})
 
 	// The builder is persistent: Reset/Reserve recycle its maps and
@@ -521,7 +538,7 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	b.builder.Reset()
 	b.builder.Reserve(len(order))
 	for i, r := range ix.Requests() {
-		e := b.reqs[order[i]]
+		e := b.idxE[order[i]]
 		b.builder.Update(r, e.best)
 		e.dirty = false
 	}
@@ -533,7 +550,7 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	for _, e := range b.offs {
 		e.watch = e.watch[:0]
 	}
-	for _, e := range b.reqs {
+	for _, e := range b.idxE {
 		for _, o := range e.best {
 			if i, ok := ix.OfferIndex(o); ok {
 				b.offs[i].watch = append(b.offs[i].watch, e)
@@ -544,7 +561,8 @@ func (b *Book) clearLocked(evidence []byte) *auction.Outcome {
 	b.cleared = true
 	b.stats.Clears++
 	b.stats.Rescored += len(b.rescan)
-	if len(b.rescan) == len(order) {
+	b.stats.Indexed += len(order)
+	if len(b.rescan) == len(b.reqs) {
 		b.stats.FullRescores++
 	}
 

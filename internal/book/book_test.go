@@ -232,6 +232,7 @@ func TestBookPreviewIsSideEffectFree(t *testing.T) {
 	// the conservation ledger must not.
 	pre.Clears, got.Clears = 0, 0
 	pre.Rescored, got.Rescored = 0, 0
+	pre.Indexed, got.Indexed = 0, 0
 	pre.FullRescores, got.FullRescores = 0, 0
 	if got != pre {
 		t.Fatalf("Preview mutated ledger stats: %+v -> %+v", pre, got)

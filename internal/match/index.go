@@ -22,9 +22,9 @@ import (
 // Precomputed per block:
 //
 //   - a canonical kind table (every resource kind with a positive
-//     quantity anywhere in the block, sorted) assigning each kind a
-//     small integer, so each order's Digest fills dense rows by array
-//     lookups, never walking a resource.Vector map;
+//     quantity anywhere in the block, or in the Table's digests, sorted)
+//     assigning each kind a small integer, so each order's Digest fills
+//     dense rows by array lookups, never walking a resource.Vector map;
 //   - a per-order kind bitmask: bit k set iff the order has a positive
 //     quantity of kind k. K_r ∩ K_o = AND of mask words, replacing the
 //     two map-allocating CommonKinds calls per pair. Masks are nw =
@@ -260,16 +260,35 @@ func NewIndex(requests []*bidding.Request, offers []*bidding.Offer, scale *resou
 		}
 		ds[i].ks = slab[at:]
 	}
-	return compile(requests, offers, ds[:nr], ds[nr:], scale, s, false)
+	return compile(requests, offers, ds[:nr], ds[nr:], s.table(false, scale, ds), s, false)
 }
 
 // NewIndexWith is NewIndex over digests s made — rd[i] of requests[i],
-// od[i] of offers[i] — drawing every row from s, against the digests'
-// column maxima: a maximum is exact, so that scale is BlockScale's to
-// the bit. See IndexScratch for the aliasing contract.
-func NewIndexWith(requests []*bidding.Request, offers []*bidding.Offer, rd, od []Digest, s *IndexScratch) *Index {
-	return compile(requests, offers, rd, od, nil, s, true)
+// od[i] of offers[i] — drawing every row from s, laid out over t, a
+// table s took this epoch over these digests and possibly others. See
+// IndexScratch for the aliasing contract.
+func NewIndexWith(requests []*bidding.Request, offers []*bidding.Offer, rd, od []Digest, t Table, s *IndexScratch) *Index {
+	return compile(requests, offers, rd, od, t, s, true)
 }
+
+// A Table is a block's kind table and normalization scale, taken over
+// digests one scratch made: every kind positive in some digest, sorted
+// by name so ascending kind index reproduces CommonKinds' sorted
+// iteration, and the digests' column maxima, which are BlockScale's to
+// the bit (a maximum is exact).
+type Table struct {
+	kinds []resource.Kind
+	col   []int32 // an intern ID's kind index
+	scale *resource.Scale
+}
+
+// Scale returns the table's normalization scale.
+func (t Table) Scale() *resource.Scale { return t.scale }
+
+// Table takes the table over every digest of ds. An index built over it
+// scores and lays out its rows as if each order of ds were in the
+// block, also one it leaves out. It draws from s: valid until Reset.
+func (s *IndexScratch) Table(ds ...[]Digest) Table { return s.table(true, nil, ds...) }
 
 // rows returns n zeroed elements, from sl when pooled, else the heap.
 func rows[T any](pooled bool, sl *arena.Slab[T], n int) []T {
@@ -279,44 +298,45 @@ func rows[T any](pooled bool, sl *arena.Slab[T], n int) []T {
 	return make([]T, n)
 }
 
-// compile builds the index over digests that s made, against scale or,
-// when it is nil, the digests' column maxima.
-func compile(requests []*bidding.Request, offers []*bidding.Offer, rd, od []Digest, scale *resource.Scale, s *IndexScratch, pooled bool) *Index {
-	ix := &Index{offers: offers, reqPos: s.reqPos, offPos: s.offPos}
-	nr, no := len(requests), len(offers)
-
-	// Kind table: every kind positive anywhere in the block, sorted by
-	// name so ascending kind index reproduces CommonKinds' sorted
-	// iteration; col maps an intern ID to its table index.
+// table takes the table over ds against scale or, when it is nil, the
+// digests' column maxima.
+func (s *IndexScratch) table(pooled bool, scale *resource.Scale, ds ...[]Digest) Table {
 	colMax := rows(pooled, &s.a.F64, len(s.names))
-	for _, ds := range [2][]Digest{rd, od} {
-		for _, d := range ds {
-			for _, k := range d.ks {
+	for _, d := range ds {
+		for i := range d {
+			for _, k := range d[i].ks {
 				if k.q > colMax[k.id] {
 					colMax[k.id] = k.q
 				}
 			}
 		}
 	}
-	ids, col := rows(pooled, &s.a.I32, len(s.names))[:0], rows(pooled, &s.a.I32, len(s.names))
+	ids, t := rows(pooled, &s.a.I32, len(s.names))[:0], Table{col: rows(pooled, &s.a.I32, len(s.names)), scale: scale}
 	for id, m := range colMax {
 		if m > 0 {
 			ids = append(ids, int32(id))
 		}
 	}
 	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(s.names[a], s.names[b]) })
-	ix.kinds = rows(pooled, &s.kinds, len(ids))
+	t.kinds = rows(pooled, &s.kinds, len(ids))
 	for i, id := range ids {
-		ix.kinds[i], col[id] = s.names[id], int32(i)
+		t.kinds[i], t.col[id] = s.names[id], int32(i)
 	}
 	if scale == nil {
 		m := make(resource.Vector, len(ids))
 		for _, id := range ids {
 			m[s.names[id]] = colMax[id]
 		}
-		scale = resource.NewScale(m)
+		t.scale = resource.NewScale(m)
 	}
-	ix.scale, ix.nk, ix.nw = scale, len(ids), max((len(ids)+63)/64, 1)
+	return t
+}
+
+// compile builds the index over digests that s made, laid out over t.
+func compile(requests []*bidding.Request, offers []*bidding.Offer, rd, od []Digest, t Table, s *IndexScratch, pooled bool) *Index {
+	ix := &Index{offers: offers, reqPos: s.reqPos, offPos: s.offPos}
+	nr, no, scale, col := len(requests), len(offers), t.scale, t.col
+	ix.kinds, ix.scale, ix.nk, ix.nw = t.kinds, scale, len(t.kinds), max((len(t.kinds)+63)/64, 1)
 	nk, nw := ix.nk, ix.nw
 
 	ix.scoreMask = rows(pooled, &s.a.U64, nw)

@@ -38,7 +38,6 @@ func main() {
 	ablation := flag.Bool("ablation", false, "also run the design-choice ablations")
 	compare := flag.Bool("compare", false, "also run the DeCloud/VCG/greedy/optimum comparison")
 	dynamics := flag.Bool("dynamics", false, "also run the multi-round elastic-supply trajectory")
-	overbooking := flag.Bool("overbooking", false, "also run the futures/spot overbooking study")
 	workers := flag.Int("workers", 0, "auction worker-pool size (0 = all cores); results are identical at any value")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU pprof profile of the sweeps to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation pprof profile (after the sweeps) to this file")
@@ -176,13 +175,6 @@ func main() {
 		dcfg := experiments.DefaultDynamicsConfig()
 		dcfg.Seed = *seed
 		tables = append(tables, experiments.DynamicsTable(experiments.RunMarketDynamics(dcfg)))
-	}
-
-	if *overbooking {
-		fmt.Fprintln(os.Stderr, "running overbooking study (two-stage futures vs spot-only)...")
-		ocfg := experiments.DefaultOverbookingConfig()
-		ocfg.Seed = *seed
-		tables = append(tables, experiments.OverbookingTable(experiments.RunOverbookingSweep(ocfg)))
 	}
 
 	for _, tbl := range tables {

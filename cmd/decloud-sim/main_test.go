@@ -124,10 +124,10 @@ func TestRunShardedPipelinedLedger(t *testing.T) {
 // TestRunPipelineFlagExitsTwo: every removed flag is an unknown-flag
 // usage error, in either mode. The simulator decides itself when a
 // ledger run is pipelined (-pipeline), the order book is not sharded
-// (-shards), the two-stage futures market runs only in
-// decloud-bench -overbooking (the six futures flags), and unmatched
-// orders carry only in the order book (-resubmit, -max-resubmits), and
-// capacity follows the paper's aggregate resource·time rule (-exact).
+// (-shards), the two-stage futures market's reservation stage was
+// retired (the six futures flags), unmatched orders carry only in the
+// order book (-resubmit, -max-resubmits), and capacity follows the
+// paper's aggregate resource·time rule (-exact).
 func TestRunPipelineFlagExitsTwo(t *testing.T) {
 	for _, removed := range [][]string{
 		{"-pipeline"},

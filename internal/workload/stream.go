@@ -272,21 +272,6 @@ func (s *Stream) emit(c int) StreamOrder {
 	return StreamOrder{Client: c, Request: r}
 }
 
-// futuresVerdict draws one order's forward mark and divergence verdict
-// from the (seed, order ID) sub-stream, so the verdict never depends on
-// where in the batch the order sits.
-func futuresVerdict(seed [8]byte, id bidding.OrderID, isOffer bool, frac, demandShock, supplyShock float64) (forward, fails bool) {
-	sub := stats.SubRand(seed[:], "workload/stream/futures/"+string(id))
-	if sub.Float64() >= frac {
-		return false, false
-	}
-	shock := demandShock
-	if isOffer {
-		shock = supplyShock
-	}
-	return true, shock > 0 && sub.Float64() < shock
-}
-
 // pickMetro maps one uniform draw onto the GeoMix weight vector
 // (missing/non-positive entries fall back to uniform weighting).
 func pickMetro(cfg StreamConfig, u float64) int {
@@ -313,53 +298,4 @@ func pickMetro(cfg StreamConfig, u float64) int {
 		}
 	}
 	return cfg.GeoMetros - 1
-}
-
-// TwoStageMarket splits one drained batch by stage for the futures
-// exchange: Fwd holds the forward-tagged orders (reservation stage),
-// Spot the rest, and NoShows/Defaults carry the divergence verdicts of
-// the forward orders that fail at delivery. With a forward fraction of 0
-// every order lands in Spot and the verdict maps are empty.
-type TwoStageMarket struct {
-	Fwd, Spot *Market
-	NoShows   map[bidding.OrderID]bool // forward requests that won't show
-	Defaults  map[bidding.OrderID]bool // forward offers that won't materialize
-}
-
-// SplitTwoStage stage-splits a batch market: frac of the orders go
-// forward, and a forward request no-shows with probability demandShock,
-// a forward offer defaults with probability supplyShock. Every verdict
-// is keyed on (seed, order ID).
-func SplitTwoStage(m *Market, seed int64, frac, demandShock, supplyShock float64) *TwoStageMarket {
-	var sb [8]byte
-	binary.BigEndian.PutUint64(sb[:], uint64(seed))
-	tm := &TwoStageMarket{
-		Fwd:      &Market{},
-		Spot:     &Market{},
-		NoShows:  make(map[bidding.OrderID]bool),
-		Defaults: make(map[bidding.OrderID]bool),
-	}
-	for _, r := range m.Requests {
-		fwd, fails := futuresVerdict(sb, r.ID, false, frac, demandShock, supplyShock)
-		if fwd {
-			tm.Fwd.Requests = append(tm.Fwd.Requests, r)
-			if fails {
-				tm.NoShows[r.ID] = true
-			}
-		} else {
-			tm.Spot.Requests = append(tm.Spot.Requests, r)
-		}
-	}
-	for _, o := range m.Offers {
-		fwd, fails := futuresVerdict(sb, o.ID, true, frac, demandShock, supplyShock)
-		if fwd {
-			tm.Fwd.Offers = append(tm.Fwd.Offers, o)
-			if fails {
-				tm.Defaults[o.ID] = true
-			}
-		} else {
-			tm.Spot.Offers = append(tm.Spot.Offers, o)
-		}
-	}
-	return tm
 }

@@ -22,6 +22,27 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
+echo "==> consensus closure (the packages a block is re-executed with)"
+# Every miner re-executes a block through miner.Miner.Produce / Accept,
+# and the live node takes it off the wire in p2p: each decloud package
+# those two import is consensus code, where one changed byte forks honest
+# nodes. CONSENSUS_CLOSURE names them. A package that joins or leaves the
+# closure fails this step, by name, until the list is changed with it.
+# The fused-multiply-add guard of ROADMAP item 7 is to read the same list.
+CONSENSUS_CLOSURE="resource bidding arena par match cluster miniauction obs stats
+  auction audit book chaos sealed ledger reputation contract miner p2p"
+# shellcheck disable=SC2086  # CONSENSUS_CLOSURE is a space-separated list
+CLOSURE_LISTED=$(printf '%s\n' ${CONSENSUS_CLOSURE} | sort)
+CLOSURE_NOW=$(go list -deps ./internal/miner ./internal/p2p |
+  grep -E '^decloud(/|$)' | sed 's|^decloud/internal/||' | sort)
+CLOSURE_JOINED=$(comm -13 <(echo "${CLOSURE_LISTED}") <(echo "${CLOSURE_NOW}") | xargs)
+CLOSURE_LEFT=$(comm -23 <(echo "${CLOSURE_LISTED}") <(echo "${CLOSURE_NOW}") | xargs)
+if [ -n "${CLOSURE_JOINED}" ] || [ -n "${CLOSURE_LEFT}" ]; then
+  echo "consensus closure FAILED: joined [${CLOSURE_JOINED}], left [${CLOSURE_LEFT}]" >&2
+  exit 1
+fi
+echo "    $(echo "${CLOSURE_NOW}" | wc -l) packages, as listed"
+
 RACE_LOG=/tmp/race_ci.log
 echo "==> go test -race (verbose log: ${RACE_LOG})"
 if ! go test -race -v ./... >"${RACE_LOG}" 2>&1; then
@@ -61,13 +82,12 @@ echo "==> verify-once boundary + parallel-decrypt determinism (-race, -cpu 1,2,4
 # node's chain file; every demo order entering an incremental node's book.
 # And the benchmark's pinned input stream, the devnet relay's spill path
 # (never back to a metro it left), and decloud-loadgen end to end. And
-# the pinned outputs: the overbooking table, decloud-sim's fast-mode
-# stdout, the order codec's one encoding per order, and the removed
-# decloud-sim flags exiting 2. And the book's ID re-use: a cancelled
-# order's ID re-used for another order must miss the pre-pass cache,
-# under every worker count's fan-out.
+# the pinned outputs: decloud-sim's fast-mode stdout, the order codec's
+# one encoding per order, and the removed decloud-sim flags exiting 2.
+# And the book's ID re-use: a cancelled order's ID re-used for another
+# order must miss the pre-pass cache, under every worker count's fan-out.
 go test -race -count=1 -cpu 1,2,4 \
-  -run 'VerifyOnce|Admitted|VerifiedSet|BidKey|IndexPositions|ParallelDecrypt|RevealsForEquivalence|ConcurrentVerifiers|MutatedAfterAdmission|ChecksEachBid|VerifierChecksWhat|TestPool|OnlyThePool|OneFunctionReaches|NetworkCommitsAResubmitted|DoorRefuses|ForgedReveal|RevealFlood|EnvelopeCommits|RivalBlocksRaceIntoOneVerifier|BlockExecutedOncePerNode|OnlyTheMinerMovesItsBook|LostSelfAppend|FrameGolden|RelayForwardsReceivedBytes|StalledPeerIsDropped|FrameLimitDropsPeer|DuplicatedVoteIsOneVoter|PayloadSizesAt2048Bids|FuzzFrameDecode|FuzzBidDecode|FuzzRevealBatch|FuzzBlockDecode|PreambleEncodingIsWhatHashHashes|RevealWithoutEncoding|DecodedBidIsIndependentOfAppends|LedgerPipelinesUnlessARoundReadsTheLastCommit|LedgerIncrementalAdmitsEveryArrival|RivalBlockMidRound|RoutingLatencyTightening|VerifyOnlyNodeWritesItsChainFile|StreamGolden|SpillForwardNeverRevisits|RunRefusesBadFlags|RunWritesReport|OverbookingTableGolden|FastStdoutGolden|NonCanonical|RunPipelineFlagExitsTwo|PipelineReturnsBidsOnProduceFailure|DemoOrdersEnterTheBook|BookIDReuseNeverReadsStaleEconomics' \
+  -run 'VerifyOnce|Admitted|VerifiedSet|BidKey|IndexPositions|ParallelDecrypt|RevealsForEquivalence|ConcurrentVerifiers|MutatedAfterAdmission|ChecksEachBid|VerifierChecksWhat|TestPool|OnlyThePool|OneFunctionReaches|NetworkCommitsAResubmitted|DoorRefuses|ForgedReveal|RevealFlood|EnvelopeCommits|RivalBlocksRaceIntoOneVerifier|BlockExecutedOncePerNode|OnlyTheMinerMovesItsBook|LostSelfAppend|FrameGolden|RelayForwardsReceivedBytes|StalledPeerIsDropped|FrameLimitDropsPeer|DuplicatedVoteIsOneVoter|PayloadSizesAt2048Bids|FuzzFrameDecode|FuzzBidDecode|FuzzRevealBatch|FuzzBlockDecode|PreambleEncodingIsWhatHashHashes|RevealWithoutEncoding|DecodedBidIsIndependentOfAppends|LedgerPipelinesUnlessARoundReadsTheLastCommit|LedgerIncrementalAdmitsEveryArrival|RivalBlockMidRound|RoutingLatencyTightening|VerifyOnlyNodeWritesItsChainFile|StreamGolden|SpillForwardNeverRevisits|RunRefusesBadFlags|RunWritesReport|FastStdoutGolden|NonCanonical|RunPipelineFlagExitsTwo|PipelineReturnsBidsOnProduceFailure|DemoOrdersEnterTheBook|BookIDReuseNeverReadsStaleEconomics' \
   ./internal/sealed ./internal/ledger ./internal/miner ./internal/p2p ./internal/sim ./internal/metro ./cmd/decloud-node \
   ./internal/workload ./internal/devnet ./cmd/decloud-loadgen \
   ./internal/bidding ./internal/experiments ./cmd/decloud-sim ./internal/book
@@ -104,8 +124,8 @@ check_cov() { # pkg floor
 for pkg in internal/miner internal/p2p; do check_cov "${pkg}" 75.0; done
 for pkg in internal/stats internal/audit internal/obs \
            internal/devnet internal/loadgen internal/book; do check_cov "${pkg}" 80.0; done
-# A package whose differential harness lives in a subpackage (metrotest,
-# futurestest) is really covered by the UNION of both test binaries —
+# A package whose differential harness lives in a subpackage (metrotest)
+# is really covered by the UNION of both test binaries —
 # measured through one merged coverprofile instead of the single-binary
 # -cover number.
 check_union_cov() { # coverpkgs test-pkgs floor
@@ -125,7 +145,6 @@ check_union_cov() { # coverpkgs test-pkgs floor
 # internal/geo (the homing primitives metro re-exports) is gated in the
 # metro profile.
 check_union_cov ./internal/geo,./internal/metro "./internal/metro/... ./internal/workload" 80.0
-check_union_cov ./internal/futures "./internal/futures/..." 80.0
 
 echo "==> non-test Go lines (a ratchet; ROADMAP item 2 wants them down)"
 # Every non-_test.go line outside benchmark/, and the share carried by
@@ -166,8 +185,11 @@ echo "==> non-test Go lines (a ratchet; ROADMAP item 2 wants them down)"
 # indexed economics and its row copies, the book's matched-ID sets and
 # the mini-auctions' trade buffer, to 22 090; parking the requests that
 # cannot trade (the kind table taken apart from the index, and the
-# book's unparked rows), to 22 128.
-LINES_CEILING_TOTAL=22128
+# book's unparked rows), to 22 128; deleting the two-stage reservation
+# market (the futures package, its overbooking experiment and the
+# workload's two-stage split), to 20 583, the round-loop packages
+# untouched.
+LINES_CEILING_TOTAL=20583
 LINES_CEILING_ROUND_LOOPS=5633
 count_lines() { # dir...
   find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
@@ -337,10 +359,6 @@ go test -run='^$' -fuzz='^FuzzBookMutations$' -fuzztime="${FUZZTIME}" ./internal
 # Anchored: the metro homing fuzzer checks total coverage, determinism,
 # and cell-boundary stability of the geography→exchange map.
 go test -run='^$' -fuzz='^FuzzMetroHoming$' -fuzztime="${FUZZTIME}" ./internal/metro
-# Anchored: the futures lifecycle fuzzer drives arbitrary reserve/
-# deliver/default/cancel sequences, audits conservation after every op,
-# and replays the log against a rebuild-from-scratch oracle.
-go test -run='^$' -fuzz='^FuzzReservationLifecycle$' -fuzztime="${FUZZTIME}" ./internal/futures
 # Anchored: the clustering fuzzer runs arbitrary Update scripts (1–4
 # word masks, repeated, empty and single-offer best sets, Reset with and
 # without Reserve) through the memoized builder and the literal,

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"os"
 
-	"decloud/internal/stats"
+	"decloud/internal/experiments"
 	"decloud/internal/trace"
 )
 
@@ -75,9 +75,9 @@ func inspect(args []string) {
 		disk = append(disk, task.Disk)
 	}
 	fmt.Printf("tasks: %d\n", len(tasks))
-	fmt.Printf("cpu:  %s\n", stats.Summarize(cpu))
-	fmt.Printf("ram:  %s\n", stats.Summarize(ram))
-	fmt.Printf("disk: %s\n", stats.Summarize(disk))
+	fmt.Printf("cpu:  %s\n", experiments.Summarize(cpu))
+	fmt.Printf("ram:  %s\n", experiments.Summarize(ram))
+	fmt.Printf("disk: %s\n", experiments.Summarize(disk))
 	fmt.Printf("cpu p50=%.4f p90=%.4f p99=%.4f\n",
-		stats.Percentile(cpu, 50), stats.Percentile(cpu, 90), stats.Percentile(cpu, 99))
+		experiments.Percentile(cpu, 50), experiments.Percentile(cpu, 90), experiments.Percentile(cpu, 99))
 }

@@ -5,7 +5,6 @@ import (
 
 	"decloud/internal/auction"
 	"decloud/internal/baseline"
-	"decloud/internal/stats"
 	"decloud/internal/workload"
 )
 
@@ -22,8 +21,8 @@ import (
 // mean budget imbalance (Σ revenues − Σ payments; 0 = strongly balanced).
 type ComparisonRow struct {
 	Mechanism   string
-	WelfareFrac stats.Summary
-	Imbalance   stats.Summary
+	WelfareFrac Summary
+	Imbalance   Summary
 	Truthful    string
 }
 
@@ -58,10 +57,10 @@ func RunMechanismComparison(requests, providers, reps int, seed int64) []Compari
 		decloudImb = append(decloudImb, mech.TotalRevenues()-mech.TotalPayments())
 	}
 	return []ComparisonRow{
-		{Mechanism: "optimum", WelfareFrac: stats.Summarize(ones(len(vcgFrac))), Imbalance: stats.Summarize(nil), Truthful: "n/a"},
-		{Mechanism: "vcg", WelfareFrac: stats.Summarize(vcgFrac), Imbalance: stats.Summarize(vcgImb), Truthful: "yes"},
-		{Mechanism: "greedy-benchmark", WelfareFrac: stats.Summarize(benchFrac), Imbalance: stats.Summarize(benchImb), Truthful: "no"},
-		{Mechanism: "decloud", WelfareFrac: stats.Summarize(decloudFrac), Imbalance: stats.Summarize(decloudImb), Truthful: "yes (ε on heterogeneous)"},
+		{Mechanism: "optimum", WelfareFrac: Summarize(ones(len(vcgFrac))), Imbalance: Summarize(nil), Truthful: "n/a"},
+		{Mechanism: "vcg", WelfareFrac: Summarize(vcgFrac), Imbalance: Summarize(vcgImb), Truthful: "yes"},
+		{Mechanism: "greedy-benchmark", WelfareFrac: Summarize(benchFrac), Imbalance: Summarize(benchImb), Truthful: "no"},
+		{Mechanism: "decloud", WelfareFrac: Summarize(decloudFrac), Imbalance: Summarize(decloudImb), Truthful: "yes (ε on heterogeneous)"},
 	}
 }
 

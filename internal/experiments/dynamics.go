@@ -5,7 +5,6 @@ import (
 
 	"decloud/internal/auction"
 	"decloud/internal/bidding"
-	"decloud/internal/stats"
 	"decloud/internal/workload"
 )
 
@@ -93,7 +92,7 @@ func RunMarketDynamics(cfg DynamicsConfig) []DynamicsPoint {
 		}
 		points = append(points, DynamicsPoint{
 			Round:        round,
-			Price:        stats.Mean(prices) * 1e6,
+			Price:        Mean(prices) * 1e6,
 			Active:       len(active),
 			Matches:      len(out.Matches),
 			Satisfaction: out.Satisfaction(len(demand)),

@@ -40,16 +40,9 @@ func TestScaleSweepShape(t *testing.T) {
 		ratioBySize[p.Requests] = append(ratioBySize[p.Requests], p.Ratio)
 		reducedBySize[p.Requests] = append(reducedBySize[p.Requests], p.ReducedPct)
 	}
-	mean := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
 	// Paper shape #1 (Fig 5b): the ratio in large markets is high and not
 	// below the small-market ratio.
-	small, large := mean(ratioBySize[25]), mean(ratioBySize[400])
+	small, large := Mean(ratioBySize[25]), Mean(ratioBySize[400])
 	if large < 0.85 {
 		t.Fatalf("large-market welfare ratio = %v, want ≥ 0.85", large)
 	}
@@ -67,20 +60,13 @@ func TestScaleSweepReducedTradesShrink(t *testing.T) {
 	for _, p := range points {
 		lostBySize[p.Requests] = append(lostBySize[p.Requests], p.ReducedPct)
 	}
-	mean := func(xs []float64) float64 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
 	// Paper shape #2 (Fig 5c): reduced trades shrink as the market grows.
-	if mean(lostBySize[400]) > mean(lostBySize[25])+1 {
+	if Mean(lostBySize[400]) > Mean(lostBySize[25])+1 {
 		t.Fatalf("reduced trades should shrink with size: n=25 %v%%, n=400 %v%%",
-			mean(lostBySize[25]), mean(lostBySize[400]))
+			Mean(lostBySize[25]), Mean(lostBySize[400]))
 	}
-	if mean(lostBySize[400]) > 6 {
-		t.Fatalf("large-market reduced trades = %v%%, want ≤ 6%%", mean(lostBySize[400]))
+	if Mean(lostBySize[400]) > 6 {
+		t.Fatalf("large-market reduced trades = %v%%, want ≤ 6%%", Mean(lostBySize[400]))
 	}
 }
 

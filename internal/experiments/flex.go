@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"decloud/internal/auction"
-	"decloud/internal/stats"
 	"decloud/internal/workload"
 )
 
@@ -47,8 +46,8 @@ type FlexPoint struct {
 	Flexibility  float64
 	Skew         float64
 	Similarity   float64 // mean realized 1 − KLD(demand ‖ supply)
-	Satisfaction stats.Summary
-	Welfare      stats.Summary
+	Satisfaction Summary
+	Welfare      Summary
 }
 
 // RunFlexSweep evaluates every (flexibility, skew) cell.
@@ -86,9 +85,9 @@ func RunFlexSweep(cfg FlexConfig) []FlexPoint {
 			points = append(points, FlexPoint{
 				Flexibility:  flex,
 				Skew:         skew,
-				Similarity:   stats.Mean(sims),
-				Satisfaction: stats.Summarize(sats),
-				Welfare:      stats.Summarize(wels),
+				Similarity:   Mean(sims),
+				Satisfaction: Summarize(sats),
+				Welfare:      Summarize(wels),
 			})
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"decloud/internal/auction"
-	"decloud/internal/stats"
 	"decloud/internal/workload"
 )
 
@@ -94,7 +93,7 @@ func loessColumn(xs, ys []float64, span float64, at []float64) []float64 {
 	if span <= 0 {
 		span = 0.6
 	}
-	l, err := stats.NewLoess(xs, ys, span)
+	l, err := newLoess(xs, ys, span)
 	if err != nil {
 		return nil
 	}
@@ -102,7 +101,7 @@ func loessColumn(xs, ys []float64, span float64, at []float64) []float64 {
 }
 
 // aggregate groups points by request count.
-func aggregate(points []ScalePoint, value func(ScalePoint) float64) (sizes []int, means []stats.Summary, rawX, rawY []float64) {
+func aggregate(points []ScalePoint, value func(ScalePoint) float64) (sizes []int, means []Summary, rawX, rawY []float64) {
 	bySize := make(map[int][]float64)
 	for _, p := range points {
 		bySize[p.Requests] = append(bySize[p.Requests], value(p))
@@ -117,7 +116,7 @@ func aggregate(points []ScalePoint, value func(ScalePoint) float64) (sizes []int
 		}
 	}
 	for _, n := range sizes {
-		means = append(means, stats.Summarize(bySize[n]))
+		means = append(means, Summarize(bySize[n]))
 	}
 	return sizes, means, rawX, rawY
 }

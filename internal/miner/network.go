@@ -9,7 +9,6 @@ import (
 
 	"decloud/internal/auction"
 	"decloud/internal/book"
-	"decloud/internal/chaos"
 	"decloud/internal/contract"
 	"decloud/internal/ledger"
 	"decloud/internal/obs"
@@ -73,12 +72,15 @@ type Network struct {
 	Balances map[string]float64
 
 	// Faults, when set, injects deterministic transport faults into the
-	// round: lost/delayed key reveals (retried DefaultRevealRetries times,
-	// then excluded — identically on every honest miner, because the
-	// verdicts depend only on the plan seed and the bid digest) and
-	// crash-restart windows that take miners out of production and
-	// verification for the rounds they cover.
-	Faults *chaos.Plan
+	// round (a *chaos.Plan does): lost key reveals (retried
+	// DefaultRevealRetries times, then excluded — identically on every
+	// honest miner, because the verdicts depend only on the plan seed and
+	// the bid digest) and crash-restart windows that take miners out of
+	// production and verification for the rounds they cover.
+	Faults interface {
+		Crashed(t int64, node string) bool
+		RevealLost(round int64, attempt int, producer, sender string, digest [32]byte) bool
+	}
 
 	// TamperBody, when set, mutates the named producer's body before it
 	// is broadcast — a test hook simulating a Byzantine miner.
@@ -281,7 +283,7 @@ func (n *Network) collectReveals(block *ledger.Block, participants []*Participan
 				missing = true // never produced; retries cannot help, but the
 				continue       // silent sender may still be partitioned, not gone
 			}
-			if n.Faults.RevealLost(round, attempt, producer, string(b.SenderID()), d) {
+			if n.Faults != nil && n.Faults.RevealLost(round, attempt, producer, string(b.SenderID()), d) {
 				if n.Obs != nil {
 					n.Obs.RevealLosses.Inc()
 				}

@@ -174,7 +174,7 @@ func (n *Network) beginRound(round int, participants []*Participant) (*pipelineS
 		n.Obs.Rounds.Inc()
 	}
 	for i, m := range n.miners {
-		if n.Faults.Crashed(timestamp, m.Name) {
+		if n.Faults != nil && n.Faults.Crashed(timestamp, m.Name) {
 			st.crashed[i] = true
 		}
 	}

@@ -18,11 +18,10 @@
 //  3. Cheap when on. Counters and gauges are single atomics; histograms
 //     do one linear scan over ≤ ~15 bucket bounds plus two atomics.
 //
-// The fixed-bin stats.Histogram (internal/stats) stays the offline
-// analysis tool — it is float-weighted, not concurrency-safe, and bins
-// by equal width. Runtime latency tracking needs cumulative "le" buckets
-// under concurrent writers, which is what Histogram here provides; the
-// Snapshot bridge keeps the two interoperable.
+// The equal-width histogram behind the workload's similarity axis
+// (internal/workload) is an offline analysis tool, not concurrency-safe.
+// Runtime latency tracking needs cumulative "le" buckets under
+// concurrent writers, which is what Histogram here provides.
 package obs
 
 import (

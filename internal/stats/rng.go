@@ -1,3 +1,8 @@
+// Package stats derives deterministic randomness from a block's evidence.
+// The mechanism's randomized exclusion (Algorithm 4) must be verifiable:
+// every miner has to reproduce it exactly from public data. The paper
+// uses "evidence of a block as a random seed so that randomization is
+// also verifiable" (Section IV-F).
 package stats
 
 import (
@@ -9,23 +14,17 @@ import (
 	"slices"
 )
 
-// The mechanism's randomized exclusion (Algorithm 4) must be verifiable:
-// every miner has to reproduce it exactly from public data. The paper
-// uses "evidence of a block as a random seed so that randomization is
-// also verifiable" (Section IV-F). These helpers derive a deterministic
-// PRNG from arbitrary evidence bytes.
-
-// SeedFromBytes hashes arbitrary evidence (e.g. a block's proof-of-work)
+// seedFromBytes hashes arbitrary evidence (e.g. a block's proof-of-work)
 // into a 64-bit PRNG seed.
-func SeedFromBytes(evidence []byte) int64 {
+func seedFromBytes(evidence []byte) int64 {
 	sum := sha256.Sum256(evidence)
 	return int64(binary.BigEndian.Uint64(sum[:8]))
 }
 
-// NewRand returns a deterministic *rand.Rand derived from evidence bytes.
+// newRand returns a deterministic *rand.Rand derived from evidence bytes.
 // Two verifiers with the same evidence obtain identical streams.
-func NewRand(evidence []byte) *rand.Rand {
-	return rand.New(rand.NewSource(SeedFromBytes(evidence)))
+func newRand(evidence []byte) *rand.Rand {
+	return rand.New(rand.NewSource(seedFromBytes(evidence)))
 }
 
 // SubRand derives an independent deterministic generator for a named
@@ -36,7 +35,7 @@ func SubRand(evidence []byte, label string) *rand.Rand {
 	h.Write(evidence)
 	h.Write([]byte{0})
 	h.Write([]byte(label))
-	return NewRand(h.Sum(nil))
+	return newRand(h.Sum(nil))
 }
 
 // KeyedOrder returns a permutation of [0, len(ids)) where index i sorts

@@ -2,11 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"decloud/internal/bidding"
 	"decloud/internal/resource"
-	"decloud/internal/stats"
 	"decloud/internal/trace"
 )
 
@@ -98,7 +98,7 @@ func GenerateDivergent(cfg DivergentConfig) (*Market, float64) {
 	}
 	assignValuations(m, base, rnd)
 
-	similarity := 1 - stats.HistogramKLD(reqClasses, offerClasses, len(catalog))
+	similarity := 1 - histogramKLD(reqClasses, offerClasses, len(catalog))
 	return m, similarity
 }
 
@@ -112,4 +112,117 @@ func sampleClass(rnd *rand.Rand, dist []float64) int {
 		}
 	}
 	return len(dist) - 1
+}
+
+// histogram is a fixed-bin histogram over [lo, hi). Values outside the
+// range clamp into the first/last bin, so mass is never silently lost.
+type histogram struct {
+	lo, hi float64
+	counts []float64
+}
+
+// newHistogram creates a histogram with bins equal-width bins over
+// [lo, hi). It panics on a non-positive bin count or an empty range —
+// both are programming errors, not data errors.
+func newHistogram(lo, hi float64, bins int) *histogram {
+	if bins <= 0 {
+		panic(fmt.Sprintf("workload: non-positive bin count %d", bins))
+	}
+	if hi <= lo {
+		panic(fmt.Sprintf("workload: empty histogram range [%g, %g)", lo, hi))
+	}
+	return &histogram{lo: lo, hi: hi, counts: make([]float64, bins)}
+}
+
+// add records one observation.
+func (h *histogram) add(x float64) {
+	n := len(h.counts)
+	idx := int(math.Floor((x - h.lo) / (h.hi - h.lo) * float64(n)))
+	h.counts[min(max(idx, 0), n-1)]++
+}
+
+// total returns the summed mass of all bins.
+func (h *histogram) total() float64 {
+	var t float64
+	for _, c := range h.counts {
+		t += c
+	}
+	return t
+}
+
+// probabilities returns the histogram normalized to a probability
+// distribution. An empty histogram yields the uniform distribution so
+// that divergence computations stay well-defined.
+func (h *histogram) probabilities() []float64 {
+	n := len(h.counts)
+	p := make([]float64, n)
+	total := h.total()
+	if total <= 0 {
+		for i := range p {
+			p[i] = 1 / float64(n)
+		}
+		return p
+	}
+	for i, c := range h.counts {
+		p[i] = c / total
+	}
+	return p
+}
+
+// klSmoothing is the additive (Laplace) smoothing mass applied per bin
+// before computing KL divergence, keeping it finite when a bin of q is
+// empty where p has mass.
+const klSmoothing = 1e-6
+
+// klDivergence computes D_KL(P‖Q) in nats between two probability vectors
+// of equal length, applying additive smoothing to both. It panics on
+// length mismatch (a programming error).
+func klDivergence(p, q []float64) float64 {
+	if len(p) != len(q) {
+		panic(fmt.Sprintf("workload: KL divergence over mismatched lengths %d and %d", len(p), len(q)))
+	}
+	var pt, qt float64
+	for i := range p {
+		pt += p[i] + klSmoothing
+		qt += q[i] + klSmoothing
+	}
+	var d float64
+	for i := range p {
+		pi := (p[i] + klSmoothing) / pt
+		qi := (q[i] + klSmoothing) / qt
+		if pi > 0 {
+			d += pi * math.Log(pi/qi)
+		}
+	}
+	if d < 0 {
+		// Smoothing can introduce a tiny negative residue.
+		d = 0
+	}
+	return d
+}
+
+// histogramKLD builds equal-bin histograms of two samples over their
+// common range and returns D_KL(sampleP‖sampleQ). This is the quantity
+// behind the paper's similarity axis: similarity = 1 − KLD(R, O)
+// "regarding resources" (Section V).
+func histogramKLD(sampleP, sampleQ []float64, bins int) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, x := range sampleP {
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+	}
+	for _, x := range sampleQ {
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+	}
+	if !(hi > lo) { // empty or degenerate samples: identical distributions
+		return 0
+	}
+	hp := newHistogram(lo, hi+1e-12, bins)
+	hq := newHistogram(lo, hi+1e-12, bins)
+	for _, x := range sampleP {
+		hp.add(x)
+	}
+	for _, x := range sampleQ {
+		hq.add(x)
+	}
+	return klDivergence(hp.probabilities(), hq.probabilities())
 }

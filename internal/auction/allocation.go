@@ -70,7 +70,7 @@ func (t *Tracker) TryGrant(r *bidding.Request, o *bidding.Offer) resource.Vector
 		if byTime := rem[k] / float64(r.Duration); byTime < g {
 			g = byTime
 		}
-		if g < need*r.Flex()-1e-9 {
+		if g < float64(need*r.Flex())-1e-9 {
 			return nil
 		}
 		granted[k] = g

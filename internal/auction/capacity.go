@@ -72,7 +72,7 @@ func (c *aggregate) TryGrant(er EconRequest, eo EconOffer) (granted []float64, o
 			if byTime := rem[k] / dur; byTime < v {
 				v = byTime
 			}
-			if v < need[k]*flex-1e-9 {
+			if v < float64(need[k]*flex)-1e-9 {
 				return nil, false
 			}
 			positive = positive || v > 0
@@ -107,7 +107,7 @@ func (c *aggregate) Commit(er EconRequest, eo EconOffer, g []float64) {
 		for ; m != 0; m &= m - 1 {
 			k := w*64 + bits.TrailingZeros64(m)
 			c.log = append(c.log, undo{i: i + k, old: c.rem[i+k]})
-			v := c.rem[i+k] - g[k]*d
+			v := c.rem[i+k] - float64(g[k]*d)
 			if v < 0 {
 				v = 0
 			}

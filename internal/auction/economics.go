@@ -83,7 +83,7 @@ func (s *scaleRows) fraction(mask []uint64, row []float64) float64 {
 	for w, m := range mask {
 		for m &= s.common[w]; m != 0; m &= m - 1 {
 			if q := row[w*64+bits.TrailingZeros64(m)]; q > 0 {
-				sum += q * q
+				sum += float64(q * q)
 			}
 		}
 	}
@@ -314,7 +314,7 @@ func scaleOf(cl *cluster.Cluster, ix *match.Index, base []uint64, s *scaleRows, 
 			if k := w*64 + bits.TrailingZeros64(m); s.max[k] == 0 {
 				s.common[w] &^= m & -m
 			} else {
-				dsum += s.max[k] * s.max[k]
+				dsum += float64(s.max[k] * s.max[k])
 			}
 		}
 		s.crit[w] |= base[w]

@@ -170,7 +170,7 @@ func prePass(ec *EconCluster, pairOK func(EconRequest, EconOffer) bool, pk *pack
 			st.cHatZ = a.Off.CHat
 		}
 		st.used[a.Off.Offer.ID] = true
-		st.welfare += a.Req.Request.Bid - a.frac*a.Off.Offer.Bid
+		st.welfare += a.Req.Request.Bid - float64(a.frac*a.Off.Offer.Bid)
 	}
 	for _, eo := range ec.Offers {
 		if !st.used[eo.Offer.ID] {
@@ -659,7 +659,7 @@ func sizeOrder(evidence []byte, label string, offers []EconOffer) []int {
 	norm, order := make([]float64, len(offers)), make([]int, len(offers))
 	for i, eo := range offers {
 		var sum float64
-		eachKind(eo.d.mask, func(k int) { sum += eo.d.row[k] * eo.d.row[k] })
+		eachKind(eo.d.mask, func(k int) { sum += float64(eo.d.row[k] * eo.d.row[k]) })
 		norm[i], order[i] = math.Sqrt(sum), i
 	}
 	slices.SortFunc(order, func(a, b int) int {

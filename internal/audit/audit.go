@@ -94,7 +94,7 @@ func Outcome(requests []*bidding.Request, offers []*bidding.Offer, out *auction.
 			if need <= 0 {
 				continue
 			}
-			if m.Granted[k] < need*r.Flex()-tolerance {
+			if m.Granted[k] < float64(need*r.Flex())-tolerance {
 				report("flex-floor", "grant of %s to %s below the flexibility floor: %v < %v·%v",
 					k, r.ID, m.Granted[k], r.Flex(), need)
 			}

@@ -585,7 +585,7 @@ func (ix *Index) placeFit(oi int, r *bidding.Request) bool {
 	}
 	if r.MaxDistance > 0 {
 		dx, dy := r.Location.X-ix.offX[oi], r.Location.Y-ix.offY[oi]
-		if math.Sqrt(dx*dx+dy*dy) > r.MaxDistance {
+		if math.Sqrt(float64(dx*dx)+float64(dy*dy)) > r.MaxDistance {
 			return false
 		}
 	}
@@ -624,7 +624,7 @@ func (ix *Index) score(ri, oi int) (float64, bool) {
 			k := w*64 + bits.TrailingZeros64(m)
 			no := ix.offNorm[orow+k]
 			d := no - ix.reqNorm[rrow+k]
-			q += ix.reqW[rrow+k] * no / (d*d + 1)
+			q += ix.reqW[rrow+k] * no / (float64(d*d) + 1)
 		}
 	}
 	return q, true
@@ -681,7 +681,7 @@ func (ix *Index) BestOffers(ri int, cfg Config, s *Scratch) []*bidding.Offer {
 // within reach R (DESIGN §9); the last term covers dx² underflowing. It
 // returns top and the strip's length.
 func (ix *Index) stripTop(ri int, r *bidding.Request, top []scored, limit int) ([]scored, int) {
-	x, reach := r.Location.X, r.MaxDistance*(1+0x1p-32)+0x1p-500
+	x, reach := r.Location.X, float64(r.MaxDistance*(1+0x1p-32))+0x1p-500
 	lo := sort.Search(len(ix.byX), func(i int) bool { return x-ix.offX[ix.byX[i]] <= reach })
 	hi := sort.Search(len(ix.byX), func(i int) bool { return x-ix.offX[ix.byX[i]] < -reach })
 	return ix.scanTop(ri, r, ix.byX[lo:hi], top, limit), hi - lo

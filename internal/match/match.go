@@ -93,7 +93,7 @@ func qualityKinds(r *bidding.Request, o *bidding.Offer, scale *resource.Scale, c
 			nr = 1
 		}
 		d := no - nr
-		q += r.Weight(k) * no / (d*d + 1)
+		q += r.Weight(k) * no / (float64(d*d) + 1)
 	}
 	return q
 }

@@ -24,7 +24,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(s.Count)
+	rank := float64(q * float64(s.Count))
 	// First bucket whose cumulative count reaches the rank.
 	i := 0
 	for i < len(s.Buckets)-1 && float64(s.Buckets[i]) < rank {

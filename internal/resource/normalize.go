@@ -90,7 +90,7 @@ func (s *Scale) Fraction(v Vector) float64 {
 	for _, k := range v.Kinds() {
 		if s.max[k] > 0 {
 			q := v[k]
-			sum += q * q
+			sum += float64(q * q)
 		}
 	}
 	f := math.Sqrt(sum) / denom

@@ -153,24 +153,6 @@ func TestTimeCompatible(t *testing.T) {
 	}
 }
 
-func TestResourceFraction(t *testing.T) {
-	r := validRequest() // cpu=2 ram=8, duration 50
-	o := validOffer()   // cpu=8 ram=32, window 200
-	// φ = (50/200) · ((2/8 + 8/32)/2) = 0.25 · 0.25 = 0.0625
-	if got, want := ResourceFraction(r, o), 0.0625; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ResourceFraction = %v, want %v", got, want)
-	}
-}
-
-func TestResourceFractionNoCommonKinds(t *testing.T) {
-	r := validRequest()
-	o := validOffer()
-	o.Resources = resource.Vector{resource.GPU: 1}
-	if got := ResourceFraction(r, o); got != 0 {
-		t.Fatalf("disjoint kinds should give fraction 0, got %v", got)
-	}
-}
-
 func TestLocationDistance(t *testing.T) {
 	a := Location{X: 0, Y: 0}
 	b := Location{X: 3, Y: 4}

@@ -198,12 +198,6 @@ type Removals struct {
 	ExpiredOffers   []bidding.OrderID
 }
 
-// Empty reports whether the removal log holds nothing.
-func (r Removals) Empty() bool {
-	return len(r.CarriedRequests) == 0 && len(r.CarriedOffers) == 0 &&
-		len(r.ExpiredRequests) == 0 && len(r.ExpiredOffers) == 0
-}
-
 // SetTrackRemovals switches involuntary-removal tracking on or off.
 // Turning it off drops anything accumulated.
 func (b *Book) SetTrackRemovals(on bool) {

@@ -103,9 +103,6 @@ func (p *Plan) Now() int64 {
 // SetNow moves the logical clock, activating or expiring windows.
 func (p *Plan) SetNow(t int64) { p.now.Store(t) }
 
-// Advance steps the logical clock forward by one and returns the new time.
-func (p *Plan) Advance() int64 { return p.now.Add(1) }
-
 // rand derives the deterministic generator for one labeled decision.
 func (p *Plan) rand(label string) *rand.Rand {
 	var seed [8]byte

@@ -11,7 +11,6 @@ package contract
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"decloud/internal/bidding"
@@ -179,21 +178,6 @@ func (r *Registry) decide(id AgreementID, caller bidding.ParticipantID, status S
 	}
 	a.Status = status
 	return nil
-}
-
-// PendingFor lists the proposed agreements awaiting a client's decision,
-// sorted by ID.
-func (r *Registry) PendingFor(client bidding.ParticipantID) []Agreement {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Agreement
-	for _, a := range r.agreements {
-		if a.Status == Proposed && a.Client() == client {
-			out = append(out, *a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // CountByStatus tallies agreements per status.

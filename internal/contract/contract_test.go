@@ -87,24 +87,6 @@ func TestUnknownAgreement(t *testing.T) {
 	}
 }
 
-func TestPendingFor(t *testing.T) {
-	reg := NewRegistry(nil)
-	ids := reg.ProposeFromBlock(1, records())
-	reg.ProposeFromBlock(2, []ledger.AllocationRecord{
-		{RequestID: "r9", OfferID: "o2", Client: "alice", Provider: "p2", Payment: 1},
-	})
-	pend := reg.PendingFor("alice")
-	if len(pend) != 2 {
-		t.Fatalf("pending = %d", len(pend))
-	}
-	if err := reg.Accept(ids[0], "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.PendingFor("alice"); len(got) != 1 {
-		t.Fatalf("pending after accept = %d", len(got))
-	}
-}
-
 func TestCountByStatus(t *testing.T) {
 	reg := NewRegistry(nil)
 	ids := reg.ProposeFromBlock(1, records())

@@ -10,9 +10,6 @@ func TestInitialScore(t *testing.T) {
 	if got := s.Score("newcomer"); got != Initial {
 		t.Fatalf("Score = %v, want %v", got, Initial)
 	}
-	if !s.Meets("newcomer", 0.9) {
-		t.Fatal("newcomer should meet a 0.9 threshold")
-	}
 }
 
 func TestDenyPenaltyCompounds(t *testing.T) {
@@ -63,19 +60,6 @@ func TestScoreCappedAtOne(t *testing.T) {
 	}
 	if got := s.Score("good"); got > 1 {
 		t.Fatalf("score above 1: %v", got)
-	}
-}
-
-func TestMeetsThreshold(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 5; i++ {
-		s.RecordDeny("bad")
-	}
-	if s.Meets("bad", 0.9) {
-		t.Fatal("serial denier should fail a 0.9 threshold")
-	}
-	if !s.Meets("bad", 0) {
-		t.Fatal("zero threshold always met")
 	}
 }
 

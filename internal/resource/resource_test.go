@@ -95,9 +95,6 @@ func TestVectorCovers(t *testing.T) {
 			}
 		})
 	}
-	if !offer.Covers(Vector{CPU: 4}) {
-		t.Fatal("Covers should equal CoversFraction with frac=1")
-	}
 }
 
 func TestCommonKinds(t *testing.T) {

@@ -75,11 +75,6 @@ func FingerprintOf(pub ed25519.PublicKey) bidding.ParticipantID {
 // Sign signs a message with the identity's private key.
 func (id *Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) }
 
-// NewTempKey draws a fresh 32-byte temporary key.
-func NewTempKey() ([]byte, error) {
-	return NewTempKeyFrom(rand.Reader)
-}
-
 // NewTempKeyFrom draws a temporary key from the given entropy source.
 func NewTempKeyFrom(r io.Reader) ([]byte, error) {
 	key := make([]byte, KeySize)

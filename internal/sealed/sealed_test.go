@@ -282,13 +282,6 @@ func TestNewIdentityAndKeyFromSystemRand(t *testing.T) {
 	if _, err := NewIdentity(); err != nil {
 		t.Fatal(err)
 	}
-	key, err := NewTempKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(key) != KeySize {
-		t.Fatalf("key size = %d", len(key))
-	}
 }
 
 // TestOpenNeverPanicsOnGarbage: adversarial envelope bytes must fail

@@ -129,29 +129,10 @@ type Machine struct {
 	CPU, RAM float64
 }
 
-// LoadMachineEventsCSV reads machines from a machine_events shard (plain
-// or gzip CSV). Only ADD events with capacities are kept, deduplicated by
-// machine ID — with real data this gives the genuine supply-side shape of
-// the cluster instead of the EC2 M5 catalog.
-func LoadMachineEventsCSV(path string, limit int) ([]Machine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open %s: %w", path, err)
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("trace: gzip %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	return ParseMachineEvents(r, limit)
-}
-
-// ParseMachineEvents parses machine_events CSV content.
+// ParseMachineEvents parses machine_events CSV content. Only ADD events
+// with capacities are kept, deduplicated by machine ID — with real data
+// this gives the genuine supply-side shape of the cluster instead of the
+// EC2 M5 catalog.
 func ParseMachineEvents(r io.Reader, limit int) ([]Machine, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1

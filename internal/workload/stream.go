@@ -160,13 +160,6 @@ func (s *Stream) Next() StreamOrder {
 	return s.emit(c)
 }
 
-// NextFor emits client c's next order out of round-robin order — the
-// devnet's per-process emitters each own one client index. The order
-// depends only on (Seed, c, emission count of c), never on interleaving.
-func (s *Stream) NextFor(c int) StreamOrder {
-	return s.emit(c % s.cfg.Clients)
-}
-
 // Emit returns the next n round-robin orders.
 func (s *Stream) Emit(n int) []StreamOrder {
 	out := make([]StreamOrder, 0, n)

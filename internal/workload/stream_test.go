@@ -47,7 +47,7 @@ func TestStreamDeterminism(t *testing.T) {
 
 // TestStreamInterleavingIndependence: client c's j-th order is identical
 // whether emissions round-robin over all clients or drain one client at
-// a time via NextFor.
+// a time.
 func TestStreamInterleavingIndependence(t *testing.T) {
 	cfg := StreamConfig{Seed: 7, Clients: 3, EpochOrders: 30}
 	rr := NewStream(cfg)
@@ -58,9 +58,9 @@ func TestStreamInterleavingIndependence(t *testing.T) {
 	solo := NewStream(cfg)
 	for c := 0; c < 3; c++ {
 		for j, want := range perClient[c] {
-			got := solo.NextFor(c)
+			got := solo.emit(c)
 			if got.ID() != want.ID() {
-				t.Fatalf("client %d emission %d: NextFor %s, round-robin %s", c, j, got.ID(), want.ID())
+				t.Fatalf("client %d emission %d: alone %s, round-robin %s", c, j, got.ID(), want.ID())
 			}
 		}
 	}

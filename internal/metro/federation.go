@@ -46,13 +46,6 @@ type Config struct {
 
 	// Obs, when non-nil, receives federation metrics.
 	Obs *obs.MetroMetrics
-
-	// CaptureUnions, when true, records each round's per-metro cleared
-	// order sets (live ∪ admitted) in the RoundResult: property tests
-	// re-audit every metro's outcome against the exact order set it was
-	// computed over, and the simulator folds its metrics over them.
-	// Costs O(live) copies per round.
-	CaptureUnions bool
 }
 
 // DefaultMaxHops is the spill budget: a request visits at most its home
@@ -176,8 +169,10 @@ type RoundResult struct {
 	// neighbor.
 	Spilled      int
 	SpillExpired int
-	// UnionRequests/UnionOffers (CaptureUnions only) are the exact
-	// order sets metro m's outcome was computed over.
+	// UnionRequests/UnionOffers are the exact order sets metro m's
+	// outcome was computed over (live ∪ admitted): property tests
+	// re-audit every outcome against them, and the simulator folds its
+	// metrics over them. They cost O(live) copies per round.
 	UnionRequests [][]*bidding.Request
 	UnionOffers   [][]*bidding.Offer
 }
@@ -348,23 +343,20 @@ func (f *Federation) Round(reqs []*bidding.Request, offs []*bidding.Offer, evide
 
 	// 3. Clear every metro in metro order. Each exchange's work is
 	// self-contained (own market, own evidence stream).
-	res := &RoundResult{Round: f.round, Outcomes: make([]*auction.Outcome, M)}
-	matchedLocal0, matchedSpill0 := f.stats.MatchedLocal, f.stats.MatchedSpill
-	if f.cfg.CaptureUnions {
-		res.UnionRequests = make([][]*bidding.Request, M)
-		res.UnionOffers = make([][]*bidding.Offer, M)
+	res := &RoundResult{
+		Round: f.round, Outcomes: make([]*auction.Outcome, M),
+		UnionRequests: make([][]*bidding.Request, M), UnionOffers: make([][]*bidding.Offer, M),
 	}
+	matchedLocal0, matchedSpill0 := f.stats.MatchedLocal, f.stats.MatchedSpill
 	cleared := make([]struct {
 		rem book.Removals
 		err error
 	}, M)
 	for m, ms := range f.metros {
-		if f.cfg.CaptureUnions {
-			// Union = carried live set ∪ this batch, in market order:
-			// lives first (insertion order), then the batch.
-			res.UnionRequests[m] = append(append(ms.ex.LiveRequests(), reqBatch[m]...), ms.spillIn...)
-			res.UnionOffers[m] = append(ms.ex.LiveOffers(), offBatch[m]...)
-		}
+		// Union = carried live set ∪ this batch, in market order: lives
+		// first (insertion order), then the batch.
+		res.UnionRequests[m] = append(append(ms.ex.LiveRequests(), reqBatch[m]...), ms.spillIn...)
+		res.UnionOffers[m] = append(ms.ex.LiveOffers(), offBatch[m]...)
 		res.Outcomes[m], cleared[m].rem, cleared[m].err = ms.ex.Clear(reqBatch[m], offBatch[m], ms.spillIn, MetroEvidence(evidence, m, M))
 	}
 

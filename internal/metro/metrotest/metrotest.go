@@ -89,11 +89,8 @@ func NewTrace(seed int64, n, rounds int) *Trace {
 // stats.
 // When audit is non-nil it is called once per (round, metro) with the
 // exact order set the outcome was computed over — the property-test
-// hook (cfg.CaptureUnions is forced on).
+// hook.
 func Replay(cfg metro.Config, tr *Trace, audit func(round, m int, reqs []*bidding.Request, offs []*bidding.Offer, out *auction.Outcome) error) (metro.Stats, error) {
-	if audit != nil {
-		cfg.CaptureUnions = true
-	}
 	f, err := metro.New(cfg)
 	if err != nil {
 		return metro.Stats{}, err

@@ -28,8 +28,6 @@ func newFederation(cfg Config, roster map[bidding.ParticipantID]*miner.Participa
 		DistancePerMS: cfg.DistancePerMS,
 		Auction:       cfg.Auction,
 		Obs:           obs.NewMetroMetrics(cfg.Obs, cfg.Metros),
-		// The fold needs the exact per-metro union markets.
-		CaptureUnions: true,
 	}
 	if cfg.Mode == Fast {
 		fed, err := metro.New(mcfg)

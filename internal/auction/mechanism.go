@@ -51,14 +51,14 @@ type Config struct {
 	// pipeline ever reads a metric back.
 	Obs *obs.MechanismMetrics
 	// Workers bounds the worker pool that parallelizes the mechanism's
-	// independent stages: per-request best-offer scoring, per-cluster
-	// pre-passes, and the execution of mini-auctions whose member
-	// clusters share no orders (see parallel.go). 0 or 1 runs fully
-	// sequentially; DefaultConfig sets runtime.GOMAXPROCS(0). Every
-	// worker count produces a byte-identical Outcome — the blockchain
-	// verification protocol re-executes allocations on machines with
-	// arbitrary core counts, so this invariant is load-bearing and is
-	// enforced by the internal/auction/paralleltest harness.
+	// independent stages: per-request best-offer scoring and per-cluster
+	// pre-passes. The mini-auctions always run one after another, in
+	// Algorithm 4's order. 0 or 1 runs fully sequentially; DefaultConfig
+	// sets runtime.GOMAXPROCS(0). Every worker count produces a
+	// byte-identical Outcome — the blockchain verification protocol
+	// re-executes allocations on machines with arbitrary core counts, so
+	// this invariant is load-bearing and is enforced by the
+	// internal/auction/paralleltest harness.
 	Workers int
 	// Incremental routes block execution through the long-lived order
 	// book (internal/book) instead of rebuilding the match index and
@@ -191,11 +191,10 @@ func newOutcome() *Outcome {
 // Invalid orders are rejected (listed in the outcome), never fatal: a
 // miner must process whatever the block contains.
 //
-// With cfg.Workers > 1 the three embarrassingly parallel stages —
-// best-offer scoring, cluster pre-passes, and order-disjoint
-// mini-auctions — fan out across a bounded worker pool; results are
-// merged in canonical order so the Outcome is byte-identical to the
-// sequential execution (see parallel.go for the argument).
+// With cfg.Workers > 1 the two embarrassingly parallel stages —
+// best-offer scoring and cluster pre-passes — fan out across a bounded
+// worker pool, each writing only its own slot, so the Outcome is
+// byte-identical to the sequential execution.
 func Run(requests []*bidding.Request, offers []*bidding.Offer, cfg Config) *Outcome {
 	pt := startPhases(cfg.Obs)
 	out := newOutcome()
@@ -318,13 +317,10 @@ func (pt *phaseTimer) finish(out *Outcome, ix *match.Index, clusters []*cluster.
 
 // blockState is the mutable allocation state threaded through the
 // mini-auction execution loop: shared offer capacity plus the taken /
-// reduction / lottery bookkeeping. Sequential mode threads ONE state
-// through every mini-auction; parallel mode gives each order-disjoint
-// component of mini-auctions its own state and merges afterwards —
-// equivalent because every set is keyed by order and components share
-// no orders. The request-side sets are indexed by the request's
-// position in the clear's index (dense.id), so the components share
-// them: they write disjoint elements.
+// reduction / lottery bookkeeping. One state runs through every
+// mini-auction of a block, in auction-index order. The request-side
+// sets are indexed by the request's position in the clear's index
+// (dense.id).
 type blockState struct {
 	kinds                      []resource.Kind // the live index's kind table, naming grants
 	pk                         *packer
@@ -392,8 +388,7 @@ func auctionPrice(auc miniauction.Auction, all []clusterStats) (p, maxUsedCost f
 // randomized exclusion, and capacity allocation — against the given
 // block state, appending its trades to ms in deterministic order.
 // ai must be the auction's index in the block-wide auction list: it
-// keys the evidence-derived lotteries, so it must not depend on how
-// auctions are scheduled across workers.
+// keys the evidence-derived lotteries.
 func runMiniAuction(ai int, auc miniauction.Auction, all []clusterStats, cfg Config, pairOK func(EconRequest, EconOffer) bool, evidence []byte, st *blockState, ms []Match) []Match {
 	p, maxUsedCost, usedAnywhere, ok := auctionPrice(auc, all)
 	if !ok {

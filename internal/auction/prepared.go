@@ -150,7 +150,6 @@ func prePassAll(clusters []*cluster.Cluster, ix *match.Index, cfg Config, econ e
 // RunPrepared: everything downstream of cluster formation. It mutates
 // out and drives the phase timer through the prepass and auction laps.
 func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cfg Config, pt *phaseTimer, cache *PrepassCache, econ econPass) {
-	workers := effectiveWorkers(cfg)
 	out.Clusters = len(clusters)
 	all, nu := prePassAll(clusters, ix, cfg, econ, cache)
 	pairOK := pairGate(cfg)
@@ -172,18 +171,11 @@ func runClustered(out *Outcome, ix *match.Index, clusters []*cluster.Cluster, cf
 		evidence = []byte("decloud/no-evidence")
 	}
 
-	// A single mini-auction — the dense market's usual case — is one
-	// order-disjoint group by definition: partitioning it would only
-	// rebuild every member's footprint to find that out.
-	if workers > 1 && len(auctions) > 1 {
-		runAuctionsParallel(out, auctions, all, cfg, pairOK, evidence, workers, ix.Kinds(), ix.Requests())
-	} else {
-		st := newBlockState(ix.Kinds(), len(ix.Requests()), cache.packer())
-		for ai := range auctions {
-			out.Matches = runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, st, out.Matches)
-		}
-		finalize(out, ix.Requests(), st)
+	st := newBlockState(ix.Kinds(), len(ix.Requests()), cache.packer())
+	for ai := range auctions {
+		out.Matches = runMiniAuction(ai, auctions[ai], all, cfg, pairOK, evidence, st, out.Matches)
 	}
+	finalize(out, ix.Requests(), st)
 	pt.lapAuctions()
 	pt.finish(out, ix, clusters, nu)
 }

@@ -1,9 +1,6 @@
 package resource
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Scale holds per-kind maxima used to normalize resource quantities into
 // [0, 1]. The paper normalizes against "the maximum value of the resource
@@ -45,34 +42,6 @@ func (s *Scale) Max(k Kind) float64 { return s.max[k] }
 // MaxVector returns a copy of the componentwise maxima (the virtual
 // maximum M_CL when the scale was built from a cluster's offers).
 func (s *Scale) MaxVector() Vector { return s.max.Clone() }
-
-// Kinds returns the kinds known to the scale, sorted.
-func (s *Scale) Kinds() []Kind {
-	kinds := make([]Kind, 0, len(s.max))
-	for k, q := range s.max {
-		if q > 0 {
-			kinds = append(kinds, k)
-		}
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
-}
-
-// Normalize maps v into [0,1] per kind: ρ' = ρ / max_k. Kinds with a zero
-// or unknown maximum normalize to 0 (they cannot discriminate anything in
-// this block anyway).
-func (s *Scale) Normalize(v Vector) Vector {
-	out := make(Vector, len(v))
-	for k, q := range v {
-		m := s.max[k]
-		if m <= 0 {
-			out[k] = 0
-			continue
-		}
-		out[k] = q / m
-	}
-	return out
-}
 
 // Fraction returns ν = ‖v‖₂ / ‖M‖₂, the fraction of the virtual maximum
 // that v represents (Section IV-C). It is clamped to [0, 1] so that

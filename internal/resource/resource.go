@@ -78,9 +78,6 @@ func (v Vector) AppendKinds(buf []Kind) []Kind {
 	return buf
 }
 
-// Get returns the quantity of kind k (0 when absent).
-func (v Vector) Get(k Kind) float64 { return v[k] }
-
 // IsZero reports whether the vector has no positive component.
 func (v Vector) IsZero() bool {
 	for _, q := range v {
@@ -117,22 +114,6 @@ func (v Vector) Add(w Vector) Vector {
 	return out
 }
 
-// Sub returns v − w as a new vector, clamping each component at zero.
-func (v Vector) Sub(w Vector) Vector {
-	out := v.Clone()
-	if out == nil {
-		out = make(Vector)
-	}
-	for k, q := range w {
-		r := out[k] - q
-		if r < 0 {
-			r = 0
-		}
-		out[k] = r
-	}
-	return out
-}
-
 // Scale returns s·v as a new vector.
 func (v Vector) Scale(s float64) Vector {
 	out := make(Vector, len(v))
@@ -143,9 +124,8 @@ func (v Vector) Scale(s float64) Vector {
 }
 
 // SubScaledInPlace mutates v to v − s·w componentwise, clamping each
-// touched component at zero. It computes exactly v.Sub(w.Scale(s)) for
-// the touched kinds — same multiply, same subtract, same clamp — without
-// allocating either intermediate vector. v must be non-nil.
+// touched component at zero, without allocating an intermediate vector.
+// v must be non-nil.
 func (v Vector) SubScaledInPlace(w Vector, s float64) {
 	for k, q := range w {
 		r := v[k] - float64(q*s)

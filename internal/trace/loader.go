@@ -108,68 +108,3 @@ func parseFraction(s string) (float64, error) {
 	}
 	return strconv.ParseFloat(s, 64)
 }
-
-// The machine_events table of the trace (headerless CSV):
-// timestamp, machine ID, event type, platform ID, CPUs, memory.
-const (
-	colMachineEvent  = 2
-	colMachineCPU    = 4
-	colMachineRAM    = 5
-	minMachineFields = 6
-)
-
-// machineEventAdd is the ADD event in the machine_events schema.
-const machineEventAdd = 0
-
-// Machine is one cluster machine from the trace, with capacities
-// normalized to the largest machine in the cell (the trace's own
-// normalization).
-type Machine struct {
-	ID       int64
-	CPU, RAM float64
-}
-
-// ParseMachineEvents parses machine_events CSV content. Only ADD events
-// with capacities are kept, deduplicated by machine ID — with real data
-// this gives the genuine supply-side shape of the cluster instead of the
-// EC2 M5 catalog.
-func ParseMachineEvents(r io.Reader, limit int) ([]Machine, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	seen := make(map[int64]bool)
-	var machines []Machine
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: parse machines: %w", err)
-		}
-		if len(rec) < minMachineFields {
-			continue
-		}
-		evt, err := strconv.Atoi(strings.TrimSpace(rec[colMachineEvent]))
-		if err != nil || evt != machineEventAdd {
-			continue
-		}
-		id, err := strconv.ParseInt(strings.TrimSpace(rec[1]), 10, 64)
-		if err != nil || seen[id] {
-			continue
-		}
-		cpu, err1 := parseFraction(rec[colMachineCPU])
-		ram, err2 := parseFraction(rec[colMachineRAM])
-		if err1 != nil || err2 != nil || cpu <= 0 || ram <= 0 {
-			continue
-		}
-		seen[id] = true
-		machines = append(machines, Machine{ID: id, CPU: clamp01(cpu), RAM: clamp01(ram)})
-		if limit > 0 && len(machines) >= limit {
-			break
-		}
-	}
-	if len(machines) == 0 {
-		return nil, ErrNoTasks
-	}
-	return machines, nil
-}

@@ -160,37 +160,3 @@ func TestLoadTaskEventsCSVFile(t *testing.T) {
 		t.Fatal("missing file should error")
 	}
 }
-
-const machineCSV = `0,1,0,platformA,0.5,0.2497
-0,2,0,platformA,1,0.5
-300,1,1,platformA,0.5,0.2497
-0,3,0,platformB,0.25,0.125
-0,2,0,platformA,1,0.5
-bad,row
-0,4,0,platformB,,0.1
-`
-
-func TestParseMachineEvents(t *testing.T) {
-	machines, err := ParseMachineEvents(strings.NewReader(machineCSV), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Machines 1, 2, 3 added (machine 2's duplicate ADD deduplicated;
-	// the REMOVE event for 1 ignored; machine 4 lacks a CPU capacity).
-	if len(machines) != 3 {
-		t.Fatalf("machines = %d, want 3", len(machines))
-	}
-	if machines[0].ID != 1 || machines[0].CPU != 0.5 {
-		t.Fatalf("machine 0 = %+v", machines[0])
-	}
-	if machines[1].ID != 2 || machines[1].CPU != 1 || machines[1].RAM != 0.5 {
-		t.Fatalf("machine 1 = %+v", machines[1])
-	}
-	limited, err := ParseMachineEvents(strings.NewReader(machineCSV), 1)
-	if err != nil || len(limited) != 1 {
-		t.Fatalf("limit: %v %d", err, len(limited))
-	}
-	if _, err := ParseMachineEvents(strings.NewReader(""), 0); err != ErrNoTasks {
-		t.Fatalf("empty: %v", err)
-	}
-}

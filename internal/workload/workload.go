@@ -86,18 +86,9 @@ func Generate(cfg Config) *Market {
 // GenerateFromTasks builds a market from concrete trace tasks — use this
 // with trace.LoadTaskEventsCSV to run the evaluation on the REAL Google
 // cluster-usage trace instead of the synthetic generator. cfg.Requests is
-// ignored; one request is created per task (tasks repeat cyclically if a
-// larger market is wanted, trim the slice otherwise).
+// ignored: one request is created per task. The supply side is the EC2
+// M5 catalog.
 func GenerateFromTasks(cfg Config, tasks []trace.Task) *Market {
-	return GenerateFromTrace(cfg, tasks, nil)
-}
-
-// GenerateFromTrace builds a market where BOTH sides come from trace
-// data: one request per task, and — when machines is non-empty — one
-// offer per machine (capacities scaled onto the M5 reference anchor,
-// costs pro-rated from M5 per-core pricing). With machines nil the
-// supply side falls back to the EC2 M5 catalog.
-func GenerateFromTrace(cfg Config, tasks []trace.Task, machines []trace.Machine) *Market {
 	cfg.Requests = len(tasks)
 	cfg = cfg.withDefaults()
 	rnd := rand.New(rand.NewSource(cfg.Seed))
@@ -107,37 +98,7 @@ func GenerateFromTrace(cfg Config, tasks []trace.Task, machines []trace.Machine)
 	m := &Market{}
 	horizonHours := float64(cfg.HorizonSec) / 3600
 
-	// M5 per-core-hour rate, used to price trace machines consistently
-	// with the catalog (all M5 sizes share it).
-	corePrice := catalog[0].PricePerHour / catalog[0].VCPU
-
-	if len(machines) > 0 {
-		for j, mach := range machines {
-			cores := mach.CPU * reference.VCPU
-			ram := mach.RAM * reference.MemGiB
-			if cores <= 0 || ram <= 0 {
-				continue
-			}
-			cost := corePrice * cores * horizonHours * (0.7 + 0.6*rnd.Float64())
-			start := rnd.Int63n(cfg.HorizonSec/4 + 1)
-			end := cfg.HorizonSec - rnd.Int63n(cfg.HorizonSec/4+1)
-			m.Offers = append(m.Offers, &bidding.Offer{
-				ID:        bidding.OrderID(fmt.Sprintf("o%04d", j)),
-				Provider:  bidding.ParticipantID(fmt.Sprintf("provider-%04d", j)),
-				Submitted: int64(j),
-				Resources: resource.Vector{
-					resource.CPU:  cores,
-					resource.RAM:  ram,
-					resource.Disk: reference.StorageGiB * mach.CPU, // trace has no disk capacity
-				},
-				Start:    start,
-				End:      end,
-				Bid:      cost * float64(end-start) / float64(cfg.HorizonSec),
-				TrueCost: cost * float64(end-start) / float64(cfg.HorizonSec),
-			})
-		}
-	}
-	for j := len(m.Offers); j < cfg.Providers && len(machines) == 0; j++ {
+	for j := 0; j < cfg.Providers; j++ {
 		it := catalog[rnd.Intn(len(catalog))]
 		// Private costs spread ±30% around the EC2 list price: edge
 		// providers differ in electricity, amortization, and opportunity

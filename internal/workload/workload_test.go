@@ -264,35 +264,3 @@ func TestGenerateFromTasks(t *testing.T) {
 		}
 	}
 }
-
-func TestGenerateFromTrace(t *testing.T) {
-	tasks := trace.NewGenerator(3).SampleN(20)
-	machines := []trace.Machine{
-		{ID: 1, CPU: 1, RAM: 1},     // the cell's largest machine
-		{ID: 2, CPU: 0.5, RAM: 0.5}, // half-size
-		{ID: 3, CPU: 0.5, RAM: 0.25},
-	}
-	m := GenerateFromTrace(Config{Seed: 5}, tasks, machines)
-	if len(m.Offers) != 3 {
-		t.Fatalf("offers = %d, want one per machine", len(m.Offers))
-	}
-	if got := m.Offers[0].Resources[resource.CPU]; got != 16 {
-		t.Fatalf("largest machine cores = %v, want 16", got)
-	}
-	if got := m.Offers[1].Resources[resource.CPU]; got != 8 {
-		t.Fatalf("half machine cores = %v, want 8", got)
-	}
-	for _, o := range m.Offers {
-		if err := o.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if o.Bid <= 0 {
-			t.Fatal("machine offers must have positive costs")
-		}
-	}
-	// End to end: trace-sourced market trades through the mechanism.
-	out := auction.Run(m.Requests, m.Offers, auction.DefaultConfig())
-	if len(out.Matches) == 0 {
-		t.Fatal("trace-sourced market produced no trades")
-	}
-}
